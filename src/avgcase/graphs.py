@@ -14,6 +14,8 @@ translate its coordinates for the output trace.
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,6 +43,26 @@ __all__ = [
 
 def _n_pairs(n: int) -> int:
     return n * (n - 1) // 2
+
+
+def _pair_indices(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Positions of the pairs (u, v), u < v, in the upper-triangular order."""
+    return u * n - u * (u + 1) // 2 + (v - u - 1)
+
+
+def _pair_coords(n: int, idx: np.ndarray):
+    """Inverse of `_pair_indices`: the (u, v) arrays of the pair indices idx."""
+    rows = np.arange(n, dtype=np.int64)
+    row_start = _pair_indices(n, rows, rows + 1)
+    u = np.searchsorted(row_start, idx, side="right") - 1
+    return u, idx - row_start[u] + u + 1
+
+
+def _scatter_pairs(n: int, idx: np.ndarray) -> np.ndarray:
+    """Upper-triangular bit vector with the given pair indices set."""
+    vec = np.zeros(_n_pairs(n), dtype=bool)
+    vec[idx] = True
+    return vec
 
 
 class Graph:
@@ -72,14 +94,20 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        vec = np.zeros(_n_pairs(n), dtype=bool)
-        for u, v in edges:
-            vec[cls._pair_index(n, u, v)] = True
-        return cls.from_triu(n, vec)
-
-    @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls.from_triu(n, np.zeros(_n_pairs(n), dtype=bool))
+        """Graph on [n] with the given (u, v) pairs, in either order; repeats are harmless."""
+        uv = np.asarray(edges)
+        if uv.size == 0:
+            uv = np.empty((0, 2), dtype=np.int64)
+        if uv.ndim != 2 or uv.shape[1] != 2 or uv.dtype.kind not in "iu":
+            raise ParameterError("edges must be a sequence of integer (u, v) pairs")
+        a = uv[:, 0].astype(np.int64)
+        b = uv[:, 1].astype(np.int64)
+        u, v = np.minimum(a, b), np.maximum(a, b)
+        bad = (u == v) | (u < 0) | (v >= n)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ParameterError(f"invalid pair ({a[i]}, {b[i]}) for n={n}")
+        return cls.from_triu(n, _scatter_pairs(n, _pair_indices(n, u, v)))
 
     # -- access -----------------------------------------------------------
 
@@ -87,9 +115,7 @@ class Graph:
     def _pair_index(n: int, u: int, v: int) -> int:
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise ParameterError(f"invalid pair ({u}, {v}) for n={n}")
-        if u > v:
-            u, v = v, u
-        return u * n - u * (u + 1) // 2 + (v - u - 1)
+        return _pair_indices(n, min(u, v), max(u, v))
 
     def has_edge(self, u: int, v: int) -> bool:
         idx = self._pair_index(self.n, u, v)
@@ -106,11 +132,13 @@ class Graph:
         adj[(iu[1], iu[0])] = vec
         return adj
 
+    def _edge_pairs(self) -> np.ndarray:
+        """Sorted pair indices of the edges: the positions of the set bits."""
+        return np.flatnonzero(np.unpackbits(self._bits, count=_n_pairs(self.n)))
+
     def edges(self) -> np.ndarray:
         """Edge list as an (m, 2) array with u < v, lexicographic order."""
-        iu = np.triu_indices(self.n, k=1)
-        mask = self.triu_vector()
-        return np.column_stack((iu[0][mask], iu[1][mask]))
+        return np.column_stack(_pair_coords(self.n, self._edge_pairs()))
 
     @property
     def edge_count(self) -> int:
@@ -206,41 +234,93 @@ class PlantedTrace:
 # GRAPHv1 text format
 # ---------------------------------------------------------------------------
 
+# Edges formatted per block in `write_graphv1`, so that its transient arrays
+# (some tens of bytes per edge) stay a few tens of MB whatever the graph's size.
+_WRITE_CHUNK = 1 << 18
+
+_HEADER = re.compile(r"n=([0-9]+)\s+edges=([0-9]+)")
+
+
+def _digit_table(n: int) -> np.ndarray:
+    """(n, w) ASCII digits of 0..n-1, right-aligned, leading positions 0."""
+    values = np.arange(max(n, 1), dtype=np.int64)
+    width = len(str(values[-1]))
+    table = np.zeros((values.size, width), dtype=np.uint8)
+    for j in range(width):
+        digit = (values // 10 ** j) % 10 + ord("0")
+        table[:, width - 1 - j] = np.where((values >= 10 ** j) | (j == 0), digit, 0)
+    return table
+
+
+def _format_lines(table: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The bytes of the lines ``u v\\n``, as one uint8 array."""
+    w = table.shape[1]
+    block = np.zeros((u.size, 2 * w + 2), dtype=np.uint8)
+    block[:, :w] = table[u]
+    block[:, w] = ord(" ")
+    block[:, w + 1:-1] = table[v]
+    block[:, -1] = ord("\n")
+    return block[block != 0]
+
+
 def write_graphv1(graph: Graph, path) -> None:
-    """Header ``n=<int> edges=<int>``, then one ``u v`` line per edge (u < v)."""
-    edges = graph.edges()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n={graph.n} edges={edges.shape[0]}\n")
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
+    """Header ``n=<int> edges=<int>``, then one ``u v`` line per edge (u < v).
+
+    Edges come in lexicographic order with ``\\n`` line ends, so the bytes
+    are a function of the graph alone.
+    """
+    pairs = graph._edge_pairs()
+    table = _digit_table(graph.n)
+    with open(path, "wb") as fh:
+        fh.write(f"n={graph.n} edges={pairs.size}\n".encode("ascii"))
+        for start in range(0, pairs.size, _WRITE_CHUNK):
+            u, v = _pair_coords(graph.n, pairs[start:start + _WRITE_CHUNK])
+            fh.write(_format_lines(table, u, v))
+
+
+def _malformed(path, what: str) -> ParameterError:
+    return ParameterError(f"{path}: malformed GRAPHv1 file: {what}")
 
 
 def read_graphv1(path) -> Graph:
-    n = None
-    declared = None
-    edges = []
+    """Parse a GRAPHv1 file, rejecting anything but exactly the graph it lists.
+
+    ``#`` comments and blank lines may appear anywhere.  The header must read
+    ``n=<int> edges=<int>``; every other line holds two integers
+    ``0 <= u < v < n``; no pair may repeat and the count must match the
+    header.  Every violation raises `ParameterError` naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if n is None:
-                fields = dict(item.split("=", 1) for item in line.split())
-                try:
-                    n = int(fields["n"])
-                    declared = int(fields["edges"])
-                except (KeyError, ValueError) as exc:
-                    raise ParameterError(f"{path}: malformed GRAPHv1 header {line!r}") from exc
-                continue
-            u, v = (int(tok) for tok in line.split())
-            if not u < v:
-                raise ParameterError(f"{path}: edge lines must have u < v, got {line!r}")
-            edges.append((u, v))
-    if n is None:
-        raise ParameterError(f"{path}: missing GRAPHv1 header")
-    if declared != len(edges):
-        raise ParameterError(f"{path}: header declares {declared} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+        try:
+            line = next(filter(None, (raw.split("#", 1)[0].strip() for raw in fh)), "")
+            header = _HEADER.fullmatch(line)
+            if header is not None:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                    uv = np.loadtxt(fh, dtype=np.int64, comments="#", ndmin=2)
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise _malformed(path, str(exc)) from exc
+    if header is None:
+        raise _malformed(path, f"header {line!r} is not 'n=<int> edges=<int>'"
+                         if line else "missing header")
+    n, declared = int(header.group(1)), int(header.group(2))
+    if n * n >= 2 ** 63:  # pair indices are int64
+        raise _malformed(path, f"n={n} is beyond the int64 pair index range")
+    if uv.size == 0:
+        uv = np.empty((0, 2), dtype=np.int64)
+    if uv.shape[1] != 2:
+        raise _malformed(path, f"edge lines hold {uv.shape[1]} integers, not 2")
+    if uv.shape[0] != declared:
+        raise _malformed(path, f"header declares {declared} edges, found {uv.shape[0]}")
+    u, v = uv[:, 0], uv[:, 1]
+    bad = (u < 0) | (u >= v) | (v >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _malformed(path, f"edge ({u[i]}, {v[i]}) breaks 0 <= u < v < n={n}")
+    vec = _scatter_pairs(n, _pair_indices(n, u, v))
+    if np.count_nonzero(vec) != declared:
+        raise _malformed(path, "an edge is listed more than once")
+    return Graph.from_triu(n, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +346,7 @@ def _plant_dense(graph_vec: np.ndarray, n: int, S: np.ndarray, p: float, gen) ->
     if k < 2:
         return
     uu, vv = np.triu_indices(k, k=1)
-    su, sv = S[uu], S[vv]
-    idx = su * n - su * (su + 1) // 2 + (sv - su - 1)
+    idx = _pair_indices(n, S[uu], S[vv])
     graph_vec[idx] = gen.random(idx.size) < p
 
 

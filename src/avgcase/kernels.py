@@ -175,12 +175,17 @@ def gaussianize(M, P, Q, mu, rng: RngStream, n_iter=None, allow_unproven=False):
         raise ParameterError("gaussianize expects a 2-D binary matrix")
     m, n = M.shape
     delta = rejection_delta(P, Q)
-    mu_arr = np.broadcast_to(np.asarray(mu, dtype=float), M.shape)
-    if np.any(mu_arr < 0):
+    # Checked before broadcasting, so a scalar mu costs one comparison.  NaN
+    # would reject every proposal and leave the 0.0 initializer everywhere.
+    mu = np.asarray(mu, dtype=float)
+    if not np.all(np.isfinite(mu)):
+        raise ParameterError("target means must be finite")
+    if np.any(mu < 0):
         raise ParameterError("target means must be nonnegative")
+    mu_arr = np.broadcast_to(mu, M.shape)
     if not allow_unproven:
         bound = gaussianize_mu_bound(P, Q, m, n)
-        worst = float(mu_arr.max()) if mu_arr.size else 0.0
+        worst = float(mu.max()) if mu_arr.size else 0.0
         if worst > bound * (1 + 1e-12):
             raise ParameterError(
                 f"max mu_ij = {worst} exceeds the proven bound {bound:.6g} for a "

@@ -99,6 +99,28 @@ def test_reduce_divisibility_error_named(tmp_path, capsys):
     assert "divide" in err
 
 
+@pytest.mark.parametrize("body", [
+    "n=4 edges=1\n0 1 2\n",
+    "n=4 edges=1\nx y\n",
+    "n=4 edges=1\n0 1.5\n",
+    "n4 edges=1\n0 1\n",
+    "n=-3 edges=0\n",
+    "n=99999999999 edges=0\n",
+    "n=4 edges=2\n0 1\n0 1\n",
+    "n=4 edges=2\n0 1\n1 2 3\n",
+    "n=4 edges=1\n0 4\n",
+    "# no header\n",
+])
+def test_reduce_malformed_graph_exits_2(tmp_path, capsys, body):
+    src = tmp_path / "bad.graph"
+    src.write_text(body)
+    rc = _run(["reduce", "isgm", "--in", str(src), "--k", "4", "--p", "1.0",
+               "--q", "0.25", "--r", "2", "--seed", "5", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.graph" in err and "Traceback" not in err
+
+
 def test_reduce_semi_cr_end_to_end(tmp_path):
     src = tmp_path / "src"
     _run(["generate", "kpds", "--n", "32", "--k", "4", "--p", "1.0",

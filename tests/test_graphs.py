@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from avgcase.errors import AdversaryViolation, ParameterError
@@ -50,15 +52,107 @@ def test_graphv1_roundtrip(tmp_path):
 
 def test_graphv1_comments_and_errors(tmp_path):
     path = tmp_path / "g.graph"
-    path.write_text("# header comment\nn=4 edges=2\n0 1  # an edge\n2 3\n")
+    path.write_text("# header comment\n\nn=4 edges=2\n0 1  # an edge\n\n2 3\n")
     G = read_graphv1(path)
     assert G.has_edge(0, 1) and G.has_edge(2, 3) and G.edge_count == 2
-    path.write_text("n=4 edges=3\n0 1\n")
-    with pytest.raises(ParameterError):
-        read_graphv1(path)
-    path.write_text("n=4 edges=1\n1 0\n")
-    with pytest.raises(ParameterError):
-        read_graphv1(path)
+    for bad in ("n=4 edges=3\n0 1\n", "n=4 edges=1\n1 0\n", "n=3 edges=2\n0 1\n0 1\n"):
+        path.write_text(bad)
+        with pytest.raises(ParameterError, match="g.graph"):
+            read_graphv1(path)
+
+
+def test_from_edges_validates_pairs():
+    assert Graph.from_edges(4, [(2, 1), (1, 2)]).edges().tolist() == [[1, 2]]
+    assert Graph.from_edges(4, []).edge_count == 0
+    for bad in ([(1, 1)], [(0, 4)], [(-1, 2)], [(0, 1, 2)], [(0.0, 1.5)]):
+        with pytest.raises(ParameterError):
+            Graph.from_edges(4, bad)
+
+
+# Vertex ids on both sides of each change in digit count.
+_DIGIT_EDGES = [0, 1, 8, 9, 10, 11, 98, 99, 100, 101, 998, 999, 1000, 1001,
+                9998, 9999, 10000, 10001]
+
+
+@st.composite
+def _graph_cases(draw, max_n=10002):
+    """(n, sorted distinct (u, v) pairs with u < v < n)."""
+    n = draw(st.sampled_from([n for n in (2, *_DIGIT_EDGES) if n <= max_n])
+             | st.integers(0, 120))
+    if n < 2:
+        return n, []
+    ids = st.sampled_from([i for i in _DIGIT_EDGES if i < n]) | st.integers(0, n - 1)
+    pairs = draw(st.sets(st.tuples(ids, ids).filter(lambda p: p[0] != p[1])
+                         .map(lambda p: (min(p), max(p))), max_size=30))
+    return n, sorted(pairs)
+
+
+def _reference_graphv1(n, edges):
+    """The GRAPHv1 bytes, one formatted line per edge."""
+    lines = [f"n={n} edges={len(edges)}\n"] + [f"{u} {v}\n" for u, v in edges]
+    return "".join(lines).encode("ascii")
+
+
+@given(_graph_cases())
+@example((1, []))
+@example((2, [(0, 1)]))
+@example((10001, [(9, 10), (99, 100), (999, 1000), (9999, 10000)]))
+@settings(max_examples=40, deadline=None)
+def test_graphv1_bytes_match_reference_and_roundtrip(tmp_path_factory, case):
+    n, edges = case
+    G = Graph.from_edges(n, edges)
+    path = tmp_path_factory.mktemp("g") / "g.graph"
+    write_graphv1(G, path)
+    assert path.read_bytes() == _reference_graphv1(n, edges)
+    assert read_graphv1(path) == G
+
+
+_MUTATIONS = ["drop", "duplicate", "repeat_in_place", "swap", "id_out_of_range",
+              "extra_token", "crlf", "comments"]
+
+
+@given(_graph_cases(max_n=120), st.sampled_from(_MUTATIONS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_graphv1_mutations_rejected_or_exact(tmp_path_factory, case, mutation, data):
+    n, edges = case
+    G = Graph.from_edges(n, edges)
+    path = tmp_path_factory.mktemp("g") / "g.graph"
+    write_graphv1(G, path)
+    lines = path.read_text().splitlines()
+    line_at = lambda lo: data.draw(st.integers(lo, len(lines) - 1))
+    if mutation in ("swap", "id_out_of_range"):
+        assume(edges)
+        i = line_at(1)
+        u, v = lines[i].split()
+        lines[i] = f"{v} {u}" if mutation == "swap" else f"{u} {n + data.draw(st.integers(0, 9))}"
+    elif mutation == "drop":
+        del lines[line_at(0)]
+    elif mutation == "duplicate":
+        i = line_at(0)
+        lines.insert(i, lines[i])
+    elif mutation == "repeat_in_place":  # the header count still matches
+        assume(len(edges) >= 2)
+        i, j = line_at(1), line_at(1)
+        assume(i != j)
+        lines[i] = lines[j]
+    elif mutation == "extra_token":
+        lines[line_at(0)] += f" {data.draw(st.integers(0, n))}"
+    elif mutation == "comments":
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, len(lines)))
+            lines.insert(i, data.draw(st.sampled_from(["", "   ", "# note", "#"])))
+        i = line_at(0)
+        lines[i] += "  # trailing"
+    text = ("\r\n" if mutation == "crlf" else "\n").join(lines) + "\n"
+    path.write_bytes(text.encode("ascii"))
+    if mutation in ("crlf", "comments"):
+        assert read_graphv1(path) == G
+        return
+    try:
+        back = read_graphv1(path)
+    except ParameterError:
+        return
+    assert back == G
 
 
 def test_partition_invariants():

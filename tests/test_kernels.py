@@ -126,6 +126,17 @@ def test_gaussianize_bound_enforced():
     gaussianize(M, 0.75, 0.25, 2 * bound, RngStream(11), allow_unproven=True)
 
 
+@pytest.mark.parametrize("allow_unproven", [False, True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gaussianize_rejects_nonfinite_mu(bad, allow_unproven):
+    M = np.zeros((10, 10), dtype=np.uint8)
+    mu_matrix = np.zeros((10, 10))
+    mu_matrix[3, 4] = bad
+    for mu in (bad, mu_matrix):
+        with pytest.raises(ParameterError, match="finite"):
+            gaussianize(M, 0.75, 0.25, mu, RngStream(11), allow_unproven=allow_unproven)
+
+
 def test_srk3_branch_formulas_reconstruct_likelihoods():
     # The three acceptance branches, mixed with the ternary input weights,
     # must reconstruct dP+/dQ, 1 and dP-/dQ pointwise; this pins down every
