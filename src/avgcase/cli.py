@@ -5,7 +5,7 @@ Reproducibility rules: ``generate`` and ``reduce`` refuse to run without
 ``--seed`` (no ambient entropy), and every command is a deterministic
 function of its flags plus the seed, producing byte-identical artifacts on
 rerun.  Configuration precedence is flags > ``AVGCASE_*`` environment
-variables > defaults (``AVGCASE_OUT_DIR``, ``AVGCASE_THREADS``).
+variables > defaults (``AVGCASE_OUT_DIR``).
 
 Exit codes: 0 success / verification pass, 1 verification failure, 2 usage
 or parameter error.
@@ -14,36 +14,11 @@ or parameter error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
 import sys
 from pathlib import Path
-
-
-def _env_default(name, fallback, cast=str):
-    raw = os.environ.get(f"AVGCASE_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        return fallback
-
-
-@contextlib.contextmanager
-def _thread_limit(threads):
-    if threads is None:
-        yield
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        yield
-        return
-    with threadpool_limits(limits=threads):
-        yield
 
 
 def _out_dir(args) -> Path:
@@ -55,11 +30,8 @@ def _out_dir(args) -> Path:
 def _add_common(sub, seed_required=True):
     sub.add_argument("--seed", type=int, required=seed_required,
                      help="64-bit seed (required; there is no ambient entropy)")
-    sub.add_argument("--out", default=_env_default("OUT_DIR", "."),
+    sub.add_argument("--out", default=os.environ.get("AVGCASE_OUT_DIR", "."),
                      help="output directory [env AVGCASE_OUT_DIR]")
-    sub.add_argument("--threads", type=int,
-                     default=_env_default("THREADS", None, int),
-                     help="worker threads for numeric kernels [env AVGCASE_THREADS]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,14 +307,13 @@ def main(argv=None) -> int:
     from .errors import AvgCaseError
 
     try:
-        with _thread_limit(args.threads if hasattr(args, "threads") else None):
-            if args.command == "generate":
-                return _cmd_generate(args)
-            if args.command == "reduce":
-                return _cmd_reduce(args)
-            if args.command == "verify":
-                return _cmd_verify(args)
-            return _cmd_energy(args)
+        if args.command == "generate":
+            return _cmd_generate(args)
+        if args.command == "reduce":
+            return _cmd_reduce(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        return _cmd_energy(args)
     except AvgCaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -227,7 +227,12 @@ class PlantedTrace:
 
     @classmethod
     def read_json(cls, path) -> "PlantedTrace":
-        return cls.from_dict(load_json(path))
+        try:
+            return cls.from_dict(load_json(path))
+        except OSError as exc:
+            raise ParameterError(f"{path}: cannot open trace file: {exc.strerror}") from exc
+        except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, or not a trace
+            raise ParameterError(f"{path}: not a trace JSON file: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +295,11 @@ def read_graphv1(path) -> Graph:
     ``0 <= u < v < n``; no pair may repeat and the count must match the
     header.  Every violation raises `ParameterError` naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(f"{path}: cannot open GRAPHv1 file: {exc.strerror}") from exc
+    with fh:
         try:
             line = next(filter(None, (raw.split("#", 1)[0].strip() for raw in fh)), "")
             header = _HEADER.fullmatch(line)

@@ -12,9 +12,15 @@ Four gadgets live here:
 * ``truncate_tern`` / ``tern_params_from_truncation`` — the Gaussian
   truncation producing exactly those ternary input laws.
 
-All kernels are pure functions of their stream argument.  Likelihood ratios
-for the built-in pairs are computed in log-space; the operating regimes
-involve mu1, mu2 down to 1e-5 and the naive ratios would overflow first.
+All kernels are pure functions of their stream argument.  The Gaussian
+kernel walks its flat input in consecutive blocks of ``_BLOCK`` entries and
+draws all of one block's proposals before the next block starts, so the
+block constant is part of the stream's definition: changing it changes the
+output of every input larger than one block.
+
+Likelihood ratios for the built-in pairs are computed in log-space; the
+operating regimes involve mu1, mu2 down to 1e-5 and the naive ratios would
+overflow first.
 
 Acceptance-probability note: the three-branch acceptance rule reconstructs
 dP+/dQ, dP-/dQ and 1 exactly when mixed with the ternary input weights
@@ -68,50 +74,68 @@ def gaussianize_mu_bound(P: float, Q: float, m: int, n: int) -> float:
     return delta / (2.0 * math.sqrt(3.0 * math.log(m * n) + 2.0 * math.log(1.0 / (P - Q))))
 
 
+# Entries per block of the Gaussian rejection loop (part of the stream's
+# definition, see the module docstring).  It bounds the loop's transient
+# memory to a few block-sized arrays, whatever the size of the input.
+_BLOCK = 1 << 20
+
+
 def _rk_gauss_core(bits, mu, p, q, n_iter, gen):
-    """Vectorized rejection loop.  bits: int array in {0,1}; mu broadcastable.
+    """Vectorized rejection loop.  bits: int array in {0,1}; mu a scalar or
+    an array broadcastable to ``bits.shape``.
+
+    The flat input is processed in consecutive blocks of ``_BLOCK`` entries,
+    each run to completion before the next block draws.
+    """
+    bits = np.asarray(bits)
+    flat_bits = bits.ravel()
+    mu = np.asarray(mu, dtype=float)
+    mu_all = np.broadcast_to(mu, bits.shape) if mu.ndim else None
+    out = np.zeros(flat_bits.size, dtype=float)
+    for start in range(0, flat_bits.size, _BLOCK):
+        stop = start + _BLOCK
+        block_mu = float(mu) if mu_all is None else mu_all.flat[start:stop]
+        _rk_gauss_block(flat_bits[start:stop], block_mu, out[start:stop], p, q, n_iter, gen)
+    return out.reshape(bits.shape)
+
+
+def _rk_gauss_block(bits, mu, out, p, q, n_iter, gen):
+    """One block of the rejection loop, written into the view ``out``.
 
     The two input branches are independent, so they are processed as two
     shrinking index sets; entries that exhaust the budget keep the 0.0
-    initialization.
+    initialization.  ``mu`` is a float or an array aligned with ``bits``.
     """
-    bits = np.asarray(bits)
-    shape = bits.shape
-    out = np.zeros(bits.size, dtype=float)
-    mu_flat = np.ascontiguousarray(
-        np.broadcast_to(np.asarray(mu, dtype=float), shape).ravel()
-    )
-    flat_bits = bits.ravel()
+    scalar_mu = isinstance(mu, float)
     log_pq = math.log(p / q)
     log_1p_1q = -math.inf if p == 1.0 else math.log((1.0 - p) / (1.0 - q))
     for branch in (0, 1):
-        rem = np.flatnonzero(flat_bits == branch)
+        rem = np.flatnonzero(bits == branch)
         for _ in range(n_iter):
             if rem.size == 0:
                 break
             z = gen.standard_normal(rem.size)
-            m_ = mu_flat[rem]
+            m_ = mu if scalar_mu else mu[rem]
+            if branch == 1 and p == 1.0:
+                # p = 1: the B = 1 branch accepts its first proposal
+                z += m_
+                out[rem] = z
+                break
             if branch == 0:
                 # value z, feasible iff mu z - mu^2/2 <= log(p/q)
                 t = m_ * z - 0.5 * m_ * m_
                 with np.errstate(over="ignore"):
                     acc = t <= log_pq
                     acc &= gen.random(rem.size) < 1.0 - np.exp(t - log_pq)
-                value = z
-            elif log_1p_1q == -math.inf:
-                # p = 1: the B = 1 branch accepts its first proposal
-                acc = np.ones(rem.size, dtype=bool)
-                value = z + m_
             else:
                 # value z + mu, feasible iff -mu z - mu^2/2 <= log((1-q)/(1-p))
                 s = -m_ * z - 0.5 * m_ * m_
                 with np.errstate(over="ignore"):
                     acc = s <= -log_1p_1q
                     acc &= gen.random(rem.size) < 1.0 - np.exp(log_1p_1q + s)
-                value = z + m_
-            out[rem[acc]] = value[acc]
+                z += m_
+            out[rem[acc]] = z[acc]
             rem = rem[~acc]
-    return out.reshape(shape)
 
 
 def rk_gauss(B, mu, p, q, rng: RngStream, n=None, n_iter=None, allow_unproven=False):
@@ -138,6 +162,9 @@ def rk_gauss(B, mu, p, q, rng: RngStream, n=None, n_iter=None, allow_unproven=Fa
     Returns 0.0 (the initialization) if no iteration accepts.
     """
     delta = rejection_delta(p, q)
+    if not math.isfinite(mu):
+        # NaN would reject every proposal and return the 0.0 initializer
+        raise ParameterError(f"mu must be finite, got {mu}")
     if mu < 0:
         raise ParameterError(f"mu must be >= 0, got {mu}")
     if n is None and n_iter is None:
@@ -182,10 +209,9 @@ def gaussianize(M, P, Q, mu, rng: RngStream, n_iter=None, allow_unproven=False):
         raise ParameterError("target means must be finite")
     if np.any(mu < 0):
         raise ParameterError("target means must be nonnegative")
-    mu_arr = np.broadcast_to(mu, M.shape)
     if not allow_unproven:
         bound = gaussianize_mu_bound(P, Q, m, n)
-        worst = float(mu.max()) if mu_arr.size else 0.0
+        worst = float(mu.max()) if M.size else 0.0
         if worst > bound * (1 + 1e-12):
             raise ParameterError(
                 f"max mu_ij = {worst} exceeds the proven bound {bound:.6g} for a "
@@ -193,7 +219,7 @@ def gaussianize(M, P, Q, mu, rng: RngStream, n_iter=None, allow_unproven=False):
             )
     if n_iter is None:
         n_iter = math.ceil(3.0 * math.log(m * n) / delta)
-    return _rk_gauss_core(M, mu_arr, P, Q, n_iter, rng.child("gaussianize").generator())
+    return _rk_gauss_core(M, mu, P, Q, n_iter, rng.child("gaussianize").generator())
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,13 @@ def to_k_partite_submatrix(G: Graph, E: VertexPartition, p, q, m, rng: RngStream
         s2 = int(gen.binomial(mk, Q))
         T1 = gen.choice(Nk, size=s1, replace=False)
         rest = np.setdiff1d(F_part, S_t, assume_unique=False)
+        if s2 - s1 > rest.size:
+            raise ParameterError(
+                f"part {part_idx}: the planted-diagonal draw needs s2 - s1 = "
+                f"{s2} - {s1} = {s2 - s1} rows outside the embedded ones, but the "
+                f"part has only m/k - N/k = {mk} - {Nk} = {rest.size} "
+                f"(m={m}, N={N}, k={k}); this failure grows rare as N grows"
+            )
         T2 = gen.choice(rest, size=max(s2 - s1, 0), replace=False)
         S_all[part_idx * Nk:(part_idx + 1) * Nk] = S_t
         src_all[part_idx * Nk:(part_idx + 1) * Nk] = pi
@@ -529,6 +536,7 @@ def pds_to_isgm(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngStrea
         perm = gen.permutation(rt)
         M2[:, i * rt:(i + 1) * rt] = combined[:, perm]
         col_perms.append(perm)
+    del M1
     row_src = gen.permutation(m)
     M2 = M2[row_src]
     row_new = np.empty(m, dtype=np.int64)
@@ -538,25 +546,27 @@ def pds_to_isgm(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngStrea
     tau_entry = math.sqrt(rt * (r - 1)) * plan.mu
     M_G = gaussianize(M2, p, plan.Q, tau_entry, rng.child("gaussianize"),
                       allow_unproven=allow_unproven)
+    del M2
 
-    # Steps 4-5: rotate each part by the incidence matrix.
+    # Steps 4-6: rotate each part by the incidence matrix, keep n of the
+    # k * out_cols rotated columns, and embed them as m random coordinates of
+    # n samples in R^d.  Only the kept columns are ever computed: output
+    # column c is part c // out_cols rotated by row c % out_cols of H.
     H = build_H(r, t) if rotation_override is None else None
     H_mat = rotation_override if rotation_override is not None else H.matrix
     out_cols = H_mat.shape[0]
-    M_R = np.empty((m, k * out_cols))
-    for i in range(k):
-        M_R[:, i * out_cols:(i + 1) * out_cols] = (
-            M_G[:, i * rt:(i + 1) * rt] @ H_mat.T
-        )
-
-    # Step 6: subsample n columns, embed as m random rows of a d x n matrix.
     gen6 = rng.child("output").generator()
     col_choice = gen6.choice(k * out_cols, size=n, replace=False)
     row_pos = gen6.choice(d, size=m, replace=False)
-    X = np.empty((d, n))
-    X[row_pos] = M_R[:, col_choice]
+    samples = np.empty((n, d))
+    for i in range(k):
+        kept = np.flatnonzero(col_choice // out_cols == i)
+        samples[np.ix_(kept, row_pos)] = (
+            H_mat[col_choice[kept] % out_cols] @ M_G[:, i * rt:(i + 1) * rt].T
+        )
+    del M_G
     others = np.setdiff1d(np.arange(d), row_pos)
-    X[others] = gen6.standard_normal((others.size, n))
+    samples[:, others] = gen6.standard_normal((others.size, n)).T
 
     out_trace = PlantedTrace(seed=rng.seed, params={
         "mu": plan.mu, "eps": plan.eps, "r": r, "t": t, "m": m, "n": n, "d": d,
@@ -572,7 +582,7 @@ def pds_to_isgm(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngStrea
             positive[i * out_cols:(i + 1) * out_cols] = H_mat[:, point] > 0
         out_trace.planted_set = np.sort(row_pos[U_rows])
         out_trace.component_set = np.sort(np.flatnonzero(positive[col_choice]))
-    return IsgmInstance(samples=X.T.copy(), trace=out_trace)
+    return IsgmInstance(samples=samples, trace=out_trace)
 
 
 def sample_isgm(n: int, k: int, d: int, mu: float, eps: float, rng: RngStream) -> IsgmInstance:
@@ -667,6 +677,7 @@ def pds_to_semi_cr(G: Graph, E: VertexPartition, ell: int, n: int, p, q,
     M_PD, F, tr1 = to_k_partite_submatrix(G, E, p, q, m, rng.child("submatrix"), trace)
     mu = delta / (2.0 * math.sqrt(6.0 * math.log(m) + 2.0 * math.log(1.0 / (p - Q))))
     M_G = gaussianize(M_PD, p, Q, mu, rng.child("gaussianize"))
+    del M_PD
 
     # Step 3: embed into blocks of size 3^ell, reserving offset 0 of each
     # block (the zero-point column of the rotation) for a fresh index.
@@ -676,6 +687,7 @@ def pds_to_semi_cr(G: Graph, E: VertexPartition, ell: int, n: int, p, q,
     new_idx = (old // blk) * three_l + 1 + (old % blk)
     M_P = gen.standard_normal((m_prime, m_prime))
     M_P[np.ix_(new_idx, new_idx)] = M_G
+    del M_G
 
     # Step 4: two-sided block rotation.
     H = build_H(3, ell)
@@ -683,6 +695,7 @@ def pds_to_semi_cr(G: Graph, E: VertexPartition, ell: int, n: int, p, q,
     ellh = H.rows
     M4 = M_P.reshape(ks, three_l, ks, three_l)
     M_R = np.einsum("xi,aibj,yj->axby", H.matrix, M4, H.matrix, optimize=True)
+    del M_P, M4
     M_R = M_R.reshape(m_rot, m_rot)
 
     # Step 5: threshold the below-diagonal entries, pad, relabel.

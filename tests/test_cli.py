@@ -121,6 +121,26 @@ def test_reduce_malformed_graph_exits_2(tmp_path, capsys, body):
     assert err.startswith("error:") and "bad.graph" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("which", ["in", "trace"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "json-list"])
+def test_reduce_unreadable_input_exits_2(tmp_path, capsys, which, kind):
+    src = tmp_path / "src"
+    _run(["generate", "kpds", "--n", "32", "--k", "4", "--p", "1.0",
+          "--q", "0.25", "--seed", "21", "--out", str(src)])
+    bad = tmp_path / "bad.file"
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "json-list":
+        bad.write_text("[1]\n")
+    paths = {"in": src / "instance.graph", "trace": src / "trace.json", which: bad}
+    rc = _run(["reduce", "isgm", "--in", str(paths["in"]), "--trace", str(paths["trace"]),
+               "--k", "4", "--p", "1.0", "--q", "0.25", "--r", "2",
+               "--seed", "5", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and "Traceback" not in err
+
+
 def test_reduce_semi_cr_end_to_end(tmp_path):
     src = tmp_path / "src"
     _run(["generate", "kpds", "--n", "32", "--k", "4", "--p", "1.0",
@@ -160,6 +180,17 @@ def test_verify_underpowered_inconclusive(tmp_path):
     assert statuses["h1_component_count_law"] == "inconclusive"
 
 
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_verify_semi_cr_short_diagonal_draw_exits_2(tmp_path, capsys, seed):
+    # At N=32, k=4, p=0.75 the planted-diagonal draw of some part asks for
+    # more rows than lie outside the embedding.
+    rc = _run(["verify", "--pipeline", "semi-cr", "--params", '{"p": 0.75}',
+               "--seed", seed, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "s2 - s1" in err and "Traceback" not in err
+
+
 def test_energy_cli(capsys):
     assert _run(["energy", "--n", "6", "--k", "3", "--degree", "0"]) == 0
     assert "= 0" in capsys.readouterr().out
@@ -188,7 +219,7 @@ def test_help_mentions_flags(capsys):
         _run(["generate", "kpds", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for flag in ("--n", "--k", "--p", "--q", "--seed", "--out", "--threads"):
+    for flag in ("--n", "--k", "--p", "--q", "--seed", "--out"):
         assert flag in out
 
 

@@ -1,6 +1,7 @@
 """Tests for the rejection-kernel primitives."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scipy.stats as sst
 from numpy.testing import assert_allclose
 
 from avgcase.errors import ParameterError
-from avgcase.kernels import (ComputablePair, check_unit_mean, gaussianize,
+from avgcase.kernels import (_BLOCK, ComputablePair, check_unit_mean, gaussianize,
                              gaussianize_mu_bound, rejection_delta, rk_gauss,
                              rk_gauss_array, rk_gauss_mu_bound, srk3,
                              srk3_array, tern_params_from_truncation,
@@ -78,6 +79,12 @@ def test_rk_gauss_bound_enforced():
         rk_gauss(1, -0.1, p, q, RngStream(5), n=n)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rk_gauss_rejects_nonfinite_mu(bad):
+    with pytest.raises(ParameterError, match="finite"):
+        rk_gauss(1, bad, 0.75, 0.25, RngStream(1), n=100)
+
+
 def test_rk_gauss_exhaustion_fraction():
     # Exhausted runs return the 0.0 initialization; their frequency obeys the
     # (1/2 + small)^N envelope (doubled across the two branches).
@@ -135,6 +142,54 @@ def test_gaussianize_rejects_nonfinite_mu(bad, allow_unproven):
     for mu in (bad, mu_matrix):
         with pytest.raises(ParameterError, match="finite"):
             gaussianize(M, 0.75, 0.25, mu, RngStream(11), allow_unproven=allow_unproven)
+
+
+def _bits(shape, rate, seed):
+    return (RngStream(seed).child("bits").generator().random(shape) < rate).astype(np.uint8)
+
+
+def test_gaussianize_blocks_null_marginals():
+    # 2.25 M entries span three blocks; with mu = 0 both input bits map to
+    # N(0, 1) in the first and in the last (partial) block alike.
+    M = _bits((1500, 1500), 0.5, 40)
+    assert M.size > 2 * _BLOCK
+    X = gaussianize(M, 0.75, 0.25, 0.0, RngStream(41)).ravel()
+    bits = M.ravel()
+    for block in (slice(0, _BLOCK), slice(2 * _BLOCK, None)):
+        for bit in (0, 1):
+            stat, pval = ks_test(X[block][bits[block] == bit], sst.norm.cdf)
+            assert pval > 1e-4, (block, bit, pval)
+
+
+@pytest.mark.parametrize("P, Q", [(0.75, 0.25), (1.0, 0.5)])
+def test_gaussianize_scalar_mu_matches_full_matrix(P, Q):
+    M = _bits((1500, 1500), Q, 42)
+    mu = 0.05
+    X_scalar = gaussianize(M, P, Q, mu, RngStream(43))
+    X_full = gaussianize(M, P, Q, np.full(M.shape, mu), RngStream(43))
+    assert X_scalar.tobytes() == X_full.tobytes()
+
+
+def test_gaussianize_same_seed_same_bytes():
+    M = _bits((1500, 1500), 0.5, 44)
+    a, b, c = (gaussianize(M, 0.75, 0.25, 0.05, RngStream(s)) for s in (45, 45, 46))
+    assert a.tobytes() == b.tobytes()
+    assert a.tobytes() != c.tobytes()
+
+
+@pytest.mark.parametrize("mu", [0.05, "matrix"])
+def test_gaussianize_transient_memory_bounded(mu):
+    # The rejection loop's temporaries are block-sized: the peak allocation
+    # inside the call exceeds its output by at most a fixed allowance.
+    M = _bits((2000, 2000), 0.5, 47)
+    mu = np.full(M.shape, 0.05) if mu == "matrix" else mu
+    tracemalloc.start()
+    try:
+        X = gaussianize(M, 0.75, 0.25, mu, RngStream(48))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes + 64 * 2 ** 20
 
 
 def test_srk3_branch_formulas_reconstruct_likelihoods():
