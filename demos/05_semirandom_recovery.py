@@ -15,6 +15,8 @@ from avgcase.graphs import (PlantedTrace, VertexPartition,
                             semirandom_apply)
 from avgcase.pipelines import pds_to_semi_cr, plan_parameters, semi_cr_mus
 from avgcase.prob import RngStream
+from avgcase.verify import (SEMI_CR_CLASSES, class_z_scores, semi_cr_class_counts,
+                            semi_cr_class_probs)
 
 p, q, N, k, ell = 1.0, 0.25, 32, 4, 2
 plan = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=ell)
@@ -31,26 +33,15 @@ hits = np.zeros(4)
 tots = np.zeros(4)
 for i in range(R):
     G, tr = sample_k_pds(N, k, p, q, E, rng.child("g", i))
-    G_out, otr = pds_to_semi_cr(G, E, ell, plan.n, p, q, rng.child("r", i), trace=tr)
-    adj = G_out.to_dense()
-    S = otr.planted_set
-    S2 = np.asarray(otr.params["S_prime"])
-    V = np.asarray(otr.params["V"])
-    lab = np.zeros(G_out.n, dtype=int)
-    lab[V], lab[S2], lab[S] = 1, 2, 3
-    iu = np.triu_indices(G_out.n, 1)
-    la, lb = lab[iu[0]], lab[iu[1]]
-    e = adj[iu]
-    for j, mask in enumerate(((la == 3) & (lb == 3),
-                              ((la == 3) & (lb == 2)) | ((la == 2) & (lb == 3)),
-                              (la == 2) & (lb == 2),
-                              (la >= 1) & (lb >= 1) & ~((la >= 2) & (lb >= 2)))):
-        hits[j] += e[mask].sum()
-        tots[j] += mask.sum()
+    G_out, otr = pds_to_semi_cr(G, E, plan, rng.child("r", i), trace=tr)
+    h, t = semi_cr_class_counts(G_out, otr)
+    hits += h
+    tots += t
 print("\npipeline edge-class frequencies over", R, "runs:")
-for name, h, t, target in zip(("S^2      ", "S x S'   ", "S'^2     ", "rest V^2 "),
-                              hits, tots, (0.5 + mu3, 0.5 - mu2, 0.5, 0.5 - mu1)):
-    print(f"  {name} {h / t:.5f}  target {target:.5f}")
+probs = semi_cr_class_probs(mu1, mu2, mu3)
+for name, h, t, target, z in zip(SEMI_CR_CLASSES, hits, tots, probs,
+                                 class_z_scores(hits, tots, probs)):
+    print(f"  {name:<12} {h / t:.5f}  target {target:.5f}  z {z:+.2f}")
 
 # The adversary that simulates the same law from a vanilla planted instance:
 # keep S^2 intact, thin S x S' at rate 2 mu2 and everything else at 2 mu1.

@@ -39,8 +39,7 @@ print(f"  a fat mean-shift-1 family violates (ii) at freq "
 
 # End to end on a null input: every output coordinate is distributed as Q.
 p, q = 1.0, 0.25
-plan = plan_parameters("GLSM", p, q, 2.0, n=64, k=4, d=200)
-plan.d = max(plan.d, plan.m)
+plan = plan_parameters("GLSM", p, q, 2.0, n=64, k=4)  # d defaults to m
 print(f"\nGLSM plan: source N={plan.N}, t={plan.t}, mu={plan.mu:.5f} "
       f"(capped at proven bound: {plan.report['mu_capped_at_proven_bound']})")
 E = VertexPartition.contiguous(plan.N, 4)

@@ -20,6 +20,8 @@ import os
 import sys
 from pathlib import Path
 
+from .errors import AvgCaseError, ParameterError
+
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
@@ -85,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     r_isgm.add_argument("--k", type=int, required=True, help="parts in the promise partition")
     r_isgm.add_argument("--p", type=float, required=True)
     r_isgm.add_argument("--q", type=float, required=True)
-    r_isgm.add_argument("--plan-auto", action="store_true",
-                        help="derive (r, t, m, n, d, mu) from --eps/--r and --w")
     r_isgm.add_argument("--eps", type=float, help="target mixture weight (picks r)")
     r_isgm.add_argument("--r", type=int, help="explicit prime r (overrides --eps)")
     r_isgm.add_argument("--w", type=float, default=4.0, help="slow-growth factor")
@@ -180,7 +180,6 @@ def _cmd_generate(args) -> int:
         else:
             missing = [f for f in ("k", "k2", "mu2", "mu3") if getattr(args, f) is None]
             if missing:
-                from .errors import ParameterError
                 raise ParameterError(f"tg h1 needs --{' --'.join(missing)}")
             G, trace = sample_tg_h1(args.n, args.k, args.k2, args.m,
                                     args.mu1, args.mu2, args.mu3, rng)
@@ -213,7 +212,6 @@ def _cmd_reduce(args) -> int:
 
     if args.pipeline == "isgm":
         if args.r is None and args.eps is None:
-            from .errors import ParameterError
             raise ParameterError("reduce isgm needs --eps or --r")
         plan = plan_parameters("ISGM", args.p, args.q, args.w, eps=args.eps,
                                r=args.r, N=G.n, k=args.k, n=args.n, d=args.d)
@@ -230,13 +228,12 @@ def _cmd_reduce(args) -> int:
     elif args.pipeline == "semi-cr":
         plan = plan_parameters("SEMI_CR", args.p, args.q, 4.0, N=G.n, k=args.k,
                                ell=args.ell, n=args.n_out)
-        G_out, out_trace = pds_to_semi_cr(G, E, args.ell, plan.n, args.p, args.q,
-                                          rng, trace=trace)
+        G_out, out_trace = pds_to_semi_cr(G, E, plan, rng, trace=trace)
         write_graphv1(G_out, out / "instance.graph")
         out_trace.write_json(out / "trace.json")
         dump_json(out / "plan.json", plan.to_dict())
         print(
-            f"semi-cr: ell={args.ell} m={plan.m} n={plan.n} "
+            f"semi-cr: ell={plan.ell} m={plan.m} n={plan.n} "
             f"mu1={out_trace.params['mu1']:.4g} mu3={out_trace.params['mu3']:.4g} "
             f"-> {out / 'instance.graph'}"
         )
@@ -246,12 +243,10 @@ def _cmd_reduce(args) -> int:
         plan = plan_parameters("GLSM", args.p, args.q, args.w, n=args.n,
                                k=args.k, d=args.d)
         if plan.N != G.n:
-            from .errors import ParameterError
             raise ParameterError(
                 f"input graph has {G.n} vertices but the GLSM plan needs N={plan.N}; "
                 f"generate the source instance at that size"
             )
-        plan.d = args.d
         scale = math.sqrt(3.0 * args.theta * math.log(args.n) / args.k)
         family = lambda nu: ComputablePair.gaussian_mean_shift(nu * scale)
         D = Gaussian(0.0, 1.0 / math.sqrt(3.0 * math.log(args.n)))
@@ -269,7 +264,10 @@ def _cmd_verify(args) -> int:
     from .verify import verify_reduction
 
     out = _out_dir(args)
-    params = json.loads(args.params)
+    try:
+        params = json.loads(args.params)
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"--params is not valid JSON: {exc}") from None
     report = verify_reduction(args.pipeline, params, args.trials, args.alpha,
                               seed=args.seed, fault=args.fault)
     dump_json(out / "report.json", report)
@@ -289,7 +287,6 @@ def _cmd_energy(args) -> int:
         p = float(signal.split(":", 1)[1])
         signal = "pds"
     elif signal != "pc":
-        from .errors import ParameterError
         raise ParameterError(f"--signal must be 'pc' or 'pds:<p>', got {args.signal!r}")
     q = EnergyQuery(
         n=args.n, k=args.k, partition=VertexPartition.contiguous(args.n, args.k),
@@ -304,8 +301,6 @@ def _cmd_energy(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from .errors import AvgCaseError
-
     try:
         if args.command == "generate":
             return _cmd_generate(args)

@@ -112,10 +112,6 @@ class IncidenceMatrix:
     def negative_value(self) -> float:
         return (1.0 - self.r) / math.sqrt(self.r ** self.t * (self.r - 1))
 
-    def column_signs(self, col: int) -> np.ndarray:
-        """Boolean mask of rows where the given column is positive."""
-        return self.matrix[:, col] > 0
-
 
 @functools.lru_cache(maxsize=64)
 def build_H(r: int, t: int) -> IncidenceMatrix:

@@ -71,6 +71,8 @@ class Graph:
     __slots__ = ("n", "_bits")
 
     def __init__(self, n: int, packed_bits: np.ndarray):
+        if n < 0:
+            raise ParameterError(f"a graph needs n >= 0 vertices, got n={n}")
         self.n = int(n)
         self._bits = packed_bits
 
@@ -184,10 +186,6 @@ class VertexPartition:
         """List of index arrays, one per part, each sorted ascending."""
         order = np.argsort(self.part_of, kind="stable")
         return [np.sort(chunk) for chunk in np.split(order, self.k)]
-
-    @property
-    def part_size(self) -> int:
-        return self.n // self.k
 
 
 @dataclass

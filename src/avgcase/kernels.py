@@ -1,14 +1,15 @@
 """Algorithmic change-of-measure primitives (rejection kernels).
 
-Four gadgets live here:
+Three gadgets live here:
 
-* ``rk_gauss`` — maps one biased bit to (approximately) a unit-variance
-  Gaussian, sending Bern(p) inputs near N(mu, 1) and Bern(q) inputs near
-  N(0, 1) simultaneously.
-* ``gaussianize`` — the entrywise matrix version of ``rk_gauss``.
-* ``srk3`` — the symmetric 3-ary kernel mapping ternary inputs distributed
-  Tern(a, mu1, mu2) / Tern(a, -mu1, mu2) / Tern(a, 0, 0) near three target
-  laws P+, P-, Q given likelihood-ratio oracles.
+* ``rk_gauss_array`` — maps each biased bit of an array to (approximately) a
+  unit-variance Gaussian, sending Bern(p) inputs near N(mu, 1) and Bern(q)
+  inputs near N(0, 1) simultaneously.
+* ``gaussianize`` — the same kernel over a {0,1} matrix, with the proven
+  mean bound enforced and an iteration count set by the matrix size.
+* ``srk3_array`` — the symmetric 3-ary kernel mapping ternary inputs
+  distributed Tern(a, mu1, mu2) / Tern(a, -mu1, mu2) / Tern(a, 0, 0) near
+  three target laws P+, P-, Q given likelihood-ratio oracles.
 * ``truncate_tern`` / ``tern_params_from_truncation`` — the Gaussian
   truncation producing exactly those ternary input laws.
 
@@ -42,12 +43,10 @@ from .prob import RngStream, normal_cdf, tern_pmf
 __all__ = [
     "rejection_delta",
     "rk_gauss_mu_bound",
-    "rk_gauss",
     "rk_gauss_array",
     "gaussianize",
     "gaussianize_mu_bound",
     "ComputablePair",
-    "srk3",
     "srk3_array",
     "truncate_tern",
     "tern_params_from_truncation",
@@ -80,16 +79,30 @@ def gaussianize_mu_bound(P: float, Q: float, m: int, n: int) -> float:
 _BLOCK = 1 << 20
 
 
-def _rk_gauss_core(bits, mu, p, q, n_iter, gen):
+def _rk_gauss_core(bits, mu, p, q, n_iter, gen, bound=math.inf):
     """Vectorized rejection loop.  bits: int array in {0,1}; mu a scalar or
     an array broadcastable to ``bits.shape``.
 
-    The flat input is processed in consecutive blocks of ``_BLOCK`` entries,
-    each run to completion before the next block draws.
+    Every entry point goes through here, so the target means are checked
+    here: finite (NaN would reject every proposal and leave the 0.0
+    initializer everywhere), nonnegative, and at most ``bound``.  The flat
+    input is processed in consecutive blocks of ``_BLOCK`` entries, each run
+    to completion before the next block draws.
     """
     bits = np.asarray(bits)
-    flat_bits = bits.ravel()
     mu = np.asarray(mu, dtype=float)
+    if not np.all(np.isfinite(mu)):
+        raise ParameterError("target means must be finite")
+    if np.any(mu < 0):
+        raise ParameterError("target means must be nonnegative")
+    worst = float(mu.max()) if bits.size else 0.0
+    if worst > bound * (1 + 1e-12):
+        raise ParameterError(
+            f"max mu = {worst} exceeds the proven bound {bound:.6g} for a "
+            f"{'x'.join(map(str, bits.shape))} input; pass allow_unproven=True "
+            "to run anyway"
+        )
+    flat_bits = bits.ravel()
     mu_all = np.broadcast_to(mu, bits.shape) if mu.ndim else None
     out = np.zeros(flat_bits.size, dtype=float)
     for start in range(0, flat_bits.size, _BLOCK):
@@ -138,52 +151,16 @@ def _rk_gauss_block(bits, mu, out, p, q, n_iter, gen):
             rem = rem[~acc]
 
 
-def rk_gauss(B, mu, p, q, rng: RngStream, n=None, n_iter=None, allow_unproven=False):
-    """Gaussian rejection kernel: one bit in, one real out.
-
-    Parameters
-    ----------
-    B : 0 or 1
-        Input bit.  Over Bern(p) inputs the output is close to N(mu, 1);
-        over Bern(q) inputs it is close to N(0, 1).
-    mu : float
-        Target mean shift, mu >= 0.
-    p, q : float
-        Bernoulli rates, 0 < q < p <= 1.
-    rng : RngStream
-    n : int, optional
-        Instance-size parameter; sets the default iteration count
-        ceil(6 log(n) / delta) and the proven mu bound.
-    n_iter : int, optional
-        Explicit iteration budget (overrides the ``n`` default).
-    allow_unproven : bool
-        Skip the mu-bound precondition (the TV guarantee no longer applies).
-
-    Returns 0.0 (the initialization) if no iteration accepts.
-    """
-    delta = rejection_delta(p, q)
-    if not math.isfinite(mu):
-        # NaN would reject every proposal and return the 0.0 initializer
-        raise ParameterError(f"mu must be finite, got {mu}")
-    if mu < 0:
-        raise ParameterError(f"mu must be >= 0, got {mu}")
-    if n is None and n_iter is None:
-        raise ParameterError("pass n (for defaults) or an explicit n_iter")
-    if n_iter is None:
-        n_iter = math.ceil(6.0 * math.log(n) / delta)
-    if n is not None and not allow_unproven:
-        bound = rk_gauss_mu_bound(p, q, n)
-        if mu > bound * (1 + 1e-12):
-            raise ParameterError(
-                f"mu={mu} exceeds the proven bound {bound:.6g} at n={n}; "
-                "pass allow_unproven=True to run anyway"
-            )
-    out = _rk_gauss_core(np.array([int(B)]), mu, p, q, n_iter, rng.child("rk").generator())
-    return float(out[0])
-
-
 def rk_gauss_array(bits, mu, p, q, n_iter, rng: RngStream):
-    """Entrywise ``rk_gauss`` over an integer array, sharing one stream."""
+    """Gaussian rejection kernel, entrywise over an integer array in {0, 1},
+    sharing one stream.
+
+    Over Bern(p) inputs each output is close to N(mu, 1), over Bern(q)
+    inputs close to N(0, 1); ``mu`` is a nonnegative scalar or an array
+    broadcastable to ``bits``.  No mean bound is enforced (see
+    ``rk_gauss_mu_bound`` for the proven one); entries that exhaust the
+    ``n_iter`` budget return 0.0, the initialization.
+    """
     return _rk_gauss_core(bits, mu, p, q, n_iter, rng.child("rk").generator())
 
 
@@ -202,24 +179,11 @@ def gaussianize(M, P, Q, mu, rng: RngStream, n_iter=None, allow_unproven=False):
         raise ParameterError("gaussianize expects a 2-D binary matrix")
     m, n = M.shape
     delta = rejection_delta(P, Q)
-    # Checked before broadcasting, so a scalar mu costs one comparison.  NaN
-    # would reject every proposal and leave the 0.0 initializer everywhere.
-    mu = np.asarray(mu, dtype=float)
-    if not np.all(np.isfinite(mu)):
-        raise ParameterError("target means must be finite")
-    if np.any(mu < 0):
-        raise ParameterError("target means must be nonnegative")
-    if not allow_unproven:
-        bound = gaussianize_mu_bound(P, Q, m, n)
-        worst = float(mu.max()) if M.size else 0.0
-        if worst > bound * (1 + 1e-12):
-            raise ParameterError(
-                f"max mu_ij = {worst} exceeds the proven bound {bound:.6g} for a "
-                f"{m}x{n} matrix; pass allow_unproven=True to run anyway"
-            )
+    bound = math.inf if allow_unproven else gaussianize_mu_bound(P, Q, m, n)
     if n_iter is None:
         n_iter = math.ceil(3.0 * math.log(m * n) / delta)
-    return _rk_gauss_core(M, mu, P, Q, n_iter, rng.child("gaussianize").generator())
+    return _rk_gauss_core(M, mu, P, Q, n_iter, rng.child("gaussianize").generator(),
+                          bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +317,16 @@ def srk3_array(bits, pair_plus, pair_minus, a, mu1, mu2, n_iter, rng: RngStream)
             default=1.0 + common - l1 / (4.0 * mu1),
         )
         bad = gated & ((p_acc < -1e-9) | (p_acc > 1.0 + 1e-9))
-        assert not bad.any(), "acceptance probability left [0, 1] at a gated point"
+        if bad.any():
+            raise ParameterError(
+                "srk3 acceptance probability left [0, 1] at a gated point "
+                f"(a={a}, mu1={mu1}, mu2={mu2})"
+            )
         accept = gated & (u < p_acc)
         hit = remaining[accept]
         out[hit] = z[accept]
         remaining = remaining[~accept]
     return out.reshape(bits.shape)
-
-
-def srk3(B, pair_plus, pair_minus, a, mu1, mu2, n_iter, rng: RngStream):
-    """Scalar symmetric 3-ary rejection kernel; see ``srk3_array``."""
-    out = srk3_array(np.array([int(B)]), pair_plus, pair_minus, a, mu1, mu2, n_iter, rng)
-    return float(out[0])
 
 
 def truncate_tern(x, tau: float):

@@ -33,6 +33,7 @@ from .kernels import (
     ComputablePair,
     gaussianize,
     rejection_delta,
+    rk_gauss_mu_bound,
     srk3_array,
     tern_params_from_truncation,
     truncate_tern,
@@ -213,20 +214,21 @@ def plan_parameters(
 
     ISGM      needs (N, k) of the input graph and eps (or the prime r);
               n and d default to floor(k*l/w) and m.
-    RSME      needs target (n, k, d, eps); derives the source (N, k') itself.
-    SEMI_CR   needs (N, k) and the blowup ell (or the exponent beta);
-              n defaults to the embedded matrix size m.
-    GLSM      needs target (n, k, d); derives the source size; r is 2.
+    SEMI_CR   needs (N, k) and the blowup ell >= 2 (or the exponent beta);
+              n defaults to the embedded matrix size m, and mu is the
+              Gaussian kernel's proven bound at size m.
+    GLSM      needs target (n, k); derives the source size; r is 2 and d
+              defaults to m.
 
     Structural impossibilities raise ParameterError; asymptotic conditions
     that merely fail at finite size are recorded in ``plan.report``.
     """
-    if target not in ("ISGM", "RSME", "SEMI_CR", "GLSM"):
+    if target not in ("ISGM", "SEMI_CR", "GLSM"):
         raise ParameterError(f"unknown reduction target {target!r}")
     Q = clone_Q(p, q)
     delta = rejection_delta(p, Q)
-    if w <= 0:
-        raise ParameterError(f"w must be positive, got {w}")
+    if not 0.0 < w < math.inf:
+        raise ParameterError(f"w must be positive and finite, got {w}")
 
     if target == "ISGM":
         if N is None or k is None:
@@ -255,44 +257,22 @@ def plan_parameters(
         mu = c * proven_mu_bound(k, m, r, t, p, Q)
         plan = ReductionPlan("ISGM", p, q, N, k, r, t, m, n, d, Q, delta, mu, w, eps, c=c)
 
-    elif target == "RSME":
-        if n is None or k is None or d is None or eps is None:
-            raise ParameterError("RSME planning needs n, k, d and eps")
-        r = smallest_prime_above(1.0 / eps)
-        ratio = 1.0 + p / Q
-        t = 2
-        while r ** (t + 1) < w * k * ratio:
-            t += 1
-        if r ** t >= w * k * ratio:
-            raise ParameterError(
-                f"no power of r={r} lies in the planning window below w*k*(1+p/Q)"
-            )
-        k_prime = int(r ** t / (w * ratio))
-        if k_prime < 1:
-            raise ParameterError("planned subgraph size collapsed to zero; increase k or eps")
-        N = k_prime * max(1, int(math.ceil(w * k_prime)))
-        m = _next_multiple_above(k_prime, (p / Q + 1.0) * N)
-        mu = c * proven_mu_bound(k_prime, m, r, t, p, Q)
-        plan = ReductionPlan(
-            "RSME", p, q, N, k_prime, r, t, m, n, d, Q, delta, mu, w, 1.0 / r, c=c
-        )
-        plan.report["target_k"] = k
-        plan.report["target_tau"] = mu * math.sqrt(k_prime)
-        plan.report["k_prime_le_target_k"] = k_prime <= k
-        plan.report["inv_r_lt_eps"] = 1.0 / r < eps
-
     elif target == "SEMI_CR":
         if N is None or k is None:
             raise ParameterError("SEMI_CR planning needs the source sizes N and k")
         if ell is None:
             if beta is None:
                 raise ParameterError("SEMI_CR planning needs ell or beta")
-            ell = max(1, math.ceil(math.log(N ** beta / k, 3)))
+            ell = max(2, math.ceil(math.log(N ** beta / k, 3)))
+        if not isinstance(ell, (int, np.integer)) or ell < 2:
+            # the block rotation H_{3,ell} needs ell >= 2, and ell = 1 plants nothing
+            raise ParameterError(f"ell must be an integer >= 2, got {ell!r}")
+        ell = int(ell)
         unit = (3 ** ell - 1) * k
         m = _next_multiple_above(unit, (p / Q + 1.0) * N)
         if n is None:
             n = m
-        mu = delta / (2.0 * math.sqrt(6.0 * math.log(m) + 2.0 * math.log(1.0 / (p - Q))))
+        mu = rk_gauss_mu_bound(p, Q, m)
         plan = ReductionPlan(
             "SEMI_CR", p, q, N, k, 3, ell, m, n, m // 2, Q, delta, mu, w, 1.0 / 3.0,
             ell=ell, c=c,
@@ -302,8 +282,8 @@ def plan_parameters(
                             "planted_size": (3 ** (ell - 1) - 1) * k // 2})
 
     else:  # GLSM
-        if n is None or k is None or d is None:
-            raise ParameterError("GLSM planning needs n, k and d")
+        if n is None or k is None:
+            raise ParameterError("GLSM planning needs n and k")
         r = 2
         t = 2
         while 2 ** t <= w * k or k * (2 ** t - 1) < w * n:
@@ -315,6 +295,8 @@ def plan_parameters(
             m = _next_multiple_above(k, (p / Q + 1.0) * N)
         if N < k:
             raise ParameterError("planned source size collapsed below k")
+        if d is None:
+            d = m
         mu_fig = c * math.sqrt(k / (N * math.log(n)))
         mu_cap = proven_mu_bound(k, m, r, t, p, Q)
         mu = min(mu_fig, mu_cap)
@@ -650,9 +632,10 @@ def isgm_sample_clone(inst: IsgmInstance, ell: int, n_prime: int, rng: RngStream
 # k-PDS -> semirandom community recovery
 # ---------------------------------------------------------------------------
 
-def pds_to_semi_cr(G: Graph, E: VertexPartition, ell: int, n: int, p, q,
-                   rng: RngStream, trace: Optional[PlantedTrace] = None):
-    """Reduce a k-PDS instance to the semirandom community-recovery target law.
+def pds_to_semi_cr(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngStream,
+                   trace: Optional[PlantedTrace] = None):
+    """Reduce a k-PDS instance to the semirandom community-recovery target law
+    under a ``SEMI_CR`` plan.
 
     Null inputs map to the tg_h0(n, m'', mu1) law and planted inputs to
     tg_h1 with |S| = (3^(ell-1) - 1) k / 2, |S'| = 3^(ell-1) k, where the
@@ -660,22 +643,21 @@ def pds_to_semi_cr(G: Graph, E: VertexPartition, ell: int, n: int, p, q,
     trace records S (planted_set) plus S' and the rotated vertex set V in
     ``params``.
     """
-    if ell < 1:
-        raise ParameterError(f"ell must be >= 1, got {ell}")
-    N, k = E.n, E.k
-    Q = clone_Q(p, q)
-    delta = rejection_delta(p, Q)
-    unit = (3 ** ell - 1) * k
-    m = _next_multiple_above(unit, (p / Q + 1.0) * N)
-    s = m // unit
+    if plan.target != "SEMI_CR":
+        raise ParameterError(f"pds_to_semi_cr needs a SEMI_CR plan, got {plan.target}")
+    if (E.n, E.k) != (plan.N, plan.k):
+        raise ParameterError(
+            f"partition is over N={E.n}, k={E.k}; the plan is for N={plan.N}, k={plan.k}"
+        )
+    p, q, Q, k, ell, m, n, mu = plan.p, plan.q, plan.Q, plan.k, plan.ell, plan.m, plan.n, plan.mu
     three_l = 3 ** ell
+    s = m // ((three_l - 1) * k)
     m_prime = three_l * k * s
     m_rot = m // 2  # (3^ell - 1) k s / 2 rows survive each block rotation
     if n < m_rot:
         raise ParameterError(f"need n >= {m_rot} output vertices, got n={n}")
 
     M_PD, F, tr1 = to_k_partite_submatrix(G, E, p, q, m, rng.child("submatrix"), trace)
-    mu = delta / (2.0 * math.sqrt(6.0 * math.log(m) + 2.0 * math.log(1.0 / (p - Q))))
     M_G = gaussianize(M_PD, p, Q, mu, rng.child("gaussianize"))
     del M_PD
 

@@ -42,10 +42,18 @@ __all__ = [
     "chi2_test",
     "chi2_gof_counts",
     "covariance_identity_check",
+    "isgm_count_law",
+    "isgm_planted_sums",
+    "isgm_planted_mean_z",
+    "SEMI_CR_CLASSES",
+    "semi_cr_class_probs",
+    "semi_cr_class_counts",
+    "class_z_scores",
     "EnergyQuery",
     "low_degree_energy",
     "low_degree_energy_oracle",
     "low_degree_energy_counting_bound",
+    "battery_params",
     "verify_reduction",
 ]
 
@@ -393,8 +401,127 @@ def low_degree_energy_counting_bound(q: EnergyQuery) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Reduction contracts
+# ---------------------------------------------------------------------------
+#
+# Each distributional contract of a reduction is computed here, once; the
+# batteries below and the acceptance suite apply their own thresholds to it.
+
+def isgm_count_law(counts, n: int, eps: float):
+    """Chi-square of per-run positive-component counts against
+    Binomial(n, 1 - eps); returns (statistic, p_value)."""
+    from .prob import Binomial
+
+    return chi2_gof_counts(counts, finite_pmf(Binomial(n, 1 - eps)))
+
+
+def isgm_planted_sums(inst) -> np.ndarray:
+    """[positive sum, positive count, negative sum, negative count] of one
+    planted ISGM run's entries on the planted coordinates, split by mixture
+    component; add them up over runs for ``isgm_planted_mean_z``."""
+    S = inst.trace.planted_set
+    positive = np.zeros(inst.n, dtype=bool)
+    positive[inst.trace.component_set] = True
+    pos_block = inst.samples[np.ix_(positive, S)]
+    neg_block = inst.samples[np.ix_(~positive, S)]
+    return np.array([pos_block.sum(), pos_block.size, neg_block.sum(), neg_block.size])
+
+
+def isgm_planted_mean_z(sums, mu: float, eps: float):
+    """(z_pos, z_neg): the pooled planted means of ``isgm_planted_sums``
+    against mu and the balancing mu' = -mu (1 - eps) / eps, in standard
+    errors of unit-variance entries."""
+    from .pipelines import isgm_mu_prime
+
+    pos_sum, pos_cnt, neg_sum, neg_cnt = sums
+    z_pos = (pos_sum / pos_cnt - mu) / (1.0 / math.sqrt(pos_cnt))
+    z_neg = (neg_sum / neg_cnt - isgm_mu_prime(mu, eps)) / (1.0 / math.sqrt(neg_cnt))
+    return z_pos, z_neg
+
+
+SEMI_CR_CLASSES = ("S^2", "S x S'", "S'^2", "rest of V^2")
+
+
+def semi_cr_class_probs(mu1: float, mu2: float, mu3: float):
+    """Edge probabilities of the ``SEMI_CR_CLASSES`` under the target law."""
+    return (0.5 + mu3, 0.5 - mu2, 0.5, 0.5 - mu1)
+
+
+def semi_cr_class_counts(G_out, trace):
+    """(hits, totals): edge and pair counts of one SEMI-CR output graph over
+    the ``SEMI_CR_CLASSES``, from the trace's S, S' and V.  Pairs with an end
+    outside V (edge probability 1/2) fall in no class: they are what the
+    graph's edge and pair counts leave over."""
+    adj = G_out.to_dense()
+    n = G_out.n
+    S = np.asarray(trace.planted_set) if trace.planted_set is not None else np.array([], int)
+    S2 = np.asarray(trace.params.get("S_prime", []), dtype=int)
+    V = np.asarray(trace.params["V"], dtype=int)
+    labels = np.zeros(n, dtype=int)  # 0 outside V, 1 in V, 2 in S', 3 in S
+    labels[V] = 1
+    labels[S2] = 2
+    labels[S] = 3
+    iu = np.triu_indices(n, k=1)
+    la, lb = labels[iu[0]], labels[iu[1]]
+    e = adj[iu]
+    masks = [
+        (la == 3) & (lb == 3),
+        ((la == 3) & (lb == 2)) | ((la == 2) & (lb == 3)),
+        (la == 2) & (lb == 2),
+        (la >= 1) & (lb >= 1) & ~((la >= 2) & (lb >= 2)),
+    ]
+    hits = np.array([e[mask].sum() for mask in masks], dtype=float)
+    return hits, np.array([mask.sum() for mask in masks], dtype=float)
+
+
+def class_z_scores(hits, tots, probs) -> np.ndarray:
+    """Per-class z-scores of pooled edge frequencies against their target
+    probabilities, (h / t - p) / sqrt(p (1 - p) / t)."""
+    hits, tots, probs = (np.asarray(x, dtype=float) for x in (hits, tots, probs))
+    return (hits / tots - probs) / np.sqrt(probs * (1 - probs) / tots)
+
+
+# ---------------------------------------------------------------------------
 # Reduction verification batteries
 # ---------------------------------------------------------------------------
+
+# Each battery's parameters and their defaults.  An int default (or None)
+# marks an integer parameter; GLSM's d = None lets the planner default d to m.
+_BATTERY_PARAMS = {
+    "isgm": {"p": 0.75, "q": 0.25, "N": 144, "k": 4, "w": 4.0, "r": 2},
+    "semi-cr": {"p": 1.0, "q": 0.25, "N": 32, "k": 4, "ell": 2},
+    "glsm": {"p": 1.0, "q": 0.25, "n": 64, "k": 4, "d": None, "tau": 1.0,
+             "theta": 1e-5},
+}
+
+
+def battery_params(pipeline: str, params) -> dict:
+    """The battery's defaults overridden by ``params`` (a dict, or None).
+
+    Raises ParameterError on a non-object, an unknown key (naming the allowed
+    ones) or a value of the wrong type."""
+    defaults = _BATTERY_PARAMS[pipeline]
+    if params is None:
+        params = {}
+    if not isinstance(params, dict):
+        raise ParameterError(
+            f"{pipeline} battery parameters must be a JSON object, got {params!r}"
+        )
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ParameterError(
+            f"unknown {pipeline} battery parameter(s) {unknown}; allowed: {sorted(defaults)}"
+        )
+    for key, value in params.items():
+        integral = defaults[key] is None or isinstance(defaults[key], int)
+        kinds = (int,) if integral else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ParameterError(
+                f"{pipeline} battery parameter {key!r} must be "
+                f"{'an integer' if integral else 'a number'}, got {value!r}"
+            )
+    return {**defaults, **params}
+
 
 def _test_entry(name, statistic, p_value, passed, status=None):
     return {
@@ -410,13 +537,9 @@ def _battery_isgm(params, trials, alpha, rng, fault):
     from . import pipelines as pl
     from .graphs import sample_gnq, sample_k_pds
 
-    p = params.get("p", 0.75)
-    q = params.get("q", 0.25)
-    N = params.get("N", 144)
-    k = params.get("k", 4)
-    w = params.get("w", 4.0)
-    r = params.get("r", 2)
-    plan = pl.plan_parameters("ISGM", p, q, w, r=r, N=N, k=k)
+    N, k = params["N"], params["k"]
+    plan = pl.plan_parameters("ISGM", params["p"], params["q"], params["w"],
+                              r=params["r"], N=N, k=k)
     E = VertexPartition.contiguous(N, k)
     rotation = None
     if fault == "rotation":
@@ -426,7 +549,7 @@ def _battery_isgm(params, trials, alpha, rng, fault):
         rotation = 1.5 * build_H(plan.r, plan.t).matrix
     tests = []
 
-    G0 = sample_gnq(N, q, rng.child("h0-graph"))
+    G0 = sample_gnq(N, plan.q, rng.child("h0-graph"))
     inst = pl.pds_to_isgm(G0, E, plan, rng.child("h0-run"), rotation_override=rotation)
     _, pvals = ks_matrix(inst.samples.T, _sst.norm.cdf)
     worst = float(pvals.min())
@@ -449,33 +572,17 @@ def _battery_isgm(params, trials, alpha, rng, fault):
                                  status="inconclusive"))
     else:
         counts = np.empty(trials, dtype=np.int64)
-        pos_sum = pos_cnt = neg_sum = neg_cnt = 0.0
+        sums = np.zeros(4)
         for i in range(trials):
-            Gh, tr = sample_k_pds(N, k, p, q, E, rng.child("h1-graph", i))
+            Gh, tr = sample_k_pds(N, k, plan.p, plan.q, E, rng.child("h1-graph", i))
             out = pl.pds_to_isgm(Gh, E, plan, rng.child("h1-run", i), trace=tr,
                                  rotation_override=rotation)
-            comp = out.trace.component_set
-            counts[i] = comp.size
-            S = out.trace.planted_set
-            mask = np.zeros(out.n, dtype=bool)
-            mask[comp] = True
-            pos_block = out.samples[np.ix_(mask, S)]
-            neg_block = out.samples[np.ix_(~mask, S)]
-            pos_sum += pos_block.sum()
-            pos_cnt += pos_block.size
-            neg_sum += neg_block.sum()
-            neg_cnt += neg_block.size
-        from .prob import Binomial
-
-        stat, pval = chi2_gof_counts(counts, finite_pmf(Binomial(plan.n, 1 - plan.eps)))
+            counts[i] = out.trace.component_set.size
+            sums += isgm_planted_sums(out)
+        stat, pval = isgm_count_law(counts, plan.n, plan.eps)
         tests.append(_test_entry("h1_component_count_law", stat, pval, pval >= alpha))
-        mu_hat = pos_sum / pos_cnt
-        se = 1.0 / math.sqrt(pos_cnt)
-        z_pos = (mu_hat - plan.mu) / se
-        mu_p = pl.isgm_mu_prime(plan.mu, plan.eps)
-        z_neg = (neg_sum / neg_cnt - mu_p) / (1.0 / math.sqrt(neg_cnt))
-        tests.append(_test_entry("h1_planted_means", max(abs(z_pos), abs(z_neg)),
-                                 None, max(abs(z_pos), abs(z_neg)) <= 4.0))
+        worst_z = max(abs(z) for z in isgm_planted_mean_z(sums, plan.mu, plan.eps))
+        tests.append(_test_entry("h1_planted_means", worst_z, None, worst_z <= 4.0))
     return tests, {"plan": plan.to_dict()}
 
 
@@ -483,11 +590,9 @@ def _battery_semi_cr(params, trials, alpha, rng, fault):
     from . import pipelines as pl
     from .graphs import sample_k_pds
 
-    p = params.get("p", 1.0)
-    q = params.get("q", 0.25)
-    N = params.get("N", 32)
-    k = params.get("k", 4)
-    ell = params.get("ell", 2)
+    N, k = params["N"], params["k"]
+    plan = pl.plan_parameters("SEMI_CR", params["p"], params["q"], 4.0, N=N, k=k,
+                              ell=params["ell"])
     E = VertexPartition.contiguous(N, k)
     min_trials = 100
     tests = []
@@ -497,54 +602,18 @@ def _battery_semi_cr(params, trials, alpha, rng, fault):
         return tests, {}
     cls_hits = np.zeros(4)
     cls_tot = np.zeros(4)
-    info = {}
     for i in range(trials):
-        Gh, tr = sample_k_pds(N, k, p, q, E, rng.child("h1-graph", i))
-        plan = pl.plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=ell)
-        G_out, out_tr = pl.pds_to_semi_cr(Gh, E, ell, plan.n, p, q,
-                                          rng.child("h1-run", i), trace=tr)
-        info = out_tr.params
-        hits, tots = _semi_cr_class_counts(G_out, out_tr)
+        Gh, tr = sample_k_pds(N, k, plan.p, plan.q, E, rng.child("h1-graph", i))
+        G_out, out_tr = pl.pds_to_semi_cr(Gh, E, plan, rng.child("h1-run", i), trace=tr)
+        hits, tots = semi_cr_class_counts(G_out, out_tr)
         cls_hits += hits
         cls_tot += tots
-    mu1, mu2, mu3 = info["mu1"], info["mu2"], info["mu3"]
-    probs = [0.5 + mu3, 0.5 - mu2, 0.5, 0.5 - mu1]
-    worst_z = 0.0
-    for h, t, pr in zip(cls_hits, cls_tot, probs):
-        z = abs(h / t - pr) / math.sqrt(pr * (1 - pr) / t)
-        worst_z = max(worst_z, z)
+    probs = semi_cr_class_probs(*pl.semi_cr_mus(plan.mu, plan.ell))
+    worst_z = float(np.abs(class_z_scores(cls_hits, cls_tot, probs)).max())
     pval = 2.0 * _sst.norm.sf(worst_z)
     tests.append(_test_entry("h1_edge_class_marginals", worst_z, pval,
                              pval >= alpha / 4))
     return tests, {"classes": {"hits": cls_hits.tolist(), "totals": cls_tot.tolist()}}
-
-
-def _semi_cr_class_counts(G_out, trace):
-    """Per-edge-class (S^2, SxS', S'^2, rest-of-V^2) edge counts for one run."""
-    adj = G_out.to_dense()
-    n = G_out.n
-    S = np.asarray(trace.planted_set) if trace.planted_set is not None else np.array([], int)
-    S2 = np.asarray(trace.params.get("S_prime", []), dtype=int)
-    V = np.asarray(trace.params["V"], dtype=int)
-    labels = np.zeros(n, dtype=int)  # 0 outside V, 1 in V, 2 in S', 3 in S
-    labels[V] = 1
-    labels[S2] = 2
-    labels[S] = 3
-    iu = np.triu_indices(n, k=1)
-    la, lb = labels[iu[0]], labels[iu[1]]
-    e = adj[iu]
-    hits = np.zeros(4)
-    tots = np.zeros(4)
-    masks = [
-        (la == 3) & (lb == 3),
-        ((la == 3) & (lb == 2)) | ((la == 2) & (lb == 3)),
-        (la == 2) & (lb == 2),
-        (la >= 1) & (lb >= 1) & ~((la >= 2) & (lb >= 2)),
-    ]
-    for j, mask in enumerate(masks):
-        hits[j] = e[mask].sum()
-        tots[j] = mask.sum()
-    return hits, tots
 
 
 def _battery_glsm(params, trials, alpha, rng, fault):
@@ -553,21 +622,15 @@ def _battery_glsm(params, trials, alpha, rng, fault):
     from .kernels import ComputablePair
     from .prob import Gaussian
 
-    p = params.get("p", 1.0)
-    q = params.get("q", 0.25)
-    n = params.get("n", 64)
-    k = params.get("k", 4)
-    d = params.get("d", 160)
-    tau = params.get("tau", 1.0)
-    theta = params.get("theta", 1e-5)
-    plan = pl.plan_parameters("GLSM", p, q, 2.0, n=n, k=k, d=max(d, 1))
-    plan.d = max(d, plan.m)
+    n, k, theta = params["n"], params["k"], params["theta"]
+    plan = pl.plan_parameters("GLSM", params["p"], params["q"], 2.0, n=n, k=k,
+                              d=params["d"])
     E = VertexPartition.contiguous(plan.N, k)
     scale = math.sqrt(3.0 * theta * math.log(n) / k)
     pair_family = lambda nu: ComputablePair.gaussian_mean_shift(nu * scale)
     D = Gaussian(0.0, 1.0 / math.sqrt(3.0 * math.log(n)))
-    G0 = sample_gnq(plan.N, q, rng.child("h0-graph"))
-    X, _ = pl.pds_to_glsm(G0, E, plan, tau, pair_family, D, rng.child("h0-run"))
+    G0 = sample_gnq(plan.N, plan.q, rng.child("h0-graph"))
+    X, _ = pl.pds_to_glsm(G0, E, plan, params["tau"], pair_family, D, rng.child("h0-run"))
     _, pvals = ks_matrix(X.T, _sst.norm.cdf)
     worst = float(pvals.min())
     tests = [_test_entry("h0_per_coordinate_ks_vs_Q", worst, worst,
@@ -597,7 +660,8 @@ def verify_reduction(pipeline: str, params: dict, trials: int, significance: flo
             f"unknown pipeline {pipeline!r}; registered: {sorted(_BATTERIES)}"
         )
     rng = RngStream(seed).child(f"verify-{pipeline}")
-    tests, extra = _BATTERIES[pipeline](params or {}, trials, significance, rng, fault)
+    tests, extra = _BATTERIES[pipeline](battery_params(pipeline, params), trials,
+                                        significance, rng, fault)
     verdict = "pass" if all(t["status"] != "fail" for t in tests) else "fail"
     report = {
         "pipeline": pipeline,

@@ -22,17 +22,19 @@ from avgcase.graphs import (Graph, PlantedTrace, VertexPartition, sample_gnq,
                             sample_k_pds, sample_planted_conditional,
                             semirandom_apply)
 from avgcase.kernels import ComputablePair, srk3_array, tern_params_from_truncation
-from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, isgm_mu_prime,
-                               isgm_sample_clone, pds_to_isgm, pds_to_semi_cr,
-                               plan_parameters, sample_isgm, semi_cr_mus)
-from avgcase.prob import Binomial, RngStream, Tern, finite_pmf, normal_cdf, sample
-from avgcase.verify import (EnergyQuery, chi2_bern_plus_bin,
-                            chi2_bern_plus_bin_closed_form, chi2_gof_counts,
-                            chi2_test, covariance_identity_check,
+from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, isgm_sample_clone,
+                               pds_to_isgm, pds_to_semi_cr, plan_parameters,
+                               sample_isgm, semi_cr_mus)
+from avgcase.prob import Binomial, RngStream, Tern, normal_cdf, sample
+from avgcase.verify import (SEMI_CR_CLASSES, EnergyQuery, chi2_bern_plus_bin,
+                            chi2_bern_plus_bin_closed_form, chi2_test,
+                            class_z_scores, covariance_identity_check,
                             empirical_tv_to_cdf, exact_tv, exact_tv_hyp_vs_bin,
-                            ks_matrix, ks_test, low_degree_energy,
-                            low_degree_energy_oracle, tv_bound_binomial,
-                            tv_hyp_vs_bin_bound)
+                            isgm_count_law, isgm_planted_mean_z,
+                            isgm_planted_sums, ks_matrix, ks_test,
+                            low_degree_energy, low_degree_energy_oracle,
+                            semi_cr_class_counts, semi_cr_class_probs,
+                            tv_bound_binomial, tv_hyp_vs_bin_bound)
 
 ALPHA = 1e-4
 
@@ -158,29 +160,18 @@ def test_criterion_05_isgm_planted_contract():
             G, tr = sample_k_pds(32, 4, p, q, E, rng.child("g", i))
             counts[i] = pds_to_isgm(G, E, plan, rng.child("r", i),
                                     trace=tr).trace.component_set.size
-        stat, pval = chi2_gof_counts(counts, finite_pmf(Binomial(plan.n, 1 - plan.eps)))
+        stat, pval = isgm_count_law(counts, plan.n, plan.eps)
         assert pval > ALPHA, (stat, pval)
 
         # mean-check configuration: more planted mass per run so the pooled
         # standard error sits at mu / 4
         plan2 = plan_parameters("ISGM", p, q, 2.0, r=2, N=128, k=16, t=8, n=2040)
         E2 = VertexPartition.contiguous(128, 16)
-        pos_sum = pos_cnt = neg_sum = neg_cnt = 0.0
+        sums = np.zeros(4)
         for i in range(100):
             G, tr = sample_k_pds(128, 16, p, q, E2, rng.child("m", i))
-            inst = pds_to_isgm(G, E2, plan2, rng.child("mr", i), trace=tr)
-            S = inst.trace.planted_set
-            mask = np.zeros(inst.n, dtype=bool)
-            mask[inst.trace.component_set] = True
-            pb = inst.samples[np.ix_(mask, S)]
-            nb = inst.samples[np.ix_(~mask, S)]
-            pos_sum += pb.sum()
-            pos_cnt += pb.size
-            neg_sum += nb.sum()
-            neg_cnt += nb.size
-        mu_p = isgm_mu_prime(plan2.mu, plan2.eps)
-        z_pos = (pos_sum / pos_cnt - plan2.mu) * math.sqrt(pos_cnt)
-        z_neg = (neg_sum / neg_cnt - mu_p) * math.sqrt(neg_cnt)
+            sums += isgm_planted_sums(pds_to_isgm(G, E2, plan2, rng.child("mr", i), trace=tr))
+        z_pos, z_neg = isgm_planted_mean_z(sums, plan2.mu, plan2.eps)
         assert abs(z_pos) <= 4.0, z_pos
         assert abs(z_neg) <= 4.0, z_neg
 
@@ -222,41 +213,22 @@ def test_criterion_07_semi_cr_target_laws():
         tots = np.zeros(5)
         for i in range(R):
             G, tr = sample_k_pds(N, k, p, q, E, rng.child("g", i))
-            G_out, otr = pds_to_semi_cr(G, E, ell, plan.n, p, q,
-                                        rng.child("r", i), trace=tr)
-            adj = G_out.to_dense()
-            S = otr.planted_set
-            S2 = np.asarray(otr.params["S_prime"])
-            V = np.asarray(otr.params["V"])
-            lab = np.zeros(G_out.n, dtype=int)
-            lab[V] = 1
-            lab[S2] = 2
-            lab[S] = 3
-            iu = np.triu_indices(G_out.n, 1)
-            la, lb = lab[iu[0]], lab[iu[1]]
-            e = adj[iu]
-            for j, mask in enumerate((
-                (la == 3) & (lb == 3),
-                ((la == 3) & (lb == 2)) | ((la == 2) & (lb == 3)),
-                (la == 2) & (lb == 2),
-                (la >= 1) & (lb >= 1) & ~((la >= 2) & (lb >= 2)),
-                (la == 0) | (lb == 0),
-            )):
-                hits[j] += e[mask].sum()
-                tots[j] += mask.sum()
-        probs = (0.5 + mu3, 0.5 - mu2, 0.5, 0.5 - mu1, 0.5)
-        names = ("S^2", "S x S'", "S'^2", "rest of V^2", "outside V^2")
-        for name, h, t, pr in zip(names, hits, tots, probs):
+            G_out, otr = pds_to_semi_cr(G, E, plan, rng.child("r", i), trace=tr)
+            h, t = semi_cr_class_counts(G_out, otr)
+            # the fifth class, outside V^2, is everything the four leave
+            hits += np.append(h, G_out.edge_count - h.sum())
+            tots += np.append(t, G_out.n * (G_out.n - 1) // 2 - t.sum())
+        probs = semi_cr_class_probs(mu1, mu2, mu3) + (0.5,)
+        names = SEMI_CR_CLASSES + ("outside V^2",)
+        for name, t, z in zip(names, tots, class_z_scores(hits, tots, probs)):
             assert t >= 10_000, (name, t)
-            z = (h / t - pr) / math.sqrt(pr * (1 - pr) / t)
-            assert abs(z) <= 3.0, (name, h / t, pr, z)
+            assert abs(z) <= 3.0, (name, z)
 
         # The monotone adversary on the planted graph reproduces the same
         # class marginals (target law taken at V = [n]).
         n_cmp, kS, kS2 = 128, 4, 12
         a_hits = np.zeros(4)
         a_tots = np.zeros(4)
-        iu = np.triu_indices(n_cmp, 1)
         for i in range(R):
             g2 = rng.child("latent", i).generator()
             S = np.sort(g2.choice(n_cmp, kS, replace=False))
@@ -275,23 +247,13 @@ def test_criterion_07_semi_cr_target_laws():
             rates[np.ix_(inS2, inS)] = 2 * mu2
             Ga = semirandom_apply(Gp, PlantedTrace(seed=0, planted_set=S),
                                   rates, rng.child("apply", i))
-            lab = np.ones(n_cmp, dtype=int)
-            lab[S2] = 2
-            lab[S] = 3
-            la, lb = lab[iu[0]], lab[iu[1]]
-            e = Ga.to_dense()[iu]
-            for j, mask in enumerate((
-                (la == 3) & (lb == 3),
-                ((la == 3) & (lb == 2)) | ((la == 2) & (lb == 3)),
-                (la == 2) & (lb == 2),
-                (la == 1) | (lb == 1),
-            )):
-                a_hits[j] += e[mask].sum()
-                a_tots[j] += mask.sum()
-        for name, h, t, pr in zip(names, a_hits, a_tots,
-                                  (0.5 + mu3, 0.5 - mu2, 0.5, 0.5 - mu1)):
-            z = (h / t - pr) / math.sqrt(pr * (1 - pr) / t)
-            assert abs(z) <= 3.0, ("adversary " + name, h / t, pr, z)
+            h, t = semi_cr_class_counts(Ga, PlantedTrace(
+                seed=0, planted_set=S, params={"S_prime": S2, "V": np.arange(n_cmp)}))
+            a_hits += h
+            a_tots += t
+        a_z = class_z_scores(a_hits, a_tots, semi_cr_class_probs(mu1, mu2, mu3))
+        for name, z in zip(SEMI_CR_CLASSES, a_z):
+            assert abs(z) <= 3.0, ("adversary " + name, z)
 
 
 def test_criterion_08_srk3_marginals():

@@ -191,6 +191,32 @@ def test_verify_semi_cr_short_diagonal_draw_exits_2(tmp_path, capsys, seed):
     assert err.startswith("error:") and "s2 - s1" in err and "Traceback" not in err
 
 
+_SRC = ["--k", "4", "--p", "1.0", "--q", "0.25", "--seed", "5"]
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["reduce", "semi-cr", "--in", "{graph}", *_SRC, "--ell", "0"], "ell"),
+    (["reduce", "isgm", "--in", "{graph}", *_SRC, "--r", "2", "--w", "nan"], "w must"),
+    (["verify", "--pipeline", "semi-cr", "--params", '{"ell": 0}'], "ell"),
+    (["verify", "--pipeline", "isgm", "--params", "[1]"], "JSON object"),
+    (["verify", "--pipeline", "isgm", "--params", '{"bogus": 3}'], "allowed"),
+    (["verify", "--pipeline", "isgm", "--params", "{not json"], "valid JSON"),
+    (["verify", "--pipeline", "semi-cr", "--params", '{"N": 32.5}'], "integer"),
+    (["verify", "--pipeline", "glsm", "--params", '{"d": 100}'], "m <= d"),
+    (["generate", "gnq", "--n", "-3", "--q", "0.5", "--seed", "1"], "n >= 0"),
+])
+def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
+    src = tmp_path / "src"
+    _run(["generate", "kpds", "--n", "32", "--k", "4", "--p", "1.0",
+          "--q", "0.25", "--seed", "21", "--out", str(src)])
+    capsys.readouterr()
+    argv = [a.replace("{graph}", str(src / "instance.graph")) for a in argv]
+    rc = _run(argv + ["--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and says in err and "Traceback" not in err
+
+
 def test_energy_cli(capsys):
     assert _run(["energy", "--n", "6", "--k", "3", "--degree", "0"]) == 0
     assert "= 0" in capsys.readouterr().out

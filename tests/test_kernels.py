@@ -11,10 +11,9 @@ from numpy.testing import assert_allclose
 
 from avgcase.errors import ParameterError
 from avgcase.kernels import (_BLOCK, ComputablePair, check_unit_mean, gaussianize,
-                             gaussianize_mu_bound, rejection_delta, rk_gauss,
-                             rk_gauss_array, rk_gauss_mu_bound, srk3,
-                             srk3_array, tern_params_from_truncation,
-                             truncate_tern)
+                             gaussianize_mu_bound, rejection_delta,
+                             rk_gauss_array, rk_gauss_mu_bound, srk3_array,
+                             tern_params_from_truncation, truncate_tern)
 from avgcase.prob import RngStream, Tern, normal_cdf, sample, tern_pmf
 from avgcase.verify import covariance_identity_check, ks_test
 
@@ -70,19 +69,32 @@ def test_rk_gauss_marginals_ks():
 
 
 def test_rk_gauss_bound_enforced():
-    p, q, n = 0.75, 0.25, 1000
+    # gaussianize is the kernel's bound-checking entry point; on an n x n
+    # matrix its bound, at 3 log(n^2), is the one-bit bound at 6 log(n).
+    p, q, n = 0.75, 0.25, 32
     bound = rk_gauss_mu_bound(p, q, n)
-    with pytest.raises(ParameterError):
-        rk_gauss(1, 2 * bound, p, q, RngStream(5), n=n)
-    rk_gauss(1, 2 * bound, p, q, RngStream(5), n=n, allow_unproven=True)
-    with pytest.raises(ParameterError):
-        rk_gauss(1, -0.1, p, q, RngStream(5), n=n)
+    assert gaussianize_mu_bound(p, q, n, n) == pytest.approx(bound, rel=1e-12)
+    M = np.ones((n, n), dtype=np.uint8)
+    with pytest.raises(ParameterError, match="proven bound"):
+        gaussianize(M, p, q, 2 * bound, RngStream(5))
+    gaussianize(M, p, q, 2 * bound, RngStream(5), allow_unproven=True)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rk_gauss_rejects_nonfinite_mu(bad):
-    with pytest.raises(ParameterError, match="finite"):
-        rk_gauss(1, bad, 0.75, 0.25, RngStream(1), n=100)
+    bits = np.array([0, 1, 1], dtype=np.uint8)
+    for mu in (bad, np.array([0.1, bad, 0.1])):
+        with pytest.raises(ParameterError, match="finite"):
+            rk_gauss_array(bits, mu, 0.75, 0.25, 10, RngStream(1))
+
+
+def test_rk_gauss_rejects_negative_mu():
+    bits = np.array([0, 1, 1], dtype=np.uint8)
+    for mu in (-0.1, np.array([0.1, -1e-9, 0.1])):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            rk_gauss_array(bits, mu, 0.75, 0.25, 10, RngStream(1))
+        with pytest.raises(ParameterError, match="nonnegative"):
+            gaussianize(bits[None, :], 0.75, 0.25, mu, RngStream(1), allow_unproven=True)
 
 
 def test_rk_gauss_exhaustion_fraction():
@@ -284,11 +296,11 @@ def test_srk3_gate_truncation():
 def test_srk3_parameter_errors():
     pp = ComputablePair.gaussian_mean_shift(0.1)
     with pytest.raises(ParameterError):
-        srk3(0, pp, pp, 0.5, 0.0, 0.01, 10, RngStream(15))  # mu1 = 0
+        srk3_array(np.array([0]), pp, pp, 0.5, 0.0, 0.01, 10, RngStream(15))  # mu1 = 0
     with pytest.raises(ParameterError):
-        srk3(0, pp, pp, 0.5, 0.3, 0.01, 10, RngStream(15))  # Tern invalid
+        srk3_array(np.array([0]), pp, pp, 0.5, 0.3, 0.01, 10, RngStream(15))  # Tern invalid
     with pytest.raises(ParameterError):
-        srk3(2, pp, pp, 0.5, 0.01, 0.01, 10, RngStream(15))  # bad symbol
+        srk3_array(np.array([2]), pp, pp, 0.5, 0.01, 0.01, 10, RngStream(15))  # bad symbol
 
 
 def test_truncate_tern():

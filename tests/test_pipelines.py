@@ -13,7 +13,7 @@ from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, check_uc,
                                pds_to_glsm, pds_to_isgm, pds_to_semi_cr,
                                plan_parameters, sample_isgm, semi_cr_mus,
                                to_k_partite_submatrix)
-from avgcase.kernels import ComputablePair
+from avgcase.kernels import ComputablePair, rk_gauss_mu_bound
 from avgcase.prob import Gaussian, RngStream
 from avgcase.verify import chi2_test
 
@@ -171,7 +171,7 @@ def test_submatrix_h0_diagonal_support_law():
 # ---------------------------------------------------------------------------
 
 def test_plan_prime_selection():
-    plan = plan_parameters("RSME", 0.75, 0.25, 4.0, n=100, k=50, d=4000, eps=0.3)
+    plan = plan_parameters("ISGM", 0.75, 0.25, 4.0, eps=0.3, N=32, k=4)
     assert plan.r == 5  # smallest prime > 1/0.3
 
 
@@ -210,6 +210,23 @@ def test_plan_semi_cr():
     mu1, mu2, mu3 = semi_cr_mus(plan.mu, 2)
     assert plan.report["mu1"] == mu1 and plan.report["mu3"] == mu3
     assert plan.report["planted_size"] == 4
+    assert plan.mu == rk_gauss_mu_bound(plan.p, plan.Q, plan.m)
+
+
+@pytest.mark.parametrize("target, kwargs", [
+    ("SEMI_CR", {"ell": 0}),
+    ("SEMI_CR", {"ell": 1}),
+    ("SEMI_CR", {"ell": -1}),
+    ("SEMI_CR", {"ell": 1.5}),
+    ("ISGM", {"r": 2, "w": math.nan}),
+    ("ISGM", {"r": 2, "w": math.inf}),
+    ("ISGM", {"r": 2, "w": 0.0}),
+])
+def test_plan_rejects_bad_ell_and_w(target, kwargs):
+    kwargs = dict(kwargs)
+    w = kwargs.pop("w", 4.0)
+    with pytest.raises(ParameterError):
+        plan_parameters(target, 1.0, 0.25, w, N=32, k=4, **kwargs)
 
 
 def test_plan_glsm_sizes():
@@ -217,6 +234,8 @@ def test_plan_glsm_sizes():
     assert plan.r == 2 and plan.eps == 0.5
     assert plan.m <= plan.k * 2 ** plan.t
     assert plan.N % plan.k == 0
+    assert plan.d == 300
+    assert plan_parameters("GLSM", 1.0, 0.25, 2.0, n=64, k=4).d == plan.m
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +345,10 @@ def test_sample_clone_counts_and_scaling():
 def test_semi_cr_sizes_every_seed():
     p, q, N, k, ell = 1.0, 0.25, 32, 4, 2
     E = VertexPartition.contiguous(N, k)
+    plan = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=ell, n=128)
     for seed in range(5):
         G, tr = sample_k_pds(N, k, p, q, E, RngStream(200 + seed))
-        G_out, otr = pds_to_semi_cr(G, E, ell, 128, p, q, RngStream(300 + seed),
-                                    trace=tr)
+        G_out, otr = pds_to_semi_cr(G, E, plan, RngStream(300 + seed), trace=tr)
         S = otr.planted_set
         S2 = np.asarray(otr.params["S_prime"])
         assert S.size == (3 ** (ell - 1) - 1) * k // 2
@@ -344,11 +363,24 @@ def test_semi_cr_h0_trace():
     p, q, N, k = 1.0, 0.25, 32, 4
     E = VertexPartition.contiguous(N, k)
     G = sample_gnq(N, q, RngStream(130))
-    G_out, otr = pds_to_semi_cr(G, E, 2, 64, p, q, RngStream(131))
+    plan = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=2, n=64)
+    G_out, otr = pds_to_semi_cr(G, E, plan, RngStream(131))
     assert otr.planted_set is None
     assert len(otr.params["V"]) == 64
+    short = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=2, n=63)
     with pytest.raises(ParameterError):
-        pds_to_semi_cr(G, E, 2, 63, p, q, RngStream(132))  # n below m''
+        pds_to_semi_cr(G, E, short, RngStream(132))  # n below m''
+
+
+def test_semi_cr_rejects_a_foreign_plan():
+    p, q, N, k = 1.0, 0.25, 32, 4
+    G = sample_gnq(N, q, RngStream(133))
+    isgm_plan = plan_parameters("ISGM", p, q, 2.0, r=2, N=N, k=k)
+    with pytest.raises(ParameterError, match="SEMI_CR plan"):
+        pds_to_semi_cr(G, VertexPartition.contiguous(N, k), isgm_plan, RngStream(134))
+    plan = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=2)
+    with pytest.raises(ParameterError, match="partition"):
+        pds_to_semi_cr(G, VertexPartition.contiguous(N, 8), plan, RngStream(134))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +400,6 @@ def test_glsm_h0_shape_and_coordinates():
 
     p, q = 1.0, 0.25
     plan = plan_parameters("GLSM", p, q, 2.0, n=48, k=4, d=200)
-    plan.d = max(plan.d, plan.m)
     E = VertexPartition.contiguous(plan.N, 4)
     G = sample_gnq(plan.N, q, RngStream(140))
     family, D = _spca_family(10_000, 100, 1e-5)
@@ -383,8 +414,7 @@ def test_glsm_planted_coordinate_means():
     # Per-sample planted coordinates head for N(nu_i * scale, 1) (positive
     # component) at the corollary configuration.
     p, q = 1.0, 0.25
-    plan = plan_parameters("GLSM", p, q, 2.0, n=64, k=4, d=160)
-    plan.d = max(plan.d, plan.m)
+    plan = plan_parameters("GLSM", p, q, 2.0, n=64, k=4)  # d defaults to m
     E = VertexPartition.contiguous(plan.N, 4)
     theta = 1e-5
     family, D = _spca_family(10_000, 100, theta)
@@ -426,12 +456,13 @@ def test_semi_cr_h0_class_marginals():
     # rotated vertex set, exactly 1/2 elsewhere.
     p, q, N, k, ell = 1.0, 0.25, 32, 4, 2
     E = VertexPartition.contiguous(N, k)
+    plan = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=ell, n=128)
     hits = np.zeros(2)
     tots = np.zeros(2)
     mu1 = None
     for i in range(150):
         G = sample_gnq(N, q, RngStream(150).child("g", i))
-        G_out, otr = pds_to_semi_cr(G, E, ell, 128, p, q, RngStream(150).child("r", i))
+        G_out, otr = pds_to_semi_cr(G, E, plan, RngStream(150).child("r", i))
         mu1 = otr.params["mu1"]
         V = np.asarray(otr.params["V"])
         inV = np.zeros(G_out.n, dtype=bool)

@@ -9,7 +9,7 @@ from avgcase.errors import FeasibilityError, ParameterError
 from avgcase.errors import TestError as StatTestError  # alias: pytest must not collect it
 from avgcase.graphs import VertexPartition
 from avgcase.prob import Bernoulli, Binomial, FinitePmf, RngStream
-from avgcase.verify import (EnergyQuery, chi2_bern_plus_bin,
+from avgcase.verify import (EnergyQuery, battery_params, chi2_bern_plus_bin,
                             chi2_bern_plus_bin_closed_form, chi2_test,
                             covariance_identity_check, empirical_tv_binned,
                             empirical_tv_to_cdf, exact_tv,
@@ -237,3 +237,22 @@ def test_verify_reduction_fault_injection_flips_verdict():
 def test_verify_reduction_unknown_pipeline():
     with pytest.raises(ParameterError):
         verify_reduction("nope", {}, 10, 1e-4)
+
+
+def test_battery_params_defaults_and_errors():
+    assert battery_params("semi-cr", None) == {"p": 1.0, "q": 0.25, "N": 32, "k": 4,
+                                               "ell": 2}
+    assert battery_params("isgm", {"N": 32, "p": 1})["N"] == 32
+    for bad, says in (([1], "JSON object"), ({"bogus": 3}, "allowed"),
+                      ({"k": 4.0}, "integer"), ({"p": "1"}, "number"),
+                      ({"ell": True}, "integer")):
+        with pytest.raises(ParameterError, match=says):
+            battery_params("semi-cr", bad)
+
+
+def test_verify_glsm_reports_the_plan_it_runs():
+    report = verify_reduction("glsm", {}, trials=0, significance=1e-4, seed=7)
+    plan = report["plan"]
+    assert plan["d"] == plan["m"] and plan["report"]["m_le_d"] is True
+    wide = verify_reduction("glsm", {"d": 300}, trials=0, significance=1e-4, seed=7)
+    assert wide["plan"]["d"] == 300
