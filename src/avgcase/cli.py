@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=int, default=400)
     ver.add_argument("--alpha", type=float, default=1e-4)
     ver.add_argument("--fault", choices=["rotation"],
-                     help="inject a known fault; the verdict must flip to fail")
+                     help="inject a known fault (isgm only); the verdict must flip to fail")
     _add_common(ver, seed_required=False)
     ver.set_defaults(seed=0)
 
@@ -190,23 +190,16 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _load_graph_and_trace(args):
-    from .graphs import PlantedTrace, read_graphv1
-
-    G = read_graphv1(args.infile)
-    trace = PlantedTrace.read_json(args.trace) if args.trace else None
-    return G, trace
-
-
 def _cmd_reduce(args) -> int:
     from .formats import dump_json, write_amat
-    from .graphs import VertexPartition, write_graphv1
+    from .graphs import PlantedTrace, VertexPartition, read_graphv1, write_graphv1
     from .pipelines import (pds_to_glsm, pds_to_isgm, pds_to_semi_cr,
                             plan_parameters)
     from .prob import Gaussian, RngStream
 
     out = _out_dir(args)
-    G, trace = _load_graph_and_trace(args)
+    G = read_graphv1(args.infile)
+    trace = PlantedTrace.read_json(args.trace) if args.trace else None
     E = VertexPartition.contiguous(G.n, args.k)
     rng = RngStream(args.seed)
 
@@ -263,6 +256,8 @@ def _cmd_verify(args) -> int:
     from .formats import dump_json
     from .verify import verify_reduction
 
+    if args.trials < 1:
+        raise ParameterError(f"--trials must be at least 1, got {args.trials}")
     out = _out_dir(args)
     try:
         params = json.loads(args.params)
@@ -284,7 +279,12 @@ def _cmd_energy(args) -> int:
     signal = args.signal
     p = 1.0
     if signal.startswith("pds:"):
-        p = float(signal.split(":", 1)[1])
+        try:
+            p = float(signal[4:])
+        except ValueError:
+            p = math.nan
+        if not 0.0 <= p <= 1.0:  # NaN fails this too
+            raise ParameterError(f"--signal pds:<p> needs a finite p in [0, 1], got {args.signal!r}")
         signal = "pds"
     elif signal != "pc":
         raise ParameterError(f"--signal must be 'pc' or 'pds:<p>', got {args.signal!r}")

@@ -58,6 +58,11 @@ def _pair_coords(n: int, idx: np.ndarray):
     return u, idx - row_start[u] + u + 1
 
 
+def _upper_mask(n: int) -> np.ndarray:
+    """Boolean n x n mask of the pairs u < v; its row-major order is the pair order."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
 def _scatter_pairs(n: int, idx: np.ndarray) -> np.ndarray:
     """Upper-triangular bit vector with the given pair indices set."""
     vec = np.zeros(_n_pairs(n), dtype=bool)
@@ -91,8 +96,7 @@ class Graph:
         n = adj.shape[0]
         if adj.shape != (n, n) or not np.array_equal(adj, adj.T) or adj.diagonal().any():
             raise ParameterError("adjacency must be square, symmetric, hollow")
-        iu = np.triu_indices(n, k=1)
-        return cls.from_triu(n, adj[iu])
+        return cls.from_triu(n, adj[_upper_mask(n)])
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -128,10 +132,8 @@ class Graph:
 
     def to_dense(self) -> np.ndarray:
         adj = np.zeros((self.n, self.n), dtype=bool)
-        iu = np.triu_indices(self.n, k=1)
-        vec = self.triu_vector()
-        adj[iu] = vec
-        adj[(iu[1], iu[0])] = vec
+        adj[_upper_mask(self.n)] = self.triu_vector()
+        adj |= adj.T
         return adj
 
     def _edge_pairs(self) -> np.ndarray:
@@ -398,12 +400,7 @@ def sample_k_pds(N: int, k: int, p: float, q: float, E: VertexPartition, rng: Rn
 
 def _tg_probability_matrix(n, V, S, S2, mu1, mu2, mu3):
     prob = np.full((n, n), 0.5)
-    inV = np.zeros(n, dtype=bool)
-    inV[V] = True
-    inS = np.zeros(n, dtype=bool)
-    inS[S] = True
-    inS2 = np.zeros(n, dtype=bool)
-    inS2[S2] = True
+    inV, inS, inS2 = (np.isin(np.arange(n), X) for X in (V, S, S2))
     both_V = np.outer(inV, inV)
     prob[both_V] = 0.5 - mu1
     cross = np.outer(inS, inS2) | np.outer(inS2, inS)
@@ -430,8 +427,7 @@ def sample_tg_h1(n, k, k2, m, mu1, mu2, mu3, rng: RngStream):
     S = np.sort(V[picks[:k]])
     S2 = np.sort(V[picks[k:]])
     prob = _tg_probability_matrix(n, V, S, S2, mu1, mu2, mu3)
-    iu = np.triu_indices(n, k=1)
-    vec = g.random(iu[0].size) < prob[iu]
+    vec = g.random(_n_pairs(n)) < prob[_upper_mask(n)]
     trace = PlantedTrace(
         seed=rng.seed,
         planted_set=S,
@@ -455,11 +451,9 @@ def sample_tg_h0(n, m, mu1, rng: RngStream):
         raise ParameterError(f"mu1 must lie in [0, 1/2), got {mu1}")
     g = rng.child("tg_h0").generator()
     V = np.sort(g.choice(n, size=m, replace=False))
-    inV = np.zeros(n, dtype=bool)
-    inV[V] = True
+    inV = np.isin(np.arange(n), V)
     prob = np.where(np.outer(inV, inV), 0.5 - mu1, 0.5)
-    iu = np.triu_indices(n, k=1)
-    vec = g.random(iu[0].size) < prob[iu]
+    vec = g.random(_n_pairs(n)) < prob[_upper_mask(n)]
     trace = PlantedTrace(seed=rng.seed, params={"V": [int(v) for v in V], "mu1": mu1, "m": m})
     return Graph.from_triu(n, vec), trace
 
@@ -488,9 +482,8 @@ def semirandom_apply(G: Graph, trace: PlantedTrace, removal_prob, rng: RngStream
         if np.any(sub[~np.eye(S.size, dtype=bool)] > 0):
             raise AdversaryViolation("nonzero removal rate on a planted-set-internal pair")
     g = rng.child("adversary").generator()
-    iu = np.triu_indices(n, k=1)
-    vec = G.triu_vector().copy()
-    pair_rates = np.maximum(rates[iu], rates[(iu[1], iu[0])])
+    vec = G.triu_vector()
+    pair_rates = np.maximum(rates, rates.T)[_upper_mask(n)]
     vec &= ~(g.random(vec.size) < np.where(vec, pair_rates, 0.0))
     return Graph.from_triu(n, vec)
 

@@ -32,6 +32,7 @@ from .graphs import Graph, PlantedTrace, VertexPartition
 from .kernels import (
     ComputablePair,
     gaussianize,
+    gaussianize_mu_bound,
     rejection_delta,
     rk_gauss_mu_bound,
     srk3_array,
@@ -161,33 +162,30 @@ class ReductionPlan:
         return (self.rt - 1) // (self.r - 1)
 
     def to_dict(self) -> dict:
-        doc = {
-            k: v
-            for k, v in self.__dict__.items()
-            if k != "report"
-        }
-        doc["report"] = self.report
-        return doc
+        return dict(self.__dict__)
 
 
 def _regime_report(plan: ReductionPlan) -> dict:
-    kl = plan.k * plan.n_hyperplanes
-    bound = proven_mu_bound(plan.k, plan.m, plan.r, plan.t, plan.p, plan.Q)
+    if plan.target == "SEMI_CR":
+        # SEMI-CR's one mean bound: the one gaussianize enforces on the m x m submatrix
+        bound = gaussianize_mu_bound(plan.p, plan.Q, plan.m, plan.m)
+    else:
+        bound = proven_mu_bound(plan.k, plan.m, plan.r, plan.t, plan.p, plan.Q)
     report = {
         "k_divides_N": plan.N % plan.k == 0,
         "k_le_QN_over_4": plan.k <= plan.Q * plan.N / 4.0,
         "m_exceeds_(p/Q+1)N": plan.m > (plan.p / plan.Q + 1.0) * plan.N,
         "m_le_k_r^t": plan.m <= plan.k * plan.rt,
         "m_le_d": plan.m <= plan.d,
-        "w_n_le_k_ell": plan.w * plan.n <= kl,
+        "w_n_le_k_ell": plan.w * plan.n <= plan.k * plan.n_hyperplanes,
         "mu_le_proven_bound": plan.mu <= bound * (1 + 1e-12),
         "proven_mu_bound": bound,
         "k_sq_over_N": plan.k ** 2 / plan.N,
         "n_over_eps_N": plan.n / (plan.eps * plan.N),
     }
     if plan.target == "SEMI_CR":
-        report.pop("m_le_k_r^t")
-        report.pop("w_n_le_k_ell")
+        for key in ("m_le_k_r^t", "m_le_d", "w_n_le_k_ell", "n_over_eps_N"):
+            report.pop(key)  # ISGM-only conditions
         report["(3^l-1)k_divides_m"] = plan.m % ((3 ** plan.ell - 1) * plan.k) == 0
         report["n_ge_m_rotated"] = plan.n >= plan.m // 2
     return report
@@ -398,8 +396,6 @@ def to_k_partite_submatrix(G: Graph, E: VertexPartition, p, q, m, rng: RngStream
         raise ParameterError(f"need k <= Q N / 4 = {Q * N / 4.0:.2f}, got k={k}")
 
     G1, G2 = graph_clone(G, 2, p, q, p, Q, rng.child("clone2"))
-    A1 = G1.to_dense()
-    A2 = G2.to_dense()
     gen = rng.child("embed").generator()
 
     M = (gen.random((m, m)) < Q).astype(np.uint8)
@@ -447,10 +443,9 @@ def to_k_partite_submatrix(G: Graph, E: VertexPartition, p, q, m, rng: RngStream
 
     # Upper triangle of the embedded support from the first clone, lower
     # triangle from the second, diagonals from the per-part supports.
-    sub1 = A1[np.ix_(src_all, src_all)]
-    sub2 = A2[np.ix_(src_all, src_all)]
-    block = np.triu(sub1, k=1) + np.tril(sub2, k=-1)
-    M[np.ix_(S_all, S_all)] = block
+    sub1 = G1.to_dense()[np.ix_(src_all, src_all)]
+    sub2 = G2.to_dense()[np.ix_(src_all, src_all)]
+    M[np.ix_(S_all, S_all)] = np.triu(sub1, k=1) + np.tril(sub2, k=-1)
     for T in diag_T1 + diag_T2:
         if len(T):
             M[T, T] = 1
@@ -632,6 +627,11 @@ def isgm_sample_clone(inst: IsgmInstance, ell: int, n_prime: int, rng: RngStream
 # k-PDS -> semirandom community recovery
 # ---------------------------------------------------------------------------
 
+# Padded entries per step of the SEMI-CR block rotation.  It bounds the
+# step's transient memory; the output does not depend on it.
+_PAD_CHUNK = 1 << 20
+
+
 def pds_to_semi_cr(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngStream,
                    trace: Optional[PlantedTrace] = None):
     """Reduce a k-PDS instance to the semirandom community-recovery target law
@@ -642,6 +642,10 @@ def pds_to_semi_cr(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngSt
     mu's come from the Gaussian CDF of the thresholding step.  The returned
     trace records S (planted_set) plus S' and the rotated vertex set V in
     ``params``.
+
+    Only the Gaussianized m x m submatrix and the n x n adjacency are held
+    whole; padding, rotation and thresholding run one chunk of block rows
+    at a time, and the output does not depend on the chunk size.
     """
     if plan.target != "SEMI_CR":
         raise ParameterError(f"pds_to_semi_cr needs a SEMI_CR plan, got {plan.target}")
@@ -661,41 +665,38 @@ def pds_to_semi_cr(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngSt
     M_G = gaussianize(M_PD, p, Q, mu, rng.child("gaussianize"))
     del M_PD
 
-    # Step 3: embed into blocks of size 3^ell, reserving offset 0 of each
-    # block (the zero-point column of the rotation) for a fresh index.
+    # Steps 3-5, one chunk of 3^ell-block rows at a time.  The padded m' x m'
+    # matrix is fresh N(0, 1) with M_G at offsets 1..3^ell-1 of every block
+    # (offset 0 is the zero-point column of the rotation).  Each block of it
+    # is rotated as H . block . H^T, and the strictly-below-diagonal entries
+    # of the rotated m'' x m'' matrix are thresholded into adj.  The padding
+    # is drawn row-major, so the stream is that of one m' x m' draw.
     gen = rng.child("pad").generator()
     blk = three_l - 1
     old = np.arange(m)
     new_idx = (old // blk) * three_l + 1 + (old % blk)
-    M_P = gen.standard_normal((m_prime, m_prime))
-    M_P[np.ix_(new_idx, new_idx)] = M_G
-    del M_G
-
-    # Step 4: two-sided block rotation.
     H = build_H(3, ell)
     ks = k * s
     ellh = H.rows
-    M4 = M_P.reshape(ks, three_l, ks, three_l)
-    M_R = np.einsum("xi,aibj,yj->axby", H.matrix, M4, H.matrix, optimize=True)
-    del M_P, M4
-    M_R = M_R.reshape(m_rot, m_rot)
-
-    # Step 5: threshold the below-diagonal entries, pad, relabel.
     thr = mu / (2.0 * three_l)
     adj = np.zeros((n, n), dtype=bool)
-    low = np.tril_indices(m_rot, k=-1)
-    vals = M_R[low] >= thr
-    adj[low] = vals
-    adj[(low[1], low[0])] = vals
+    step = max(1, _PAD_CHUNK // (three_l * m_prime))
+    for a in range(0, ks, step):
+        c = min(step, ks - a)
+        rows = gen.standard_normal((c * three_l, m_prime)).reshape(c, three_l, m_prime)
+        rows[:, 1:, new_idx] = M_G[a * blk:(a + c) * blk].reshape(c, blk, m)
+        M_R = (H.matrix @ rows).reshape(c * ellh, ks, three_l) @ H.matrix.T
+        r0 = a * ellh
+        adj[r0:r0 + c * ellh, :m_rot] = np.tril(M_R.reshape(c * ellh, m_rot) >= thr, r0 - 1)
+    del M_G, rows, M_R
+
+    # Pad to n vertices with fair coins above the diagonal, mirror, relabel.
     gen5 = rng.child("pad-vertices").generator()
     if n > m_rot:
-        fresh_cols = gen5.random((m_rot, n - m_rot)) < 0.5
-        adj[:m_rot, m_rot:] = fresh_cols
-        adj[m_rot:, :m_rot] = fresh_cols.T
-        fresh_block = np.zeros((n - m_rot, n - m_rot), dtype=bool)
-        fiu = np.triu_indices(n - m_rot, k=1)
-        fresh_block[fiu] = gen5.random(fiu[0].size) < 0.5
-        adj[m_rot:, m_rot:] = fresh_block | fresh_block.T
+        adj[:m_rot, m_rot:] = gen5.random((m_rot, n - m_rot)) < 0.5
+        fresh = gen5.random((n - m_rot) * (n - m_rot - 1) // 2) < 0.5
+        adj[m_rot:, m_rot:] = Graph.from_triu(n - m_rot, fresh).to_dense()
+    adj |= adj.T
     vertex_src = gen5.permutation(n)
     adj = adj[np.ix_(vertex_src, vertex_src)]
     label_of = np.empty(n, dtype=np.int64)
@@ -711,15 +712,11 @@ def pds_to_semi_cr(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngSt
     out_trace = PlantedTrace(seed=rng.seed, params=params)
     if tr1 is not None:
         U = np.asarray(tr1.planted_set, dtype=np.int64)
-        S_rows, S2_rows = [], []
-        for u in U:
-            b = int(u // blk)
-            offset = 1 + int(u % blk)
-            col = H.matrix[:, offset]
-            S_rows.extend(b * ellh + np.flatnonzero(col < 0))
-            S2_rows.extend(b * ellh + np.flatnonzero(col > 0))
-        out_trace.planted_set = np.sort(label_of[np.array(S_rows, dtype=np.int64)])
-        params["S_prime"] = [int(v) for v in np.sort(label_of[np.array(S2_rows, dtype=np.int64)])]
+        # u sits at offset 1 + u % blk of block u // blk; its rotated rows split by sign
+        rot_rows = (U // blk) * ellh + np.arange(ellh)[:, None]
+        col = H.matrix[:, 1 + U % blk]
+        out_trace.planted_set = np.sort(label_of[rot_rows[col < 0]])
+        params["S_prime"] = [int(v) for v in np.sort(label_of[rot_rows[col > 0]])]
     return G_out, out_trace
 
 

@@ -659,6 +659,12 @@ def verify_reduction(pipeline: str, params: dict, trials: int, significance: flo
         raise ParameterError(
             f"unknown pipeline {pipeline!r}; registered: {sorted(_BATTERIES)}"
         )
+    if trials < 0:
+        raise ParameterError(f"trials must be nonnegative, got {trials}")
+    if not 0.0 < significance < 1.0:
+        raise ParameterError(f"alpha must lie in (0, 1), got {significance}")
+    if fault is not None and (pipeline, fault) != ("isgm", "rotation"):
+        raise ParameterError(f"only isgm injects fault 'rotation'; got {fault!r} for {pipeline}")
     rng = RngStream(seed).child(f"verify-{pipeline}")
     tests, extra = _BATTERIES[pipeline](battery_params(pipeline, params), trials,
                                         significance, rng, fault)

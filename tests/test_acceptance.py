@@ -335,7 +335,7 @@ def test_criterion_11_cli_reproducibility(tmp_path):
                     "--mu3", "0.1", "--seed", "4"]),
             ("verify", ["verify", "--pipeline", "isgm",
                         "--params", '{"N": 32, "k": 4, "p": 1.0, "q": 0.25}',
-                        "--trials", "0", "--alpha", "1e-4", "--seed", "5"]),
+                        "--trials", "1", "--alpha", "1e-4", "--seed", "5"]),
         ]
         src = tmp_path / "src"
         assert cli_main(["generate", "kpds", "--n", "32", "--k", "4", "--p", "1.0",

@@ -154,17 +154,36 @@ def test_reduce_semi_cr_end_to_end(tmp_path):
     assert len(doc["planted_set"]) == 4  # (3^(l-1) - 1) k / 2
 
 
+# sha256 of `reduce semi-cr` outputs on a 400-vertex k-PDS graph.  A change
+# to the random stream must change these pins and say so.
+_SEMI_CR_GOLDEN = {
+    "instance.graph": "9803c0958e42fcb5356d00789842a7f99dd941c7ffbd81c5a6a76ed9e2c1613e",
+    "trace.json": "11556b4bd7c80ff10475b9a2d0ba27c69c06bab2b5ffee808888e301bfb8daad",
+}
+
+
+def test_reduce_semi_cr_golden_digests(tmp_path):
+    src = tmp_path / "src"
+    _run(["generate", "kpds", "--n", "400", "--k", "8", "--p", "1", "--q", "0.25",
+          "--seed", "21", "--out", str(src)])
+    out = tmp_path / "scr"
+    assert _run(["reduce", "semi-cr", "--in", str(src / "instance.graph"),
+                 "--trace", str(src / "trace.json"), "--k", "8", "--p", "1",
+                 "--q", "0.25", "--ell", "2", "--seed", "9", "--out", str(out)]) == 0
+    assert {name: _digest(out / name) for name in _SEMI_CR_GOLDEN} == _SEMI_CR_GOLDEN
+
+
 def test_verify_cli_pass_and_fault(tmp_path):
     rc = _run(["verify", "--pipeline", "isgm",
                "--params", '{"N": 32, "k": 4, "p": 1.0, "q": 0.25}',
-               "--trials", "0", "--alpha", "1e-4", "--seed", "5",
+               "--trials", "1", "--alpha", "1e-4", "--seed", "5",
                "--out", str(tmp_path)])
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["verdict"] == "pass"
     rc = _run(["verify", "--pipeline", "isgm",
                "--params", '{"N": 32, "k": 4, "p": 1.0, "q": 0.25}',
-               "--trials", "0", "--alpha", "1e-4", "--seed", "5",
+               "--trials", "1", "--alpha", "1e-4", "--seed", "5",
                "--fault", "rotation", "--out", str(tmp_path / "f")])
     assert rc == 1  # verification failure exit code
 
@@ -204,6 +223,16 @@ _SRC = ["--k", "4", "--p", "1.0", "--q", "0.25", "--seed", "5"]
     (["verify", "--pipeline", "semi-cr", "--params", '{"N": 32.5}'], "integer"),
     (["verify", "--pipeline", "glsm", "--params", '{"d": 100}'], "m <= d"),
     (["generate", "gnq", "--n", "-3", "--q", "0.5", "--seed", "1"], "n >= 0"),
+    (["energy", "--n", "6", "--k", "3", "--degree", "1", "--signal", "pds:abc"], "p in [0, 1]"),
+    (["energy", "--n", "6", "--k", "3", "--degree", "1", "--signal", "pds:nan"], "p in [0, 1]"),
+    (["energy", "--n", "6", "--k", "3", "--degree", "1", "--signal", "pds:2"], "p in [0, 1]"),
+    (["verify", "--pipeline", "semi-cr", "--trials", "-5"], "--trials"),
+    (["verify", "--pipeline", "isgm", "--trials", "0"], "--trials"),
+    (["verify", "--pipeline", "semi-cr", "--alpha", "2"], "alpha"),
+    (["verify", "--pipeline", "semi-cr", "--alpha", "0"], "alpha"),
+    (["verify", "--pipeline", "semi-cr", "--alpha", "nan"], "alpha"),
+    (["verify", "--pipeline", "semi-cr", "--fault", "rotation"], "only isgm"),
+    (["verify", "--pipeline", "glsm", "--fault", "rotation"], "only isgm"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     src = tmp_path / "src"
@@ -211,7 +240,8 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
           "--q", "0.25", "--seed", "21", "--out", str(src)])
     capsys.readouterr()
     argv = [a.replace("{graph}", str(src / "instance.graph")) for a in argv]
-    rc = _run(argv + ["--out", str(tmp_path / "o")])
+    out = [] if argv[0] == "energy" else ["--out", str(tmp_path / "o")]
+    rc = _run(argv + out)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and says in err and "Traceback" not in err

@@ -32,6 +32,25 @@ def test_graph_packing_roundtrip():
     assert G == G2
 
 
+@given(st.integers(0, 40), st.data())
+@example(0, None)
+@example(1, None)
+@example(2, None)
+@settings(max_examples=60, deadline=None)
+def test_dense_conversions_match_triu_indices_reference(n, data):
+    # from_dense/to_dense walk the pairs in np.triu_indices order.
+    bits = np.ones(n * (n - 1) // 2, dtype=bool) if data is None else np.array(
+        data.draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                           max_size=n * (n - 1) // 2)), dtype=bool)
+    iu = np.triu_indices(n, k=1)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[iu] = bits
+    adj[(iu[1], iu[0])] = bits
+    G = Graph.from_triu(n, bits)
+    assert_array_equal(G.to_dense(), adj)
+    assert_array_equal(Graph.from_dense(adj).triu_vector(), bits)
+
+
 def test_graph_rejects_bad_adjacency():
     with pytest.raises(ParameterError):
         Graph.from_dense(np.ones((3, 3), dtype=bool))  # self loops

@@ -1,19 +1,22 @@
 """Tests for the reduction pipelines and the parameter planner."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from avgcase import pipelines
 from avgcase.errors import ParameterError
+from avgcase.geometry import build_H
 from avgcase.graphs import (Graph, VertexPartition, sample_gnq, sample_k_pds)
 from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, check_uc,
                                isgm_mu_prime, isgm_sample_clone,
                                pds_to_glsm, pds_to_isgm, pds_to_semi_cr,
                                plan_parameters, sample_isgm, semi_cr_mus,
                                to_k_partite_submatrix)
-from avgcase.kernels import ComputablePair, rk_gauss_mu_bound
+from avgcase.kernels import ComputablePair, gaussianize, gaussianize_mu_bound, rk_gauss_mu_bound
 from avgcase.prob import Gaussian, RngStream
 from avgcase.verify import chi2_test
 
@@ -213,6 +216,19 @@ def test_plan_semi_cr():
     assert plan.mu == rk_gauss_mu_bound(plan.p, plan.Q, plan.m)
 
 
+def test_plan_semi_cr_reports_the_bound_it_enforces():
+    # At the benchmark size the report checks mu against gaussianize's bound
+    # on the m x m submatrix, and carries no ISGM-only condition.
+    plan = plan_parameters("SEMI_CR", 1.0, 0.25, 4.0, N=2000, k=8, ell=2)
+    assert plan.m == 6016
+    bound = gaussianize_mu_bound(plan.p, plan.Q, plan.m, plan.m)
+    assert plan.report["proven_mu_bound"] == bound
+    assert_allclose(bound, 0.0473, atol=5e-5)
+    assert plan.report["mu_le_proven_bound"] is True
+    for key in ("m_le_d", "n_over_eps_N", "m_le_k_r^t", "w_n_le_k_ell"):
+        assert key not in plan.report
+
+
 @pytest.mark.parametrize("target, kwargs", [
     ("SEMI_CR", {"ell": 0}),
     ("SEMI_CR", {"ell": 1}),
@@ -381,6 +397,90 @@ def test_semi_cr_rejects_a_foreign_plan():
     plan = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=2)
     with pytest.raises(ParameterError, match="partition"):
         pds_to_semi_cr(G, VertexPartition.contiguous(N, 8), plan, RngStream(134))
+
+
+def _semi_cr_reference(G, E, plan, rng, trace):
+    """The whole-matrix SEMI-CR algorithm: an m' x m' padded matrix, one
+    two-sided einsum rotation and a tril_indices scatter of the thresholded
+    entries.  Returns the output graph and the labels of V, S and S'."""
+    k, ell, m, n, mu = plan.k, plan.ell, plan.m, plan.n, plan.mu
+    three_l = 3 ** ell
+    s = m // ((three_l - 1) * k)
+    m_prime, m_rot, ks = three_l * k * s, m // 2, k * s
+    M_PD, _, tr1 = to_k_partite_submatrix(G, E, plan.p, plan.q, m, rng.child("submatrix"), trace)
+    M_G = gaussianize(M_PD, plan.p, plan.Q, mu, rng.child("gaussianize"))
+    blk = three_l - 1
+    old = np.arange(m)
+    new_idx = (old // blk) * three_l + 1 + (old % blk)
+    M_P = rng.child("pad").generator().standard_normal((m_prime, m_prime))
+    M_P[np.ix_(new_idx, new_idx)] = M_G
+    H = build_H(3, ell).matrix
+    M4 = M_P.reshape(ks, three_l, ks, three_l)
+    M_R = np.einsum("xi,aibj,yj->axby", H, M4, H, optimize=True).reshape(m_rot, m_rot)
+    adj = np.zeros((n, n), dtype=bool)
+    low = np.tril_indices(m_rot, k=-1)
+    vals = M_R[low] >= mu / (2.0 * three_l)
+    adj[low] = vals
+    adj[(low[1], low[0])] = vals
+    gen5 = rng.child("pad-vertices").generator()
+    if n > m_rot:
+        fresh_cols = gen5.random((m_rot, n - m_rot)) < 0.5
+        adj[:m_rot, m_rot:] = fresh_cols
+        adj[m_rot:, :m_rot] = fresh_cols.T
+        fresh_block = np.zeros((n - m_rot, n - m_rot), dtype=bool)
+        fiu = np.triu_indices(n - m_rot, k=1)
+        fresh_block[fiu] = gen5.random(fiu[0].size) < 0.5
+        adj[m_rot:, m_rot:] = fresh_block | fresh_block.T
+    vertex_src = gen5.permutation(n)
+    adj = adj[np.ix_(vertex_src, vertex_src)]
+    label_of = np.empty(n, dtype=np.int64)
+    label_of[vertex_src] = np.arange(n)
+    S_rows, S2_rows = [], []
+    for u in tr1.planted_set:
+        col = H[:, 1 + int(u % blk)]
+        S_rows.extend(int(u // blk) * H.shape[0] + np.flatnonzero(col < 0))
+        S2_rows.extend(int(u // blk) * H.shape[0] + np.flatnonzero(col > 0))
+    iu = np.triu_indices(n, k=1)
+    return (Graph.from_triu(n, adj[iu]), sorted(int(v) for v in label_of[:m_rot]),
+            sorted(int(v) for v in label_of[S_rows]), sorted(int(v) for v in label_of[S2_rows]))
+
+
+@pytest.mark.parametrize("ell, n, chunk", [
+    (2, None, None),     # one step holds every block row
+    (2, None, 1),        # one block row per step
+    (2, 200, 3 * 9 * 144),  # three block rows per step, a ragged last step, n > m''
+    (3, None, None),
+    (3, 150, 1),
+])
+def test_semi_cr_matches_whole_matrix_reference(monkeypatch, ell, n, chunk):
+    # The chunked pad/rotate/threshold loop gives the whole-matrix algorithm's
+    # output bit for bit, whatever the chunk size.
+    if chunk is not None:
+        monkeypatch.setattr(pipelines, "_PAD_CHUNK", chunk)
+    p, q, N, k = 1.0, 0.25, 32, 4
+    E = VertexPartition.contiguous(N, k)
+    plan = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=ell, n=n)
+    G, tr = sample_k_pds(N, k, p, q, E, RngStream(170 + ell))
+    G_out, otr = pds_to_semi_cr(G, E, plan, RngStream(180 + ell), trace=tr)
+    G_ref, V, S, S2 = _semi_cr_reference(G, E, plan, RngStream(180 + ell), tr)
+    assert G_out.n == plan.n and G_out == G_ref
+    assert (otr.params["V"], otr.planted_set.tolist(), otr.params["S_prime"]) == (V, S, S2)
+
+
+def test_semi_cr_builds_no_padded_matrix():
+    # Traced peak: the Gaussianized m x m matrix, the n x n adjacency and a
+    # fixed allowance; the m' x m' padded matrix (92 MB here) never exists.
+    p, q, N, k = 1.0, 0.25, 1000, 8
+    E = VertexPartition.contiguous(N, k)
+    plan = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=2)
+    G, tr = sample_k_pds(N, k, p, q, E, RngStream(190))
+    tracemalloc.start()
+    try:
+        pds_to_semi_cr(G, E, plan, RngStream(191), trace=tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * plan.m ** 2 + plan.n ** 2 + 48 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
