@@ -16,18 +16,19 @@ formats    AMATv1 matrices and canonical JSON documents
 cli        the ``avgcase`` command-line front end
 """
 
-from . import errors, formats, geometry, graphs, kernels, pipelines, prob, verify
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "errors",
-    "formats",
-    "geometry",
-    "graphs",
-    "kernels",
-    "pipelines",
-    "prob",
-    "verify",
-    "__version__",
-]
+_SUBMODULES = ("errors", "formats", "geometry", "graphs", "kernels", "pipelines",
+               "prob", "verify")
+
+__all__ = [*_SUBMODULES, "__version__"]
+
+
+def __getattr__(name):
+    # Submodules load on first access (PEP 562), so a command imports only
+    # what it runs: ``reduce isgm`` never loads verify or scipy.
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,10 +14,14 @@ Three gadgets live here:
   truncation producing exactly those ternary input laws.
 
 All kernels are pure functions of their stream argument.  The Gaussian
-kernel walks its flat input in consecutive blocks of ``_BLOCK`` entries and
-draws all of one block's proposals before the next block starts, so the
-block constant is part of the stream's definition: changing it changes the
-output of every input larger than one block.
+kernel cuts its flat input into consecutive blocks of ``_BLOCK`` entries and
+gives each block a stream of its own: block 0 draws from the kernel's stream
+(``rng.child("gaussianize")`` or ``rng.child("rk")``) and block i >= 1 from
+that stream's ``child("block", i)``.  An input of one block or less thus
+draws from the kernel's stream alone.  The block constant is part of the
+stream's definition (changing it changes the output of every input larger
+than one block), but the number of threads that run the blocks is not: the
+output is the same on any number of cores.
 
 Likelihood ratios for the built-in pairs are computed in log-space; the
 operating regimes involve mu1, mu2 down to 1e-5 and the naive ratios would
@@ -32,6 +36,8 @@ identity is what the unit tests pin down.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -74,20 +80,34 @@ def gaussianize_mu_bound(P: float, Q: float, m: int, n: int) -> float:
 
 
 # Entries per block of the Gaussian rejection loop (part of the stream's
-# definition, see the module docstring).  It bounds the loop's transient
-# memory to a few block-sized arrays, whatever the size of the input.
-_BLOCK = 1 << 20
+# definition, see the module docstring), and the most blocks in flight at
+# once.  Together they bound the loop's transient memory to that of
+# _BLOCK * _MAX_IN_FLIGHT entries, whatever the input size or core count.
+_BLOCK = 1 << 18
+_MAX_IN_FLIGHT = 4
 
 
-def _rk_gauss_core(bits, mu, p, q, n_iter, gen, bound=math.inf):
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _rk_gauss_core(bits, mu, p, q, n_iter, stream: RngStream, bound=math.inf):
     """Vectorized rejection loop.  bits: int array in {0,1}; mu a scalar or
     an array broadcastable to ``bits.shape``.
 
     Every entry point goes through here, so the target means are checked
     here: finite (NaN would reject every proposal and leave the 0.0
     initializer everywhere), nonnegative, and at most ``bound``.  The flat
-    input is processed in consecutive blocks of ``_BLOCK`` entries, each run
-    to completion before the next block draws.
+    input is cut into consecutive blocks of ``_BLOCK`` entries; block 0
+    draws from ``stream`` and block i >= 1 from ``stream.child("block", i)``.
+    The blocks run on a thread pool (numpy's generators and ufuncs release
+    the GIL); every generator is built here, before any block starts, so
+    the workers run numpy only and the output does not depend on the worker
+    count or on scheduling.
     """
     bits = np.asarray(bits)
     mu = np.asarray(mu, dtype=float)
@@ -105,10 +125,22 @@ def _rk_gauss_core(bits, mu, p, q, n_iter, gen, bound=math.inf):
     flat_bits = bits.ravel()
     mu_all = np.broadcast_to(mu, bits.shape) if mu.ndim else None
     out = np.zeros(flat_bits.size, dtype=float)
-    for start in range(0, flat_bits.size, _BLOCK):
-        stop = start + _BLOCK
+    n_blocks = -(-flat_bits.size // _BLOCK)
+    gens = [stream.generator()]
+    gens += [stream.child("block", i).generator() for i in range(1, n_blocks)]
+
+    def run(i):
+        start, stop = i * _BLOCK, (i + 1) * _BLOCK
         block_mu = float(mu) if mu_all is None else mu_all.flat[start:stop]
-        _rk_gauss_block(flat_bits[start:stop], block_mu, out[start:stop], p, q, n_iter, gen)
+        _rk_gauss_block(flat_bits[start:stop], block_mu, out[start:stop], p, q, n_iter, gens[i])
+
+    workers = min(_usable_cpus(), n_blocks, _MAX_IN_FLIGHT)
+    if workers <= 1:
+        for i in range(n_blocks):
+            run(i)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, range(n_blocks)))  # re-raises a worker's error
     return out.reshape(bits.shape)
 
 
@@ -161,7 +193,7 @@ def rk_gauss_array(bits, mu, p, q, n_iter, rng: RngStream):
     ``rk_gauss_mu_bound`` for the proven one); entries that exhaust the
     ``n_iter`` budget return 0.0, the initialization.
     """
-    return _rk_gauss_core(bits, mu, p, q, n_iter, rng.child("rk").generator())
+    return _rk_gauss_core(bits, mu, p, q, n_iter, rng.child("rk"))
 
 
 def gaussianize(M, P, Q, mu, rng: RngStream, n_iter=None, allow_unproven=False):
@@ -182,8 +214,7 @@ def gaussianize(M, P, Q, mu, rng: RngStream, n_iter=None, allow_unproven=False):
     bound = math.inf if allow_unproven else gaussianize_mu_bound(P, Q, m, n)
     if n_iter is None:
         n_iter = math.ceil(3.0 * math.log(m * n) / delta)
-    return _rk_gauss_core(M, mu, P, Q, n_iter, rng.child("gaussianize").generator(),
-                          bound=bound)
+    return _rk_gauss_core(M, mu, P, Q, n_iter, rng.child("gaussianize"), bound=bound)
 
 
 # ---------------------------------------------------------------------------

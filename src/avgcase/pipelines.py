@@ -568,6 +568,8 @@ def sample_isgm(n: int, k: int, d: int, mu: float, eps: float, rng: RngStream) -
         raise ParameterError(f"need 0 < k <= d, got k={k}, d={d}")
     if not (0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
+    if not math.isfinite(mu):
+        raise ParameterError(f"mu must be finite, got {mu}")
     gen = rng.child("isgm").generator()
     S = np.sort(gen.choice(d, size=k, replace=False))
     positive = gen.random(n) < 1.0 - eps
@@ -669,12 +671,13 @@ def pds_to_semi_cr(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngSt
     # matrix is fresh N(0, 1) with M_G at offsets 1..3^ell-1 of every block
     # (offset 0 is the zero-point column of the rotation).  Each block of it
     # is rotated as H . block . H^T, and the strictly-below-diagonal entries
-    # of the rotated m'' x m'' matrix are thresholded into adj.  The padding
-    # is drawn row-major, so the stream is that of one m' x m' draw.
+    # of the rotated m'' x m'' matrix are thresholded into adj.  Only the
+    # padding M_G leaves visible is drawn: per block row, its offset-0 row
+    # and then its offset-0 column entries, row-major.  The draw is one
+    # row-major (c, m' + blk ks) array per chunk, so the stream does not
+    # depend on the chunk size.
     gen = rng.child("pad").generator()
     blk = three_l - 1
-    old = np.arange(m)
-    new_idx = (old // blk) * three_l + 1 + (old % blk)
     H = build_H(3, ell)
     ks = k * s
     ellh = H.rows
@@ -683,12 +686,16 @@ def pds_to_semi_cr(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngSt
     step = max(1, _PAD_CHUNK // (three_l * m_prime))
     for a in range(0, ks, step):
         c = min(step, ks - a)
-        rows = gen.standard_normal((c * three_l, m_prime)).reshape(c, three_l, m_prime)
-        rows[:, 1:, new_idx] = M_G[a * blk:(a + c) * blk].reshape(c, blk, m)
-        M_R = (H.matrix @ rows).reshape(c * ellh, ks, three_l) @ H.matrix.T
+        fresh = gen.standard_normal((c, m_prime + blk * ks))
+        rows = np.empty((c, three_l, ks, three_l))
+        rows[:, 0] = fresh[:, :m_prime].reshape(c, ks, three_l)
+        rows[:, 1:, :, 0] = fresh[:, m_prime:].reshape(c, blk, ks)
+        rows[:, 1:, :, 1:] = M_G[a * blk:(a + c) * blk].reshape(c, blk, ks, blk)
+        M_R = H.matrix @ rows.reshape(c, three_l, m_prime)
+        M_R = M_R.reshape(c * ellh, ks, three_l) @ H.matrix.T
         r0 = a * ellh
         adj[r0:r0 + c * ellh, :m_rot] = np.tril(M_R.reshape(c * ellh, m_rot) >= thr, r0 - 1)
-    del M_G, rows, M_R
+    del M_G, fresh, rows, M_R
 
     # Pad to n vertices with fair coins above the diagonal, mirror, relabel.
     gen5 = rng.child("pad-vertices").generator()

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.special as _sps
-import scipy.stats as _sst
 
 from .errors import DomainError, ParameterError
 
@@ -250,13 +248,17 @@ def finite_pmf(spec: DistSpec):
     if isinstance(spec, Bernoulli):
         return FinitePmf((0.0, 1.0), (1.0 - spec.p, spec.p))
     if isinstance(spec, Binomial):
+        from scipy.stats import binom
+
         ks = np.arange(spec.n + 1)
-        return FinitePmf(tuple(ks.astype(float)), tuple(_sst.binom.pmf(ks, spec.n, spec.p)))
+        return FinitePmf(tuple(ks.astype(float)), tuple(binom.pmf(ks, spec.n, spec.p)))
     if isinstance(spec, Hypergeometric):
+        from scipy.stats import hypergeom
+
         lo = max(0, spec.n - (spec.N - spec.K))
         hi = min(spec.n, spec.K)
         ks = np.arange(lo, hi + 1)
-        pmf = _sst.hypergeom.pmf(ks, spec.N, spec.K, spec.n)
+        pmf = hypergeom.pmf(ks, spec.N, spec.K, spec.n)
         return FinitePmf(tuple(ks.astype(float)), tuple(pmf))
     if isinstance(spec, Tern):
         return FinitePmf((-1.0, 0.0, 1.0), tern_pmf(spec.a, spec.mu1, spec.mu2))
@@ -284,8 +286,12 @@ def normal_cdf(x):
     """Standard normal CDF via scipy's erf-based ``ndtr``.
 
     Absolute error is below 1e-15 everywhere, well inside the 1e-12 contract.
+    scipy is imported on first use, so commands that never need it (e.g.
+    ``reduce isgm``) do not pay for loading it.
     """
-    return _sps.ndtr(x)
+    from scipy.special import ndtr
+
+    return ndtr(x)
 
 
 def normal_quantile(p):
@@ -293,5 +299,7 @@ def normal_quantile(p):
     arr = np.asarray(p, dtype=float)
     if np.any(~((arr > 0.0) & (arr < 1.0))):
         raise DomainError(f"normal_quantile requires p in (0, 1), got {p!r}")
-    out = _sps.ndtri(arr)
+    from scipy.special import ndtri
+
+    out = ndtri(arr)
     return float(out) if np.ndim(p) == 0 else out

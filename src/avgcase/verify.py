@@ -238,24 +238,25 @@ def chi2_gof_counts(values, pmf: FinitePmf, min_expected: float = 5.0):
     return chi2_test(np.array(merged_c), np.array(merged_e))
 
 
-def covariance_identity_check(X, threshold: float = None, max_coords: int = None,
-                              rng: RngStream = None):
+def covariance_identity_check(X, max_coords: int = None, rng: RngStream = None):
     """Compare the second-moment matrix of row-samples X (n, d) to identity.
 
-    When d exceeds ``max_coords`` a seeded coordinate subset of that size is
-    used; an entry-wise c/sqrt(n) threshold over all of a large d's pairs is
-    crossed by correct outputs with probability near 1, so the pair budget
-    must stay bounded for the threshold to be meaningful.  The default
-    budget also shrinks with the sample count: at small n the entries have
-    t-like tails and a fixed pair count would trip the threshold spuriously.
+    Off-diagonal entries have standard error 1/sqrt(n) and diagonal entries
+    sqrt(2/n) (a chi^2_n / n), so the thresholds are 5/sqrt(n) and
+    5 sqrt(2/n), five standard errors each.  When d exceeds ``max_coords``
+    a seeded coordinate subset of that size is used; an entry-wise
+    c/sqrt(n) threshold over all of a large d's pairs is crossed by correct
+    outputs with probability near 1, so the pair budget must stay bounded
+    for the threshold to be meaningful.  The default budget also shrinks
+    with the sample count: at small n the entries have t-like tails and a
+    fixed pair count would trip the threshold spuriously.
 
     Returns a dict with the max off-diagonal entry, max diagonal deviation,
-    threshold, and pass flags.
+    both thresholds, and pass flags.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    if threshold is None:
-        threshold = 5.0 / math.sqrt(n)
+    threshold, diag_threshold = 5.0 / math.sqrt(n), 5.0 * math.sqrt(2.0 / n)
     if max_coords is None:
         max_coords = int(np.clip(n // 6, 16, 160))
     if d > max_coords:
@@ -271,10 +272,11 @@ def covariance_identity_check(X, threshold: float = None, max_coords: int = None
         "n_samples": n,
         "n_coords": d,
         "threshold": threshold,
+        "diag_threshold": diag_threshold,
         "max_offdiag": max_off,
         "max_diag_dev": max_diag,
         "offdiag_pass": max_off <= threshold,
-        "diag_pass": max_diag <= threshold,
+        "diag_pass": max_diag <= diag_threshold,
     }
 
 
@@ -319,6 +321,8 @@ def _check_query(q: EnergyQuery):
         raise ParameterError(f"unknown signal kind {q.signal!r}")
     if q.partition.n != q.n or q.partition.k != q.k:
         raise ParameterError("partition does not match (n, k)")
+    if q.D < 0:
+        raise ParameterError(f"degree D must be >= 0, got {q.D}")
     pairs = _cross_part_pairs(q.partition)
     count = _candidate_count(len(pairs), q.D)
     if count > q.guard:

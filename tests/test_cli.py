@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import avgcase
 from avgcase.cli import main
 from avgcase.formats import read_amat, write_amat
 from avgcase.graphs import read_graphv1
@@ -87,6 +92,28 @@ def test_reduce_isgm_end_to_end(tmp_path):
     assert X.shape == (plan["n"], plan["d"])
 
 
+def test_generate_and_reduce_isgm_never_load_scipy(tmp_path):
+    # A fresh interpreter: generate kpds and reduce isgm run without scipy.
+    script = f"""
+import sys
+from avgcase.cli import main
+src, out = {str(tmp_path / "src")!r}, {str(tmp_path / "out")!r}
+assert main(["generate", "kpds", "--n", "32", "--k", "4", "--p", "1.0",
+             "--q", "0.25", "--seed", "11", "--out", src]) == 0
+assert main(["reduce", "isgm", "--in", src + "/instance.graph", "--k", "4",
+             "--p", "1.0", "--q", "0.25", "--r", "2", "--w", "2", "--seed", "5",
+             "--out", out]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    package_root = str(Path(avgcase.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 def test_reduce_divisibility_error_named(tmp_path, capsys):
     src = tmp_path / "src"
     _run(["generate", "gnq", "--n", "33", "--q", "0.25", "--seed", "2",
@@ -157,7 +184,7 @@ def test_reduce_semi_cr_end_to_end(tmp_path):
 # sha256 of `reduce semi-cr` outputs on a 400-vertex k-PDS graph.  A change
 # to the random stream must change these pins and say so.
 _SEMI_CR_GOLDEN = {
-    "instance.graph": "9803c0958e42fcb5356d00789842a7f99dd941c7ffbd81c5a6a76ed9e2c1613e",
+    "instance.graph": "ebc196c6cea3ee27ae49749dffd6f75e805ce3fd1b2d0e08c447eb66a4230c7e",
     "trace.json": "11556b4bd7c80ff10475b9a2d0ba27c69c06bab2b5ffee808888e301bfb8daad",
 }
 
@@ -233,6 +260,11 @@ _SRC = ["--k", "4", "--p", "1.0", "--q", "0.25", "--seed", "5"]
     (["verify", "--pipeline", "semi-cr", "--alpha", "nan"], "alpha"),
     (["verify", "--pipeline", "semi-cr", "--fault", "rotation"], "only isgm"),
     (["verify", "--pipeline", "glsm", "--fault", "rotation"], "only isgm"),
+    (["energy", "--n", "6", "--k", "3", "--degree", "-1"], "degree D"),
+    (["generate", "isgm", "--n", "10", "--k", "2", "--d", "5", "--mu", "nan",
+      "--eps", "0.5", "--seed", "1"], "mu must be finite"),
+    (["generate", "isgm", "--n", "10", "--k", "2", "--d", "5", "--mu", "inf",
+      "--eps", "0.5", "--seed", "1"], "mu must be finite"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     src = tmp_path / "src"

@@ -1,6 +1,8 @@
 """Tests for the rejection-kernel primitives."""
 
+import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import scipy.integrate as integrate
 import scipy.stats as sst
 from numpy.testing import assert_allclose
 
+from avgcase import kernels
 from avgcase.errors import ParameterError
 from avgcase.kernels import (_BLOCK, ComputablePair, check_unit_mean, gaussianize,
                              gaussianize_mu_bound, rejection_delta,
@@ -161,13 +164,14 @@ def _bits(shape, rate, seed):
 
 
 def test_gaussianize_blocks_null_marginals():
-    # 2.25 M entries span three blocks; with mu = 0 both input bits map to
-    # N(0, 1) in the first and in the last (partial) block alike.
+    # 2.25 M entries span several blocks; with mu = 0 both input bits map to
+    # N(0, 1) in the first block (the kernel's own stream) and in the last,
+    # partial one (a keyed substream) alike.
     M = _bits((1500, 1500), 0.5, 40)
-    assert M.size > 2 * _BLOCK
+    assert M.size > 2 * _BLOCK and M.size % _BLOCK
     X = gaussianize(M, 0.75, 0.25, 0.0, RngStream(41)).ravel()
     bits = M.ravel()
-    for block in (slice(0, _BLOCK), slice(2 * _BLOCK, None)):
+    for block in (slice(0, _BLOCK), slice(M.size // _BLOCK * _BLOCK, None)):
         for bit in (0, 1):
             stat, pval = ks_test(X[block][bits[block] == bit], sst.norm.cdf)
             assert pval > 1e-4, (block, bit, pval)
@@ -189,10 +193,68 @@ def test_gaussianize_same_seed_same_bytes():
     assert a.tobytes() != c.tobytes()
 
 
+def test_gaussianize_bytes_independent_of_workers(monkeypatch):
+    # Serial (one block in flight), the default pool, and a pool with more
+    # workers than cores under a short switch interval give the same bytes.
+    M = _bits((1500, 1500), 0.5, 53)
+    mu = np.full(M.shape, 0.05)
+
+    def run(cpus, cap):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(kernels, "_MAX_IN_FLIGHT", cap)
+        return gaussianize(M, 0.75, 0.25, mu, RngStream(54)).tobytes()
+
+    serial = run(kernels._usable_cpus(), 1)
+    assert run(kernels._usable_cpus(), kernels._MAX_IN_FLIGHT) == serial
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run(8, 8) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# sha256 of outputs on a one-block input (262,000 entries), which draws from
+# the kernel's own stream alone.  A change to that stream must change these
+# pins and say so.
+_ONE_BLOCK_GOLDEN = {
+    "gaussianize": "c3dff720ccd9caccee1524ad6f20d855b9ce54384a4d2f9213887527eddfcd8e",
+    "rk_gauss_array": "f89ccfbb21f4c27c940f672d1c38aa9a5e85a1593fb99e65906748eb9e9ffd72",
+}
+
+
+def test_one_block_input_keeps_its_bytes():
+    M = _bits((400, 655), 0.5, 50)
+    assert M.size <= _BLOCK
+    outs = {"gaussianize": gaussianize(M, 0.75, 0.25, 0.05, RngStream(51)),
+            "rk_gauss_array": rk_gauss_array(M, 0.3, 1.0, 0.25, 40, RngStream(52))}
+    assert {name: hashlib.sha256(x.tobytes()).hexdigest()
+            for name, x in outs.items()} == _ONE_BLOCK_GOLDEN
+
+
+def test_gaussianize_blocks_never_share_a_stream(monkeypatch):
+    # Every block gets its own generator, keyed by a distinct stream, and
+    # two blocks of an all-zero null input draw different values.
+    keys = []
+    generator = RngStream.generator
+
+    def spy(stream):
+        keys.append(stream.key())
+        return generator(stream)
+
+    monkeypatch.setattr(RngStream, "generator", spy)
+    M = np.zeros((3 * _BLOCK + 5,), dtype=np.uint8).reshape(1, -1)
+    X = gaussianize(M, 0.75, 0.25, 0.0, RngStream(55)).ravel()
+    assert len(keys) == 4 and len(set(keys)) == 4
+    for head in (X[::_BLOCK], X[1::_BLOCK]):  # entry 0 and 1 of each block
+        assert np.unique(head).size == 4
+
+
 @pytest.mark.parametrize("mu", [0.05, "matrix"])
 def test_gaussianize_transient_memory_bounded(mu):
-    # The rejection loop's temporaries are block-sized: the peak allocation
-    # inside the call exceeds its output by at most a fixed allowance.
+    # The rejection loop's temporaries are those of at most _MAX_IN_FLIGHT
+    # blocks: the peak allocation inside the call exceeds its output by at
+    # most a fixed allowance.
     M = _bits((2000, 2000), 0.5, 47)
     mu = np.full(M.shape, 0.05) if mu == "matrix" else mu
     tracemalloc.start()

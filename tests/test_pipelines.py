@@ -412,8 +412,14 @@ def _semi_cr_reference(G, E, plan, rng, trace):
     blk = three_l - 1
     old = np.arange(m)
     new_idx = (old // blk) * three_l + 1 + (old % blk)
-    M_P = rng.child("pad").generator().standard_normal((m_prime, m_prime))
+    # Per block row: its offset-0 row, then its offset-0 column entries.
+    fresh = rng.child("pad").generator().standard_normal((ks, m_prime + blk * ks))
+    M_P = np.full((m_prime, m_prime), np.nan)
+    for a in range(ks):
+        M_P[a * three_l] = fresh[a, :m_prime]
+        M_P[a * three_l + 1:(a + 1) * three_l, ::three_l] = fresh[a, m_prime:].reshape(blk, ks)
     M_P[np.ix_(new_idx, new_idx)] = M_G
+    assert not np.isnan(M_P).any()
     H = build_H(3, ell).matrix
     M4 = M_P.reshape(ks, three_l, ks, three_l)
     M_R = np.einsum("xi,aibj,yj->axby", H, M4, H, optimize=True).reshape(m_rot, m_rot)
