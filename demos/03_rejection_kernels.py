@@ -9,15 +9,15 @@ with likelihood-ratio oracles).
 import numpy as np
 import scipy.stats as sst
 
-from avgcase.kernels import (ComputablePair, gaussianize, rk_gauss_array,
-                             rk_gauss_mu_bound, srk3_array,
+from avgcase.kernels import (ComputablePair, gaussianize, gaussianize_mu_bound,
+                             rk_gauss_array, srk3_array,
                              tern_params_from_truncation, truncate_tern)
 from avgcase.prob import RngStream, Tern, sample
 from avgcase.verify import empirical_tv_to_cdf, ks_test
 
 rng = RngStream(42)
 p, q, n = 0.75, 0.25, 1000
-mu = rk_gauss_mu_bound(p, q, n)
+mu = gaussianize_mu_bound(p, q, n, n)
 print(f"Gaussian kernel at (p, q) = ({p}, {q}): proven mean bound mu = {mu:.4f} at n = {n}")
 
 bits = (rng.child("bits").generator().random(100_000) < q).astype(np.uint8)

@@ -7,21 +7,17 @@ kernel into the target family.  The spiked-covariance (sparse PCA) family is
 the canonical member; the checker below also probes the conditions directly.
 """
 
-import math
-
 import numpy as np
 import scipy.stats as sst
 
 from avgcase.graphs import VertexPartition, sample_gnq, sample_k_pds
 from avgcase.kernels import ComputablePair
-from avgcase.pipelines import check_uc, pds_to_glsm, plan_parameters
-from avgcase.prob import Gaussian, RngStream
+from avgcase.pipelines import check_uc, pds_to_glsm, plan_parameters, spca_family
+from avgcase.prob import RngStream
 from avgcase.verify import ks_matrix
 
 n_stat, k_stat, theta = 10_000, 100, 1e-5
-scale = math.sqrt(3.0 * theta * math.log(n_stat) / k_stat)
-family = lambda nu: ComputablePair.gaussian_mean_shift(nu * scale)
-D = Gaussian(0.0, 1.0 / math.sqrt(3.0 * math.log(n_stat)))
+family, D = spca_family(n_stat, k_stat, theta)
 
 rng = RngStream(1234)
 report = check_uc(n_stat, k_stat, 1000, D, family, 60_000, rng.child("uc"))
@@ -56,6 +52,9 @@ S = otr.planted_set
 nus = np.asarray(otr.params["nu"])
 pos = np.zeros(X.shape[0], dtype=bool)
 pos[otr.component_set] = True
-resid = X[np.ix_(pos, S)] - np.outer(nus[pos] * scale, np.ones(S.size))
+# P_nu = N(s, 1) against Q = N(0, 1) has log-likelihood ratio s x - s^2 / 2,
+# so its mean s is the ratio's slope.
+means = [np.diff(family(nu).log_likelihood_ratio([0.0, 1.0]))[0] for nu in nus[pos]]
+resid = X[np.ix_(pos, S)] - np.outer(means, np.ones(S.size))
 print(f"H1 output: planted support {list(map(int, S))}, positive-component "
       f"residual mean {resid.mean():+.4f} (0 if the per-sample means are P_nu's)")

@@ -8,7 +8,8 @@ rerun.  Configuration precedence is flags > ``AVGCASE_*`` environment
 variables > defaults (``AVGCASE_OUT_DIR``).
 
 Exit codes: 0 success / verification pass, 1 verification failure, 2 usage
-or parameter error.
+or parameter error, 3 internal error (a fault in the program, not in its
+input).
 """
 
 from __future__ import annotations
@@ -194,8 +195,8 @@ def _cmd_reduce(args) -> int:
     from .formats import dump_json, write_amat
     from .graphs import PlantedTrace, VertexPartition, read_graphv1, write_graphv1
     from .pipelines import (pds_to_glsm, pds_to_isgm, pds_to_semi_cr,
-                            plan_parameters)
-    from .prob import Gaussian, RngStream
+                            plan_parameters, spca_family)
+    from .prob import RngStream
 
     out = _out_dir(args)
     G = read_graphv1(args.infile)
@@ -219,7 +220,7 @@ def _cmd_reduce(args) -> int:
             f"mu={plan.mu:.4g} unmet={failed or 'none'} -> {out / 'samples.amat'}"
         )
     elif args.pipeline == "semi-cr":
-        plan = plan_parameters("SEMI_CR", args.p, args.q, 4.0, N=G.n, k=args.k,
+        plan = plan_parameters("SEMI_CR", args.p, args.q, N=G.n, k=args.k,
                                ell=args.ell, n=args.n_out)
         G_out, out_trace = pds_to_semi_cr(G, E, plan, rng, trace=trace)
         write_graphv1(G_out, out / "instance.graph")
@@ -231,18 +232,14 @@ def _cmd_reduce(args) -> int:
             f"-> {out / 'instance.graph'}"
         )
     else:  # glsm
-        from .kernels import ComputablePair
-
         plan = plan_parameters("GLSM", args.p, args.q, args.w, n=args.n,
                                k=args.k, d=args.d)
+        family, D = spca_family(args.n, args.k, args.theta)
         if plan.N != G.n:
             raise ParameterError(
                 f"input graph has {G.n} vertices but the GLSM plan needs N={plan.N}; "
                 f"generate the source instance at that size"
             )
-        scale = math.sqrt(3.0 * args.theta * math.log(args.n) / args.k)
-        family = lambda nu: ComputablePair.gaussian_mean_shift(nu * scale)
-        D = Gaussian(0.0, 1.0 / math.sqrt(3.0 * math.log(args.n)))
         X, out_trace = pds_to_glsm(G, E, plan, args.tau, family, D, rng,
                                    trace=trace, allow_unproven=args.allow_unproven)
         write_amat(out / "samples.amat", X)
@@ -312,6 +309,9 @@ def main(argv=None) -> int:
     except AvgCaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault in the program, never a failed battery
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

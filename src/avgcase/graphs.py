@@ -416,8 +416,9 @@ def sample_tg_h1(n, k, k2, m, mu1, mu2, mu3, rng: RngStream):
     Edge probabilities: 1/2 + mu3 on S^2, 1/2 - mu2 on S x S', 1/2 on S'^2 and
     outside V^2, 1/2 - mu1 on the rest of V^2.
     """
-    if not (k + k2 <= m <= n):
-        raise ParameterError(f"need k + k2 <= m <= n, got k={k}, k2={k2}, m={m}, n={n}")
+    if not (min(k, k2) >= 0 and k + k2 <= m <= n):
+        raise ParameterError(
+            f"need k, k2 >= 0 and k + k2 <= m <= n, got k={k}, k2={k2}, m={m}, n={n}")
     for name, mu in (("mu1", mu1), ("mu2", mu2), ("mu3", mu3)):
         if not (0 <= mu < 0.5):
             raise ParameterError(f"{name} must lie in [0, 1/2), got {mu}")

@@ -1,12 +1,13 @@
 """Algorithmic change-of-measure primitives (rejection kernels).
 
-Three gadgets live here:
+Four gadgets live here:
 
 * ``rk_gauss_array`` — maps each biased bit of an array to (approximately) a
   unit-variance Gaussian, sending Bern(p) inputs near N(mu, 1) and Bern(q)
   inputs near N(0, 1) simultaneously.
 * ``gaussianize`` — the same kernel over a {0,1} matrix, with the proven
-  mean bound enforced and an iteration count set by the matrix size.
+  mean bound (``gaussianize_mu_bound``, the one bound formula every
+  reduction uses) enforced and an iteration count set by the matrix size.
 * ``srk3_array`` — the symmetric 3-ary kernel mapping ternary inputs
   distributed Tern(a, mu1, mu2) / Tern(a, -mu1, mu2) / Tern(a, 0, 0) near
   three target laws P+, P-, Q given likelihood-ratio oracles.
@@ -48,7 +49,6 @@ from .prob import RngStream, normal_cdf, tern_pmf
 
 __all__ = [
     "rejection_delta",
-    "rk_gauss_mu_bound",
     "rk_gauss_array",
     "gaussianize",
     "gaussianize_mu_bound",
@@ -68,13 +68,9 @@ def rejection_delta(p: float, q: float) -> float:
     return min(first, second)
 
 
-def rk_gauss_mu_bound(p: float, q: float, n: int) -> float:
-    """Largest mean shift with the proven total-variation guarantee at size n."""
-    delta = rejection_delta(p, q)
-    return delta / (2.0 * math.sqrt(6.0 * math.log(n) + 2.0 * math.log(1.0 / (p - q))))
-
-
 def gaussianize_mu_bound(P: float, Q: float, m: int, n: int) -> float:
+    """Largest mean shift with the proven total-variation guarantee for an
+    m x n input; a single array of n bits is the n x n case."""
     delta = rejection_delta(P, Q)
     return delta / (2.0 * math.sqrt(3.0 * math.log(m * n) + 2.0 * math.log(1.0 / (P - Q))))
 
@@ -190,21 +186,23 @@ def rk_gauss_array(bits, mu, p, q, n_iter, rng: RngStream):
     Over Bern(p) inputs each output is close to N(mu, 1), over Bern(q)
     inputs close to N(0, 1); ``mu`` is a nonnegative scalar or an array
     broadcastable to ``bits``.  No mean bound is enforced (see
-    ``rk_gauss_mu_bound`` for the proven one); entries that exhaust the
+    ``gaussianize_mu_bound`` for the proven one); entries that exhaust the
     ``n_iter`` budget return 0.0, the initialization.
     """
     return _rk_gauss_core(bits, mu, p, q, n_iter, rng.child("rk"))
 
 
-def gaussianize(M, P, Q, mu, rng: RngStream, n_iter=None, allow_unproven=False):
+def gaussianize(M, P, Q, mu, rng: RngStream, allow_unproven=False):
     """Map a {0,1} matrix to an independent-Gaussian matrix, entry (i, j)
     heading for N(mu_ij, 1) where M_ij came up Bern(P) and N(0, 1) where it
     came up Bern(Q).
 
     ``mu`` may be a scalar or an (m, n) matrix of nonnegative target means;
     every entry must satisfy the proven bound (see ``gaussianize_mu_bound``)
-    unless ``allow_unproven`` is set.  The default iteration count is
-    ceil(3 log(m n) / delta).
+    unless ``allow_unproven`` is set.  Each entry gets ceil(3 log(m n) /
+    delta) proposals, the budget under which that bound is proven (both
+    carry the same 3 log(m n) term); entries that exhaust it keep the 0.0
+    initializer.
     """
     M = np.asarray(M)
     if M.ndim != 2:
@@ -212,8 +210,7 @@ def gaussianize(M, P, Q, mu, rng: RngStream, n_iter=None, allow_unproven=False):
     m, n = M.shape
     delta = rejection_delta(P, Q)
     bound = math.inf if allow_unproven else gaussianize_mu_bound(P, Q, m, n)
-    if n_iter is None:
-        n_iter = math.ceil(3.0 * math.log(m * n) / delta)
+    n_iter = math.ceil(3.0 * math.log(m * n) / delta)
     return _rk_gauss_core(M, mu, P, Q, n_iter, rng.child("gaussianize"), bound=bound)
 
 

@@ -14,8 +14,8 @@ The three public pipelines are
   likelihood-ratio oracles for the planted marginals,
 
 plus their shared sub-steps (``graph_clone``, ``to_k_partite_submatrix``,
-``isgm_sample_clone``), the parameter planner, and the universality-condition
-checker.
+``isgm_sample_clone``), the parameter planner, the sparse-PCA target family
+(``spca_family``), and the universality-condition checker.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ from .kernels import (
     gaussianize,
     gaussianize_mu_bound,
     rejection_delta,
-    rk_gauss_mu_bound,
     srk3_array,
     tern_params_from_truncation,
     truncate_tern,
 )
-from .prob import RngStream, normal_cdf, sample as sample_dist
+from .prob import Gaussian, RngStream, normal_cdf, sample as sample_dist
 
 __all__ = [
     "IsgmInstance",
@@ -56,6 +55,7 @@ __all__ = [
     "pds_to_semi_cr",
     "semi_cr_mus",
     "pds_to_glsm",
+    "spca_family",
     "check_uc",
 ]
 
@@ -77,17 +77,6 @@ def clone_Q(p: float, q: float) -> float:
 def _next_multiple_above(unit: int, x: float) -> int:
     """Smallest positive multiple of ``unit`` strictly exceeding ``x``."""
     return unit * (int(math.floor(x / unit)) + 1)
-
-
-def proven_mu_bound(k: int, m: int, r: int, t: int, p: float, Q: float) -> float:
-    """The fully explicit mean bound of the proven mixture-reduction regime."""
-    delta = rejection_delta(p, Q)
-    rt = r ** t
-    return (
-        delta
-        / (2.0 * math.sqrt(3.0 * math.log(k * m * rt) + 2.0 * math.log(1.0 / (p - Q))))
-        / math.sqrt(rt * (r - 1))
-    )
 
 
 def smallest_prime_above(x: float) -> int:
@@ -147,10 +136,9 @@ class ReductionPlan:
     Q: float
     delta: float
     mu: float
-    w: float
+    w: Optional[float]
     eps: float
     ell: Optional[int] = None
-    c: float = 1.0
     report: dict = field(default_factory=dict)
 
     @property
@@ -161,41 +149,51 @@ class ReductionPlan:
     def n_hyperplanes(self) -> int:
         return (self.rt - 1) // (self.r - 1)
 
+    @property
+    def mu_bound(self) -> float:
+        """The largest proven ``mu``: SEMI-CR Gaussianizes its m x m submatrix
+        at mu, ISGM and GLSM their m x k r^t matrix at sqrt(r^t (r-1)) mu."""
+        if self.target == "SEMI_CR":
+            return gaussianize_mu_bound(self.p, self.Q, self.m, self.m)
+        return (gaussianize_mu_bound(self.p, self.Q, self.m, self.k * self.rt)
+                / math.sqrt(self.rt * (self.r - 1)))
+
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
 
 def _regime_report(plan: ReductionPlan) -> dict:
-    if plan.target == "SEMI_CR":
-        # SEMI-CR's one mean bound: the one gaussianize enforces on the m x m submatrix
-        bound = gaussianize_mu_bound(plan.p, plan.Q, plan.m, plan.m)
-    else:
-        bound = proven_mu_bound(plan.k, plan.m, plan.r, plan.t, plan.p, plan.Q)
+    bound = plan.mu_bound
     report = {
         "k_divides_N": plan.N % plan.k == 0,
         "k_le_QN_over_4": plan.k <= plan.Q * plan.N / 4.0,
         "m_exceeds_(p/Q+1)N": plan.m > (plan.p / plan.Q + 1.0) * plan.N,
-        "m_le_k_r^t": plan.m <= plan.k * plan.rt,
-        "m_le_d": plan.m <= plan.d,
-        "w_n_le_k_ell": plan.w * plan.n <= plan.k * plan.n_hyperplanes,
         "mu_le_proven_bound": plan.mu <= bound * (1 + 1e-12),
         "proven_mu_bound": bound,
         "k_sq_over_N": plan.k ** 2 / plan.N,
-        "n_over_eps_N": plan.n / (plan.eps * plan.N),
     }
     if plan.target == "SEMI_CR":
-        for key in ("m_le_k_r^t", "m_le_d", "w_n_le_k_ell", "n_over_eps_N"):
-            report.pop(key)  # ISGM-only conditions
         report["(3^l-1)k_divides_m"] = plan.m % ((3 ** plan.ell - 1) * plan.k) == 0
         report["n_ge_m_rotated"] = plan.n >= plan.m // 2
+    else:
+        report["m_le_k_r^t"] = plan.m <= plan.k * plan.rt
+        report["m_le_d"] = plan.m <= plan.d
+        report["w_n_le_k_ell"] = plan.w * plan.n <= plan.k * plan.n_hyperplanes
+        report["n_over_eps_N"] = plan.n / (plan.eps * plan.N)
     return report
+
+
+def _check_sizes(**sizes) -> None:
+    for name, v in sizes.items():
+        if v is not None and (isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1):
+            raise ParameterError(f"{name} must be a positive integer, got {v!r}")
 
 
 def plan_parameters(
     target: str,
     p: float,
     q: float,
-    w: float,
+    w: Optional[float] = None,
     *,
     eps: Optional[float] = None,
     r: Optional[int] = None,
@@ -205,27 +203,34 @@ def plan_parameters(
     d: Optional[int] = None,
     t: Optional[int] = None,
     ell: Optional[int] = None,
-    beta: Optional[float] = None,
-    c: float = 1.0,
 ) -> ReductionPlan:
     """Derive a full parameter plan for one reduction target.
 
-    ISGM      needs (N, k) of the input graph and eps (or the prime r);
-              n and d default to floor(k*l/w) and m.
-    SEMI_CR   needs (N, k) and the blowup ell >= 2 (or the exponent beta);
-              n defaults to the embedded matrix size m, and mu is the
-              Gaussian kernel's proven bound at size m.
-    GLSM      needs target (n, k); derives the source size; r is 2 and d
-              defaults to m.
+    ISGM      needs (N, k) of the input graph, the slow-growth factor w and
+              eps in (0, 1) (or the prime r); n and d default to
+              floor(k*l/w) and m.
+    SEMI_CR   needs (N, k) and the blowup ell >= 2, and takes no w; n
+              defaults to the embedded matrix size m.
+    GLSM      needs target n >= 2, k and w; derives the source size; r is
+              2 and d defaults to m.
 
-    Structural impossibilities raise ParameterError; asymptotic conditions
-    that merely fail at finite size are recorded in ``plan.report``.
+    Every size given (N, k, n, d) must be a positive integer.  ``mu`` is the
+    plan's proven bound (``ReductionPlan.mu_bound``), for GLSM capped further
+    at sqrt(k / (N log n)).  Structural impossibilities raise ParameterError;
+    asymptotic conditions that merely fail at finite size are recorded in
+    ``plan.report``.
     """
     if target not in ("ISGM", "SEMI_CR", "GLSM"):
         raise ParameterError(f"unknown reduction target {target!r}")
     Q = clone_Q(p, q)
     delta = rejection_delta(p, Q)
-    if not 0.0 < w < math.inf:
+    _check_sizes(N=N, k=k, n=n, d=d)
+    if eps is not None and not 0.0 < eps < 1.0:  # NaN fails this too
+        raise ParameterError(f"eps must lie in (0, 1), got {eps}")
+    if target == "SEMI_CR":
+        if w is not None:
+            raise ParameterError("SEMI_CR planning takes no w")
+    elif w is None or not 0.0 < w < math.inf:
         raise ParameterError(f"w must be positive and finite, got {w}")
 
     if target == "ISGM":
@@ -234,6 +239,8 @@ def plan_parameters(
         if r is None:
             if eps is None:
                 raise ParameterError("ISGM planning needs eps or r")
+            if eps <= 2.0 ** -31:  # r > 1/eps, and r^2 must fit in 64 bits
+                raise ParameterError(f"eps={eps} is too small: r^t would overflow 64 bits")
             r = smallest_prime_above(1.0 / eps)
         if not is_prime(r):
             raise ParameterError(f"r={r} is not prime")
@@ -243,25 +250,21 @@ def plan_parameters(
             t = 2
             while k * r ** t < m:
                 t += 1
-                if r ** t >= 2 ** 62:
-                    raise ParameterError("no 64-bit power r^t accommodates m")
         elif t < 2 or k * r ** t < m:
             raise ParameterError(f"explicit t={t} needs t >= 2 and k r^t >= m = {m}")
+        if r ** t >= 2 ** 62:
+            raise ParameterError(f"r^t = {r}^{t} overflows 64 bits")
         ellh = (r ** t - 1) // (r - 1)
         if n is None:
             n = max(1, int(k * ellh / w))
         if d is None:
             d = m
-        mu = c * proven_mu_bound(k, m, r, t, p, Q)
-        plan = ReductionPlan("ISGM", p, q, N, k, r, t, m, n, d, Q, delta, mu, w, eps, c=c)
+        plan = ReductionPlan("ISGM", p, q, N, k, r, t, m, n, d, Q, delta, 0.0, w, eps)
+        plan.mu = plan.mu_bound
 
     elif target == "SEMI_CR":
         if N is None or k is None:
             raise ParameterError("SEMI_CR planning needs the source sizes N and k")
-        if ell is None:
-            if beta is None:
-                raise ParameterError("SEMI_CR planning needs ell or beta")
-            ell = max(2, math.ceil(math.log(N ** beta / k, 3)))
         if not isinstance(ell, (int, np.integer)) or ell < 2:
             # the block rotation H_{3,ell} needs ell >= 2, and ell = 1 plants nothing
             raise ParameterError(f"ell must be an integer >= 2, got {ell!r}")
@@ -270,22 +273,24 @@ def plan_parameters(
         m = _next_multiple_above(unit, (p / Q + 1.0) * N)
         if n is None:
             n = m
-        mu = rk_gauss_mu_bound(p, Q, m)
-        plan = ReductionPlan(
-            "SEMI_CR", p, q, N, k, 3, ell, m, n, m // 2, Q, delta, mu, w, 1.0 / 3.0,
-            ell=ell, c=c,
-        )
-        mu1, mu2, mu3 = semi_cr_mus(mu, ell)
+        plan = ReductionPlan("SEMI_CR", p, q, N, k, 3, ell, m, n, m // 2, Q, delta, 0.0,
+                             None, 1.0 / 3.0, ell=ell)
+        plan.mu = plan.mu_bound
+        mu1, mu2, mu3 = semi_cr_mus(plan.mu, ell)
         plan.report.update({"mu1": mu1, "mu2": mu2, "mu3": mu3,
                             "planted_size": (3 ** (ell - 1) - 1) * k // 2})
 
     else:  # GLSM
         if n is None or k is None:
             raise ParameterError("GLSM planning needs n and k")
+        if n < 2:  # the planned mean divides by log n
+            raise ParameterError(f"GLSM planning needs n >= 2, got n={n}")
         r = 2
         t = 2
         while 2 ** t <= w * k or k * (2 ** t - 1) < w * n:
             t += 1
+            if t >= 62:  # also ends the search when w k or w n overflows to inf
+                raise ParameterError(f"no 2^t below 2^62 exceeds w k and w n (w={w})")
         N = (int((2 ** t) * k / (p / Q + 1.0)) // k) * k
         m = _next_multiple_above(k, (p / Q + 1.0) * N)
         while N >= k and m > k * 2 ** t:
@@ -295,12 +300,11 @@ def plan_parameters(
             raise ParameterError("planned source size collapsed below k")
         if d is None:
             d = m
-        mu_fig = c * math.sqrt(k / (N * math.log(n)))
-        mu_cap = proven_mu_bound(k, m, r, t, p, Q)
-        mu = min(mu_fig, mu_cap)
-        plan = ReductionPlan("GLSM", p, q, N, k, r, t, m, n, d, Q, delta, mu, w, 0.5, c=c)
+        plan = ReductionPlan("GLSM", p, q, N, k, r, t, m, n, d, Q, delta, 0.0, w, 0.5)
+        mu_fig, bound = math.sqrt(k / (N * math.log(n))), plan.mu_bound
+        plan.mu = min(mu_fig, bound)
         plan.report["mu_uncapped"] = mu_fig
-        plan.report["mu_capped_at_proven_bound"] = mu_fig > mu_cap
+        plan.report["mu_capped_at_proven_bound"] = mu_fig > bound
 
     plan.report.update(_regime_report(plan))
     return plan
@@ -475,6 +479,8 @@ def pds_to_isgm(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngStrea
     1 - eps = 1 - 1/r.  ``rotation_override`` substitutes an arbitrary matrix
     for the incidence rotation and exists for fault-injection tests only.
     """
+    if plan.target == "SEMI_CR":
+        raise ParameterError("pds_to_isgm needs an ISGM or GLSM plan, got SEMI_CR")
     p, q, k, m, r, t = plan.p, plan.q, plan.k, plan.m, plan.r, plan.t
     n, d = plan.n, plan.d
     rt, ellh = plan.rt, plan.n_hyperplanes
@@ -486,7 +492,8 @@ def pds_to_isgm(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngStrea
             f"(m={m}, k r^t={k * rt}, d={d}, n={n}, k l={k * ellh})"
         )
     if not allow_unproven:
-        bound = proven_mu_bound(k, m, r, t, p, plan.Q)
+        # the bound gaussianize enforces in step 3, checked before the embedding work
+        bound = plan.mu_bound
         if plan.mu > bound * (1 + 1e-9):
             raise ParameterError(
                 f"mu={plan.mu} exceeds the proven bound {bound:.6g}; "
@@ -564,6 +571,8 @@ def pds_to_isgm(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngStrea
 
 def sample_isgm(n: int, k: int, d: int, mu: float, eps: float, rng: RngStream) -> IsgmInstance:
     """Draw directly from the imbalanced sparse Gaussian mixture (planted law)."""
+    if n < 1:
+        raise ParameterError(f"need n >= 1 samples, got n={n}")
     if not (0 < k <= d):
         raise ParameterError(f"need 0 < k <= d, got k={k}, d={d}")
     if not (0.0 < eps < 1.0):
@@ -766,20 +775,37 @@ def pds_to_glsm(G: Graph, E: VertexPartition, plan: ReductionPlan, tau: float,
     return X, out_trace
 
 
+def spca_family(n: int, k: int, theta: float):
+    """The sparse-PCA (spiked covariance) target family of the GLSM reduction
+    at problem size (n, k) and spike strength ``theta`` >= 0.
+
+    Returns ``(pair_family, D)``: ``pair_family(nu)`` is the pair
+    N(nu * sqrt(3 theta log n / k), 1) against N(0, 1), and D, the law of the
+    mixing weight nu, is centred Gaussian with standard deviation
+    1 / sqrt(3 log n).  theta = 0 plants nothing.
+    """
+    if not 0.0 <= theta < math.inf:  # NaN fails this too
+        raise ParameterError(f"theta must be finite and nonnegative, got {theta}")
+    _check_sizes(n=n, k=k)
+    if n < 2:
+        raise ParameterError(f"the sparse-PCA family needs n >= 2, got n={n}")
+    scale = math.sqrt(3.0 * theta * math.log(n) / k)
+    D = Gaussian(0.0, 1.0 / math.sqrt(3.0 * math.log(n)))
+    return (lambda nu: ComputablePair.gaussian_mean_shift(nu * scale)), D
+
+
 def check_uc(n: int, k: int, d: int, D, pair_family, sample_budget: int,
-             rng: RngStream, threshold_i: Optional[float] = None,
-             threshold_ii: float = 1e-3, nu_draws: int = 32) -> dict:
+             rng: RngStream) -> dict:
     """Monte Carlo diagnostic for the universality conditions.
 
     Condition (i): nu ~ D lies in [-1, 1] except with probability at most
-    ``threshold_i`` (default 1/n).  Condition (ii): under each of P_nu,
-    P_-nu and Q, the likelihood-ratio statistics satisfy
+    1/n.  Condition (ii): under each of P_nu, P_-nu and Q, for the first 32
+    draws of nu, the likelihood-ratio statistics satisfy
     |dP_nu/dQ - dP_-nu/dQ| <= 1/sqrt(k log n) and
     |dP_nu/dQ + dP_-nu/dQ - 2| <= 1/(k log n) except with frequency at most
-    ``threshold_ii``.  Reports observed quantiles; never raises.
+    1e-3.  Reports observed quantiles; never raises.
     """
-    if threshold_i is None:
-        threshold_i = 1.0 / n
+    threshold_i, threshold_ii, nu_draws = 1.0 / n, 1e-3, 32
     bound1 = 1.0 / math.sqrt(k * math.log(n))
     bound2 = 1.0 / (k * math.log(n))
     gen = rng.child("uc-nu").generator()

@@ -182,8 +182,9 @@ def ks_matrix(X, cdf):
     return stat, pvals
 
 
-def chi2_test(counts, expected, ddof: int = 0):
-    """Pearson chi-square of observed counts against expected counts.
+def chi2_test(counts, expected):
+    """Pearson chi-square of observed counts against expected counts, with
+    one degree of freedom per usable cell less one (no parameter is fitted).
 
     Cells with zero expectation and zero observation are dropped; a zero
     expectation with a positive observation raises TestError.
@@ -197,17 +198,18 @@ def chi2_test(counts, expected, ddof: int = 0):
         raise TestError("observed count in a cell with zero expectation")
     keep = ~zero
     stat = float((((counts - expected) ** 2)[keep] / expected[keep]).sum())
-    df = int(keep.sum()) - 1 - ddof
+    df = int(keep.sum()) - 1
     if df < 1:
         raise TestError("chi-square needs at least 2 usable cells")
     return stat, float(_sst.chi2.sf(stat, df))
 
 
-def chi2_gof_counts(values, pmf: FinitePmf, min_expected: float = 5.0):
+def chi2_gof_counts(values, pmf: FinitePmf):
     """Goodness-of-fit of integer/discrete samples against an exact pmf.
 
     Support points are merged greedily (left to right) until every bin's
-    expected count reaches ``min_expected``.
+    expected count reaches 5, the usual floor below which the chi-square
+    approximation to the statistic's law breaks down.
     """
     support, probs = pmf.as_arrays()
     values = np.asarray(values)
@@ -218,13 +220,13 @@ def chi2_gof_counts(values, pmf: FinitePmf, min_expected: float = 5.0):
         raise TestError("samples fall outside the pmf support")
     counts = np.bincount(idx, minlength=support.size).astype(float)
     expected = probs * n
-    # merge adjacent bins until each expected >= min_expected
+    # merge adjacent bins until each expected count reaches 5
     merged_c, merged_e = [], []
     acc_c = acc_e = 0.0
     for c, e in zip(counts, expected):
         acc_c += c
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= 5.0:
             merged_c.append(acc_c)
             merged_e.append(acc_e)
             acc_c = acc_e = 0.0
@@ -238,18 +240,18 @@ def chi2_gof_counts(values, pmf: FinitePmf, min_expected: float = 5.0):
     return chi2_test(np.array(merged_c), np.array(merged_e))
 
 
-def covariance_identity_check(X, max_coords: int = None, rng: RngStream = None):
+def covariance_identity_check(X, rng: RngStream = None):
     """Compare the second-moment matrix of row-samples X (n, d) to identity.
 
     Off-diagonal entries have standard error 1/sqrt(n) and diagonal entries
     sqrt(2/n) (a chi^2_n / n), so the thresholds are 5/sqrt(n) and
-    5 sqrt(2/n), five standard errors each.  When d exceeds ``max_coords``
-    a seeded coordinate subset of that size is used; an entry-wise
-    c/sqrt(n) threshold over all of a large d's pairs is crossed by correct
-    outputs with probability near 1, so the pair budget must stay bounded
-    for the threshold to be meaningful.  The default budget also shrinks
-    with the sample count: at small n the entries have t-like tails and a
-    fixed pair count would trip the threshold spuriously.
+    5 sqrt(2/n), five standard errors each.  When d exceeds the coordinate
+    budget clip(n // 6, 16, 160) a seeded coordinate subset of that size is
+    used; an entry-wise c/sqrt(n) threshold over all of a large d's pairs is
+    crossed by correct outputs with probability near 1, so the pair budget
+    must stay bounded for the threshold to be meaningful.  The budget also
+    shrinks with the sample count: at small n the entries have t-like tails
+    and a fixed pair count would trip the threshold spuriously.
 
     Returns a dict with the max off-diagonal entry, max diagonal deviation,
     both thresholds, and pass flags.
@@ -257,8 +259,7 @@ def covariance_identity_check(X, max_coords: int = None, rng: RngStream = None):
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     threshold, diag_threshold = 5.0 / math.sqrt(n), 5.0 * math.sqrt(2.0 / n)
-    if max_coords is None:
-        max_coords = int(np.clip(n // 6, 16, 160))
+    max_coords = int(np.clip(n // 6, 16, 160))
     if d > max_coords:
         gen = (rng or RngStream(0)).child("cov-subset").generator()
         cols = np.sort(gen.choice(d, size=max_coords, replace=False))
@@ -595,7 +596,7 @@ def _battery_semi_cr(params, trials, alpha, rng, fault):
     from .graphs import sample_k_pds
 
     N, k = params["N"], params["k"]
-    plan = pl.plan_parameters("SEMI_CR", params["p"], params["q"], 4.0, N=N, k=k,
+    plan = pl.plan_parameters("SEMI_CR", params["p"], params["q"], N=N, k=k,
                               ell=params["ell"])
     E = VertexPartition.contiguous(N, k)
     min_trials = 100
@@ -623,16 +624,12 @@ def _battery_semi_cr(params, trials, alpha, rng, fault):
 def _battery_glsm(params, trials, alpha, rng, fault):
     from . import pipelines as pl
     from .graphs import sample_gnq
-    from .kernels import ComputablePair
-    from .prob import Gaussian
 
-    n, k, theta = params["n"], params["k"], params["theta"]
+    n, k = params["n"], params["k"]
     plan = pl.plan_parameters("GLSM", params["p"], params["q"], 2.0, n=n, k=k,
                               d=params["d"])
     E = VertexPartition.contiguous(plan.N, k)
-    scale = math.sqrt(3.0 * theta * math.log(n) / k)
-    pair_family = lambda nu: ComputablePair.gaussian_mean_shift(nu * scale)
-    D = Gaussian(0.0, 1.0 / math.sqrt(3.0 * math.log(n)))
+    pair_family, D = pl.spca_family(n, k, params["theta"])
     G0 = sample_gnq(plan.N, plan.q, rng.child("h0-graph"))
     X, _ = pl.pds_to_glsm(G0, E, plan, params["tau"], pair_family, D, rng.child("h0-run"))
     _, pvals = ks_matrix(X.T, _sst.norm.cdf)

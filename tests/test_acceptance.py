@@ -206,7 +206,7 @@ def test_criterion_07_semi_cr_target_laws():
         p, q, N, k, ell = 1.0, 0.25, 32, 4, 2
         E = VertexPartition.contiguous(N, k)
         rng = RngStream(20_260_007)
-        plan = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=ell)
+        plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=ell)
         mu1, mu2, mu3 = semi_cr_mus(plan.mu, ell)
         R = 2000
         hits = np.zeros(5)

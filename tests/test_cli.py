@@ -200,6 +200,34 @@ def test_reduce_semi_cr_golden_digests(tmp_path):
     assert {name: _digest(out / name) for name in _SEMI_CR_GOLDEN} == _SEMI_CR_GOLDEN
 
 
+# sha256 of `reduce isgm` (400-vertex graph) and `reduce glsm` (84-vertex
+# graph, the GLSM plan's source size at n=64, k=4) outputs.  plan.json is not
+# pinned: it reports the plan's fields, not the random stream.
+_ISGM_GOLDEN = {
+    "samples.amat": "a7b523b08a60be3705135359fc7da338d4618fd33bde8c945bc5b6f63dd67ff4",
+    "trace.json": "0970428e62c6e73174c61ac7455c48475d789afa75f9c71c38e0a5a0695d280b",
+}
+_GLSM_GOLDEN = {
+    "samples.amat": "ddd95fcc87f445c35e9e9e6a8a73371d32cfaa645377d05ea1ee622a3733b5cc",
+    "trace.json": "8816ffa401bdcc040002906589e3b1e789d4e0db814e2aa67205f683f0d584f4",
+}
+
+
+@pytest.mark.parametrize("pipeline, n_src, k, args, golden", [
+    ("isgm", 400, 8, ["--r", "2", "--w", "4"], _ISGM_GOLDEN),
+    ("glsm", 84, 4, ["--n", "64", "--d", "256"], _GLSM_GOLDEN),
+])
+def test_reduce_golden_digests(tmp_path, pipeline, n_src, k, args, golden):
+    src = tmp_path / "src"
+    _run(["generate", "kpds", "--n", str(n_src), "--k", str(k), "--p", "1", "--q", "0.25",
+          "--seed", "21", "--out", str(src)])
+    out = tmp_path / pipeline
+    assert _run(["reduce", pipeline, "--in", str(src / "instance.graph"),
+                 "--trace", str(src / "trace.json"), "--k", str(k), "--p", "1",
+                 "--q", "0.25", *args, "--seed", "9", "--out", str(out)]) == 0
+    assert {name: _digest(out / name) for name in golden} == golden
+
+
 def test_verify_cli_pass_and_fault(tmp_path):
     rc = _run(["verify", "--pipeline", "isgm",
                "--params", '{"N": 32, "k": 4, "p": 1.0, "q": 0.25}',
@@ -265,6 +293,34 @@ _SRC = ["--k", "4", "--p", "1.0", "--q", "0.25", "--seed", "5"]
       "--eps", "0.5", "--seed", "1"], "mu must be finite"),
     (["generate", "isgm", "--n", "10", "--k", "2", "--d", "5", "--mu", "inf",
       "--eps", "0.5", "--seed", "1"], "mu must be finite"),
+    (["reduce", "isgm", "--in", "{graph}", *_SRC, "--eps", "0"], "eps must lie in (0, 1)"),
+    (["reduce", "isgm", "--in", "{graph}", *_SRC, "--eps", "nan"], "eps must lie in (0, 1)"),
+    (["reduce", "isgm", "--in", "{graph}", *_SRC, "--eps", "-1"], "eps must lie in (0, 1)"),
+    (["reduce", "isgm", "--in", "{graph}", *_SRC, "--eps", "2"], "eps must lie in (0, 1)"),
+    (["reduce", "isgm", "--in", "{graph}", *_SRC, "--r", "2", "--n", "-3"], "n must be a positive"),
+    (["reduce", "isgm", "--in", "{graph}", *_SRC, "--r", "2", "--n", "0"], "n must be a positive"),
+    (["reduce", "isgm", "--in", "{graph}", *_SRC, "--r", "2", "--d", "-5"], "d must be a positive"),
+    (["verify", "--pipeline", "isgm", "--params", '{"N": -4}'], "N must be a positive"),
+    (["verify", "--pipeline", "isgm", "--params", '{"k": 0}'], "k must be a positive"),
+    (["verify", "--pipeline", "semi-cr", "--params", '{"N": -4}'], "N must be a positive"),
+    (["verify", "--pipeline", "semi-cr", "--params", '{"k": 0}'], "k must be a positive"),
+    (["verify", "--pipeline", "glsm", "--params", '{"n": 0}'], "n must be a positive"),
+    (["verify", "--pipeline", "glsm", "--params", '{"n": 1}'], "n >= 2"),
+    (["verify", "--pipeline", "glsm", "--params", '{"k": 0}'], "k must be a positive"),
+    (["verify", "--pipeline", "glsm", "--params", '{"k": -2}'], "k must be a positive"),
+    (["verify", "--pipeline", "glsm", "--params", '{"theta": -1}'], "theta must be"),
+    (["reduce", "glsm", "--in", "{graph}", *_SRC, "--n", "64", "--d", "256",
+      "--theta", "nan"], "theta must be"),
+    (["reduce", "glsm", "--in", "{graph}", *_SRC, "--n", "64", "--d", "256",
+      "--theta", "inf"], "theta must be"),
+    (["reduce", "glsm", "--in", "{graph}", *_SRC, "--n", "64", "--d", "256",
+      "--theta", "-1"], "theta must be"),
+    (["generate", "isgm", "--n", "-1", "--k", "2", "--d", "5", "--mu", "0.5",
+      "--eps", "0.5", "--seed", "1"], "n >= 1"),
+    (["generate", "tg", "--variant", "h1", "--n", "10", "--m", "5", "--mu1", "0.1",
+      "--k", "2", "--k2", "-1", "--mu2", "0.1", "--mu3", "0.1", "--seed", "1"], "k, k2 >= 0"),
+    (["reduce", "glsm", "--in", "{graph}", *_SRC, "--n", "64", "--d", "256",
+      "--w", "1e308"], "below 2^62"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     src = tmp_path / "src"
@@ -277,6 +333,20 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and says in err and "Traceback" not in err
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    # A fault in the program is neither a parameter error (2) nor a failed
+    # battery (1).
+    from avgcase import cli
+
+    def boom(args):
+        raise RuntimeError("kaboom")
+
+    monkeypatch.setattr(cli, "_cmd_energy", boom)
+    assert _run(["energy", "--n", "6", "--k", "3", "--degree", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: kaboom\n"
 
 
 def test_energy_cli(capsys):

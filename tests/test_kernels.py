@@ -15,7 +15,7 @@ from avgcase import kernels
 from avgcase.errors import ParameterError
 from avgcase.kernels import (_BLOCK, ComputablePair, check_unit_mean, gaussianize,
                              gaussianize_mu_bound, rejection_delta,
-                             rk_gauss_array, rk_gauss_mu_bound, srk3_array,
+                             rk_gauss_array, srk3_array,
                              tern_params_from_truncation, truncate_tern)
 from avgcase.prob import RngStream, Tern, normal_cdf, sample, tern_pmf
 from avgcase.verify import covariance_identity_check, ks_test
@@ -59,7 +59,7 @@ def test_rk_gauss_marginals_ks():
     # At the proven mu bound for n = 1e3, Bern(q) inputs land on N(0,1) and
     # Bern(p) inputs on N(mu, 1); 1e5 outputs each, KS at 1e-4.
     p, q, n = 0.75, 0.25, 1000
-    mu = rk_gauss_mu_bound(p, q, n)
+    mu = gaussianize_mu_bound(p, q, n, n)
     n_iter = math.ceil(6.0 * math.log(n) / rejection_delta(p, q))
     bits_q = (RngStream(3).child("bq").generator().random(100_000) < q).astype(np.uint8)
     outs0 = rk_gauss_array(bits_q, mu, p, q, n_iter, RngStream(3))
@@ -72,11 +72,9 @@ def test_rk_gauss_marginals_ks():
 
 
 def test_rk_gauss_bound_enforced():
-    # gaussianize is the kernel's bound-checking entry point; on an n x n
-    # matrix its bound, at 3 log(n^2), is the one-bit bound at 6 log(n).
+    # gaussianize is the kernel's bound-checking entry point.
     p, q, n = 0.75, 0.25, 32
-    bound = rk_gauss_mu_bound(p, q, n)
-    assert gaussianize_mu_bound(p, q, n, n) == pytest.approx(bound, rel=1e-12)
+    bound = gaussianize_mu_bound(p, q, n, n)
     M = np.ones((n, n), dtype=np.uint8)
     with pytest.raises(ParameterError, match="proven bound"):
         gaussianize(M, p, q, 2 * bound, RngStream(5))

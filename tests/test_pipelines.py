@@ -15,8 +15,8 @@ from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, check_uc,
                                isgm_mu_prime, isgm_sample_clone,
                                pds_to_glsm, pds_to_isgm, pds_to_semi_cr,
                                plan_parameters, sample_isgm, semi_cr_mus,
-                               to_k_partite_submatrix)
-from avgcase.kernels import ComputablePair, gaussianize, gaussianize_mu_bound, rk_gauss_mu_bound
+                               spca_family, to_k_partite_submatrix)
+from avgcase.kernels import ComputablePair, gaussianize, gaussianize_mu_bound
 from avgcase.prob import Gaussian, RngStream
 from avgcase.verify import chi2_test
 
@@ -208,18 +208,18 @@ def test_plan_structural_and_report():
 
 
 def test_plan_semi_cr():
-    plan = plan_parameters("SEMI_CR", 1.0, 0.25, 4.0, N=32, k=4, ell=2)
+    plan = plan_parameters("SEMI_CR", 1.0, 0.25, N=32, k=4, ell=2)
     assert plan.m % ((3 ** 2 - 1) * 4) == 0
     mu1, mu2, mu3 = semi_cr_mus(plan.mu, 2)
     assert plan.report["mu1"] == mu1 and plan.report["mu3"] == mu3
     assert plan.report["planted_size"] == 4
-    assert plan.mu == rk_gauss_mu_bound(plan.p, plan.Q, plan.m)
+    assert plan.mu == gaussianize_mu_bound(plan.p, plan.Q, plan.m, plan.m)
 
 
 def test_plan_semi_cr_reports_the_bound_it_enforces():
     # At the benchmark size the report checks mu against gaussianize's bound
     # on the m x m submatrix, and carries no ISGM-only condition.
-    plan = plan_parameters("SEMI_CR", 1.0, 0.25, 4.0, N=2000, k=8, ell=2)
+    plan = plan_parameters("SEMI_CR", 1.0, 0.25, N=2000, k=8, ell=2)
     assert plan.m == 6016
     bound = gaussianize_mu_bound(plan.p, plan.Q, plan.m, plan.m)
     assert plan.report["proven_mu_bound"] == bound
@@ -239,10 +239,40 @@ def test_plan_semi_cr_reports_the_bound_it_enforces():
     ("ISGM", {"r": 2, "w": 0.0}),
 ])
 def test_plan_rejects_bad_ell_and_w(target, kwargs):
-    kwargs = dict(kwargs)
-    w = kwargs.pop("w", 4.0)
-    with pytest.raises(ParameterError):
-        plan_parameters(target, 1.0, 0.25, w, N=32, k=4, **kwargs)
+    # SEMI_CR rows pass no w: a w there raises on its own and would hide ell
+    with pytest.raises(ParameterError, match="ell" if target == "SEMI_CR" else "w must"):
+        plan_parameters(target, 1.0, 0.25, N=32, k=4, **kwargs)
+
+
+@pytest.mark.parametrize("target, kwargs, says", [
+    ("ISGM", {"r": 2, "N": -4, "k": 4}, "N must be a positive integer"),
+    ("ISGM", {"r": 2, "N": 32, "k": 0}, "k must be a positive integer"),
+    ("ISGM", {"eps": 0.0, "N": 32, "k": 4}, "eps"),
+    ("ISGM", {"eps": math.nan, "N": 32, "k": 4}, "eps"),
+    ("ISGM", {"eps": -1.0, "N": 32, "k": 4}, "eps"),
+    ("ISGM", {"eps": 2.0, "N": 32, "k": 4}, "eps"),
+    ("ISGM", {"r": 2, "N": 32, "k": 4, "n": 0}, "n must be a positive integer"),
+    ("ISGM", {"r": 2, "N": 32, "k": 4, "d": -5}, "d must be a positive integer"),
+    ("ISGM", {"r": 2, "N": 32, "k": 4, "w": None}, "w must"),
+    ("ISGM", {"eps": 1e-30, "N": 32, "k": 4}, "too small"),
+    ("ISGM", {"r": 2, "N": 32, "k": 4, "t": 70}, "overflows 64 bits"),
+    ("SEMI_CR", {"ell": 2, "N": -4, "k": 4}, "N must be a positive integer"),
+    ("SEMI_CR", {"ell": 2, "N": 32, "k": 0}, "k must be a positive integer"),
+    ("SEMI_CR", {"ell": 2, "N": 32, "k": 4, "w": 4.0}, "takes no w"),
+    ("GLSM", {"n": 0, "k": 4}, "n must be a positive integer"),
+    ("GLSM", {"n": -5, "k": 4}, "n must be a positive integer"),
+    ("GLSM", {"n": 1, "k": 4}, "n >= 2"),
+    ("GLSM", {"n": 64, "k": 4.0}, "k must be a positive integer"),
+    # the GLSM source-size search grows 2^t until k (2^t - 1) >= w n, which
+    # never holds at k <= 0: these two never returned
+    ("GLSM", {"n": 64, "k": 0}, "k must be a positive integer"),
+    ("GLSM", {"n": 64, "k": -2}, "k must be a positive integer"),
+    ("GLSM", {"n": 64, "k": 4, "w": 1e308}, "2\\^62"),
+])
+def test_plan_rejects_sizes_it_cannot_plan(target, kwargs, says):
+    kwargs = {"w": None if target == "SEMI_CR" else 2.0, **kwargs}
+    with pytest.raises(ParameterError, match=says):
+        plan_parameters(target, 1.0, 0.25, **kwargs)
 
 
 def test_plan_glsm_sizes():
@@ -361,7 +391,7 @@ def test_sample_clone_counts_and_scaling():
 def test_semi_cr_sizes_every_seed():
     p, q, N, k, ell = 1.0, 0.25, 32, 4, 2
     E = VertexPartition.contiguous(N, k)
-    plan = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=ell, n=128)
+    plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=ell, n=128)
     for seed in range(5):
         G, tr = sample_k_pds(N, k, p, q, E, RngStream(200 + seed))
         G_out, otr = pds_to_semi_cr(G, E, plan, RngStream(300 + seed), trace=tr)
@@ -379,11 +409,11 @@ def test_semi_cr_h0_trace():
     p, q, N, k = 1.0, 0.25, 32, 4
     E = VertexPartition.contiguous(N, k)
     G = sample_gnq(N, q, RngStream(130))
-    plan = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=2, n=64)
+    plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=2, n=64)
     G_out, otr = pds_to_semi_cr(G, E, plan, RngStream(131))
     assert otr.planted_set is None
     assert len(otr.params["V"]) == 64
-    short = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=2, n=63)
+    short = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=2, n=63)
     with pytest.raises(ParameterError):
         pds_to_semi_cr(G, E, short, RngStream(132))  # n below m''
 
@@ -394,9 +424,11 @@ def test_semi_cr_rejects_a_foreign_plan():
     isgm_plan = plan_parameters("ISGM", p, q, 2.0, r=2, N=N, k=k)
     with pytest.raises(ParameterError, match="SEMI_CR plan"):
         pds_to_semi_cr(G, VertexPartition.contiguous(N, k), isgm_plan, RngStream(134))
-    plan = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=2)
+    plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=2)
     with pytest.raises(ParameterError, match="partition"):
         pds_to_semi_cr(G, VertexPartition.contiguous(N, 8), plan, RngStream(134))
+    with pytest.raises(ParameterError, match="ISGM or GLSM plan"):  # and the other way round
+        pds_to_isgm(G, VertexPartition.contiguous(N, k), plan, RngStream(134))
 
 
 def _semi_cr_reference(G, E, plan, rng, trace):
@@ -465,7 +497,7 @@ def test_semi_cr_matches_whole_matrix_reference(monkeypatch, ell, n, chunk):
         monkeypatch.setattr(pipelines, "_PAD_CHUNK", chunk)
     p, q, N, k = 1.0, 0.25, 32, 4
     E = VertexPartition.contiguous(N, k)
-    plan = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=ell, n=n)
+    plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=ell, n=n)
     G, tr = sample_k_pds(N, k, p, q, E, RngStream(170 + ell))
     G_out, otr = pds_to_semi_cr(G, E, plan, RngStream(180 + ell), trace=tr)
     G_ref, V, S, S2 = _semi_cr_reference(G, E, plan, RngStream(180 + ell), tr)
@@ -478,7 +510,7 @@ def test_semi_cr_builds_no_padded_matrix():
     # fixed allowance; the m' x m' padded matrix (92 MB here) never exists.
     p, q, N, k = 1.0, 0.25, 1000, 8
     E = VertexPartition.contiguous(N, k)
-    plan = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=2)
+    plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=2)
     G, tr = sample_k_pds(N, k, p, q, E, RngStream(190))
     tracemalloc.start()
     try:
@@ -493,10 +525,23 @@ def test_semi_cr_builds_no_padded_matrix():
 # glsm + universality checker
 # ---------------------------------------------------------------------------
 
-def _spca_family(n, k, theta):
+def _mean_shift(pair):
+    # N(s, 1) against N(0, 1) has log-likelihood ratio s x - s^2 / 2, slope s
+    return float(np.diff(pair.log_likelihood_ratio([0.0, 1.0]))[0])
+
+
+def test_spca_family_is_the_corollary_configuration():
+    n, k, theta = 10_000, 100, 1e-5
+    family, D = spca_family(n, k, theta)
+    assert D == Gaussian(0.0, 1.0 / math.sqrt(3.0 * math.log(n)))
     scale = math.sqrt(3.0 * theta * math.log(n) / k)
-    return (lambda nu: ComputablePair.gaussian_mean_shift(nu * scale),
-            Gaussian(0.0, 1.0 / math.sqrt(3.0 * math.log(n))))
+    x = np.linspace(-3.0, 3.0, 7)
+    for nu in (-0.4, 0.0, 0.25):
+        expected = ComputablePair.gaussian_mean_shift(nu * scale)
+        assert_array_equal(family(nu).log_likelihood_ratio(x), expected.log_likelihood_ratio(x))
+    # theta = 0 is the no-spike family: every pair is Q against itself
+    null, _ = spca_family(n, k, 0.0)
+    assert_array_equal(null(0.7).log_likelihood_ratio(x), np.zeros_like(x))
 
 
 def test_glsm_h0_shape_and_coordinates():
@@ -508,7 +553,7 @@ def test_glsm_h0_shape_and_coordinates():
     plan = plan_parameters("GLSM", p, q, 2.0, n=48, k=4, d=200)
     E = VertexPartition.contiguous(plan.N, 4)
     G = sample_gnq(plan.N, q, RngStream(140))
-    family, D = _spca_family(10_000, 100, 1e-5)
+    family, D = spca_family(10_000, 100, 1e-5)
     X, trace = pds_to_glsm(G, E, plan, 1.0, family, D, RngStream(141))
     assert X.shape == (48, plan.d)
     assert len(trace.params["nu"]) == 48
@@ -522,9 +567,7 @@ def test_glsm_planted_coordinate_means():
     p, q = 1.0, 0.25
     plan = plan_parameters("GLSM", p, q, 2.0, n=64, k=4)  # d defaults to m
     E = VertexPartition.contiguous(plan.N, 4)
-    theta = 1e-5
-    family, D = _spca_family(10_000, 100, theta)
-    scale = math.sqrt(3.0 * theta * math.log(10_000) / 100)
+    family, D = spca_family(10_000, 100, 1e-5)
     acc = []
     for i in range(60):
         G, tr = sample_k_pds(plan.N, 4, p, q, E, RngStream(142).child("g", i))
@@ -534,14 +577,15 @@ def test_glsm_planted_coordinate_means():
         nus = np.asarray(otr.params["nu"])
         pos = np.zeros(64, dtype=bool)
         pos[otr.component_set] = True
-        acc.append((X[np.ix_(pos, S)] - np.outer(nus[pos] * scale, np.ones(S.size))).ravel())
+        means = [_mean_shift(family(nu)) for nu in nus[pos]]
+        acc.append((X[np.ix_(pos, S)] - np.outer(means, np.ones(S.size))).ravel())
     resid = np.concatenate(acc)
     z = resid.mean() * math.sqrt(resid.size)
     assert abs(z) < 4
 
 
 def test_check_uc_spca_passes_and_fat_fails():
-    family, D = _spca_family(10_000, 100, 1e-3)
+    family, D = spca_family(10_000, 100, 1e-3)
     rep = check_uc(10_000, 100, 1000, D, family, 60_000, RngStream(143))
     assert rep["condition_i"]["pass"] and rep["condition_ii"]["pass"]
     # a deliberately fat planted family (mean shift 1) breaks condition (ii)
@@ -551,7 +595,7 @@ def test_check_uc_spca_passes_and_fat_fails():
 
 
 def test_check_uc_asymmetric_d_fails_condition_i():
-    family, _ = _spca_family(10_000, 100, 1e-3)
+    family, _ = spca_family(10_000, 100, 1e-3)
     D_wide = Gaussian(0.0, 10.0)  # mass escapes [-1, 1]
     rep = check_uc(10_000, 100, 1000, D_wide, family, 20_000, RngStream(145))
     assert not rep["condition_i"]["pass"]
@@ -562,7 +606,7 @@ def test_semi_cr_h0_class_marginals():
     # rotated vertex set, exactly 1/2 elsewhere.
     p, q, N, k, ell = 1.0, 0.25, 32, 4, 2
     E = VertexPartition.contiguous(N, k)
-    plan = plan_parameters("SEMI_CR", p, q, 4.0, N=N, k=k, ell=ell, n=128)
+    plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=ell, n=128)
     hits = np.zeros(2)
     tots = np.zeros(2)
     mu1 = None
