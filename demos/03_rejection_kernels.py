@@ -51,7 +51,7 @@ for tag, spec, loc in (("Tern(a,+mu1,mu2) -> P+", Tern(a, mu1, mu2), shift),
                        ("Tern(a,-mu1,mu2) -> P-", Tern(a, -mu1, mu2), -shift),
                        ("Tern(a,0,0)      -> Q ", Tern(a, 0.0, 0.0), 0.0)):
     bits = sample(spec, rng.child("b" + tag), size=200_000)
-    out = srk3_array(bits, pair_p, pair_m, a, mu1, mu2, 50, rng.child("k" + tag))
+    out, _ = srk3_array(bits, pair_p, pair_m, a, mu1, mu2, 50, rng.child("k" + tag))
     tv = empirical_tv_to_cdf(out, lambda u, s=loc: sst.norm.ppf(u, loc=s), 100)
     print(f"  {tag}: binned TV to target {tv:.4f}")
 

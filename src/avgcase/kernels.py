@@ -10,7 +10,8 @@ Four gadgets live here:
   reduction uses) enforced and an iteration count set by the matrix size.
 * ``srk3_array`` — the symmetric 3-ary kernel mapping ternary inputs
   distributed Tern(a, mu1, mu2) / Tern(a, -mu1, mu2) / Tern(a, 0, 0) near
-  three target laws P+, P-, Q given likelihood-ratio oracles.
+  three target laws P+, P-, Q given likelihood-ratio oracles; it also
+  returns how many entries kept their Q initializer.
 * ``truncate_tern`` / ``tern_params_from_truncation`` — the Gaussian
   truncation producing exactly those ternary input laws.
 
@@ -21,8 +22,17 @@ gives each block a stream of its own: block 0 draws from the kernel's stream
 that stream's ``child("block", i)``.  An input of one block or less thus
 draws from the kernel's stream alone.  The block constant is part of the
 stream's definition (changing it changes the output of every input larger
-than one block), but the number of threads that run the blocks is not: the
-output is the same on any number of cores.
+than one block).
+
+The 3-ary kernel keys its streams by row instead: row i of an (n, d) input
+draws from the i-th stream passed in, and a block is floor(``_BLOCK`` / d)
+whole rows (at least one), stepped together so that the gate, the
+acceptance rule and the compaction run once per block rather than once per
+row.  Its block size therefore changes only the speed, never the output.
+
+Both kernels build every generator before any block starts and run their
+blocks through one pool policy (``_run_blocks``), so the number of threads
+is not part of any stream: the output is the same on any number of cores.
 
 Likelihood ratios for the built-in pairs are computed in log-space; the
 operating regimes involve mu1, mu2 down to 1e-5 and the naive ratios would
@@ -40,7 +50,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,10 +85,11 @@ def gaussianize_mu_bound(P: float, Q: float, m: int, n: int) -> float:
     return delta / (2.0 * math.sqrt(3.0 * math.log(m * n) + 2.0 * math.log(1.0 / (P - Q))))
 
 
-# Entries per block of the Gaussian rejection loop (part of the stream's
-# definition, see the module docstring), and the most blocks in flight at
-# once.  Together they bound the loop's transient memory to that of
-# _BLOCK * _MAX_IN_FLIGHT entries, whatever the input size or core count.
+# Entries per block of both rejection loops (part of the Gaussian kernel's
+# stream, see the module docstring), and the most blocks in flight at once.
+# Together they bound a loop's transient memory to that of
+# _BLOCK * _MAX_IN_FLIGHT entries (or rows, if a row is longer), whatever the
+# input size or core count.
 _BLOCK = 1 << 18
 _MAX_IN_FLIGHT = 4
 
@@ -91,6 +102,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _run_blocks(run, n_blocks: int) -> None:
+    """Call ``run(i)`` for every block i, on a thread pool of
+    min(usable CPUs, blocks, ``_MAX_IN_FLIGHT``) workers; one worker runs
+    the blocks in order on the calling thread.  numpy's generators and
+    ufuncs release the GIL, so the blocks overlap; a worker's error is
+    re-raised here."""
+    workers = min(_usable_cpus(), n_blocks, _MAX_IN_FLIGHT)
+    if workers <= 1:
+        for i in range(n_blocks):
+            run(i)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, range(n_blocks)))
+
+
 def _rk_gauss_core(bits, mu, p, q, n_iter, stream: RngStream, bound=math.inf):
     """Vectorized rejection loop.  bits: int array in {0,1}; mu a scalar or
     an array broadcastable to ``bits.shape``.
@@ -100,10 +126,9 @@ def _rk_gauss_core(bits, mu, p, q, n_iter, stream: RngStream, bound=math.inf):
     initializer everywhere), nonnegative, and at most ``bound``.  The flat
     input is cut into consecutive blocks of ``_BLOCK`` entries; block 0
     draws from ``stream`` and block i >= 1 from ``stream.child("block", i)``.
-    The blocks run on a thread pool (numpy's generators and ufuncs release
-    the GIL); every generator is built here, before any block starts, so
-    the workers run numpy only and the output does not depend on the worker
-    count or on scheduling.
+    The blocks run through ``_run_blocks``; every generator is built here,
+    before any block starts, so the workers run numpy only and the output
+    does not depend on the worker count or on scheduling.
     """
     bits = np.asarray(bits)
     mu = np.asarray(mu, dtype=float)
@@ -130,13 +155,7 @@ def _rk_gauss_core(bits, mu, p, q, n_iter, stream: RngStream, bound=math.inf):
         block_mu = float(mu) if mu_all is None else mu_all.flat[start:stop]
         _rk_gauss_block(flat_bits[start:stop], block_mu, out[start:stop], p, q, n_iter, gens[i])
 
-    workers = min(_usable_cpus(), n_blocks, _MAX_IN_FLIGHT)
-    if workers <= 1:
-        for i in range(n_blocks):
-            run(i)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, range(n_blocks)))  # re-raises a worker's error
+    _run_blocks(run, n_blocks)
     return out.reshape(bits.shape)
 
 
@@ -307,54 +326,138 @@ def _srk3_params_check(a, mu1, mu2):
     tern_pmf(a, -mu1, mu2)
 
 
-def srk3_array(bits, pair_plus, pair_minus, a, mu1, mu2, n_iter, rng: RngStream):
+def _per_row(x, rows: int, what: str) -> list:
+    """The per-row sequence ``x`` of a 2-D srk3 call, checked for length."""
+    try:
+        if len(x) == rows:
+            return list(x)
+    except TypeError:
+        pass
+    raise ParameterError(f"srk3 on a {rows}-row input needs one {what} per row")
+
+
+def srk3_array(bits, pair_plus, pair_minus, a, mu1, mu2, n_iter,
+               rng: RngStream | Sequence[RngStream]):
     """Vectorized symmetric 3-ary rejection kernel.
 
-    ``bits`` is an array over {-1, 0, +1}.  Inputs distributed
-    Tern(a, mu1, mu2) map near P+, Tern(a, -mu1, mu2) near P- and
-    Tern(a, 0, 0) near Q.  Entries whose iteration budget runs out keep
-    their initialization, a fresh draw from Q (distributionally harmless).
+    ``bits`` is an array over {-1, 0, +1}: one row (1-D), or an (n, d) stack
+    of rows.  Inputs distributed Tern(a, mu1, mu2) map near P+,
+    Tern(a, -mu1, mu2) near P- and Tern(a, 0, 0) near Q.  A row takes the
+    pairs ``pair_plus``/``pair_minus`` and draws from ``rng.child("srk3")``;
+    a stack takes sequences of n pairs and n streams, one of each per row.
+    Entries whose iteration budget runs out keep their initialization, a
+    fresh draw from Q (distributionally harmless).  Returns ``(out, count
+    of those entries)``.
+
+    The rows run in blocks of floor(``_BLOCK`` / d) rows (at least one)
+    through ``_run_blocks``.  A row's draws come from its own generator
+    alone, so the output is that of running the rows one at a time, on any
+    worker count.  A pair's ``sample_noise`` and likelihood ratios may run
+    on several threads at once, and must draw only from the generator
+    passed to them.
     """
     _srk3_params_check(a, mu1, mu2)
     bits = np.asarray(bits)
-    if bits.size and not np.isin(bits, (-1, 0, 1)).all():
+    if bits.ndim == 1:
+        rows, plus, minus, streams = bits[None], [pair_plus], [pair_minus], [rng]
+    elif bits.ndim == 2:
+        rows = bits
+        plus = _per_row(pair_plus, len(bits), "pair_plus")
+        minus = _per_row(pair_minus, len(bits), "pair_minus")
+        streams = _per_row(rng, len(bits), "stream")
+    else:
+        raise ParameterError(f"srk3 expects one row or a 2-D stack of rows, got {bits.ndim}-D")
+    ternary = bits == 0  # np.isin would copy an integer input twice over
+    ternary |= bits == 1
+    ternary |= bits == -1
+    if not ternary.all():
         raise ParameterError("srk3 inputs must lie in {-1, 0, +1}")
-    gen = rng.child("srk3").generator()
-    out = np.asarray(pair_plus.sample_noise(gen, bits.size), dtype=float)
-    flat_bits = bits.ravel()
-    gate2 = 2.0 * abs(mu2) / max(a, 1.0 - a)
-    remaining = np.arange(flat_bits.size)
+    del ternary
+    n, d = rows.shape
+    out = np.empty((n, d))
+    gens = [s.child("srk3").generator() for s in streams]
+    per_block = max(1, _BLOCK // max(d, 1))
+    n_blocks = -(-n // per_block)
+    fallback = [0] * n_blocks
+
+    def run(j):
+        b = slice(j * per_block, (j + 1) * per_block)
+        fallback[j] = _srk3_block(rows[b], out[b], plus[b], minus[b], gens[b],
+                                  a, mu1, mu2, n_iter)
+
+    _run_blocks(run, n_blocks)
+    out = out.reshape(bits.shape)
+    return out, sum(fallback)
+
+
+def _srk3_block(bits, out, plus, minus, gens, a, mu1, mu2, n_iter) -> int:
+    """One block of rows of the 3-ary loop, written into the view ``out``;
+    returns how many entries kept their initializer.
+
+    Each step, every row with entries left draws its proposals z, then its
+    uniforms u, from its own generator and evaluates its own pair's
+    likelihood ratios on them; the gate, the acceptance rule and the
+    compaction then run once over the block.  The remaining entries stay in
+    row-major order, so each row's are one contiguous segment.
+    """
+    n_rows, d = out.shape
+    for i in range(n_rows):
+        out[i] = plus[i].sample_noise(gens[i], d)
+    flat_out = out.reshape(-1)
+    # positions of the entries still open, in int32 when the block allows
+    rem = np.arange(n_rows * d, dtype=np.int32 if n_rows * d < 2 ** 31 else np.int64)
+    sym = bits.reshape(-1).astype(np.int8)
+    left = np.full(n_rows, d)
+    bufs = np.empty((5, rem.size))
+    gate1, gate2 = 2.0 * abs(mu1), 2.0 * abs(mu2) / max(a, 1.0 - a)
     for _ in range(n_iter):
-        if remaining.size == 0:
+        if rem.size == 0:
             break
-        z = np.asarray(pair_plus.sample_noise(gen, remaining.size), dtype=float)
-        u = gen.random(remaining.size)
-        lr_p = pair_plus.likelihood_ratio(z)
-        lr_m = pair_minus.likelihood_ratio(z)
-        l1 = lr_p - lr_m
-        l2 = lr_p + lr_m - 2.0
-        gated = (np.abs(l1) <= 2.0 * abs(mu1)) & (np.abs(l2) <= gate2)
-        b_ = flat_bits[remaining]
-        common = (a / (4.0 * mu2)) * l2
-        p_acc = 0.5 * np.select(
-            [b_ == 1, b_ == 0],
-            [
-                1.0 + common + l1 / (4.0 * mu1),
-                1.0 - ((1.0 - a) / (4.0 * mu2)) * l2,
-            ],
-            default=1.0 + common - l1 / (4.0 * mu1),
-        )
-        bad = gated & ((p_acc < -1e-9) | (p_acc > 1.0 + 1e-9))
-        if bad.any():
+        z, u, lr_p, lr_m, l1 = bufs[:, :rem.size]
+        start = 0
+        active = np.flatnonzero(left)
+        for i, c in zip(active.tolist(), left[active].tolist()):
+            seg = slice(start, start + c)
+            z[seg] = plus[i].sample_noise(gens[i], c)
+            gens[i].random(out=u[seg])
+            lr_p[seg] = plus[i].likelihood_ratio(z[seg])
+            lr_m[seg] = minus[i].likelihood_ratio(z[seg])
+            start += c
+        # l1 = lr_p - lr_m and l2 = lr_p + lr_m - 2; lr_m is then scratch
+        np.subtract(lr_p, lr_m, out=l1)
+        l2 = np.add(lr_p, lr_m, out=lr_p)
+        l2 -= 2.0
+        gated = np.abs(l1, out=lr_m) <= gate1
+        gated &= np.abs(l2, out=lr_m) <= gate2
+        gated = np.flatnonzero(gated)
+        b_ = sym[gated]
+        # The acceptance probability, on the gated entries only:
+        # 1 + common +- l1 / (4 mu1) for B = +-1 (times +-1 is exact) and
+        # 1 - (1-a)/(4 mu2) l2 for B = 0, with common = a/(4 mu2) l2.  Each
+        # gather goes into a buffer whose full-length values are spent.
+        l2 = np.take(l2, gated, out=lr_m[:gated.size])
+        signed = np.take(l1, gated, out=lr_p[:gated.size])
+        signed /= 4.0 * mu1
+        signed *= b_
+        p_acc = np.multiply(a / (4.0 * mu2), l2, out=l1[:gated.size])
+        p_acc += 1.0
+        p_acc += signed
+        zero = b_ == 0
+        p_acc[zero] = 1.0 - ((1.0 - a) / (4.0 * mu2)) * l2[zero]
+        p_acc *= 0.5
+        if np.any((p_acc < -1e-9) | (p_acc > 1.0 + 1e-9)):
             raise ParameterError(
                 "srk3 acceptance probability left [0, 1] at a gated point "
                 f"(a={a}, mu1={mu1}, mu2={mu2})"
             )
-        accept = gated & (u < p_acc)
-        hit = remaining[accept]
-        out[hit] = z[accept]
-        remaining = remaining[~accept]
-    return out.reshape(bits.shape)
+        accept = gated[u[gated] < p_acc]
+        hit = rem[accept]
+        flat_out[hit] = z[accept]
+        left -= np.bincount(hit // d, minlength=n_rows)
+        keep = np.ones(rem.size, dtype=bool)
+        keep[accept] = False
+        rem, sym = rem[keep], sym[keep]
+    return int(rem.size)
 
 
 def truncate_tern(x, tau: float):

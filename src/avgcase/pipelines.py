@@ -306,6 +306,12 @@ def plan_parameters(
         plan.report["mu_uncapped"] = mu_fig
         plan.report["mu_capped_at_proven_bound"] = mu_fig > bound
 
+    if target != "SEMI_CR" and plan.m * plan.k * plan.rt * 8 > np.iinfo(np.intp).max:
+        # the float64 Gaussianize output of the m x k r^t padded matrix
+        raise ParameterError(
+            f"the {plan.m} x {plan.k * plan.rt} (m x k r^t) matrix to Gaussianize "
+            "is too large for one array"
+        )
     plan.report.update(_regime_report(plan))
     return plan
 
@@ -749,7 +755,11 @@ def pds_to_glsm(G: Graph, E: VertexPartition, plan: ReductionPlan, tau: float,
     DistSpec for the mixing weights, sampled once per output vector and
     clipped to [-1, 1].  Step 1 is the r = 2 mixture reduction at eps = 1/2;
     step 2 truncates every entry to {-1, 0, +1} and pushes it through the
-    symmetric 3-ary kernel toward (P_nu, P_-nu, Q).
+    symmetric 3-ary kernel toward (P_nu, P_-nu, Q), one stream per row.  The
+    trace's ``srk3_fallback_entries`` counts the entries that ran out of
+    their proposal budget and kept their Q initializer.  The pairs'
+    callables may run on several threads at once, and must draw only from
+    the generator passed to them.
     """
     if plan.r != 2 or plan.eps != 0.5:
         raise ParameterError("the mixture stage of the GLSM reduction needs r=2, eps=1/2")
@@ -758,19 +768,18 @@ def pds_to_glsm(G: Graph, E: VertexPartition, plan: ReductionPlan, tau: float,
     a, mu1, mu2 = tern_params_from_truncation(tau, plan.mu)
     n_iter = math.ceil(4.0 * math.log(d * n))
     nus = np.clip(np.asarray(sample_dist(D, rng.child("nu"), size=n), dtype=float), -1.0, 1.0)
-    B = truncate_tern(inst.samples, tau)
-    X = np.empty((n, d))
-    for i in range(n):
-        X[i] = srk3_array(
-            B[i], pair_family(nus[i]), pair_family(-nus[i]),
-            a, mu1, mu2, n_iter, rng.child("srk3", i),
-        )
+    B, in_trace = truncate_tern(inst.samples, tau), inst.trace
+    del inst  # the Gaussian samples, before the kernel allocates its output
+    X, fallback = srk3_array(
+        B, [pair_family(v) for v in nus], [pair_family(-v) for v in nus],
+        a, mu1, mu2, n_iter, [rng.child("srk3", i) for i in range(n)],
+    )
     out_trace = PlantedTrace(
         seed=rng.seed,
-        planted_set=inst.trace.planted_set,
-        component_set=inst.trace.component_set,
-        params=dict(inst.trace.params, tau=tau, a=a, mu1=mu1, mu2=mu2,
-                    nu=[float(v) for v in nus]),
+        planted_set=in_trace.planted_set,
+        component_set=in_trace.component_set,
+        params=dict(in_trace.params, tau=tau, a=a, mu1=mu1, mu2=mu2,
+                    srk3_fallback_entries=fallback, nu=[float(v) for v in nus]),
     )
     return X, out_trace
 

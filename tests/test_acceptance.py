@@ -275,14 +275,14 @@ def test_criterion_08_srk3_marginals():
                                ("minus", Tern(a, -mu1, mu2), -shift),
                                ("null", Tern(a, 0.0, 0.0), 0.0)):
             bits = sample(spec, rng.child("bits-" + tag), size=M)
-            out = srk3_array(bits, pair_p, pair_m, a, mu1, mu2, 60,
+            out, _ = srk3_array(bits, pair_p, pair_m, a, mu1, mu2, 60,
                              rng.child("kern-" + tag))
             tv = empirical_tv_to_cdf(out, lambda u, s=loc: sst.norm.ppf(u, loc=s), 200)
             assert tv <= 0.01, (tag, tv)
         # degenerate P+ = P- = Q: outputs are exactly Q draws
         same = ComputablePair.gaussian_mean_shift(0.0)
         bits = sample(Tern(a, mu1, mu2), rng.child("dg"), size=100_000)
-        out = srk3_array(bits, same, same, a, mu1, mu2, 40, rng.child("dgk"))
+        out, _ = srk3_array(bits, same, same, a, mu1, mu2, 40, rng.child("dgk"))
         _, pval = ks_test(out, sst.norm.cdf)
         assert pval > ALPHA, pval
 

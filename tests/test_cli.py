@@ -209,7 +209,7 @@ _ISGM_GOLDEN = {
 }
 _GLSM_GOLDEN = {
     "samples.amat": "ddd95fcc87f445c35e9e9e6a8a73371d32cfaa645377d05ea1ee622a3733b5cc",
-    "trace.json": "8816ffa401bdcc040002906589e3b1e789d4e0db814e2aa67205f683f0d584f4",
+    "trace.json": "790c74522ee6ceb8c52a064be1773884cf4c013301a72639fe4a07b82bc37b3b",
 }
 
 
@@ -321,6 +321,8 @@ _SRC = ["--k", "4", "--p", "1.0", "--q", "0.25", "--seed", "5"]
       "--k", "2", "--k2", "-1", "--mu2", "0.1", "--mu3", "0.1", "--seed", "1"], "k, k2 >= 0"),
     (["reduce", "glsm", "--in", "{graph}", *_SRC, "--n", "64", "--d", "256",
       "--w", "1e308"], "below 2^62"),
+    (["reduce", "isgm", "--in", "{graph}", *_SRC, "--eps", "1e-9", "--w", "4"],
+     "too large for one array"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     src = tmp_path / "src"

@@ -305,7 +305,7 @@ def test_srk3_zero_branch_single_round_acceptance():
     bits = np.zeros(200_000, dtype=np.int64)
     rng = RngStream(12)
     init = rng.child("srk3").generator().standard_normal(bits.size)
-    out = srk3_array(bits, pp, pm, a, mu1, mu2, 1, rng)
+    out, _ = srk3_array(bits, pp, pm, a, mu1, mu2, 1, rng)
     freq = float((out != init).mean())
     assert abs(freq - expect) < 4 * math.sqrt(expect * (1 - expect) / bits.size)
 
@@ -315,7 +315,7 @@ def test_srk3_degenerate_identity():
     # is exactly Q regardless of the input symbol.
     same = ComputablePair.gaussian_mean_shift(0.0)
     bits = sample(Tern(0.5, 0.1, 0.05), RngStream(13).child("bits"), size=50_000)
-    out = srk3_array(bits, same, same, 0.5, 0.1, 0.05, 30, RngStream(13).child("k"))
+    out, _ = srk3_array(bits, same, same, 0.5, 0.1, 0.05, 30, RngStream(13).child("k"))
     stat, pval = ks_test(out, sst.norm.cdf)
     assert pval > 1e-4
 
@@ -333,7 +333,7 @@ def test_srk3_three_marginals_ks():
                            (Tern(a, -mu1, mu2), -shift, "m"),
                            (Tern(a, 0.0, 0.0), 0.0, "q")):
         bits = sample(spec, RngStream(14).child("b" + tag), size=100_000)
-        out = srk3_array(bits, pp, pm, a, mu1, mu2, 50, RngStream(14).child("k" + tag))
+        out, _ = srk3_array(bits, pp, pm, a, mu1, mu2, 50, RngStream(14).child("k" + tag))
         stat, pval = ks_test(out, lambda x, s=loc: sst.norm.cdf(x, loc=s))
         assert pval > 1e-4, (tag, stat, pval)
 
@@ -347,7 +347,7 @@ def test_srk3_gate_truncation():
     pp = ComputablePair.gaussian_mean_shift(shift)
     pm = ComputablePair.gaussian_mean_shift(-shift)
     bits = sample(Tern(a, 0.0, 0.0), RngStream(24).child("b"), size=50_000)
-    out = srk3_array(bits, pp, pm, a, mu1, mu2, 50, RngStream(24).child("k"))
+    out, _ = srk3_array(bits, pp, pm, a, mu1, mu2, 50, RngStream(24).child("k"))
     cut = mu1 / shift  # the |L1| gate collapses to roughly |x| <= mu1/shift
     assert cut < 2.0
     assert np.abs(out).max() < cut * 1.5
@@ -361,6 +361,141 @@ def test_srk3_parameter_errors():
         srk3_array(np.array([0]), pp, pp, 0.5, 0.3, 0.01, 10, RngStream(15))  # Tern invalid
     with pytest.raises(ParameterError):
         srk3_array(np.array([2]), pp, pp, 0.5, 0.01, 0.01, 10, RngStream(15))  # bad symbol
+
+
+def _srk3_reference(bits, pair_plus, pair_minus, a, mu1, mu2, n_iter, rng):
+    """The one-row srk3 loop that the blocked kernel replaced, kept as the
+    reference for its bytes; returns (out, entries that kept the initializer)."""
+    gen = rng.child("srk3").generator()
+    out = np.asarray(pair_plus.sample_noise(gen, bits.size), dtype=float)
+    flat_bits = bits.ravel()
+    gate2 = 2.0 * abs(mu2) / max(a, 1.0 - a)
+    remaining = np.arange(flat_bits.size)
+    for _ in range(n_iter):
+        if remaining.size == 0:
+            break
+        z = np.asarray(pair_plus.sample_noise(gen, remaining.size), dtype=float)
+        u = gen.random(remaining.size)
+        lr_p = pair_plus.likelihood_ratio(z)
+        lr_m = pair_minus.likelihood_ratio(z)
+        l1 = lr_p - lr_m
+        l2 = lr_p + lr_m - 2.0
+        gated = (np.abs(l1) <= 2.0 * abs(mu1)) & (np.abs(l2) <= gate2)
+        b_ = flat_bits[remaining]
+        common = (a / (4.0 * mu2)) * l2
+        p_acc = 0.5 * np.select(
+            [b_ == 1, b_ == 0],
+            [
+                1.0 + common + l1 / (4.0 * mu1),
+                1.0 - ((1.0 - a) / (4.0 * mu2)) * l2,
+            ],
+            default=1.0 + common - l1 / (4.0 * mu1),
+        )
+        accept = gated & (u < p_acc)
+        out[remaining[accept]] = z[accept]
+        remaining = remaining[~accept]
+    return out.reshape(bits.shape), remaining.size
+
+
+def _srk3_rows(n, d, seed, shifts=None):
+    """An (n, d) ternary input, its per-row pairs and streams, and srk3
+    parameters whose gates cut a sizeable share of Q's mass (about the
+    benchmark's regime)."""
+    a, mu1, mu2 = tern_params_from_truncation(1.0, 0.016)
+    rng = RngStream(seed)
+    bits = sample(Tern(a, mu1, mu2), rng.child("bits"), size=n * d).reshape(n, d)
+    if shifts is None:
+        shifts = 1e-2 * rng.child("nu").generator().standard_normal(n)
+    plus = [ComputablePair.gaussian_mean_shift(s) for s in shifts]
+    minus = [ComputablePair.gaussian_mean_shift(-s) for s in shifts]
+    streams = [rng.child("srk3", i) for i in range(n)]
+    return bits, plus, minus, streams, (a, mu1, mu2)
+
+
+def _srk3_reference_rows(bits, plus, minus, streams, params, n_iter):
+    rows = [_srk3_reference(b, pp, pm, *params, n_iter, s)
+            for b, pp, pm, s in zip(bits, plus, minus, streams)]
+    return np.stack([out for out, _ in rows]), sum(left for _, left in rows)
+
+
+@pytest.mark.parametrize("n, d, block", [
+    (10, 20, 64),     # 3 rows a block: 10 is not a multiple
+    (5, 100, 64),     # a row longer than a block: one row a block
+    (300, 1000, None),  # the default block, 262 rows, and a short last block
+])
+def test_srk3_blocks_match_the_one_row_loop(monkeypatch, n, d, block):
+    if block is not None:
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+    bits, plus, minus, streams, params = _srk3_rows(n, d, 60)
+    out, fallback = srk3_array(bits, plus, minus, *params, 30, streams)
+    ref, ref_fallback = _srk3_reference_rows(bits, plus, minus, streams, params, 30)
+    assert out.tobytes() == ref.tobytes()
+    assert fallback == ref_fallback > 0
+
+
+def test_srk3_row_that_falls_back_everywhere():
+    # A shift far past the gates rejects every proposal of row 1: it keeps
+    # its initializer whole, and the rows around it are unaffected.
+    bits, plus, minus, streams, params = _srk3_rows(3, 50, 61, shifts=[1e-4, 5.0, -1e-4])
+    out, fallback = srk3_array(bits, plus, minus, *params, 20, streams)
+    ref, ref_fallback = _srk3_reference_rows(bits, plus, minus, streams, params, 20)
+    assert out.tobytes() == ref.tobytes()
+    init = streams[1].child("srk3").generator().standard_normal(50)
+    assert np.array_equal(out[1], init)
+    assert fallback == ref_fallback == 50
+
+
+def test_srk3_one_row_call_matches_the_one_row_loop():
+    bits, plus, minus, streams, params = _srk3_rows(1, 5000, 62)
+    out, _ = srk3_array(bits[0], plus[0], minus[0], *params, 30, streams[0])
+    ref, _ = _srk3_reference(bits[0], plus[0], minus[0], *params, 30, streams[0])
+    assert out.shape == (5000,) and out.tobytes() == ref.tobytes()
+
+
+def test_srk3_bytes_independent_of_workers(monkeypatch):
+    # Serial, the default pool, and more workers than cores under a short
+    # switch interval give the same bytes.
+    monkeypatch.setattr(kernels, "_BLOCK", 4 * 300)
+    bits, plus, minus, streams, params = _srk3_rows(40, 300, 63)
+
+    def run(cpus, cap):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(kernels, "_MAX_IN_FLIGHT", cap)
+        return srk3_array(bits, plus, minus, *params, 30, streams)[0].tobytes()
+
+    serial = run(kernels._usable_cpus(), 1)
+    assert run(kernels._usable_cpus(), kernels._MAX_IN_FLIGHT) == serial
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run(8, 8) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_srk3_transient_memory_bounded(monkeypatch):
+    # The loop's temporaries are those of at most _MAX_IN_FLIGHT row blocks
+    # (all of them in flight here, whatever the host's core count): the peak
+    # allocation inside the call exceeds its output by a fixed allowance.
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: kernels._MAX_IN_FLIGHT)
+    bits, plus, minus, streams, params = _srk3_rows(512, 4096, 64)
+    tracemalloc.start()
+    try:
+        X, _ = srk3_array(bits, plus, minus, *params, 62, streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes + 64 * 2 ** 20
+
+
+def test_srk3_needs_one_pair_and_stream_per_row():
+    bits, plus, minus, streams, params = _srk3_rows(4, 10, 65)
+    for args in ((plus[:3], minus, streams), (plus, minus * 2, streams),
+                 (plus, minus, streams[:1]), (plus[0], minus[0], streams[0])):
+        with pytest.raises(ParameterError, match="4-row input"):
+            srk3_array(bits, *args[:2], *params, 10, args[2])
+    with pytest.raises(ParameterError, match="2-D stack"):
+        srk3_array(bits[None], plus, minus, *params, 10, streams)
 
 
 def test_truncate_tern():

@@ -268,6 +268,8 @@ def test_plan_rejects_bad_ell_and_w(target, kwargs):
     ("GLSM", {"n": 64, "k": 0}, "k must be a positive integer"),
     ("GLSM", {"n": 64, "k": -2}, "k must be a positive integer"),
     ("GLSM", {"n": 64, "k": 4, "w": 1e308}, "2\\^62"),
+    # r = 1,000,000,007 and t = 2: k r^t is 4.0e18 columns
+    ("ISGM", {"eps": 1e-9, "N": 32, "k": 4}, "too large for one array"),
 ])
 def test_plan_rejects_sizes_it_cannot_plan(target, kwargs, says):
     kwargs = {"w": None if target == "SEMI_CR" else 2.0, **kwargs}
@@ -559,6 +561,23 @@ def test_glsm_h0_shape_and_coordinates():
     assert len(trace.params["nu"]) == 48
     _, pvals = ks_matrix(X.T, sst.norm.cdf)
     assert pvals.min() > 1e-4 / X.shape[1]
+
+
+def test_glsm_trace_counts_srk3_fallbacks():
+    # An entry that ran out of budget keeps its initializer, the first d
+    # draws of its row's stream; the trace counts exactly those entries.
+    # theta = 1e-4 crowds srk3's gates, so some rows' entries run out.
+    plan = plan_parameters("GLSM", 1.0, 0.25, 2.0, n=48, k=4, d=200)
+    E = VertexPartition.contiguous(plan.N, 4)
+    G = sample_gnq(plan.N, 0.25, RngStream(143))
+    family, D = spca_family(48, 4, 1e-4)
+    rng = RngStream(144)
+    X, trace = pds_to_glsm(G, E, plan, 1.0, family, D, rng)
+    init = np.stack([rng.child("srk3", i).child("srk3").generator().standard_normal(plan.d)
+                     for i in range(48)])
+    fallback = trace.params["srk3_fallback_entries"]
+    assert isinstance(fallback, int) and 0 < fallback < X.size
+    assert fallback == int(np.count_nonzero(X == init))
 
 
 def test_glsm_planted_coordinate_means():
