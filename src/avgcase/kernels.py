@@ -31,8 +31,15 @@ acceptance rule and the compaction run once per block rather than once per
 row.  Its block size therefore changes only the speed, never the output.
 
 Both kernels build every generator before any block starts and run their
-blocks through one pool policy (``_run_blocks``), so the number of threads
-is not part of any stream: the output is the same on any number of cores.
+blocks through the pool policy that ``prob._run_blocks`` defines for every
+stage of the package, so the number of threads is not part of any stream:
+the output is the same on any number of cores.
+
+Within a block the Gaussian loop keeps the positions of the entries still
+open and, each step, draws the proposals and then the uniforms for all of
+them, writes every proposal, and keeps only the rejected positions open;
+the acceptance test runs in place on the proposal's log-ratio.  The draws
+and every float are those of the two-mask loop it replaced.
 
 Likelihood ratios for the built-in pairs are computed in log-space; the
 operating regimes involve mu1, mu2 down to 1e-5 and the naive ratios would
@@ -47,15 +54,13 @@ identity is what the unit tests pin down.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .prob import RngStream, normal_cdf, tern_pmf
+from .prob import RngStream, _run_blocks, normal_cdf, tern_pmf
 
 __all__ = [
     "rejection_delta",
@@ -86,35 +91,11 @@ def gaussianize_mu_bound(P: float, Q: float, m: int, n: int) -> float:
 
 
 # Entries per block of both rejection loops (part of the Gaussian kernel's
-# stream, see the module docstring), and the most blocks in flight at once.
-# Together they bound a loop's transient memory to that of
-# _BLOCK * _MAX_IN_FLIGHT entries (or rows, if a row is longer), whatever the
-# input size or core count.
+# stream, see the module docstring).  With the pool's ``_MAX_IN_FLIGHT`` it
+# bounds a loop's transient memory to that of _BLOCK * _MAX_IN_FLIGHT
+# entries (or rows, if a row is longer), whatever the input size or core
+# count.
 _BLOCK = 1 << 18
-_MAX_IN_FLIGHT = 4
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _run_blocks(run, n_blocks: int) -> None:
-    """Call ``run(i)`` for every block i, on a thread pool of
-    min(usable CPUs, blocks, ``_MAX_IN_FLIGHT``) workers; one worker runs
-    the blocks in order on the calling thread.  numpy's generators and
-    ufuncs release the GIL, so the blocks overlap; a worker's error is
-    re-raised here."""
-    workers = min(_usable_cpus(), n_blocks, _MAX_IN_FLIGHT)
-    if workers <= 1:
-        for i in range(n_blocks):
-            run(i)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, range(n_blocks)))
 
 
 def _rk_gauss_core(bits, mu, p, q, n_iter, stream: RngStream, bound=math.inf):
@@ -162,40 +143,57 @@ def _rk_gauss_core(bits, mu, p, q, n_iter, stream: RngStream, bound=math.inf):
 def _rk_gauss_block(bits, mu, out, p, q, n_iter, gen):
     """One block of the rejection loop, written into the view ``out``.
 
-    The two input branches are independent, so they are processed as two
-    shrinking index sets; entries that exhaust the budget keep the 0.0
-    initialization.  ``mu`` is a float or an array aligned with ``bits``.
+    The two input branches are independent, so they are processed one after
+    the other, each over the positions of its entries still open.
+    Each step draws a normal proposal z for every open entry, then (unless
+    B = 1 at p = 1, which accepts its first proposal) a uniform u for each,
+    writes every proposal to its entry and keeps open only the rejected
+    positions; entries that exhaust the budget are reset to the 0.0
+    initializer.  ``mu`` is a float or an array aligned with ``bits``.
+
+    With L the branch's log-ratio bound, a proposal is accepted iff
+    u < 1 - exp(t - L), t its log-likelihood ratio.  This needs no separate
+    test t <= L: for finite t > L, exp(t - L) >= 1 makes the threshold <= 0
+    <= u, and an overflow makes it -inf.
     """
     scalar_mu = isinstance(mu, float)
     log_pq = math.log(p / q)
     log_1p_1q = -math.inf if p == 1.0 else math.log((1.0 - p) / (1.0 - q))
     for branch in (0, 1):
         rem = np.flatnonzero(bits == branch)
+        m_ = mu if scalar_mu else mu[rem]
         for _ in range(n_iter):
             if rem.size == 0:
                 break
             z = gen.standard_normal(rem.size)
-            m_ = mu if scalar_mu else mu[rem]
             if branch == 1 and p == 1.0:
-                # p = 1: the B = 1 branch accepts its first proposal
                 z += m_
                 out[rem] = z
+                rem = rem[:0]  # every entry accepted
                 break
+            half = 0.5 * m_
+            half *= m_
+            thr = m_ * z
             if branch == 0:
-                # value z, feasible iff mu z - mu^2/2 <= log(p/q)
-                t = m_ * z - 0.5 * m_ * m_
-                with np.errstate(over="ignore"):
-                    acc = t <= log_pq
-                    acc &= gen.random(rem.size) < 1.0 - np.exp(t - log_pq)
+                # value z, log-ratio t = mu z - mu^2/2 against log(p/q)
+                thr -= half
+                thr -= log_pq
             else:
-                # value z + mu, feasible iff -mu z - mu^2/2 <= log((1-q)/(1-p))
-                s = -m_ * z - 0.5 * m_ * m_
-                with np.errstate(over="ignore"):
-                    acc = s <= -log_1p_1q
-                    acc &= gen.random(rem.size) < 1.0 - np.exp(log_1p_1q + s)
+                # value z + mu, log-ratio -mu z - mu^2/2 against log((1-q)/(1-p))
+                np.negative(thr, out=thr)
+                thr -= half
+                thr += log_1p_1q
                 z += m_
-            out[rem[acc]] = z[acc]
-            rem = rem[~acc]
+            with np.errstate(over="ignore"):
+                np.exp(thr, out=thr)
+            np.subtract(1.0, thr, out=thr)
+            # positions, not a mask: a mask is scanned again by every gather
+            rejected = np.flatnonzero(gen.random(rem.size) >= thr)
+            out[rem] = z
+            rem = rem[rejected]
+            if not scalar_mu:
+                m_ = m_[rejected]
+        out[rem] = 0.0
 
 
 def rk_gauss_array(bits, mu, p, q, n_iter, rng: RngStream):
@@ -461,11 +459,12 @@ def _srk3_block(bits, out, plus, minus, gens, a, mu1, mu2, n_iter) -> int:
 
 
 def truncate_tern(x, tau: float):
-    """Three-way truncation: +1 above tau, -1 below -tau, 0 on [-tau, tau]."""
+    """Three-way truncation: +1 above tau, -1 below -tau, 0 on [-tau, tau],
+    as int8 (a scalar input gives a Python int)."""
     if not tau > 0:
         raise ParameterError(f"tau must be positive, got {tau}")
     x = np.asarray(x)
-    out = np.zeros(x.shape, dtype=np.int64)
+    out = np.zeros(x.shape, dtype=np.int8)
     out[x > tau] = 1
     out[x < -tau] = -1
     return out if out.ndim else int(out[()])

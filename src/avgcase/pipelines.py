@@ -21,6 +21,7 @@ plus their shared sub-steps (``graph_clone``, ``to_k_partite_submatrix``,
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -38,7 +39,8 @@ from .kernels import (
     tern_params_from_truncation,
     truncate_tern,
 )
-from .prob import Gaussian, RngStream, normal_cdf, sample as sample_dist
+from .prob import (Gaussian, RngStream, _run_blocks, normal_cdf, sample as sample_dist,
+                   uniform_below)
 
 __all__ = [
     "IsgmInstance",
@@ -189,6 +191,15 @@ def _check_sizes(**sizes) -> None:
             raise ParameterError(f"{name} must be a positive integer, got {v!r}")
 
 
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        pages, page = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * page if pages > 0 and page > 0 else None
+
+
 def plan_parameters(
     target: str,
     p: float,
@@ -216,9 +227,10 @@ def plan_parameters(
 
     Every size given (N, k, n, d) must be a positive integer.  ``mu`` is the
     plan's proven bound (``ReductionPlan.mu_bound``), for GLSM capped further
-    at sqrt(k / (N log n)).  Structural impossibilities raise ParameterError;
-    asymptotic conditions that merely fail at finite size are recorded in
-    ``plan.report``.
+    at sqrt(k / (N log n)).  Structural impossibilities, and an ISGM or GLSM
+    plan whose float64 m x k r^t Gaussianize matrix exceeds the host's
+    physical memory, raise ParameterError; asymptotic conditions that merely
+    fail at finite size are recorded in ``plan.report``.
     """
     if target not in ("ISGM", "SEMI_CR", "GLSM"):
         raise ParameterError(f"unknown reduction target {target!r}")
@@ -306,12 +318,19 @@ def plan_parameters(
         plan.report["mu_uncapped"] = mu_fig
         plan.report["mu_capped_at_proven_bound"] = mu_fig > bound
 
-    if target != "SEMI_CR" and plan.m * plan.k * plan.rt * 8 > np.iinfo(np.intp).max:
-        # the float64 Gaussianize output of the m x k r^t padded matrix
-        raise ParameterError(
-            f"the {plan.m} x {plan.k * plan.rt} (m x k r^t) matrix to Gaussianize "
-            "is too large for one array"
-        )
+    if target != "SEMI_CR":
+        # the float64 Gaussianize output of the m x k r^t padded matrix must
+        # fit in one array and in the host's physical memory
+        need = plan.m * plan.k * plan.rt * 8
+        limit, where = _physical_memory(), "this host's physical memory"
+        if limit is None:
+            limit, where = np.iinfo(np.intp).max, "the address space"
+        if need > limit:
+            raise ParameterError(
+                f"the {plan.m} x {plan.k * plan.rt} (m x k r^t) matrix to Gaussianize "
+                f"needs {need / 2 ** 30:.3g} GiB as float64: too large for one array in "
+                f"{where} ({limit / 2 ** 30:.3g} GiB)"
+            )
     plan.report.update(_regime_report(plan))
     return plan
 
@@ -408,7 +427,7 @@ def to_k_partite_submatrix(G: Graph, E: VertexPartition, p, q, m, rng: RngStream
     G1, G2 = graph_clone(G, 2, p, q, p, Q, rng.child("clone2"))
     gen = rng.child("embed").generator()
 
-    M = (gen.random((m, m)) < Q).astype(np.uint8)
+    M = uniform_below(gen, (m, m), Q).view(np.uint8)
     np.fill_diagonal(M, 0)
     F = VertexPartition.contiguous(m, k)
     mk = m // k
@@ -515,20 +534,23 @@ def pds_to_isgm(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngStrea
     M1, F1, tr1 = to_k_partite_submatrix(G, E, p, q, m, rng.child("submatrix"), trace)
 
     # Step 2: pad each part to r^t columns with Bern(Q), then permute rows
-    # globally and columns within each part.
+    # globally and columns within each part.  Every draw is made first, in
+    # order; each part is then one gather, one pool task per part.
     gen = rng.child("pad").generator()
     mk = m // k
-    M2 = np.empty((m, k * rt), dtype=np.uint8)
-    col_perms = []
+    fresh, col_perms = [], []
     for i in range(k):
-        fresh = (gen.random((m, rt - mk)) < plan.Q).astype(np.uint8)
-        combined = np.concatenate([M1[:, i * mk:(i + 1) * mk], fresh], axis=1)
-        perm = gen.permutation(rt)
-        M2[:, i * rt:(i + 1) * rt] = combined[:, perm]
-        col_perms.append(perm)
-    del M1
+        fresh.append(uniform_below(gen, (m, rt - mk), plan.Q).view(np.uint8))
+        col_perms.append(gen.permutation(rt))
     row_src = gen.permutation(m)
-    M2 = M2[row_src]
+    M2 = np.empty((m, k * rt), dtype=np.uint8)
+
+    def pad(i):
+        combined = np.concatenate([M1[:, i * mk:(i + 1) * mk], fresh[i]], axis=1)
+        M2[:, i * rt:(i + 1) * rt] = combined[np.ix_(row_src, col_perms[i])]
+
+    _run_blocks(pad, k)
+    del M1, fresh
     row_new = np.empty(m, dtype=np.int64)
     row_new[row_src] = np.arange(m)
 
@@ -549,11 +571,16 @@ def pds_to_isgm(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngStrea
     col_choice = gen6.choice(k * out_cols, size=n, replace=False)
     row_pos = gen6.choice(d, size=m, replace=False)
     samples = np.empty((n, d))
-    for i in range(k):
+
+    def rotate(i):
+        # one whole-part product per task: splitting a part's GEMM by rows or
+        # columns can change its bits
         kept = np.flatnonzero(col_choice // out_cols == i)
         samples[np.ix_(kept, row_pos)] = (
             H_mat[col_choice[kept] % out_cols] @ M_G[:, i * rt:(i + 1) * rt].T
         )
+
+    _run_blocks(rotate, k)
     del M_G
     others = np.setdiff1d(np.arange(d), row_pos)
     samples[:, others] = gen6.standard_normal((others.size, n)).T

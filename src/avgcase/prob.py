@@ -15,11 +15,19 @@ sequentially::
 Gaussian draws are statistically (not bit-) exact across numpy versions; the
 method is numpy's ziggurat ``standard_normal``.  Within one installed
 toolchain all draws are bit-reproducible.
+
+Large draws and per-block loops run on threads without changing a value.
+``_run_blocks`` is the one pool policy of the package (the kernels' blocks,
+the pad and the rotation of ``pds_to_isgm``), and ``uniform_below`` makes
+the Bernoulli draw ``gen.random(shape) < p`` in bands on that pool, splitting
+one Philox stream by counter jumps; its docstring gives the argument that
+the values and the generator's final state are exactly the one-shot draw's.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from typing import Union
 
@@ -29,6 +37,7 @@ from .errors import DomainError, ParameterError
 
 __all__ = [
     "RngStream",
+    "uniform_below",
     "Bernoulli",
     "Binomial",
     "Hypergeometric",
@@ -83,6 +92,100 @@ class RngStream:
         # seed= routes the 128-bit digest through SeedSequence (pure, no OS
         # entropy); key= would pull urandom for an unused seed sequence.
         return np.random.Generator(np.random.Philox(seed=self.key()))
+
+
+# ---------------------------------------------------------------------------
+# Pool policy and banded uniform draws
+# ---------------------------------------------------------------------------
+
+# The most blocks (or bands) in flight at once: a loop run through
+# ``_run_blocks`` holds the transients of at most this many.
+_MAX_IN_FLIGHT = 4
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(run, n_blocks: int) -> None:
+    """Call ``run(i)`` for every block i, on a thread pool of
+    min(usable CPUs, blocks, ``_MAX_IN_FLIGHT``) workers; one worker runs
+    the blocks in order on the calling thread.  numpy's generators, ufuncs
+    and BLAS calls release the GIL, so the blocks overlap; a worker's error
+    is re-raised here."""
+    workers = min(_usable_cpus(), n_blocks, _MAX_IN_FLIGHT)
+    if workers <= 1:
+        for i in range(n_blocks):
+            run(i)
+    else:
+        # imported here, so that commands that never pool (generate) skip it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, range(n_blocks)))
+
+
+# Doubles per band of ``uniform_below``: a multiple of the 4 outputs of one
+# Philox counter step.  It sets only the speed and the memory, never a value.
+_BAND = 1 << 18
+
+
+def uniform_below(gen: np.random.Generator, shape, p: float) -> np.ndarray:
+    """Exactly ``gen.random(shape) < p`` (a boolean array), leaving the
+    Philox-backed ``gen`` exactly where that draw leaves it, but drawn in
+    bands of ``_BAND`` doubles on the pool of ``_run_blocks`` and without
+    the float64 temporary of the whole draw.
+
+    Why the bands can be split: ``random`` spends one 64-bit output per
+    double, and Philox makes its outputs 4 at a time, one block per counter
+    step, in counter order (the counter is stepped before a block is made).
+    A draw first spends the outputs still buffered from the current block
+    (the head), then whole blocks at counters c+1, c+2, ..., where c is the
+    counter at the start.  So body double j comes from counter c + 1 + j//4,
+    and a copy of the start state with its buffer emptied and its counter
+    moved on by j/4 (``Philox.advance`` counts counter steps, not outputs)
+    makes body doubles j, j+1, ... exactly.  Band 0 (head and first band)
+    draws from ``gen`` itself, so a draw of one band costs what the one-shot
+    draw costs; band i >= 1 draws from such a copy.  Afterwards ``gen`` is
+    moved to the end counter with its pending 32-bit half kept (doubles never
+    touch it), and the tail of fewer than 4 doubles is drawn from ``gen``,
+    which buffers the rest of that block as the one-shot draw would.
+    """
+    out = np.empty(shape, dtype=bool)
+    flat = out.reshape(-1)
+    bitgen = gen.bit_generator
+    start = bitgen.state
+    head = min(flat.size, 4 - start["buffer_pos"])
+    body = (flat.size - head) // 4 * 4
+    n_bands = -(-body // _BAND)
+    if n_bands <= 1:
+        np.less(gen.random(flat.size), p, out=flat)
+        return out
+    start = dict(start, buffer_pos=4, has_uint32=0, uinteger=0)
+
+    def run(i):
+        lo, hi = head + i * _BAND, head + min((i + 1) * _BAND, body)
+        if i == 0:
+            lo, g = 0, gen
+        else:
+            band_gen = np.random.Philox(seed=0)  # its key is replaced by start's
+            band_gen.state = start
+            g = np.random.Generator(band_gen.advance(i * _BAND // 4))
+        np.less(g.random(hi - lo), p, out=flat[lo:hi])
+
+    _run_blocks(run, n_bands)
+    pending = bitgen.state
+    bitgen.advance((body - _BAND) // 4)
+    bitgen.state = dict(bitgen.state, has_uint32=pending["has_uint32"],
+                        uinteger=pending["uinteger"])
+    tail = flat.size - head - body
+    if tail:
+        np.less(gen.random(tail), p, out=flat[-tail:])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.stats as _sst
 
 from .errors import FeasibilityError, ParameterError, TestError
 from .graphs import VertexPartition
-from .prob import FinitePmf, RngStream, finite_pmf
+from .prob import FinitePmf, RngStream, finite_pmf, normal_cdf
 
 __all__ = [
     "exact_tv",
@@ -98,10 +97,12 @@ def chi2_bern_plus_bin(P: float, m: int, Q: float) -> float:
     Evaluated through the stable form sum_t Bin(m,Q)(t) * ratio(t)^2 - 1 with
     ratio(t) = (m-t)/m * (1-P)/(1-Q) + t/m * P/Q.
     """
+    import scipy.stats as sst
+
     if not (0.0 < Q < 1.0) or m < 1:
         raise ParameterError(f"need Q in (0, 1) and m >= 1, got Q={Q}, m={m}")
     t = np.arange(m + 1)
-    base = _sst.binom.pmf(t, m, Q)
+    base = sst.binom.pmf(t, m, Q)
     ratio = (m - t) / m * (1.0 - P) / (1.0 - Q) + t / m * P / Q
     return float((base * ratio * ratio).sum() - 1.0)
 
@@ -125,9 +126,11 @@ def tv_hyp_vs_bin_bound(N: int, K: int, n: int) -> float:
 
 
 def exact_tv_hyp_vs_bin(N: int, K: int, n: int) -> float:
+    import scipy.stats as sst
+
     ks = np.arange(n + 1)
-    hyp = _sst.hypergeom.pmf(ks, N, K, n)
-    binom = _sst.binom.pmf(ks, n, K / N)
+    hyp = sst.hypergeom.pmf(ks, N, K, n)
+    binom = sst.binom.pmf(ks, n, K / N)
     return 0.5 * float(np.abs(hyp - binom).sum())
 
 
@@ -165,12 +168,16 @@ def empirical_tv_to_cdf(samples, ppf, bins: int) -> float:
 
 def ks_test(samples, cdf):
     """Kolmogorov-Smirnov against an exact CDF; returns (statistic, p_value)."""
-    res = _sst.kstest(np.asarray(samples, dtype=float).ravel(), cdf)
+    import scipy.stats as sst
+
+    res = sst.kstest(np.asarray(samples, dtype=float).ravel(), cdf)
     return float(res.statistic), float(res.pvalue)
 
 
 def ks_matrix(X, cdf):
     """Row-wise KS statistics and p-values for an (n_rows, n_samples) array."""
+    import scipy.stats as sst
+
     X = np.sort(np.asarray(X, dtype=float), axis=1)
     n = X.shape[1]
     F = cdf(X)
@@ -178,7 +185,7 @@ def ks_matrix(X, cdf):
     d_plus = np.max(grid[None, :] - F, axis=1)
     d_minus = np.max(F - (np.arange(n) / n)[None, :], axis=1)
     stat = np.maximum(d_plus, d_minus)
-    pvals = _sst.kstwo.sf(stat, n)
+    pvals = sst.kstwo.sf(stat, n)
     return stat, pvals
 
 
@@ -189,6 +196,8 @@ def chi2_test(counts, expected):
     Cells with zero expectation and zero observation are dropped; a zero
     expectation with a positive observation raises TestError.
     """
+    import scipy.stats as sst
+
     counts = np.asarray(counts, dtype=float)
     expected = np.asarray(expected, dtype=float)
     if counts.shape != expected.shape:
@@ -201,7 +210,7 @@ def chi2_test(counts, expected):
     df = int(keep.sum()) - 1
     if df < 1:
         raise TestError("chi-square needs at least 2 usable cells")
-    return stat, float(_sst.chi2.sf(stat, df))
+    return stat, float(sst.chi2.sf(stat, df))
 
 
 def chi2_gof_counts(values, pmf: FinitePmf):
@@ -539,6 +548,8 @@ def _test_entry(name, statistic, p_value, passed, status=None):
 
 
 def _battery_isgm(params, trials, alpha, rng, fault):
+    import scipy.stats as sst
+
     from . import pipelines as pl
     from .graphs import sample_gnq, sample_k_pds
 
@@ -556,7 +567,7 @@ def _battery_isgm(params, trials, alpha, rng, fault):
 
     G0 = sample_gnq(N, plan.q, rng.child("h0-graph"))
     inst = pl.pds_to_isgm(G0, E, plan, rng.child("h0-run"), rotation_override=rotation)
-    _, pvals = ks_matrix(inst.samples.T, _sst.norm.cdf)
+    _, pvals = ks_matrix(inst.samples.T, sst.norm.cdf)
     worst = float(pvals.min())
     ks_pass = worst >= alpha / inst.d
     tests.append(_test_entry("h0_per_coordinate_ks", worst, worst, ks_pass))
@@ -615,13 +626,15 @@ def _battery_semi_cr(params, trials, alpha, rng, fault):
         cls_tot += tots
     probs = semi_cr_class_probs(*pl.semi_cr_mus(plan.mu, plan.ell))
     worst_z = float(np.abs(class_z_scores(cls_hits, cls_tot, probs)).max())
-    pval = 2.0 * _sst.norm.sf(worst_z)
+    pval = 2.0 * normal_cdf(-worst_z)
     tests.append(_test_entry("h1_edge_class_marginals", worst_z, pval,
                              pval >= alpha / 4))
     return tests, {"classes": {"hits": cls_hits.tolist(), "totals": cls_tot.tolist()}}
 
 
 def _battery_glsm(params, trials, alpha, rng, fault):
+    import scipy.stats as sst
+
     from . import pipelines as pl
     from .graphs import sample_gnq
 
@@ -632,7 +645,7 @@ def _battery_glsm(params, trials, alpha, rng, fault):
     pair_family, D = pl.spca_family(n, k, params["theta"])
     G0 = sample_gnq(plan.N, plan.q, rng.child("h0-graph"))
     X, _ = pl.pds_to_glsm(G0, E, plan, params["tau"], pair_family, D, rng.child("h0-run"))
-    _, pvals = ks_matrix(X.T, _sst.norm.cdf)
+    _, pvals = ks_matrix(X.T, sst.norm.cdf)
     worst = float(pvals.min())
     tests = [_test_entry("h0_per_coordinate_ks_vs_Q", worst, worst,
                          worst >= alpha / X.shape[1])]

@@ -114,6 +114,25 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert run.stdout.splitlines()[-1] == "[]"
 
 
+def test_verify_semi_cr_never_loads_scipy_stats(tmp_path):
+    # A fresh interpreter: the SEMI-CR battery's one normal tail goes
+    # through scipy.special, so scipy.stats (~0.4 s to load) stays out.
+    script = f"""
+import sys
+from avgcase.cli import main
+assert main(["verify", "--pipeline", "semi-cr", "--trials", "100", "--seed", "3",
+             "--out", {str(tmp_path)!r}]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
+"""
+    package_root = str(Path(avgcase.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 def test_reduce_divisibility_error_named(tmp_path, capsys):
     src = tmp_path / "src"
     _run(["generate", "gnq", "--n", "33", "--q", "0.25", "--seed", "2",
@@ -323,6 +342,8 @@ _SRC = ["--k", "4", "--p", "1.0", "--q", "0.25", "--seed", "5"]
       "--w", "1e308"], "below 2^62"),
     (["reduce", "isgm", "--in", "{graph}", *_SRC, "--eps", "1e-9", "--w", "4"],
      "too large for one array"),
+    (["reduce", "isgm", "--in", "{graph}", *_SRC, "--eps", "1e-4", "--w", "4"],
+     "physical memory"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     src = tmp_path / "src"

@@ -11,7 +11,7 @@ import scipy.integrate as integrate
 import scipy.stats as sst
 from numpy.testing import assert_allclose
 
-from avgcase import kernels
+from avgcase import kernels, prob
 from avgcase.errors import ParameterError
 from avgcase.kernels import (_BLOCK, ComputablePair, check_unit_mean, gaussianize,
                              gaussianize_mu_bound, rejection_delta,
@@ -198,18 +198,73 @@ def test_gaussianize_bytes_independent_of_workers(monkeypatch):
     mu = np.full(M.shape, 0.05)
 
     def run(cpus, cap):
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(kernels, "_MAX_IN_FLIGHT", cap)
+        monkeypatch.setattr(prob, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(prob, "_MAX_IN_FLIGHT", cap)
         return gaussianize(M, 0.75, 0.25, mu, RngStream(54)).tobytes()
 
-    serial = run(kernels._usable_cpus(), 1)
-    assert run(kernels._usable_cpus(), kernels._MAX_IN_FLIGHT) == serial
+    serial = run(prob._usable_cpus(), 1)
+    assert run(prob._usable_cpus(), prob._MAX_IN_FLIGHT) == serial
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         assert run(8, 8) == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+def _reference_rk_gauss_block(bits, mu, out, p, q, n_iter, gen):
+    """The one-block rejection loop as it was written before the leaner
+    loop: a pre-test t <= L, then the uniform, and two masks per step."""
+    scalar_mu = isinstance(mu, float)
+    log_pq = math.log(p / q)
+    log_1p_1q = -math.inf if p == 1.0 else math.log((1.0 - p) / (1.0 - q))
+    for branch in (0, 1):
+        rem = np.flatnonzero(bits == branch)
+        for _ in range(n_iter):
+            if rem.size == 0:
+                break
+            z = gen.standard_normal(rem.size)
+            m_ = mu if scalar_mu else mu[rem]
+            if branch == 1 and p == 1.0:
+                z += m_
+                out[rem] = z
+                break
+            if branch == 0:
+                t = m_ * z - 0.5 * m_ * m_
+                with np.errstate(over="ignore"):
+                    acc = t <= log_pq
+                    acc &= gen.random(rem.size) < 1.0 - np.exp(t - log_pq)
+            else:
+                s = -m_ * z - 0.5 * m_ * m_
+                with np.errstate(over="ignore"):
+                    acc = s <= -log_1p_1q
+                    acc &= gen.random(rem.size) < 1.0 - np.exp(log_1p_1q + s)
+                z += m_
+            out[rem[acc]] = z[acc]
+            rem = rem[~acc]
+
+
+@pytest.mark.parametrize("P, Q", [(1.0, 0.25), (0.75, 0.25)])
+@pytest.mark.parametrize("mu_kind", ["scalar", "array"])
+@pytest.mark.parametrize("case", ["mixed", "all-zero", "all-one", "budget-runs-out"])
+def test_rk_gauss_block_matches_the_reference_loop(P, Q, mu_kind, case):
+    # Same values, same fallbacks, and the generator left in the same place.
+    size = 20_000
+    bits = {"mixed": _bits(size, 0.3, 56), "all-zero": np.zeros(size, np.uint8),
+            "all-one": np.ones(size, np.uint8), "budget-runs-out": _bits(size, 0.3, 56)}[case]
+    n_iter = 1 if case == "budget-runs-out" else 40
+    mu = 0.3
+    if mu_kind == "array":
+        mu = RngStream(57).generator().random(size) * 0.6
+    outs = []
+    for block in (kernels._rk_gauss_block, _reference_rk_gauss_block):
+        out = np.zeros(size)
+        gen = RngStream(58).generator()
+        block(bits, mu, out, P, Q, n_iter, gen)
+        outs.append((out.tobytes(), gen.random(4).tobytes()))
+    assert outs[0] == outs[1]
+    if case == "budget-runs-out":
+        assert (np.frombuffer(outs[0][0]) == 0.0).sum() > 1000
 
 
 # sha256 of outputs on a one-block input (262,000 entries), which draws from
@@ -459,12 +514,12 @@ def test_srk3_bytes_independent_of_workers(monkeypatch):
     bits, plus, minus, streams, params = _srk3_rows(40, 300, 63)
 
     def run(cpus, cap):
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(kernels, "_MAX_IN_FLIGHT", cap)
+        monkeypatch.setattr(prob, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(prob, "_MAX_IN_FLIGHT", cap)
         return srk3_array(bits, plus, minus, *params, 30, streams)[0].tobytes()
 
-    serial = run(kernels._usable_cpus(), 1)
-    assert run(kernels._usable_cpus(), kernels._MAX_IN_FLIGHT) == serial
+    serial = run(prob._usable_cpus(), 1)
+    assert run(prob._usable_cpus(), prob._MAX_IN_FLIGHT) == serial
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -477,7 +532,7 @@ def test_srk3_transient_memory_bounded(monkeypatch):
     # The loop's temporaries are those of at most _MAX_IN_FLIGHT row blocks
     # (all of them in flight here, whatever the host's core count): the peak
     # allocation inside the call exceeds its output by a fixed allowance.
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: kernels._MAX_IN_FLIGHT)
+    monkeypatch.setattr(prob, "_usable_cpus", lambda: prob._MAX_IN_FLIGHT)
     bits, plus, minus, streams, params = _srk3_rows(512, 4096, 64)
     tracemalloc.start()
     try:
@@ -504,6 +559,7 @@ def test_truncate_tern():
     assert truncate_tern(1.0, 1.0) == 0  # boundary is inclusive
     assert truncate_tern(1.0000001, 1.0) == 1
     np.testing.assert_array_equal(truncate_tern(np.array([-5, 0, 5]), 2.0), [-1, 0, 1])
+    assert truncate_tern(np.array([-5, 0, 5]), 2.0).dtype == np.int8
     with pytest.raises(ParameterError):
         truncate_tern(0.0, 0.0)
 

@@ -1,13 +1,14 @@
 """Tests for the reduction pipelines and the parameter planner."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from avgcase import pipelines
+from avgcase import pipelines, prob
 from avgcase.errors import ParameterError
 from avgcase.geometry import build_H
 from avgcase.graphs import (Graph, VertexPartition, sample_gnq, sample_k_pds)
@@ -104,6 +105,22 @@ def test_submatrix_structure_and_errors():
         to_k_partite_submatrix(G, E, p, q, 121, RngStream(105))  # k | m fails
     with pytest.raises(ParameterError):
         to_k_partite_submatrix(G, E, p, q, 72, RngStream(105))  # m too small
+
+
+def test_submatrix_draws_no_float64_matrix():
+    # The Bern(Q) background is drawn in bands: the traced peak stays below
+    # half of the m x m float64 draw the one-shot comparison would make.
+    N, k, p, q = 1000, 8, 1.0, 0.25
+    E = VertexPartition.contiguous(N, k)
+    m = plan_parameters("ISGM", p, q, 2.0, r=2, N=N, k=k).m
+    G, tr = sample_k_pds(N, k, p, q, E, RngStream(107))
+    tracemalloc.start()
+    try:
+        M, _, _ = to_k_partite_submatrix(G, E, p, q, m, RngStream(108), tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.shape == (m, m) and peak < 4 * m * m
 
 
 def test_submatrix_h0_entry_marginals():
@@ -310,6 +327,27 @@ def test_isgm_shape_and_determinism():
     assert_array_equal(a.trace.planted_set, b.trace.planted_set)
     c = pds_to_isgm(G, E, plan, RngStream(112), trace=tr)
     assert not np.array_equal(a.samples, c.samples)
+
+
+def test_isgm_bytes_independent_of_workers(monkeypatch):
+    # The banded draws, the pad and the rotation: serial and 8 workers under
+    # a short switch interval give the same bytes.
+    G, E, plan, tr = _small_isgm_setup()
+    monkeypatch.setattr(prob, "_BAND", 64)
+
+    def run(cpus, cap):
+        monkeypatch.setattr(prob, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(prob, "_MAX_IN_FLIGHT", cap)
+        inst = pds_to_isgm(G, E, plan, RngStream(111), trace=tr)
+        return inst.samples.tobytes(), inst.trace.planted_set.tobytes()
+
+    serial = run(1, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run(8, 8) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_isgm_trace_consistency():

@@ -1,14 +1,19 @@
 """Tests for seeded streams, distribution specs and the normal CDF."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from avgcase import prob
 from avgcase.errors import DomainError, ParameterError
 from avgcase.prob import (Bernoulli, Binomial, FinitePmf, Gaussian,
                           Hypergeometric, Mixture, RngStream, Tern,
                           finite_pmf, normal_cdf, normal_quantile, sample,
-                          tern_pmf, validate_spec)
+                          tern_pmf, uniform_below, validate_spec)
 from avgcase.verify import chi2_gof_counts
 
 # Standard normal CDF values computed with mpmath.ncdf at 40 digits.
@@ -138,3 +143,64 @@ def test_hypergeometric_matches_scipy_pmf():
     values, probs = pm.as_arrays()
     assert_allclose(probs, hypergeom.pmf(values, 30, 12, 9), atol=1e-14)
     assert abs(probs.sum() - 1.0) < 1e-12
+
+
+def _started(seed, start, k):
+    """A generator at one of the start states ``uniform_below`` must handle:
+    fresh, k doubles into the stream (mid-block for k % 4 != 0), or with
+    a pending 32-bit half after an int32 draw."""
+    gen = RngStream(seed).child("start").generator()
+    if start == "doubles":
+        gen.random(k)
+    elif start == "int32":
+        gen.random(k)
+        gen.integers(0, 1000, dtype=np.int32)
+    return gen
+
+
+def _after(gen):
+    """The draws that follow, of every kind the program makes."""
+    return (gen.random(5).tobytes(), gen.integers(0, 1000, 7, dtype=np.int32).tobytes(),
+            gen.standard_normal(9).tobytes(), gen.integers(0, 2 ** 40, 3).tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), start=st.sampled_from(["fresh", "doubles", "int32"]),
+       k=st.integers(0, 11), bands=st.integers(0, 3), extra=st.integers(0, 67),
+       p=st.floats(0.0, 1.0), two_d=st.booleans())
+def test_uniform_below_is_the_one_shot_draw(seed, start, k, bands, extra, p, two_d):
+    # With a 64-double band: the same values as gen.random(shape) < p, and
+    # the generator left where that draw leaves it.
+    band = prob._BAND
+    prob._BAND = 64
+    try:
+        size = bands * 64 + extra
+        shape = (size // 2, 2) if two_d and size % 2 == 0 else (size,)
+        ref = _started(seed, start, k)
+        gen = _started(seed, start, k)
+        expected = ref.random(shape) < p
+        got = uniform_below(gen, shape, p)
+    finally:
+        prob._BAND = band
+    assert got.dtype == bool and got.shape == expected.shape
+    assert_array_equal(got, expected)
+    assert _after(gen) == _after(ref)
+
+
+def test_uniform_below_bytes_independent_of_workers(monkeypatch):
+    # Serial and 8 workers under a short switch interval, over 40 bands.
+    monkeypatch.setattr(prob, "_BAND", 1024)
+
+    def run(cpus, cap):
+        monkeypatch.setattr(prob, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(prob, "_MAX_IN_FLIGHT", cap)
+        gen = _started(59, "int32", 3)
+        return uniform_below(gen, (401, 103), 0.3).tobytes(), _after(gen)
+
+    serial = run(1, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run(8, 8) == serial
+    finally:
+        sys.setswitchinterval(interval)
