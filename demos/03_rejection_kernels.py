@@ -2,14 +2,14 @@
 
 Three gadgets: the Gaussian kernel (one biased bit -> one Gaussian), its
 entrywise matrix version, and the symmetric 3-ary kernel used for the
-universality reduction (three ternary input laws -> three arbitrary targets
-with likelihood-ratio oracles).
+universality reduction (three ternary input laws -> the three targets
+P_nu, P_-nu, Q of a family given by likelihood-ratio oracles).
 """
 
 import numpy as np
 import scipy.stats as sst
 
-from avgcase.kernels import (ComputablePair, gaussianize, gaussianize_mu_bound,
+from avgcase.kernels import (PairFamily, gaussianize, gaussianize_mu_bound,
                              rk_gauss_array, srk3_array,
                              tern_params_from_truncation, truncate_tern)
 from avgcase.prob import RngStream, Tern, sample
@@ -44,15 +44,14 @@ print(f"Gaussianize: planted-block mean {X[:40, :200].mean():+.4f} (target +0.05
 mu_in = 0.016
 a, mu1, mu2 = tern_params_from_truncation(1.0, mu_in)
 shift = 3e-4
-pair_p = ComputablePair.gaussian_mean_shift(shift)
-pair_m = ComputablePair.gaussian_mean_shift(-shift)
+family = PairFamily.gaussian_mean_shift(shift)  # P_nu = N(nu * shift, 1), here at nu = 1
 print(f"3-srk with a = {a:.4f}, mu1 = {mu1:.5f}, mu2 = {mu2:.2e}:")
 for tag, spec, loc in (("Tern(a,+mu1,mu2) -> P+", Tern(a, mu1, mu2), shift),
                        ("Tern(a,-mu1,mu2) -> P-", Tern(a, -mu1, mu2), -shift),
                        ("Tern(a,0,0)      -> Q ", Tern(a, 0.0, 0.0), 0.0)):
     bits = sample(spec, rng.child("b" + tag), size=200_000)
-    out, _ = srk3_array(bits, pair_p, pair_m, a, mu1, mu2, 50, rng.child("k" + tag))
-    tv = empirical_tv_to_cdf(out, lambda u, s=loc: sst.norm.ppf(u, loc=s), 100)
+    out, _ = srk3_array(bits[None], family, [1.0], a, mu1, mu2, 50, [rng.child("k" + tag)])
+    tv = empirical_tv_to_cdf(out[0], lambda u, s=loc: sst.norm.ppf(u, loc=s), 100)
     print(f"  {tag}: binned TV to target {tv:.4f}")
 
 # And the truncation that feeds it: tr_tau(N(mu, 1)) is exactly ternary.

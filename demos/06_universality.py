@@ -11,7 +11,7 @@ import numpy as np
 import scipy.stats as sst
 
 from avgcase.graphs import VertexPartition, sample_gnq, sample_k_pds
-from avgcase.kernels import ComputablePair
+from avgcase.kernels import PairFamily
 from avgcase.pipelines import check_uc, pds_to_glsm, plan_parameters, spca_family
 from avgcase.prob import RngStream
 from avgcase.verify import ks_matrix
@@ -28,7 +28,10 @@ print(f"  (ii) likelihood-ratio bounds: violation freq "
       f"{report['condition_ii']['violation_freq']:.2e}"
       f" -> {'pass' if report['condition_ii']['pass'] else 'fail'}")
 
-fat = lambda nu: ComputablePair.gaussian_mean_shift(1.0 if nu >= 0 else -1.0)
+unit = PairFamily.gaussian_mean_shift(1.0)  # P_nu = N(sign(nu), 1) below
+fat = PairFamily(unit.sample_noise,
+                 lambda gen, nu, size: unit.sample_planted(gen, np.sign(nu), size),
+                 lambda x, nu: unit.log_likelihood_ratio(x, np.sign(nu)))
 bad = check_uc(n_stat, k_stat, 1000, D, fat, 20_000, rng.child("uc-fat"))
 print(f"  a fat mean-shift-1 family violates (ii) at freq "
       f"{bad['condition_ii']['violation_freq']:.2f} -> fail (as it should)")
@@ -54,7 +57,7 @@ pos = np.zeros(X.shape[0], dtype=bool)
 pos[otr.component_set] = True
 # P_nu = N(s, 1) against Q = N(0, 1) has log-likelihood ratio s x - s^2 / 2,
 # so its mean s is the ratio's slope.
-means = [np.diff(family(nu).log_likelihood_ratio([0.0, 1.0]))[0] for nu in nus[pos]]
+means = np.diff(family.log_likelihood_ratio([[0.0], [1.0]], nus[pos]), axis=0)[0]
 resid = X[np.ix_(pos, S)] - np.outer(means, np.ones(S.size))
 print(f"H1 output: planted support {list(map(int, S))}, positive-component "
       f"residual mean {resid.mean():+.4f} (0 if the per-sample means are P_nu's)")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["write_amat", "read_amat", "amat_to_csv", "dump_json", "load_json"]
+__all__ = ["write_amat", "read_amat", "dump_json", "load_json"]
 
 _MAGIC = b"AMAT"
 _VERSION = 1
@@ -60,12 +60,6 @@ def read_amat(path) -> np.ndarray:
     if len(payload) != rows * cols * 8:
         raise ParameterError(f"{path}: truncated AMAT payload")
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
-
-
-def amat_to_csv(in_path, out_path) -> None:
-    """Export an AMATv1 file as CSV for inspection."""
-    m = read_amat(in_path)
-    np.savetxt(out_path, m, delimiter=",", fmt="%.17g")
 
 
 def dump_json(path, obj) -> None:

@@ -462,17 +462,14 @@ def sample_tg_h0(n, m, mu1, rng: RngStream):
 def semirandom_apply(G: Graph, trace: PlantedTrace, removal_prob, rng: RngStream) -> Graph:
     """Monotone adversary: remove each present edge independently at its rate.
 
-    ``removal_prob`` is an (n, n) array of rates or a callable ``f(i, j)``.
-    Rates must be zero on pairs internal to ``trace.planted_set``; edges are
-    never added.
+    ``removal_prob`` is an (n, n) array of rates.  Rates must be zero on
+    pairs internal to ``trace.planted_set``; edges are never added.
     """
     n = G.n
-    if callable(removal_prob):
-        rates = np.fromfunction(
-            np.vectorize(removal_prob, otypes=[float]), (n, n), dtype=int
-        )
-    else:
+    try:
         rates = np.asarray(removal_prob, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError("removal_prob must be an (n, n) array of rates") from None
     if rates.shape != (n, n):
         raise ParameterError(f"removal_prob must cover all pairs of [{n}]")
     if np.any(rates < 0) or np.any(rates > 1):

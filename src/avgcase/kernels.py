@@ -10,8 +10,8 @@ Four gadgets live here:
   reduction uses) enforced and an iteration count set by the matrix size.
 * ``srk3_array`` — the symmetric 3-ary kernel mapping ternary inputs
   distributed Tern(a, mu1, mu2) / Tern(a, -mu1, mu2) / Tern(a, 0, 0) near
-  three target laws P+, P-, Q given likelihood-ratio oracles; it also
-  returns how many entries kept their Q initializer.
+  the three target laws P_nu, P_-nu, Q of a ``PairFamily``, one nu per
+  row; it also returns how many entries kept their Q initializer.
 * ``truncate_tern`` / ``tern_params_from_truncation`` — the Gaussian
   truncation producing exactly those ternary input laws.
 
@@ -26,9 +26,10 @@ than one block).
 
 The 3-ary kernel keys its streams by row instead: row i of an (n, d) input
 draws from the i-th stream passed in, and a block is floor(``_BLOCK`` / d)
-whole rows (at least one), stepped together so that the gate, the
-acceptance rule and the compaction run once per block rather than once per
-row.  Its block size therefore changes only the speed, never the output.
+whole rows (at least one), stepped together so that the likelihood ratios,
+the gate, the acceptance rule and the compaction run once per block rather
+than once per row.  Its block size therefore changes only the speed, never
+the output.
 
 Both kernels build every generator before any block starts and run their
 blocks through the pool policy that ``prob._run_blocks`` defines for every
@@ -41,9 +42,10 @@ them, writes every proposal, and keeps only the rejected positions open;
 the acceptance test runs in place on the proposal's log-ratio.  The draws
 and every float are those of the two-mask loop it replaced.
 
-Likelihood ratios for the built-in pairs are computed in log-space; the
-operating regimes involve mu1, mu2 down to 1e-5 and the naive ratios would
-overflow first.
+A ``PairFamily`` {P_nu} against one noise law Q gives its likelihood ratios
+in log-space, elementwise with nu broadcast against x; the operating
+regimes involve mu1, mu2 down to 1e-5 and the naive ratios would overflow
+first.
 
 Acceptance-probability note: the three-branch acceptance rule reconstructs
 dP+/dQ, dP-/dQ and 1 exactly when mixed with the ternary input weights
@@ -67,7 +69,7 @@ __all__ = [
     "rk_gauss_array",
     "gaussianize",
     "gaussianize_mu_bound",
-    "ComputablePair",
+    "PairFamily",
     "srk3_array",
     "truncate_tern",
     "tern_params_from_truncation",
@@ -232,87 +234,43 @@ def gaussianize(M, P, Q, mu, rng: RngStream, allow_unproven=False):
 
 
 # ---------------------------------------------------------------------------
-# Computable pairs and the symmetric 3-ary kernel
+# Pair families and the symmetric 3-ary kernel
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ComputablePair:
-    """A planted/noise pair with sampling and likelihood-ratio oracles.
+class PairFamily:
+    """A planted family {P_nu} against one noise law Q, given by oracles.
 
-    ``log_likelihood_ratio(x)`` returns log dP/dQ(x) elementwise;
-    ``sample_noise(gen, size)`` draws from Q and ``sample_planted`` from P
-    (the latter is only used by diagnostics, never by the kernels).
+    ``sample_noise(gen, size)`` draws from Q; ``sample_planted(gen, nu,
+    size)`` draws from P_nu (diagnostics only, never the kernels);
+    ``log_likelihood_ratio(x, nu)`` is log dP_nu/dQ(x) elementwise, with nu
+    a scalar or an array broadcast against x.
     """
 
     sample_noise: Callable
     sample_planted: Callable
     log_likelihood_ratio: Callable
-    label: str = ""
-
-    def likelihood_ratio(self, x):
-        return np.exp(self.log_likelihood_ratio(np.asarray(x, dtype=float)))
 
     @classmethod
-    def gaussian_mean_shift(cls, shift: float) -> "ComputablePair":
-        """P = N(shift, 1) against Q = N(0, 1)."""
-        def llr(x):
-            return shift * np.asarray(x, dtype=float) - 0.5 * shift * shift
+    def gaussian_mean_shift(cls, scale: float) -> "PairFamily":
+        """P_nu = N(nu * scale, 1) against Q = N(0, 1)."""
+        def llr(x, nu):
+            # shift x - (0.5 shift) shift, in the scalar formula's float order;
+            # srk3 calls this over whole blocks, so it holds two arrays only
+            x = np.asarray(x, dtype=float)
+            shift = np.empty(np.broadcast_shapes(np.shape(nu), x.shape))
+            np.multiply(nu, scale, out=shift)
+            half = 0.5 * shift
+            half *= shift
+            shift *= x
+            shift -= half
+            return shift
 
         return cls(
             sample_noise=lambda gen, size: gen.standard_normal(size),
-            sample_planted=lambda gen, size: shift + gen.standard_normal(size),
+            sample_planted=lambda gen, nu, size: nu * scale + gen.standard_normal(size),
             log_likelihood_ratio=llr,
-            label=f"N({shift:g},1) vs N(0,1)",
         )
-
-    @classmethod
-    def bernoulli(cls, p_planted: float, p_noise: float) -> "ComputablePair":
-        if not (0 < p_noise < 1 and 0 <= p_planted <= 1):
-            raise ParameterError("bernoulli pair needs p_noise in (0,1)")
-
-        def llr(x):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(divide="ignore"):
-                on = math.log(p_planted / p_noise) if p_planted > 0 else -math.inf
-                off = (
-                    math.log((1 - p_planted) / (1 - p_noise))
-                    if p_planted < 1
-                    else -math.inf
-                )
-            return np.where(x > 0.5, on, off)
-
-        return cls(
-            sample_noise=lambda gen, size: (gen.random(size) < p_noise).astype(float),
-            sample_planted=lambda gen, size: (gen.random(size) < p_planted).astype(float),
-            log_likelihood_ratio=llr,
-            label=f"Bern({p_planted:g}) vs Bern({p_noise:g})",
-        )
-
-    @classmethod
-    def exponential(cls, rate_planted: float, rate_noise: float) -> "ComputablePair":
-        if rate_planted <= 0 or rate_noise <= 0:
-            raise ParameterError("exponential rates must be positive")
-
-        def llr(x):
-            x = np.asarray(x, dtype=float)
-            return math.log(rate_planted / rate_noise) - (rate_planted - rate_noise) * x
-
-        return cls(
-            sample_noise=lambda gen, size: gen.exponential(1.0 / rate_noise, size),
-            sample_planted=lambda gen, size: gen.exponential(1.0 / rate_planted, size),
-            log_likelihood_ratio=llr,
-            label=f"Exp({rate_planted:g}) vs Exp({rate_noise:g})",
-        )
-
-
-def check_unit_mean(pair: ComputablePair, rng: RngStream, n: int = 100_000, tol: float = 1e-3):
-    """Soft Monte Carlo check that E_Q[dP/dQ] = 1; returns the estimate."""
-    gen = rng.child("unit-mean").generator()
-    x = pair.sample_noise(gen, n)
-    est = float(np.mean(pair.likelihood_ratio(x)))
-    if abs(est - 1.0) > max(tol, 5.0 * float(np.std(pair.likelihood_ratio(x))) / math.sqrt(n)):
-        raise ParameterError(f"E_Q[dP/dQ] = {est:.6f} is not 1 for pair {pair.label!r}")
-    return est
 
 
 def _srk3_params_check(a, mu1, mu2):
@@ -324,54 +282,41 @@ def _srk3_params_check(a, mu1, mu2):
     tern_pmf(a, -mu1, mu2)
 
 
-def _per_row(x, rows: int, what: str) -> list:
-    """The per-row sequence ``x`` of a 2-D srk3 call, checked for length."""
-    try:
-        if len(x) == rows:
-            return list(x)
-    except TypeError:
-        pass
-    raise ParameterError(f"srk3 on a {rows}-row input needs one {what} per row")
+def srk3_array(bits, family: PairFamily, nus, a, mu1, mu2, n_iter, streams):
+    """Vectorized symmetric 3-ary rejection kernel over an (n, d) stack of
+    rows in {-1, 0, +1}.
 
-
-def srk3_array(bits, pair_plus, pair_minus, a, mu1, mu2, n_iter,
-               rng: RngStream | Sequence[RngStream]):
-    """Vectorized symmetric 3-ary rejection kernel.
-
-    ``bits`` is an array over {-1, 0, +1}: one row (1-D), or an (n, d) stack
-    of rows.  Inputs distributed Tern(a, mu1, mu2) map near P+,
-    Tern(a, -mu1, mu2) near P- and Tern(a, 0, 0) near Q.  A row takes the
-    pairs ``pair_plus``/``pair_minus`` and draws from ``rng.child("srk3")``;
-    a stack takes sequences of n pairs and n streams, one of each per row.
-    Entries whose iteration budget runs out keep their initialization, a
-    fresh draw from Q (distributionally harmless).  Returns ``(out, count
-    of those entries)``.
+    Row i targets the family's three laws at ``nus[i]``: inputs distributed
+    Tern(a, mu1, mu2) map near P_nu, Tern(a, -mu1, mu2) near P_-nu and
+    Tern(a, 0, 0) near Q.  Row i draws from ``streams[i].child("srk3")``;
+    one row is passed as ``bits[None]``, ``[nu]``, ``[stream]``.  Entries
+    whose iteration budget runs out keep their initialization, a fresh
+    draw from Q (distributionally harmless).  Returns ``(out, count of
+    those entries)``.
 
     The rows run in blocks of floor(``_BLOCK`` / d) rows (at least one)
     through ``_run_blocks``.  A row's draws come from its own generator
     alone, so the output is that of running the rows one at a time, on any
-    worker count.  A pair's ``sample_noise`` and likelihood ratios may run
-    on several threads at once, and must draw only from the generator
-    passed to them.
+    worker count.  The family's callables may run on several threads at
+    once, and ``sample_noise`` must draw only from the generator passed to
+    it.
     """
     _srk3_params_check(a, mu1, mu2)
     bits = np.asarray(bits)
-    if bits.ndim == 1:
-        rows, plus, minus, streams = bits[None], [pair_plus], [pair_minus], [rng]
-    elif bits.ndim == 2:
-        rows = bits
-        plus = _per_row(pair_plus, len(bits), "pair_plus")
-        minus = _per_row(pair_minus, len(bits), "pair_minus")
-        streams = _per_row(rng, len(bits), "stream")
-    else:
-        raise ParameterError(f"srk3 expects one row or a 2-D stack of rows, got {bits.ndim}-D")
+    if bits.ndim != 2:
+        raise ParameterError(f"srk3 expects a 2-D stack of rows, got {bits.ndim}-D")
+    n, d = bits.shape
+    nus = np.asarray(nus, dtype=float)
+    if nus.shape != (n,) or not isinstance(streams, Sequence) or len(streams) != n:
+        raise ParameterError(f"srk3 on a {n}-row input needs one nu and one stream per row")
+    if not np.all(np.isfinite(nus)):
+        raise ParameterError("srk3 needs finite nu")
     ternary = bits == 0  # np.isin would copy an integer input twice over
     ternary |= bits == 1
     ternary |= bits == -1
     if not ternary.all():
         raise ParameterError("srk3 inputs must lie in {-1, 0, +1}")
     del ternary
-    n, d = rows.shape
     out = np.empty((n, d))
     gens = [s.child("srk3").generator() for s in streams]
     per_block = max(1, _BLOCK // max(d, 1))
@@ -380,27 +325,27 @@ def srk3_array(bits, pair_plus, pair_minus, a, mu1, mu2, n_iter,
 
     def run(j):
         b = slice(j * per_block, (j + 1) * per_block)
-        fallback[j] = _srk3_block(rows[b], out[b], plus[b], minus[b], gens[b],
+        fallback[j] = _srk3_block(bits[b], out[b], family, nus[b], gens[b],
                                   a, mu1, mu2, n_iter)
 
     _run_blocks(run, n_blocks)
-    out = out.reshape(bits.shape)
     return out, sum(fallback)
 
 
-def _srk3_block(bits, out, plus, minus, gens, a, mu1, mu2, n_iter) -> int:
+def _srk3_block(bits, out, family, nus, gens, a, mu1, mu2, n_iter) -> int:
     """One block of rows of the 3-ary loop, written into the view ``out``;
     returns how many entries kept their initializer.
 
-    Each step, every row with entries left draws its proposals z, then its
-    uniforms u, from its own generator and evaluates its own pair's
-    likelihood ratios on them; the gate, the acceptance rule and the
-    compaction then run once over the block.  The remaining entries stay in
-    row-major order, so each row's are one contiguous segment.
+    Each row first draws its initializer from Q.  Each step, every row with
+    entries left draws its proposals z, then its uniforms u, from its own
+    generator; the two likelihood ratios, at nu and -nu of each entry's
+    row, the gate, the acceptance rule and the compaction then run once
+    over the block.  The remaining entries stay in row-major order, so each
+    row's are one contiguous segment.
     """
     n_rows, d = out.shape
     for i in range(n_rows):
-        out[i] = plus[i].sample_noise(gens[i], d)
+        out[i] = family.sample_noise(gens[i], d)
     flat_out = out.reshape(-1)
     # positions of the entries still open, in int32 when the block allows
     rem = np.arange(n_rows * d, dtype=np.int32 if n_rows * d < 2 ** 31 else np.int64)
@@ -416,11 +361,15 @@ def _srk3_block(bits, out, plus, minus, gens, a, mu1, mu2, n_iter) -> int:
         active = np.flatnonzero(left)
         for i, c in zip(active.tolist(), left[active].tolist()):
             seg = slice(start, start + c)
-            z[seg] = plus[i].sample_noise(gens[i], c)
+            z[seg] = family.sample_noise(gens[i], c)
             gens[i].random(out=u[seg])
-            lr_p[seg] = plus[i].likelihood_ratio(z[seg])
-            lr_m[seg] = minus[i].likelihood_ratio(z[seg])
             start += c
+        # each open entry's row nu, held in l1 until both ratios are taken
+        nu = l1
+        nu[...] = np.repeat(nus[active], left[active])
+        np.exp(family.log_likelihood_ratio(z, nu), out=lr_p)
+        np.negative(nu, out=nu)
+        np.exp(family.log_likelihood_ratio(z, nu), out=lr_m)
         # l1 = lr_p - lr_m and l2 = lr_p + lr_m - 2; lr_m is then scratch
         np.subtract(lr_p, lr_m, out=l1)
         l2 = np.add(lr_p, lr_m, out=lr_p)
@@ -455,6 +404,8 @@ def _srk3_block(bits, out, plus, minus, gens, a, mu1, mu2, n_iter) -> int:
         keep = np.ones(rem.size, dtype=bool)
         keep[accept] = False
         rem, sym = rem[keep], sym[keep]
+        # spent index arrays, freed before the next step's ratios allocate
+        del gated, accept, hit, keep
     return int(rem.size)
 
 

@@ -11,7 +11,7 @@ The three public pipelines are
 * ``pds_to_isgm``    — graph to imbalanced sparse Gaussian mixture samples,
 * ``pds_to_semi_cr`` — graph to the semirandom community-recovery target law,
 * ``pds_to_glsm``    — graph to a general sparse-mixture family given
-  likelihood-ratio oracles for the planted marginals,
+  likelihood-ratio oracles for its planted marginals (a ``PairFamily``),
 
 plus their shared sub-steps (``graph_clone``, ``to_k_partite_submatrix``,
 ``isgm_sample_clone``), the parameter planner, the sparse-PCA target family
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import ParameterError
 from .geometry import build_H, is_prime
 from .graphs import Graph, PlantedTrace, VertexPartition
 from .kernels import (
-    ComputablePair,
+    PairFamily,
     gaussianize,
     gaussianize_mu_bound,
     rejection_delta,
@@ -774,19 +774,19 @@ def pds_to_semi_cr(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngSt
 # ---------------------------------------------------------------------------
 
 def pds_to_glsm(G: Graph, E: VertexPartition, plan: ReductionPlan, tau: float,
-                pair_family: Callable[[float], ComputablePair], D, rng: RngStream,
+                family: PairFamily, D, rng: RngStream,
                 trace: Optional[PlantedTrace] = None, allow_unproven: bool = False):
     """Reduce k-PDS to a general sparse-mixture family.
 
-    ``pair_family(nu)`` must return the computable pair (P_nu, Q); ``D`` is a
-    DistSpec for the mixing weights, sampled once per output vector and
-    clipped to [-1, 1].  Step 1 is the r = 2 mixture reduction at eps = 1/2;
-    step 2 truncates every entry to {-1, 0, +1} and pushes it through the
-    symmetric 3-ary kernel toward (P_nu, P_-nu, Q), one stream per row.  The
-    trace's ``srk3_fallback_entries`` counts the entries that ran out of
-    their proposal budget and kept their Q initializer.  The pairs'
-    callables may run on several threads at once, and must draw only from
-    the generator passed to them.
+    ``family`` is the target family {P_nu} against Q; ``D`` is a DistSpec
+    for the mixing weights, sampled once per output vector and clipped to
+    [-1, 1].  Step 1 is the r = 2 mixture reduction at eps = 1/2; step 2
+    truncates every entry to {-1, 0, +1} and pushes it through the
+    symmetric 3-ary kernel toward (P_nu, P_-nu, Q), with the row's nu and
+    one stream per row.  The trace's ``srk3_fallback_entries`` counts the
+    entries that ran out of their proposal budget and kept their Q
+    initializer.  The family's callables may run on several threads at
+    once, and must draw only from the generator passed to them.
     """
     if plan.r != 2 or plan.eps != 0.5:
         raise ParameterError("the mixture stage of the GLSM reduction needs r=2, eps=1/2")
@@ -797,10 +797,8 @@ def pds_to_glsm(G: Graph, E: VertexPartition, plan: ReductionPlan, tau: float,
     nus = np.clip(np.asarray(sample_dist(D, rng.child("nu"), size=n), dtype=float), -1.0, 1.0)
     B, in_trace = truncate_tern(inst.samples, tau), inst.trace
     del inst  # the Gaussian samples, before the kernel allocates its output
-    X, fallback = srk3_array(
-        B, [pair_family(v) for v in nus], [pair_family(-v) for v in nus],
-        a, mu1, mu2, n_iter, [rng.child("srk3", i) for i in range(n)],
-    )
+    X, fallback = srk3_array(B, family, nus, a, mu1, mu2, n_iter,
+                             [rng.child("srk3", i) for i in range(n)])
     out_trace = PlantedTrace(
         seed=rng.seed,
         planted_set=in_trace.planted_set,
@@ -815,10 +813,10 @@ def spca_family(n: int, k: int, theta: float):
     """The sparse-PCA (spiked covariance) target family of the GLSM reduction
     at problem size (n, k) and spike strength ``theta`` >= 0.
 
-    Returns ``(pair_family, D)``: ``pair_family(nu)`` is the pair
-    N(nu * sqrt(3 theta log n / k), 1) against N(0, 1), and D, the law of the
-    mixing weight nu, is centred Gaussian with standard deviation
-    1 / sqrt(3 log n).  theta = 0 plants nothing.
+    Returns ``(family, D)``: ``family`` has P_nu = N(nu * sqrt(3 theta log
+    n / k), 1) against Q = N(0, 1), and D, the law of the mixing weight nu,
+    is centred Gaussian with standard deviation 1 / sqrt(3 log n).  theta = 0
+    plants nothing.
     """
     if not 0.0 <= theta < math.inf:  # NaN fails this too
         raise ParameterError(f"theta must be finite and nonnegative, got {theta}")
@@ -827,16 +825,17 @@ def spca_family(n: int, k: int, theta: float):
         raise ParameterError(f"the sparse-PCA family needs n >= 2, got n={n}")
     scale = math.sqrt(3.0 * theta * math.log(n) / k)
     D = Gaussian(0.0, 1.0 / math.sqrt(3.0 * math.log(n)))
-    return (lambda nu: ComputablePair.gaussian_mean_shift(nu * scale)), D
+    return PairFamily.gaussian_mean_shift(scale), D
 
 
-def check_uc(n: int, k: int, d: int, D, pair_family, sample_budget: int,
+def check_uc(n: int, k: int, d: int, D, family: PairFamily, sample_budget: int,
              rng: RngStream) -> dict:
-    """Monte Carlo diagnostic for the universality conditions.
+    """Monte Carlo diagnostic for the universality conditions of a
+    ``PairFamily``.
 
     Condition (i): nu ~ D lies in [-1, 1] except with probability at most
     1/n.  Condition (ii): under each of P_nu, P_-nu and Q, for the first 32
-    draws of nu, the likelihood-ratio statistics satisfy
+    draws of nu, the family's likelihood ratios at nu and -nu satisfy
     |dP_nu/dQ - dP_-nu/dQ| <= 1/sqrt(k log n) and
     |dP_nu/dQ + dP_-nu/dQ - 2| <= 1/(k log n) except with frequency at most
     1e-3.  Reports observed quantiles; never raises.
@@ -854,13 +853,15 @@ def check_uc(n: int, k: int, d: int, D, pair_family, sample_budget: int,
     viol = 0
     total = 0
     probe = np.clip(nus[:nu_draws], -1.0, 1.0)
-    for j, nu in enumerate(probe):
-        pp = pair_family(float(nu))
-        pm = pair_family(float(-nu))
-        for src_idx, src in enumerate((pp.sample_planted, pm.sample_planted, pp.sample_noise)):
-            x = np.asarray(src(gen, per_source), dtype=float)
-            l1 = pp.likelihood_ratio(x) - pm.likelihood_ratio(x)
-            l2 = pp.likelihood_ratio(x) + pm.likelihood_ratio(x) - 2.0
+    for nu in probe.tolist():
+        for x in (family.sample_planted(gen, nu, per_source),
+                  family.sample_planted(gen, -nu, per_source),
+                  family.sample_noise(gen, per_source)):
+            x = np.asarray(x, dtype=float)
+            lr_p = np.exp(family.log_likelihood_ratio(x, nu))
+            lr_m = np.exp(family.log_likelihood_ratio(x, -nu))
+            l1 = lr_p - lr_m
+            l2 = lr_p + lr_m - 2.0
             ok = (np.abs(l1) <= bound1) & (np.abs(l2) <= bound2)
             viol += int((~ok).sum())
             total += x.size

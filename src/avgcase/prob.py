@@ -44,7 +44,6 @@ __all__ = [
     "Gaussian",
     "Tern",
     "FinitePmf",
-    "Mixture",
     "DistSpec",
     "validate_spec",
     "sample",
@@ -236,16 +235,7 @@ class FinitePmf:
         return np.asarray(self.values, dtype=float), np.asarray(self.probs, dtype=float)
 
 
-@dataclass(frozen=True)
-class Mixture:
-    """Draw ``left`` with probability ``1 - eps`` and ``right`` with probability ``eps``."""
-
-    eps: float
-    left: "DistSpec"
-    right: "DistSpec"
-
-
-DistSpec = Union[Bernoulli, Binomial, Hypergeometric, Gaussian, Tern, FinitePmf, Mixture]
+DistSpec = Union[Bernoulli, Binomial, Hypergeometric, Gaussian, Tern, FinitePmf]
 
 
 def _check_prob(p, name):
@@ -279,10 +269,6 @@ def validate_spec(spec: DistSpec) -> None:
             raise ParameterError("FinitePmf probabilities must be nonnegative")
         if abs(float(probs.sum()) - 1.0) > _PROB_TOL:
             raise ParameterError(f"FinitePmf probabilities sum to {probs.sum()!r}, not 1")
-    elif isinstance(spec, Mixture):
-        _check_prob(spec.eps, "Mixture eps")
-        validate_spec(spec.left)
-        validate_spec(spec.right)
     else:
         raise ParameterError(f"unknown distribution spec {spec!r}")
 
@@ -322,11 +308,6 @@ def _sample_with(spec: DistSpec, g: np.random.Generator, size):
         values, probs = spec.as_arrays()
         idx = g.choice(values.size, size=size, p=np.clip(probs, 0, None) / probs.sum())
         return values[idx]
-    if isinstance(spec, Mixture):
-        take_right = g.random(size) < spec.eps
-        left = np.asarray(_sample_with(spec.left, g, size), dtype=float)
-        right = np.asarray(_sample_with(spec.right, g, size), dtype=float)
-        return np.where(take_right, right, left)
     raise ParameterError(f"unknown distribution spec {spec!r}")
 
 
@@ -367,17 +348,6 @@ def finite_pmf(spec: DistSpec):
         return FinitePmf((-1.0, 0.0, 1.0), tern_pmf(spec.a, spec.mu1, spec.mu2))
     if isinstance(spec, FinitePmf):
         return spec
-    if isinstance(spec, Mixture):
-        left = finite_pmf(spec.left)
-        right = finite_pmf(spec.right)
-        if left is None or right is None:
-            return None
-        support = np.union1d(left.as_arrays()[0], right.as_arrays()[0])
-        probs = np.zeros_like(support)
-        for part, weight in ((left, 1.0 - spec.eps), (right, spec.eps)):
-            vals, ps = part.as_arrays()
-            probs[np.searchsorted(support, vals)] += weight * ps
-        return FinitePmf(tuple(support), tuple(probs))
     return None
 
 

@@ -642,9 +642,9 @@ def _battery_glsm(params, trials, alpha, rng, fault):
     plan = pl.plan_parameters("GLSM", params["p"], params["q"], 2.0, n=n, k=k,
                               d=params["d"])
     E = VertexPartition.contiguous(plan.N, k)
-    pair_family, D = pl.spca_family(n, k, params["theta"])
+    family, D = pl.spca_family(n, k, params["theta"])
     G0 = sample_gnq(plan.N, plan.q, rng.child("h0-graph"))
-    X, _ = pl.pds_to_glsm(G0, E, plan, params["tau"], pair_family, D, rng.child("h0-run"))
+    X, _ = pl.pds_to_glsm(G0, E, plan, params["tau"], family, D, rng.child("h0-run"))
     _, pvals = ks_matrix(X.T, sst.norm.cdf)
     worst = float(pvals.min())
     tests = [_test_entry("h0_per_coordinate_ks_vs_Q", worst, worst,

@@ -21,7 +21,7 @@ from avgcase.geometry import build_H
 from avgcase.graphs import (Graph, PlantedTrace, VertexPartition, sample_gnq,
                             sample_k_pds, sample_planted_conditional,
                             semirandom_apply)
-from avgcase.kernels import ComputablePair, srk3_array, tern_params_from_truncation
+from avgcase.kernels import PairFamily, srk3_array, tern_params_from_truncation
 from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, isgm_sample_clone,
                                pds_to_isgm, pds_to_semi_cr, plan_parameters,
                                sample_isgm, semi_cr_mus)
@@ -267,23 +267,22 @@ def test_criterion_08_srk3_marginals():
         a, mu1, mu2 = tern_params_from_truncation(tau, mu)
         nu = 1.0 / math.sqrt(3.0 * math.log(n_prob))
         shift = nu * math.sqrt(3.0 * theta * math.log(n_prob) / k_prob)
-        pair_p = ComputablePair.gaussian_mean_shift(shift)
-        pair_m = ComputablePair.gaussian_mean_shift(-shift)
+        family = PairFamily.gaussian_mean_shift(shift)  # targets at nu = +-1
         rng = RngStream(20_260_008)
         M = 1_000_000
         for tag, spec, loc in (("plus", Tern(a, mu1, mu2), shift),
                                ("minus", Tern(a, -mu1, mu2), -shift),
                                ("null", Tern(a, 0.0, 0.0), 0.0)):
             bits = sample(spec, rng.child("bits-" + tag), size=M)
-            out, _ = srk3_array(bits, pair_p, pair_m, a, mu1, mu2, 60,
-                             rng.child("kern-" + tag))
-            tv = empirical_tv_to_cdf(out, lambda u, s=loc: sst.norm.ppf(u, loc=s), 200)
+            out, _ = srk3_array(bits[None], family, [1.0], a, mu1, mu2, 60,
+                                [rng.child("kern-" + tag)])
+            tv = empirical_tv_to_cdf(out[0], lambda u, s=loc: sst.norm.ppf(u, loc=s), 200)
             assert tv <= 0.01, (tag, tv)
         # degenerate P+ = P- = Q: outputs are exactly Q draws
-        same = ComputablePair.gaussian_mean_shift(0.0)
+        same = PairFamily.gaussian_mean_shift(0.0)
         bits = sample(Tern(a, mu1, mu2), rng.child("dg"), size=100_000)
-        out, _ = srk3_array(bits, same, same, a, mu1, mu2, 40, rng.child("dgk"))
-        _, pval = ks_test(out, sst.norm.cdf)
+        out, _ = srk3_array(bits[None], same, [1.0], a, mu1, mu2, 40, [rng.child("dgk")])
+        _, pval = ks_test(out[0], sst.norm.cdf)
         assert pval > ALPHA, pval
 
 

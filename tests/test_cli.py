@@ -402,13 +402,3 @@ def test_help_mentions_flags(capsys):
     out = capsys.readouterr().out
     for flag in ("--n", "--k", "--p", "--q", "--seed", "--out"):
         assert flag in out
-
-
-def test_amat_csv_export(tmp_path):
-    from avgcase.formats import amat_to_csv
-
-    m = np.array([[1.5, -2.0], [0.25, 9.0]])
-    write_amat(tmp_path / "m.amat", m)
-    amat_to_csv(tmp_path / "m.amat", tmp_path / "m.csv")
-    back = np.loadtxt(tmp_path / "m.csv", delimiter=",")
-    assert np.array_equal(back, m)

@@ -321,6 +321,10 @@ def test_semirandom_monotone_and_protected():
     bad[S[0], S[1]] = 0.5
     with pytest.raises(AdversaryViolation):
         semirandom_apply(G, tr, bad, RngStream(17))
+    # rates come as an (n, n) array only, not as a callable f(i, j)
+    for not_rates in (lambda i, j: 0.0, {"rate": 0.0}, "0.5", rates[:, :3]):
+        with pytest.raises(ParameterError):
+            semirandom_apply(G, tr, not_rates, RngStream(18))
 
 
 def test_corrupt_samples_modes():

@@ -1,5 +1,6 @@
 """Tests for the rejection-kernel primitives."""
 
+import dataclasses
 import hashlib
 import math
 import sys
@@ -13,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from avgcase import kernels, prob
 from avgcase.errors import ParameterError
-from avgcase.kernels import (_BLOCK, ComputablePair, check_unit_mean, gaussianize,
+from avgcase.kernels import (_BLOCK, PairFamily, gaussianize,
                              gaussianize_mu_bound, rejection_delta,
                              rk_gauss_array, srk3_array,
                              tern_params_from_truncation, truncate_tern)
@@ -324,28 +325,32 @@ def test_srk3_branch_formulas_reconstruct_likelihoods():
     # must reconstruct dP+/dQ, 1 and dP-/dQ pointwise; this pins down every
     # branch formula including the B = -1 sign convention.
     a, mu1, mu2, shift = 0.7, 0.04, 0.002, 0.05
-    pp = ComputablePair.gaussian_mean_shift(shift)
-    pm = ComputablePair.gaussian_mean_shift(-shift)
+    family = PairFamily.gaussian_mean_shift(shift)
     x = np.linspace(-3, 3, 41)
-    l1 = pp.likelihood_ratio(x) - pm.likelihood_ratio(x)
-    l2 = pp.likelihood_ratio(x) + pm.likelihood_ratio(x) - 2.0
+    lr_p = np.exp(family.log_likelihood_ratio(x, 1.0))
+    lr_m = np.exp(family.log_likelihood_ratio(x, -1.0))
+    l1 = lr_p - lr_m
+    l2 = lr_p + lr_m - 2.0
     A_plus = 1.0 + (a / (4 * mu2)) * l2 + l1 / (4 * mu1)
     A_zero = 1.0 - ((1 - a) / (4 * mu2)) * l2
     A_minus = 1.0 + (a / (4 * mu2)) * l2 - l1 / (4 * mu1)
-    for m1, target in ((mu1, pp.likelihood_ratio(x)),
-                       (-mu1, pm.likelihood_ratio(x)),
-                       (0.0, np.ones_like(x))):
+    for m1, target in ((mu1, lr_p), (-mu1, lr_m), (0.0, np.ones_like(x))):
         w_m, w_0, w_p = tern_pmf(a, m1, mu2 if m1 else 0.0)
         mix = w_p * A_plus + w_0 * A_zero + w_m * A_minus
         assert_allclose(mix, target, atol=1e-12)
+
+
+def _srk3_row(bits, shift, params, n_iter, rng):
+    """srk3 on the one row ``bits`` toward N(shift, 1), N(-shift, 1), N(0, 1)."""
+    out, _ = srk3_array(bits[None], PairFamily.gaussian_mean_shift(shift), [1.0],
+                        *params, n_iter, [rng])
+    return out[0]
 
 
 def test_srk3_zero_branch_single_round_acceptance():
     # B = 0, one iteration: acceptance frequency matches
     # E_Q[ 1_S(x) * (1/2) (1 - (1-a)/(4 mu2) L2(x)) ].
     a, mu1, mu2, shift = 0.68, 0.01, 5e-4, 0.02
-    pp = ComputablePair.gaussian_mean_shift(shift)
-    pm = ComputablePair.gaussian_mean_shift(-shift)
     gate2 = 2 * mu2 / max(a, 1 - a)
 
     def integrand(x):
@@ -360,7 +365,7 @@ def test_srk3_zero_branch_single_round_acceptance():
     bits = np.zeros(200_000, dtype=np.int64)
     rng = RngStream(12)
     init = rng.child("srk3").generator().standard_normal(bits.size)
-    out, _ = srk3_array(bits, pp, pm, a, mu1, mu2, 1, rng)
+    out = _srk3_row(bits, shift, (a, mu1, mu2), 1, rng)
     freq = float((out != init).mean())
     assert abs(freq - expect) < 4 * math.sqrt(expect * (1 - expect) / bits.size)
 
@@ -368,9 +373,8 @@ def test_srk3_zero_branch_single_round_acceptance():
 def test_srk3_degenerate_identity():
     # P+ = P- = Q: L1 = L2 = 0, every branch accepts w.p. 1/2 and the output
     # is exactly Q regardless of the input symbol.
-    same = ComputablePair.gaussian_mean_shift(0.0)
     bits = sample(Tern(0.5, 0.1, 0.05), RngStream(13).child("bits"), size=50_000)
-    out, _ = srk3_array(bits, same, same, 0.5, 0.1, 0.05, 30, RngStream(13).child("k"))
+    out = _srk3_row(bits, 0.0, (0.5, 0.1, 0.05), 30, RngStream(13).child("k"))
     stat, pval = ks_test(out, sst.norm.cdf)
     assert pval > 1e-4
 
@@ -382,13 +386,11 @@ def test_srk3_three_marginals_ks():
     shift = 3e-4
     mu = 0.016
     a, mu1, mu2 = tern_params_from_truncation(1.0, mu)
-    pp = ComputablePair.gaussian_mean_shift(shift)
-    pm = ComputablePair.gaussian_mean_shift(-shift)
     for spec, loc, tag in ((Tern(a, mu1, mu2), shift, "p"),
                            (Tern(a, -mu1, mu2), -shift, "m"),
                            (Tern(a, 0.0, 0.0), 0.0, "q")):
         bits = sample(spec, RngStream(14).child("b" + tag), size=100_000)
-        out, _ = srk3_array(bits, pp, pm, a, mu1, mu2, 50, RngStream(14).child("k" + tag))
+        out = _srk3_row(bits, shift, (a, mu1, mu2), 50, RngStream(14).child("k" + tag))
         stat, pval = ks_test(out, lambda x, s=loc: sst.norm.cdf(x, loc=s))
         assert pval > 1e-4, (tag, stat, pval)
 
@@ -399,40 +401,42 @@ def test_srk3_gate_truncation():
     # failure mass is negligible.
     shift, mu = 3e-3, 0.016
     a, mu1, mu2 = tern_params_from_truncation(1.0, mu)
-    pp = ComputablePair.gaussian_mean_shift(shift)
-    pm = ComputablePair.gaussian_mean_shift(-shift)
     bits = sample(Tern(a, 0.0, 0.0), RngStream(24).child("b"), size=50_000)
-    out, _ = srk3_array(bits, pp, pm, a, mu1, mu2, 50, RngStream(24).child("k"))
+    out = _srk3_row(bits, shift, (a, mu1, mu2), 50, RngStream(24).child("k"))
     cut = mu1 / shift  # the |L1| gate collapses to roughly |x| <= mu1/shift
     assert cut < 2.0
     assert np.abs(out).max() < cut * 1.5
 
 
 def test_srk3_parameter_errors():
-    pp = ComputablePair.gaussian_mean_shift(0.1)
+    family = PairFamily.gaussian_mean_shift(0.1)
+    one = np.array([[0]])
     with pytest.raises(ParameterError):
-        srk3_array(np.array([0]), pp, pp, 0.5, 0.0, 0.01, 10, RngStream(15))  # mu1 = 0
+        srk3_array(one, family, [1.0], 0.5, 0.0, 0.01, 10, [RngStream(15)])  # mu1 = 0
     with pytest.raises(ParameterError):
-        srk3_array(np.array([0]), pp, pp, 0.5, 0.3, 0.01, 10, RngStream(15))  # Tern invalid
+        srk3_array(one, family, [1.0], 0.5, 0.3, 0.01, 10, [RngStream(15)])  # Tern invalid
     with pytest.raises(ParameterError):
-        srk3_array(np.array([2]), pp, pp, 0.5, 0.01, 0.01, 10, RngStream(15))  # bad symbol
+        srk3_array(one + 2, family, [1.0], 0.5, 0.01, 0.01, 10, [RngStream(15)])  # bad symbol
+    with pytest.raises(ParameterError, match="finite nu"):
+        srk3_array(one, family, [np.nan], 0.5, 0.01, 0.01, 10, [RngStream(15)])
 
 
-def _srk3_reference(bits, pair_plus, pair_minus, a, mu1, mu2, n_iter, rng):
-    """The one-row srk3 loop that the blocked kernel replaced, kept as the
-    reference for its bytes; returns (out, entries that kept the initializer)."""
+def _srk3_reference(bits, family, nu, a, mu1, mu2, n_iter, rng):
+    """The one-row srk3 loop that the blocked kernel replaced, at the row's
+    scalar nu, kept as the reference for its bytes; returns (out, entries
+    that kept the initializer)."""
     gen = rng.child("srk3").generator()
-    out = np.asarray(pair_plus.sample_noise(gen, bits.size), dtype=float)
+    out = np.asarray(family.sample_noise(gen, bits.size), dtype=float)
     flat_bits = bits.ravel()
     gate2 = 2.0 * abs(mu2) / max(a, 1.0 - a)
     remaining = np.arange(flat_bits.size)
     for _ in range(n_iter):
         if remaining.size == 0:
             break
-        z = np.asarray(pair_plus.sample_noise(gen, remaining.size), dtype=float)
+        z = np.asarray(family.sample_noise(gen, remaining.size), dtype=float)
         u = gen.random(remaining.size)
-        lr_p = pair_plus.likelihood_ratio(z)
-        lr_m = pair_minus.likelihood_ratio(z)
+        lr_p = np.exp(family.log_likelihood_ratio(z, nu))
+        lr_m = np.exp(family.log_likelihood_ratio(z, -nu))
         l1 = lr_p - lr_m
         l2 = lr_p + lr_m - 2.0
         gated = (np.abs(l1) <= 2.0 * abs(mu1)) & (np.abs(l2) <= gate2)
@@ -453,23 +457,22 @@ def _srk3_reference(bits, pair_plus, pair_minus, a, mu1, mu2, n_iter, rng):
 
 
 def _srk3_rows(n, d, seed, shifts=None):
-    """An (n, d) ternary input, its per-row pairs and streams, and srk3
-    parameters whose gates cut a sizeable share of Q's mass (about the
-    benchmark's regime)."""
+    """An (n, d) ternary input, the unit Gaussian family with one nu (the
+    row's mean shift) and one stream per row, and srk3 parameters whose
+    gates cut a sizeable share of Q's mass (about the benchmark's regime)."""
     a, mu1, mu2 = tern_params_from_truncation(1.0, 0.016)
     rng = RngStream(seed)
     bits = sample(Tern(a, mu1, mu2), rng.child("bits"), size=n * d).reshape(n, d)
     if shifts is None:
         shifts = 1e-2 * rng.child("nu").generator().standard_normal(n)
-    plus = [ComputablePair.gaussian_mean_shift(s) for s in shifts]
-    minus = [ComputablePair.gaussian_mean_shift(-s) for s in shifts]
     streams = [rng.child("srk3", i) for i in range(n)]
-    return bits, plus, minus, streams, (a, mu1, mu2)
+    return (bits, PairFamily.gaussian_mean_shift(1.0), np.asarray(shifts, dtype=float),
+            streams, (a, mu1, mu2))
 
 
-def _srk3_reference_rows(bits, plus, minus, streams, params, n_iter):
-    rows = [_srk3_reference(b, pp, pm, *params, n_iter, s)
-            for b, pp, pm, s in zip(bits, plus, minus, streams)]
+def _srk3_reference_rows(bits, family, nus, streams, params, n_iter):
+    rows = [_srk3_reference(b, family, nu, *params, n_iter, s)
+            for b, nu, s in zip(bits, nus, streams)]
     return np.stack([out for out, _ in rows]), sum(left for _, left in rows)
 
 
@@ -477,46 +480,59 @@ def _srk3_reference_rows(bits, plus, minus, streams, params, n_iter):
     (10, 20, 64),     # 3 rows a block: 10 is not a multiple
     (5, 100, 64),     # a row longer than a block: one row a block
     (300, 1000, None),  # the default block, 262 rows, and a short last block
+    (1, 5000, None),  # one row, passed as bits[None], [nu], [stream]
 ])
 def test_srk3_blocks_match_the_one_row_loop(monkeypatch, n, d, block):
     if block is not None:
         monkeypatch.setattr(kernels, "_BLOCK", block)
-    bits, plus, minus, streams, params = _srk3_rows(n, d, 60)
-    out, fallback = srk3_array(bits, plus, minus, *params, 30, streams)
-    ref, ref_fallback = _srk3_reference_rows(bits, plus, minus, streams, params, 30)
-    assert out.tobytes() == ref.tobytes()
+    bits, family, nus, streams, params = _srk3_rows(n, d, 60)
+    out, fallback = srk3_array(bits, family, nus, *params, 30, streams)
+    ref, ref_fallback = _srk3_reference_rows(bits, family, nus, streams, params, 30)
+    assert out.shape == (n, d) and out.tobytes() == ref.tobytes()
     assert fallback == ref_fallback > 0
 
 
 def test_srk3_row_that_falls_back_everywhere():
     # A shift far past the gates rejects every proposal of row 1: it keeps
     # its initializer whole, and the rows around it are unaffected.
-    bits, plus, minus, streams, params = _srk3_rows(3, 50, 61, shifts=[1e-4, 5.0, -1e-4])
-    out, fallback = srk3_array(bits, plus, minus, *params, 20, streams)
-    ref, ref_fallback = _srk3_reference_rows(bits, plus, minus, streams, params, 20)
+    bits, family, nus, streams, params = _srk3_rows(3, 50, 61, shifts=[1e-4, 5.0, -1e-4])
+    out, fallback = srk3_array(bits, family, nus, *params, 20, streams)
+    ref, ref_fallback = _srk3_reference_rows(bits, family, nus, streams, params, 20)
     assert out.tobytes() == ref.tobytes()
     init = streams[1].child("srk3").generator().standard_normal(50)
     assert np.array_equal(out[1], init)
     assert fallback == ref_fallback == 50
 
 
-def test_srk3_one_row_call_matches_the_one_row_loop():
-    bits, plus, minus, streams, params = _srk3_rows(1, 5000, 62)
-    out, _ = srk3_array(bits[0], plus[0], minus[0], *params, 30, streams[0])
-    ref, _ = _srk3_reference(bits[0], plus[0], minus[0], *params, 30, streams[0])
-    assert out.shape == (5000,) and out.tobytes() == ref.tobytes()
+def test_srk3_evaluates_the_ratios_once_per_block_step(monkeypatch):
+    # Two log_likelihood_ratio calls per block step, at nu and -nu of every
+    # open entry, whatever the number of rows in the block.  Every shift
+    # here is far past the gates, so each block runs all 20 steps.
+    monkeypatch.setattr(kernels, "_BLOCK", 2 * 50)
+    bits, family, nus, streams, params = _srk3_rows(5, 50, 66, shifts=[5.0, -5.0, 6.0, -6.0, 7.0])
+    calls = []
+
+    def llr(x, nu):
+        calls.append(np.shape(nu))
+        return family.log_likelihood_ratio(x, nu)
+
+    counted = dataclasses.replace(family, log_likelihood_ratio=llr)
+    _, fallback = srk3_array(bits, counted, nus, *params, 20, streams)
+    assert fallback == bits.size
+    assert len(calls) == 2 * 20 * 3  # 3 blocks (2, 2 and 1 rows) of 20 steps
+    assert {shape[0] for shape in calls} == {50, 100}  # one nu per open entry
 
 
 def test_srk3_bytes_independent_of_workers(monkeypatch):
     # Serial, the default pool, and more workers than cores under a short
     # switch interval give the same bytes.
     monkeypatch.setattr(kernels, "_BLOCK", 4 * 300)
-    bits, plus, minus, streams, params = _srk3_rows(40, 300, 63)
+    bits, family, nus, streams, params = _srk3_rows(40, 300, 63)
 
     def run(cpus, cap):
         monkeypatch.setattr(prob, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(prob, "_MAX_IN_FLIGHT", cap)
-        return srk3_array(bits, plus, minus, *params, 30, streams)[0].tobytes()
+        return srk3_array(bits, family, nus, *params, 30, streams)[0].tobytes()
 
     serial = run(prob._usable_cpus(), 1)
     assert run(prob._usable_cpus(), prob._MAX_IN_FLIGHT) == serial
@@ -533,10 +549,10 @@ def test_srk3_transient_memory_bounded(monkeypatch):
     # (all of them in flight here, whatever the host's core count): the peak
     # allocation inside the call exceeds its output by a fixed allowance.
     monkeypatch.setattr(prob, "_usable_cpus", lambda: prob._MAX_IN_FLIGHT)
-    bits, plus, minus, streams, params = _srk3_rows(512, 4096, 64)
+    bits, family, nus, streams, params = _srk3_rows(512, 4096, 64)
     tracemalloc.start()
     try:
-        X, _ = srk3_array(bits, plus, minus, *params, 62, streams)
+        X, _ = srk3_array(bits, family, nus, *params, 62, streams)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -544,13 +560,16 @@ def test_srk3_transient_memory_bounded(monkeypatch):
 
 
 def test_srk3_needs_one_pair_and_stream_per_row():
-    bits, plus, minus, streams, params = _srk3_rows(4, 10, 65)
-    for args in ((plus[:3], minus, streams), (plus, minus * 2, streams),
-                 (plus, minus, streams[:1]), (plus[0], minus[0], streams[0])):
+    # one nu and one stream per row of a 2-D stack, and nothing but a stack
+    bits, family, nus, streams, params = _srk3_rows(4, 10, 65)
+    for nu_arg, stream_arg in ((nus[:3], streams), (np.tile(nus, 2), streams),
+                               (nus.reshape(2, 2), streams), (nus, streams[:1]),
+                               (nus[0], streams[0]), (nus, streams[0])):
         with pytest.raises(ParameterError, match="4-row input"):
-            srk3_array(bits, *args[:2], *params, 10, args[2])
-    with pytest.raises(ParameterError, match="2-D stack"):
-        srk3_array(bits[None], plus, minus, *params, 10, streams)
+            srk3_array(bits, family, nu_arg, *params, 10, stream_arg)
+    for shape in (bits[0], bits[None]):  # one row must come as bits[None]
+        with pytest.raises(ParameterError, match="2-D stack"):
+            srk3_array(shape, family, nus[:1], *params, 10, streams[:1])
 
 
 def test_truncate_tern():
@@ -593,10 +612,14 @@ def test_tern_truncation_monte_carlo_roundtrip():
 
 
 def test_computable_pairs_unit_mean():
-    for pair in (ComputablePair.gaussian_mean_shift(0.3),
-                 ComputablePair.bernoulli(0.7, 0.4),
-                 ComputablePair.exponential(1.3, 1.0)):
-        check_unit_mean(pair, RngStream(17).child(pair.label))
+    # E_Q[dP_nu/dQ] = 1 for the Gaussian family at several nu, evaluated
+    # with nu broadcast against the draws from Q.
+    family = PairFamily.gaussian_mean_shift(0.3)
+    nus = np.array([-1.0, -0.4, 0.0, 0.25, 1.0])
+    x = family.sample_noise(RngStream(17).child("unit-mean").generator(), 100_000)
+    lr = np.exp(family.log_likelihood_ratio(x[:, None], nus))
+    assert lr.shape == (x.size, nus.size)
+    assert np.all(np.abs(lr.mean(axis=0) - 1.0) <= 5.0 * lr.std(axis=0) / math.sqrt(x.size) + 1e-12)
 
 
 def test_gaussianize_then_rotation_isotropy():

@@ -17,7 +17,7 @@ from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, check_uc,
                                pds_to_glsm, pds_to_isgm, pds_to_semi_cr,
                                plan_parameters, sample_isgm, semi_cr_mus,
                                spca_family, to_k_partite_submatrix)
-from avgcase.kernels import ComputablePair, gaussianize, gaussianize_mu_bound
+from avgcase.kernels import PairFamily, gaussianize, gaussianize_mu_bound
 from avgcase.prob import Gaussian, RngStream
 from avgcase.verify import chi2_test
 
@@ -565,9 +565,9 @@ def test_semi_cr_builds_no_padded_matrix():
 # glsm + universality checker
 # ---------------------------------------------------------------------------
 
-def _mean_shift(pair):
+def _mean_shifts(family, nus):
     # N(s, 1) against N(0, 1) has log-likelihood ratio s x - s^2 / 2, slope s
-    return float(np.diff(pair.log_likelihood_ratio([0.0, 1.0]))[0])
+    return np.diff(family.log_likelihood_ratio([[0.0], [1.0]], nus), axis=0)[0]
 
 
 def test_spca_family_is_the_corollary_configuration():
@@ -577,11 +577,11 @@ def test_spca_family_is_the_corollary_configuration():
     scale = math.sqrt(3.0 * theta * math.log(n) / k)
     x = np.linspace(-3.0, 3.0, 7)
     for nu in (-0.4, 0.0, 0.25):
-        expected = ComputablePair.gaussian_mean_shift(nu * scale)
-        assert_array_equal(family(nu).log_likelihood_ratio(x), expected.log_likelihood_ratio(x))
-    # theta = 0 is the no-spike family: every pair is Q against itself
+        shift = nu * scale
+        assert_array_equal(family.log_likelihood_ratio(x, nu), shift * x - 0.5 * shift * shift)
+    # theta = 0 is the no-spike family: every P_nu is Q
     null, _ = spca_family(n, k, 0.0)
-    assert_array_equal(null(0.7).log_likelihood_ratio(x), np.zeros_like(x))
+    assert_array_equal(null.log_likelihood_ratio(x, 0.7), np.zeros_like(x))
 
 
 def test_glsm_h0_shape_and_coordinates():
@@ -634,7 +634,7 @@ def test_glsm_planted_coordinate_means():
         nus = np.asarray(otr.params["nu"])
         pos = np.zeros(64, dtype=bool)
         pos[otr.component_set] = True
-        means = [_mean_shift(family(nu)) for nu in nus[pos]]
+        means = _mean_shifts(family, nus[pos])
         acc.append((X[np.ix_(pos, S)] - np.outer(means, np.ones(S.size))).ravel())
     resid = np.concatenate(acc)
     z = resid.mean() * math.sqrt(resid.size)
@@ -645,8 +645,8 @@ def test_check_uc_spca_passes_and_fat_fails():
     family, D = spca_family(10_000, 100, 1e-3)
     rep = check_uc(10_000, 100, 1000, D, family, 60_000, RngStream(143))
     assert rep["condition_i"]["pass"] and rep["condition_ii"]["pass"]
-    # a deliberately fat planted family (mean shift 1) breaks condition (ii)
-    fat = lambda nu: ComputablePair.gaussian_mean_shift(float(np.sign(nu) or 1.0))
+    # a deliberately fat planted family (mean shifts near 1) breaks condition (ii)
+    fat = PairFamily.gaussian_mean_shift(10.0)
     rep2 = check_uc(10_000, 100, 1000, D, fat, 20_000, RngStream(144))
     assert not rep2["condition_ii"]["pass"]
 

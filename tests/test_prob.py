@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from avgcase import prob
 from avgcase.errors import DomainError, ParameterError
 from avgcase.prob import (Bernoulli, Binomial, FinitePmf, Gaussian,
-                          Hypergeometric, Mixture, RngStream, Tern,
+                          Hypergeometric, RngStream, Tern,
                           finite_pmf, normal_cdf, normal_quantile, sample,
                           tern_pmf, uniform_below, validate_spec)
 from avgcase.verify import chi2_gof_counts
@@ -82,7 +82,6 @@ def test_spec_validation_errors():
         Gaussian(0.0, 0.0),
         Hypergeometric(10, 12, 5),
         FinitePmf((1.0, 2.0), (0.7, 0.7)),
-        Mixture(2.0, Bernoulli(0.5), Bernoulli(0.5)),
     ):
         with pytest.raises(ParameterError):
             validate_spec(bad)
@@ -94,31 +93,12 @@ def test_spec_validation_errors():
     Hypergeometric(50, 20, 12),
     Tern(0.6, 0.05, 0.01),
     FinitePmf((0.0, 1.0, 5.0), (0.2, 0.5, 0.3)),
-    Mixture(0.25, Bernoulli(0.2), Binomial(3, 0.9)),
 ])
 def test_finite_specs_chi2_gof(spec):
     # 1e5 samples pass a chi-square test against the exact pmf at 1e-4.
     x = sample(spec, RngStream(2026).child(repr(spec)), size=100_000)
     stat, pval = chi2_gof_counts(np.asarray(x, dtype=float), finite_pmf(spec))
     assert pval > 1e-4, (spec, stat, pval)
-
-
-def test_mixture_choice_marginal():
-    # Distinguishable components: the count of right-component draws follows
-    # Binomial(n, eps).
-    spec = Mixture(0.3, Gaussian(0.0, 1.0), Gaussian(100.0, 1.0))
-    x = sample(spec, RngStream(31).child("mix"), size=100_000)
-    n_right = int((x > 50).sum())
-    from scipy.stats import binomtest
-
-    assert binomtest(n_right, 100_000, 0.3).pvalue > 1e-4
-
-
-def test_finite_pmf_of_mixture_merges_support():
-    pm = finite_pmf(Mixture(0.5, Bernoulli(1.0), Bernoulli(0.0)))
-    values, probs = pm.as_arrays()
-    assert_allclose(values, [0.0, 1.0])
-    assert_allclose(probs, [0.5, 0.5])
 
 
 def test_normal_cdf_against_oracle():
