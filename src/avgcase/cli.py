@@ -255,13 +255,13 @@ def _cmd_verify(args) -> int:
 
     if args.trials < 1:
         raise ParameterError(f"--trials must be at least 1, got {args.trials}")
-    out = _out_dir(args)
     try:
         params = json.loads(args.params)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"--params is not valid JSON: {exc}") from None
     report = verify_reduction(args.pipeline, params, args.trials, args.alpha,
                               seed=args.seed, fault=args.fault)
+    out = _out_dir(args)  # only now: a rejected run leaves no directory
     dump_json(out / "report.json", report)
     for t in report["tests"]:
         print(f"  [{t['status']:>12}] {t['name']}")

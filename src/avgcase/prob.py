@@ -17,17 +17,27 @@ method is numpy's ziggurat ``standard_normal``.  Within one installed
 toolchain all draws are bit-reproducible.
 
 Large draws and per-block loops run on threads without changing a value.
-``_run_blocks`` is the one pool policy of the package (the kernels' blocks,
-the pad and the rotation of ``pds_to_isgm``), and ``uniform_below`` makes
-the Bernoulli draw ``gen.random(shape) < p`` in bands on that pool, splitting
-one Philox stream by counter jumps; its docstring gives the argument that
-the values and the generator's final state are exactly the one-shot draw's.
+This module holds the package's one pool policy, ``_pool_size``: at most
+min(usable CPUs, ``_MAX_IN_FLIGHT``) workers, and within a trial worker only
+its share of the CPUs.  Two runners apply it:
+
+* ``_run_blocks`` runs the blocks of one large input on threads (the
+  kernels' blocks, the pad and the rotation of ``pds_to_isgm``), and
+  ``uniform_below`` makes the Bernoulli draw ``gen.random(shape) < p`` in
+  bands on it, splitting one Philox stream by counter jumps; its docstring
+  gives the argument that the values and the generator's final state are
+  exactly the one-shot draw's.
+* ``_run_trials`` runs the independent trials of a verify battery in forked
+  worker processes, since a trial is many small numpy calls that hold the
+  GIL.  Each trial draws from its own keyed streams and the results come
+  back in trial order, so the caller's reduction over them keeps its bits.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -97,8 +107,8 @@ class RngStream:
 # Pool policy and banded uniform draws
 # ---------------------------------------------------------------------------
 
-# The most blocks (or bands) in flight at once: a loop run through
-# ``_run_blocks`` holds the transients of at most this many.
+# The most blocks (or bands, or trial processes) in flight at once: a loop
+# run through ``_run_blocks`` holds the transients of at most this many.
 _MAX_IN_FLIGHT = 4
 
 
@@ -110,13 +120,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# The processes that share this one's CPUs: a trial worker of
+# ``_run_trials`` inherits the number of trial workers, so that the pools it
+# starts take only its share of the CPUs.
+_SHARERS = 1
+
+
+def _pool_size(n_tasks: int) -> int:
+    """min(this process's share of the usable CPUs, tasks, ``_MAX_IN_FLIGHT``)."""
+    return min(_usable_cpus() // _SHARERS, n_tasks, _MAX_IN_FLIGHT)
+
+
 def _run_blocks(run, n_blocks: int) -> None:
     """Call ``run(i)`` for every block i, on a thread pool of
-    min(usable CPUs, blocks, ``_MAX_IN_FLIGHT``) workers; one worker runs
-    the blocks in order on the calling thread.  numpy's generators, ufuncs
-    and BLAS calls release the GIL, so the blocks overlap; a worker's error
-    is re-raised here."""
-    workers = min(_usable_cpus(), n_blocks, _MAX_IN_FLIGHT)
+    ``_pool_size(n_blocks)`` workers; one worker runs the blocks in order
+    on the calling thread.  numpy's generators, ufuncs and BLAS calls
+    release the GIL, so the blocks overlap; a worker's error is re-raised
+    here."""
+    workers = _pool_size(n_blocks)
     if workers <= 1:
         for i in range(n_blocks):
             run(i)
@@ -126,6 +147,50 @@ def _run_blocks(run, n_blocks: int) -> None:
 
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(run, range(n_blocks)))
+
+
+# The trial of the running ``_run_trials`` call.  A closure does not pickle,
+# so forked workers reach it here, in the memory they inherit, as they do
+# ``_SHARERS``.
+_TRIAL = None
+
+
+def _run_chunk(lo: int, hi: int) -> list:
+    return [_TRIAL(i) for i in range(lo, hi)]
+
+
+def _run_trials(trial, n: int) -> list:
+    """``[trial(i) for i in range(n)]``, in trial order, with contiguous
+    chunks of trials run in ``_pool_size(n)`` forked worker processes.
+
+    It runs serially, in this process, when there is one worker, when the
+    platform cannot fork, or when other threads are alive (a fork copies
+    only the calling thread, so a lock another thread holds would stay held
+    in the child).  An error raised by a trial is re-raised here; a worker
+    that dies raises ``BrokenProcessPool``.  Every worker is reaped before
+    this returns or raises.  ``trial``'s results must pickle; ``trial``
+    itself need not.
+    """
+    global _TRIAL, _SHARERS
+    workers = _pool_size(n)
+    if workers <= 1 or threading.active_count() > 1:
+        return [trial(i) for i in range(n)]
+    # imported here, so that commands that never fork (generate, reduce) skip it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [trial(i) for i in range(n)]
+    bounds = [n * j // workers for j in range(workers + 1)]
+    outer = _TRIAL, _SHARERS
+    _TRIAL, _SHARERS = trial, _SHARERS * workers
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        chunks = list(pool.map(_run_chunk, bounds[:-1], bounds[1:]))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        _TRIAL, _SHARERS = outer
+    return [result for chunk in chunks for result in chunk]
 
 
 # Doubles per band of ``uniform_below``: a multiple of the 4 outputs of one

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FeasibilityError, ParameterError, TestError
 from .graphs import VertexPartition
-from .prob import FinitePmf, RngStream, finite_pmf, normal_cdf
+from .prob import FinitePmf, RngStream, _run_trials, finite_pmf, normal_cdf
 
 __all__ = [
     "exact_tv",
@@ -475,17 +475,17 @@ def semi_cr_class_counts(G_out, trace):
     labels[V] = 1
     labels[S2] = 2
     labels[S] = 3
-    iu = np.triu_indices(n, k=1)
-    la, lb = labels[iu[0]], labels[iu[1]]
-    e = adj[iu]
-    masks = [
-        (la == 3) & (lb == 3),
-        ((la == 3) & (lb == 2)) | ((la == 2) & (lb == 3)),
-        (la == 2) & (lb == 2),
-        (la >= 1) & (lb >= 1) & ~((la >= 2) & (lb >= 2)),
-    ]
-    hits = np.array([e[mask].sum() for mask in masks], dtype=float)
-    return hits, np.array([mask.sum() for mask in masks], dtype=float)
+    onehot = np.zeros((n, 4))
+    onehot[np.arange(n), labels] = 1.0
+    # B[a, b]: edges between labels a != b, and twice those within a = b
+    B = onehot.T @ (adj @ onehot)
+    c = onehot.sum(axis=0)
+    within = c * (c - 1) / 2
+    hits = np.array([B[3, 3] / 2, B[3, 2], B[2, 2] / 2,
+                     B[1, 1] / 2 + B[1, 2] + B[1, 3]])
+    tots = np.array([within[3], c[3] * c[2], within[2],
+                     within[1] + c[1] * (c[2] + c[3])])
+    return hits, tots
 
 
 def class_z_scores(hits, tots, probs) -> np.ndarray:
@@ -587,14 +587,18 @@ def _battery_isgm(params, trials, alpha, rng, fault):
         tests.append(_test_entry("h1_planted_means", None, None, True,
                                  status="inconclusive"))
     else:
-        counts = np.empty(trials, dtype=np.int64)
-        sums = np.zeros(4)
-        for i in range(trials):
+        def trial(i):
             Gh, tr = sample_k_pds(N, k, plan.p, plan.q, E, rng.child("h1-graph", i))
             out = pl.pds_to_isgm(Gh, E, plan, rng.child("h1-run", i), trace=tr,
                                  rotation_override=rotation)
-            counts[i] = out.trace.component_set.size
-            sums += isgm_planted_sums(out)
+            return out.trace.component_set.size, isgm_planted_sums(out)
+
+        counts = np.empty(trials, dtype=np.int64)
+        sums = np.zeros(4)
+        # in trial order: the float sums' bits depend on it
+        for i, (count, planted) in enumerate(_run_trials(trial, trials)):
+            counts[i] = count
+            sums += planted
         stat, pval = isgm_count_law(counts, plan.n, plan.eps)
         tests.append(_test_entry("h1_component_count_law", stat, pval, pval >= alpha))
         worst_z = max(abs(z) for z in isgm_planted_mean_z(sums, plan.mu, plan.eps))
@@ -616,12 +620,15 @@ def _battery_semi_cr(params, trials, alpha, rng, fault):
         tests.append(_test_entry("h1_edge_class_marginals", None, None, True,
                                  status="inconclusive"))
         return tests, {}
-    cls_hits = np.zeros(4)
-    cls_tot = np.zeros(4)
-    for i in range(trials):
+
+    def trial(i):
         Gh, tr = sample_k_pds(N, k, plan.p, plan.q, E, rng.child("h1-graph", i))
         G_out, out_tr = pl.pds_to_semi_cr(Gh, E, plan, rng.child("h1-run", i), trace=tr)
-        hits, tots = semi_cr_class_counts(G_out, out_tr)
+        return semi_cr_class_counts(G_out, out_tr)
+
+    cls_hits = np.zeros(4)
+    cls_tot = np.zeros(4)
+    for hits, tots in _run_trials(trial, trials):
         cls_hits += hits
         cls_tot += tots
     probs = semi_cr_class_probs(*pl.semi_cr_mus(plan.mu, plan.ell))
@@ -668,6 +675,12 @@ def verify_reduction(pipeline: str, params: dict, trials: int, significance: flo
     would be underpowered at the requested trial count are marked
     ``inconclusive`` rather than pass or fail; the verdict is "pass" unless
     some test actually fails.
+
+    The ISGM and SEMI-CR batteries run their planted trials through
+    ``prob._run_trials``: in up to four forked worker processes, one per CPU
+    this process may run on.  Each trial draws from its own keyed streams and
+    the results are added up in trial order, so the report has the same
+    bytes on any number of cores.
     """
     if pipeline not in _BATTERIES:
         raise ParameterError(

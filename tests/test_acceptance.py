@@ -25,7 +25,7 @@ from avgcase.kernels import PairFamily, srk3_array, tern_params_from_truncation
 from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, isgm_sample_clone,
                                pds_to_isgm, pds_to_semi_cr, plan_parameters,
                                sample_isgm, semi_cr_mus)
-from avgcase.prob import Binomial, RngStream, Tern, normal_cdf, sample
+from avgcase.prob import Binomial, RngStream, Tern, _run_trials, normal_cdf, sample
 from avgcase.verify import (SEMI_CR_CLASSES, EnergyQuery, chi2_bern_plus_bin,
                             chi2_bern_plus_bin_closed_form, chi2_test,
                             class_z_scores, covariance_identity_check,
@@ -155,11 +155,13 @@ def test_criterion_05_isgm_planted_contract():
         plan = plan_parameters("ISGM", p, q, 4.0, r=2, N=32, k=4, t=9, n=24)
         E = VertexPartition.contiguous(32, 4)
         rng = RngStream(20_260_005)
-        counts = np.empty(2000, dtype=np.int64)
-        for i in range(2000):
+
+        def count(i):
             G, tr = sample_k_pds(32, 4, p, q, E, rng.child("g", i))
-            counts[i] = pds_to_isgm(G, E, plan, rng.child("r", i),
-                                    trace=tr).trace.component_set.size
+            return pds_to_isgm(G, E, plan, rng.child("r", i),
+                               trace=tr).trace.component_set.size
+
+        counts = np.array(_run_trials(count, 2000), dtype=np.int64)
         stat, pval = isgm_count_law(counts, plan.n, plan.eps)
         assert pval > ALPHA, (stat, pval)
 
@@ -167,6 +169,9 @@ def test_criterion_05_isgm_planted_contract():
         # standard error sits at mu / 4
         plan2 = plan_parameters("ISGM", p, q, 2.0, r=2, N=128, k=16, t=8, n=2040)
         E2 = VertexPartition.contiguous(128, 16)
+        # Serial: with BLAS on its default threads, forked workers (each with
+        # BLAS threads of its own) ran this loop in 16.6 s against 6.5 s in
+        # one process, on 2 CPUs; these runs' rotations are large.
         sums = np.zeros(4)
         for i in range(100):
             G, tr = sample_k_pds(128, 16, p, q, E2, rng.child("m", i))
@@ -209,15 +214,20 @@ def test_criterion_07_semi_cr_target_laws():
         plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=ell)
         mu1, mu2, mu3 = semi_cr_mus(plan.mu, ell)
         R = 2000
-        hits = np.zeros(5)
-        tots = np.zeros(5)
-        for i in range(R):
+
+        def classes(i):
             G, tr = sample_k_pds(N, k, p, q, E, rng.child("g", i))
             G_out, otr = pds_to_semi_cr(G, E, plan, rng.child("r", i), trace=tr)
             h, t = semi_cr_class_counts(G_out, otr)
             # the fifth class, outside V^2, is everything the four leave
-            hits += np.append(h, G_out.edge_count - h.sum())
-            tots += np.append(t, G_out.n * (G_out.n - 1) // 2 - t.sum())
+            return (np.append(h, G_out.edge_count - h.sum()),
+                    np.append(t, G_out.n * (G_out.n - 1) // 2 - t.sum()))
+
+        hits = np.zeros(5)
+        tots = np.zeros(5)
+        for h, t in _run_trials(classes, R):
+            hits += h
+            tots += t
         probs = semi_cr_class_probs(mu1, mu2, mu3) + (0.5,)
         names = SEMI_CR_CLASSES + ("outside V^2",)
         for name, t, z in zip(names, tots, class_z_scores(hits, tots, probs)):
@@ -227,9 +237,8 @@ def test_criterion_07_semi_cr_target_laws():
         # The monotone adversary on the planted graph reproduces the same
         # class marginals (target law taken at V = [n]).
         n_cmp, kS, kS2 = 128, 4, 12
-        a_hits = np.zeros(4)
-        a_tots = np.zeros(4)
-        for i in range(R):
+
+        def adversary_classes(i):
             g2 = rng.child("latent", i).generator()
             S = np.sort(g2.choice(n_cmp, kS, replace=False))
             S2 = np.sort(g2.choice(np.setdiff1d(np.arange(n_cmp), S), kS2,
@@ -247,8 +256,12 @@ def test_criterion_07_semi_cr_target_laws():
             rates[np.ix_(inS2, inS)] = 2 * mu2
             Ga = semirandom_apply(Gp, PlantedTrace(seed=0, planted_set=S),
                                   rates, rng.child("apply", i))
-            h, t = semi_cr_class_counts(Ga, PlantedTrace(
+            return semi_cr_class_counts(Ga, PlantedTrace(
                 seed=0, planted_set=S, params={"S_prime": S2, "V": np.arange(n_cmp)}))
+
+        a_hits = np.zeros(4)
+        a_tots = np.zeros(4)
+        for h, t in _run_trials(adversary_classes, R):
             a_hits += h
             a_tots += t
         a_z = class_z_scores(a_hits, a_tots, semi_cr_class_probs(mu1, mu2, mu3))

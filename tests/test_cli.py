@@ -93,7 +93,8 @@ def test_reduce_isgm_end_to_end(tmp_path):
 
 
 def test_generate_and_reduce_isgm_never_load_scipy(tmp_path):
-    # A fresh interpreter: generate kpds and reduce isgm run without scipy.
+    # A fresh interpreter: generate kpds and reduce isgm run without scipy,
+    # and without multiprocessing, which only verify's trial runner loads.
     script = f"""
 import sys
 from avgcase.cli import main
@@ -103,6 +104,7 @@ assert main(["generate", "kpds", "--n", "32", "--k", "4", "--p", "1.0",
 assert main(["reduce", "isgm", "--in", src + "/instance.graph", "--k", "4",
              "--p", "1.0", "--q", "0.25", "--r", "2", "--w", "2", "--seed", "5",
              "--out", out]) == 0
+print("multiprocessing" in sys.modules)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     package_root = str(Path(avgcase.__file__).resolve().parents[1])
@@ -111,7 +113,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    assert run.stdout.splitlines()[-2:] == ["False", "[]"]
 
 
 def test_verify_semi_cr_never_loads_scipy_stats(tmp_path):

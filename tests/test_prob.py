@@ -1,6 +1,10 @@
 """Tests for seeded streams, distribution specs and the normal CDF."""
 
+import multiprocessing
+import os
+import signal
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -184,3 +188,72 @@ def test_uniform_below_bytes_independent_of_workers(monkeypatch):
         assert run(8, 8) == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# The trial runner
+# ---------------------------------------------------------------------------
+
+def test_run_trials_in_order_on_worker_processes(monkeypatch):
+    monkeypatch.setattr(prob, "_usable_cpus", lambda: 8)
+    got = prob._run_trials(lambda i: (i * i, os.getpid()), 103)
+    assert [r for r, _ in got] == [i * i for i in range(103)]
+    pids = {pid for _, pid in got}
+    assert 1 <= len(pids) <= prob._MAX_IN_FLIGHT and os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+    assert prob._TRIAL is None
+
+
+def test_trial_workers_pool_their_share_of_the_cpus(monkeypatch):
+    monkeypatch.setattr(prob, "_usable_cpus", lambda: 8)
+    assert prob._run_trials(lambda i: prob._pool_size(100), 8) == [2] * 8
+    assert prob._pool_size(100) == prob._MAX_IN_FLIGHT and prob._SHARERS == 1
+
+
+def test_run_trials_single_cpu_mask_is_serial(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert prob._usable_cpus() == 1
+    assert prob._run_trials(lambda i: os.getpid(), 9) == [os.getpid()] * 9
+
+
+def test_run_trials_serial_while_other_threads_live(monkeypatch):
+    monkeypatch.setattr(prob, "_usable_cpus", lambda: 8)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert prob._run_trials(lambda i: os.getpid(), 9) == [os.getpid()] * 9
+    finally:
+        release.set()
+        other.join()
+
+
+def test_run_trials_reraises_a_worker_error(monkeypatch):
+    monkeypatch.setattr(prob, "_usable_cpus", lambda: 8)
+    parent = os.getpid()
+
+    def trial(i):
+        if i == 37 and os.getpid() != parent:
+            raise ParameterError("trial 37 is out of range")
+        return i
+
+    with pytest.raises(ParameterError, match="trial 37"):
+        prob._run_trials(trial, 100)
+    assert multiprocessing.active_children() == []
+    assert prob._TRIAL is None
+
+
+def test_run_trials_dead_worker_raises_not_hangs(monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    monkeypatch.setattr(prob, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def trial(i):
+        if i == 0 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    with pytest.raises(BrokenProcessPool):
+        prob._run_trials(trial, 10)
+    assert multiprocessing.active_children() == []

@@ -1,10 +1,21 @@
-"""Tests for the statistical-distance machinery and the Fourier energy."""
+"""Tests for the statistical-distance machinery, the Fourier energy and the
+verify batteries, their trial processes included."""
 
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
+
+import avgcase
+from avgcase import prob
+from avgcase.cli import main
 from avgcase.errors import FeasibilityError, ParameterError
 from avgcase.errors import TestError as StatTestError  # alias: pytest must not collect it
 from avgcase.graphs import VertexPartition
@@ -15,8 +26,9 @@ from avgcase.verify import (EnergyQuery, battery_params, chi2_bern_plus_bin,
                             empirical_tv_to_cdf, exact_tv,
                             exact_tv_hyp_vs_bin, ks_matrix, ks_test,
                             low_degree_energy, low_degree_energy_oracle,
-                            tv_bound_bern_bin_product, tv_bound_binomial,
-                            tv_hyp_vs_bin_bound, verify_reduction)
+                            semi_cr_class_counts, tv_bound_bern_bin_product,
+                            tv_bound_binomial, tv_hyp_vs_bin_bound,
+                            verify_reduction)
 
 
 def test_exact_tv_examples():
@@ -256,3 +268,136 @@ def test_verify_glsm_reports_the_plan_it_runs():
     assert plan["d"] == plan["m"] and plan["report"]["m_le_d"] is True
     wide = verify_reduction("glsm", {"d": 300}, trials=0, significance=1e-4, seed=7)
     assert wide["plan"]["d"] == 300
+
+
+# ---------------------------------------------------------------------------
+# SEMI-CR class counts
+# ---------------------------------------------------------------------------
+
+def _class_counts_reference(G_out, trace):
+    """The n^2 index-array version of ``semi_cr_class_counts``, kept as its oracle."""
+    adj = G_out.to_dense()
+    n = G_out.n
+    S = np.asarray(trace.planted_set) if trace.planted_set is not None else np.array([], int)
+    S2 = np.asarray(trace.params.get("S_prime", []), dtype=int)
+    V = np.asarray(trace.params["V"], dtype=int)
+    labels = np.zeros(n, dtype=int)
+    labels[V] = 1
+    labels[S2] = 2
+    labels[S] = 3
+    iu = np.triu_indices(n, k=1)
+    la, lb = labels[iu[0]], labels[iu[1]]
+    e = adj[iu]
+    masks = [
+        (la == 3) & (lb == 3),
+        ((la == 3) & (lb == 2)) | ((la == 2) & (lb == 3)),
+        (la == 2) & (lb == 2),
+        (la >= 1) & (lb >= 1) & ~((la >= 2) & (lb >= 2)),
+    ]
+    hits = np.array([e[mask].sum() for mask in masks], dtype=float)
+    return hits, np.array([mask.sum() for mask in masks], dtype=float)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_semi_cr_class_counts_match_reference(case):
+    from avgcase.graphs import PlantedTrace, sample_gnq
+
+    gen = RngStream(31).child("labels", case).generator()
+    n = int(gen.integers(1, 140))
+    G = sample_gnq(n, float(gen.uniform(0.05, 0.95)), RngStream(32).child("g", case))
+    perm = gen.permutation(n)
+    n_v = int(gen.integers(0, n + 1))
+    n_s2 = 0 if case % 4 == 0 else int(gen.integers(0, n_v + 1))  # S' empty
+    n_s = int(gen.integers(0, n_v - n_s2 + 1))
+    V, S2, S = perm[:n_v], perm[:n_s2], perm[n_s2:n_s2 + n_s]
+    planted = None if case % 5 == 0 else S
+    params = {"V": V.tolist()} if case % 4 == 0 else {"V": V.tolist(), "S_prime": S2}
+    trace = PlantedTrace(seed=0, planted_set=planted, params=params)
+    hits, tots = semi_cr_class_counts(G, trace)
+    ref_hits, ref_tots = _class_counts_reference(G, trace)
+    assert hits.dtype == ref_hits.dtype and tots.dtype == ref_tots.dtype
+    assert_array_equal(hits, ref_hits)
+    assert_array_equal(tots, ref_tots)
+
+
+# ---------------------------------------------------------------------------
+# Battery trials in worker processes
+# ---------------------------------------------------------------------------
+
+_SMALL_ISGM = '{"N": 32, "k": 4, "p": 1.0, "q": 0.25}'
+
+
+@pytest.mark.parametrize("pipeline, params, trials, extra", [
+    ("semi-cr", "{}", 100, []),
+    ("isgm", _SMALL_ISGM, 200, []),
+    ("isgm", _SMALL_ISGM, 200, ["--fault", "rotation"]),
+])
+def test_report_bytes_independent_of_trial_processes(tmp_path, monkeypatch, pipeline,
+                                                     params, trials, extra):
+    # Serial against 8 CPUs, i.e. _MAX_IN_FLIGHT worker processes.
+    def report(cpus):
+        monkeypatch.setattr(prob, "_usable_cpus", lambda: cpus)
+        out = tmp_path / str(cpus)
+        main(["verify", "--pipeline", pipeline, "--params", params,
+              "--trials", str(trials), "--seed", "8", "--out", str(out), *extra])
+        return (out / "report.json").read_bytes()
+
+    serial = report(1)
+    assert json.loads(serial)["tests"][-1]["status"] != "inconclusive"
+    assert report(8) == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_parameter_error_exits_2(tmp_path, monkeypatch, capsys):
+    # At p=0.75 some trial's planted-diagonal draw is short (see test_cli);
+    # raised in a worker, it reaches the CLI as a ParameterError.
+    monkeypatch.setattr(prob, "_usable_cpus", lambda: 8)
+    rc = main(["verify", "--pipeline", "semi-cr", "--params", '{"p": 0.75}',
+               "--seed", "1", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "s2 - s1" in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_killed_worker_exits_3_not_hangs(tmp_path):
+    # A fresh interpreter, so that a hang would end at the timeout.
+    script = f"""
+import os, signal, sys
+from avgcase import prob, verify
+from avgcase.cli import main
+prob._usable_cpus = lambda: 2
+parent, counts = os.getpid(), verify.semi_cr_class_counts
+def die_in_worker(G_out, trace):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return counts(G_out, trace)
+verify.semi_cr_class_counts = die_in_worker
+rc = main(["verify", "--pipeline", "semi-cr", "--trials", "100", "--seed", "1",
+           "--out", {str(tmp_path / "o")!r}])
+import multiprocessing
+print(multiprocessing.active_children())
+sys.exit(rc)
+"""
+    package_root = str(Path(avgcase.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 3, run.stderr
+    assert "internal error: BrokenProcessPool" in run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--params", "{bad"],
+    ["--params", '{"bogus": 3}'],
+    ["--alpha", "2"],
+])
+def test_rejected_verify_leaves_no_directory(tmp_path, capsys, argv):
+    out = tmp_path / "D"
+    assert main(["verify", "--pipeline", "semi-cr", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
