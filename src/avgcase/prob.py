@@ -149,14 +149,24 @@ def _run_blocks(run, n_blocks: int) -> None:
             list(pool.map(run, range(n_blocks)))
 
 
-# The trial of the running ``_run_trials`` call.  A closure does not pickle,
-# so forked workers reach it here, in the memory they inherit, as they do
-# ``_SHARERS``.
+# The trial of the running ``_run_trials`` call, and the event its first
+# failing trial sets.  A closure does not pickle, so forked workers reach
+# both here, in the memory they inherit, as they do ``_SHARERS``.
 _TRIAL = None
+_FAILED = None
 
 
 def _run_chunk(lo: int, hi: int) -> list:
-    return [_TRIAL(i) for i in range(lo, hi)]
+    results = []
+    for i in range(lo, hi):
+        if _FAILED.is_set():
+            break  # another chunk failed, and its error is the one re-raised
+        try:
+            results.append(_TRIAL(i))
+        except BaseException:
+            _FAILED.set()
+            raise
+    return results
 
 
 def _run_trials(trial, n: int) -> list:
@@ -166,12 +176,12 @@ def _run_trials(trial, n: int) -> list:
     It runs serially, in this process, when there is one worker, when the
     platform cannot fork, or when other threads are alive (a fork copies
     only the calling thread, so a lock another thread holds would stay held
-    in the child).  An error raised by a trial is re-raised here; a worker
-    that dies raises ``BrokenProcessPool``.  Every worker is reaped before
-    this returns or raises.  ``trial``'s results must pickle; ``trial``
-    itself need not.
+    in the child).  An error raised by a trial is re-raised here, and the
+    other workers stop before their next trial; a worker that dies raises
+    ``BrokenProcessPool``.  Every worker is reaped before this returns or
+    raises.  ``trial``'s results must pickle; ``trial`` itself need not.
     """
-    global _TRIAL, _SHARERS
+    global _TRIAL, _FAILED, _SHARERS
     workers = _pool_size(n)
     if workers <= 1 or threading.active_count() > 1:
         return [trial(i) for i in range(n)]
@@ -181,15 +191,16 @@ def _run_trials(trial, n: int) -> list:
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return [trial(i) for i in range(n)]
+    context = multiprocessing.get_context("fork")
     bounds = [n * j // workers for j in range(workers + 1)]
-    outer = _TRIAL, _SHARERS
-    _TRIAL, _SHARERS = trial, _SHARERS * workers
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    outer = _TRIAL, _FAILED, _SHARERS
+    _TRIAL, _FAILED, _SHARERS = trial, context.Event(), _SHARERS * workers
+    pool = ProcessPoolExecutor(workers, mp_context=context)
     try:
         chunks = list(pool.map(_run_chunk, bounds[:-1], bounds[1:]))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-        _TRIAL, _SHARERS = outer
+        _TRIAL, _FAILED, _SHARERS = outer
     return [result for chunk in chunks for result in chunk]
 
 

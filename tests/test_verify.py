@@ -332,9 +332,10 @@ _SMALL_ISGM = '{"N": 32, "k": 4, "p": 1.0, "q": 0.25}'
     ("isgm", _SMALL_ISGM, 200, []),
     ("isgm", _SMALL_ISGM, 200, ["--fault", "rotation"]),
 ])
-def test_report_bytes_independent_of_trial_processes(tmp_path, monkeypatch, pipeline,
-                                                     params, trials, extra):
-    # Serial against 8 CPUs, i.e. _MAX_IN_FLIGHT worker processes.
+def test_report_bytes_independent_of_cpu_count(tmp_path, monkeypatch, pipeline,
+                                              params, trials, extra):
+    # One CPU against 8: the SEMI-CR trials run in _MAX_IN_FLIGHT worker
+    # processes, and the ISGM battery's block pools take 4 threads.
     def report(cpus):
         monkeypatch.setattr(prob, "_usable_cpus", lambda: cpus)
         out = tmp_path / str(cpus)
