@@ -7,8 +7,8 @@ two corruption models on sample sets.
 
 import numpy as np
 
-from avgcase.graphs import (VertexPartition, corrupt_samples, sample_gnq,
-                            sample_k_pds, sample_tg_h1, semirandom_apply)
+from avgcase.graphs import (corrupt_samples, sample_gnq, sample_k_pds,
+                            sample_tg_h1, semirandom_apply)
 from avgcase.prob import RngStream
 
 rng = RngStream(7)
@@ -18,11 +18,10 @@ G = sample_gnq(200, 0.5, rng.child("ambient"))
 print(f"G(200, 1/2): {G.edge_count} edges (expect ~{int(0.5 * 199 * 100)})")
 
 # A planted dense subgraph with the k-partite promise: one planted vertex in
-# each of the k parts.  The trace carries the ground truth for verification;
+# each of the k parts [i N/k, (i+1) N/k).  The trace carries the ground truth for verification;
 # reductions never look at it.
 N, k = 40, 4
-E = VertexPartition.contiguous(N, k)
-G, trace = sample_k_pds(N, k, p=0.9, q=0.2, E=E, rng=rng.child("planted"))
+G, trace = sample_k_pds(N, k, p=0.9, q=0.2, rng=rng.child("planted"))
 S = trace.planted_set
 dense = G.to_dense()
 within = dense[np.ix_(S, S)][np.triu_indices(k, 1)].mean()

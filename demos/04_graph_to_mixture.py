@@ -12,7 +12,7 @@ import math
 import numpy as np
 import scipy.stats as sst
 
-from avgcase.graphs import VertexPartition, sample_gnq, sample_k_pds
+from avgcase.graphs import sample_gnq, sample_k_pds
 from avgcase.pipelines import isgm_mu_prime, pds_to_isgm, plan_parameters
 from avgcase.prob import RngStream
 from avgcase.verify import covariance_identity_check, ks_matrix
@@ -24,12 +24,11 @@ print(f"plan: r={plan.r} t={plan.t} m={plan.m} n={plan.n} d={plan.d} "
 unmet = [key for key, value in plan.report.items() if value is False]
 print(f"proven-regime preconditions unmet at this desk scale: {unmet or 'none'}")
 
-E = VertexPartition.contiguous(N, k)
 rng = RngStream(20_260_810)
 
 # Null input: the output is (up to negligible TV) N(0, I_d)^{x n}.
 G0 = sample_gnq(N, q, rng.child("h0"))
-inst0 = pds_to_isgm(G0, E, plan, rng.child("h0-run"))
+inst0 = pds_to_isgm(G0, plan, rng.child("h0-run"))
 _, pvals = ks_matrix(inst0.samples.T, sst.norm.cdf)
 cov = covariance_identity_check(inst0.samples, rng=rng.child("cov"))
 print(f"\nH0: per-coordinate KS min p = {pvals.min():.2e} over {plan.d} coords, "
@@ -37,8 +36,8 @@ print(f"\nH0: per-coordinate KS min p = {pvals.min():.2e} over {plan.d} coords, 
 
 # Planted input: conditioned on the trace, positive-component columns carry
 # mean mu and the rest mean mu' = -mu (1 - eps)/eps on the planted support.
-G1, tr = sample_k_pds(N, k, p, q, E, rng.child("h1"))
-inst1 = pds_to_isgm(G1, E, plan, rng.child("h1-run"), trace=tr)
+G1, tr = sample_k_pds(N, k, p, q, rng.child("h1"))
+inst1 = pds_to_isgm(G1, plan, rng.child("h1-run"), trace=tr)
 S = inst1.trace.planted_set
 pos = np.zeros(inst1.n, dtype=bool)
 pos[inst1.trace.component_set] = True

@@ -10,8 +10,7 @@ reach, so hardness transfers to the recovery threshold.
 
 import numpy as np
 
-from avgcase.graphs import (PlantedTrace, VertexPartition,
-                            sample_k_pds, sample_planted_conditional,
+from avgcase.graphs import (PlantedTrace, sample_k_pds, sample_planted_conditional,
                             semirandom_apply)
 from avgcase.pipelines import pds_to_semi_cr, plan_parameters, semi_cr_mus
 from avgcase.prob import RngStream
@@ -26,14 +25,13 @@ print(f"plan: m={plan.m} (embeds into {plan.m // 2} rotated vertices), "
 print(f"planted community size after rotation: {(3 ** (ell - 1) - 1) * k // 2}, "
       f"secondary set size {3 ** (ell - 1) * k}")
 
-E = VertexPartition.contiguous(N, k)
 rng = RngStream(99)
 R = 400
 hits = np.zeros(4)
 tots = np.zeros(4)
 for i in range(R):
-    G, tr = sample_k_pds(N, k, p, q, E, rng.child("g", i))
-    G_out, otr = pds_to_semi_cr(G, E, plan, rng.child("r", i), trace=tr)
+    G, tr = sample_k_pds(N, k, p, q, rng.child("g", i))
+    G_out, otr = pds_to_semi_cr(G, plan, rng.child("r", i), trace=tr)
     h, t = semi_cr_class_counts(G_out, otr)
     hits += h
     tots += t

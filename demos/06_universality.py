@@ -10,7 +10,7 @@ the canonical member; the checker below also probes the conditions directly.
 import numpy as np
 import scipy.stats as sst
 
-from avgcase.graphs import VertexPartition, sample_gnq, sample_k_pds
+from avgcase.graphs import sample_gnq, sample_k_pds
 from avgcase.kernels import PairFamily
 from avgcase.pipelines import check_uc, pds_to_glsm, plan_parameters, spca_family
 from avgcase.prob import RngStream
@@ -41,16 +41,15 @@ p, q = 1.0, 0.25
 plan = plan_parameters("GLSM", p, q, 2.0, n=64, k=4)  # d defaults to m
 print(f"\nGLSM plan: source N={plan.N}, t={plan.t}, mu={plan.mu:.5f} "
       f"(capped at proven bound: {plan.report['mu_capped_at_proven_bound']})")
-E = VertexPartition.contiguous(plan.N, 4)
 G0 = sample_gnq(plan.N, q, rng.child("h0"))
-X, _ = pds_to_glsm(G0, E, plan, 1.0, family, D, rng.child("h0-run"))
+X, _ = pds_to_glsm(G0, plan, 1.0, family, D, rng.child("h0-run"))
 _, pvals = ks_matrix(X.T, sst.norm.cdf)
 print(f"H0 output: {X.shape[0]} samples x {X.shape[1]} coords, "
       f"per-coordinate KS min p = {pvals.min():.3e}")
 
 # Planted run: each sample's planted coordinates follow P_{nu_i}.
-G1, tr = sample_k_pds(plan.N, 4, p, q, E, rng.child("h1"))
-X, otr = pds_to_glsm(G1, E, plan, 1.0, family, D, rng.child("h1-run"), trace=tr)
+G1, tr = sample_k_pds(plan.N, 4, p, q, rng.child("h1"))
+X, otr = pds_to_glsm(G1, plan, 1.0, family, D, rng.child("h1-run"), trace=tr)
 S = otr.planted_set
 nus = np.asarray(otr.params["nu"])
 pos = np.zeros(X.shape[0], dtype=bool)

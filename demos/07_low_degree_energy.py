@@ -10,16 +10,14 @@ an oracle that averages the planted law explicitly over all clique
 positions.
 """
 
-from avgcase.graphs import VertexPartition
 from avgcase.verify import (EnergyQuery, low_degree_energy,
                             low_degree_energy_oracle,
                             low_degree_energy_counting_bound)
 
 for n, k in ((6, 3), (8, 4), (8, 2)):
-    part = VertexPartition.contiguous(n, k)
     print(f"n={n}, k={k} (parts of size {n // k}):")
     for D in (1, 2, 3):
-        q = EnergyQuery(n=n, k=k, partition=part, D=D)
+        q = EnergyQuery(n=n, k=k, D=D)
         e = low_degree_energy(q)
         o = low_degree_energy_oracle(q)
         b = low_degree_energy_counting_bound(q)
@@ -27,8 +25,7 @@ for n, k in ((6, 3), (8, 4), (8, 2)):
           f"counting bound {b:.3g}")
 
 print("\ndense-subgraph signal decays with (2p-1)^|alpha|:")
-part = VertexPartition.contiguous(8, 4)
 for p in (1.0, 0.9, 0.75, 0.6, 0.5):
-    q = EnergyQuery(n=8, k=4, partition=part, D=3, signal="pds", p=p)
+    q = EnergyQuery(n=8, k=4, D=3, signal="pds", p=p)
     print(f"  p={p:4.2f}: energy {low_degree_energy(q):.6f}")
 print("(at p = 1/2 the signal vanishes identically)")

@@ -146,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     from .formats import write_amat
-    from .graphs import (PlantedTrace, VertexPartition, sample_gnq, sample_k_pds,
-                         sample_tg_h0, sample_tg_h1, write_graphv1)
+    from .graphs import (PlantedTrace, sample_gnq, sample_k_pds, sample_tg_h0,
+                         sample_tg_h1, write_graphv1)
     from .pipelines import sample_isgm
     from .prob import RngStream
 
@@ -160,8 +160,7 @@ def _cmd_generate(args) -> int:
         trace.write_json(out / "trace.json")
         print(f"gnq: n={G.n} edges={G.edge_count} -> {out / 'instance.graph'}")
     elif args.problem == "kpds":
-        E = VertexPartition.contiguous(args.n, args.k)
-        G, trace = sample_k_pds(args.n, args.k, args.p, args.q, E, rng)
+        G, trace = sample_k_pds(args.n, args.k, args.p, args.q, rng)
         trace.params.update({"problem": "kpds", "partition": "contiguous"})
         write_graphv1(G, out / "instance.graph")
         trace.write_json(out / "trace.json")
@@ -193,7 +192,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_reduce(args) -> int:
     from .formats import dump_json, write_amat
-    from .graphs import PlantedTrace, VertexPartition, read_graphv1, write_graphv1
+    from .graphs import PlantedTrace, read_graphv1, write_graphv1
     from .pipelines import (pds_to_glsm, pds_to_isgm, pds_to_semi_cr,
                             plan_parameters, spca_family)
     from .prob import RngStream
@@ -201,7 +200,6 @@ def _cmd_reduce(args) -> int:
     out = _out_dir(args)
     G = read_graphv1(args.infile)
     trace = PlantedTrace.read_json(args.trace) if args.trace else None
-    E = VertexPartition.contiguous(G.n, args.k)
     rng = RngStream(args.seed)
 
     if args.pipeline == "isgm":
@@ -209,7 +207,7 @@ def _cmd_reduce(args) -> int:
             raise ParameterError("reduce isgm needs --eps or --r")
         plan = plan_parameters("ISGM", args.p, args.q, args.w, eps=args.eps,
                                r=args.r, N=G.n, k=args.k, n=args.n, d=args.d)
-        inst = pds_to_isgm(G, E, plan, rng, trace=trace,
+        inst = pds_to_isgm(G, plan, rng, trace=trace,
                            allow_unproven=args.allow_unproven)
         write_amat(out / "samples.amat", inst.samples)
         inst.trace.write_json(out / "trace.json")
@@ -222,7 +220,7 @@ def _cmd_reduce(args) -> int:
     elif args.pipeline == "semi-cr":
         plan = plan_parameters("SEMI_CR", args.p, args.q, N=G.n, k=args.k,
                                ell=args.ell, n=args.n_out)
-        G_out, out_trace = pds_to_semi_cr(G, E, plan, rng, trace=trace)
+        G_out, out_trace = pds_to_semi_cr(G, plan, rng, trace=trace)
         write_graphv1(G_out, out / "instance.graph")
         out_trace.write_json(out / "trace.json")
         dump_json(out / "plan.json", plan.to_dict())
@@ -235,12 +233,7 @@ def _cmd_reduce(args) -> int:
         plan = plan_parameters("GLSM", args.p, args.q, args.w, n=args.n,
                                k=args.k, d=args.d)
         family, D = spca_family(args.n, args.k, args.theta)
-        if plan.N != G.n:
-            raise ParameterError(
-                f"input graph has {G.n} vertices but the GLSM plan needs N={plan.N}; "
-                f"generate the source instance at that size"
-            )
-        X, out_trace = pds_to_glsm(G, E, plan, args.tau, family, D, rng,
+        X, out_trace = pds_to_glsm(G, plan, args.tau, family, D, rng,
                                    trace=trace, allow_unproven=args.allow_unproven)
         write_amat(out / "samples.amat", X)
         out_trace.write_json(out / "trace.json")
@@ -270,7 +263,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    from .graphs import VertexPartition
     from .verify import EnergyQuery, low_degree_energy, low_degree_energy_counting_bound
 
     signal = args.signal
@@ -285,10 +277,7 @@ def _cmd_energy(args) -> int:
         signal = "pds"
     elif signal != "pc":
         raise ParameterError(f"--signal must be 'pc' or 'pds:<p>', got {args.signal!r}")
-    q = EnergyQuery(
-        n=args.n, k=args.k, partition=VertexPartition.contiguous(args.n, args.k),
-        D=args.degree, signal=signal, p=p,
-    )
+    q = EnergyQuery(n=args.n, k=args.k, D=args.degree, signal=signal, p=p)
     value = low_degree_energy(q)
     bound = low_degree_energy_counting_bound(q)
     print(f"energy(n={args.n}, k={args.k}, D={args.degree}, signal={args.signal}) = {value:.12g}")

@@ -23,11 +23,10 @@ import numpy as np
 
 from .errors import AdversaryViolation, ParameterError
 from .formats import dump_json, load_json
-from .prob import RngStream
+from .prob import RngStream, _check_prob
 
 __all__ = [
     "Graph",
-    "VertexPartition",
     "PlantedTrace",
     "write_graphv1",
     "read_graphv1",
@@ -157,37 +156,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
-
-
-@dataclass(frozen=True)
-class VertexPartition:
-    """Partition of [n] into k parts of equal size n/k."""
-
-    n: int
-    k: int
-    part_of: np.ndarray
-
-    def __post_init__(self):
-        if self.k <= 0 or self.n % self.k != 0:
-            raise ParameterError(f"k={self.k} must divide n={self.n}")
-        part_of = np.asarray(self.part_of, dtype=np.int64)
-        if part_of.shape != (self.n,):
-            raise ParameterError("part_of must map every vertex")
-        counts = np.bincount(part_of, minlength=self.k)
-        if counts.size != self.k or np.any(counts != self.n // self.k):
-            raise ParameterError("every part must have exactly n/k vertices")
-        object.__setattr__(self, "part_of", part_of)
-
-    @classmethod
-    def contiguous(cls, n: int, k: int) -> "VertexPartition":
-        if k <= 0 or n % k != 0:
-            raise ParameterError(f"k={k} must divide n={n}")
-        return cls(n, k, np.repeat(np.arange(k), n // k))
-
-    def parts(self):
-        """List of index arrays, one per part, each sorted ascending."""
-        order = np.argsort(self.part_of, kind="stable")
-        return [np.sort(chunk) for chunk in np.split(order, self.k)]
 
 
 @dataclass
@@ -336,11 +304,6 @@ def read_graphv1(path) -> Graph:
 # Samplers
 # ---------------------------------------------------------------------------
 
-def _check_prob(p, name):
-    if not (0.0 <= p <= 1.0):
-        raise ParameterError(f"{name} must lie in [0, 1], got {p}")
-
-
 def sample_gnq(n: int, q: float, rng: RngStream) -> Graph:
     """Erdos-Renyi G(n, q): each unordered pair present independently w.p. q."""
     _check_prob(q, "q")
@@ -372,11 +335,12 @@ def sample_planted_conditional(n: int, S, p: float, q: float, rng: RngStream) ->
     return Graph.from_triu(n, vec)
 
 
-def sample_k_pds(N: int, k: int, p: float, q: float, E: VertexPartition, rng: RngStream):
+def sample_k_pds(N: int, k: int, p: float, q: float, rng: RngStream):
     """k-partite planted dense subgraph instance plus its ground-truth trace.
 
-    One planted vertex is drawn uniformly from each part of ``E`` and the
-    induced subgraph on the planted set is resampled from G(k, p).
+    One planted vertex is drawn uniformly from each part i = [i N/k,
+    (i+1) N/k) of the vertices, and the induced subgraph on the planted set
+    is resampled from G(k, p).
     """
     _check_prob(p, "p")
     _check_prob(q, "q")
@@ -384,11 +348,12 @@ def sample_k_pds(N: int, k: int, p: float, q: float, E: VertexPartition, rng: Rn
         # q = 0 is allowed for the sampler (degenerate but well-defined);
         # the reductions themselves insist on q > 0.
         raise ParameterError(f"need 0 <= q < p <= 1, got p={p}, q={q}")
-    if E.n != N or E.k != k:
-        raise ParameterError(f"partition is over n={E.n}, k={E.k}; expected N={N}, k={k}")
+    if not 0 < k <= N or N % k:
+        raise ParameterError(f"k={k} must divide N={N}, with 0 < k <= N")
     g = rng.child("kpds").generator()
     vec = g.random(_n_pairs(N)) < q
-    S = np.array([part[g.integers(part.size)] for part in E.parts()], dtype=np.int64)
+    Nk = N // k
+    S = np.array([i * Nk + g.integers(Nk) for i in range(k)], dtype=np.int64)
     _plant_dense(vec, N, S, p, g)
     trace = PlantedTrace(
         seed=rng.seed,

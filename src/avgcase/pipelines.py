@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import build_H, is_prime
-from .graphs import Graph, PlantedTrace, VertexPartition
+from .graphs import Graph, PlantedTrace
 from .kernels import (
     PairFamily,
     gaussianize,
@@ -167,7 +167,6 @@ class ReductionPlan:
 def _regime_report(plan: ReductionPlan) -> dict:
     bound = plan.mu_bound
     report = {
-        "k_divides_N": plan.N % plan.k == 0,
         "k_le_QN_over_4": plan.k <= plan.Q * plan.N / 4.0,
         "m_exceeds_(p/Q+1)N": plan.m > (plan.p / plan.Q + 1.0) * plan.N,
         "mu_le_proven_bound": plan.mu <= bound * (1 + 1e-12),
@@ -222,12 +221,14 @@ def plan_parameters(
               floor(k*l/w) and m.
     SEMI_CR   needs (N, k) and the blowup ell >= 2, and takes no w; n
               defaults to the embedded matrix size m.
-    GLSM      needs target n >= 2, k and w; derives the source size; r is
-              2 and d defaults to m.
+    GLSM      needs target n >= 2, k and w; derives the source size, a
+              multiple of k; r is 2 and d defaults to m.
 
-    Every size given (N, k, n, d) must be a positive integer.  ``mu`` is the
-    plan's proven bound (``ReductionPlan.mu_bound``), for GLSM capped further
-    at sqrt(k / (N log n)).  Structural impossibilities, and an ISGM or GLSM
+    Every size given (N, k, n, d) must be a positive integer, and k must
+    divide N: the k-partite promise is the parts [i N/k, (i+1) N/k) of the
+    source's N vertices.  ``mu`` is the plan's proven bound
+    (``ReductionPlan.mu_bound``), for GLSM capped further at
+    sqrt(k / (N log n)).  Structural impossibilities, and an ISGM or GLSM
     plan whose float64 m x k r^t Gaussianize matrix exceeds the host's
     physical memory, raise ParameterError; asymptotic conditions that merely
     fail at finite size are recorded in ``plan.report``.
@@ -244,10 +245,13 @@ def plan_parameters(
             raise ParameterError("SEMI_CR planning takes no w")
     elif w is None or not 0.0 < w < math.inf:
         raise ParameterError(f"w must be positive and finite, got {w}")
+    if target != "GLSM":
+        if N is None or k is None:
+            raise ParameterError(f"{target} planning needs the source sizes N and k")
+        if N % k:
+            raise ParameterError(f"k={k} must divide N={N}")
 
     if target == "ISGM":
-        if N is None or k is None:
-            raise ParameterError("ISGM planning needs the source sizes N and k")
         if r is None:
             if eps is None:
                 raise ParameterError("ISGM planning needs eps or r")
@@ -275,8 +279,6 @@ def plan_parameters(
         plan.mu = plan.mu_bound
 
     elif target == "SEMI_CR":
-        if N is None or k is None:
-            raise ParameterError("SEMI_CR planning needs the source sizes N and k")
         if not isinstance(ell, (int, np.integer)) or ell < 2:
             # the block rotation H_{3,ell} needs ell >= 2, and ell = 1 plants nothing
             raise ParameterError(f"ell must be an integer >= 2, got {ell!r}")
@@ -333,6 +335,14 @@ def plan_parameters(
             )
     plan.report.update(_regime_report(plan))
     return plan
+
+
+def _check_source_size(G: Graph, plan: ReductionPlan) -> None:
+    if G.n != plan.N:
+        raise ParameterError(
+            f"input graph has {G.n} vertices but the {plan.target} plan needs "
+            f"N={plan.N}; generate the source instance at that size"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +414,20 @@ def graph_clone(G: Graph, t_copies: int, p, q, P, Q, rng: RngStream):
 # To-k-partite-submatrix
 # ---------------------------------------------------------------------------
 
-def to_k_partite_submatrix(G: Graph, E: VertexPartition, p, q, m, rng: RngStream,
+def to_k_partite_submatrix(G: Graph, k: int, p, q, m, rng: RngStream,
                            trace: Optional[PlantedTrace] = None):
     """Embed a k-PDS instance into an m x m Bernoulli matrix with planted
-    diagonals, preserving the k-partite promise.
+    diagonals, preserving the k-partite promise: part i of the N = G.n
+    vertices, [i N/k, (i+1) N/k), lands in rows and columns
+    F_i = [i m/k, (i+1) m/k) of M.
 
-    Returns ``(M, F, out_trace)`` where M is uint8, F is the contiguous
-    partition of the rows/columns of M, and out_trace (when a trace was
-    supplied) records the embedded planted k-subset U with |U ∩ F_i| = 1.
+    Returns ``(M, out_trace)`` where M is uint8 and out_trace (when a trace
+    was supplied) records the embedded planted k-subset U with |U ∩ F_i| = 1.
     """
-    N, k = E.n, E.k
-    if G.n != N:
-        raise ParameterError(f"graph has {G.n} vertices, partition covers {N}")
+    N = G.n
     Q = clone_Q(p, q)
-    if m % k != 0:
-        raise ParameterError(f"k={k} must divide m={m}")
+    if k < 1 or N % k or m % k:
+        raise ParameterError(f"k={k} must divide N={N} and m={m}")
     if m < (p / Q + 1.0) * N:
         raise ParameterError(f"m={m} must be at least (p/Q + 1) N = {(p / Q + 1) * N:.2f}")
     if k > Q * N / 4.0:
@@ -429,7 +438,6 @@ def to_k_partite_submatrix(G: Graph, E: VertexPartition, p, q, m, rng: RngStream
 
     M = uniform_below(gen, (m, m), Q).view(np.uint8)
     np.fill_diagonal(M, 0)
-    F = VertexPartition.contiguous(m, k)
     mk = m // k
     Nk = N // k
     planted = None
@@ -444,7 +452,8 @@ def to_k_partite_submatrix(G: Graph, E: VertexPartition, p, q, m, rng: RngStream
     src_all = np.empty(N, dtype=np.int64)
     diag_T1 = []
     diag_T2 = []
-    for part_idx, E_part in enumerate(E.parts()):
+    for part_idx in range(k):
+        E_part = np.arange(part_idx * Nk, (part_idx + 1) * Nk)
         F_part = np.arange(part_idx * mk, (part_idx + 1) * mk)
         S_t = np.sort(gen.choice(F_part, size=Nk, replace=False))
         pi = gen.permutation(E_part)  # pi[j] is the source vertex of S_t[j]
@@ -486,14 +495,14 @@ def to_k_partite_submatrix(G: Graph, E: VertexPartition, p, q, m, rng: RngStream
             planted_set=np.sort(np.array(out_planted, dtype=np.int64)),
             params=dict(trace.params, m=m, Q=Q),
         )
-    return M, F, out_trace
+    return M, out_trace
 
 
 # ---------------------------------------------------------------------------
 # k-PDS -> ISGM
 # ---------------------------------------------------------------------------
 
-def pds_to_isgm(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngStream,
+def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
                 trace: Optional[PlantedTrace] = None, allow_unproven: bool = False,
                 rotation_override=None) -> IsgmInstance:
     """Run the full graph-to-mixture reduction under ``plan``.
@@ -503,9 +512,11 @@ def pds_to_isgm(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngStrea
     mean mu on a k-subset of coordinates, positive-component fraction
     1 - eps = 1 - 1/r.  ``rotation_override`` substitutes an arbitrary matrix
     for the incidence rotation and exists for fault-injection tests only.
+    ``G`` must have the plan's N vertices.
     """
     if plan.target == "SEMI_CR":
         raise ParameterError("pds_to_isgm needs an ISGM or GLSM plan, got SEMI_CR")
+    _check_source_size(G, plan)
     p, q, k, m, r, t = plan.p, plan.q, plan.k, plan.m, plan.r, plan.t
     n, d = plan.n, plan.d
     rt, ellh = plan.rt, plan.n_hyperplanes
@@ -531,7 +542,7 @@ def pds_to_isgm(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngStrea
             )
 
     # Step 1: symmetrize and plant diagonals.
-    M1, F1, tr1 = to_k_partite_submatrix(G, E, p, q, m, rng.child("submatrix"), trace)
+    M1, tr1 = to_k_partite_submatrix(G, k, p, q, m, rng.child("submatrix"), trace)
 
     # Step 2: pad each part to r^t columns with Bern(Q), then permute rows
     # globally and columns within each part.  Every draw is made first, in
@@ -676,10 +687,10 @@ def isgm_sample_clone(inst: IsgmInstance, ell: int, n_prime: int, rng: RngStream
 _PAD_CHUNK = 1 << 20
 
 
-def pds_to_semi_cr(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngStream,
+def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
                    trace: Optional[PlantedTrace] = None):
-    """Reduce a k-PDS instance to the semirandom community-recovery target law
-    under a ``SEMI_CR`` plan.
+    """Reduce a k-PDS instance on the plan's N vertices to the semirandom
+    community-recovery target law under a ``SEMI_CR`` plan.
 
     Null inputs map to the tg_h0(n, m'', mu1) law and planted inputs to
     tg_h1 with |S| = (3^(ell-1) - 1) k / 2, |S'| = 3^(ell-1) k, where the
@@ -693,10 +704,7 @@ def pds_to_semi_cr(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngSt
     """
     if plan.target != "SEMI_CR":
         raise ParameterError(f"pds_to_semi_cr needs a SEMI_CR plan, got {plan.target}")
-    if (E.n, E.k) != (plan.N, plan.k):
-        raise ParameterError(
-            f"partition is over N={E.n}, k={E.k}; the plan is for N={plan.N}, k={plan.k}"
-        )
+    _check_source_size(G, plan)
     p, q, Q, k, ell, m, n, mu = plan.p, plan.q, plan.Q, plan.k, plan.ell, plan.m, plan.n, plan.mu
     three_l = 3 ** ell
     s = m // ((three_l - 1) * k)
@@ -705,7 +713,7 @@ def pds_to_semi_cr(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngSt
     if n < m_rot:
         raise ParameterError(f"need n >= {m_rot} output vertices, got n={n}")
 
-    M_PD, F, tr1 = to_k_partite_submatrix(G, E, p, q, m, rng.child("submatrix"), trace)
+    M_PD, tr1 = to_k_partite_submatrix(G, k, p, q, m, rng.child("submatrix"), trace)
     M_G = gaussianize(M_PD, p, Q, mu, rng.child("gaussianize"))
     del M_PD
 
@@ -773,7 +781,7 @@ def pds_to_semi_cr(G: Graph, E: VertexPartition, plan: ReductionPlan, rng: RngSt
 # k-PDS -> general learning sparse mixtures
 # ---------------------------------------------------------------------------
 
-def pds_to_glsm(G: Graph, E: VertexPartition, plan: ReductionPlan, tau: float,
+def pds_to_glsm(G: Graph, plan: ReductionPlan, tau: float,
                 family: PairFamily, D, rng: RngStream,
                 trace: Optional[PlantedTrace] = None, allow_unproven: bool = False):
     """Reduce k-PDS to a general sparse-mixture family.
@@ -790,7 +798,7 @@ def pds_to_glsm(G: Graph, E: VertexPartition, plan: ReductionPlan, tau: float,
     """
     if plan.r != 2 or plan.eps != 0.5:
         raise ParameterError("the mixture stage of the GLSM reduction needs r=2, eps=1/2")
-    inst = pds_to_isgm(G, E, plan, rng.child("isgm"), trace, allow_unproven)
+    inst = pds_to_isgm(G, plan, rng.child("isgm"), trace, allow_unproven)
     n, d = inst.n, inst.d
     a, mu1, mu2 = tern_params_from_truncation(tau, plan.mu)
     n_iter = math.ceil(4.0 * math.log(d * n))

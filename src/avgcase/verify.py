@@ -23,8 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FeasibilityError, ParameterError, TestError
-from .graphs import VertexPartition
-from .prob import FinitePmf, RngStream, _run_trials, finite_pmf, normal_cdf
+from .prob import (Binomial, FinitePmf, Hypergeometric, RngStream, _run_trials, finite_pmf,
+                   normal_cdf)
 
 __all__ = [
     "exact_tv",
@@ -298,6 +298,7 @@ def covariance_identity_check(X, rng: RngStream = None):
 class EnergyQuery:
     """Brute-force query for the degree-<=D Fourier energy of the planted law.
 
+    The planted vertices are one per part i = [i n/k, (i+1) n/k) of [n].
     ``signal`` is "pc" (coefficient (k/n)^{|V(alpha)|} on part-respecting
     vertex sets) or "pds" (extra factor (2p-1)^{|alpha|}).  The edge universe
     is cross-part pairs only; within-part edges carry no planted signal.
@@ -305,21 +306,20 @@ class EnergyQuery:
 
     n: int
     k: int
-    partition: VertexPartition
     D: int
     signal: str = "pc"
     p: float = 1.0
     guard: int = 10_000_000
 
+    def __post_init__(self):
+        if not 0 < self.k <= self.n or self.n % self.k:
+            raise ParameterError(f"k={self.k} must divide n={self.n}, with 0 < k <= n")
 
-def _cross_part_pairs(partition: VertexPartition):
-    part_of = partition.part_of
-    return [
-        (u, v)
-        for u in range(partition.n)
-        for v in range(u + 1, partition.n)
-        if part_of[u] != part_of[v]
-    ]
+
+def _cross_part_pairs(q: EnergyQuery):
+    part_size = q.n // q.k
+    return [(u, v) for u in range(q.n) for v in range(u + 1, q.n)
+            if u // part_size != v // part_size]
 
 
 def _candidate_count(n_pairs: int, D: int) -> int:
@@ -329,11 +329,9 @@ def _candidate_count(n_pairs: int, D: int) -> int:
 def _check_query(q: EnergyQuery):
     if q.signal not in ("pc", "pds"):
         raise ParameterError(f"unknown signal kind {q.signal!r}")
-    if q.partition.n != q.n or q.partition.k != q.k:
-        raise ParameterError("partition does not match (n, k)")
     if q.D < 0:
         raise ParameterError(f"degree D must be >= 0, got {q.D}")
-    pairs = _cross_part_pairs(q.partition)
+    pairs = _cross_part_pairs(q)
     count = _candidate_count(len(pairs), q.D)
     if count > q.guard:
         raise FeasibilityError(
@@ -354,7 +352,7 @@ def low_degree_energy(q: EnergyQuery) -> float:
     once, and zero otherwise.  Exact rational arithmetic throughout.
     """
     pairs = _check_query(q)
-    part_of = q.partition.part_of
+    part_size = q.n // q.k
     base = Fraction(q.k, q.n)
     edge_f = _edge_factor(q)
     total = Fraction(0)
@@ -368,7 +366,7 @@ def low_degree_energy(q: EnergyQuery) -> float:
                 verts.add(u)
                 verts.add(v)
             for v in verts:
-                pid = int(part_of[v])
+                pid = v // part_size
                 if pid in parts:
                     ok = False
                     break
@@ -383,8 +381,9 @@ def low_degree_energy_oracle(q: EnergyQuery) -> float:
     """Independent brute-force oracle: averages E_{P_S}[chi_alpha] explicitly
     over all (n/k)^k part-respecting planted positions S."""
     pairs = _check_query(q)
-    parts = q.partition.parts()
-    positions = list(itertools.product(*[list(map(int, part)) for part in parts]))
+    part_size = q.n // q.k
+    parts = [range(i * part_size, (i + 1) * part_size) for i in range(q.k)]
+    positions = list(itertools.product(*parts))
     if len(positions) * _candidate_count(len(pairs), q.D) > q.guard * 10:
         raise FeasibilityError("oracle enumeration exceeds the guard")
     edge_f = _edge_factor(q)
@@ -421,12 +420,29 @@ def low_degree_energy_counting_bound(q: EnergyQuery) -> float:
 # Each distributional contract of a reduction is computed here, once; the
 # batteries below and the acceptance suite apply their own thresholds to it.
 
-def isgm_count_law(counts, n: int, eps: float):
-    """Chi-square of per-run positive-component counts against
-    Binomial(n, 1 - eps); returns (statistic, p_value)."""
-    from .prob import Binomial
+def _isgm_count_pmf(plan) -> FinitePmf:
+    """Exact law of the positive-component count of one planted ISGM run.
 
-    return chi2_gof_counts(counts, finite_pmf(Binomial(n, 1 - eps)))
+    Each part's planted column lands on the zero point of H_{r,t}, whose
+    rotated entries are all negative, with probability r^-t; every other
+    point has r^(t-1) positive entries among its l.  So given Z ~ Bin(k,
+    r^-t) such parts, the n columns kept of the k l rotated ones hold
+    Hyp(k l, (k - Z) r^(t-1), n) positive ones.
+    """
+    k, n, kl = plan.k, plan.n, plan.k * plan.n_hyperplanes
+    probs = np.zeros(n + 1)
+    for z, weight in zip(*finite_pmf(Binomial(k, 1.0 / plan.rt)).as_arrays()):
+        positive = (k - int(z)) * plan.rt // plan.r
+        values, p = finite_pmf(Hypergeometric(kl, positive, n)).as_arrays()
+        probs[values.astype(np.int64)] += weight * p
+    return FinitePmf(tuple(np.arange(n + 1.0)), tuple(probs))
+
+
+def isgm_count_law(counts, plan):
+    """Chi-square of per-run positive-component counts against their exact
+    law under the ISGM or GLSM ``plan`` (``_isgm_count_pmf``); returns
+    (statistic, p_value)."""
+    return chi2_gof_counts(counts, _isgm_count_pmf(plan))
 
 
 def isgm_planted_sums(inst) -> np.ndarray:
@@ -556,7 +572,6 @@ def _battery_isgm(params, trials, alpha, rng, fault):
     N, k = params["N"], params["k"]
     plan = pl.plan_parameters("ISGM", params["p"], params["q"], params["w"],
                               r=params["r"], N=N, k=k)
-    E = VertexPartition.contiguous(N, k)
     rotation = None
     if fault == "rotation":
         from .geometry import build_H
@@ -566,7 +581,7 @@ def _battery_isgm(params, trials, alpha, rng, fault):
     tests = []
 
     G0 = sample_gnq(N, plan.q, rng.child("h0-graph"))
-    inst = pl.pds_to_isgm(G0, E, plan, rng.child("h0-run"), rotation_override=rotation)
+    inst = pl.pds_to_isgm(G0, plan, rng.child("h0-run"), rotation_override=rotation)
     _, pvals = ks_matrix(inst.samples.T, sst.norm.cdf)
     worst = float(pvals.min())
     ks_pass = worst >= alpha / inst.d
@@ -595,16 +610,18 @@ def _battery_isgm(params, trials, alpha, rng, fault):
         counts = np.empty(trials, dtype=np.int64)
         sums = np.zeros(4)
         for i in range(trials):
-            Gh, tr = sample_k_pds(N, k, plan.p, plan.q, E, rng.child("h1-graph", i))
-            out = pl.pds_to_isgm(Gh, E, plan, rng.child("h1-run", i), trace=tr,
+            Gh, tr = sample_k_pds(N, k, plan.p, plan.q, rng.child("h1-graph", i))
+            out = pl.pds_to_isgm(Gh, plan, rng.child("h1-run", i), trace=tr,
                                  rotation_override=rotation)
             counts[i] = out.trace.component_set.size
             sums += isgm_planted_sums(out)
-        stat, pval = isgm_count_law(counts, plan.n, plan.eps)
+        stat, pval = isgm_count_law(counts, plan)
         tests.append(_test_entry("h1_component_count_law", stat, pval, pval >= alpha))
         worst_z = max(abs(z) for z in isgm_planted_mean_z(sums, plan.mu, plan.eps))
         tests.append(_test_entry("h1_planted_means", worst_z, None, worst_z <= 4.0))
-    return tests, {"plan": plan.to_dict()}
+    # the finite-size gap between the count's exact law and the ISGM target's
+    tv = exact_tv(_isgm_count_pmf(plan), Binomial(plan.n, 1 - plan.eps))
+    return tests, {"plan": plan.to_dict(), "count_law_tv_to_binomial": tv}
 
 
 def _battery_semi_cr(params, trials, alpha, rng, fault):
@@ -614,7 +631,6 @@ def _battery_semi_cr(params, trials, alpha, rng, fault):
     N, k = params["N"], params["k"]
     plan = pl.plan_parameters("SEMI_CR", params["p"], params["q"], N=N, k=k,
                               ell=params["ell"])
-    E = VertexPartition.contiguous(N, k)
     min_trials = 100
     tests = []
     if trials < min_trials:
@@ -623,8 +639,8 @@ def _battery_semi_cr(params, trials, alpha, rng, fault):
         return tests, {}
 
     def trial(i):
-        Gh, tr = sample_k_pds(N, k, plan.p, plan.q, E, rng.child("h1-graph", i))
-        G_out, out_tr = pl.pds_to_semi_cr(Gh, E, plan, rng.child("h1-run", i), trace=tr)
+        Gh, tr = sample_k_pds(N, k, plan.p, plan.q, rng.child("h1-graph", i))
+        G_out, out_tr = pl.pds_to_semi_cr(Gh, plan, rng.child("h1-run", i), trace=tr)
         return semi_cr_class_counts(G_out, out_tr)
 
     cls_hits = np.zeros(4)
@@ -649,10 +665,9 @@ def _battery_glsm(params, trials, alpha, rng, fault):
     n, k = params["n"], params["k"]
     plan = pl.plan_parameters("GLSM", params["p"], params["q"], 2.0, n=n, k=k,
                               d=params["d"])
-    E = VertexPartition.contiguous(plan.N, k)
     family, D = pl.spca_family(n, k, params["theta"])
     G0 = sample_gnq(plan.N, plan.q, rng.child("h0-graph"))
-    X, _ = pl.pds_to_glsm(G0, E, plan, params["tau"], family, D, rng.child("h0-run"))
+    X, _ = pl.pds_to_glsm(G0, plan, params["tau"], family, D, rng.child("h0-run"))
     _, pvals = ks_matrix(X.T, sst.norm.cdf)
     worst = float(pvals.min())
     tests = [_test_entry("h0_per_coordinate_ks_vs_Q", worst, worst,

@@ -18,9 +18,8 @@ import scipy.stats as sst
 
 from avgcase.cli import main as cli_main
 from avgcase.geometry import build_H
-from avgcase.graphs import (Graph, PlantedTrace, VertexPartition, sample_gnq,
-                            sample_k_pds, sample_planted_conditional,
-                            semirandom_apply)
+from avgcase.graphs import (Graph, PlantedTrace, sample_gnq, sample_k_pds,
+                            sample_planted_conditional, semirandom_apply)
 from avgcase.kernels import PairFamily, srk3_array, tern_params_from_truncation
 from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, isgm_sample_clone,
                                pds_to_isgm, pds_to_semi_cr, plan_parameters,
@@ -134,10 +133,9 @@ def test_criterion_04_isgm_null_contract():
         p, q = 0.75, 0.25
         plan = plan_parameters("ISGM", p, q, 4.0, r=2, N=1600, k=8)
         plan.d = plan.m + 50
-        E = VertexPartition.contiguous(1600, 8)
         rng = RngStream(20_260_004)
         G0 = sample_gnq(1600, q, rng.child("h0"))
-        inst = pds_to_isgm(G0, E, plan, rng.child("run"))
+        inst = pds_to_isgm(G0, plan, rng.child("run"))
         assert inst.samples.shape == (plan.n, plan.d)
         _, pvals = ks_matrix(inst.samples.T, sst.norm.cdf)
         assert float(pvals.min()) >= ALPHA / plan.d, float(pvals.min())
@@ -149,35 +147,32 @@ def test_criterion_04_isgm_null_contract():
 def test_criterion_05_isgm_planted_contract():
     with criterion(5, "k-PDS->ISGM planted: count law + planted means", 900.0):
         p, q = 1.0, 0.25
-        # count-law configuration: small instance, large r^t so the
-        # zero-column event and the Hyp-vs-Bin gap sit below chi-square power
-        # at 2000 reruns
+        # count-law configuration: a small instance, whose counts are checked
+        # against their exact law, the Bin(k, r^-t) mixture of hypergeometric
+        # laws in ``isgm_count_law``
         plan = plan_parameters("ISGM", p, q, 4.0, r=2, N=32, k=4, t=9, n=24)
-        E = VertexPartition.contiguous(32, 4)
         rng = RngStream(20_260_005)
 
         def count(i):
-            G, tr = sample_k_pds(32, 4, p, q, E, rng.child("g", i))
-            return pds_to_isgm(G, E, plan, rng.child("r", i),
-                               trace=tr).trace.component_set.size
+            G, tr = sample_k_pds(32, 4, p, q, rng.child("g", i))
+            return pds_to_isgm(G, plan, rng.child("r", i), trace=tr).trace.component_set.size
 
         # On the trial runner: with BLAS on its default threads, 2 workers ran
         # this loop in 10.2 s against 17.6 s in one process, on 2 CPUs.
         counts = np.array(_run_trials(count, 2000), dtype=np.int64)
-        stat, pval = isgm_count_law(counts, plan.n, plan.eps)
+        stat, pval = isgm_count_law(counts, plan)
         assert pval > ALPHA, (stat, pval)
 
         # mean-check configuration: more planted mass per run so the pooled
         # standard error sits at mu / 4
         plan2 = plan_parameters("ISGM", p, q, 2.0, r=2, N=128, k=16, t=8, n=2040)
-        E2 = VertexPartition.contiguous(128, 16)
         # Serial: with BLAS on its default threads, forked workers (each with
         # BLAS threads of its own) ran this loop in 16.6 s against 6.5 s in
         # one process, on 2 CPUs; these runs' rotations are large.
         sums = np.zeros(4)
         for i in range(100):
-            G, tr = sample_k_pds(128, 16, p, q, E2, rng.child("m", i))
-            sums += isgm_planted_sums(pds_to_isgm(G, E2, plan2, rng.child("mr", i), trace=tr))
+            G, tr = sample_k_pds(128, 16, p, q, rng.child("m", i))
+            sums += isgm_planted_sums(pds_to_isgm(G, plan2, rng.child("mr", i), trace=tr))
         z_pos, z_neg = isgm_planted_mean_z(sums, plan2.mu, plan2.eps)
         assert abs(z_pos) <= 4.0, z_pos
         assert abs(z_neg) <= 4.0, z_neg
@@ -211,15 +206,14 @@ def test_criterion_06_sample_cloning():
 def test_criterion_07_semi_cr_target_laws():
     with criterion(7, "SEMI-CR class marginals + adversary composition", 600.0):
         p, q, N, k, ell = 1.0, 0.25, 32, 4, 2
-        E = VertexPartition.contiguous(N, k)
         rng = RngStream(20_260_007)
         plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=ell)
         mu1, mu2, mu3 = semi_cr_mus(plan.mu, ell)
         R = 2000
 
         def classes(i):
-            G, tr = sample_k_pds(N, k, p, q, E, rng.child("g", i))
-            G_out, otr = pds_to_semi_cr(G, E, plan, rng.child("r", i), trace=tr)
+            G, tr = sample_k_pds(N, k, p, q, rng.child("g", i))
+            G_out, otr = pds_to_semi_cr(G, plan, rng.child("r", i), trace=tr)
             h, t = semi_cr_class_counts(G_out, otr)
             # the fifth class, outside V^2, is everything the four leave
             return (np.append(h, G_out.edge_count - h.sum()),
@@ -320,14 +314,12 @@ def test_criterion_09_truncation_identity():
 def test_criterion_10_low_degree_energy():
     with criterion(10, "Fourier energy equals the averaging oracle exactly", 60.0):
         for n, k in ((6, 3), (6, 2), (8, 4), (8, 2)):
-            part = VertexPartition.contiguous(n, k)
             for D in (1, 2, 3):
                 for signal, p in (("pc", 1.0), ("pds", 0.75)):
-                    q = EnergyQuery(n=n, k=k, partition=part, D=D,
-                                    signal=signal, p=p)
+                    q = EnergyQuery(n=n, k=k, D=D, signal=signal, p=p)
                     assert low_degree_energy(q) == low_degree_energy_oracle(q), (n, k, D, signal)
         # single cross-part edge: coefficient (k/n)^2, contribution (k/n)^4
-        q1 = EnergyQuery(n=6, k=3, partition=VertexPartition.contiguous(6, 3), D=1)
+        q1 = EnergyQuery(n=6, k=3, D=1)
         cross = 12
         assert abs(low_degree_energy(q1) - cross * (0.5) ** 4) <= 1e-15
 

@@ -346,6 +346,24 @@ _SRC = ["--k", "4", "--p", "1.0", "--q", "0.25", "--seed", "5"]
      "too large for one array"),
     (["reduce", "isgm", "--in", "{graph}", *_SRC, "--eps", "1e-4", "--w", "4"],
      "physical memory"),
+    # the k-partite promise: k parts of N/k vertices each
+    (["generate", "kpds", "--n", "10", "--k", "3", "--p", "1", "--q", "0.25", "--seed", "1"],
+     "must divide"),
+    (["generate", "kpds", "--n", "10", "--k", "0", "--p", "1", "--q", "0.25", "--seed", "1"],
+     "must divide"),
+    (["generate", "kpds", "--n", "-4", "--k", "4", "--p", "1", "--q", "0.25", "--seed", "1"],
+     "must divide"),
+    (["generate", "kpds", "--n", "0", "--k", "1", "--p", "1", "--q", "0.25", "--seed", "1"],
+     "must divide"),
+    (["reduce", "isgm", "--in", "{graph}", "--k", "3", "--p", "1.0", "--q", "0.25",
+      "--seed", "5", "--r", "2"], "must divide"),
+    (["reduce", "semi-cr", "--in", "{graph}", "--k", "3", "--p", "1.0", "--q", "0.25",
+      "--seed", "5", "--ell", "2"], "must divide"),
+    (["verify", "--pipeline", "isgm", "--params", '{"N": 30}'], "must divide"),
+    (["energy", "--n", "7", "--k", "3", "--degree", "1"], "must divide"),
+    (["energy", "--n", "0", "--k", "1", "--degree", "1"], "must divide"),
+    # the 32-vertex graph under a GLSM plan whose source size is 84
+    (["reduce", "glsm", "--in", "{graph}", *_SRC, "--n", "64", "--d", "256"], "N=84"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     src = tmp_path / "src"
@@ -358,6 +376,32 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and says in err and "Traceback" not in err
+
+
+def test_bench_tracer_sees_the_pipeline_layers(tmp_path):
+    # bench/tracer.py (run by `bench/run.py --trace 1`) wraps these functions
+    # by name, so renaming one breaks the benchmark's per-layer metrics.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    src = tmp_path / "src"
+    commands = {
+        "generate": ["generate", "kpds", "--n", "32", "--k", "4", "--p", "1", "--q", "0.25",
+                     "--seed", "3", "--out", str(src)],
+        "reduce": ["reduce", "isgm", "--in", str(src / "instance.graph"),
+                   "--trace", str(src / "trace.json"), "--k", "4", "--p", "1",
+                   "--q", "0.25", "--r", "2", "--seed", "4", "--out", str(tmp_path / "isgm")],
+    }
+    seen = set()
+    for name, argv in commands.items():
+        spans = tmp_path / f"{name}.json"
+        run = subprocess.run([sys.executable, str(root / "bench" / "tracer.py"), str(spans),
+                              "--", *argv], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        seen |= set(json.loads(spans.read_text())["summary"])
+    assert {"graphs.sample_k_pds", "pipelines.to_k_partite_submatrix",
+            "pipelines.pds_to_isgm", "kernels.gaussianize"} <= seen
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from avgcase.errors import AdversaryViolation, ParameterError
-from avgcase.graphs import (Graph, PlantedTrace, VertexPartition,
-                            corrupt_samples, read_graphv1, sample_gnq,
+from avgcase.graphs import (Graph, PlantedTrace, corrupt_samples, read_graphv1, sample_gnq,
                             sample_k_pds, sample_planted_conditional,
                             sample_tg_h0, sample_tg_h1, semirandom_apply,
                             write_graphv1)
@@ -174,15 +173,6 @@ def test_graphv1_mutations_rejected_or_exact(tmp_path_factory, case, mutation, d
     assert back == G
 
 
-def test_partition_invariants():
-    E = VertexPartition.contiguous(12, 3)
-    assert [len(p) for p in E.parts()] == [4, 4, 4]
-    with pytest.raises(ParameterError):
-        VertexPartition.contiguous(10, 3)
-    with pytest.raises(ParameterError):
-        VertexPartition(4, 2, np.array([0, 0, 0, 1]))
-
-
 def test_trace_json_roundtrip(tmp_path):
     tr = PlantedTrace(seed=9, planted_set=np.array([1, 5]),
                       component_set=np.array([0, 2, 3]), params={"mu": 0.25})
@@ -205,32 +195,30 @@ def test_gnq_degenerate_and_concentration():
 
 
 def test_k_pds_degenerate_clique():
-    E = VertexPartition.contiguous(20, 4)
-    G, tr = sample_k_pds(20, 4, 1.0, 0.0, E, RngStream(2))
+    G, tr = sample_k_pds(20, 4, 1.0, 0.0, RngStream(2))
     S = tr.planted_set
     expected = Graph.from_edges(20, [(int(u), int(v)) for i, u in enumerate(S)
                                      for v in S[i + 1:]])
     assert G == expected
-    assert all(np.intersect1d(S, part).size == 1 for part in E.parts())
+    assert sorted(S // 5) == [0, 1, 2, 3]  # one per part [5i, 5i + 5)
 
 
 def test_k_pds_parameter_errors():
-    E = VertexPartition.contiguous(20, 4)
     with pytest.raises(ParameterError):
-        sample_k_pds(20, 4, 0.2, 0.5, E, RngStream(0))  # p <= q
-    with pytest.raises(ParameterError):
-        sample_k_pds(24, 4, 0.9, 0.1, E, RngStream(0))  # partition mismatch
+        sample_k_pds(20, 4, 0.2, 0.5, RngStream(0))  # p <= q
+    for N, k in ((20, 3), (20, 0), (20, -4), (4, 8), (0, 1), (-4, 4)):
+        with pytest.raises(ParameterError, match="must divide"):
+            sample_k_pds(N, k, 0.9, 0.1, RngStream(0))
 
 
 def test_k_pds_conditional_marginals():
     # Conditioned on the trace, within-S pairs are Bern(p) and the others
     # Bern(q); chi-square over resamples of the graph with S read per run.
     N, k, p, q = 40, 4, 0.9, 0.2
-    E = VertexPartition.contiguous(N, k)
     trials = 4000
     in_hits = in_tot = out_hits = out_tot = 0
     for i in range(trials):
-        G, tr = sample_k_pds(N, k, p, q, E, RngStream(6).child("t", i))
+        G, tr = sample_k_pds(N, k, p, q, RngStream(6).child("t", i))
         S = tr.planted_set
         dense = G.to_dense()
         inS = dense[np.ix_(S, S)][np.triu_indices(k, 1)]
@@ -295,8 +283,7 @@ def test_tg_h0_marginals():
 
 
 def test_semirandom_monotone_and_protected():
-    G, tr = sample_k_pds(20, 4, 1.0, 0.5, VertexPartition.contiguous(20, 4),
-                         RngStream(13))
+    G, tr = sample_k_pds(20, 4, 1.0, 0.5, RngStream(13))
     n = G.n
     rates = np.zeros((n, n))
     out = semirandom_apply(G, tr, rates, RngStream(14))

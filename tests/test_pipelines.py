@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from avgcase import pipelines, prob
 from avgcase.errors import ParameterError
 from avgcase.geometry import build_H
-from avgcase.graphs import (Graph, VertexPartition, sample_gnq, sample_k_pds)
+from avgcase.graphs import Graph, sample_gnq, sample_k_pds
 from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, check_uc,
                                isgm_mu_prime, isgm_sample_clone,
                                pds_to_glsm, pds_to_isgm, pds_to_semi_cr,
@@ -93,30 +93,29 @@ def test_graph_clone_marginals_h0():
 
 def test_submatrix_structure_and_errors():
     N, k, p, q = 32, 4, 0.75, 0.25
-    E = VertexPartition.contiguous(N, k)
-    G, tr = sample_k_pds(N, k, p, q, E, RngStream(103))
-    M, F, tr2 = to_k_partite_submatrix(G, E, p, q, 120, RngStream(104), tr)
+    G, tr = sample_k_pds(N, k, p, q, RngStream(103))
+    M, tr2 = to_k_partite_submatrix(G, k, p, q, 120, RngStream(104), tr)
     assert M.shape == (120, 120) and M.dtype == np.uint8
-    assert F.k == k and F.n == 120
     U = tr2.planted_set
     assert U.size == k
-    assert all(np.intersect1d(U, part).size == 1 for part in F.parts())
+    assert sorted(U // (120 // k)) == list(range(k))  # one per part of M
+    with pytest.raises(ParameterError, match="must divide"):
+        to_k_partite_submatrix(G, k, p, q, 121, RngStream(105))  # k | m fails
+    with pytest.raises(ParameterError, match="must divide"):
+        to_k_partite_submatrix(G, 3, p, q, 120, RngStream(105))  # k | N fails
     with pytest.raises(ParameterError):
-        to_k_partite_submatrix(G, E, p, q, 121, RngStream(105))  # k | m fails
-    with pytest.raises(ParameterError):
-        to_k_partite_submatrix(G, E, p, q, 72, RngStream(105))  # m too small
+        to_k_partite_submatrix(G, k, p, q, 72, RngStream(105))  # m too small
 
 
 def test_submatrix_draws_no_float64_matrix():
     # The Bern(Q) background is drawn in bands: the traced peak stays below
     # half of the m x m float64 draw the one-shot comparison would make.
     N, k, p, q = 1000, 8, 1.0, 0.25
-    E = VertexPartition.contiguous(N, k)
     m = plan_parameters("ISGM", p, q, 2.0, r=2, N=N, k=k).m
-    G, tr = sample_k_pds(N, k, p, q, E, RngStream(107))
+    G, tr = sample_k_pds(N, k, p, q, RngStream(107))
     tracemalloc.start()
     try:
-        M, _, _ = to_k_partite_submatrix(G, E, p, q, m, RngStream(108), tr)
+        M, _ = to_k_partite_submatrix(G, k, p, q, m, RngStream(108), tr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -128,16 +127,15 @@ def test_submatrix_h0_entry_marginals():
     # (same part / cross part) and resamples.
     N, k, p, q = 32, 4, 0.75, 0.25
     Q = clone_Q(p, q)
-    E = VertexPartition.contiguous(N, k)
     m = 120
     hits = np.zeros(2)
     tots = np.zeros(2)
-    part_of = VertexPartition.contiguous(m, k).part_of
+    part_of = np.arange(m) // (m // k)
     same = part_of[:, None] == part_of[None, :]
     off = ~np.eye(m, dtype=bool)
     for i in range(40):
         G = sample_gnq(N, q, RngStream(106).child("g", i))
-        M, _, _ = to_k_partite_submatrix(G, E, p, q, m, RngStream(106).child("s", i))
+        M, _ = to_k_partite_submatrix(G, k, p, q, m, RngStream(106).child("s", i))
         hits[0] += M[same & off].sum()
         tots[0] += (same & off).sum()
         hits[1] += M[~same].sum()
@@ -151,12 +149,10 @@ def test_submatrix_h1_planted_block():
     # Conditioned on the embedded subset U, off-diagonal U x U entries are
     # Bern(p).
     N, k, p, q = 32, 4, 0.9, 0.2
-    E = VertexPartition.contiguous(N, k)
     hits = tot = 0
     for i in range(600):
-        G, tr = sample_k_pds(N, k, p, q, E, RngStream(107).child("g", i))
-        M, _, tr2 = to_k_partite_submatrix(G, E, p, q, 128,
-                                           RngStream(107).child("s", i), tr)
+        G, tr = sample_k_pds(N, k, p, q, RngStream(107).child("g", i))
+        M, tr2 = to_k_partite_submatrix(G, k, p, q, 128, RngStream(107).child("s", i), tr)
         U = tr2.planted_set
         block = M[np.ix_(U, U)]
         hits += block.sum() - np.trace(block)
@@ -172,15 +168,12 @@ def test_submatrix_h0_diagonal_support_law():
 
     N, k, p, q = 32, 4, 0.75, 0.25
     Q = clone_Q(p, q)
-    E = VertexPartition.contiguous(N, k)
     m = 120
     sizes = []
     for i in range(500):
         G = sample_gnq(N, q, RngStream(108).child("g", i))
-        M, F, _ = to_k_partite_submatrix(G, E, p, q, m, RngStream(108).child("s", i))
-        diag = np.diag(M)
-        for part in F.parts():
-            sizes.append(int(diag[part].sum()))
+        M, _ = to_k_partite_submatrix(G, k, p, q, m, RngStream(108).child("s", i))
+        sizes.extend(np.diag(M).reshape(k, m // k).sum(axis=1).tolist())
     stat, pval = chi2_gof_counts(np.array(sizes, dtype=float),
                                  finite_pmf(Binomial(m // k, Q)))
     assert pval > 1e-4
@@ -310,35 +303,34 @@ def test_plan_glsm_sizes():
 def _small_isgm_setup(seed=110, planted=True):
     p, q, N, k = 1.0, 0.25, 32, 4
     plan = plan_parameters("ISGM", p, q, 2.0, r=2, N=N, k=k, t=5, n=40)
-    E = VertexPartition.contiguous(N, k)
     if planted:
-        G, tr = sample_k_pds(N, k, p, q, E, RngStream(seed))
+        G, tr = sample_k_pds(N, k, p, q, RngStream(seed))
     else:
         G, tr = sample_gnq(N, q, RngStream(seed)), None
-    return G, E, plan, tr
+    return G, plan, tr
 
 
 def test_isgm_shape_and_determinism():
-    G, E, plan, tr = _small_isgm_setup()
-    a = pds_to_isgm(G, E, plan, RngStream(111), trace=tr)
-    b = pds_to_isgm(G, E, plan, RngStream(111), trace=tr)
+    G, plan, tr = _small_isgm_setup()
+    a = pds_to_isgm(G, plan, RngStream(111), trace=tr)
+    b = pds_to_isgm(G, plan, RngStream(111), trace=tr)
     assert a.samples.shape == (plan.n, plan.d)
     assert_array_equal(a.samples, b.samples)
     assert_array_equal(a.trace.planted_set, b.trace.planted_set)
-    c = pds_to_isgm(G, E, plan, RngStream(112), trace=tr)
+    c = pds_to_isgm(G, plan, RngStream(112), trace=tr)
     assert not np.array_equal(a.samples, c.samples)
 
 
 def test_isgm_bytes_independent_of_workers(monkeypatch):
     # The banded draws, the pad and the rotation: serial and 8 workers under
     # a short switch interval give the same bytes.
-    G, E, plan, tr = _small_isgm_setup()
+    G, plan, tr = _small_isgm_setup()
     monkeypatch.setattr(prob, "_BAND", 64)
 
     def run(cpus, cap):
         monkeypatch.setattr(prob, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(prob, "_MAX_IN_FLIGHT", cap)
-        inst = pds_to_isgm(G, E, plan, RngStream(111), trace=tr)
+        inst = pds_to_isgm(G, plan, RngStream(111), trace=tr)
         return inst.samples.tobytes(), inst.trace.planted_set.tobytes()
 
     serial = run(1, 1)
@@ -351,8 +343,8 @@ def test_isgm_bytes_independent_of_workers(monkeypatch):
 
 
 def test_isgm_trace_consistency():
-    G, E, plan, tr = _small_isgm_setup()
-    inst = pds_to_isgm(G, E, plan, RngStream(113), trace=tr)
+    G, plan, tr = _small_isgm_setup()
+    inst = pds_to_isgm(G, plan, RngStream(113), trace=tr)
     assert inst.trace.planted_set.size == plan.k
     assert np.all(inst.trace.component_set < plan.n)
     mu, eps = inst.trace.params["mu"], inst.trace.params["eps"]
@@ -360,21 +352,44 @@ def test_isgm_trace_consistency():
     assert abs(eps * mu_p + (1 - eps) * mu) < 1e-18
 
 
-def test_isgm_structural_errors():
-    G, E, plan, tr = _small_isgm_setup()
+def test_isgm_structural_errors(monkeypatch):
+    G, plan, tr = _small_isgm_setup()
     plan.d = plan.m - 1
     with pytest.raises(ParameterError):
-        pds_to_isgm(G, E, plan, RngStream(114))
-    G, E, plan, tr = _small_isgm_setup()
+        pds_to_isgm(G, plan, RngStream(114))
+    G, plan, tr = _small_isgm_setup()
     plan.mu *= 3.0
     with pytest.raises(ParameterError):
-        pds_to_isgm(G, E, plan, RngStream(114), trace=tr)
-    pds_to_isgm(G, E, plan, RngStream(114), trace=tr, allow_unproven=True)
+        pds_to_isgm(G, plan, RngStream(114), trace=tr)
+    pds_to_isgm(G, plan, RngStream(114), trace=tr, allow_unproven=True)
+
+    # A graph whose size is not the plan's N raises before any draw, in every
+    # pipeline, with or without a trace.
+    _, plan, _ = _small_isgm_setup()  # N = 32
+    small, small_tr = sample_k_pds(16, 4, 1.0, 0.25, RngStream(115))
+    large = sample_gnq(64, 0.25, RngStream(116))
+    semi_plan = plan_parameters("SEMI_CR", 1.0, 0.25, N=32, k=4, ell=2)
+    glsm_plan = plan_parameters("GLSM", 1.0, 0.25, 2.0, n=64, k=4)  # N = 84
+    family, D = spca_family(64, 4, 1e-5)
+
+    def no_draw(stream):
+        raise AssertionError("a stream was drawn from")
+
+    monkeypatch.setattr(RngStream, "generator", no_draw)
+    for run, says in [
+        (lambda: pds_to_isgm(small, plan, RngStream(117)), "16 vertices .* N=32"),
+        (lambda: pds_to_isgm(small, plan, RngStream(117), trace=small_tr), "N=32"),
+        (lambda: pds_to_isgm(large, plan, RngStream(117)), "64 vertices .* N=32"),
+        (lambda: pds_to_semi_cr(small, semi_plan, RngStream(117), trace=small_tr), "N=32"),
+        (lambda: pds_to_glsm(small, glsm_plan, 1.0, family, D, RngStream(117)), "N=84"),
+    ]:
+        with pytest.raises(ParameterError, match=says):
+            run()
 
 
 def test_isgm_h0_moments():
-    G, E, plan, _ = _small_isgm_setup(planted=False)
-    inst = pds_to_isgm(G, E, plan, RngStream(115))
+    G, plan, _ = _small_isgm_setup(planted=False)
+    inst = pds_to_isgm(G, plan, RngStream(115))
     assert inst.trace.planted_set is None and inst.trace.component_set is None
     z_mean = inst.samples.mean() * math.sqrt(inst.samples.size)
     assert abs(z_mean) < 4
@@ -430,11 +445,10 @@ def test_sample_clone_counts_and_scaling():
 
 def test_semi_cr_sizes_every_seed():
     p, q, N, k, ell = 1.0, 0.25, 32, 4, 2
-    E = VertexPartition.contiguous(N, k)
     plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=ell, n=128)
     for seed in range(5):
-        G, tr = sample_k_pds(N, k, p, q, E, RngStream(200 + seed))
-        G_out, otr = pds_to_semi_cr(G, E, plan, RngStream(300 + seed), trace=tr)
+        G, tr = sample_k_pds(N, k, p, q, RngStream(200 + seed))
+        G_out, otr = pds_to_semi_cr(G, plan, RngStream(300 + seed), trace=tr)
         S = otr.planted_set
         S2 = np.asarray(otr.params["S_prime"])
         assert S.size == (3 ** (ell - 1) - 1) * k // 2
@@ -447,15 +461,14 @@ def test_semi_cr_sizes_every_seed():
 
 def test_semi_cr_h0_trace():
     p, q, N, k = 1.0, 0.25, 32, 4
-    E = VertexPartition.contiguous(N, k)
     G = sample_gnq(N, q, RngStream(130))
     plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=2, n=64)
-    G_out, otr = pds_to_semi_cr(G, E, plan, RngStream(131))
+    G_out, otr = pds_to_semi_cr(G, plan, RngStream(131))
     assert otr.planted_set is None
     assert len(otr.params["V"]) == 64
     short = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=2, n=63)
     with pytest.raises(ParameterError):
-        pds_to_semi_cr(G, E, short, RngStream(132))  # n below m''
+        pds_to_semi_cr(G, short, RngStream(132))  # n below m''
 
 
 def test_semi_cr_rejects_a_foreign_plan():
@@ -463,15 +476,15 @@ def test_semi_cr_rejects_a_foreign_plan():
     G = sample_gnq(N, q, RngStream(133))
     isgm_plan = plan_parameters("ISGM", p, q, 2.0, r=2, N=N, k=k)
     with pytest.raises(ParameterError, match="SEMI_CR plan"):
-        pds_to_semi_cr(G, VertexPartition.contiguous(N, k), isgm_plan, RngStream(134))
+        pds_to_semi_cr(G, isgm_plan, RngStream(134))
     plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=2)
-    with pytest.raises(ParameterError, match="partition"):
-        pds_to_semi_cr(G, VertexPartition.contiguous(N, 8), plan, RngStream(134))
+    with pytest.raises(ParameterError, match="plan needs N=40"):  # another source size
+        pds_to_semi_cr(G, plan_parameters("SEMI_CR", p, q, N=40, k=8, ell=2), RngStream(134))
     with pytest.raises(ParameterError, match="ISGM or GLSM plan"):  # and the other way round
-        pds_to_isgm(G, VertexPartition.contiguous(N, k), plan, RngStream(134))
+        pds_to_isgm(G, plan, RngStream(134))
 
 
-def _semi_cr_reference(G, E, plan, rng, trace):
+def _semi_cr_reference(G, plan, rng, trace):
     """The whole-matrix SEMI-CR algorithm: an m' x m' padded matrix, one
     two-sided einsum rotation and a tril_indices scatter of the thresholded
     entries.  Returns the output graph and the labels of V, S and S'."""
@@ -479,7 +492,7 @@ def _semi_cr_reference(G, E, plan, rng, trace):
     three_l = 3 ** ell
     s = m // ((three_l - 1) * k)
     m_prime, m_rot, ks = three_l * k * s, m // 2, k * s
-    M_PD, _, tr1 = to_k_partite_submatrix(G, E, plan.p, plan.q, m, rng.child("submatrix"), trace)
+    M_PD, tr1 = to_k_partite_submatrix(G, k, plan.p, plan.q, m, rng.child("submatrix"), trace)
     M_G = gaussianize(M_PD, plan.p, plan.Q, mu, rng.child("gaussianize"))
     blk = three_l - 1
     old = np.arange(m)
@@ -536,11 +549,10 @@ def test_semi_cr_matches_whole_matrix_reference(monkeypatch, ell, n, chunk):
     if chunk is not None:
         monkeypatch.setattr(pipelines, "_PAD_CHUNK", chunk)
     p, q, N, k = 1.0, 0.25, 32, 4
-    E = VertexPartition.contiguous(N, k)
     plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=ell, n=n)
-    G, tr = sample_k_pds(N, k, p, q, E, RngStream(170 + ell))
-    G_out, otr = pds_to_semi_cr(G, E, plan, RngStream(180 + ell), trace=tr)
-    G_ref, V, S, S2 = _semi_cr_reference(G, E, plan, RngStream(180 + ell), tr)
+    G, tr = sample_k_pds(N, k, p, q, RngStream(170 + ell))
+    G_out, otr = pds_to_semi_cr(G, plan, RngStream(180 + ell), trace=tr)
+    G_ref, V, S, S2 = _semi_cr_reference(G, plan, RngStream(180 + ell), tr)
     assert G_out.n == plan.n and G_out == G_ref
     assert (otr.params["V"], otr.planted_set.tolist(), otr.params["S_prime"]) == (V, S, S2)
 
@@ -549,12 +561,11 @@ def test_semi_cr_builds_no_padded_matrix():
     # Traced peak: the Gaussianized m x m matrix, the n x n adjacency and a
     # fixed allowance; the m' x m' padded matrix (92 MB here) never exists.
     p, q, N, k = 1.0, 0.25, 1000, 8
-    E = VertexPartition.contiguous(N, k)
     plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=2)
-    G, tr = sample_k_pds(N, k, p, q, E, RngStream(190))
+    G, tr = sample_k_pds(N, k, p, q, RngStream(190))
     tracemalloc.start()
     try:
-        pds_to_semi_cr(G, E, plan, RngStream(191), trace=tr)
+        pds_to_semi_cr(G, plan, RngStream(191), trace=tr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -591,10 +602,9 @@ def test_glsm_h0_shape_and_coordinates():
 
     p, q = 1.0, 0.25
     plan = plan_parameters("GLSM", p, q, 2.0, n=48, k=4, d=200)
-    E = VertexPartition.contiguous(plan.N, 4)
     G = sample_gnq(plan.N, q, RngStream(140))
     family, D = spca_family(10_000, 100, 1e-5)
-    X, trace = pds_to_glsm(G, E, plan, 1.0, family, D, RngStream(141))
+    X, trace = pds_to_glsm(G, plan, 1.0, family, D, RngStream(141))
     assert X.shape == (48, plan.d)
     assert len(trace.params["nu"]) == 48
     _, pvals = ks_matrix(X.T, sst.norm.cdf)
@@ -606,11 +616,10 @@ def test_glsm_trace_counts_srk3_fallbacks():
     # draws of its row's stream; the trace counts exactly those entries.
     # theta = 1e-4 crowds srk3's gates, so some rows' entries run out.
     plan = plan_parameters("GLSM", 1.0, 0.25, 2.0, n=48, k=4, d=200)
-    E = VertexPartition.contiguous(plan.N, 4)
     G = sample_gnq(plan.N, 0.25, RngStream(143))
     family, D = spca_family(48, 4, 1e-4)
     rng = RngStream(144)
-    X, trace = pds_to_glsm(G, E, plan, 1.0, family, D, rng)
+    X, trace = pds_to_glsm(G, plan, 1.0, family, D, rng)
     init = np.stack([rng.child("srk3", i).child("srk3").generator().standard_normal(plan.d)
                      for i in range(48)])
     fallback = trace.params["srk3_fallback_entries"]
@@ -623,12 +632,11 @@ def test_glsm_planted_coordinate_means():
     # component) at the corollary configuration.
     p, q = 1.0, 0.25
     plan = plan_parameters("GLSM", p, q, 2.0, n=64, k=4)  # d defaults to m
-    E = VertexPartition.contiguous(plan.N, 4)
     family, D = spca_family(10_000, 100, 1e-5)
     acc = []
     for i in range(60):
-        G, tr = sample_k_pds(plan.N, 4, p, q, E, RngStream(142).child("g", i))
-        X, otr = pds_to_glsm(G, E, plan, 1.0, family, D, RngStream(142).child("r", i),
+        G, tr = sample_k_pds(plan.N, 4, p, q, RngStream(142).child("g", i))
+        X, otr = pds_to_glsm(G, plan, 1.0, family, D, RngStream(142).child("r", i),
                              trace=tr)
         S = otr.planted_set
         nus = np.asarray(otr.params["nu"])
@@ -662,14 +670,13 @@ def test_semi_cr_h0_class_marginals():
     # Null inputs land on the two-probability law: 1/2 - mu1 inside the
     # rotated vertex set, exactly 1/2 elsewhere.
     p, q, N, k, ell = 1.0, 0.25, 32, 4, 2
-    E = VertexPartition.contiguous(N, k)
     plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=ell, n=128)
     hits = np.zeros(2)
     tots = np.zeros(2)
     mu1 = None
     for i in range(150):
         G = sample_gnq(N, q, RngStream(150).child("g", i))
-        G_out, otr = pds_to_semi_cr(G, E, plan, RngStream(150).child("r", i))
+        G_out, otr = pds_to_semi_cr(G, plan, RngStream(150).child("r", i))
         mu1 = otr.params["mu1"]
         V = np.asarray(otr.params["V"])
         inV = np.zeros(G_out.n, dtype=bool)
@@ -694,9 +701,8 @@ def test_isgm_rotation_isotropy_at_zero_mu():
     p, q = 1.0, 0.25
     plan = plan_parameters("ISGM", p, q, 2.0, r=2, N=128, k=16, t=8, n=2040)
     plan.mu = 0.0
-    E = VertexPartition.contiguous(128, 16)
-    G, tr = sample_k_pds(128, 16, p, q, E, RngStream(151))
-    inst = pds_to_isgm(G, E, plan, RngStream(152), trace=tr)
+    G, tr = sample_k_pds(128, 16, p, q, RngStream(151))
+    inst = pds_to_isgm(G, plan, RngStream(152), trace=tr)
     assert abs(inst.samples.var() - 1.0) < 0.01
     cov_cols = covariance_identity_check(inst.samples, rng=RngStream(153))
     cov_rows = covariance_identity_check(inst.samples.T, rng=RngStream(154))
@@ -712,8 +718,7 @@ def test_pipeline_outputs_close_across_seeds():
 
     p, q = 1.0, 0.25
     plan = plan_parameters("ISGM", p, q, 2.0, r=2, N=128, k=16, t=8, n=2040)
-    E = VertexPartition.contiguous(128, 16)
-    G, tr = sample_k_pds(128, 16, p, q, E, RngStream(159))
-    a = pds_to_isgm(G, E, plan, RngStream(160), trace=tr)
-    b = pds_to_isgm(G, E, plan, RngStream(161), trace=tr)
+    G, tr = sample_k_pds(128, 16, p, q, RngStream(159))
+    a = pds_to_isgm(G, plan, RngStream(160), trace=tr)
+    b = pds_to_isgm(G, plan, RngStream(161), trace=tr)
     assert empirical_tv_binned(a.samples, b.samples, 100) <= 0.03

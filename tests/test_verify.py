@@ -18,9 +18,10 @@ from avgcase import prob
 from avgcase.cli import main
 from avgcase.errors import FeasibilityError, ParameterError
 from avgcase.errors import TestError as StatTestError  # alias: pytest must not collect it
-from avgcase.graphs import VertexPartition
+from avgcase.geometry import build_H
+from avgcase.pipelines import plan_parameters
 from avgcase.prob import Bernoulli, Binomial, FinitePmf, RngStream
-from avgcase.verify import (EnergyQuery, battery_params, chi2_bern_plus_bin,
+from avgcase.verify import (EnergyQuery, _isgm_count_pmf, battery_params, chi2_bern_plus_bin,
                             chi2_bern_plus_bin_closed_form, chi2_test,
                             covariance_identity_check, empirical_tv_binned,
                             empirical_tv_to_cdf, exact_tv,
@@ -182,8 +183,7 @@ def test_covariance_check_detects_inflation():
 # ---------------------------------------------------------------------------
 
 def _query(n, k, D, signal="pc", p=1.0):
-    return EnergyQuery(n=n, k=k, partition=VertexPartition.contiguous(n, k),
-                       D=D, signal=signal, p=p)
+    return EnergyQuery(n=n, k=k, D=D, signal=signal, p=p)
 
 
 def test_energy_degree_zero_and_single_edge():
@@ -209,8 +209,7 @@ def test_energy_pds_half_vanishes():
 
 
 def test_energy_guard():
-    q = EnergyQuery(n=40, k=4, partition=VertexPartition.contiguous(40, 4),
-                    D=4, signal="pc", guard=10_000)
+    q = EnergyQuery(n=40, k=4, D=4, signal="pc", guard=10_000)
     with pytest.raises(FeasibilityError):
         low_degree_energy(q)
 
@@ -218,6 +217,36 @@ def test_energy_guard():
 def test_energy_rejects_bad_signal():
     with pytest.raises(ParameterError):
         low_degree_energy(_query(6, 3, 2, signal="weird"))
+
+
+@pytest.mark.parametrize("n, k", [(7, 3), (6, 0), (6, -3), (2, 4), (0, 1)])
+def test_energy_query_needs_k_parts_of_n(n, k):
+    with pytest.raises(ParameterError, match="must divide"):
+        EnergyQuery(n=n, k=k, D=1)
+
+
+# ---------------------------------------------------------------------------
+# reduction contracts
+# ---------------------------------------------------------------------------
+
+def test_isgm_count_law_is_the_exact_mixture():
+    # Every nonzero point of H_{r,t} has r^(t-1) positive rotated entries and
+    # the zero point none: the law counts on both.
+    for r, t in ((2, 3), (2, 7), (3, 2), (5, 2)):
+        positive = (build_H(r, t).matrix > 0).sum(axis=0)
+        assert positive[0] == 0 and set(positive[1:].tolist()) == {r ** (t - 1)}
+    # At the battery defaults (r=2, t=7, k=4, n=127) the mixture has the
+    # moments of Binomial(127, 1/2), but not its shape.
+    d = battery_params("isgm", None)
+    plan = plan_parameters("ISGM", d["p"], d["q"], d["w"], r=d["r"], N=d["N"], k=d["k"])
+    assert (plan.r, plan.t, plan.k, plan.n) == (2, 7, 4, 127)
+    law = _isgm_count_pmf(plan)
+    values, probs = law.as_arrays()
+    mean = probs @ values
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert mean == pytest.approx(63.5, abs=1e-9)
+    assert probs @ (values - mean) ** 2 == pytest.approx(31.75, abs=1e-9)
+    assert exact_tv(law, Binomial(127, 0.5)) == pytest.approx(0.0702, abs=5e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +262,7 @@ def test_verify_reduction_report_shape_and_roundtrip(tmp_path):
     # underpowered trials are inconclusive, not failing
     planted = [t for t in report["tests"] if t["name"].startswith("h1")]
     assert planted and all(t["status"] == "inconclusive" for t in planted)
+    assert 0.0 < report["count_law_tv_to_binomial"] < 1.0
     text = json.dumps(report, sort_keys=True)
     assert json.loads(text) == json.loads(json.dumps(json.loads(text), sort_keys=True))
 
