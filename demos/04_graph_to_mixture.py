@@ -13,12 +13,12 @@ import numpy as np
 import scipy.stats as sst
 
 from avgcase.graphs import sample_gnq, sample_k_pds
-from avgcase.pipelines import isgm_mu_prime, pds_to_isgm, plan_parameters
+from avgcase.pipelines import isgm_mu_prime, pds_to_isgm, plan_isgm
 from avgcase.prob import RngStream
 from avgcase.verify import covariance_identity_check, ks_matrix
 
 p, q, N, k = 1.0, 0.25, 128, 16
-plan = plan_parameters("ISGM", p, q, 2.0, r=2, N=N, k=k, t=8, n=2040)
+plan = plan_isgm(p, q, 2.0, r=2, N=N, k=k, t=8, n=2040)
 print(f"plan: r={plan.r} t={plan.t} m={plan.m} n={plan.n} d={plan.d} "
       f"Q={plan.Q} mu={plan.mu:.5f} eps={plan.eps}")
 unmet = [key for key, value in plan.report.items() if value is False]

@@ -12,13 +12,13 @@ import numpy as np
 
 from avgcase.graphs import (PlantedTrace, sample_k_pds, sample_planted_conditional,
                             semirandom_apply)
-from avgcase.pipelines import pds_to_semi_cr, plan_parameters, semi_cr_mus
+from avgcase.pipelines import pds_to_semi_cr, plan_semi_cr, semi_cr_mus
 from avgcase.prob import RngStream
 from avgcase.verify import (SEMI_CR_CLASSES, class_z_scores, semi_cr_class_counts,
                             semi_cr_class_probs)
 
 p, q, N, k, ell = 1.0, 0.25, 32, 4, 2
-plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=ell)
+plan = plan_semi_cr(p, q, N=N, k=k, ell=ell)
 mu1, mu2, mu3 = semi_cr_mus(plan.mu, ell)
 print(f"plan: m={plan.m} (embeds into {plan.m // 2} rotated vertices), "
       f"mu={plan.mu:.4f} -> mu1={mu1:.5f}, mu2=mu3={mu3:.5f}")

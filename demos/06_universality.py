@@ -12,7 +12,7 @@ import scipy.stats as sst
 
 from avgcase.graphs import sample_gnq, sample_k_pds
 from avgcase.kernels import PairFamily
-from avgcase.pipelines import check_uc, pds_to_glsm, plan_parameters, spca_family
+from avgcase.pipelines import check_uc, pds_to_glsm, plan_glsm, spca_family
 from avgcase.prob import RngStream
 from avgcase.verify import ks_matrix
 
@@ -38,7 +38,7 @@ print(f"  a fat mean-shift-1 family violates (ii) at freq "
 
 # End to end on a null input: every output coordinate is distributed as Q.
 p, q = 1.0, 0.25
-plan = plan_parameters("GLSM", p, q, 2.0, n=64, k=4)  # d defaults to m
+plan = plan_glsm(p, q, 2.0, n=64, k=4)  # d defaults to m
 print(f"\nGLSM plan: source N={plan.N}, t={plan.t}, mu={plan.mu:.5f} "
       f"(capped at proven bound: {plan.report['mu_capped_at_proven_bound']})")
 G0 = sample_gnq(plan.N, q, rng.child("h0"))

@@ -193,8 +193,8 @@ def _cmd_generate(args) -> int:
 def _cmd_reduce(args) -> int:
     from .formats import dump_json, write_amat
     from .graphs import PlantedTrace, read_graphv1, write_graphv1
-    from .pipelines import (pds_to_glsm, pds_to_isgm, pds_to_semi_cr,
-                            plan_parameters, spca_family)
+    from .pipelines import (pds_to_glsm, pds_to_isgm, pds_to_semi_cr, plan_glsm,
+                            plan_isgm, plan_semi_cr, spca_family)
     from .prob import RngStream
 
     out = _out_dir(args)
@@ -203,10 +203,8 @@ def _cmd_reduce(args) -> int:
     rng = RngStream(args.seed)
 
     if args.pipeline == "isgm":
-        if args.r is None and args.eps is None:
-            raise ParameterError("reduce isgm needs --eps or --r")
-        plan = plan_parameters("ISGM", args.p, args.q, args.w, eps=args.eps,
-                               r=args.r, N=G.n, k=args.k, n=args.n, d=args.d)
+        plan = plan_isgm(args.p, args.q, args.w, eps=args.eps, r=args.r, N=G.n,
+                         k=args.k, n=args.n, d=args.d)
         inst = pds_to_isgm(G, plan, rng, trace=trace,
                            allow_unproven=args.allow_unproven)
         write_amat(out / "samples.amat", inst.samples)
@@ -218,8 +216,7 @@ def _cmd_reduce(args) -> int:
             f"mu={plan.mu:.4g} unmet={failed or 'none'} -> {out / 'samples.amat'}"
         )
     elif args.pipeline == "semi-cr":
-        plan = plan_parameters("SEMI_CR", args.p, args.q, N=G.n, k=args.k,
-                               ell=args.ell, n=args.n_out)
+        plan = plan_semi_cr(args.p, args.q, N=G.n, k=args.k, ell=args.ell, n=args.n_out)
         G_out, out_trace = pds_to_semi_cr(G, plan, rng, trace=trace)
         write_graphv1(G_out, out / "instance.graph")
         out_trace.write_json(out / "trace.json")
@@ -230,8 +227,7 @@ def _cmd_reduce(args) -> int:
             f"-> {out / 'instance.graph'}"
         )
     else:  # glsm
-        plan = plan_parameters("GLSM", args.p, args.q, args.w, n=args.n,
-                               k=args.k, d=args.d)
+        plan = plan_glsm(args.p, args.q, args.w, n=args.n, k=args.k, d=args.d)
         family, D = spca_family(args.n, args.k, args.theta)
         X, out_trace = pds_to_glsm(G, plan, args.tau, family, D, rng,
                                    trace=trace, allow_unproven=args.allow_unproven)

@@ -14,7 +14,8 @@ The three public pipelines are
   likelihood-ratio oracles for its planted marginals (a ``PairFamily``),
 
 plus their shared sub-steps (``graph_clone``, ``to_k_partite_submatrix``,
-``isgm_sample_clone``), the parameter planner, the sparse-PCA target family
+``isgm_sample_clone``), one parameter planner per target (``plan_isgm``,
+``plan_semi_cr``, ``plan_glsm``), the sparse-PCA target family
 (``spca_family``), and the universality-condition checker.
 """
 
@@ -49,7 +50,9 @@ __all__ = [
     "clone_pmfs",
     "graph_clone",
     "to_k_partite_submatrix",
-    "plan_parameters",
+    "plan_isgm",
+    "plan_semi_cr",
+    "plan_glsm",
     "pds_to_isgm",
     "sample_isgm",
     "isgm_mu_prime",
@@ -118,11 +121,14 @@ class IsgmInstance:
 
 @dataclass
 class ReductionPlan:
-    """Derived parameters of one reduction run plus the regime report.
+    """Derived parameters of one reduction run plus the regime report, from
+    ``plan_isgm``, ``plan_semi_cr`` or ``plan_glsm``.
 
-    ``report`` maps named proven-regime preconditions to booleans/values; failures
-    there are advisory (desk-scale runs routinely violate asymptotic
-    conditions), while structural violations raise at pipeline entry.
+    Planners take sizes as positive integers and raise ParameterError on
+    structural impossibilities, such as an ISGM or GLSM m x k r^t float64
+    Gaussianize matrix beyond the host's physical memory.  ``report`` maps named
+    proven-regime preconditions to booleans/values; failures there are
+    advisory (desk-scale runs routinely violate asymptotic conditions).
     """
 
     target: str
@@ -164,15 +170,17 @@ class ReductionPlan:
         return dict(self.__dict__)
 
 
-def _regime_report(plan: ReductionPlan) -> dict:
+def _regime_report(plan: ReductionPlan) -> ReductionPlan:
+    """Add the proven-regime conditions to ``plan.report``; return the plan."""
     bound = plan.mu_bound
-    report = {
+    report = plan.report
+    report.update({
         "k_le_QN_over_4": plan.k <= plan.Q * plan.N / 4.0,
         "m_exceeds_(p/Q+1)N": plan.m > (plan.p / plan.Q + 1.0) * plan.N,
         "mu_le_proven_bound": plan.mu <= bound * (1 + 1e-12),
         "proven_mu_bound": bound,
         "k_sq_over_N": plan.k ** 2 / plan.N,
-    }
+    })
     if plan.target == "SEMI_CR":
         report["(3^l-1)k_divides_m"] = plan.m % ((3 ** plan.ell - 1) * plan.k) == 0
         report["n_ge_m_rotated"] = plan.n >= plan.m // 2
@@ -181,7 +189,7 @@ def _regime_report(plan: ReductionPlan) -> dict:
         report["m_le_d"] = plan.m <= plan.d
         report["w_n_le_k_ell"] = plan.w * plan.n <= plan.k * plan.n_hyperplanes
         report["n_over_eps_N"] = plan.n / (plan.eps * plan.N)
-    return report
+    return plan
 
 
 def _check_sizes(**sizes) -> None:
@@ -199,142 +207,140 @@ def _physical_memory() -> Optional[int]:
     return pages * page if pages > 0 and page > 0 else None
 
 
-def plan_parameters(
-    target: str,
-    p: float,
-    q: float,
-    w: Optional[float] = None,
-    *,
-    eps: Optional[float] = None,
-    r: Optional[int] = None,
-    N: Optional[int] = None,
-    k: Optional[int] = None,
-    n: Optional[int] = None,
-    d: Optional[int] = None,
-    t: Optional[int] = None,
-    ell: Optional[int] = None,
-) -> ReductionPlan:
-    """Derive a full parameter plan for one reduction target.
-
-    ISGM      needs (N, k) of the input graph, the slow-growth factor w and
-              eps in (0, 1) (or the prime r); n and d default to
-              floor(k*l/w) and m.
-    SEMI_CR   needs (N, k) and the blowup ell >= 2, and takes no w; n
-              defaults to the embedded matrix size m.
-    GLSM      needs target n >= 2, k and w; derives the source size, a
-              multiple of k; r is 2 and d defaults to m.
-
-    Every size given (N, k, n, d) must be a positive integer, and k must
-    divide N: the k-partite promise is the parts [i N/k, (i+1) N/k) of the
-    source's N vertices.  ``mu`` is the plan's proven bound
-    (``ReductionPlan.mu_bound``), for GLSM capped further at
-    sqrt(k / (N log n)).  Structural impossibilities, and an ISGM or GLSM
-    plan whose float64 m x k r^t Gaussianize matrix exceeds the host's
-    physical memory, raise ParameterError; asymptotic conditions that merely
-    fail at finite size are recorded in ``plan.report``.
-    """
-    if target not in ("ISGM", "SEMI_CR", "GLSM"):
-        raise ParameterError(f"unknown reduction target {target!r}")
+def _clone_Q_delta(p: float, q: float):
     Q = clone_Q(p, q)
-    delta = rejection_delta(p, Q)
-    _check_sizes(N=N, k=k, n=n, d=d)
+    return Q, rejection_delta(p, Q)
+
+
+def _check_partition(N: int, k: int) -> None:
+    # the k-partite promise: the parts [i N/k, (i+1) N/k) of the N vertices
+    if N % k:
+        raise ParameterError(f"k={k} must divide N={N}")
+
+
+def _check_w(w: Optional[float]) -> None:
+    if w is None or not 0.0 < w < math.inf:
+        raise ParameterError(f"w must be positive and finite, got {w}")
+
+
+def _check_gaussianize_fits(plan: ReductionPlan) -> None:
+    # the float64 Gaussianize output of the m x k r^t padded matrix must fit
+    # in one array and in the host's physical memory
+    need = plan.m * plan.k * plan.rt * 8
+    limit, where = _physical_memory(), "this host's physical memory"
+    if limit is None:
+        limit, where = np.iinfo(np.intp).max, "the address space"
+    if need > limit:
+        raise ParameterError(
+            f"the {plan.m} x {plan.k * plan.rt} (m x k r^t) matrix to Gaussianize "
+            f"needs {need / 2 ** 30:.3g} GiB as float64: too large for one array in "
+            f"{where} ({limit / 2 ** 30:.3g} GiB)"
+        )
+
+
+def plan_isgm(p: float, q: float, w: float, *, N: int, k: int, eps: Optional[float] = None,
+              r: Optional[int] = None, n: Optional[int] = None, d: Optional[int] = None,
+              t: Optional[int] = None) -> ReductionPlan:
+    """Plan k-PDS -> ISGM from a source of N vertices in k parts (k | N).
+
+    Needs the slow-growth factor w > 0 and eps in (0, 1) or the prime r: eps
+    picks the smallest prime r > 1/eps, and the plan's eps is 1/r.  t
+    defaults to the least t >= 2 with k r^t >= m, n to floor(k l / w) for
+    l = (r^t - 1) / (r - 1), and d to m.  ``mu`` is the proven bound.
+    """
+    Q, delta = _clone_Q_delta(p, q)
+    _check_sizes(N=N, k=k, n=n, d=d, r=r, t=t)
     if eps is not None and not 0.0 < eps < 1.0:  # NaN fails this too
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
-    if target == "SEMI_CR":
-        if w is not None:
-            raise ParameterError("SEMI_CR planning takes no w")
-    elif w is None or not 0.0 < w < math.inf:
-        raise ParameterError(f"w must be positive and finite, got {w}")
-    if target != "GLSM":
-        if N is None or k is None:
-            raise ParameterError(f"{target} planning needs the source sizes N and k")
-        if N % k:
-            raise ParameterError(f"k={k} must divide N={N}")
-
-    if target == "ISGM":
-        if r is None:
-            if eps is None:
-                raise ParameterError("ISGM planning needs eps or r")
-            if eps <= 2.0 ** -31:  # r > 1/eps, and r^2 must fit in 64 bits
-                raise ParameterError(f"eps={eps} is too small: r^t would overflow 64 bits")
-            r = smallest_prime_above(1.0 / eps)
-        if not is_prime(r):
-            raise ParameterError(f"r={r} is not prime")
-        eps = 1.0 / r
-        m = _next_multiple_above(k, (p / Q + 1.0) * N)
-        if t is None:
-            t = 2
-            while k * r ** t < m:
-                t += 1
-        elif t < 2 or k * r ** t < m:
-            raise ParameterError(f"explicit t={t} needs t >= 2 and k r^t >= m = {m}")
-        if r ** t >= 2 ** 62:
-            raise ParameterError(f"r^t = {r}^{t} overflows 64 bits")
-        ellh = (r ** t - 1) // (r - 1)
-        if n is None:
-            n = max(1, int(k * ellh / w))
-        if d is None:
-            d = m
-        plan = ReductionPlan("ISGM", p, q, N, k, r, t, m, n, d, Q, delta, 0.0, w, eps)
-        plan.mu = plan.mu_bound
-
-    elif target == "SEMI_CR":
-        if not isinstance(ell, (int, np.integer)) or ell < 2:
-            # the block rotation H_{3,ell} needs ell >= 2, and ell = 1 plants nothing
-            raise ParameterError(f"ell must be an integer >= 2, got {ell!r}")
-        ell = int(ell)
-        unit = (3 ** ell - 1) * k
-        m = _next_multiple_above(unit, (p / Q + 1.0) * N)
-        if n is None:
-            n = m
-        plan = ReductionPlan("SEMI_CR", p, q, N, k, 3, ell, m, n, m // 2, Q, delta, 0.0,
-                             None, 1.0 / 3.0, ell=ell)
-        plan.mu = plan.mu_bound
-        mu1, mu2, mu3 = semi_cr_mus(plan.mu, ell)
-        plan.report.update({"mu1": mu1, "mu2": mu2, "mu3": mu3,
-                            "planted_size": (3 ** (ell - 1) - 1) * k // 2})
-
-    else:  # GLSM
-        if n is None or k is None:
-            raise ParameterError("GLSM planning needs n and k")
-        if n < 2:  # the planned mean divides by log n
-            raise ParameterError(f"GLSM planning needs n >= 2, got n={n}")
-        r = 2
+    _check_w(w)
+    _check_partition(N, k)
+    if r is None:
+        if eps is None:
+            raise ParameterError("ISGM planning needs eps or r")
+        if eps <= 2.0 ** -31:  # r > 1/eps, and r^2 must fit in 64 bits
+            raise ParameterError(f"eps={eps} is too small: r^t would overflow 64 bits")
+        r = smallest_prime_above(1.0 / eps)
+    if not is_prime(r):
+        raise ParameterError(f"r={r} is not prime")
+    m = _next_multiple_above(k, (p / Q + 1.0) * N)
+    if t is None:
         t = 2
-        while 2 ** t <= w * k or k * (2 ** t - 1) < w * n:
+        while k * r ** t < m:
             t += 1
-            if t >= 62:  # also ends the search when w k or w n overflows to inf
-                raise ParameterError(f"no 2^t below 2^62 exceeds w k and w n (w={w})")
-        N = (int((2 ** t) * k / (p / Q + 1.0)) // k) * k
-        m = _next_multiple_above(k, (p / Q + 1.0) * N)
-        while N >= k and m > k * 2 ** t:
-            N -= k
-            m = _next_multiple_above(k, (p / Q + 1.0) * N)
-        if N < k:
-            raise ParameterError("planned source size collapsed below k")
-        if d is None:
-            d = m
-        plan = ReductionPlan("GLSM", p, q, N, k, r, t, m, n, d, Q, delta, 0.0, w, 0.5)
-        mu_fig, bound = math.sqrt(k / (N * math.log(n))), plan.mu_bound
-        plan.mu = min(mu_fig, bound)
-        plan.report["mu_uncapped"] = mu_fig
-        plan.report["mu_capped_at_proven_bound"] = mu_fig > bound
+    elif t < 2 or k * r ** t < m:
+        raise ParameterError(f"explicit t={t} needs t >= 2 and k r^t >= m = {m}")
+    if r ** t >= 2 ** 62:
+        raise ParameterError(f"r^t = {r}^{t} overflows 64 bits")
+    if n is None:
+        n = max(1, int(k * ((r ** t - 1) // (r - 1)) / w))
+    if d is None:
+        d = m
+    plan = ReductionPlan("ISGM", p, q, N, k, r, t, m, n, d, Q, delta, 0.0, w, 1.0 / r)
+    plan.mu = plan.mu_bound
+    _check_gaussianize_fits(plan)
+    return _regime_report(plan)
 
-    if target != "SEMI_CR":
-        # the float64 Gaussianize output of the m x k r^t padded matrix must
-        # fit in one array and in the host's physical memory
-        need = plan.m * plan.k * plan.rt * 8
-        limit, where = _physical_memory(), "this host's physical memory"
-        if limit is None:
-            limit, where = np.iinfo(np.intp).max, "the address space"
-        if need > limit:
-            raise ParameterError(
-                f"the {plan.m} x {plan.k * plan.rt} (m x k r^t) matrix to Gaussianize "
-                f"needs {need / 2 ** 30:.3g} GiB as float64: too large for one array in "
-                f"{where} ({limit / 2 ** 30:.3g} GiB)"
-            )
-    plan.report.update(_regime_report(plan))
-    return plan
+
+def plan_semi_cr(p: float, q: float, *, N: int, k: int, ell: int,
+                 n: Optional[int] = None) -> ReductionPlan:
+    """Plan k-PDS -> SEMI-CR from a source of N vertices in k parts (k | N).
+
+    Needs the blowup ell >= 2 of the rotation over F_3 (r = 3, t = ell); n
+    defaults to the embedded matrix size m.  ``mu`` is the proven bound on
+    the m x m submatrix, and the report adds the target law's mu1, mu2, mu3.
+    """
+    Q, delta = _clone_Q_delta(p, q)
+    _check_sizes(N=N, k=k, n=n)
+    _check_partition(N, k)
+    if not isinstance(ell, (int, np.integer)) or ell < 2:
+        # the block rotation H_{3,ell} needs ell >= 2, and ell = 1 plants nothing
+        raise ParameterError(f"ell must be an integer >= 2, got {ell!r}")
+    ell = int(ell)
+    m = _next_multiple_above((3 ** ell - 1) * k, (p / Q + 1.0) * N)
+    if n is None:
+        n = m
+    plan = ReductionPlan("SEMI_CR", p, q, N, k, 3, ell, m, n, m // 2, Q, delta, 0.0,
+                         None, 1.0 / 3.0, ell=ell)
+    plan.mu = plan.mu_bound
+    mu1, mu2, mu3 = semi_cr_mus(plan.mu, ell)
+    plan.report.update({"mu1": mu1, "mu2": mu2, "mu3": mu3,
+                        "planted_size": (3 ** (ell - 1) - 1) * k // 2})
+    return _regime_report(plan)
+
+
+def plan_glsm(p: float, q: float, w: float, *, n: int, k: int,
+              d: Optional[int] = None) -> ReductionPlan:
+    """Plan k-PDS -> GLSM for n >= 2 target samples with planted size k.
+
+    Needs the slow-growth factor w > 0; r is 2 and eps 1/2.  The source size
+    N is derived, a multiple of k, and d defaults to m.  ``mu`` is
+    sqrt(k / (N log n)), capped at the proven bound.
+    """
+    Q, delta = _clone_Q_delta(p, q)
+    _check_sizes(k=k, n=n, d=d)
+    _check_w(w)
+    if n < 2:  # the planned mean divides by log n
+        raise ParameterError(f"GLSM planning needs n >= 2, got n={n}")
+    t = 2
+    while 2 ** t <= w * k or k * (2 ** t - 1) < w * n:
+        t += 1
+        if t >= 62:  # also ends the search when w k or w n overflows to inf
+            raise ParameterError(f"no 2^t below 2^62 exceeds w k and w n (w={w})")
+    N = (int((2 ** t) * k / (p / Q + 1.0)) // k) * k
+    m = _next_multiple_above(k, (p / Q + 1.0) * N)
+    while N >= k and m > k * 2 ** t:
+        N -= k
+        m = _next_multiple_above(k, (p / Q + 1.0) * N)
+    if N < k:
+        raise ParameterError("planned source size collapsed below k")
+    if d is None:
+        d = m
+    plan = ReductionPlan("GLSM", p, q, N, k, 2, t, m, n, d, Q, delta, 0.0, w, 0.5)
+    mu_fig, bound = math.sqrt(k / (N * math.log(n))), plan.mu_bound
+    plan.mu = min(mu_fig, bound)
+    plan.report.update(mu_uncapped=mu_fig, mu_capped_at_proven_bound=mu_fig > bound)
+    _check_gaussianize_fits(plan)
+    return _regime_report(plan)
 
 
 def _check_source_size(G: Graph, plan: ReductionPlan) -> None:

@@ -570,8 +570,7 @@ def _battery_isgm(params, trials, alpha, rng, fault):
     from .graphs import sample_gnq, sample_k_pds
 
     N, k = params["N"], params["k"]
-    plan = pl.plan_parameters("ISGM", params["p"], params["q"], params["w"],
-                              r=params["r"], N=N, k=k)
+    plan = pl.plan_isgm(params["p"], params["q"], params["w"], r=params["r"], N=N, k=k)
     rotation = None
     if fault == "rotation":
         from .geometry import build_H
@@ -629,8 +628,7 @@ def _battery_semi_cr(params, trials, alpha, rng, fault):
     from .graphs import sample_k_pds
 
     N, k = params["N"], params["k"]
-    plan = pl.plan_parameters("SEMI_CR", params["p"], params["q"], N=N, k=k,
-                              ell=params["ell"])
+    plan = pl.plan_semi_cr(params["p"], params["q"], N=N, k=k, ell=params["ell"])
     min_trials = 100
     tests = []
     if trials < min_trials:
@@ -663,8 +661,7 @@ def _battery_glsm(params, trials, alpha, rng, fault):
     from .graphs import sample_gnq
 
     n, k = params["n"], params["k"]
-    plan = pl.plan_parameters("GLSM", params["p"], params["q"], 2.0, n=n, k=k,
-                              d=params["d"])
+    plan = pl.plan_glsm(params["p"], params["q"], 2.0, n=n, k=k, d=params["d"])
     family, D = pl.spca_family(n, k, params["theta"])
     G0 = sample_gnq(plan.N, plan.q, rng.child("h0-graph"))
     X, _ = pl.pds_to_glsm(G0, plan, params["tau"], family, D, rng.child("h0-run"))

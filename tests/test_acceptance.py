@@ -22,8 +22,8 @@ from avgcase.graphs import (Graph, PlantedTrace, sample_gnq, sample_k_pds,
                             sample_planted_conditional, semirandom_apply)
 from avgcase.kernels import PairFamily, srk3_array, tern_params_from_truncation
 from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, isgm_sample_clone,
-                               pds_to_isgm, pds_to_semi_cr, plan_parameters,
-                               sample_isgm, semi_cr_mus)
+                               pds_to_isgm, pds_to_semi_cr, plan_isgm,
+                               plan_semi_cr, sample_isgm, semi_cr_mus)
 from avgcase.prob import Binomial, RngStream, Tern, _run_trials, normal_cdf, sample
 from avgcase.verify import (SEMI_CR_CLASSES, EnergyQuery, chi2_bern_plus_bin,
                             chi2_bern_plus_bin_closed_form, chi2_test,
@@ -131,7 +131,7 @@ def test_criterion_03_closed_form_bound_suite():
 def test_criterion_04_isgm_null_contract():
     with criterion(4, "k-PDS->ISGM null: per-coordinate KS + covariance", 600.0):
         p, q = 0.75, 0.25
-        plan = plan_parameters("ISGM", p, q, 4.0, r=2, N=1600, k=8)
+        plan = plan_isgm(p, q, 4.0, r=2, N=1600, k=8)
         plan.d = plan.m + 50
         rng = RngStream(20_260_004)
         G0 = sample_gnq(1600, q, rng.child("h0"))
@@ -150,7 +150,7 @@ def test_criterion_05_isgm_planted_contract():
         # count-law configuration: a small instance, whose counts are checked
         # against their exact law, the Bin(k, r^-t) mixture of hypergeometric
         # laws in ``isgm_count_law``
-        plan = plan_parameters("ISGM", p, q, 4.0, r=2, N=32, k=4, t=9, n=24)
+        plan = plan_isgm(p, q, 4.0, r=2, N=32, k=4, t=9, n=24)
         rng = RngStream(20_260_005)
 
         def count(i):
@@ -165,7 +165,7 @@ def test_criterion_05_isgm_planted_contract():
 
         # mean-check configuration: more planted mass per run so the pooled
         # standard error sits at mu / 4
-        plan2 = plan_parameters("ISGM", p, q, 2.0, r=2, N=128, k=16, t=8, n=2040)
+        plan2 = plan_isgm(p, q, 2.0, r=2, N=128, k=16, t=8, n=2040)
         # Serial: with BLAS on its default threads, forked workers (each with
         # BLAS threads of its own) ran this loop in 16.6 s against 6.5 s in
         # one process, on 2 CPUs; these runs' rotations are large.
@@ -207,7 +207,7 @@ def test_criterion_07_semi_cr_target_laws():
     with criterion(7, "SEMI-CR class marginals + adversary composition", 600.0):
         p, q, N, k, ell = 1.0, 0.25, 32, 4, 2
         rng = RngStream(20_260_007)
-        plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=ell)
+        plan = plan_semi_cr(p, q, N=N, k=k, ell=ell)
         mu1, mu2, mu3 = semi_cr_mus(plan.mu, ell)
         R = 2000
 

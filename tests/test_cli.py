@@ -203,10 +203,12 @@ def test_reduce_semi_cr_end_to_end(tmp_path):
 
 
 # sha256 of `reduce semi-cr` outputs on a 400-vertex k-PDS graph.  A change
-# to the random stream must change these pins and say so.
+# to the random stream must change these pins and say so; plan.json pins the
+# planned values.
 _SEMI_CR_GOLDEN = {
     "instance.graph": "ebc196c6cea3ee27ae49749dffd6f75e805ce3fd1b2d0e08c447eb66a4230c7e",
     "trace.json": "11556b4bd7c80ff10475b9a2d0ba27c69c06bab2b5ffee808888e301bfb8daad",
+    "plan.json": "cdd9c552483e3b4531f5ded6af0128f37be16111157de7cbaa3baca6abd3cc98",
 }
 
 
@@ -222,15 +224,17 @@ def test_reduce_semi_cr_golden_digests(tmp_path):
 
 
 # sha256 of `reduce isgm` (400-vertex graph) and `reduce glsm` (84-vertex
-# graph, the GLSM plan's source size at n=64, k=4) outputs.  plan.json is not
-# pinned: it reports the plan's fields, not the random stream.
+# graph, the GLSM plan's source size at n=64, k=4) outputs.  plan.json pins
+# every planned value and the regime report, not the random stream.
 _ISGM_GOLDEN = {
     "samples.amat": "a7b523b08a60be3705135359fc7da338d4618fd33bde8c945bc5b6f63dd67ff4",
     "trace.json": "0970428e62c6e73174c61ac7455c48475d789afa75f9c71c38e0a5a0695d280b",
+    "plan.json": "d1ab25aad0c413b96c79f0369f2ce212bb8e470a6f4b86d1f5e85f47fcba48ab",
 }
 _GLSM_GOLDEN = {
     "samples.amat": "ddd95fcc87f445c35e9e9e6a8a73371d32cfaa645377d05ea1ee622a3733b5cc",
     "trace.json": "790c74522ee6ceb8c52a064be1773884cf4c013301a72639fe4a07b82bc37b3b",
+    "plan.json": "160f2490044684bccc447f0ee6ef0238f3bd5226725ebeec70934ba47ebe92d6",
 }
 
 
@@ -364,6 +368,7 @@ _SRC = ["--k", "4", "--p", "1.0", "--q", "0.25", "--seed", "5"]
     (["energy", "--n", "0", "--k", "1", "--degree", "1"], "must divide"),
     # the 32-vertex graph under a GLSM plan whose source size is 84
     (["reduce", "glsm", "--in", "{graph}", *_SRC, "--n", "64", "--d", "256"], "N=84"),
+    (["reduce", "isgm", "--in", "{graph}", *_SRC], "needs eps or r"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     src = tmp_path / "src"

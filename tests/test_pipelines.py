@@ -15,8 +15,8 @@ from avgcase.graphs import Graph, sample_gnq, sample_k_pds
 from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, check_uc,
                                isgm_mu_prime, isgm_sample_clone,
                                pds_to_glsm, pds_to_isgm, pds_to_semi_cr,
-                               plan_parameters, sample_isgm, semi_cr_mus,
-                               spca_family, to_k_partite_submatrix)
+                               plan_glsm, plan_isgm, plan_semi_cr, sample_isgm,
+                               semi_cr_mus, spca_family, to_k_partite_submatrix)
 from avgcase.kernels import PairFamily, gaussianize, gaussianize_mu_bound
 from avgcase.prob import Gaussian, RngStream
 from avgcase.verify import chi2_test
@@ -111,7 +111,7 @@ def test_submatrix_draws_no_float64_matrix():
     # The Bern(Q) background is drawn in bands: the traced peak stays below
     # half of the m x m float64 draw the one-shot comparison would make.
     N, k, p, q = 1000, 8, 1.0, 0.25
-    m = plan_parameters("ISGM", p, q, 2.0, r=2, N=N, k=k).m
+    m = plan_isgm(p, q, 2.0, r=2, N=N, k=k).m
     G, tr = sample_k_pds(N, k, p, q, RngStream(107))
     tracemalloc.start()
     try:
@@ -184,14 +184,14 @@ def test_submatrix_h0_diagonal_support_law():
 # ---------------------------------------------------------------------------
 
 def test_plan_prime_selection():
-    plan = plan_parameters("ISGM", 0.75, 0.25, 4.0, eps=0.3, N=32, k=4)
+    plan = plan_isgm(0.75, 0.25, 4.0, eps=0.3, N=32, k=4)
     assert plan.r == 5  # smallest prime > 1/0.3
 
 
 def test_plan_q_and_delta_values():
-    plan = plan_parameters("ISGM", 1.0, 0.25, 4.0, r=2, N=32, k=4)
+    plan = plan_isgm(1.0, 0.25, 4.0, r=2, N=32, k=4)
     assert plan.Q == 0.5
-    plan2 = plan_parameters("ISGM", 0.75, 0.25, 4.0, r=2, N=32, k=4)
+    plan2 = plan_isgm(0.75, 0.25, 4.0, r=2, N=32, k=4)
     Q_expected = 1.0 - math.sqrt(3.0) / 4.0
     assert abs(plan2.Q - Q_expected) < 1e-12
     delta_expected = min(math.log(0.75 / Q_expected),
@@ -200,7 +200,7 @@ def test_plan_q_and_delta_values():
 
 
 def test_plan_m_is_smallest_multiple_above():
-    plan = plan_parameters("ISGM", 0.75, 0.25, 4.0, r=2, N=1600, k=8)
+    plan = plan_isgm(0.75, 0.25, 4.0, r=2, N=1600, k=8)
     ratio = plan.p / plan.Q + 1.0
     assert plan.m % 8 == 0
     assert plan.m > ratio * 1600
@@ -208,17 +208,15 @@ def test_plan_m_is_smallest_multiple_above():
 
 
 def test_plan_structural_and_report():
-    plan = plan_parameters("ISGM", 0.75, 0.25, 4.0, r=2, N=1600, k=8)
+    plan = plan_isgm(0.75, 0.25, 4.0, r=2, N=1600, k=8)
     assert plan.report["m_le_k_r^t"] and plan.report["k_le_QN_over_4"]
     assert plan.mu <= plan.report["proven_mu_bound"] * (1 + 1e-12)
     with pytest.raises(ParameterError):
-        plan_parameters("ISGM", 0.75, 0.25, 4.0, r=4, N=1600, k=8)  # r not prime
-    with pytest.raises(ParameterError):
-        plan_parameters("NOPE", 0.75, 0.25, 4.0)
+        plan_isgm(0.75, 0.25, 4.0, r=4, N=1600, k=8)  # r not prime
 
 
 def test_plan_semi_cr():
-    plan = plan_parameters("SEMI_CR", 1.0, 0.25, N=32, k=4, ell=2)
+    plan = plan_semi_cr(1.0, 0.25, N=32, k=4, ell=2)
     assert plan.m % ((3 ** 2 - 1) * 4) == 0
     mu1, mu2, mu3 = semi_cr_mus(plan.mu, 2)
     assert plan.report["mu1"] == mu1 and plan.report["mu3"] == mu3
@@ -229,7 +227,7 @@ def test_plan_semi_cr():
 def test_plan_semi_cr_reports_the_bound_it_enforces():
     # At the benchmark size the report checks mu against gaussianize's bound
     # on the m x m submatrix, and carries no ISGM-only condition.
-    plan = plan_parameters("SEMI_CR", 1.0, 0.25, N=2000, k=8, ell=2)
+    plan = plan_semi_cr(1.0, 0.25, N=2000, k=8, ell=2)
     assert plan.m == 6016
     bound = gaussianize_mu_bound(plan.p, plan.Q, plan.m, plan.m)
     assert plan.report["proven_mu_bound"] == bound
@@ -237,6 +235,9 @@ def test_plan_semi_cr_reports_the_bound_it_enforces():
     assert plan.report["mu_le_proven_bound"] is True
     for key in ("m_le_d", "n_over_eps_N", "m_le_k_r^t", "w_n_le_k_ell"):
         assert key not in plan.report
+
+
+_PLANNERS = {"ISGM": plan_isgm, "SEMI_CR": plan_semi_cr, "GLSM": plan_glsm}
 
 
 @pytest.mark.parametrize("target, kwargs", [
@@ -249,9 +250,8 @@ def test_plan_semi_cr_reports_the_bound_it_enforces():
     ("ISGM", {"r": 2, "w": 0.0}),
 ])
 def test_plan_rejects_bad_ell_and_w(target, kwargs):
-    # SEMI_CR rows pass no w: a w there raises on its own and would hide ell
     with pytest.raises(ParameterError, match="ell" if target == "SEMI_CR" else "w must"):
-        plan_parameters(target, 1.0, 0.25, N=32, k=4, **kwargs)
+        _PLANNERS[target](1.0, 0.25, N=32, k=4, **kwargs)
 
 
 @pytest.mark.parametrize("target, kwargs, says", [
@@ -268,7 +268,7 @@ def test_plan_rejects_bad_ell_and_w(target, kwargs):
     ("ISGM", {"r": 2, "N": 32, "k": 4, "t": 70}, "overflows 64 bits"),
     ("SEMI_CR", {"ell": 2, "N": -4, "k": 4}, "N must be a positive integer"),
     ("SEMI_CR", {"ell": 2, "N": 32, "k": 0}, "k must be a positive integer"),
-    ("SEMI_CR", {"ell": 2, "N": 32, "k": 4, "w": 4.0}, "takes no w"),
+    ("SEMI_CR", {"ell": 2, "N": 32, "k": 4, "n": 0}, "n must be a positive integer"),
     ("GLSM", {"n": 0, "k": 4}, "n must be a positive integer"),
     ("GLSM", {"n": -5, "k": 4}, "n must be a positive integer"),
     ("GLSM", {"n": 1, "k": 4}, "n >= 2"),
@@ -280,20 +280,36 @@ def test_plan_rejects_bad_ell_and_w(target, kwargs):
     ("GLSM", {"n": 64, "k": 4, "w": 1e308}, "2\\^62"),
     # r = 1,000,000,007 and t = 2: k r^t is 4.0e18 columns
     ("ISGM", {"eps": 1e-9, "N": 32, "k": 4}, "too large for one array"),
+    # a float r or t gives a float r^t, which pds_to_isgm cannot index with
+    ("ISGM", {"r": 2.0, "N": 32, "k": 4}, "r must be a positive integer"),
+    ("ISGM", {"r": 2, "N": 32, "k": 4, "t": 9.5}, "t must be a positive integer"),
 ])
 def test_plan_rejects_sizes_it_cannot_plan(target, kwargs, says):
-    kwargs = {"w": None if target == "SEMI_CR" else 2.0, **kwargs}
+    if target != "SEMI_CR":
+        kwargs = {"w": 2.0, **kwargs}
     with pytest.raises(ParameterError, match=says):
-        plan_parameters(target, 1.0, 0.25, **kwargs)
+        _PLANNERS[target](1.0, 0.25, **kwargs)
+
+
+@pytest.mark.parametrize("planner, kwargs", [
+    (plan_glsm, {"w": 2.0, "n": 64, "k": 4, "N": 7}),
+    (plan_semi_cr, {"N": 32, "k": 4, "ell": 2, "d": 5}),
+    (plan_semi_cr, {"N": 32, "k": 4, "ell": 2, "w": 4.0}),
+    (plan_isgm, {"w": 2.0, "r": 2, "N": 32, "k": 4, "ell": 5}),
+], ids=["glsm-N", "semi_cr-d", "semi_cr-w", "isgm-ell"])
+def test_planners_take_only_their_own_keys(planner, kwargs):
+    # a key the target does not read fails at the call, not silently
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        planner(1.0, 0.25, **kwargs)
 
 
 def test_plan_glsm_sizes():
-    plan = plan_parameters("GLSM", 1.0, 0.25, 2.0, n=64, k=4, d=300)
+    plan = plan_glsm(1.0, 0.25, 2.0, n=64, k=4, d=300)
     assert plan.r == 2 and plan.eps == 0.5
     assert plan.m <= plan.k * 2 ** plan.t
     assert plan.N % plan.k == 0
     assert plan.d == 300
-    assert plan_parameters("GLSM", 1.0, 0.25, 2.0, n=64, k=4).d == plan.m
+    assert plan_glsm(1.0, 0.25, 2.0, n=64, k=4).d == plan.m
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +318,7 @@ def test_plan_glsm_sizes():
 
 def _small_isgm_setup(seed=110, planted=True):
     p, q, N, k = 1.0, 0.25, 32, 4
-    plan = plan_parameters("ISGM", p, q, 2.0, r=2, N=N, k=k, t=5, n=40)
+    plan = plan_isgm(p, q, 2.0, r=2, N=N, k=k, t=5, n=40)
     if planted:
         G, tr = sample_k_pds(N, k, p, q, RngStream(seed))
     else:
@@ -368,8 +384,8 @@ def test_isgm_structural_errors(monkeypatch):
     _, plan, _ = _small_isgm_setup()  # N = 32
     small, small_tr = sample_k_pds(16, 4, 1.0, 0.25, RngStream(115))
     large = sample_gnq(64, 0.25, RngStream(116))
-    semi_plan = plan_parameters("SEMI_CR", 1.0, 0.25, N=32, k=4, ell=2)
-    glsm_plan = plan_parameters("GLSM", 1.0, 0.25, 2.0, n=64, k=4)  # N = 84
+    semi_plan = plan_semi_cr(1.0, 0.25, N=32, k=4, ell=2)
+    glsm_plan = plan_glsm(1.0, 0.25, 2.0, n=64, k=4)  # N = 84
     family, D = spca_family(64, 4, 1e-5)
 
     def no_draw(stream):
@@ -445,7 +461,7 @@ def test_sample_clone_counts_and_scaling():
 
 def test_semi_cr_sizes_every_seed():
     p, q, N, k, ell = 1.0, 0.25, 32, 4, 2
-    plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=ell, n=128)
+    plan = plan_semi_cr(p, q, N=N, k=k, ell=ell, n=128)
     for seed in range(5):
         G, tr = sample_k_pds(N, k, p, q, RngStream(200 + seed))
         G_out, otr = pds_to_semi_cr(G, plan, RngStream(300 + seed), trace=tr)
@@ -462,11 +478,11 @@ def test_semi_cr_sizes_every_seed():
 def test_semi_cr_h0_trace():
     p, q, N, k = 1.0, 0.25, 32, 4
     G = sample_gnq(N, q, RngStream(130))
-    plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=2, n=64)
+    plan = plan_semi_cr(p, q, N=N, k=k, ell=2, n=64)
     G_out, otr = pds_to_semi_cr(G, plan, RngStream(131))
     assert otr.planted_set is None
     assert len(otr.params["V"]) == 64
-    short = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=2, n=63)
+    short = plan_semi_cr(p, q, N=N, k=k, ell=2, n=63)
     with pytest.raises(ParameterError):
         pds_to_semi_cr(G, short, RngStream(132))  # n below m''
 
@@ -474,12 +490,12 @@ def test_semi_cr_h0_trace():
 def test_semi_cr_rejects_a_foreign_plan():
     p, q, N, k = 1.0, 0.25, 32, 4
     G = sample_gnq(N, q, RngStream(133))
-    isgm_plan = plan_parameters("ISGM", p, q, 2.0, r=2, N=N, k=k)
+    isgm_plan = plan_isgm(p, q, 2.0, r=2, N=N, k=k)
     with pytest.raises(ParameterError, match="SEMI_CR plan"):
         pds_to_semi_cr(G, isgm_plan, RngStream(134))
-    plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=2)
+    plan = plan_semi_cr(p, q, N=N, k=k, ell=2)
     with pytest.raises(ParameterError, match="plan needs N=40"):  # another source size
-        pds_to_semi_cr(G, plan_parameters("SEMI_CR", p, q, N=40, k=8, ell=2), RngStream(134))
+        pds_to_semi_cr(G, plan_semi_cr(p, q, N=40, k=8, ell=2), RngStream(134))
     with pytest.raises(ParameterError, match="ISGM or GLSM plan"):  # and the other way round
         pds_to_isgm(G, plan, RngStream(134))
 
@@ -549,7 +565,7 @@ def test_semi_cr_matches_whole_matrix_reference(monkeypatch, ell, n, chunk):
     if chunk is not None:
         monkeypatch.setattr(pipelines, "_PAD_CHUNK", chunk)
     p, q, N, k = 1.0, 0.25, 32, 4
-    plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=ell, n=n)
+    plan = plan_semi_cr(p, q, N=N, k=k, ell=ell, n=n)
     G, tr = sample_k_pds(N, k, p, q, RngStream(170 + ell))
     G_out, otr = pds_to_semi_cr(G, plan, RngStream(180 + ell), trace=tr)
     G_ref, V, S, S2 = _semi_cr_reference(G, plan, RngStream(180 + ell), tr)
@@ -561,7 +577,7 @@ def test_semi_cr_builds_no_padded_matrix():
     # Traced peak: the Gaussianized m x m matrix, the n x n adjacency and a
     # fixed allowance; the m' x m' padded matrix (92 MB here) never exists.
     p, q, N, k = 1.0, 0.25, 1000, 8
-    plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=2)
+    plan = plan_semi_cr(p, q, N=N, k=k, ell=2)
     G, tr = sample_k_pds(N, k, p, q, RngStream(190))
     tracemalloc.start()
     try:
@@ -601,7 +617,7 @@ def test_glsm_h0_shape_and_coordinates():
     from avgcase.verify import ks_matrix
 
     p, q = 1.0, 0.25
-    plan = plan_parameters("GLSM", p, q, 2.0, n=48, k=4, d=200)
+    plan = plan_glsm(p, q, 2.0, n=48, k=4, d=200)
     G = sample_gnq(plan.N, q, RngStream(140))
     family, D = spca_family(10_000, 100, 1e-5)
     X, trace = pds_to_glsm(G, plan, 1.0, family, D, RngStream(141))
@@ -615,7 +631,7 @@ def test_glsm_trace_counts_srk3_fallbacks():
     # An entry that ran out of budget keeps its initializer, the first d
     # draws of its row's stream; the trace counts exactly those entries.
     # theta = 1e-4 crowds srk3's gates, so some rows' entries run out.
-    plan = plan_parameters("GLSM", 1.0, 0.25, 2.0, n=48, k=4, d=200)
+    plan = plan_glsm(1.0, 0.25, 2.0, n=48, k=4, d=200)
     G = sample_gnq(plan.N, 0.25, RngStream(143))
     family, D = spca_family(48, 4, 1e-4)
     rng = RngStream(144)
@@ -631,7 +647,7 @@ def test_glsm_planted_coordinate_means():
     # Per-sample planted coordinates head for N(nu_i * scale, 1) (positive
     # component) at the corollary configuration.
     p, q = 1.0, 0.25
-    plan = plan_parameters("GLSM", p, q, 2.0, n=64, k=4)  # d defaults to m
+    plan = plan_glsm(p, q, 2.0, n=64, k=4)  # d defaults to m
     family, D = spca_family(10_000, 100, 1e-5)
     acc = []
     for i in range(60):
@@ -670,7 +686,7 @@ def test_semi_cr_h0_class_marginals():
     # Null inputs land on the two-probability law: 1/2 - mu1 inside the
     # rotated vertex set, exactly 1/2 elsewhere.
     p, q, N, k, ell = 1.0, 0.25, 32, 4, 2
-    plan = plan_parameters("SEMI_CR", p, q, N=N, k=k, ell=ell, n=128)
+    plan = plan_semi_cr(p, q, N=N, k=k, ell=ell, n=128)
     hits = np.zeros(2)
     tots = np.zeros(2)
     mu1 = None
@@ -699,7 +715,7 @@ def test_isgm_rotation_isotropy_at_zero_mu():
     from avgcase.verify import covariance_identity_check
 
     p, q = 1.0, 0.25
-    plan = plan_parameters("ISGM", p, q, 2.0, r=2, N=128, k=16, t=8, n=2040)
+    plan = plan_isgm(p, q, 2.0, r=2, N=128, k=16, t=8, n=2040)
     plan.mu = 0.0
     G, tr = sample_k_pds(128, 16, p, q, RngStream(151))
     inst = pds_to_isgm(G, plan, RngStream(152), trace=tr)
@@ -717,7 +733,7 @@ def test_pipeline_outputs_close_across_seeds():
     from avgcase.verify import empirical_tv_binned
 
     p, q = 1.0, 0.25
-    plan = plan_parameters("ISGM", p, q, 2.0, r=2, N=128, k=16, t=8, n=2040)
+    plan = plan_isgm(p, q, 2.0, r=2, N=128, k=16, t=8, n=2040)
     G, tr = sample_k_pds(128, 16, p, q, RngStream(159))
     a = pds_to_isgm(G, plan, RngStream(160), trace=tr)
     b = pds_to_isgm(G, plan, RngStream(161), trace=tr)

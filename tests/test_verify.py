@@ -19,7 +19,7 @@ from avgcase.cli import main
 from avgcase.errors import FeasibilityError, ParameterError
 from avgcase.errors import TestError as StatTestError  # alias: pytest must not collect it
 from avgcase.geometry import build_H
-from avgcase.pipelines import plan_parameters
+from avgcase.pipelines import plan_isgm
 from avgcase.prob import Bernoulli, Binomial, FinitePmf, RngStream
 from avgcase.verify import (EnergyQuery, _isgm_count_pmf, battery_params, chi2_bern_plus_bin,
                             chi2_bern_plus_bin_closed_form, chi2_test,
@@ -238,7 +238,7 @@ def test_isgm_count_law_is_the_exact_mixture():
     # At the battery defaults (r=2, t=7, k=4, n=127) the mixture has the
     # moments of Binomial(127, 1/2), but not its shape.
     d = battery_params("isgm", None)
-    plan = plan_parameters("ISGM", d["p"], d["q"], d["w"], r=d["r"], N=d["N"], k=d["k"])
+    plan = plan_isgm(d["p"], d["q"], d["w"], r=d["r"], N=d["N"], k=d["k"])
     assert (plan.r, plan.t, plan.k, plan.n) == (2, 7, 4, 127)
     law = _isgm_count_pmf(plan)
     values, probs = law.as_arrays()
