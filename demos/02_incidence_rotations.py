@@ -14,11 +14,12 @@ from avgcase.geometry import build_H, enum_hyperplanes, enum_points
 
 for r, t in ((2, 2), (3, 2), (5, 2)):
     H = build_H(r, t)
-    ell = H.rows
-    gram_err = np.max(np.abs(H.matrix @ H.matrix.T - np.eye(ell)))
-    neg_counts = (H.matrix < 0).sum(axis=0)
-    print(f"H_{{{r},{t}}}: shape {H.matrix.shape}, values "
-          f"{{{H.negative_value:+.4f}, {H.positive_value:+.4f}}}, "
+    ell = H.shape[0]
+    gram_err = np.max(np.abs(H @ H.T - np.eye(ell)))
+    neg_counts = (H < 0).sum(axis=0)
+    negative, positive = np.unique(H)
+    print(f"H_{{{r},{t}}}: shape {H.shape}, values "
+          f"{{{negative:+.4f}, {positive:+.4f}}}, "
           f"|Gram - I| = {gram_err:.1e}")
     print(f"  negative entries per column: zero col {neg_counts[0]} (all {ell}), "
           f"others {sorted(set(neg_counts[1:].tolist()))} "
@@ -33,4 +34,4 @@ for nm in normals:
     members = [tuple(map(int, p)) for p in pts if (nm @ p) % 2 == 0]
     print(f"  hyperplane with normal {tuple(map(int, nm))}: {members}")
 print("\nH_{2,2} itself (a 3x4 matrix of +-1/2):")
-print(build_H(2, 2).matrix)
+print(build_H(2, 2))

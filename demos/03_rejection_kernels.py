@@ -29,9 +29,10 @@ out = rk_gauss_array(bits, mu, p, q, 40, rng.child("rk2"))
 _, pval = ks_test(out, lambda x: sst.norm.cdf(x, loc=mu))
 print(f"  Bern(p) inputs -> N(mu,1): KS p-value {pval:.3f}")
 
-# Entrywise: a planted Bernoulli matrix becomes a Gaussian mean-shifted one.
-# Planted entries are Bern(p) draws, background entries Bern(q) draws; the
-# kernel sends the former near N(mu, 1) and the latter near N(0, 1).
+# Entrywise, at one scalar mean: a planted Bernoulli matrix becomes a Gaussian
+# mean-shifted one.  Planted entries are Bern(p) draws, background entries
+# Bern(q) draws; the kernel sends the former near N(mu, 1) and the latter near
+# N(0, 1).
 m_rows, n_cols = 120, 400
 gen = rng.child("plant").generator()
 M = (gen.random((m_rows, n_cols)) < q).astype(np.uint8)

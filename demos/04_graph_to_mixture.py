@@ -28,23 +28,23 @@ rng = RngStream(20_260_810)
 
 # Null input: the output is (up to negligible TV) N(0, I_d)^{x n}.
 G0 = sample_gnq(N, q, rng.child("h0"))
-inst0 = pds_to_isgm(G0, plan, rng.child("h0-run"))
-_, pvals = ks_matrix(inst0.samples.T, sst.norm.cdf)
-cov = covariance_identity_check(inst0.samples, rng=rng.child("cov"))
+X0, _ = pds_to_isgm(G0, plan, rng.child("h0-run"))
+_, pvals = ks_matrix(X0.T, sst.norm.cdf)
+cov = covariance_identity_check(X0, rng=rng.child("cov"))
 print(f"\nH0: per-coordinate KS min p = {pvals.min():.2e} over {plan.d} coords, "
       f"max |cov offdiag| = {cov['max_offdiag']:.3f} (threshold {cov['threshold']:.3f})")
 
 # Planted input: conditioned on the trace, positive-component columns carry
 # mean mu and the rest mean mu' = -mu (1 - eps)/eps on the planted support.
 G1, tr = sample_k_pds(N, k, p, q, rng.child("h1"))
-inst1 = pds_to_isgm(G1, plan, rng.child("h1-run"), trace=tr)
-S = inst1.trace.planted_set
-pos = np.zeros(inst1.n, dtype=bool)
-pos[inst1.trace.component_set] = True
-mu_hat = inst1.samples[np.ix_(pos, S)].mean()
-nu_hat = inst1.samples[np.ix_(~pos, S)].mean()
-print(f"\nH1: {pos.sum()} of {inst1.n} samples in the positive component "
-      f"(expect ~{int(inst1.n * (1 - plan.eps))})")
+X1, tr1 = pds_to_isgm(G1, plan, rng.child("h1-run"), trace=tr)
+S = tr1.planted_set
+pos = np.zeros(plan.n, dtype=bool)
+pos[tr1.component_set] = True
+mu_hat = X1[np.ix_(pos, S)].mean()
+nu_hat = X1[np.ix_(~pos, S)].mean()
+print(f"\nH1: {pos.sum()} of {plan.n} samples in the positive component "
+      f"(expect ~{int(plan.n * (1 - plan.eps))})")
 print(f"    planted-coordinate means: positive {mu_hat:+.5f} vs mu = {plan.mu:+.5f}, "
       f"negative {nu_hat:+.5f} vs mu' = {isgm_mu_prime(plan.mu, plan.eps):+.5f}")
 print(f"    (standard error {1 / math.sqrt(pos.sum() * S.size):.5f})")

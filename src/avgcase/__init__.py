@@ -5,11 +5,11 @@ distributional contract those reductions are supposed to satisfy.
 
 Submodules
 ----------
-prob       seeded streams, scalar distribution specs, normal CDF/quantile
+prob       seeded streams, scalar distribution specs, the normal CDF
 graphs     graph types, planted samplers, adversaries, GRAPHv1 I/O
 geometry   incidence rotation matrices from hyperplanes of F_r^t
 kernels    rejection kernels (Gaussian, entrywise, symmetric 3-ary)
-pipelines  the end-to-end reductions and the parameter planner
+pipelines  the end-to-end reductions and one parameter planner per target
 verify     exact/empirical distances, closed-form bounds, Fourier energy,
            reduction verification batteries
 formats    AMATv1 matrices and canonical JSON documents

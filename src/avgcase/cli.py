@@ -151,10 +151,12 @@ def _cmd_generate(args) -> int:
     from .pipelines import sample_isgm
     from .prob import RngStream
 
-    out = _out_dir(args)
+    # each branch makes --out only once its sample is drawn: a refused run
+    # leaves no directory
     rng = RngStream(args.seed)
     if args.problem == "gnq":
         G = sample_gnq(args.n, args.q, rng)
+        out = _out_dir(args)
         write_graphv1(G, out / "instance.graph")
         trace = PlantedTrace(seed=args.seed, params={"problem": "gnq", "n": args.n, "q": args.q})
         trace.write_json(out / "trace.json")
@@ -162,6 +164,7 @@ def _cmd_generate(args) -> int:
     elif args.problem == "kpds":
         G, trace = sample_k_pds(args.n, args.k, args.p, args.q, rng)
         trace.params.update({"problem": "kpds", "partition": "contiguous"})
+        out = _out_dir(args)
         write_graphv1(G, out / "instance.graph")
         trace.write_json(out / "trace.json")
         print(
@@ -169,11 +172,12 @@ def _cmd_generate(args) -> int:
             f"planted={list(map(int, trace.planted_set))} -> {out / 'instance.graph'}"
         )
     elif args.problem == "isgm":
-        inst = sample_isgm(args.n, args.k, args.d, args.mu, args.eps, rng)
-        write_amat(out / "samples.amat", inst.samples)
-        inst.trace.params["problem"] = "isgm"
-        inst.trace.write_json(out / "trace.json")
-        print(f"isgm: n={inst.n} d={inst.d} k={args.k} -> {out / 'samples.amat'}")
+        X, trace = sample_isgm(args.n, args.k, args.d, args.mu, args.eps, rng)
+        out = _out_dir(args)
+        write_amat(out / "samples.amat", X)
+        trace.params["problem"] = "isgm"
+        trace.write_json(out / "trace.json")
+        print(f"isgm: n={X.shape[0]} d={X.shape[1]} k={args.k} -> {out / 'samples.amat'}")
     else:  # tg
         if args.variant == "h0":
             G, trace = sample_tg_h0(args.n, args.m, args.mu1, rng)
@@ -184,6 +188,7 @@ def _cmd_generate(args) -> int:
             G, trace = sample_tg_h1(args.n, args.k, args.k2, args.m,
                                     args.mu1, args.mu2, args.mu3, rng)
         trace.params["problem"] = f"tg-{args.variant}"
+        out = _out_dir(args)
         write_graphv1(G, out / "instance.graph")
         trace.write_json(out / "trace.json")
         print(f"tg-{args.variant}: n={G.n} edges={G.edge_count} -> {out / 'instance.graph'}")
@@ -197,7 +202,8 @@ def _cmd_reduce(args) -> int:
                             plan_isgm, plan_semi_cr, spca_family)
     from .prob import RngStream
 
-    out = _out_dir(args)
+    # each branch makes --out only once its pipeline has returned: a refused
+    # run leaves no directory
     G = read_graphv1(args.infile)
     trace = PlantedTrace.read_json(args.trace) if args.trace else None
     rng = RngStream(args.seed)
@@ -205,10 +211,11 @@ def _cmd_reduce(args) -> int:
     if args.pipeline == "isgm":
         plan = plan_isgm(args.p, args.q, args.w, eps=args.eps, r=args.r, N=G.n,
                          k=args.k, n=args.n, d=args.d)
-        inst = pds_to_isgm(G, plan, rng, trace=trace,
-                           allow_unproven=args.allow_unproven)
-        write_amat(out / "samples.amat", inst.samples)
-        inst.trace.write_json(out / "trace.json")
+        X, out_trace = pds_to_isgm(G, plan, rng, trace=trace,
+                                   allow_unproven=args.allow_unproven)
+        out = _out_dir(args)
+        write_amat(out / "samples.amat", X)
+        out_trace.write_json(out / "trace.json")
         dump_json(out / "plan.json", plan.to_dict())
         failed = [k for k, v in plan.report.items() if v is False]
         print(
@@ -218,6 +225,7 @@ def _cmd_reduce(args) -> int:
     elif args.pipeline == "semi-cr":
         plan = plan_semi_cr(args.p, args.q, N=G.n, k=args.k, ell=args.ell, n=args.n_out)
         G_out, out_trace = pds_to_semi_cr(G, plan, rng, trace=trace)
+        out = _out_dir(args)
         write_graphv1(G_out, out / "instance.graph")
         out_trace.write_json(out / "trace.json")
         dump_json(out / "plan.json", plan.to_dict())
@@ -231,6 +239,7 @@ def _cmd_reduce(args) -> int:
         family, D = spca_family(args.n, args.k, args.theta)
         X, out_trace = pds_to_glsm(G, plan, args.tau, family, D, rng,
                                    trace=trace, allow_unproven=args.allow_unproven)
+        out = _out_dir(args)
         write_amat(out / "samples.amat", X)
         out_trace.write_json(out / "trace.json")
         dump_json(out / "plan.json", plan.to_dict())

@@ -9,10 +9,6 @@ class ParameterError(AvgCaseError, ValueError):
     """A parameter violates a structural precondition (divisibility, range, bound)."""
 
 
-class DomainError(AvgCaseError, ValueError):
-    """An argument lies outside the mathematical domain of a function."""
-
-
 class AdversaryViolation(AvgCaseError, ValueError):
     """A semirandom adversary tried to act on a protected (planted) pair."""
 

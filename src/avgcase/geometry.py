@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +27,6 @@ __all__ = [
     "enum_points",
     "enum_hyperplanes",
     "build_H",
-    "IncidenceMatrix",
-    "validate_incidence",
 ]
 
 
@@ -87,37 +84,11 @@ def enum_hyperplanes(r: int, t: int) -> np.ndarray:
     return nonzero[first_nonzero == 1]
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """The rows-orthonormal, two-valued incidence rotation matrix."""
-
-    r: int
-    t: int
-    matrix: np.ndarray  # (l, r^t) float64
-    zero_col: int = 0
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def positive_value(self) -> float:
-        return 1.0 / math.sqrt(self.r ** self.t * (self.r - 1))
-
-    @property
-    def negative_value(self) -> float:
-        return (1.0 - self.r) / math.sqrt(self.r ** self.t * (self.r - 1))
-
-
 @functools.lru_cache(maxsize=64)
-def build_H(r: int, t: int) -> IncidenceMatrix:
-    """Construct the (r^t - 1)/(r - 1) x r^t incidence rotation matrix.
+def build_H(r: int, t: int) -> np.ndarray:
+    """The (r^t - 1)/(r - 1) x r^t incidence rotation matrix H_{r,t}, float64.
 
-    Results are cached; the returned matrix is marked read-only.
+    Results are cached; the returned array is marked read-only.
     """
     check_prime_power(r, t)
     points = enum_points(r, t)
@@ -126,28 +97,5 @@ def build_H(r: int, t: int) -> IncidenceMatrix:
     scale = 1.0 / math.sqrt(r ** t * (r - 1))
     matrix = np.where(incident, (1.0 - r) * scale, scale)
     matrix.setflags(write=False)
-    return IncidenceMatrix(r=r, t=t, matrix=matrix, zero_col=0)
+    return matrix
 
-
-def validate_incidence(H: IncidenceMatrix, atol: float = 1e-10) -> None:
-    """Check every structural invariant; raise ParameterError on failure."""
-    m = H.matrix
-    ell = (H.r ** H.t - 1) // (H.r - 1)
-    if m.shape != (ell, H.r ** H.t):
-        raise ParameterError(f"expected shape {(ell, H.r ** H.t)}, got {m.shape}")
-    gram = m @ m.T
-    if np.max(np.abs(gram - np.eye(ell))) > atol:
-        raise ParameterError("rows are not orthonormal")
-    values = np.unique(m)
-    if values.size != 2:
-        raise ParameterError(f"matrix carries {values.size} distinct values, expected 2")
-    neg = m < 0
-    if not neg[:, H.zero_col].all():
-        raise ParameterError("zero-point column must be entirely negative")
-    expected = (H.r ** (H.t - 1) - 1) // (H.r - 1)
-    counts = neg.sum(axis=0)
-    others = np.delete(counts, H.zero_col)
-    if np.any(others != expected):
-        raise ParameterError(
-            f"nonzero columns must carry exactly {expected} negative entries"
-        )

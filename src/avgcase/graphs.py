@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AdversaryViolation, ParameterError
 from .formats import dump_json, load_json
-from .prob import RngStream, _check_prob
+from .prob import RngStream, _check_prob, _physical_memory
 
 __all__ = [
     "Graph",
@@ -42,6 +42,22 @@ __all__ = [
 
 def _n_pairs(n: int) -> int:
     return n * (n - 1) // 2
+
+
+def _check_pairs_fit(n: int, what: str = "a graph") -> None:
+    """Refuse n vertices whose float64 vector of n(n-1)/2 pairs (the draw of
+    ``sample_gnq``) exceeds physical memory, or the int64 range where the
+    platform does not report it.  No reduction could embed such a graph, as
+    its m x m matrix has m >= 2n."""
+    need = 8 * _n_pairs(n)
+    limit, where = _physical_memory(), "this host's physical memory"
+    if limit is None:
+        limit, where = np.iinfo(np.int64).max, "the int64 range"
+    if need > limit:
+        raise ParameterError(
+            f"{what} of n={n} vertices needs {need / 2 ** 30:.3g} GiB for the float64 "
+            f"vector of its pairs: more than {where} ({limit / 2 ** 30:.3g} GiB)"
+        )
 
 
 def _pair_indices(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -281,8 +297,7 @@ def read_graphv1(path) -> Graph:
         raise _malformed(path, f"header {line!r} is not 'n=<int> edges=<int>'"
                          if line else "missing header")
     n, declared = int(header.group(1)), int(header.group(2))
-    if n * n >= 2 ** 63:  # pair indices are int64
-        raise _malformed(path, f"n={n} is beyond the int64 pair index range")
+    _check_pairs_fit(n, f"{path}: the graph")
     if uv.size == 0:
         uv = np.empty((0, 2), dtype=np.int64)
     if uv.shape[1] != 2:
@@ -307,6 +322,7 @@ def read_graphv1(path) -> Graph:
 def sample_gnq(n: int, q: float, rng: RngStream) -> Graph:
     """Erdos-Renyi G(n, q): each unordered pair present independently w.p. q."""
     _check_prob(q, "q")
+    _check_pairs_fit(n)
     g = rng.child("gnq").generator()
     return Graph.from_triu(n, g.random(_n_pairs(n)) < q)
 
@@ -350,6 +366,7 @@ def sample_k_pds(N: int, k: int, p: float, q: float, rng: RngStream):
         raise ParameterError(f"need 0 <= q < p <= 1, got p={p}, q={q}")
     if not 0 < k <= N or N % k:
         raise ParameterError(f"k={k} must divide N={N}, with 0 < k <= N")
+    _check_pairs_fit(N)
     g = rng.child("kpds").generator()
     vec = g.random(_n_pairs(N)) < q
     Nk = N // k

@@ -101,11 +101,10 @@ _BLOCK = 1 << 18
 
 
 def _rk_gauss_core(bits, mu, p, q, n_iter, stream: RngStream, bound=math.inf):
-    """Vectorized rejection loop.  bits: int array in {0,1}; mu a scalar or
-    an array broadcastable to ``bits.shape``.
+    """Vectorized rejection loop.  bits: int array in {0,1}; mu one scalar.
 
-    Every entry point goes through here, so the target means are checked
-    here: finite (NaN would reject every proposal and leave the 0.0
+    Every entry point goes through here, so the target mean is checked
+    here: a scalar, finite (NaN would reject every proposal and leave the 0.0
     initializer everywhere), nonnegative, and at most ``bound``.  The flat
     input is cut into consecutive blocks of ``_BLOCK`` entries; block 0
     draws from ``stream`` and block i >= 1 from ``stream.child("block", i)``.
@@ -114,20 +113,20 @@ def _rk_gauss_core(bits, mu, p, q, n_iter, stream: RngStream, bound=math.inf):
     does not depend on the worker count or on scheduling.
     """
     bits = np.asarray(bits)
-    mu = np.asarray(mu, dtype=float)
-    if not np.all(np.isfinite(mu)):
-        raise ParameterError("target means must be finite")
-    if np.any(mu < 0):
-        raise ParameterError("target means must be nonnegative")
-    worst = float(mu.max()) if bits.size else 0.0
-    if worst > bound * (1 + 1e-12):
+    if np.ndim(mu) != 0:
+        raise ParameterError(f"the target mean must be one scalar, got shape {np.shape(mu)}")
+    mu = float(mu)
+    if not math.isfinite(mu):
+        raise ParameterError("the target mean must be finite")
+    if mu < 0:
+        raise ParameterError("the target mean must be nonnegative")
+    if bits.size and mu > bound * (1 + 1e-12):
         raise ParameterError(
-            f"max mu = {worst} exceeds the proven bound {bound:.6g} for a "
+            f"mu = {mu} exceeds the proven bound {bound:.6g} for a "
             f"{'x'.join(map(str, bits.shape))} input; pass allow_unproven=True "
             "to run anyway"
         )
     flat_bits = bits.ravel()
-    mu_all = np.broadcast_to(mu, bits.shape) if mu.ndim else None
     out = np.zeros(flat_bits.size, dtype=float)
     n_blocks = -(-flat_bits.size // _BLOCK)
     gens = [stream.generator()]
@@ -135,8 +134,7 @@ def _rk_gauss_core(bits, mu, p, q, n_iter, stream: RngStream, bound=math.inf):
 
     def run(i):
         start, stop = i * _BLOCK, (i + 1) * _BLOCK
-        block_mu = float(mu) if mu_all is None else mu_all.flat[start:stop]
-        _rk_gauss_block(flat_bits[start:stop], block_mu, out[start:stop], p, q, n_iter, gens[i])
+        _rk_gauss_block(flat_bits[start:stop], mu, out[start:stop], p, q, n_iter, gens[i])
 
     _run_blocks(run, n_blocks)
     return out.reshape(bits.shape)
@@ -151,31 +149,29 @@ def _rk_gauss_block(bits, mu, out, p, q, n_iter, gen):
     B = 1 at p = 1, which accepts its first proposal) a uniform u for each,
     writes every proposal to its entry and keeps open only the rejected
     positions; entries that exhaust the budget are reset to the 0.0
-    initializer.  ``mu`` is a float or an array aligned with ``bits``.
+    initializer.  ``mu`` is a float.
 
     With L the branch's log-ratio bound, a proposal is accepted iff
     u < 1 - exp(t - L), t its log-likelihood ratio.  This needs no separate
     test t <= L: for finite t > L, exp(t - L) >= 1 makes the threshold <= 0
     <= u, and an overflow makes it -inf.
     """
-    scalar_mu = isinstance(mu, float)
     log_pq = math.log(p / q)
     log_1p_1q = -math.inf if p == 1.0 else math.log((1.0 - p) / (1.0 - q))
     for branch in (0, 1):
         rem = np.flatnonzero(bits == branch)
-        m_ = mu if scalar_mu else mu[rem]
         for _ in range(n_iter):
             if rem.size == 0:
                 break
             z = gen.standard_normal(rem.size)
             if branch == 1 and p == 1.0:
-                z += m_
+                z += mu
                 out[rem] = z
                 rem = rem[:0]  # every entry accepted
                 break
-            half = 0.5 * m_
-            half *= m_
-            thr = m_ * z
+            half = 0.5 * mu
+            half *= mu
+            thr = mu * z
             if branch == 0:
                 # value z, log-ratio t = mu z - mu^2/2 against log(p/q)
                 thr -= half
@@ -185,7 +181,7 @@ def _rk_gauss_block(bits, mu, out, p, q, n_iter, gen):
                 np.negative(thr, out=thr)
                 thr -= half
                 thr += log_1p_1q
-                z += m_
+                z += mu
             with np.errstate(over="ignore"):
                 np.exp(thr, out=thr)
             np.subtract(1.0, thr, out=thr)
@@ -193,8 +189,6 @@ def _rk_gauss_block(bits, mu, out, p, q, n_iter, gen):
             rejected = np.flatnonzero(gen.random(rem.size) >= thr)
             out[rem] = z
             rem = rem[rejected]
-            if not scalar_mu:
-                m_ = m_[rejected]
         out[rem] = 0.0
 
 
@@ -203,25 +197,24 @@ def rk_gauss_array(bits, mu, p, q, n_iter, rng: RngStream):
     sharing one stream.
 
     Over Bern(p) inputs each output is close to N(mu, 1), over Bern(q)
-    inputs close to N(0, 1); ``mu`` is a nonnegative scalar or an array
-    broadcastable to ``bits``.  No mean bound is enforced (see
-    ``gaussianize_mu_bound`` for the proven one); entries that exhaust the
-    ``n_iter`` budget return 0.0, the initialization.
+    inputs close to N(0, 1); ``mu`` is one nonnegative scalar.  No mean
+    bound is enforced (see ``gaussianize_mu_bound`` for the proven one);
+    entries that exhaust the ``n_iter`` budget return 0.0, the
+    initialization.
     """
     return _rk_gauss_core(bits, mu, p, q, n_iter, rng.child("rk"))
 
 
 def gaussianize(M, P, Q, mu, rng: RngStream, allow_unproven=False):
     """Map a {0,1} matrix to an independent-Gaussian matrix, entry (i, j)
-    heading for N(mu_ij, 1) where M_ij came up Bern(P) and N(0, 1) where it
+    heading for N(mu, 1) where M_ij came up Bern(P) and N(0, 1) where it
     came up Bern(Q).
 
-    ``mu`` may be a scalar or an (m, n) matrix of nonnegative target means;
-    every entry must satisfy the proven bound (see ``gaussianize_mu_bound``)
-    unless ``allow_unproven`` is set.  Each entry gets ceil(3 log(m n) /
-    delta) proposals, the budget under which that bound is proven (both
-    carry the same 3 log(m n) term); entries that exhaust it keep the 0.0
-    initializer.
+    ``mu`` is one nonnegative scalar, and it must satisfy the proven bound
+    (see ``gaussianize_mu_bound``) unless ``allow_unproven`` is set.  Each
+    entry gets ceil(3 log(m n) / delta) proposals, the budget under which
+    that bound is proven (both carry the same 3 log(m n) term); entries that
+    exhaust it keep the 0.0 initializer.
     """
     M = np.asarray(M)
     if M.ndim != 2:

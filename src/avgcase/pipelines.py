@@ -22,7 +22,6 @@ plus their shared sub-steps (``graph_clone``, ``to_k_partite_submatrix``,
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,11 +39,10 @@ from .kernels import (
     tern_params_from_truncation,
     truncate_tern,
 )
-from .prob import (Gaussian, RngStream, _run_blocks, normal_cdf, sample as sample_dist,
-                   uniform_below)
+from .prob import (Gaussian, RngStream, _physical_memory, _run_blocks, normal_cdf,
+                   sample as sample_dist, uniform_below)
 
 __all__ = [
-    "IsgmInstance",
     "ReductionPlan",
     "clone_Q",
     "clone_pmfs",
@@ -104,31 +102,17 @@ def semi_cr_mus(mu: float, ell: int):
 
 
 @dataclass
-class IsgmInstance:
-    """n samples in R^d (one per row) plus the verification trace."""
-
-    samples: np.ndarray
-    trace: PlantedTrace
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.samples.shape[1]
-
-
-@dataclass
 class ReductionPlan:
     """Derived parameters of one reduction run plus the regime report, from
     ``plan_isgm``, ``plan_semi_cr`` or ``plan_glsm``.
 
     Planners take sizes as positive integers and raise ParameterError on
-    structural impossibilities, such as an ISGM or GLSM m x k r^t float64
-    Gaussianize matrix beyond the host's physical memory.  ``report`` maps named
-    proven-regime preconditions to booleans/values; failures there are
-    advisory (desk-scale runs routinely violate asymptotic conditions).
+    structural impossibilities, such as a float64 Gaussianize matrix (m x
+    k r^t for ISGM and GLSM, m x m for SEMI-CR) beyond the host's physical
+    memory.  ``report`` maps named proven-regime preconditions to
+    booleans/values.  Most failures there are advisory (desk-scale runs
+    routinely violate asymptotic conditions), but the pipelines refuse a plan
+    whose ``k_le_QN_over_4`` or ``m_le_d`` reads False.
     """
 
     target: str
@@ -198,15 +182,6 @@ def _check_sizes(**sizes) -> None:
             raise ParameterError(f"{name} must be a positive integer, got {v!r}")
 
 
-def _physical_memory() -> Optional[int]:
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        pages, page = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-    return pages * page if pages > 0 and page > 0 else None
-
-
 def _clone_Q_delta(p: float, q: float):
     Q = clone_Q(p, q)
     return Q, rejection_delta(p, Q)
@@ -223,16 +198,16 @@ def _check_w(w: Optional[float]) -> None:
         raise ParameterError(f"w must be positive and finite, got {w}")
 
 
-def _check_gaussianize_fits(plan: ReductionPlan) -> None:
-    # the float64 Gaussianize output of the m x k r^t padded matrix must fit
-    # in one array and in the host's physical memory
-    need = plan.m * plan.k * plan.rt * 8
+def _check_gaussianize_fits(plan: ReductionPlan, cols: int) -> None:
+    # the float64 Gaussianize output of the m x cols matrix must fit in one
+    # array and in the host's physical memory
+    need = plan.m * cols * 8
     limit, where = _physical_memory(), "this host's physical memory"
     if limit is None:
         limit, where = np.iinfo(np.intp).max, "the address space"
     if need > limit:
         raise ParameterError(
-            f"the {plan.m} x {plan.k * plan.rt} (m x k r^t) matrix to Gaussianize "
+            f"the {plan.m} x {cols} matrix to Gaussianize "
             f"needs {need / 2 ** 30:.3g} GiB as float64: too large for one array in "
             f"{where} ({limit / 2 ** 30:.3g} GiB)"
         )
@@ -277,7 +252,7 @@ def plan_isgm(p: float, q: float, w: float, *, N: int, k: int, eps: Optional[flo
         d = m
     plan = ReductionPlan("ISGM", p, q, N, k, r, t, m, n, d, Q, delta, 0.0, w, 1.0 / r)
     plan.mu = plan.mu_bound
-    _check_gaussianize_fits(plan)
+    _check_gaussianize_fits(plan, k * plan.rt)
     return _regime_report(plan)
 
 
@@ -302,6 +277,7 @@ def plan_semi_cr(p: float, q: float, *, N: int, k: int, ell: int,
     plan = ReductionPlan("SEMI_CR", p, q, N, k, 3, ell, m, n, m // 2, Q, delta, 0.0,
                          None, 1.0 / 3.0, ell=ell)
     plan.mu = plan.mu_bound
+    _check_gaussianize_fits(plan, m)
     mu1, mu2, mu3 = semi_cr_mus(plan.mu, ell)
     plan.report.update({"mu1": mu1, "mu2": mu2, "mu3": mu3,
                         "planted_size": (3 ** (ell - 1) - 1) * k // 2})
@@ -339,7 +315,7 @@ def plan_glsm(p: float, q: float, w: float, *, n: int, k: int,
     mu_fig, bound = math.sqrt(k / (N * math.log(n))), plan.mu_bound
     plan.mu = min(mu_fig, bound)
     plan.report.update(mu_uncapped=mu_fig, mu_capped_at_proven_bound=mu_fig > bound)
-    _check_gaussianize_fits(plan)
+    _check_gaussianize_fits(plan, k * plan.rt)
     return _regime_report(plan)
 
 
@@ -510,8 +486,9 @@ def to_k_partite_submatrix(G: Graph, k: int, p, q, m, rng: RngStream,
 
 def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
                 trace: Optional[PlantedTrace] = None, allow_unproven: bool = False,
-                rotation_override=None) -> IsgmInstance:
-    """Run the full graph-to-mixture reduction under ``plan``.
+                rotation_override=None):
+    """Run the full graph-to-mixture reduction under ``plan``; returns
+    ``(samples, trace)``, one sample per row of the (n, d) array.
 
     Null inputs map (within negligible TV at proven parameters) to
     N(0, I_d)^{x n}; planted inputs map to the imbalanced sparse mixture with
@@ -581,8 +558,7 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
     # k * out_cols rotated columns, and embed them as m random coordinates of
     # n samples in R^d.  Only the kept columns are ever computed: output
     # column c is part c // out_cols rotated by row c % out_cols of H.
-    H = build_H(r, t) if rotation_override is None else None
-    H_mat = rotation_override if rotation_override is not None else H.matrix
+    H_mat = build_H(r, t) if rotation_override is None else rotation_override
     out_cols = H_mat.shape[0]
     gen6 = rng.child("output").generator()
     col_choice = gen6.choice(k * out_cols, size=n, replace=False)
@@ -616,11 +592,12 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
             positive[i * out_cols:(i + 1) * out_cols] = H_mat[:, point] > 0
         out_trace.planted_set = np.sort(row_pos[U_rows])
         out_trace.component_set = np.sort(np.flatnonzero(positive[col_choice]))
-    return IsgmInstance(samples=samples, trace=out_trace)
+    return samples, out_trace
 
 
-def sample_isgm(n: int, k: int, d: int, mu: float, eps: float, rng: RngStream) -> IsgmInstance:
-    """Draw directly from the imbalanced sparse Gaussian mixture (planted law)."""
+def sample_isgm(n: int, k: int, d: int, mu: float, eps: float, rng: RngStream):
+    """Draw ``(samples, trace)`` directly from the imbalanced sparse Gaussian
+    mixture (planted law), one sample per row."""
     if n < 1:
         raise ParameterError(f"need n >= 1 samples, got n={n}")
     if not (0 < k <= d):
@@ -642,24 +619,25 @@ def sample_isgm(n: int, k: int, d: int, mu: float, eps: float, rng: RngStream) -
         component_set=np.flatnonzero(positive),
         params={"mu": mu, "mu_prime": mu_p, "eps": eps, "n": n, "d": d},
     )
-    return IsgmInstance(samples=X, trace=trace)
+    return X, trace
 
 
-def isgm_sample_clone(inst: IsgmInstance, ell: int, n_prime: int, rng: RngStream) -> IsgmInstance:
+def isgm_sample_clone(samples, trace: PlantedTrace, ell: int, n_prime: int, rng: RngStream):
     """Blow n samples up to 2^ell n by iterated (X+G)/sqrt2, (X-G)/sqrt2 splits,
-    then subsample n_prime of them uniformly.  Means scale by 2^(-ell/2); the
-    positive-component count scales exactly by 2^ell before subsampling."""
+    then subsample n_prime of them uniformly; returns ``(samples, trace)``.
+    Means scale by 2^(-ell/2); the positive-component count scales exactly
+    by 2^ell before subsampling."""
     if ell < 0:
         raise ParameterError(f"ell must be >= 0, got {ell}")
-    n = inst.n
+    n = samples.shape[0]
     if n_prime > (2 ** ell) * n:
         raise ParameterError(f"n'={n_prime} exceeds 2^ell n = {(2 ** ell) * n}")
     gen = rng.child("clone").generator()
-    X = inst.samples
+    X = samples
     comp = None
-    if inst.trace.component_set is not None:
+    if trace.component_set is not None:
         comp = np.zeros(n, dtype=bool)
-        comp[inst.trace.component_set] = True
+        comp[trace.component_set] = True
     for _ in range(ell):
         Gm = gen.standard_normal(X.shape)
         X = np.concatenate([(X + Gm) / math.sqrt(2.0), (X - Gm) / math.sqrt(2.0)], axis=0)
@@ -668,20 +646,20 @@ def isgm_sample_clone(inst: IsgmInstance, ell: int, n_prime: int, rng: RngStream
     pre_positive = int(comp.sum()) if comp is not None else None
     sel = gen.choice(X.shape[0], size=n_prime, replace=False)
     scale = 2.0 ** (-ell / 2.0)
-    params = dict(inst.trace.params)
+    params = dict(trace.params)
     for key in ("mu", "mu_prime"):
         if key in params:
             params[key] = params[key] * scale
     params["clone_ell"] = ell
     if pre_positive is not None:
         params["pre_subsample_positive"] = pre_positive
-    trace = PlantedTrace(
+    out_trace = PlantedTrace(
         seed=rng.seed,
-        planted_set=inst.trace.planted_set,
+        planted_set=trace.planted_set,
         component_set=None if comp is None else np.flatnonzero(comp[sel]),
         params=params,
     )
-    return IsgmInstance(samples=X[sel], trace=trace)
+    return X[sel], out_trace
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +714,7 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
     blk = three_l - 1
     H = build_H(3, ell)
     ks = k * s
-    ellh = H.rows
+    ellh = H.shape[0]
     thr = mu / (2.0 * three_l)
     adj = np.zeros((n, n), dtype=bool)
     step = max(1, _PAD_CHUNK // (three_l * m_prime))
@@ -747,8 +725,8 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
         rows[:, 0] = fresh[:, :m_prime].reshape(c, ks, three_l)
         rows[:, 1:, :, 0] = fresh[:, m_prime:].reshape(c, blk, ks)
         rows[:, 1:, :, 1:] = M_G[a * blk:(a + c) * blk].reshape(c, blk, ks, blk)
-        M_R = H.matrix @ rows.reshape(c, three_l, m_prime)
-        M_R = M_R.reshape(c * ellh, ks, three_l) @ H.matrix.T
+        M_R = H @ rows.reshape(c, three_l, m_prime)
+        M_R = M_R.reshape(c * ellh, ks, three_l) @ H.T
         r0 = a * ellh
         adj[r0:r0 + c * ellh, :m_rot] = np.tril(M_R.reshape(c * ellh, m_rot) >= thr, r0 - 1)
     del M_G, fresh, rows, M_R
@@ -777,7 +755,7 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
         U = np.asarray(tr1.planted_set, dtype=np.int64)
         # u sits at offset 1 + u % blk of block u // blk; its rotated rows split by sign
         rot_rows = (U // blk) * ellh + np.arange(ellh)[:, None]
-        col = H.matrix[:, 1 + U % blk]
+        col = H[:, 1 + U % blk]
         out_trace.planted_set = np.sort(label_of[rot_rows[col < 0]])
         params["S_prime"] = [int(v) for v in np.sort(label_of[rot_rows[col > 0]])]
     return G_out, out_trace
@@ -804,13 +782,13 @@ def pds_to_glsm(G: Graph, plan: ReductionPlan, tau: float,
     """
     if plan.r != 2 or plan.eps != 0.5:
         raise ParameterError("the mixture stage of the GLSM reduction needs r=2, eps=1/2")
-    inst = pds_to_isgm(G, plan, rng.child("isgm"), trace, allow_unproven)
-    n, d = inst.n, inst.d
+    samples, in_trace = pds_to_isgm(G, plan, rng.child("isgm"), trace, allow_unproven)
+    n, d = samples.shape
     a, mu1, mu2 = tern_params_from_truncation(tau, plan.mu)
     n_iter = math.ceil(4.0 * math.log(d * n))
     nus = np.clip(np.asarray(sample_dist(D, rng.child("nu"), size=n), dtype=float), -1.0, 1.0)
-    B, in_trace = truncate_tern(inst.samples, tau), inst.trace
-    del inst  # the Gaussian samples, before the kernel allocates its output
+    B = truncate_tern(samples, tau)
+    del samples  # the Gaussian samples, before the kernel allocates its output
     X, fallback = srk3_array(B, family, nus, a, mu1, mu2, n_iter,
                              [rng.child("srk3", i) for i in range(n)])
     out_trace = PlantedTrace(

@@ -39,16 +39,15 @@ import hashlib
 import os
 import threading
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "RngStream",
     "uniform_below",
-    "Bernoulli",
     "Binomial",
     "Hypergeometric",
     "Gaussian",
@@ -60,7 +59,6 @@ __all__ = [
     "finite_pmf",
     "tern_pmf",
     "normal_cdf",
-    "normal_quantile",
 ]
 
 _PROB_TOL = 1e-12
@@ -118,6 +116,15 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         return os.cpu_count() or 1
+
+
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        pages, page = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * page if pages > 0 and page > 0 else None
 
 
 # The processes that share this one's CPUs: a trial worker of
@@ -268,11 +275,6 @@ def uniform_below(gen: np.random.Generator, shape, p: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Bernoulli:
-    p: float
-
-
-@dataclass(frozen=True)
 class Binomial:
     n: int
     p: float
@@ -311,7 +313,7 @@ class FinitePmf:
         return np.asarray(self.values, dtype=float), np.asarray(self.probs, dtype=float)
 
 
-DistSpec = Union[Bernoulli, Binomial, Hypergeometric, Gaussian, Tern, FinitePmf]
+DistSpec = Union[Binomial, Hypergeometric, Gaussian, Tern, FinitePmf]
 
 
 def _check_prob(p, name):
@@ -321,9 +323,7 @@ def _check_prob(p, name):
 
 def validate_spec(spec: DistSpec) -> None:
     """Raise ParameterError if the distribution spec's parameters are invalid."""
-    if isinstance(spec, Bernoulli):
-        _check_prob(spec.p, "Bernoulli p")
-    elif isinstance(spec, Binomial):
+    if isinstance(spec, Binomial):
         if spec.n < 0:
             raise ParameterError(f"Binomial n must be >= 0, got {spec.n}")
         _check_prob(spec.p, "Binomial p")
@@ -368,8 +368,6 @@ def tern_pmf(a: float, mu1: float, mu2: float):
 
 
 def _sample_with(spec: DistSpec, g: np.random.Generator, size):
-    if isinstance(spec, Bernoulli):
-        return (g.random(size) < spec.p).astype(np.int64)
     if isinstance(spec, Binomial):
         return g.binomial(spec.n, spec.p, size=size)
     if isinstance(spec, Hypergeometric):
@@ -405,8 +403,6 @@ def sample(spec: DistSpec, rng: RngStream, size=None):
 
 def finite_pmf(spec: DistSpec):
     """Exact FinitePmf of a finite-support spec, or None for continuous specs."""
-    if isinstance(spec, Bernoulli):
-        return FinitePmf((0.0, 1.0), (1.0 - spec.p, spec.p))
     if isinstance(spec, Binomial):
         from scipy.stats import binom
 
@@ -428,7 +424,7 @@ def finite_pmf(spec: DistSpec):
 
 
 # ---------------------------------------------------------------------------
-# Standard normal CDF / quantile
+# Standard normal CDF
 # ---------------------------------------------------------------------------
 
 def normal_cdf(x):
@@ -442,13 +438,3 @@ def normal_cdf(x):
 
     return ndtr(x)
 
-
-def normal_quantile(p):
-    """Inverse standard normal CDF; domain (0, 1) exclusive."""
-    arr = np.asarray(p, dtype=float)
-    if np.any(~((arr > 0.0) & (arr < 1.0))):
-        raise DomainError(f"normal_quantile requires p in (0, 1), got {p!r}")
-    from scipy.special import ndtri
-
-    out = ndtri(arr)
-    return float(out) if np.ndim(p) == 0 else out

@@ -34,7 +34,6 @@ __all__ = [
     "tv_bound_bern_bin_product",
     "tv_hyp_vs_bin_bound",
     "exact_tv_hyp_vs_bin",
-    "empirical_tv_binned",
     "empirical_tv_to_cdf",
     "ks_test",
     "ks_matrix",
@@ -137,25 +136,6 @@ def exact_tv_hyp_vs_bin(N: int, K: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 # Empirical distances and tests
 # ---------------------------------------------------------------------------
-
-def empirical_tv_binned(samples_a, samples_b, bins: int) -> float:
-    """Binned empirical TV between two sample sets, on common quantile bins.
-
-    A lower-bound-biased estimator of the true TV (binning merges mass) with
-    an upward noise floor of order sqrt(bins / min(n_a, n_b)).
-    """
-    a = np.asarray(samples_a, dtype=float).ravel()
-    b = np.asarray(samples_b, dtype=float).ravel()
-    if a.size == 0 or b.size == 0:
-        raise ParameterError("both sample sets must be nonempty")
-    pooled = np.concatenate([a, b])
-    edges = np.quantile(pooled, np.linspace(0.0, 1.0, bins + 1))
-    edges[0], edges[-1] = -np.inf, np.inf
-    edges = np.unique(edges)
-    fa, _ = np.histogram(a, bins=edges)
-    fb, _ = np.histogram(b, bins=edges)
-    return 0.5 * float(np.abs(fa / a.size - fb / b.size).sum())
-
 
 def empirical_tv_to_cdf(samples, ppf, bins: int) -> float:
     """Binned empirical TV between samples and an exact law, using the law's
@@ -445,15 +425,15 @@ def isgm_count_law(counts, plan):
     return chi2_gof_counts(counts, _isgm_count_pmf(plan))
 
 
-def isgm_planted_sums(inst) -> np.ndarray:
+def isgm_planted_sums(samples, trace) -> np.ndarray:
     """[positive sum, positive count, negative sum, negative count] of one
     planted ISGM run's entries on the planted coordinates, split by mixture
     component; add them up over runs for ``isgm_planted_mean_z``."""
-    S = inst.trace.planted_set
-    positive = np.zeros(inst.n, dtype=bool)
-    positive[inst.trace.component_set] = True
-    pos_block = inst.samples[np.ix_(positive, S)]
-    neg_block = inst.samples[np.ix_(~positive, S)]
+    S = trace.planted_set
+    positive = np.zeros(samples.shape[0], dtype=bool)
+    positive[trace.component_set] = True
+    pos_block = samples[np.ix_(positive, S)]
+    neg_block = samples[np.ix_(~positive, S)]
     return np.array([pos_block.sum(), pos_block.size, neg_block.sum(), neg_block.size])
 
 
@@ -576,22 +556,22 @@ def _battery_isgm(params, trials, alpha, rng, fault):
         from .geometry import build_H
 
         # scaled rows break orthonormality; output entry variance inflates
-        rotation = 1.5 * build_H(plan.r, plan.t).matrix
+        rotation = 1.5 * build_H(plan.r, plan.t)
     tests = []
 
     G0 = sample_gnq(N, plan.q, rng.child("h0-graph"))
-    inst = pl.pds_to_isgm(G0, plan, rng.child("h0-run"), rotation_override=rotation)
-    _, pvals = ks_matrix(inst.samples.T, sst.norm.cdf)
+    samples, _ = pl.pds_to_isgm(G0, plan, rng.child("h0-run"), rotation_override=rotation)
+    _, pvals = ks_matrix(samples.T, sst.norm.cdf)
     worst = float(pvals.min())
-    ks_pass = worst >= alpha / inst.d
+    ks_pass = worst >= alpha / samples.shape[1]
     tests.append(_test_entry("h0_per_coordinate_ks", worst, worst, ks_pass))
-    cov = covariance_identity_check(inst.samples, rng=rng.child("cov"))
+    cov = covariance_identity_check(samples, rng=rng.child("cov"))
     tests.append(_test_entry("h0_covariance_offdiag", cov["max_offdiag"], None,
                              cov["offdiag_pass"]))
     tests.append(_test_entry("h0_covariance_diag", cov["max_diag_dev"], None,
                              cov["diag_pass"]))
-    var_dev = abs(float(inst.samples.var()) - 1.0)
-    var_tol = 5.0 * math.sqrt(2.0 / inst.samples.size)
+    var_dev = abs(float(samples.var()) - 1.0)
+    var_tol = 5.0 * math.sqrt(2.0 / samples.size)
     tests.append(_test_entry("h0_entry_variance", var_dev, None, var_dev <= var_tol))
 
     min_trials = 200
@@ -610,10 +590,10 @@ def _battery_isgm(params, trials, alpha, rng, fault):
         sums = np.zeros(4)
         for i in range(trials):
             Gh, tr = sample_k_pds(N, k, plan.p, plan.q, rng.child("h1-graph", i))
-            out = pl.pds_to_isgm(Gh, plan, rng.child("h1-run", i), trace=tr,
-                                 rotation_override=rotation)
-            counts[i] = out.trace.component_set.size
-            sums += isgm_planted_sums(out)
+            out, out_tr = pl.pds_to_isgm(Gh, plan, rng.child("h1-run", i), trace=tr,
+                                         rotation_override=rotation)
+            counts[i] = out_tr.component_set.size
+            sums += isgm_planted_sums(out, out_tr)
         stat, pval = isgm_count_law(counts, plan)
         tests.append(_test_entry("h1_component_count_law", stat, pval, pval >= alpha))
         worst_z = max(abs(z) for z in isgm_planted_mean_z(sums, plan.mu, plan.eps))

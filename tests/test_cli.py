@@ -158,6 +158,7 @@ def test_reduce_divisibility_error_named(tmp_path, capsys):
     "n=4 edges=2\n0 1\n1 2 3\n",
     "n=4 edges=1\n0 4\n",
     "# no header\n",
+    "n=10000000 edges=0\n",  # its n(n-1)/2 pairs are 364 TiB as float64
 ])
 def test_reduce_malformed_graph_exits_2(tmp_path, capsys, body):
     src = tmp_path / "bad.graph"
@@ -369,6 +370,8 @@ _SRC = ["--k", "4", "--p", "1.0", "--q", "0.25", "--seed", "5"]
     # the 32-vertex graph under a GLSM plan whose source size is 84
     (["reduce", "glsm", "--in", "{graph}", *_SRC, "--n", "64", "--d", "256"], "N=84"),
     (["reduce", "isgm", "--in", "{graph}", *_SRC], "needs eps or r"),
+    # n(n-1)/2 pairs as float64 are 364 TiB
+    (["generate", "gnq", "--n", "10000000", "--q", "0.5", "--seed", "1"], "physical memory"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     src = tmp_path / "src"
@@ -381,6 +384,7 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and says in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bench_tracer_sees_the_pipeline_layers(tmp_path):

@@ -7,8 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from avgcase.errors import ParameterError
-from avgcase.geometry import (build_H, enum_hyperplanes, enum_points,
-                              is_prime, validate_incidence)
+from avgcase.geometry import build_H, enum_hyperplanes, enum_points, is_prime
 
 GRID = [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3)]
 
@@ -78,8 +77,7 @@ def test_pairwise_hyperplane_intersections():
 
 
 def test_h_2_2_explicit():
-    H = build_H(2, 2)
-    m = H.matrix
+    m = build_H(2, 2)
     assert m.shape == (3, 4)
     assert_allclose(np.abs(m), 0.5)
     assert np.all(m[:, 0] == -0.5)  # zero column entirely negative
@@ -89,8 +87,8 @@ def test_h_2_2_explicit():
 
 def test_h_3_2_column_counts():
     H = build_H(3, 2)
-    assert H.matrix.shape == (4, 9)
-    neg = H.matrix < 0
+    assert H.shape == (4, 9)
+    neg = H < 0
     assert np.all(neg[:, 0])
     assert_array_equal(neg[:, 1:].sum(axis=0), [1] * 8)  # (3^1 - 1)/2 = 1
 
@@ -98,20 +96,9 @@ def test_h_3_2_column_counts():
 def test_full_grid_invariants():
     for r, t in GRID:
         H = build_H(r, t)
-        validate_incidence(H, atol=1e-10)
-        vals = np.unique(H.matrix)
+        vals = np.unique(H)
         scale = 1.0 / math.sqrt(r ** t * (r - 1))
         assert_allclose(vals, [(1 - r) * scale, scale], atol=1e-15)
-
-
-def test_validate_catches_corruption():
-    H = build_H(3, 2)
-    bad = H.matrix.copy()
-    bad[0, 0] *= 1.5
-    from dataclasses import replace
-
-    with pytest.raises(ParameterError):
-        validate_incidence(replace(H, matrix=bad))
 
 
 def test_build_h_overflow_guard():

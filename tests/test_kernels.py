@@ -85,17 +85,18 @@ def test_rk_gauss_bound_enforced():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rk_gauss_rejects_nonfinite_mu(bad):
     bits = np.array([0, 1, 1], dtype=np.uint8)
-    for mu in (bad, np.array([0.1, bad, 0.1])):
-        with pytest.raises(ParameterError, match="finite"):
-            rk_gauss_array(bits, mu, 0.75, 0.25, 10, RngStream(1))
+    with pytest.raises(ParameterError, match="finite"):
+        rk_gauss_array(bits, bad, 0.75, 0.25, 10, RngStream(1))
+    with pytest.raises(ParameterError, match="one scalar"):  # an array of means
+        rk_gauss_array(bits, np.array([0.1, bad, 0.1]), 0.75, 0.25, 10, RngStream(1))
 
 
 def test_rk_gauss_rejects_negative_mu():
     bits = np.array([0, 1, 1], dtype=np.uint8)
-    for mu in (-0.1, np.array([0.1, -1e-9, 0.1])):
-        with pytest.raises(ParameterError, match="nonnegative"):
+    for mu, says in ((-0.1, "nonnegative"), (np.array([0.1, -1e-9, 0.1]), "one scalar")):
+        with pytest.raises(ParameterError, match=says):
             rk_gauss_array(bits, mu, 0.75, 0.25, 10, RngStream(1))
-        with pytest.raises(ParameterError, match="nonnegative"):
+        with pytest.raises(ParameterError, match=says):
             gaussianize(bits[None, :], 0.75, 0.25, mu, RngStream(1), allow_unproven=True)
 
 
@@ -129,9 +130,7 @@ def test_gaussianize_planted_block_mean():
     M = np.zeros((m, n), dtype=np.uint8)
     gen = RngStream(9).child("plant").generator()
     M[:10, :50] = (gen.random((10, 50)) < P).astype(np.uint8)
-    mu = np.zeros((m, n))
-    mu[:10, :50] = tau
-    X = gaussianize(M, P, Q, mu, RngStream(10))
+    X = gaussianize(M, P, Q, tau, RngStream(10))
     # planted entries are Bern(P) draws pushed through the kernel, whose
     # marginal is N(tau, 1); the block mean lands on tau
     block = X[:10, :50]
@@ -153,8 +152,8 @@ def test_gaussianize_rejects_nonfinite_mu(bad, allow_unproven):
     M = np.zeros((10, 10), dtype=np.uint8)
     mu_matrix = np.zeros((10, 10))
     mu_matrix[3, 4] = bad
-    for mu in (bad, mu_matrix):
-        with pytest.raises(ParameterError, match="finite"):
+    for mu, says in ((bad, "finite"), (mu_matrix, "one scalar")):
+        with pytest.raises(ParameterError, match=says):
             gaussianize(M, 0.75, 0.25, mu, RngStream(11), allow_unproven=allow_unproven)
 
 
@@ -176,15 +175,6 @@ def test_gaussianize_blocks_null_marginals():
             assert pval > 1e-4, (block, bit, pval)
 
 
-@pytest.mark.parametrize("P, Q", [(0.75, 0.25), (1.0, 0.5)])
-def test_gaussianize_scalar_mu_matches_full_matrix(P, Q):
-    M = _bits((1500, 1500), Q, 42)
-    mu = 0.05
-    X_scalar = gaussianize(M, P, Q, mu, RngStream(43))
-    X_full = gaussianize(M, P, Q, np.full(M.shape, mu), RngStream(43))
-    assert X_scalar.tobytes() == X_full.tobytes()
-
-
 def test_gaussianize_same_seed_same_bytes():
     M = _bits((1500, 1500), 0.5, 44)
     a, b, c = (gaussianize(M, 0.75, 0.25, 0.05, RngStream(s)) for s in (45, 45, 46))
@@ -196,12 +186,11 @@ def test_gaussianize_bytes_independent_of_workers(monkeypatch):
     # Serial (one block in flight), the default pool, and a pool with more
     # workers than cores under a short switch interval give the same bytes.
     M = _bits((1500, 1500), 0.5, 53)
-    mu = np.full(M.shape, 0.05)
 
     def run(cpus, cap):
         monkeypatch.setattr(prob, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(prob, "_MAX_IN_FLIGHT", cap)
-        return gaussianize(M, 0.75, 0.25, mu, RngStream(54)).tobytes()
+        return gaussianize(M, 0.75, 0.25, 0.05, RngStream(54)).tobytes()
 
     serial = run(prob._usable_cpus(), 1)
     assert run(prob._usable_cpus(), prob._MAX_IN_FLIGHT) == serial
@@ -216,7 +205,6 @@ def test_gaussianize_bytes_independent_of_workers(monkeypatch):
 def _reference_rk_gauss_block(bits, mu, out, p, q, n_iter, gen):
     """The one-block rejection loop as it was written before the leaner
     loop: a pre-test t <= L, then the uniform, and two masks per step."""
-    scalar_mu = isinstance(mu, float)
     log_pq = math.log(p / q)
     log_1p_1q = -math.inf if p == 1.0 else math.log((1.0 - p) / (1.0 - q))
     for branch in (0, 1):
@@ -225,22 +213,21 @@ def _reference_rk_gauss_block(bits, mu, out, p, q, n_iter, gen):
             if rem.size == 0:
                 break
             z = gen.standard_normal(rem.size)
-            m_ = mu if scalar_mu else mu[rem]
             if branch == 1 and p == 1.0:
-                z += m_
+                z += mu
                 out[rem] = z
                 break
             if branch == 0:
-                t = m_ * z - 0.5 * m_ * m_
+                t = mu * z - 0.5 * mu * mu
                 with np.errstate(over="ignore"):
                     acc = t <= log_pq
                     acc &= gen.random(rem.size) < 1.0 - np.exp(t - log_pq)
             else:
-                s = -m_ * z - 0.5 * m_ * m_
+                s = -mu * z - 0.5 * mu * mu
                 with np.errstate(over="ignore"):
                     acc = s <= -log_1p_1q
                     acc &= gen.random(rem.size) < 1.0 - np.exp(log_1p_1q + s)
-                z += m_
+                z += mu
             out[rem[acc]] = z[acc]
             rem = rem[~acc]
 
@@ -255,8 +242,11 @@ def test_rk_gauss_block_matches_the_reference_loop(P, Q, mu_kind, case):
             "all-one": np.ones(size, np.uint8), "budget-runs-out": _bits(size, 0.3, 56)}[case]
     n_iter = 1 if case == "budget-runs-out" else 40
     mu = 0.3
-    if mu_kind == "array":
+    if mu_kind == "array":  # the kernel takes one scalar mean, not one per entry
         mu = RngStream(57).generator().random(size) * 0.6
+        with pytest.raises(ParameterError, match="one scalar"):
+            rk_gauss_array(bits, mu, P, Q, n_iter, RngStream(58))
+        return
     outs = []
     for block in (kernels._rk_gauss_block, _reference_rk_gauss_block):
         out = np.zeros(size)
@@ -310,7 +300,10 @@ def test_gaussianize_transient_memory_bounded(mu):
     # blocks: the peak allocation inside the call exceeds its output by at
     # most a fixed allowance.
     M = _bits((2000, 2000), 0.5, 47)
-    mu = np.full(M.shape, 0.05) if mu == "matrix" else mu
+    if mu == "matrix":  # the kernel takes one scalar mean, not one per entry
+        with pytest.raises(ParameterError, match="one scalar"):
+            gaussianize(M, 0.75, 0.25, np.full(M.shape, 0.05), RngStream(48))
+        return
     tracemalloc.start()
     try:
         X = gaussianize(M, 0.75, 0.25, mu, RngStream(48))
@@ -630,7 +623,7 @@ def test_gaussianize_then_rotation_isotropy():
     M = (RngStream(30).child("bits").generator().random((300, 27)) < 0.25).astype(np.uint8)
     X = gaussianize(M, 0.75, 0.25, 0.0, RngStream(31))
     H = build_H(3, 3)  # 13 x 27, orthonormal rows
-    Y = X @ H.matrix.T
+    Y = X @ H.T
     cov = covariance_identity_check(Y, rng=RngStream(32))
     assert cov["offdiag_pass"] and cov["diag_pass"]
     assert abs(Y.var() - 1.0) < 5.0 * math.sqrt(2.0 / Y.size)

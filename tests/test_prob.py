@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from avgcase import prob
-from avgcase.errors import DomainError, ParameterError
-from avgcase.prob import (Bernoulli, Binomial, FinitePmf, Gaussian,
-                          Hypergeometric, RngStream, Tern,
-                          finite_pmf, normal_cdf, normal_quantile, sample,
+from avgcase.errors import ParameterError
+from avgcase.prob import (Binomial, FinitePmf, Gaussian, Hypergeometric,
+                          RngStream, Tern, finite_pmf, normal_cdf, sample,
                           tern_pmf, uniform_below, validate_spec)
 from avgcase.verify import chi2_gof_counts
 
@@ -61,9 +60,10 @@ def test_sample_repeatable_and_advancing():
 
 
 def test_bernoulli_degenerate():
+    # Bern(p) is Binomial(1, p)
     rng = RngStream(1)
-    assert np.all(sample(Bernoulli(0.0), rng, size=500) == 0)
-    assert np.all(sample(Bernoulli(1.0), rng, size=500) == 1)
+    assert np.all(sample(Binomial(1, 0.0), rng, size=500) == 0)
+    assert np.all(sample(Binomial(1, 1.0), rng, size=500) == 1)
 
 
 def test_gaussian_moments():
@@ -82,7 +82,7 @@ def test_tern_pmf_examples():
 
 def test_spec_validation_errors():
     for bad in (
-        Bernoulli(1.5),
+        Binomial(1, 1.5),
         Binomial(-1, 0.5),
         Gaussian(0.0, 0.0),
         Hypergeometric(10, 12, 5),
@@ -93,7 +93,7 @@ def test_spec_validation_errors():
 
 
 @pytest.mark.parametrize("spec", [
-    Bernoulli(0.3),
+    Binomial(1, 0.3),
     Binomial(12, 0.4),
     Hypergeometric(50, 20, 12),
     Tern(0.6, 0.05, 0.01),
@@ -110,15 +110,6 @@ def test_normal_cdf_against_oracle():
     for x, expected in PHI_ORACLE.items():
         assert abs(normal_cdf(x) - expected) < 1e-12
     assert normal_cdf(0.0) == 0.5
-
-
-def test_normal_quantile_roundtrip():
-    assert abs(normal_quantile(normal_cdf(1.7)) - 1.7) < 1e-10
-    grid = np.linspace(1e-6, 1 - 1e-6, 101)
-    assert_allclose(normal_cdf(normal_quantile(grid)), grid, atol=1e-12)
-    for bad in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(DomainError):
-            normal_quantile(bad)
 
 
 def test_hypergeometric_matches_scipy_pmf():

@@ -20,11 +20,10 @@ from avgcase.errors import FeasibilityError, ParameterError
 from avgcase.errors import TestError as StatTestError  # alias: pytest must not collect it
 from avgcase.geometry import build_H
 from avgcase.pipelines import plan_isgm
-from avgcase.prob import Bernoulli, Binomial, FinitePmf, RngStream
+from avgcase.prob import Binomial, FinitePmf, RngStream
 from avgcase.verify import (EnergyQuery, _isgm_count_pmf, battery_params, chi2_bern_plus_bin,
                             chi2_bern_plus_bin_closed_form, chi2_test,
-                            covariance_identity_check, empirical_tv_binned,
-                            empirical_tv_to_cdf, exact_tv,
+                            covariance_identity_check, empirical_tv_to_cdf, exact_tv,
                             exact_tv_hyp_vs_bin, ks_matrix, ks_test,
                             low_degree_energy, low_degree_energy_oracle,
                             semi_cr_class_counts, tv_bound_bern_bin_product,
@@ -33,8 +32,8 @@ from avgcase.verify import (EnergyQuery, _isgm_count_pmf, battery_params, chi2_b
 
 
 def test_exact_tv_examples():
-    assert exact_tv(Bernoulli(0.5), Bernoulli(0.5)) == 0.0
-    assert exact_tv(Bernoulli(0.0), Bernoulli(1.0)) == 1.0
+    assert exact_tv(Binomial(1, 0.5), Binomial(1, 0.5)) == 0.0
+    assert exact_tv(Binomial(1, 0.0), Binomial(1, 1.0)) == 1.0
     # hand enumeration: (.25,.5,.25) vs (.5625,.375,.0625)
     assert abs(exact_tv(Binomial(2, 0.5), Binomial(2, 0.25)) - 0.3125) < 1e-12
 
@@ -114,19 +113,6 @@ def test_hyp_vs_bin_bound():
         assert exact_tv_hyp_vs_bin(N, K, n) <= tv_hyp_vs_bin_bound(N, K, n) + 1e-12
     with pytest.raises(ParameterError):
         tv_hyp_vs_bin_bound(10, 5, 11)
-
-
-def test_empirical_tv_binned():
-    x = np.arange(1000.0)
-    assert empirical_tv_binned(x, x, 50) == 0.0
-    a = np.random.default_rng(0).standard_normal(100_000)
-    b = 100.0 + np.random.default_rng(1).standard_normal(100_000)
-    assert empirical_tv_binned(a, b, 50) > 0.98
-    c = np.random.default_rng(2).standard_normal(100_000)
-    d = np.random.default_rng(3).standard_normal(100_000)
-    assert empirical_tv_binned(c, d, 100) <= 0.02
-    with pytest.raises(ParameterError):
-        empirical_tv_binned(np.array([]), a, 10)
 
 
 def test_empirical_tv_to_cdf():
@@ -233,7 +219,7 @@ def test_isgm_count_law_is_the_exact_mixture():
     # Every nonzero point of H_{r,t} has r^(t-1) positive rotated entries and
     # the zero point none: the law counts on both.
     for r, t in ((2, 3), (2, 7), (3, 2), (5, 2)):
-        positive = (build_H(r, t).matrix > 0).sum(axis=0)
+        positive = (build_H(r, t) > 0).sum(axis=0)
         assert positive[0] == 0 and set(positive[1:].tolist()) == {r ** (t - 1)}
     # At the battery defaults (r=2, t=7, k=4, n=127) the mixture has the
     # moments of Binomial(127, 1/2), but not its shape.
