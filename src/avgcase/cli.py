@@ -93,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     r_isgm.add_argument("--w", type=float, default=4.0, help="slow-growth factor")
     r_isgm.add_argument("--n", type=int, help="override planned sample count")
     r_isgm.add_argument("--d", type=int, help="override planned dimension")
-    r_isgm.add_argument("--allow-unproven", action="store_true",
-                        help="run outside the proven parameter regime")
     _add_common(r_isgm)
 
     r_semi = rsub.add_parser("semi-cr", help="k-PDS to semirandom community recovery")
@@ -119,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     r_glsm.add_argument("--theta", type=float, default=1e-5,
                         help="spike strength of the built-in Gaussian target family")
     r_glsm.add_argument("--w", type=float, default=2.0)
-    r_glsm.add_argument("--allow-unproven", action="store_true")
     _add_common(r_glsm)
 
     ver = sub.add_parser("verify", help="run a pipeline's statistical battery")
@@ -211,8 +208,7 @@ def _cmd_reduce(args) -> int:
     if args.pipeline == "isgm":
         plan = plan_isgm(args.p, args.q, args.w, eps=args.eps, r=args.r, N=G.n,
                          k=args.k, n=args.n, d=args.d)
-        X, out_trace = pds_to_isgm(G, plan, rng, trace=trace,
-                                   allow_unproven=args.allow_unproven)
+        X, out_trace = pds_to_isgm(G, plan, rng, trace=trace)
         out = _out_dir(args)
         write_amat(out / "samples.amat", X)
         out_trace.write_json(out / "trace.json")
@@ -237,8 +233,7 @@ def _cmd_reduce(args) -> int:
     else:  # glsm
         plan = plan_glsm(args.p, args.q, args.w, n=args.n, k=args.k, d=args.d)
         family, D = spca_family(args.n, args.k, args.theta)
-        X, out_trace = pds_to_glsm(G, plan, args.tau, family, D, rng,
-                                   trace=trace, allow_unproven=args.allow_unproven)
+        X, out_trace = pds_to_glsm(G, plan, args.tau, family, D, rng, trace=trace)
         out = _out_dir(args)
         write_amat(out / "samples.amat", X)
         out_trace.write_json(out / "trace.json")

@@ -15,7 +15,3 @@ class AdversaryViolation(AvgCaseError, ValueError):
 
 class FeasibilityError(AvgCaseError):
     """A brute-force computation would exceed its enumeration guard."""
-
-
-class TestError(AvgCaseError):
-    """A statistical test was invoked on inputs it cannot handle."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["write_amat", "read_amat", "dump_json", "load_json"]
+__all__ = ["write_amat", "dump_json", "load_json"]
 
 _MAGIC = b"AMAT"
 _VERSION = 1
@@ -43,7 +43,7 @@ def write_amat(path, matrix) -> None:
         fh.write(m.tobytes(order="C"))
 
 
-def read_amat(path) -> np.ndarray:
+def _read_amat(path) -> np.ndarray:
     with open(path, "rb") as fh:
         header = fh.read(4 + 4 + 8 + 8 + 4)
         if len(header) < 28 or header[:4] != _MAGIC:

@@ -23,7 +23,6 @@ from .errors import ParameterError
 
 __all__ = [
     "is_prime",
-    "check_prime_power",
     "enum_points",
     "enum_hyperplanes",
     "build_H",
@@ -46,7 +45,7 @@ def is_prime(r: int) -> bool:
     return True
 
 
-def check_prime_power(r: int, t: int) -> None:
+def _check_prime_power(r: int, t: int) -> None:
     if not is_prime(r):
         raise ParameterError(f"r={r} is not prime")
     if t < 2:
@@ -61,7 +60,7 @@ def enum_points(r: int, t: int) -> np.ndarray:
     Index 0 is the zero vector; point j has the base-r digits of j, most
     significant first.
     """
-    check_prime_power(r, t)
+    _check_prime_power(r, t)
     idx = np.arange(r ** t)
     digits = np.empty((r ** t, t), dtype=np.int64)
     for pos in range(t - 1, -1, -1):
@@ -90,7 +89,7 @@ def build_H(r: int, t: int) -> np.ndarray:
 
     Results are cached; the returned array is marked read-only.
     """
-    check_prime_power(r, t)
+    _check_prime_power(r, t)
     points = enum_points(r, t)
     normals = enum_hyperplanes(r, t)
     incident = (normals @ points.T) % r == 0

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AdversaryViolation, ParameterError
 from .formats import dump_json, load_json
-from .prob import RngStream, _check_prob, _physical_memory
+from .prob import RngStream, _check_fits, _check_prob
 
 __all__ = [
     "Graph",
@@ -42,22 +42,6 @@ __all__ = [
 
 def _n_pairs(n: int) -> int:
     return n * (n - 1) // 2
-
-
-def _check_pairs_fit(n: int, what: str = "a graph") -> None:
-    """Refuse n vertices whose float64 vector of n(n-1)/2 pairs (the draw of
-    ``sample_gnq``) exceeds physical memory, or the int64 range where the
-    platform does not report it.  No reduction could embed such a graph, as
-    its m x m matrix has m >= 2n."""
-    need = 8 * _n_pairs(n)
-    limit, where = _physical_memory(), "this host's physical memory"
-    if limit is None:
-        limit, where = np.iinfo(np.int64).max, "the int64 range"
-    if need > limit:
-        raise ParameterError(
-            f"{what} of n={n} vertices needs {need / 2 ** 30:.3g} GiB for the float64 "
-            f"vector of its pairs: more than {where} ({limit / 2 ** 30:.3g} GiB)"
-        )
 
 
 def _pair_indices(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -297,7 +281,9 @@ def read_graphv1(path) -> Graph:
         raise _malformed(path, f"header {line!r} is not 'n=<int> edges=<int>'"
                          if line else "missing header")
     n, declared = int(header.group(1)), int(header.group(2))
-    _check_pairs_fit(n, f"{path}: the graph")
+    # no reduction could embed a graph whose float64 pair vector does not
+    # fit, as its m x m matrix has m >= 2n
+    _check_fits(8 * _n_pairs(n), f"{path}: the float64 pair vector of n={n} vertices")
     if uv.size == 0:
         uv = np.empty((0, 2), dtype=np.int64)
     if uv.shape[1] != 2:
@@ -322,7 +308,7 @@ def read_graphv1(path) -> Graph:
 def sample_gnq(n: int, q: float, rng: RngStream) -> Graph:
     """Erdos-Renyi G(n, q): each unordered pair present independently w.p. q."""
     _check_prob(q, "q")
-    _check_pairs_fit(n)
+    _check_fits(8 * _n_pairs(n), f"the float64 pair vector of n={n} vertices")
     g = rng.child("gnq").generator()
     return Graph.from_triu(n, g.random(_n_pairs(n)) < q)
 
@@ -366,7 +352,7 @@ def sample_k_pds(N: int, k: int, p: float, q: float, rng: RngStream):
         raise ParameterError(f"need 0 <= q < p <= 1, got p={p}, q={q}")
     if not 0 < k <= N or N % k:
         raise ParameterError(f"k={k} must divide N={N}, with 0 < k <= N")
-    _check_pairs_fit(N)
+    _check_fits(8 * _n_pairs(N), f"the float64 pair vector of N={N} vertices")
     g = rng.child("kpds").generator()
     vec = g.random(_n_pairs(N)) < q
     Nk = N // k

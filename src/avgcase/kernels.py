@@ -123,8 +123,7 @@ def _rk_gauss_core(bits, mu, p, q, n_iter, stream: RngStream, bound=math.inf):
     if bits.size and mu > bound * (1 + 1e-12):
         raise ParameterError(
             f"mu = {mu} exceeds the proven bound {bound:.6g} for a "
-            f"{'x'.join(map(str, bits.shape))} input; pass allow_unproven=True "
-            "to run anyway"
+            f"{'x'.join(map(str, bits.shape))} input"
         )
     flat_bits = bits.ravel()
     out = np.zeros(flat_bits.size, dtype=float)
@@ -205,13 +204,13 @@ def rk_gauss_array(bits, mu, p, q, n_iter, rng: RngStream):
     return _rk_gauss_core(bits, mu, p, q, n_iter, rng.child("rk"))
 
 
-def gaussianize(M, P, Q, mu, rng: RngStream, allow_unproven=False):
+def gaussianize(M, P, Q, mu, rng: RngStream):
     """Map a {0,1} matrix to an independent-Gaussian matrix, entry (i, j)
     heading for N(mu, 1) where M_ij came up Bern(P) and N(0, 1) where it
     came up Bern(Q).
 
     ``mu`` is one nonnegative scalar, and it must satisfy the proven bound
-    (see ``gaussianize_mu_bound``) unless ``allow_unproven`` is set.  Each
+    (see ``gaussianize_mu_bound``; ``rk_gauss_array`` enforces none).  Each
     entry gets ceil(3 log(m n) / delta) proposals, the budget under which
     that bound is proven (both carry the same 3 log(m n) term); entries that
     exhaust it keep the 0.0 initializer.
@@ -221,9 +220,9 @@ def gaussianize(M, P, Q, mu, rng: RngStream, allow_unproven=False):
         raise ParameterError("gaussianize expects a 2-D binary matrix")
     m, n = M.shape
     delta = rejection_delta(P, Q)
-    bound = math.inf if allow_unproven else gaussianize_mu_bound(P, Q, m, n)
     n_iter = math.ceil(3.0 * math.log(m * n) / delta)
-    return _rk_gauss_core(M, mu, P, Q, n_iter, rng.child("gaussianize"), bound=bound)
+    return _rk_gauss_core(M, mu, P, Q, n_iter, rng.child("gaussianize"),
+                          bound=gaussianize_mu_bound(P, Q, m, n))
 
 
 # ---------------------------------------------------------------------------

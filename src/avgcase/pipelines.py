@@ -22,7 +22,7 @@ plus their shared sub-steps (``graph_clone``, ``to_k_partite_submatrix``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -39,7 +39,7 @@ from .kernels import (
     tern_params_from_truncation,
     truncate_tern,
 )
-from .prob import (Gaussian, RngStream, _physical_memory, _run_blocks, normal_cdf,
+from .prob import (Gaussian, RngStream, _check_fits, _run_blocks, normal_cdf,
                    sample as sample_dist, uniform_below)
 
 __all__ = [
@@ -101,18 +101,21 @@ def semi_cr_mus(mu: float, ell: int):
     return mu1, mu23, mu23
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReductionPlan:
     """Derived parameters of one reduction run plus the regime report, from
     ``plan_isgm``, ``plan_semi_cr`` or ``plan_glsm``.
 
-    Planners take sizes as positive integers and raise ParameterError on
-    structural impossibilities, such as a float64 Gaussianize matrix (m x
-    k r^t for ISGM and GLSM, m x m for SEMI-CR) beyond the host's physical
-    memory.  ``report`` maps named proven-regime preconditions to
-    booleans/values.  Most failures there are advisory (desk-scale runs
-    routinely violate asymptotic conditions), but the pipelines refuse a plan
-    whose ``k_le_QN_over_4`` or ``m_le_d`` reads False.
+    The planners are the only gate: each takes sizes as positive integers and
+    raises ParameterError on any plan its pipeline cannot run, and the plan
+    is frozen, so no field leaves what its planner checked.  ``report`` maps
+    named proven-regime preconditions to booleans/values.  In a returned plan
+    ``m_le_d``, ``m_le_k_r^t``, ``w_n_le_k_ell``, ``mu_le_proven_bound`` and
+    ``n_ge_m_rotated`` always read True (the planner refuses the rest), and
+    so do ``m_exceeds_(p/Q+1)N`` and ``(3^l-1)k_divides_m``, by construction.
+    ``k_le_QN_over_4`` is advisory here, but ``to_k_partite_submatrix``, the
+    first step of every pipeline, refuses k > QN/4.  The other keys are
+    values.
     """
 
     target: str
@@ -154,25 +157,41 @@ class ReductionPlan:
         return dict(self.__dict__)
 
 
-def _regime_report(plan: ReductionPlan) -> ReductionPlan:
-    """Add the proven-regime conditions to ``plan.report``; return the plan."""
+def _admit(plan: ReductionPlan) -> ReductionPlan:
+    """Refuse a plan its pipeline cannot run, then add the proven-regime
+    conditions to ``plan.report``; return the plan."""
+    m, n, k, report = plan.m, plan.n, plan.k, plan.report
+    if plan.target == "SEMI_CR":
+        cols = m
+        if n < m // 2:  # (3^ell - 1) k s / 2 rows survive each block rotation
+            raise ParameterError(f"need n >= m/2 = {m // 2} output vertices, got n={n}")
+        report["(3^l-1)k_divides_m"] = m % ((3 ** plan.ell - 1) * k) == 0
+        report["n_ge_m_rotated"] = n >= m // 2
+    else:
+        # the m rows land on m of the d coordinates, and the n samples are n
+        # of the k l rotated columns, at most k l / w of them in the proven
+        # regime
+        cols, k_ell = k * plan.rt, k * plan.n_hyperplanes
+        if m > plan.d:
+            raise ParameterError(f"need m <= d, got m={m}, d={plan.d}")
+        if n > k_ell:
+            raise ParameterError(f"need n <= k l = {k_ell} rotated columns, got n={n}")
+        if plan.w * n > k_ell:
+            raise ParameterError(f"w n = {plan.w * n:g} exceeds k l = {k_ell}, outside the "
+                                 "proven regime; lower --w or --n")
+        report["m_le_k_r^t"] = m <= cols
+        report["m_le_d"] = m <= plan.d
+        report["w_n_le_k_ell"] = plan.w * n <= k_ell
+        report["n_over_eps_N"] = n / (plan.eps * plan.N)
+    _check_fits(8 * m * cols, f"the {m} x {cols} matrix to Gaussianize, as float64,")
     bound = plan.mu_bound
-    report = plan.report
     report.update({
-        "k_le_QN_over_4": plan.k <= plan.Q * plan.N / 4.0,
-        "m_exceeds_(p/Q+1)N": plan.m > (plan.p / plan.Q + 1.0) * plan.N,
+        "k_le_QN_over_4": k <= plan.Q * plan.N / 4.0,
+        "m_exceeds_(p/Q+1)N": m > (plan.p / plan.Q + 1.0) * plan.N,
         "mu_le_proven_bound": plan.mu <= bound * (1 + 1e-12),
         "proven_mu_bound": bound,
-        "k_sq_over_N": plan.k ** 2 / plan.N,
+        "k_sq_over_N": k ** 2 / plan.N,
     })
-    if plan.target == "SEMI_CR":
-        report["(3^l-1)k_divides_m"] = plan.m % ((3 ** plan.ell - 1) * plan.k) == 0
-        report["n_ge_m_rotated"] = plan.n >= plan.m // 2
-    else:
-        report["m_le_k_r^t"] = plan.m <= plan.k * plan.rt
-        report["m_le_d"] = plan.m <= plan.d
-        report["w_n_le_k_ell"] = plan.w * plan.n <= plan.k * plan.n_hyperplanes
-        report["n_over_eps_N"] = plan.n / (plan.eps * plan.N)
     return plan
 
 
@@ -196,21 +215,6 @@ def _check_partition(N: int, k: int) -> None:
 def _check_w(w: Optional[float]) -> None:
     if w is None or not 0.0 < w < math.inf:
         raise ParameterError(f"w must be positive and finite, got {w}")
-
-
-def _check_gaussianize_fits(plan: ReductionPlan, cols: int) -> None:
-    # the float64 Gaussianize output of the m x cols matrix must fit in one
-    # array and in the host's physical memory
-    need = plan.m * cols * 8
-    limit, where = _physical_memory(), "this host's physical memory"
-    if limit is None:
-        limit, where = np.iinfo(np.intp).max, "the address space"
-    if need > limit:
-        raise ParameterError(
-            f"the {plan.m} x {cols} matrix to Gaussianize "
-            f"needs {need / 2 ** 30:.3g} GiB as float64: too large for one array in "
-            f"{where} ({limit / 2 ** 30:.3g} GiB)"
-        )
 
 
 def plan_isgm(p: float, q: float, w: float, *, N: int, k: int, eps: Optional[float] = None,
@@ -251,9 +255,7 @@ def plan_isgm(p: float, q: float, w: float, *, N: int, k: int, eps: Optional[flo
     if d is None:
         d = m
     plan = ReductionPlan("ISGM", p, q, N, k, r, t, m, n, d, Q, delta, 0.0, w, 1.0 / r)
-    plan.mu = plan.mu_bound
-    _check_gaussianize_fits(plan, k * plan.rt)
-    return _regime_report(plan)
+    return _admit(replace(plan, mu=plan.mu_bound))
 
 
 def plan_semi_cr(p: float, q: float, *, N: int, k: int, ell: int,
@@ -276,12 +278,11 @@ def plan_semi_cr(p: float, q: float, *, N: int, k: int, ell: int,
         n = m
     plan = ReductionPlan("SEMI_CR", p, q, N, k, 3, ell, m, n, m // 2, Q, delta, 0.0,
                          None, 1.0 / 3.0, ell=ell)
-    plan.mu = plan.mu_bound
-    _check_gaussianize_fits(plan, m)
+    plan = replace(plan, mu=plan.mu_bound)
     mu1, mu2, mu3 = semi_cr_mus(plan.mu, ell)
     plan.report.update({"mu1": mu1, "mu2": mu2, "mu3": mu3,
                         "planted_size": (3 ** (ell - 1) - 1) * k // 2})
-    return _regime_report(plan)
+    return _admit(plan)
 
 
 def plan_glsm(p: float, q: float, w: float, *, n: int, k: int,
@@ -313,10 +314,9 @@ def plan_glsm(p: float, q: float, w: float, *, n: int, k: int,
         d = m
     plan = ReductionPlan("GLSM", p, q, N, k, 2, t, m, n, d, Q, delta, 0.0, w, 0.5)
     mu_fig, bound = math.sqrt(k / (N * math.log(n))), plan.mu_bound
-    plan.mu = min(mu_fig, bound)
+    plan = replace(plan, mu=min(mu_fig, bound))
     plan.report.update(mu_uncapped=mu_fig, mu_capped_at_proven_bound=mu_fig > bound)
-    _check_gaussianize_fits(plan, k * plan.rt)
-    return _regime_report(plan)
+    return _admit(plan)
 
 
 def _check_source_size(G: Graph, plan: ReductionPlan) -> None:
@@ -485,8 +485,7 @@ def to_k_partite_submatrix(G: Graph, k: int, p, q, m, rng: RngStream,
 # ---------------------------------------------------------------------------
 
 def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
-                trace: Optional[PlantedTrace] = None, allow_unproven: bool = False,
-                rotation_override=None):
+                trace: Optional[PlantedTrace] = None, rotation_override=None):
     """Run the full graph-to-mixture reduction under ``plan``; returns
     ``(samples, trace)``, one sample per row of the (n, d) array.
 
@@ -501,28 +500,7 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
         raise ParameterError("pds_to_isgm needs an ISGM or GLSM plan, got SEMI_CR")
     _check_source_size(G, plan)
     p, q, k, m, r, t = plan.p, plan.q, plan.k, plan.m, plan.r, plan.t
-    n, d = plan.n, plan.d
-    rt, ellh = plan.rt, plan.n_hyperplanes
-    if not is_prime(r):
-        raise ParameterError(f"r={r} must be prime")
-    if m > k * rt or m > d or n > k * ellh:
-        raise ParameterError(
-            f"structural sizes violated: need m <= k r^t, m <= d, n <= k l "
-            f"(m={m}, k r^t={k * rt}, d={d}, n={n}, k l={k * ellh})"
-        )
-    if not allow_unproven:
-        # the bound gaussianize enforces in step 3, checked before the embedding work
-        bound = plan.mu_bound
-        if plan.mu > bound * (1 + 1e-9):
-            raise ParameterError(
-                f"mu={plan.mu} exceeds the proven bound {bound:.6g}; "
-                "pass allow_unproven=True to run anyway"
-            )
-        if plan.w * n > k * ellh:
-            raise ParameterError(
-                f"w n = {plan.w * n} exceeds k l = {k * ellh}; "
-                "pass allow_unproven=True to run anyway"
-            )
+    n, d, rt = plan.n, plan.d, plan.rt
 
     # Step 1: symmetrize and plant diagonals.
     M1, tr1 = to_k_partite_submatrix(G, k, p, q, m, rng.child("submatrix"), trace)
@@ -550,8 +528,7 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
 
     # Step 3: Gaussianize at entrywise mean sqrt(r^t (r-1)) mu.
     tau_entry = math.sqrt(rt * (r - 1)) * plan.mu
-    M_G = gaussianize(M2, p, plan.Q, tau_entry, rng.child("gaussianize"),
-                      allow_unproven=allow_unproven)
+    M_G = gaussianize(M2, p, plan.Q, tau_entry, rng.child("gaussianize"))
     del M2
 
     # Steps 4-6: rotate each part by the incidence matrix, keep n of the
@@ -694,8 +671,6 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
     s = m // ((three_l - 1) * k)
     m_prime = three_l * k * s
     m_rot = m // 2  # (3^ell - 1) k s / 2 rows survive each block rotation
-    if n < m_rot:
-        raise ParameterError(f"need n >= {m_rot} output vertices, got n={n}")
 
     M_PD, tr1 = to_k_partite_submatrix(G, k, p, q, m, rng.child("submatrix"), trace)
     M_G = gaussianize(M_PD, p, Q, mu, rng.child("gaussianize"))
@@ -767,7 +742,7 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
 
 def pds_to_glsm(G: Graph, plan: ReductionPlan, tau: float,
                 family: PairFamily, D, rng: RngStream,
-                trace: Optional[PlantedTrace] = None, allow_unproven: bool = False):
+                trace: Optional[PlantedTrace] = None):
     """Reduce k-PDS to a general sparse-mixture family.
 
     ``family`` is the target family {P_nu} against Q; ``D`` is a DistSpec
@@ -782,7 +757,7 @@ def pds_to_glsm(G: Graph, plan: ReductionPlan, tau: float,
     """
     if plan.r != 2 or plan.eps != 0.5:
         raise ParameterError("the mixture stage of the GLSM reduction needs r=2, eps=1/2")
-    samples, in_trace = pds_to_isgm(G, plan, rng.child("isgm"), trace, allow_unproven)
+    samples, in_trace = pds_to_isgm(G, plan, rng.child("isgm"), trace)
     n, d = samples.shape
     a, mu1, mu2 = tern_params_from_truncation(tau, plan.mu)
     n_iter = math.ceil(4.0 * math.log(d * n))

@@ -54,7 +54,6 @@ __all__ = [
     "Tern",
     "FinitePmf",
     "DistSpec",
-    "validate_spec",
     "sample",
     "finite_pmf",
     "tern_pmf",
@@ -125,6 +124,20 @@ def _physical_memory() -> Optional[int]:
     except (AttributeError, ValueError, OSError):
         return None
     return pages * page if pages > 0 and page > 0 else None
+
+
+def _check_fits(need: int, what: str) -> None:
+    """Refuse ``what``, one array of ``need`` bytes, beyond this host's
+    physical memory, or beyond the ``np.intp`` range where the platform does
+    not report its memory."""
+    limit, where = _physical_memory(), "this host's physical memory"
+    if limit is None:
+        limit, where = np.iinfo(np.intp).max, "the address space"
+    if need > limit:
+        raise ParameterError(
+            f"{what} needs {need / 2 ** 30:.3g} GiB: too large for one array in "
+            f"{where} ({limit / 2 ** 30:.3g} GiB)"
+        )
 
 
 # The processes that share this one's CPUs: a trial worker of
@@ -321,7 +334,7 @@ def _check_prob(p, name):
         raise ParameterError(f"{name} must lie in [0, 1], got {p!r}")
 
 
-def validate_spec(spec: DistSpec) -> None:
+def _validate_spec(spec: DistSpec) -> None:
     """Raise ParameterError if the distribution spec's parameters are invalid."""
     if isinstance(spec, Binomial):
         if spec.n < 0:
@@ -393,7 +406,7 @@ def sample(spec: DistSpec, rng: RngStream, size=None):
     ``sample(spec, rng.child("draw", i))``, or pass ``size`` to get the
     sequence in one call.
     """
-    validate_spec(spec)
+    _validate_spec(spec)
     g = rng.generator()
     out = _sample_with(spec, g, size)
     if size is None and np.ndim(out) == 0:

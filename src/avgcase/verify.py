@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FeasibilityError, ParameterError, TestError
+from .errors import FeasibilityError, ParameterError
 from .prob import (Binomial, FinitePmf, Hypergeometric, RngStream, _run_trials, finite_pmf,
                    normal_cdf)
 
@@ -174,22 +174,22 @@ def chi2_test(counts, expected):
     one degree of freedom per usable cell less one (no parameter is fitted).
 
     Cells with zero expectation and zero observation are dropped; a zero
-    expectation with a positive observation raises TestError.
+    expectation with a positive observation raises ValueError.
     """
     import scipy.stats as sst
 
     counts = np.asarray(counts, dtype=float)
     expected = np.asarray(expected, dtype=float)
     if counts.shape != expected.shape:
-        raise TestError("counts and expected must have matching shapes")
+        raise ValueError("counts and expected must have matching shapes")
     zero = expected <= 0
     if np.any(zero & (counts > 0)):
-        raise TestError("observed count in a cell with zero expectation")
+        raise ValueError("observed count in a cell with zero expectation")
     keep = ~zero
     stat = float((((counts - expected) ** 2)[keep] / expected[keep]).sum())
     df = int(keep.sum()) - 1
     if df < 1:
-        raise TestError("chi-square needs at least 2 usable cells")
+        raise ValueError("chi-square needs at least 2 usable cells")
     return stat, float(sst.chi2.sf(stat, df))
 
 
@@ -206,7 +206,7 @@ def chi2_gof_counts(values, pmf: FinitePmf):
     idx = np.searchsorted(support, values)
     idx = np.clip(idx, 0, support.size - 1)
     if not np.allclose(np.asarray(support)[idx], values):
-        raise TestError("samples fall outside the pmf support")
+        raise ValueError("samples fall outside the pmf support")
     counts = np.bincount(idx, minlength=support.size).astype(float)
     expected = probs * n
     # merge adjacent bins until each expected count reaches 5
@@ -229,16 +229,16 @@ def chi2_gof_counts(values, pmf: FinitePmf):
     return chi2_test(np.array(merged_c), np.array(merged_e))
 
 
-def covariance_identity_check(X, rng: RngStream = None):
+def covariance_identity_check(X, rng: RngStream):
     """Compare the second-moment matrix of row-samples X (n, d) to identity.
 
     Off-diagonal entries have standard error 1/sqrt(n) and diagonal entries
     sqrt(2/n) (a chi^2_n / n), so the thresholds are 5/sqrt(n) and
     5 sqrt(2/n), five standard errors each.  When d exceeds the coordinate
-    budget clip(n // 6, 16, 160) a seeded coordinate subset of that size is
-    used; an entry-wise c/sqrt(n) threshold over all of a large d's pairs is
-    crossed by correct outputs with probability near 1, so the pair budget
-    must stay bounded for the threshold to be meaningful.  The budget also
+    budget clip(n // 6, 16, 160) a coordinate subset of that size, drawn
+    from ``rng``, is used; an entry-wise c/sqrt(n) threshold over all of a
+    large d's pairs is crossed by correct outputs with probability near 1, so
+    the pair budget must stay bounded for the threshold to be meaningful.  The budget also
     shrinks with the sample count: at small n the entries have t-like tails
     and a fixed pair count would trip the threshold spuriously.
 
@@ -250,7 +250,7 @@ def covariance_identity_check(X, rng: RngStream = None):
     threshold, diag_threshold = 5.0 / math.sqrt(n), 5.0 * math.sqrt(2.0 / n)
     max_coords = int(np.clip(n // 6, 16, 160))
     if d > max_coords:
-        gen = (rng or RngStream(0)).child("cov-subset").generator()
+        gen = rng.child("cov-subset").generator()
         cols = np.sort(gen.choice(d, size=max_coords, replace=False))
         X = X[:, cols]
         d = max_coords

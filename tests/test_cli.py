@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import avgcase
 from avgcase.cli import main
-from avgcase.formats import read_amat, write_amat
+from avgcase.formats import _read_amat, write_amat
 from avgcase.graphs import read_graphv1
 
 
@@ -58,18 +59,18 @@ def test_generate_isgm_and_amat_roundtrip(tmp_path):
     rc = _run(["generate", "isgm", "--n", "20", "--k", "3", "--d", "15",
                "--mu", "0.5", "--eps", "0.25", "--seed", "3", "--out", str(tmp_path)])
     assert rc == 0
-    X = read_amat(tmp_path / "samples.amat")
+    X = _read_amat(tmp_path / "samples.amat")
     assert X.shape == (20, 15)
 
 
 def test_amat_format_errors(tmp_path):
     write_amat(tmp_path / "m.amat", np.eye(3))
-    assert np.array_equal(read_amat(tmp_path / "m.amat"), np.eye(3))
+    assert np.array_equal(_read_amat(tmp_path / "m.amat"), np.eye(3))
     (tmp_path / "bad.amat").write_bytes(b"NOPE" + b"\x00" * 24)
     from avgcase.errors import ParameterError
 
     with pytest.raises(ParameterError):
-        read_amat(tmp_path / "bad.amat")
+        _read_amat(tmp_path / "bad.amat")
 
 
 def test_reduce_isgm_end_to_end(tmp_path):
@@ -88,7 +89,7 @@ def test_reduce_isgm_end_to_end(tmp_path):
     for name in ("samples.amat", "trace.json", "plan.json"):
         assert _digest(out1 / name) == _digest(out2 / name)
     plan = json.loads((out1 / "plan.json").read_text())
-    X = read_amat(out1 / "samples.amat")
+    X = _read_amat(out1 / "samples.amat")
     assert X.shape == (plan["n"], plan["d"])
 
 
@@ -372,6 +373,11 @@ _SRC = ["--k", "4", "--p", "1.0", "--q", "0.25", "--seed", "5"]
     (["reduce", "isgm", "--in", "{graph}", *_SRC], "needs eps or r"),
     # n(n-1)/2 pairs as float64 are 364 TiB
     (["generate", "gnq", "--n", "10000000", "--q", "0.5", "--seed", "1"], "physical memory"),
+    # refused by the planners: w n = 400 > k l = 124, and n below m/2 = 64
+    (["reduce", "isgm", "--in", "{graph}", *_SRC, "--r", "2", "--w", "4", "--n", "100"],
+     "lower --w or --n"),
+    (["reduce", "semi-cr", "--in", "{graph}", *_SRC, "--ell", "2", "--n-out", "10"],
+     "n >= m/2"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     src = tmp_path / "src"
@@ -427,6 +433,20 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: kaboom\n"
 
 
+def test_battery_fault_exits_3(tmp_path, monkeypatch, capsys):
+    # A statistical test handed inputs it cannot take is a fault in the
+    # battery, not a parameter error.
+    from avgcase import verify
+
+    def battery(params, trials, alpha, rng, fault):
+        verify.chi2_test([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    monkeypatch.setitem(verify._BATTERIES, "semi-cr", battery)
+    assert _run(["verify", "--pipeline", "semi-cr", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: ValueError: counts and expected must have matching shapes\n"
+
+
 def test_energy_cli(capsys):
     assert _run(["energy", "--n", "6", "--k", "3", "--degree", "0"]) == 0
     assert "= 0" in capsys.readouterr().out
@@ -448,6 +468,25 @@ def test_env_out_dir_default(tmp_path, monkeypatch):
     rc = _run(["generate", "gnq", "--n", "12", "--q", "0.5", "--seed", "4"])
     assert rc == 0
     assert (tmp_path / "envout" / "instance.graph").exists()
+
+
+def test_reduce_option_sets(capsys):
+    # Every flag of each reduce subcommand, written out: adding or dropping
+    # one edits this list.
+    expected = {
+        "isgm": {"--in", "--trace", "--k", "--p", "--q", "--eps", "--r", "--w", "--n", "--d",
+                 "--seed", "--out"},
+        "semi-cr": {"--in", "--trace", "--k", "--p", "--q", "--ell", "--n-out", "--seed",
+                    "--out"},
+        "glsm": {"--in", "--trace", "--k", "--p", "--q", "--n", "--d", "--tau", "--theta",
+                 "--w", "--seed", "--out"},
+    }
+    for pipeline, options in expected.items():
+        with pytest.raises(SystemExit) as exc:
+            _run(["reduce", pipeline, "--help"])
+        assert exc.value.code == 0
+        found = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert found - {"--help"} == options, pipeline
 
 
 def test_help_mentions_flags(capsys):

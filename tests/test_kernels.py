@@ -79,7 +79,7 @@ def test_rk_gauss_bound_enforced():
     M = np.ones((n, n), dtype=np.uint8)
     with pytest.raises(ParameterError, match="proven bound"):
         gaussianize(M, p, q, 2 * bound, RngStream(5))
-    gaussianize(M, p, q, 2 * bound, RngStream(5), allow_unproven=True)
+    rk_gauss_array(M, 2 * bound, p, q, 10, RngStream(5))  # the bound-free kernel
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -97,7 +97,7 @@ def test_rk_gauss_rejects_negative_mu():
         with pytest.raises(ParameterError, match=says):
             rk_gauss_array(bits, mu, 0.75, 0.25, 10, RngStream(1))
         with pytest.raises(ParameterError, match=says):
-            gaussianize(bits[None, :], 0.75, 0.25, mu, RngStream(1), allow_unproven=True)
+            gaussianize(bits[None, :], 0.75, 0.25, mu, RngStream(1))
 
 
 def test_rk_gauss_exhaustion_fraction():
@@ -143,18 +143,16 @@ def test_gaussianize_bound_enforced():
     bound = gaussianize_mu_bound(0.75, 0.25, 10, 10)
     with pytest.raises(ParameterError):
         gaussianize(M, 0.75, 0.25, 2 * bound, RngStream(11))
-    gaussianize(M, 0.75, 0.25, 2 * bound, RngStream(11), allow_unproven=True)
 
 
-@pytest.mark.parametrize("allow_unproven", [False, True])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_gaussianize_rejects_nonfinite_mu(bad, allow_unproven):
+def test_gaussianize_rejects_nonfinite_mu(bad):
     M = np.zeros((10, 10), dtype=np.uint8)
     mu_matrix = np.zeros((10, 10))
     mu_matrix[3, 4] = bad
     for mu, says in ((bad, "finite"), (mu_matrix, "one scalar")):
         with pytest.raises(ParameterError, match=says):
-            gaussianize(M, 0.75, 0.25, mu, RngStream(11), allow_unproven=allow_unproven)
+            gaussianize(M, 0.75, 0.25, mu, RngStream(11))
 
 
 def _bits(shape, rate, seed):

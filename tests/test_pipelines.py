@@ -1,5 +1,6 @@
 """Tests for the reduction pipelines and the parameter planner."""
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -285,6 +286,12 @@ def test_plan_rejects_bad_ell_and_w(target, kwargs):
     ("ISGM", {"r": 2, "N": 32, "k": 4, "t": 9.5}, "t must be a positive integer"),
     # m = 12,000,032: the m x m SEMI-CR matrix is 1 PiB as float64
     ("SEMI_CR", {"ell": 2, "N": 4_000_000, "k": 4}, "too large for one array"),
+    # sizes the pipeline cannot run: d < m, w n > k l, n < m/2 (m = 100 and
+    # k l = 124 at r = 2, N = 32, k = 4)
+    ("ISGM", {"r": 2, "N": 32, "k": 4, "d": 10}, "m <= d"),
+    ("ISGM", {"r": 2, "N": 32, "k": 4, "n": 100}, "lower --w or --n"),
+    ("GLSM", {"n": 64, "k": 4, "d": 8}, "m <= d"),
+    ("SEMI_CR", {"ell": 2, "N": 32, "k": 4, "n": 63}, "n >= m/2 = 64"),
 ])
 def test_plan_rejects_sizes_it_cannot_plan(target, kwargs, says):
     if target != "SEMI_CR":
@@ -371,15 +378,14 @@ def test_isgm_trace_consistency():
 
 
 def test_isgm_structural_errors(monkeypatch):
+    # The planner is the only gate, and a plan cannot leave what it checked.
     G, plan, tr = _small_isgm_setup()
-    plan.d = plan.m - 1
-    with pytest.raises(ParameterError):
-        pds_to_isgm(G, plan, RngStream(114))
-    G, plan, tr = _small_isgm_setup()
-    plan.mu *= 3.0
-    with pytest.raises(ParameterError):
-        pds_to_isgm(G, plan, RngStream(114), trace=tr)
-    pds_to_isgm(G, plan, RngStream(114), trace=tr, allow_unproven=True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.d = plan.m - 1
+    # A mean above the proven bound, in a plan built past the planner, is
+    # still refused by gaussianize.
+    with pytest.raises(ParameterError, match="proven bound"):
+        pds_to_isgm(G, dataclasses.replace(plan, mu=3.0 * plan.mu), RngStream(114), trace=tr)
 
     # A graph whose size is not the plan's N raises before any draw, in every
     # pipeline, with or without a trace.
@@ -484,9 +490,6 @@ def test_semi_cr_h0_trace():
     G_out, otr = pds_to_semi_cr(G, plan, RngStream(131))
     assert otr.planted_set is None
     assert len(otr.params["V"]) == 64
-    short = plan_semi_cr(p, q, N=N, k=k, ell=2, n=63)
-    with pytest.raises(ParameterError):
-        pds_to_semi_cr(G, short, RngStream(132))  # n below m''
 
 
 def test_semi_cr_rejects_a_foreign_plan():
@@ -717,8 +720,7 @@ def test_isgm_rotation_isotropy_at_zero_mu():
     from avgcase.verify import covariance_identity_check
 
     p, q = 1.0, 0.25
-    plan = plan_isgm(p, q, 2.0, r=2, N=128, k=16, t=8, n=2040)
-    plan.mu = 0.0
+    plan = dataclasses.replace(plan_isgm(p, q, 2.0, r=2, N=128, k=16, t=8, n=2040), mu=0.0)
     G, tr = sample_k_pds(128, 16, p, q, RngStream(151))
     X, _ = pds_to_isgm(G, plan, RngStream(152), trace=tr)
     assert abs(X.var() - 1.0) < 0.01

@@ -17,7 +17,7 @@ from avgcase import prob
 from avgcase.errors import ParameterError
 from avgcase.prob import (Binomial, FinitePmf, Gaussian, Hypergeometric,
                           RngStream, Tern, finite_pmf, normal_cdf, sample,
-                          tern_pmf, uniform_below, validate_spec)
+                          _validate_spec, tern_pmf, uniform_below)
 from avgcase.verify import chi2_gof_counts
 
 # Standard normal CDF values computed with mpmath.ncdf at 40 digits.
@@ -89,7 +89,7 @@ def test_spec_validation_errors():
         FinitePmf((1.0, 2.0), (0.7, 0.7)),
     ):
         with pytest.raises(ParameterError):
-            validate_spec(bad)
+            _validate_spec(bad)
 
 
 @pytest.mark.parametrize("spec", [
