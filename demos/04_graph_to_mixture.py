@@ -21,8 +21,6 @@ p, q, N, k = 1.0, 0.25, 128, 16
 plan = plan_isgm(p, q, 2.0, r=2, N=N, k=k, t=8, n=2040)
 print(f"plan: r={plan.r} t={plan.t} m={plan.m} n={plan.n} d={plan.d} "
       f"Q={plan.Q} mu={plan.mu:.5f} eps={plan.eps}")
-unmet = [key for key, value in plan.report.items() if value is False]
-print(f"proven-regime preconditions unmet at this desk scale: {unmet or 'none'}")
 
 rng = RngStream(20_260_810)
 

@@ -213,10 +213,9 @@ def _cmd_reduce(args) -> int:
         write_amat(out / "samples.amat", X)
         out_trace.write_json(out / "trace.json")
         dump_json(out / "plan.json", plan.to_dict())
-        failed = [k for k, v in plan.report.items() if v is False]
         print(
             f"isgm: r={plan.r} t={plan.t} m={plan.m} n={plan.n} d={plan.d} "
-            f"mu={plan.mu:.4g} unmet={failed or 'none'} -> {out / 'samples.amat'}"
+            f"mu={plan.mu:.4g} -> {out / 'samples.amat'}"
         )
     elif args.pipeline == "semi-cr":
         plan = plan_semi_cr(args.p, args.q, N=G.n, k=args.k, ell=args.ell, n=args.n_out)

@@ -40,7 +40,7 @@ def write_amat(path, matrix) -> None:
         fh.write(int(rows).to_bytes(8, "little"))
         fh.write(int(cols).to_bytes(8, "little"))
         fh.write(int(_DTYPE_F64).to_bytes(4, "little"))
-        fh.write(m.tobytes(order="C"))
+        fh.write(m)  # the contiguous buffer itself, not a copy of it
 
 
 def _read_amat(path) -> np.ndarray:

@@ -15,6 +15,7 @@ translate its coordinates for the output trace.
 from __future__ import annotations
 
 import re
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import AdversaryViolation, ParameterError
 from .formats import dump_json, load_json
-from .prob import RngStream, _check_fits, _check_prob
+from .prob import RngStream, _check_fits, _check_prob, _run_blocks
 
 __all__ = [
     "Graph",
@@ -145,7 +146,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return int(self.triu_vector().sum())
+        return int(np.count_nonzero(np.unpackbits(self._bits, count=_n_pairs(self.n))))
 
     def __eq__(self, other) -> bool:
         return (
@@ -207,48 +208,88 @@ class PlantedTrace:
 # GRAPHv1 text format
 # ---------------------------------------------------------------------------
 
-# Edges formatted per block in `write_graphv1`, so that its transient arrays
-# (some tens of bytes per edge) stay a few tens of MB whatever the graph's size.
-_WRITE_CHUNK = 1 << 18
+# Pairs per piece of `write_graphv1`, a multiple of 8 so that a piece starts
+# on a byte of the packed bits.  At most ``_MAX_IN_FLIGHT`` pieces are in
+# flight, so the writer's transient arrays (some tens of bytes per edge) stay
+# those of 2^18 pairs whatever the graph's size.
+_WRITE_CHUNK = 1 << 16
 
 _HEADER = re.compile(r"n=([0-9]+)\s+edges=([0-9]+)")
 
 
-def _digit_table(n: int) -> np.ndarray:
-    """(n, w) ASCII digits of 0..n-1, right-aligned, leading positions 0."""
+def _digit_cells(n: int) -> np.ndarray:
+    """ASCII digits of 0..n-1, one right-aligned ``V{w}`` cell per vertex,
+    leading bytes 0."""
     values = np.arange(max(n, 1), dtype=np.int64)
     width = len(str(values[-1]))
     table = np.zeros((values.size, width), dtype=np.uint8)
     for j in range(width):
         digit = (values // 10 ** j) % 10 + ord("0")
         table[:, width - 1 - j] = np.where((values >= 10 ** j) | (j == 0), digit, 0)
-    return table
+    return table.view(f"V{width}")[:, 0]
 
 
-def _format_lines(table: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _format_lines(cells: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The bytes of the lines ``u v\\n``, as one uint8 array."""
-    w = table.shape[1]
-    block = np.zeros((u.size, 2 * w + 2), dtype=np.uint8)
-    block[:, :w] = table[u]
-    block[:, w] = ord(" ")
-    block[:, w + 1:-1] = table[v]
-    block[:, -1] = ord("\n")
-    return block[block != 0]
+    line = np.dtype([("u", cells.dtype), ("space", "u1"), ("v", cells.dtype), ("end", "u1")])
+    block = np.empty(u.size, dtype=line)
+    block["u"] = cells[u]
+    block["space"] = ord(" ")
+    block["v"] = cells[v]
+    block["end"] = ord("\n")
+    raw = block.view(np.uint8)
+    return raw[raw != 0]
 
 
 def write_graphv1(graph: Graph, path) -> None:
     """Header ``n=<int> edges=<int>``, then one ``u v`` line per edge (u < v).
 
     Edges come in lexicographic order with ``\\n`` line ends, so the bytes
-    are a function of the graph alone.
+    are a function of the graph alone.  The packed bits are formatted in
+    pieces of ``_WRITE_CHUNK`` pairs on the pool of ``_run_blocks``, and
+    the pieces are written in order.
     """
-    pairs = graph._edge_pairs()
-    table = _digit_table(graph.n)
+    n, n_pairs = graph.n, _n_pairs(graph.n)
+    cells = _digit_cells(n)
+    rows = np.arange(n, dtype=np.int64)
+    row_start = _pair_indices(n, rows, rows + 1)
+
+    def piece(i):
+        lo = i * _WRITE_CHUNK
+        hi = min(lo + _WRITE_CHUNK, n_pairs)
+        bits = np.unpackbits(graph._bits[lo // 8:-(-hi // 8)], count=hi - lo)
+        idx = lo + np.flatnonzero(bits.view(bool))
+        # rows r0..r1 hold the piece's pairs; u repeats each row once per edge
+        r0, r1 = np.searchsorted(row_start, [lo, hi], side="right") - 1
+        ends = np.searchsorted(idx, row_start[r0 + 1:r1 + 1])
+        u = np.repeat(rows[r0:r1 + 1], np.diff(ends, prepend=0, append=idx.size))
+        return _format_lines(cells, u, idx - row_start[u] + u + 1)
+
+    # Piece i is formatted, then waits until pieces 0..i-1 are written, so at
+    # most the pool's pieces are alive.  After an error none is written and
+    # none waits, so the pool drains and the error reaches the caller.
+    turn = threading.Condition()
+    written, failed = 0, False
+
+    def run(i):
+        nonlocal written, failed
+        try:
+            lines = piece(i)
+            with turn:
+                turn.wait_for(lambda: written == i or failed)
+                if not failed:
+                    fh.write(lines)
+                    written += 1
+                    turn.notify_all()
+        except BaseException:
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
+
     with open(path, "wb") as fh:
-        fh.write(f"n={graph.n} edges={pairs.size}\n".encode("ascii"))
-        for start in range(0, pairs.size, _WRITE_CHUNK):
-            u, v = _pair_coords(graph.n, pairs[start:start + _WRITE_CHUNK])
-            fh.write(_format_lines(table, u, v))
+        fh.write(f"n={n} edges={graph.edge_count}\n".encode("ascii"))
+        _run_blocks(run, -(-n_pairs // _WRITE_CHUNK))
 
 
 def _malformed(path, what: str) -> ParameterError:

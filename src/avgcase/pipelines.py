@@ -22,14 +22,16 @@ plus their shared sub-steps (``graph_clone``, ``to_k_partite_submatrix``,
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
 from .errors import ParameterError
 from .geometry import build_H, is_prime
-from .graphs import Graph, PlantedTrace
+from .graphs import Graph, PlantedTrace, _upper_mask
 from .kernels import (
     PairFamily,
     gaussianize,
@@ -109,13 +111,14 @@ class ReductionPlan:
     The planners are the only gate: each takes sizes as positive integers and
     raises ParameterError on any plan its pipeline cannot run, and the plan
     is frozen, so no field leaves what its planner checked.  ``report`` maps
-    named proven-regime preconditions to booleans/values.  In a returned plan
-    ``m_le_d``, ``m_le_k_r^t``, ``w_n_le_k_ell``, ``mu_le_proven_bound`` and
-    ``n_ge_m_rotated`` always read True (the planner refuses the rest), and
-    so do ``m_exceeds_(p/Q+1)N`` and ``(3^l-1)k_divides_m``, by construction.
-    ``k_le_QN_over_4`` is advisory here, but ``to_k_partite_submatrix``, the
-    first step of every pipeline, refuses k > QN/4.  The other keys are
-    values.
+    named proven-regime preconditions to booleans/values; each plan holds a
+    read-only copy of its own, which ``dataclasses.replace`` does not share.
+    In a returned plan ``m_le_d``, ``m_le_k_r^t``, ``w_n_le_k_ell``,
+    ``mu_le_proven_bound`` and ``n_ge_m_rotated`` always read True (the
+    planner refuses the rest), and so do ``m_exceeds_(p/Q+1)N`` and
+    ``(3^l-1)k_divides_m``, by construction.  ``k_le_QN_over_4`` is advisory
+    here, but ``to_k_partite_submatrix``, the first step of every pipeline,
+    refuses k > QN/4.  The other keys are values.
     """
 
     target: str
@@ -136,6 +139,9 @@ class ReductionPlan:
     ell: Optional[int] = None
     report: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "report", MappingProxyType(dict(self.report)))
+
     @property
     def rt(self) -> int:
         return self.r ** self.t
@@ -154,13 +160,13 @@ class ReductionPlan:
                 / math.sqrt(self.rt * (self.r - 1)))
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        return dict(self.__dict__, report=dict(self.report))
 
 
-def _admit(plan: ReductionPlan) -> ReductionPlan:
-    """Refuse a plan its pipeline cannot run, then add the proven-regime
-    conditions to ``plan.report``; return the plan."""
-    m, n, k, report = plan.m, plan.n, plan.k, plan.report
+def _admit(plan: ReductionPlan, **report) -> ReductionPlan:
+    """Refuse a plan its pipeline cannot run; return it with ``report`` and
+    the proven-regime conditions as its report."""
+    m, n, k = plan.m, plan.n, plan.k
     if plan.target == "SEMI_CR":
         cols = m
         if n < m // 2:  # (3^ell - 1) k s / 2 rows survive each block rotation
@@ -192,7 +198,7 @@ def _admit(plan: ReductionPlan) -> ReductionPlan:
         "proven_mu_bound": bound,
         "k_sq_over_N": k ** 2 / plan.N,
     })
-    return plan
+    return replace(plan, report=report)
 
 
 def _check_sizes(**sizes) -> None:
@@ -280,9 +286,8 @@ def plan_semi_cr(p: float, q: float, *, N: int, k: int, ell: int,
                          None, 1.0 / 3.0, ell=ell)
     plan = replace(plan, mu=plan.mu_bound)
     mu1, mu2, mu3 = semi_cr_mus(plan.mu, ell)
-    plan.report.update({"mu1": mu1, "mu2": mu2, "mu3": mu3,
-                        "planted_size": (3 ** (ell - 1) - 1) * k // 2})
-    return _admit(plan)
+    return _admit(plan, mu1=mu1, mu2=mu2, mu3=mu3,
+                  planted_size=(3 ** (ell - 1) - 1) * k // 2)
 
 
 def plan_glsm(p: float, q: float, w: float, *, n: int, k: int,
@@ -315,8 +320,7 @@ def plan_glsm(p: float, q: float, w: float, *, n: int, k: int,
     plan = ReductionPlan("GLSM", p, q, N, k, 2, t, m, n, d, Q, delta, 0.0, w, 0.5)
     mu_fig, bound = math.sqrt(k / (N * math.log(n))), plan.mu_bound
     plan = replace(plan, mu=min(mu_fig, bound))
-    plan.report.update(mu_uncapped=mu_fig, mu_capped_at_proven_bound=mu_fig > bound)
-    return _admit(plan)
+    return _admit(plan, mu_uncapped=mu_fig, mu_capped_at_proven_bound=mu_fig > bound)
 
 
 def _check_source_size(G: Graph, plan: ReductionPlan) -> None:
@@ -659,9 +663,11 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
     trace records S (planted_set) plus S' and the rotated vertex set V in
     ``params``.
 
-    Only the Gaussianized m x m submatrix and the n x n adjacency are held
-    whole; padding, rotation and thresholding run one chunk of block rows
-    at a time, and the output does not depend on the chunk size.
+    Only the Gaussianized m x m submatrix, the n x n adjacency and the
+    output's pair vector are held whole; padding, rotation and thresholding
+    run one chunk of block rows per task, the relabelling one band of rows
+    per task, and the output depends neither on the chunk and band sizes
+    nor on the number of workers.
     """
     if plan.target != "SEMI_CR":
         raise ParameterError(f"pds_to_semi_cr needs a SEMI_CR plan, got {plan.target}")
@@ -676,15 +682,18 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
     M_G = gaussianize(M_PD, p, Q, mu, rng.child("gaussianize"))
     del M_PD
 
-    # Steps 3-5, one chunk of 3^ell-block rows at a time.  The padded m' x m'
-    # matrix is fresh N(0, 1) with M_G at offsets 1..3^ell-1 of every block
-    # (offset 0 is the zero-point column of the rotation).  Each block of it
-    # is rotated as H . block . H^T, and the strictly-below-diagonal entries
-    # of the rotated m'' x m'' matrix are thresholded into adj.  Only the
-    # padding M_G leaves visible is drawn: per block row, its offset-0 row
-    # and then its offset-0 column entries, row-major.  The draw is one
-    # row-major (c, m' + blk ks) array per chunk, so the stream does not
-    # depend on the chunk size.
+    # Steps 3-5, one chunk of 3^ell-block rows per task of the pool.  The
+    # padded m' x m' matrix is fresh N(0, 1) with M_G at offsets 1..3^ell-1
+    # of every block (offset 0 is the zero-point column of the rotation).
+    # Each block of it is rotated as H . block . H^T, and the
+    # strictly-below-diagonal entries of the rotated m'' x m'' matrix are
+    # thresholded into adj.  Only the padding M_G leaves visible is drawn:
+    # per block row, its offset-0 row and then its offset-0 column entries,
+    # row-major.  A task takes the next chunk and makes its one row-major
+    # (c, m' + blk ks) draw under the lock, so the draws come in chunk order
+    # and the stream depends neither on the chunk size nor on the pool.
+    # Each chunk's products stay whole: splitting a product can change its
+    # bits.
     gen = rng.child("pad").generator()
     blk = three_l - 1
     H = build_H(3, ell)
@@ -693,31 +702,53 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
     thr = mu / (2.0 * three_l)
     adj = np.zeros((n, n), dtype=bool)
     step = max(1, _PAD_CHUNK // (three_l * m_prime))
-    for a in range(0, ks, step):
-        c = min(step, ks - a)
-        fresh = gen.standard_normal((c, m_prime + blk * ks))
+    starts = iter(range(0, ks, step))
+    draw = threading.Lock()
+
+    def rotate(_):
+        with draw:
+            a = next(starts)
+            c = min(step, ks - a)
+            fresh = gen.standard_normal((c, m_prime + blk * ks))
         rows = np.empty((c, three_l, ks, three_l))
         rows[:, 0] = fresh[:, :m_prime].reshape(c, ks, three_l)
         rows[:, 1:, :, 0] = fresh[:, m_prime:].reshape(c, blk, ks)
         rows[:, 1:, :, 1:] = M_G[a * blk:(a + c) * blk].reshape(c, blk, ks, blk)
+        del fresh
         M_R = H @ rows.reshape(c, three_l, m_prime)
+        del rows
         M_R = M_R.reshape(c * ellh, ks, three_l) @ H.T
         r0 = a * ellh
         adj[r0:r0 + c * ellh, :m_rot] = np.tril(M_R.reshape(c * ellh, m_rot) >= thr, r0 - 1)
-    del M_G, fresh, rows, M_R
 
-    # Pad to n vertices with fair coins above the diagonal, mirror, relabel.
+    _run_blocks(rotate, -(-ks // step))
+    del M_G
+
+    # Pad to n vertices with fair coins above the diagonal, and mirror.
     gen5 = rng.child("pad-vertices").generator()
     if n > m_rot:
-        adj[:m_rot, m_rot:] = gen5.random((m_rot, n - m_rot)) < 0.5
-        fresh = gen5.random((n - m_rot) * (n - m_rot - 1) // 2) < 0.5
-        adj[m_rot:, m_rot:] = Graph.from_triu(n - m_rot, fresh).to_dense()
+        adj[:m_rot, m_rot:] = uniform_below(gen5, (m_rot, n - m_rot), 0.5)
+        adj[m_rot:, m_rot:][_upper_mask(n - m_rot)] = uniform_below(
+            gen5, ((n - m_rot) * (n - m_rot - 1) // 2,), 0.5)
     adj |= adj.T
+    # Relabel: output vertex i is vertex vertex_src[i] of adj.  Each task
+    # gathers a band of relabelled rows and keeps its pairs above the
+    # diagonal, which are consecutive in the output's pair order.
     vertex_src = gen5.permutation(n)
-    adj = adj[np.ix_(vertex_src, vertex_src)]
+    triu = np.empty(n * (n - 1) // 2, dtype=bool)
+    band = max(1, _PAD_CHUNK // n)
+
+    def relabel(i):
+        a, e = i * band, min((i + 1) * band, n)
+        rows = np.take(adj[vertex_src[a:e]], vertex_src, axis=1)
+        above = np.arange(n) > np.arange(a, e)[:, None]
+        triu[a * n - a * (a + 1) // 2:e * n - e * (e + 1) // 2] = rows[above]
+
+    _run_blocks(relabel, -(-n // band))
+    del adj
+    G_out = Graph.from_triu(n, triu)
     label_of = np.empty(n, dtype=np.int64)
     label_of[vertex_src] = np.arange(n)
-    G_out = Graph.from_dense(adj)
 
     mu1, mu2, mu3 = semi_cr_mus(mu, ell)
     params = {

@@ -22,7 +22,9 @@ min(usable CPUs, ``_MAX_IN_FLIGHT``) workers, and within a trial worker only
 its share of the CPUs.  Two runners apply it:
 
 * ``_run_blocks`` runs the blocks of one large input on threads (the
-  kernels' blocks, the pad and the rotation of ``pds_to_isgm``), and
+  kernels' blocks, the pad and the rotation of ``pds_to_isgm``, the
+  pad/rotate loop and the relabelling of ``pds_to_semi_cr``, and the
+  pieces of ``graphs.write_graphv1``), and
   ``uniform_below`` makes the Bernoulli draw ``gen.random(shape) < p`` in
   bands on it, splitting one Philox stream by counter jumps; its docstring
   gives the argument that the values and the generator's final state are
@@ -162,7 +164,7 @@ def _run_blocks(run, n_blocks: int) -> None:
         for i in range(n_blocks):
             run(i)
     else:
-        # imported here, so that commands that never pool (generate) skip it
+        # imported here, so that a run whose every input is one block skips it
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,20 @@ def test_amat_format_errors(tmp_path):
 
     with pytest.raises(ParameterError):
         _read_amat(tmp_path / "bad.amat")
+
+
+def test_write_amat_makes_no_copy(tmp_path):
+    # An 8 MB matrix is written from its own buffer: the traced allocations
+    # stay below 1 MB, and the payload is the matrix's bytes.
+    X = np.arange(2 ** 20, dtype=float).reshape(1024, 1024)
+    tracemalloc.start()
+    try:
+        write_amat(tmp_path / "m.amat", X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert (tmp_path / "m.amat").read_bytes()[28:] == X.tobytes()
 
 
 def test_reduce_isgm_end_to_end(tmp_path):

@@ -1,13 +1,17 @@
 """Tests for graph types, planted samplers and adversaries."""
 
+import itertools
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from avgcase import graphs, prob
 from avgcase.errors import AdversaryViolation, ParameterError
 from avgcase.graphs import (Graph, PlantedTrace, corrupt_samples, read_graphv1, sample_gnq,
                             sample_k_pds, sample_planted_conditional,
@@ -123,6 +127,69 @@ def test_graphv1_bytes_match_reference_and_roundtrip(tmp_path_factory, case):
     write_graphv1(G, path)
     assert path.read_bytes() == _reference_graphv1(n, edges)
     assert read_graphv1(path) == G
+
+
+@given(_graph_cases(max_n=120), st.sampled_from([8, 16, 64]))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_graphv1_pieces_on_workers_match_reference(tmp_path_factory, monkeypatch, on_workers,
+                                                   case, chunk):
+    # Pieces of a few pairs on 8 workers: piece boundaries fall inside rows,
+    # and rows 9/10 and 99/100 change the digit count.
+    n, edges = case
+    G = Graph.from_edges(n, edges)
+    path = tmp_path_factory.mktemp("g") / "g.graph"
+    monkeypatch.setattr(graphs, "_WRITE_CHUNK", chunk)
+    on_workers(lambda: write_graphv1(G, path), 8, 8)
+    assert path.read_bytes() == _reference_graphv1(n, edges)
+
+
+def test_graphv1_writer_memory_bounded(tmp_path, monkeypatch):
+    # The complete graph on 2,897 vertices, 4.2 M edges, with every piece the
+    # pool allows in flight: the traced peak is a fixed allowance, far below
+    # the graph's 40 MB of text and the 34 MB of a whole-graph edge index.
+    monkeypatch.setattr(prob, "_usable_cpus", lambda: prob._MAX_IN_FLIGHT)
+    n = 2897
+    G = Graph.from_triu(n, np.ones(n * (n - 1) // 2, dtype=bool))
+    tracemalloc.start()
+    try:
+        write_graphv1(G, tmp_path / "g.graph")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+    with open(tmp_path / "g.graph", "rb") as fh:
+        assert fh.readline() == f"n={n} edges={n * (n - 1) // 2}\n".encode()
+        assert fh.readline() == b"0 1\n"
+
+
+def test_graphv1_writer_error_stops_every_piece(tmp_path, monkeypatch, on_workers):
+    # A piece that fails makes the write raise: the pieces after it neither
+    # wait for it forever nor write.
+    G = sample_gnq(200, 0.5, RngStream(6))
+    monkeypatch.setattr(graphs, "_WRITE_CHUNK", 64)
+    format_lines = graphs._format_lines
+    calls = itertools.count()
+
+    def fail_third(cells, u, v):
+        if next(calls) == 2:
+            raise MemoryError("the third piece")
+        return format_lines(cells, u, v)
+
+    monkeypatch.setattr(graphs, "_format_lines", fail_third)
+    raised = []
+
+    def write():
+        try:
+            write_graphv1(G, tmp_path / "g.graph")
+        except MemoryError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=lambda: on_workers(write, 8, 8), daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(raised) == 1
+    assert (tmp_path / "g.graph").stat().st_size < 10_000
 
 
 _MUTATIONS = ["drop", "duplicate", "repeat_in_place", "swap", "id_out_of_range",

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -180,24 +179,17 @@ def test_gaussianize_same_seed_same_bytes():
     assert a.tobytes() != c.tobytes()
 
 
-def test_gaussianize_bytes_independent_of_workers(monkeypatch):
+def test_gaussianize_bytes_independent_of_workers(on_workers):
     # Serial (one block in flight), the default pool, and a pool with more
-    # workers than cores under a short switch interval give the same bytes.
+    # workers than cores give the same bytes.
     M = _bits((1500, 1500), 0.5, 53)
 
-    def run(cpus, cap):
-        monkeypatch.setattr(prob, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(prob, "_MAX_IN_FLIGHT", cap)
+    def run():
         return gaussianize(M, 0.75, 0.25, 0.05, RngStream(54)).tobytes()
 
-    serial = run(prob._usable_cpus(), 1)
-    assert run(prob._usable_cpus(), prob._MAX_IN_FLIGHT) == serial
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert run(8, 8) == serial
-    finally:
-        sys.setswitchinterval(interval)
+    serial = on_workers(run, cap=1)
+    assert on_workers(run) == serial
+    assert on_workers(run, 8, 8) == serial
 
 
 def _reference_rk_gauss_block(bits, mu, out, p, q, n_iter, gen):
@@ -514,25 +506,18 @@ def test_srk3_evaluates_the_ratios_once_per_block_step(monkeypatch):
     assert {shape[0] for shape in calls} == {50, 100}  # one nu per open entry
 
 
-def test_srk3_bytes_independent_of_workers(monkeypatch):
-    # Serial, the default pool, and more workers than cores under a short
-    # switch interval give the same bytes.
+def test_srk3_bytes_independent_of_workers(monkeypatch, on_workers):
+    # Serial, the default pool, and more workers than cores give the same
+    # bytes.
     monkeypatch.setattr(kernels, "_BLOCK", 4 * 300)
     bits, family, nus, streams, params = _srk3_rows(40, 300, 63)
 
-    def run(cpus, cap):
-        monkeypatch.setattr(prob, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(prob, "_MAX_IN_FLIGHT", cap)
+    def run():
         return srk3_array(bits, family, nus, *params, 30, streams)[0].tobytes()
 
-    serial = run(prob._usable_cpus(), 1)
-    assert run(prob._usable_cpus(), prob._MAX_IN_FLIGHT) == serial
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert run(8, 8) == serial
-    finally:
-        sys.setswitchinterval(interval)
+    serial = on_workers(run, cap=1)
+    assert on_workers(run) == serial
+    assert on_workers(run, 8, 8) == serial
 
 
 def test_srk3_transient_memory_bounded(monkeypatch):

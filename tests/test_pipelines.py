@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -216,6 +215,20 @@ def test_plan_structural_and_report():
         plan_isgm(0.75, 0.25, 4.0, r=4, N=1600, k=8)  # r not prime
 
 
+def test_plan_report_is_its_own_and_read_only():
+    # A plan built with dataclasses.replace shares no report with the plan
+    # it came from, and no report can be written to after planning.
+    p = plan_isgm(1.0, 0.25, 2.0, r=2, N=32, k=4)
+    q = dataclasses.replace(p, mu=0.0)
+    assert q.report is not p.report and q.report == p.report
+    for plan in (p, q, plan_semi_cr(1.0, 0.25, N=32, k=4, ell=2),
+                 plan_glsm(1.0, 0.25, 2.0, n=64, k=4)):
+        with pytest.raises(TypeError):
+            plan.report["m_le_d"] = False
+        assert type(plan.to_dict()["report"]) is dict
+    assert p.report["m_le_d"] is True
+
+
 def test_plan_semi_cr():
     plan = plan_semi_cr(1.0, 0.25, N=32, k=4, ell=2)
     assert plan.m % ((3 ** 2 - 1) * 4) == 0
@@ -346,25 +359,17 @@ def test_isgm_shape_and_determinism():
     assert not np.array_equal(a, c)
 
 
-def test_isgm_bytes_independent_of_workers(monkeypatch):
-    # The banded draws, the pad and the rotation: serial and 8 workers under
-    # a short switch interval give the same bytes.
+def test_isgm_bytes_independent_of_workers(monkeypatch, on_workers):
+    # The banded draws, the pad and the rotation: serial and 8 workers give
+    # the same bytes.
     G, plan, tr = _small_isgm_setup()
     monkeypatch.setattr(prob, "_BAND", 64)
 
-    def run(cpus, cap):
-        monkeypatch.setattr(prob, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(prob, "_MAX_IN_FLIGHT", cap)
+    def run():
         X, out_tr = pds_to_isgm(G, plan, RngStream(111), trace=tr)
         return X.tobytes(), out_tr.planted_set.tobytes()
 
-    serial = run(1, 1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert run(8, 8) == serial
-    finally:
-        sys.setswitchinterval(interval)
+    assert on_workers(run, 8, 8) == on_workers(run, 1, 1)
 
 
 def test_isgm_trace_consistency():
@@ -591,6 +596,24 @@ def test_semi_cr_builds_no_padded_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * plan.m ** 2 + plan.n ** 2 + 48 * 2 ** 20
+
+
+def test_semi_cr_bytes_independent_of_workers(monkeypatch, on_workers):
+    # Six chunks of the pad/rotate loop (three block rows each), banded coin
+    # draws and eleven relabel bands: serial and 8 workers give the same
+    # bytes.
+    p, q, N, k = 1.0, 0.25, 32, 4
+    plan = plan_semi_cr(p, q, N=N, k=k, ell=2, n=200)
+    G, tr = sample_k_pds(N, k, p, q, RngStream(192))
+    m_prime = 9 * plan.m // 8
+    monkeypatch.setattr(pipelines, "_PAD_CHUNK", 9 * m_prime * 3)
+    monkeypatch.setattr(prob, "_BAND", 64)
+
+    def run():
+        G_out, otr = pds_to_semi_cr(G, plan, RngStream(193), trace=tr)
+        return G_out.triu_vector().tobytes(), otr.to_dict()
+
+    assert on_workers(run, 8, 8) == on_workers(run, 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import multiprocessing
 import os
 import signal
-import sys
 import threading
 import time
 
@@ -163,23 +162,15 @@ def test_uniform_below_is_the_one_shot_draw(seed, start, k, bands, extra, p, two
     assert _after(gen) == _after(ref)
 
 
-def test_uniform_below_bytes_independent_of_workers(monkeypatch):
-    # Serial and 8 workers under a short switch interval, over 40 bands.
+def test_uniform_below_bytes_independent_of_workers(monkeypatch, on_workers):
+    # Serial and 8 workers, over 40 bands.
     monkeypatch.setattr(prob, "_BAND", 1024)
 
-    def run(cpus, cap):
-        monkeypatch.setattr(prob, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(prob, "_MAX_IN_FLIGHT", cap)
+    def run():
         gen = _started(59, "int32", 3)
         return uniform_below(gen, (401, 103), 0.3).tobytes(), _after(gen)
 
-    serial = run(1, 1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert run(8, 8) == serial
-    finally:
-        sys.setswitchinterval(interval)
+    assert on_workers(run, 8, 8) == on_workers(run, 1, 1)
 
 
 # ---------------------------------------------------------------------------
