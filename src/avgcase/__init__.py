@@ -28,7 +28,7 @@ __all__ = [*_SUBMODULES, "__version__"]
 
 def __getattr__(name):
     # Submodules load on first access (PEP 562), so a command imports only
-    # what it runs: ``reduce isgm`` never loads verify or scipy.
+    # what it runs: no ``reduce`` ever loads verify or scipy.
     if name in _SUBMODULES:
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

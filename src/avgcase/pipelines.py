@@ -34,6 +34,7 @@ from .geometry import build_H, is_prime
 from .graphs import Graph, PlantedTrace, _upper_mask
 from .kernels import (
     PairFamily,
+    _srk3_params_check,
     gaussianize,
     gaussianize_mu_bound,
     rejection_delta,
@@ -41,8 +42,8 @@ from .kernels import (
     tern_params_from_truncation,
     truncate_tern,
 )
-from .prob import (Gaussian, RngStream, _check_fits, _run_blocks, normal_cdf,
-                   sample as sample_dist, uniform_below)
+from .prob import (Gaussian, RngStream, _check_fits, _random_bands, _run_blocks,
+                   normal_cdf, sample as sample_dist, uniform_below)
 
 __all__ = [
     "ReductionPlan",
@@ -379,21 +380,30 @@ def graph_clone(G: Graph, t_copies: int, p, q, P, Q, rng: RngStream):
     """Split one planted-subgraph sample into ``t_copies`` independent ones.
 
     Exact Markov kernel: G(n, q) inputs map to G(n, Q)^{x t} and
-    G(n, S, p, q) inputs to G(n, S, P, Q)^{x t}, for every S.
+    G(n, S, p, q) inputs to G(n, S, P, Q)^{x t}, for every S.  The pairs'
+    uniforms are one ``gen.random`` draw made in bands on the pool, so the
+    output does not depend on the band size or the number of workers.
     """
-    if t_copies < 1 or t_copies > 30:
-        raise ParameterError(f"t_copies must lie in [1, 30], got {t_copies}")
+    if (isinstance(t_copies, bool) or not isinstance(t_copies, (int, np.integer))
+            or not 1 <= t_copies <= 30):
+        raise ParameterError(f"t_copies must be an integer in [1, 30], got {t_copies!r}")
     pmf_edge, pmf_nonedge = clone_pmfs(p, q, P, Q, t_copies)
-    gen = rng.child("clone").generator()
+    cdf_edge = np.cumsum(pmf_edge) / pmf_edge.sum()
+    cdf_non = np.cumsum(pmf_nonedge) / pmf_nonedge.sum()
     e = G.triu_vector()
-    u = gen.random(e.size)
-    code_edge = np.searchsorted(np.cumsum(pmf_edge) / pmf_edge.sum(), u, side="right")
-    code_non = np.searchsorted(np.cumsum(pmf_nonedge) / pmf_nonedge.sum(), u, side="right")
-    code = np.where(e, code_edge, code_non).astype(np.uint64)
-    return [
-        Graph.from_triu(G.n, ((code >> np.uint64(b)) & np.uint64(1)).astype(bool))
-        for b in range(t_copies)
-    ]
+    bits = np.empty((t_copies, e.size), dtype=bool)
+
+    def split(lo, hi, u):
+        # pair j's uniform picks its t-bit code from its edge or non-edge
+        # pmf; bit b of the code is pair j of copy b
+        code = np.searchsorted(cdf_non, u, side="right")
+        edge = e[lo:hi]
+        code[edge] = np.searchsorted(cdf_edge, u[edge], side="right")
+        for b in range(t_copies):
+            bits[b, lo:hi] = (code >> b) & 1
+
+    _random_bands(rng.child("clone").generator(), e.size, split)
+    return [Graph.from_triu(G.n, copy) for copy in bits]
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +476,21 @@ def to_k_partite_submatrix(G: Graph, k: int, p, q, m, rng: RngStream,
             out_planted.append(int(S_t[int(np.flatnonzero(pi == v[0])[0])]))
 
     # Upper triangle of the embedded support from the first clone, lower
-    # triangle from the second, diagonals from the per-part supports.
-    sub1 = G1.to_dense()[np.ix_(src_all, src_all)]
-    sub2 = G2.to_dense()[np.ix_(src_all, src_all)]
-    M[np.ix_(S_all, S_all)] = np.triu(sub1, k=1) + np.tril(sub2, k=-1)
+    # triangle from the second, diagonals from the per-part supports.  S_all
+    # ascends, so row band [lo, hi) of the N x N embedded block lands in
+    # rows S_all[lo:hi] of M, and the block's diagonal is the band's
+    # diagonal lo.
+    A1, A2 = G1.to_dense(), G2.to_dense()
+    band = max(1, _PAD_CHUNK // N)
+
+    def embed(i):
+        lo, hi = i * band, min((i + 1) * band, N)
+        rows = src_all[lo:hi]
+        sub = np.triu(np.take(A1[rows], src_all, axis=1), lo + 1)
+        sub |= np.tril(np.take(A2[rows], src_all, axis=1), lo - 1)
+        M[S_all[lo:hi, None], S_all] = sub
+
+    _run_blocks(embed, -(-N // band))
     for T in diag_T1 + diag_T2:
         if len(T):
             M[T, T] = 1
@@ -647,8 +668,9 @@ def isgm_sample_clone(samples, trace: PlantedTrace, ell: int, n_prime: int, rng:
 # k-PDS -> semirandom community recovery
 # ---------------------------------------------------------------------------
 
-# Padded entries per step of the SEMI-CR block rotation.  It bounds the
-# step's transient memory; the output does not depend on it.
+# Padded entries per step of the SEMI-CR block rotation, and entries per
+# row band of the relabelling and of the k-partite embedding.  It bounds
+# a step's transient memory; the output does not depend on it.
 _PAD_CHUNK = 1 << 20
 
 
@@ -788,9 +810,15 @@ def pds_to_glsm(G: Graph, plan: ReductionPlan, tau: float,
     """
     if plan.r != 2 or plan.eps != 0.5:
         raise ParameterError("the mixture stage of the GLSM reduction needs r=2, eps=1/2")
+    # the kernel's parameters depend only on tau and the plan, so a
+    # degenerate tau is refused before the mixture stage runs
+    a, mu1, mu2 = tern_params_from_truncation(tau, plan.mu)
+    try:
+        _srk3_params_check(a, mu1, mu2)
+    except ParameterError as err:
+        raise ParameterError(f"tau={tau} truncates to a degenerate three-point law: {err}") from None
     samples, in_trace = pds_to_isgm(G, plan, rng.child("isgm"), trace)
     n, d = samples.shape
-    a, mu1, mu2 = tern_params_from_truncation(tau, plan.mu)
     n_iter = math.ceil(4.0 * math.log(d * n))
     nus = np.clip(np.asarray(sample_dist(D, rng.child("nu"), size=n), dtype=float), -1.0, 1.0)
     B = truncate_tern(samples, tau)

@@ -16,19 +16,26 @@ Gaussian draws are statistically (not bit-) exact across numpy versions; the
 method is numpy's ziggurat ``standard_normal``.  Within one installed
 toolchain all draws are bit-reproducible.
 
+``normal_cdf`` is a pure-Python port of cephes' ``ndtr`` (with its ``erf``
+and ``erfc``), the code behind ``scipy.special.ndtr``, and returns the same
+double for every argument, so the planners' Phi values keep their bits
+without loading scipy.
+
 Large draws and per-block loops run on threads without changing a value.
 This module holds the package's one pool policy, ``_pool_size``: at most
 min(usable CPUs, ``_MAX_IN_FLIGHT``) workers, and within a trial worker only
 its share of the CPUs.  Two runners apply it:
 
 * ``_run_blocks`` runs the blocks of one large input on threads (the
-  kernels' blocks, the pad and the rotation of ``pds_to_isgm``, the
-  pad/rotate loop and the relabelling of ``pds_to_semi_cr``, and the
-  pieces of ``graphs.write_graphv1``), and
-  ``uniform_below`` makes the Bernoulli draw ``gen.random(shape) < p`` in
-  bands on it, splitting one Philox stream by counter jumps; its docstring
-  gives the argument that the values and the generator's final state are
-  exactly the one-shot draw's.
+  kernels' blocks, the row bands of the k-partite embedding, the pad and
+  the rotation of ``pds_to_isgm``, the pad/rotate loop and the
+  relabelling of ``pds_to_semi_cr``, and the pieces of
+  ``graphs.write_graphv1``), and ``_random_bands`` makes the draw
+  ``gen.random(size)`` in bands on it, splitting one Philox stream by
+  counter jumps: ``uniform_below`` draws its Bernoulli matrices
+  ``gen.random(shape) < p`` that way, and ``pipelines.graph_clone`` its
+  pair uniforms.  ``_random_bands``' docstring gives the argument that the
+  values and the generator's final state are exactly the one-shot draw's.
 * ``_run_trials`` runs the independent trials of a verify battery in forked
   worker processes, since a trial is many small numpy calls that hold the
   GIL.  Each trial draws from its own keyed streams and the results come
@@ -38,6 +45,7 @@ its share of the CPUs.  Two runners apply it:
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -226,16 +234,17 @@ def _run_trials(trial, n: int) -> list:
     return [result for chunk in chunks for result in chunk]
 
 
-# Doubles per band of ``uniform_below``: a multiple of the 4 outputs of one
+# Doubles per band of ``_random_bands``: a multiple of the 4 outputs of one
 # Philox counter step.  It sets only the speed and the memory, never a value.
 _BAND = 1 << 18
 
 
-def uniform_below(gen: np.random.Generator, shape, p: float) -> np.ndarray:
-    """Exactly ``gen.random(shape) < p`` (a boolean array), leaving the
-    Philox-backed ``gen`` exactly where that draw leaves it, but drawn in
-    bands of ``_BAND`` doubles on the pool of ``_run_blocks`` and without
-    the float64 temporary of the whole draw.
+def _random_bands(gen: np.random.Generator, size: int, use) -> None:
+    """Make the draw ``gen.random(size)`` in bands of ``_BAND`` doubles on
+    the pool of ``_run_blocks``, calling ``use(lo, hi, doubles)`` with the
+    draw's doubles [lo, hi) of every band, and leave the Philox-backed
+    ``gen`` exactly where the one-shot draw leaves it.  A draw of one band
+    is the one-shot draw, on the calling thread.
 
     Why the bands can be split: ``random`` spends one 64-bit output per
     double, and Philox makes its outputs 4 at a time, one block per counter
@@ -252,16 +261,14 @@ def uniform_below(gen: np.random.Generator, shape, p: float) -> np.ndarray:
     touch it), and the tail of fewer than 4 doubles is drawn from ``gen``,
     which buffers the rest of that block as the one-shot draw would.
     """
-    out = np.empty(shape, dtype=bool)
-    flat = out.reshape(-1)
     bitgen = gen.bit_generator
     start = bitgen.state
-    head = min(flat.size, 4 - start["buffer_pos"])
-    body = (flat.size - head) // 4 * 4
+    head = min(size, 4 - start["buffer_pos"])
+    body = (size - head) // 4 * 4
     n_bands = -(-body // _BAND)
     if n_bands <= 1:
-        np.less(gen.random(flat.size), p, out=flat)
-        return out
+        use(0, size, gen.random(size))
+        return
     start = dict(start, buffer_pos=4, has_uint32=0, uinteger=0)
 
     def run(i):
@@ -272,16 +279,26 @@ def uniform_below(gen: np.random.Generator, shape, p: float) -> np.ndarray:
             band_gen = np.random.Philox(seed=0)  # its key is replaced by start's
             band_gen.state = start
             g = np.random.Generator(band_gen.advance(i * _BAND // 4))
-        np.less(g.random(hi - lo), p, out=flat[lo:hi])
+        use(lo, hi, g.random(hi - lo))
 
     _run_blocks(run, n_bands)
     pending = bitgen.state
     bitgen.advance((body - _BAND) // 4)
     bitgen.state = dict(bitgen.state, has_uint32=pending["has_uint32"],
                         uinteger=pending["uinteger"])
-    tail = flat.size - head - body
+    tail = size - head - body
     if tail:
-        np.less(gen.random(tail), p, out=flat[-tail:])
+        use(size - tail, size, gen.random(tail))
+
+
+def uniform_below(gen: np.random.Generator, shape, p: float) -> np.ndarray:
+    """Exactly ``gen.random(shape) < p`` (a boolean array), leaving the
+    Philox-backed ``gen`` exactly where that draw leaves it, but drawn in
+    bands by ``_random_bands`` and without the float64 temporary of the
+    whole draw."""
+    out = np.empty(shape, dtype=bool)
+    flat = out.reshape(-1)
+    _random_bands(gen, flat.size, lambda lo, hi, u: np.less(u, p, out=flat[lo:hi]))
     return out
 
 
@@ -442,14 +459,49 @@ def finite_pmf(spec: DistSpec):
 # Standard normal CDF
 # ---------------------------------------------------------------------------
 
-def normal_cdf(x):
-    """Standard normal CDF via scipy's erf-based ``ndtr``.
+def _polevl(x: float, coef) -> float:
+    """Horner's rule, highest power first, as cephes' ``polevl``."""
+    y = coef[0]
+    for c in coef[1:]:
+        y = y * x + c
+    return y
 
-    Absolute error is below 1e-15 everywhere, well inside the 1e-12 contract.
-    scipy is imported on first use, so commands that never need it (e.g.
-    ``reduce isgm``) do not pay for loading it.
-    """
-    from scipy.special import ndtr
 
-    return ndtr(x)
-
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF of one scalar, ``scipy.special.ndtr`` bit for bit:
+    cephes' ``ndtr`` with its ``erf`` and ``erfc`` inlined on the branches
+    it reaches (``erfc`` sees only z >= 1/sqrt 2), with the same
+    coefficients and the same operations in the same order.  Each
+    denominator's leading 1 is written out."""
+    x = float(x) * 0.7071067811865476  # cephes' SQRT1_2, rounded to double
+    z = abs(x)
+    if z < 1.0:  # erf(t) = t T(t^2) / U(t^2); below 1, erfc(z) = 1 - erf(z)
+        t = x if z < 0.7071067811865476 else z
+        erf = t * _polevl(t * t, (
+            9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+            7.00332514112805075473e3, 5.55923013010394962768e4)) / _polevl(t * t, (
+            1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+            2.26290000613890934246e4, 4.92673942608635921086e4))
+        if z < 0.7071067811865476:
+            return 0.5 + 0.5 * erf
+        y = 1.0 - erf
+    elif z * z > 7.09782712893383996843e2:  # cephes' MAXLOG: exp(-z^2) underflows
+        y = 0.0
+    elif z < 8.0:  # erfc(z) = exp(-z^2) P(z) / Q(z) below 8, R(z) / S(z) above
+        y = math.exp(-z * z) * _polevl(z, (
+            2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+            4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+            9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+        )) / _polevl(z, (
+            1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+            1.65666309194161350182e3, 5.57535340817727675546e2))
+    else:
+        y = math.exp(-z * z) * _polevl(z, (
+            5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+            6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+        )) / _polevl(z, (
+            1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+            1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0))
+    y *= 0.5
+    return 1.0 - y if x > 0 else y

@@ -108,6 +108,21 @@ def test_reduce_isgm_end_to_end(tmp_path):
     assert X.shape == (plan["n"], plan["d"])
 
 
+def _fresh_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this
+    package's tree; assert it exits 0 and return its standard output."""
+    package_root = str(Path(avgcase.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+_SCIPY_MODULES = 'print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))'
+
+
 def test_generate_and_reduce_isgm_never_load_scipy(tmp_path):
     # A fresh interpreter: generate kpds and reduce isgm run without scipy,
     # and without multiprocessing, which only verify's trial runner loads.
@@ -121,34 +136,46 @@ assert main(["reduce", "isgm", "--in", src + "/instance.graph", "--k", "4",
              "--p", "1.0", "--q", "0.25", "--r", "2", "--w", "2", "--seed", "5",
              "--out", out]) == 0
 print("multiprocessing" in sys.modules)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+{_SCIPY_MODULES}
 """
-    package_root = str(Path(avgcase.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-2:] == ["False", "[]"]
+    assert _fresh_python("-c", script).splitlines()[-2:] == ["False", "[]"]
+
+
+def test_reduce_semi_cr_and_glsm_never_load_scipy(tmp_path):
+    # A fresh interpreter: the normal CDF behind the SEMI-CR mus and the
+    # GLSM truncation parameters is the package's own, so scipy stays out.
+    script = f"""
+import sys
+from avgcase.cli import main
+src = {str(tmp_path)!r}
+assert main(["generate", "kpds", "--n", "32", "--k", "4", "--p", "1.0",
+             "--q", "0.25", "--seed", "11", "--out", src + "/g32"]) == 0
+assert main(["reduce", "semi-cr", "--in", src + "/g32/instance.graph", "--k", "4",
+             "--p", "1.0", "--q", "0.25", "--ell", "2", "--seed", "5",
+             "--out", src + "/semi-cr"]) == 0
+assert main(["generate", "kpds", "--n", "40", "--k", "4", "--p", "1.0",
+             "--q", "0.25", "--seed", "11", "--out", src + "/g40"]) == 0
+assert main(["reduce", "glsm", "--in", src + "/g40/instance.graph", "--k", "4",
+             "--p", "1.0", "--q", "0.25", "--n", "32", "--d", "128", "--seed", "5",
+             "--out", src + "/glsm"]) == 0
+{_SCIPY_MODULES}
+"""
+    assert _fresh_python("-c", script).splitlines()[-1] == "[]"
 
 
 def test_verify_semi_cr_never_loads_scipy_stats(tmp_path):
-    # A fresh interpreter: the SEMI-CR battery's one normal tail goes
-    # through scipy.special, so scipy.stats (~0.4 s to load) stays out.
+    # A fresh interpreter: the SEMI-CR battery's one normal tail is the
+    # package's own normal CDF, so neither scipy.stats (~0.4 s to load) nor
+    # any other scipy module loads.
     script = f"""
 import sys
 from avgcase.cli import main
 assert main(["verify", "--pipeline", "semi-cr", "--trials", "100", "--seed", "3",
              "--out", {str(tmp_path)!r}]) == 0
 print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
+{_SCIPY_MODULES}
 """
-    package_root = str(Path(avgcase.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    assert _fresh_python("-c", script).splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_reduce_divisibility_error_named(tmp_path, capsys):
@@ -393,6 +420,11 @@ _SRC = ["--k", "4", "--p", "1.0", "--q", "0.25", "--seed", "5"]
      "lower --w or --n"),
     (["reduce", "semi-cr", "--in", "{graph}", *_SRC, "--ell", "2", "--n-out", "10"],
      "n >= m/2"),
+    # Phi(tau) - Phi(-tau) rounds to 1 and to 0: no three-point law to target
+    (["reduce", "glsm", "--in", "{graph}", *_SRC, "--n", "64", "--d", "256", "--tau", "40"],
+     "tau=40.0"),
+    (["reduce", "glsm", "--in", "{graph}", *_SRC, "--n", "64", "--d", "256",
+      "--tau", "1e-300"], "tau=1e-300"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     src = tmp_path / "src"
@@ -412,8 +444,6 @@ def test_bench_tracer_sees_the_pipeline_layers(tmp_path):
     # bench/tracer.py (run by `bench/run.py --trace 1`) wraps these functions
     # by name, so renaming one breaks the benchmark's per-layer metrics.
     root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     src = tmp_path / "src"
     commands = {
         "generate": ["generate", "kpds", "--n", "32", "--k", "4", "--p", "1", "--q", "0.25",
@@ -425,10 +455,7 @@ def test_bench_tracer_sees_the_pipeline_layers(tmp_path):
     seen = set()
     for name, argv in commands.items():
         spans = tmp_path / f"{name}.json"
-        run = subprocess.run([sys.executable, str(root / "bench" / "tracer.py"), str(spans),
-                              "--", *argv], env=env, capture_output=True, text=True,
-                             timeout=120)
-        assert run.returncode == 0, run.stderr
+        _fresh_python(str(root / "bench" / "tracer.py"), str(spans), "--", *argv)
         seen |= set(json.loads(spans.read_text())["summary"])
     assert {"graphs.sample_k_pds", "pipelines.to_k_partite_submatrix",
             "pipelines.pds_to_isgm", "kernels.gaussianize"} <= seen

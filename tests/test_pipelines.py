@@ -75,10 +75,7 @@ def test_graph_clone_marginals_h0():
     # t = 3 needs its own (P, Q): solve P/Q = (p/q)^(1/3) and
     # (1-P)/(1-Q) = ((1-p)/(1-q))^(1/3) so both pmf constraints bind exactly.
     p, q = 0.75, 0.25
-    c1 = (p / q) ** (1 / 3)
-    c2 = ((1 - p) / (1 - q)) ** (1 / 3)
-    Q = (1 - c2) / (c1 - c2)
-    P = Q * c1
+    P, Q = _clone3_P_Q(p, q)
     G = sample_gnq(80, q, RngStream(101))
     clones = graph_clone(G, 3, p, q, P, Q, RngStream(102))
     pairs = 80 * 79 / 2
@@ -87,9 +84,100 @@ def test_graph_clone_marginals_h0():
         assert abs(z) < 4.5
 
 
+def _clone3_P_Q(p, q):
+    """(P, Q) at which both pmf constraints of the t = 3 clone bind."""
+    c1 = (p / q) ** (1 / 3)
+    c2 = ((1 - p) / (1 - q)) ** (1 / 3)
+    Q = (1 - c2) / (c1 - c2)
+    return Q * c1, Q
+
+
+def _graph_clone_reference(G, t, p, q, P, Q, rng):
+    """The one-shot clone: one draw of every pair's uniform, two searchsorted
+    over the whole vector and one bit split per copy."""
+    pmf_edge, pmf_nonedge = clone_pmfs(p, q, P, Q, t)
+    gen = rng.child("clone").generator()
+    e = G.triu_vector()
+    u = gen.random(e.size)
+    code_edge = np.searchsorted(np.cumsum(pmf_edge) / pmf_edge.sum(), u, side="right")
+    code_non = np.searchsorted(np.cumsum(pmf_nonedge) / pmf_nonedge.sum(), u, side="right")
+    code = np.where(e, code_edge, code_non).astype(np.uint64)
+    return [Graph.from_triu(G.n, ((code >> np.uint64(b)) & np.uint64(1)).astype(bool))
+            for b in range(t)]
+
+
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_graph_clone_matches_one_shot_reference(monkeypatch, on_workers, t, cpus):
+    # 64-double bands: 13 bands over the 780 pairs, serial or on 8 workers.
+    p, q = 0.75, 0.25
+    P, Q = (p, clone_Q(p, q)) if t == 2 else _clone3_P_Q(p, q)
+    G, _ = sample_k_pds(40, 4, p, q, RngStream(109))
+    monkeypatch.setattr(prob, "_BAND", 64)
+    got = on_workers(lambda: graph_clone(G, t, p, q, P, Q, RngStream(110 + t)), cpus, 8)
+    assert got == _graph_clone_reference(G, t, p, q, P, Q, RngStream(110 + t))
+
+
+@pytest.mark.parametrize("t_copies", [0, 31, 2.5, True, None, "2"])
+def test_graph_clone_rejects_bad_copy_counts(t_copies):
+    G = sample_gnq(8, 0.25, RngStream(111))
+    with pytest.raises(ParameterError, match="t_copies"):
+        graph_clone(G, t_copies, 0.75, 0.25, 0.75, clone_Q(0.75, 0.25), RngStream(112))
+
+
 # ---------------------------------------------------------------------------
 # to-k-partite-submatrix
 # ---------------------------------------------------------------------------
+
+def _embed_reference(G, k, p, q, m, rng, trace):
+    """The whole-matrix embedding: the draws of ``to_k_partite_submatrix``,
+    then two dense N x N gathers through ``np.ix_``, their ``triu`` and
+    ``tril`` halves, and one ``np.ix_`` scatter."""
+    N, Q = G.n, clone_Q(p, q)
+    G1, G2 = graph_clone(G, 2, p, q, p, Q, rng.child("clone2"))
+    gen = rng.child("embed").generator()
+    M = prob.uniform_below(gen, (m, m), Q).view(np.uint8)
+    np.fill_diagonal(M, 0)
+    mk, Nk = m // k, N // k
+    S_all, src_all, diag, out_planted = [], [], [], []
+    for i in range(k):
+        E_part = np.arange(i * Nk, (i + 1) * Nk)
+        F_part = np.arange(i * mk, (i + 1) * mk)
+        S_t = np.sort(gen.choice(F_part, size=Nk, replace=False))
+        pi = gen.permutation(E_part)
+        s1 = int(gen.binomial(Nk, p))
+        s2 = int(gen.binomial(mk, Q))
+        T1 = gen.choice(Nk, size=s1, replace=False)
+        rest = np.setdiff1d(F_part, S_t, assume_unique=False)
+        T2 = gen.choice(rest, size=max(s2 - s1, 0), replace=False)
+        S_all.append(S_t)
+        src_all.append(pi)
+        diag += [S_t[T1], T2]
+        v = np.intersect1d(trace.planted_set, E_part)[0]
+        out_planted.append(int(S_t[int(np.flatnonzero(pi == v)[0])]))
+    S_all, src_all = np.concatenate(S_all), np.concatenate(src_all)
+    sub1 = G1.to_dense()[np.ix_(src_all, src_all)]
+    sub2 = G2.to_dense()[np.ix_(src_all, src_all)]
+    M[np.ix_(S_all, S_all)] = np.triu(sub1, k=1) + np.tril(sub2, k=-1)
+    for T in diag:
+        if len(T):
+            M[T, T] = 1
+    return M, np.sort(out_planted)
+
+
+def test_submatrix_matches_whole_matrix_reference(monkeypatch, on_workers):
+    # Bands of 3 rows (11 bands of the 32 x 32 embedded block), 64-double
+    # background and clone bands, 8 workers, a planted trace.
+    N, k, p, q, m = 32, 4, 0.75, 0.25, 120
+    G, tr = sample_k_pds(N, k, p, q, RngStream(113))
+    monkeypatch.setattr(pipelines, "_PAD_CHUNK", 3 * N)
+    monkeypatch.setattr(prob, "_BAND", 64)
+    M, tr2 = on_workers(lambda: to_k_partite_submatrix(G, k, p, q, m, RngStream(114), tr), 8, 8)
+    M_ref, U_ref = _embed_reference(G, k, p, q, m, RngStream(114), tr)
+    assert M.dtype == np.uint8
+    assert_array_equal(M, M_ref)
+    assert_array_equal(tr2.planted_set, U_ref)
+
 
 def test_submatrix_structure_and_errors():
     N, k, p, q = 32, 4, 0.75, 0.25
@@ -653,6 +741,21 @@ def test_glsm_h0_shape_and_coordinates():
     assert len(trace.params["nu"]) == 48
     _, pvals = ks_matrix(X.T, sst.norm.cdf)
     assert pvals.min() > 1e-4 / X.shape[1]
+
+
+@pytest.mark.parametrize("tau", [40.0, 1e-300])
+def test_glsm_refuses_a_degenerate_tau_before_the_mixture_stage(monkeypatch, tau):
+    # Phi(tau) - Phi(-tau) rounds to 1 or to 0, so srk3 has no three-point
+    # law to target; the ISGM stage must not run first.
+    def never(*args, **kwargs):
+        raise AssertionError("pds_to_isgm ran")
+
+    plan = plan_glsm(1.0, 0.25, 2.0, n=32, k=4)
+    G, tr = sample_k_pds(plan.N, 4, 1.0, 0.25, RngStream(145))
+    family, D = spca_family(32, 4, 1e-5)
+    monkeypatch.setattr(pipelines, "pds_to_isgm", never)
+    with pytest.raises(ParameterError, match=f"tau={tau}.*a must lie in"):
+        pds_to_glsm(G, plan, tau, family, D, RngStream(146), trace=tr)
 
 
 def test_glsm_trace_counts_srk3_fallbacks():

@@ -111,6 +111,26 @@ def test_normal_cdf_against_oracle():
     assert normal_cdf(0.0) == 0.5
 
 
+def test_normal_cdf_is_scipy_ndtr_bit_for_bit():
+    # A seeded sweep of [-40, 40], dense around the erf/erfc edge |x| = 1 and
+    # around +-3, plus each branch edge with its neighbours: 0, +-1, +-8 sqrt 2
+    # (erfc's two fits), +-sqrt(2 MAXLOG) ~ +-37.68 (exp(-x^2/2) underflows),
+    # +-38.6 and the infinities.
+    from scipy.special import ndtr
+
+    gen = RngStream(5).child("phi").generator()
+    edges = np.array([0.0, 1.0, 8.0 * np.sqrt(2.0), np.sqrt(2.0 * 7.09782712893383996843e2),
+                      38.6, np.inf])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    x = np.concatenate([gen.uniform(-40.0, 40.0, 100_000), gen.uniform(0.9, 1.1, 20_000),
+                        gen.uniform(2.9, 3.1, 20_000), edges])
+    x = np.concatenate([x, -x])
+    got = np.array([normal_cdf(v) for v in x.tolist()])
+    assert_array_equal(got.view(np.uint64), ndtr(x).view(np.uint64))
+    assert isinstance(normal_cdf(np.float64(0.3)), float)
+    assert np.isnan(normal_cdf(np.nan))
+
+
 def test_hypergeometric_matches_scipy_pmf():
     from scipy.stats import hypergeom
 
