@@ -669,8 +669,9 @@ def isgm_sample_clone(samples, trace: PlantedTrace, ell: int, n_prime: int, rng:
 # ---------------------------------------------------------------------------
 
 # Padded entries per step of the SEMI-CR block rotation, and entries per
-# row band of the relabelling and of the k-partite embedding.  It bounds
-# a step's transient memory; the output does not depend on it.
+# row band of the relabelling and of the k-partite embedding, and per tile
+# of the adjacency's mirror.  It bounds a step's transient memory; the
+# output does not depend on it.
 _PAD_CHUNK = 1 << 20
 
 
@@ -746,13 +747,26 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
     _run_blocks(rotate, -(-ks // step))
     del M_G
 
-    # Pad to n vertices with fair coins above the diagonal, and mirror.
+    # Pad to n vertices with fair coins above the diagonal, and mirror:
+    # adj |= adj.T, one pair of tiles (I, J), I >= J, per task, so no two
+    # tasks write the same bytes.  Tile b, mirrored after tile a, sees a's
+    # new bits, but b | (a | b.T).T is b | a.T all the same.
     gen5 = rng.child("pad-vertices").generator()
     if n > m_rot:
         adj[:m_rot, m_rot:] = uniform_below(gen5, (m_rot, n - m_rot), 0.5)
         adj[m_rot:, m_rot:][_upper_mask(n - m_rot)] = uniform_below(
             gen5, ((n - m_rot) * (n - m_rot - 1) // 2,), 0.5)
-    adj |= adj.T
+    tile = math.isqrt(_PAD_CHUNK)
+    tiles = [(I, J) for I in range(0, n, tile) for J in range(0, I + 1, tile)]
+
+    def mirror(i):
+        I, J = tiles[i]
+        a = adj[I:I + tile, J:J + tile]
+        a |= adj[J:J + tile, I:I + tile].T
+        if I != J:
+            adj[J:J + tile, I:I + tile] |= a.T
+
+    _run_blocks(mirror, len(tiles))
     # Relabel: output vertex i is vertex vertex_src[i] of adj.  Each task
     # gathers a band of relabelled rows and keeps its pairs above the
     # diagonal, which are consecutive in the output's pair order.

@@ -688,8 +688,8 @@ def test_semi_cr_builds_no_padded_matrix():
 
 def test_semi_cr_bytes_independent_of_workers(monkeypatch, on_workers):
     # Six chunks of the pad/rotate loop (three block rows each), banded coin
-    # draws and eleven relabel bands: serial and 8 workers give the same
-    # bytes.
+    # draws, ten mirrored tile pairs and eleven relabel bands: serial and 8
+    # workers give the same bytes.
     p, q, N, k = 1.0, 0.25, 32, 4
     plan = plan_semi_cr(p, q, N=N, k=k, ell=2, n=200)
     G, tr = sample_k_pds(N, k, p, q, RngStream(192))
