@@ -1,8 +1,8 @@
 """Seeded sampling primitives and scalar distribution descriptions.
 
 Everything downstream draws randomness through :class:`RngStream`, a value
-type identifying a substream of a counter-based generator (Philox) keyed by
-hashing ``(seed, path)``.  Two streams with the same seed and path produce
+type naming one stream of numpy's PCG64DXSM generator, seeded by hashing
+``(seed, path)``.  Two streams with the same seed and path produce
 bit-identical output; streams with distinct paths are independent for all
 practical purposes.  Streams are immutable, so the usage pattern is to derive
 a child stream per logical random object and draw from its generator
@@ -28,11 +28,11 @@ its share of the CPUs.  Two runners apply it:
 
 * ``_run_blocks`` runs the blocks of one large input on threads (the
   kernels' blocks, the row bands of the k-partite embedding, the pad and
-  the rotation of ``pds_to_isgm``, the pad/rotate loop and the
-  relabelling of ``pds_to_semi_cr``, and the pieces of
+  the rotation of ``pds_to_isgm``, the pad/rotate loop, the mirror and
+  the relabelling of ``pds_to_semi_cr``, and the pieces of
   ``graphs.write_graphv1``), and ``_random_bands`` makes the draw
-  ``gen.random(size)`` in bands on it, splitting one Philox stream by
-  counter jumps: ``uniform_below`` draws its Bernoulli matrices
+  ``gen.random(size)`` in bands on it, splitting one PCG64DXSM stream
+  with ``advance``: ``uniform_below`` draws its Bernoulli matrices
   ``gen.random(shape) < p`` that way, and ``pipelines.graph_clone`` its
   pair uniforms.  ``_random_bands``' docstring gives the argument that the
   values and the generator's final state are exactly the one-shot draw's.
@@ -81,9 +81,10 @@ _PROB_TOL = 1e-12
 class RngStream:
     """A (seed, path) pair naming one substream of the keyed generator.
 
-    ``path`` is a tuple of ``(tag, index)`` pairs.  The 128-bit Philox key is
-    blake2b over a canonical encoding of seed and path, so substream
-    derivation is order-independent and collision-resistant.
+    ``path`` is a tuple of ``(tag, index)`` pairs.  The 128-bit seed of the
+    stream's PCG64DXSM generator is blake2b over a canonical encoding of
+    seed and path, so substream derivation is order-independent and
+    collision-resistant.
     """
 
     seed: int
@@ -106,8 +107,8 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """A fresh numpy Generator positioned at the start of this substream."""
         # seed= routes the 128-bit digest through SeedSequence (pure, no OS
-        # entropy); key= would pull urandom for an unused seed sequence.
-        return np.random.Generator(np.random.Philox(seed=self.key()))
+        # entropy).
+        return np.random.Generator(np.random.PCG64DXSM(seed=self.key()))
 
 
 # ---------------------------------------------------------------------------
@@ -234,68 +235,55 @@ def _run_trials(trial, n: int) -> list:
     return [result for chunk in chunks for result in chunk]
 
 
-# Doubles per band of ``_random_bands``: a multiple of the 4 outputs of one
-# Philox counter step.  It sets only the speed and the memory, never a value.
+# Doubles per band of ``_random_bands``.  It sets only the speed and the
+# memory, never a value.
 _BAND = 1 << 18
 
 
 def _random_bands(gen: np.random.Generator, size: int, use) -> None:
     """Make the draw ``gen.random(size)`` in bands of ``_BAND`` doubles on
     the pool of ``_run_blocks``, calling ``use(lo, hi, doubles)`` with the
-    draw's doubles [lo, hi) of every band, and leave the Philox-backed
-    ``gen`` exactly where the one-shot draw leaves it.  A draw of one band
-    is the one-shot draw, on the calling thread.
+    draw's doubles [lo, hi) of every band, and leave ``gen``, a PCG64DXSM
+    generator of ``RngStream.generator``, exactly where the one-shot draw
+    leaves it.  A draw of at most one band is the one-shot draw, on the
+    calling thread.
 
     Why the bands can be split: ``random`` spends one 64-bit output per
-    double, and Philox makes its outputs 4 at a time, one block per counter
-    step, in counter order (the counter is stepped before a block is made).
-    A draw first spends the outputs still buffered from the current block
-    (the head), then whole blocks at counters c+1, c+2, ..., where c is the
-    counter at the start.  So body double j comes from counter c + 1 + j//4,
-    and a copy of the start state with its buffer emptied and its counter
-    moved on by j/4 (``Philox.advance`` counts counter steps, not outputs)
-    makes body doubles j, j+1, ... exactly.  Band 0 (head and first band)
-    draws from ``gen`` itself, so a draw of one band costs what the one-shot
-    draw costs; band i >= 1 draws from such a copy.  Afterwards ``gen`` is
-    moved to the end counter with its pending 32-bit half kept (doubles never
-    touch it), and the tail of fewer than 4 doubles is drawn from ``gen``,
-    which buffers the rest of that block as the one-shot draw would.
+    double, and ``PCG64DXSM.advance(j)`` moves a state on by j outputs.  So
+    a copy of the start state moved on by lo makes doubles lo, lo+1, ...
+    exactly.  Band 0 draws from ``gen`` itself, so a draw of one band costs
+    what the one-shot draw costs; band i >= 1 draws from such a copy.
+    Afterwards ``gen`` is moved on to the end of the draw.  ``advance``
+    drops the pending 32-bit half that a 32-bit draw leaves buffered, and
+    doubles never touch it, so it is put back as the start state had it.
     """
-    bitgen = gen.bit_generator
-    start = bitgen.state
-    head = min(size, 4 - start["buffer_pos"])
-    body = (size - head) // 4 * 4
-    n_bands = -(-body // _BAND)
-    if n_bands <= 1:
+    if size <= _BAND:
         use(0, size, gen.random(size))
         return
-    start = dict(start, buffer_pos=4, has_uint32=0, uinteger=0)
+    bitgen = gen.bit_generator
+    start = bitgen.state
 
     def run(i):
-        lo, hi = head + i * _BAND, head + min((i + 1) * _BAND, body)
+        lo, hi = i * _BAND, min((i + 1) * _BAND, size)
         if i == 0:
-            lo, g = 0, gen
+            g = gen
         else:
-            band_gen = np.random.Philox(seed=0)  # its key is replaced by start's
+            band_gen = np.random.PCG64DXSM(seed=0)  # its state is replaced by start's
             band_gen.state = start
-            g = np.random.Generator(band_gen.advance(i * _BAND // 4))
+            g = np.random.Generator(band_gen.advance(lo))
         use(lo, hi, g.random(hi - lo))
 
-    _run_blocks(run, n_bands)
-    pending = bitgen.state
-    bitgen.advance((body - _BAND) // 4)
-    bitgen.state = dict(bitgen.state, has_uint32=pending["has_uint32"],
-                        uinteger=pending["uinteger"])
-    tail = size - head - body
-    if tail:
-        use(size - tail, size, gen.random(tail))
+    _run_blocks(run, -(-size // _BAND))
+    bitgen.advance(size - _BAND)
+    bitgen.state = dict(bitgen.state, has_uint32=start["has_uint32"],
+                        uinteger=start["uinteger"])
 
 
 def uniform_below(gen: np.random.Generator, shape, p: float) -> np.ndarray:
-    """Exactly ``gen.random(shape) < p`` (a boolean array), leaving the
-    Philox-backed ``gen`` exactly where that draw leaves it, but drawn in
-    bands by ``_random_bands`` and without the float64 temporary of the
-    whole draw."""
+    """Exactly ``gen.random(shape) < p`` (a boolean array), leaving
+    ``gen`` exactly where that draw leaves it, pending 32-bit half and all,
+    but drawn in bands by ``_random_bands`` and without the float64
+    temporary of the whole draw."""
     out = np.empty(shape, dtype=bool)
     flat = out.reshape(-1)
     _random_bands(gen, flat.size, lambda lo, hi, u: np.less(u, p, out=flat[lo:hi]))

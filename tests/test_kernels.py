@@ -252,8 +252,8 @@ def test_rk_gauss_block_matches_the_reference_loop(P, Q, mu_kind, case):
 # the kernel's own stream alone.  A change to that stream must change these
 # pins and say so.
 _ONE_BLOCK_GOLDEN = {
-    "gaussianize": "c3dff720ccd9caccee1524ad6f20d855b9ce54384a4d2f9213887527eddfcd8e",
-    "rk_gauss_array": "f89ccfbb21f4c27c940f672d1c38aa9a5e85a1593fb99e65906748eb9e9ffd72",
+    "gaussianize": "5aa76ea9fe8ebb9deead58c1553305cb42609f161632ada57b1b02012c28c96f",
+    "rk_gauss_array": "f9be2d0ffb156d598a5ef2f7501ed8b4e0cf0c584b33ebc3366486b4996d931e",
 }
 
 
@@ -469,10 +469,11 @@ def test_srk3_blocks_match_the_one_row_loop(monkeypatch, n, d, block):
     if block is not None:
         monkeypatch.setattr(kernels, "_BLOCK", block)
     bits, family, nus, streams, params = _srk3_rows(n, d, 60)
+    nus[-1] = 5.0  # far past the gates: every entry of the last row falls back
     out, fallback = srk3_array(bits, family, nus, *params, 30, streams)
     ref, ref_fallback = _srk3_reference_rows(bits, family, nus, streams, params, 30)
     assert out.shape == (n, d) and out.tobytes() == ref.tobytes()
-    assert fallback == ref_fallback > 0
+    assert fallback == ref_fallback >= d
 
 
 def test_srk3_row_that_falls_back_everywhere():

@@ -142,8 +142,8 @@ def test_hypergeometric_matches_scipy_pmf():
 
 def _started(seed, start, k):
     """A generator at one of the start states ``uniform_below`` must handle:
-    fresh, k doubles into the stream (mid-block for k % 4 != 0), or with
-    a pending 32-bit half after an int32 draw."""
+    fresh, k doubles into the stream, or with a pending 32-bit half after an
+    int32 draw, which ``advance`` would drop."""
     gen = RngStream(seed).child("start").generator()
     if start == "doubles":
         gen.random(k)

@@ -365,11 +365,12 @@ def test_report_bytes_independent_of_cpu_count(tmp_path, monkeypatch, pipeline,
 
 
 def test_worker_parameter_error_exits_2(tmp_path, monkeypatch, capsys):
-    # At p=0.75 some trial's planted-diagonal draw is short (see test_cli);
-    # raised in a worker, it reaches the CLI as a ParameterError.
+    # At p=0.75 some trial of 20000 has a short planted-diagonal draw but
+    # for a chance of about 2e-14 (see test_cli); raised in a worker, it
+    # reaches the CLI as a ParameterError.
     monkeypatch.setattr(prob, "_usable_cpus", lambda: 8)
     rc = main(["verify", "--pipeline", "semi-cr", "--params", '{"p": 0.75}',
-               "--seed", "1", "--out", str(tmp_path / "o")])
+               "--trials", "20000", "--seed", "1", "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "s2 - s1" in err and "Traceback" not in err
