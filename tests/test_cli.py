@@ -297,6 +297,26 @@ def test_reduce_golden_digests(tmp_path, pipeline, n_src, k, args, golden):
     assert {name: _digest(out / name) for name in golden} == golden
 
 
+# sha256 of `verify` report.json at --seed 5: the batteries' statistics and
+# p-values, and so every exact law a test compares against.
+_VERIFY_GOLDEN = {
+    "isgm": (["--params", '{"N": 32, "k": 4, "p": 1.0, "q": 0.25}', "--trials", "200"],
+             "632335a21e49028fc02ec62564f3a2e112b1f8c997dafe1e9fa30ef72eaf36ea"),
+    "semi-cr": (["--trials", "100"],
+                "7ff330f7c140f3bbb8e1c272c7d3baf00f70917ad4bcecd9cd9ca709d6082288"),
+    "glsm": (["--trials", "1"],
+             "4242836448f1d4694a891a7517851364d4e0f72f31f27132c38e4d41cf18e3d0"),
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(_VERIFY_GOLDEN))
+def test_verify_report_golden_digests(tmp_path, pipeline):
+    args, golden = _VERIFY_GOLDEN[pipeline]
+    assert _run(["verify", "--pipeline", pipeline, *args, "--seed", "5",
+                 "--out", str(tmp_path)]) == 0
+    assert _digest(tmp_path / "report.json") == golden
+
+
 def test_verify_cli_pass_and_fault(tmp_path):
     rc = _run(["verify", "--pipeline", "isgm",
                "--params", '{"N": 32, "k": 4, "p": 1.0, "q": 0.25}',
