@@ -12,7 +12,7 @@ import scipy.stats as sst
 from avgcase.kernels import (PairFamily, gaussianize, gaussianize_mu_bound,
                              rk_gauss_array, srk3_array,
                              tern_params_from_truncation, truncate_tern)
-from avgcase.prob import RngStream, Tern, sample
+from avgcase.prob import RngStream
 from avgcase.verify import empirical_tv_to_cdf, ks_test
 
 rng = RngStream(42)
@@ -42,20 +42,17 @@ print(f"Gaussianize: planted-block mean {X[:40, :200].mean():+.4f} (target +0.05
       f"background mean {X[40:, 200:].mean():+.4f} (target 0)")
 
 # The 3-ary kernel: ternary truncation symbols -> three Gaussian targets.
+# Its inputs are drawn as the reduction makes them: truncating N(+-mu_in, 1)
+# and N(0, 1) at tau = 1 gives exactly Tern(a, +-mu1, mu2) and Tern(a, 0, 0).
 mu_in = 0.016
 a, mu1, mu2 = tern_params_from_truncation(1.0, mu_in)
 shift = 3e-4
 family = PairFamily.gaussian_mean_shift(shift)  # P_nu = N(nu * shift, 1), here at nu = 1
 print(f"3-srk with a = {a:.4f}, mu1 = {mu1:.5f}, mu2 = {mu2:.2e}:")
-for tag, spec, loc in (("Tern(a,+mu1,mu2) -> P+", Tern(a, mu1, mu2), shift),
-                       ("Tern(a,-mu1,mu2) -> P-", Tern(a, -mu1, mu2), -shift),
-                       ("Tern(a,0,0)      -> Q ", Tern(a, 0.0, 0.0), 0.0)):
-    bits = sample(spec, rng.child("b" + tag), size=200_000)
+for tag, mean, loc in (("Tern(a,+mu1,mu2) -> P+", mu_in, shift),
+                       ("Tern(a,-mu1,mu2) -> P-", -mu_in, -shift),
+                       ("Tern(a,0,0)      -> Q ", 0.0, 0.0)):
+    bits = truncate_tern(mean + rng.child("b" + tag).generator().standard_normal(200_000), 1.0)
     out, _ = srk3_array(bits[None], family, [1.0], a, mu1, mu2, 50, [rng.child("k" + tag)])
     tv = empirical_tv_to_cdf(out[0], lambda u, s=loc: sst.norm.ppf(u, loc=s), 100)
     print(f"  {tag}: binned TV to target {tv:.4f}")
-
-# And the truncation that feeds it: tr_tau(N(mu, 1)) is exactly ternary.
-x = mu_in + rng.child("tr").generator().standard_normal(10)
-print("truncation of a few shifted Gaussians at tau = 1:",
-      truncate_tern(x, 1.0).tolist())

@@ -17,10 +17,10 @@ from avgcase.prob import RngStream
 from avgcase.verify import ks_matrix
 
 n_stat, k_stat, theta = 10_000, 100, 1e-5
-family, D = spca_family(n_stat, k_stat, theta)
+family, nu_sd = spca_family(n_stat, k_stat, theta)
 
 rng = RngStream(1234)
-report = check_uc(n_stat, k_stat, 1000, D, family, 60_000, rng.child("uc"))
+report = check_uc(n_stat, k_stat, 1000, nu_sd, family, 60_000, rng.child("uc"))
 print(f"universality conditions at (n={n_stat}, k={k_stat}, theta={theta}):")
 print(f"  (i) mixing weight in [-1,1]: freq {report['condition_i']['in_range_freq']:.4f}"
       f" -> {'pass' if report['condition_i']['pass'] else 'fail'}")
@@ -32,7 +32,7 @@ unit = PairFamily.gaussian_mean_shift(1.0)  # P_nu = N(sign(nu), 1) below
 fat = PairFamily(unit.sample_noise,
                  lambda gen, nu, size: unit.sample_planted(gen, np.sign(nu), size),
                  lambda x, nu: unit.log_likelihood_ratio(x, np.sign(nu)))
-bad = check_uc(n_stat, k_stat, 1000, D, fat, 20_000, rng.child("uc-fat"))
+bad = check_uc(n_stat, k_stat, 1000, nu_sd, fat, 20_000, rng.child("uc-fat"))
 print(f"  a fat mean-shift-1 family violates (ii) at freq "
       f"{bad['condition_ii']['violation_freq']:.2f} -> fail (as it should)")
 
@@ -42,14 +42,14 @@ plan = plan_glsm(p, q, 2.0, n=64, k=4)  # d defaults to m
 print(f"\nGLSM plan: source N={plan.N}, t={plan.t}, mu={plan.mu:.5f} "
       f"(capped at proven bound: {plan.report['mu_capped_at_proven_bound']})")
 G0 = sample_gnq(plan.N, q, rng.child("h0"))
-X, _ = pds_to_glsm(G0, plan, 1.0, family, D, rng.child("h0-run"))
+X, _ = pds_to_glsm(G0, plan, 1.0, family, nu_sd, rng.child("h0-run"))
 _, pvals = ks_matrix(X.T, sst.norm.cdf)
 print(f"H0 output: {X.shape[0]} samples x {X.shape[1]} coords, "
       f"per-coordinate KS min p = {pvals.min():.3e}")
 
 # Planted run: each sample's planted coordinates follow P_{nu_i}.
 G1, tr = sample_k_pds(plan.N, 4, p, q, rng.child("h1"))
-X, otr = pds_to_glsm(G1, plan, 1.0, family, D, rng.child("h1-run"), trace=tr)
+X, otr = pds_to_glsm(G1, plan, 1.0, family, nu_sd, rng.child("h1-run"), trace=tr)
 S = otr.planted_set
 nus = np.asarray(otr.params["nu"])
 pos = np.zeros(X.shape[0], dtype=bool)

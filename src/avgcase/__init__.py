@@ -5,7 +5,7 @@ distributional contract those reductions are supposed to satisfy.
 
 Submodules
 ----------
-prob       seeded streams, scalar distribution specs, the normal CDF
+prob       seeded streams, the pool policy, the normal CDF
 graphs     graph types, planted samplers, adversaries, GRAPHv1 I/O
 geometry   incidence rotation matrices from hyperplanes of F_r^t
 kernels    rejection kernels (Gaussian, entrywise, symmetric 3-ary)

@@ -176,10 +176,14 @@ def _cmd_generate(args) -> int:
         trace.write_json(out / "trace.json")
         print(f"isgm: n={X.shape[0]} d={X.shape[1]} k={args.k} -> {out / 'samples.amat'}")
     else:  # tg
+        h1_only = ("k", "k2", "mu2", "mu3")
         if args.variant == "h0":
+            given = [f for f in h1_only if getattr(args, f) is not None]
+            if given:
+                raise ParameterError(f"tg h0 takes no --{' --'.join(given)}; only h1 reads them")
             G, trace = sample_tg_h0(args.n, args.m, args.mu1, rng)
         else:
-            missing = [f for f in ("k", "k2", "mu2", "mu3") if getattr(args, f) is None]
+            missing = [f for f in h1_only if getattr(args, f) is None]
             if missing:
                 raise ParameterError(f"tg h1 needs --{' --'.join(missing)}")
             G, trace = sample_tg_h1(args.n, args.k, args.k2, args.m,
@@ -231,8 +235,8 @@ def _cmd_reduce(args) -> int:
         )
     else:  # glsm
         plan = plan_glsm(args.p, args.q, args.w, n=args.n, k=args.k, d=args.d)
-        family, D = spca_family(args.n, args.k, args.theta)
-        X, out_trace = pds_to_glsm(G, plan, args.tau, family, D, rng, trace=trace)
+        family, nu_sd = spca_family(args.n, args.k, args.theta)
+        X, out_trace = pds_to_glsm(G, plan, args.tau, family, nu_sd, rng, trace=trace)
         out = _out_dir(args)
         write_amat(out / "samples.amat", X)
         out_trace.write_json(out / "trace.json")

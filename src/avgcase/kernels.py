@@ -12,6 +12,7 @@ Four gadgets live here:
   distributed Tern(a, mu1, mu2) / Tern(a, -mu1, mu2) / Tern(a, 0, 0) near
   the three target laws P_nu, P_-nu, Q of a ``PairFamily``, one nu per
   row; it also returns how many entries kept their Q initializer.
+  ``tern_pmf`` gives the masses of those ternary laws.
 * ``truncate_tern`` / ``tern_params_from_truncation`` — the Gaussian
   truncation producing exactly those ternary input laws.
 
@@ -62,7 +63,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .prob import RngStream, _run_blocks, normal_cdf, tern_pmf
+from .prob import RngStream, _run_blocks, normal_cdf
 
 __all__ = [
     "rejection_delta",
@@ -71,6 +72,7 @@ __all__ = [
     "gaussianize_mu_bound",
     "PairFamily",
     "srk3_array",
+    "tern_pmf",
     "truncate_tern",
     "tern_params_from_truncation",
 ]
@@ -263,6 +265,25 @@ class PairFamily:
             sample_planted=lambda gen, nu, size: nu * scale + gen.standard_normal(size),
             log_likelihood_ratio=llr,
         )
+
+
+def tern_pmf(a: float, mu1: float, mu2: float):
+    """Probability masses of Tern(a, mu1, mu2) at outcomes (-1, 0, +1).
+
+    A mass below zero by at most 1e-12, a rounding error, reads as zero;
+    a more negative one raises ParameterError naming its outcome.
+    """
+    masses = (
+        (-1, (1.0 - a) / 2.0 - mu1 + mu2),
+        (0, a - 2.0 * mu2),
+        (1, (1.0 - a) / 2.0 + mu1 + mu2),
+    )
+    for outcome, mass in masses:
+        if mass < -1e-12:
+            raise ParameterError(
+                f"Tern(a={a}, mu1={mu1}, mu2={mu2}) puts mass {mass} < 0 on outcome {outcome:+d}"
+            )
+    return tuple(max(m, 0.0) for _, m in masses)
 
 
 def _srk3_params_check(a, mu1, mu2):

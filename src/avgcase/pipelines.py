@@ -42,8 +42,7 @@ from .kernels import (
     tern_params_from_truncation,
     truncate_tern,
 )
-from .prob import (Gaussian, RngStream, _check_fits, _random_bands, _run_blocks,
-                   normal_cdf, sample as sample_dist, uniform_below)
+from .prob import RngStream, _check_fits, _random_bands, _run_blocks, normal_cdf, uniform_below
 
 __all__ = [
     "ReductionPlan",
@@ -114,12 +113,11 @@ class ReductionPlan:
     is frozen, so no field leaves what its planner checked.  ``report`` maps
     named proven-regime preconditions to booleans/values; each plan holds a
     read-only copy of its own, which ``dataclasses.replace`` does not share.
-    In a returned plan ``m_le_d``, ``m_le_k_r^t``, ``w_n_le_k_ell``,
-    ``mu_le_proven_bound`` and ``n_ge_m_rotated`` always read True (the
-    planner refuses the rest), and so do ``m_exceeds_(p/Q+1)N`` and
-    ``(3^l-1)k_divides_m``, by construction.  ``k_le_QN_over_4`` is advisory
-    here, but ``to_k_partite_submatrix``, the first step of every pipeline,
-    refuses k > QN/4.  The other keys are values.
+    In a returned plan ``k_le_QN_over_4``, ``m_le_d``, ``m_le_k_r^t``,
+    ``w_n_le_k_ell``, ``mu_le_proven_bound`` and ``n_ge_m_rotated`` always
+    read True (the planner refuses the rest), and so do
+    ``m_exceeds_(p/Q+1)N`` and ``(3^l-1)k_divides_m``, by construction.
+    The other keys are values.
     """
 
     target: str
@@ -168,6 +166,8 @@ def _admit(plan: ReductionPlan, **report) -> ReductionPlan:
     """Refuse a plan its pipeline cannot run; return it with ``report`` and
     the proven-regime conditions as its report."""
     m, n, k = plan.m, plan.n, plan.k
+    if k > plan.Q * plan.N / 4.0:  # the same gate as to_k_partite_submatrix's
+        raise ParameterError(f"need k <= Q N / 4 = {plan.Q * plan.N / 4.0:.2f}, got k={k}")
     if plan.target == "SEMI_CR":
         cols = m
         if n < m // 2:  # (3^ell - 1) k s / 2 rows survive each block rotation
@@ -808,12 +808,12 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
 # ---------------------------------------------------------------------------
 
 def pds_to_glsm(G: Graph, plan: ReductionPlan, tau: float,
-                family: PairFamily, D, rng: RngStream,
+                family: PairFamily, nu_sd: float, rng: RngStream,
                 trace: Optional[PlantedTrace] = None):
     """Reduce k-PDS to a general sparse-mixture family.
 
-    ``family`` is the target family {P_nu} against Q; ``D`` is a DistSpec
-    for the mixing weights, sampled once per output vector and clipped to
+    ``family`` is the target family {P_nu} against Q; the mixing weight nu
+    of each output vector is drawn from N(0, ``nu_sd``^2) and clipped to
     [-1, 1].  Step 1 is the r = 2 mixture reduction at eps = 1/2; step 2
     truncates every entry to {-1, 0, +1} and pushes it through the
     symmetric 3-ary kernel toward (P_nu, P_-nu, Q), with the row's nu and
@@ -824,6 +824,7 @@ def pds_to_glsm(G: Graph, plan: ReductionPlan, tau: float,
     """
     if plan.r != 2 or plan.eps != 0.5:
         raise ParameterError("the mixture stage of the GLSM reduction needs r=2, eps=1/2")
+    _check_nu_sd(nu_sd)
     # the kernel's parameters depend only on tau and the plan, so a
     # degenerate tau is refused before the mixture stage runs
     a, mu1, mu2 = tern_params_from_truncation(tau, plan.mu)
@@ -834,7 +835,7 @@ def pds_to_glsm(G: Graph, plan: ReductionPlan, tau: float,
     samples, in_trace = pds_to_isgm(G, plan, rng.child("isgm"), trace)
     n, d = samples.shape
     n_iter = math.ceil(4.0 * math.log(d * n))
-    nus = np.clip(np.asarray(sample_dist(D, rng.child("nu"), size=n), dtype=float), -1.0, 1.0)
+    nus = np.clip(nu_sd * rng.child("nu").generator().standard_normal(n), -1.0, 1.0)
     B = truncate_tern(samples, tau)
     del samples  # the Gaussian samples, before the kernel allocates its output
     X, fallback = srk3_array(B, family, nus, a, mu1, mu2, n_iter,
@@ -853,10 +854,10 @@ def spca_family(n: int, k: int, theta: float):
     """The sparse-PCA (spiked covariance) target family of the GLSM reduction
     at problem size (n, k) and spike strength ``theta`` >= 0.
 
-    Returns ``(family, D)``: ``family`` has P_nu = N(nu * sqrt(3 theta log
-    n / k), 1) against Q = N(0, 1), and D, the law of the mixing weight nu,
-    is centred Gaussian with standard deviation 1 / sqrt(3 log n).  theta = 0
-    plants nothing.
+    Returns ``(family, nu_sd)``: ``family`` has P_nu = N(nu * sqrt(3 theta
+    log n / k), 1) against Q = N(0, 1), and the mixing weight nu is centred
+    Gaussian with standard deviation ``nu_sd`` = 1 / sqrt(3 log n).  theta =
+    0 plants nothing.
     """
     if not 0.0 <= theta < math.inf:  # NaN fails this too
         raise ParameterError(f"theta must be finite and nonnegative, got {theta}")
@@ -864,27 +865,33 @@ def spca_family(n: int, k: int, theta: float):
     if n < 2:
         raise ParameterError(f"the sparse-PCA family needs n >= 2, got n={n}")
     scale = math.sqrt(3.0 * theta * math.log(n) / k)
-    D = Gaussian(0.0, 1.0 / math.sqrt(3.0 * math.log(n)))
-    return PairFamily.gaussian_mean_shift(scale), D
+    return PairFamily.gaussian_mean_shift(scale), 1.0 / math.sqrt(3.0 * math.log(n))
 
 
-def check_uc(n: int, k: int, d: int, D, family: PairFamily, sample_budget: int,
+def _check_nu_sd(nu_sd: float) -> None:
+    if not 0.0 < nu_sd < math.inf:  # NaN fails this too
+        raise ParameterError(f"nu_sd must be positive and finite, got {nu_sd}")
+
+
+def check_uc(n: int, k: int, d: int, nu_sd: float, family: PairFamily, sample_budget: int,
              rng: RngStream) -> dict:
     """Monte Carlo diagnostic for the universality conditions of a
-    ``PairFamily``.
+    ``PairFamily`` mixed by nu ~ N(0, ``nu_sd``^2).
 
-    Condition (i): nu ~ D lies in [-1, 1] except with probability at most
+    Condition (i): nu lies in [-1, 1] except with probability at most
     1/n.  Condition (ii): under each of P_nu, P_-nu and Q, for the first 32
     draws of nu, the family's likelihood ratios at nu and -nu satisfy
     |dP_nu/dQ - dP_-nu/dQ| <= 1/sqrt(k log n) and
     |dP_nu/dQ + dP_-nu/dQ - 2| <= 1/(k log n) except with frequency at most
-    1e-3.  Reports observed quantiles; never raises.
+    1e-3.  Reports observed quantiles; raises only for a ``nu_sd`` that is
+    not positive and finite.
     """
+    _check_nu_sd(nu_sd)
     threshold_i, threshold_ii, nu_draws = 1.0 / n, 1e-3, 32
     bound1 = 1.0 / math.sqrt(k * math.log(n))
     bound2 = 1.0 / (k * math.log(n))
     gen = rng.child("uc-nu").generator()
-    nus = np.asarray(sample_dist(D, rng.child("uc-d"), size=sample_budget), dtype=float)
+    nus = nu_sd * rng.child("uc-d").generator().standard_normal(sample_budget)
     in_range = float(np.mean((nus >= -1.0) & (nus <= 1.0)))
     cond_i = in_range >= 1.0 - threshold_i
 

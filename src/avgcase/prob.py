@@ -1,4 +1,4 @@
-"""Seeded sampling primitives and scalar distribution descriptions.
+"""Seeded streams, the pool policy and the standard normal CDF.
 
 Everything downstream draws randomness through :class:`RngStream`, a value
 type naming one stream of numpy's PCG64DXSM generator, seeded by hashing
@@ -49,7 +49,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -58,19 +58,8 @@ from .errors import ParameterError
 __all__ = [
     "RngStream",
     "uniform_below",
-    "Binomial",
-    "Hypergeometric",
-    "Gaussian",
-    "Tern",
-    "FinitePmf",
-    "DistSpec",
-    "sample",
-    "finite_pmf",
-    "tern_pmf",
     "normal_cdf",
 ]
-
-_PROB_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +138,11 @@ def _check_fits(need: int, what: str) -> None:
             f"{what} needs {need / 2 ** 30:.3g} GiB: too large for one array in "
             f"{where} ({limit / 2 ** 30:.3g} GiB)"
         )
+
+
+def _check_prob(p, name):
+    if not (0.0 <= p <= 1.0) or not np.isfinite(p):
+        raise ParameterError(f"{name} must lie in [0, 1], got {p!r}")
 
 
 # The processes that share this one's CPUs: a trial worker of
@@ -288,159 +282,6 @@ def uniform_below(gen: np.random.Generator, shape, p: float) -> np.ndarray:
     flat = out.reshape(-1)
     _random_bands(gen, flat.size, lambda lo, hi, u: np.less(u, p, out=flat[lo:hi]))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Distribution specs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Binomial:
-    n: int
-    p: float
-
-
-@dataclass(frozen=True)
-class Hypergeometric:
-    """`n` draws without replacement from a population of `N` with `K` successes."""
-
-    N: int
-    K: int
-    n: int
-
-
-@dataclass(frozen=True)
-class Gaussian:
-    mu: float
-    sigma: float = 1.0
-
-
-@dataclass(frozen=True)
-class Tern:
-    """Three-point law on {-1, 0, +1} with masses ((1-a)/2 - mu1 + mu2, a - 2 mu2, (1-a)/2 + mu1 + mu2)."""
-
-    a: float
-    mu1: float
-    mu2: float
-
-
-@dataclass(frozen=True)
-class FinitePmf:
-    values: tuple
-    probs: tuple
-
-    def as_arrays(self):
-        return np.asarray(self.values, dtype=float), np.asarray(self.probs, dtype=float)
-
-
-DistSpec = Union[Binomial, Hypergeometric, Gaussian, Tern, FinitePmf]
-
-
-def _check_prob(p, name):
-    if not (0.0 <= p <= 1.0) or not np.isfinite(p):
-        raise ParameterError(f"{name} must lie in [0, 1], got {p!r}")
-
-
-def _validate_spec(spec: DistSpec) -> None:
-    """Raise ParameterError if the distribution spec's parameters are invalid."""
-    if isinstance(spec, Binomial):
-        if spec.n < 0:
-            raise ParameterError(f"Binomial n must be >= 0, got {spec.n}")
-        _check_prob(spec.p, "Binomial p")
-    elif isinstance(spec, Hypergeometric):
-        if not (0 <= spec.K <= spec.N) or not (0 <= spec.n <= spec.N):
-            raise ParameterError(
-                f"Hypergeometric needs 0 <= K, n <= N, got N={spec.N} K={spec.K} n={spec.n}"
-            )
-    elif isinstance(spec, Gaussian):
-        if not (spec.sigma > 0) or not np.isfinite(spec.sigma) or not np.isfinite(spec.mu):
-            raise ParameterError(f"Gaussian needs finite mu and sigma > 0, got {spec!r}")
-    elif isinstance(spec, Tern):
-        tern_pmf(spec.a, spec.mu1, spec.mu2)
-    elif isinstance(spec, FinitePmf):
-        values, probs = spec.as_arrays()
-        if values.shape != probs.shape or values.ndim != 1 or values.size == 0:
-            raise ParameterError("FinitePmf needs matching non-empty value/prob sequences")
-        if np.any(probs < -_PROB_TOL):
-            raise ParameterError("FinitePmf probabilities must be nonnegative")
-        if abs(float(probs.sum()) - 1.0) > _PROB_TOL:
-            raise ParameterError(f"FinitePmf probabilities sum to {probs.sum()!r}, not 1")
-    else:
-        raise ParameterError(f"unknown distribution spec {spec!r}")
-
-
-def tern_pmf(a: float, mu1: float, mu2: float):
-    """Probability masses of Tern(a, mu1, mu2) at outcomes (-1, 0, +1).
-
-    Raises ParameterError identifying the first outcome with negative mass.
-    """
-    masses = (
-        (-1, (1.0 - a) / 2.0 - mu1 + mu2),
-        (0, a - 2.0 * mu2),
-        (1, (1.0 - a) / 2.0 + mu1 + mu2),
-    )
-    for outcome, mass in masses:
-        if mass < -_PROB_TOL:
-            raise ParameterError(
-                f"Tern(a={a}, mu1={mu1}, mu2={mu2}) puts mass {mass} < 0 on outcome {outcome:+d}"
-            )
-    return tuple(max(m, 0.0) for _, m in masses)
-
-
-def _sample_with(spec: DistSpec, g: np.random.Generator, size):
-    if isinstance(spec, Binomial):
-        return g.binomial(spec.n, spec.p, size=size)
-    if isinstance(spec, Hypergeometric):
-        return g.hypergeometric(spec.K, spec.N - spec.K, spec.n, size=size)
-    if isinstance(spec, Gaussian):
-        return spec.mu + spec.sigma * g.standard_normal(size)
-    if isinstance(spec, Tern):
-        probs = np.array(tern_pmf(spec.a, spec.mu1, spec.mu2))
-        idx = g.choice(3, size=size, p=probs / probs.sum())
-        return idx - 1
-    if isinstance(spec, FinitePmf):
-        values, probs = spec.as_arrays()
-        idx = g.choice(values.size, size=size, p=np.clip(probs, 0, None) / probs.sum())
-        return values[idx]
-    raise ParameterError(f"unknown distribution spec {spec!r}")
-
-
-def sample(spec: DistSpec, rng: RngStream, size=None):
-    """Draw from ``spec`` deterministically given ``rng``.
-
-    The same (spec, rng) always returns the same value; callers wanting an
-    i.i.d. sequence across calls advance the stream, e.g.
-    ``sample(spec, rng.child("draw", i))``, or pass ``size`` to get the
-    sequence in one call.
-    """
-    _validate_spec(spec)
-    g = rng.generator()
-    out = _sample_with(spec, g, size)
-    if size is None and np.ndim(out) == 0:
-        return out.item() if isinstance(out, np.generic) else out
-    return out
-
-
-def finite_pmf(spec: DistSpec):
-    """Exact FinitePmf of a finite-support spec, or None for continuous specs."""
-    if isinstance(spec, Binomial):
-        from scipy.stats import binom
-
-        ks = np.arange(spec.n + 1)
-        return FinitePmf(tuple(ks.astype(float)), tuple(binom.pmf(ks, spec.n, spec.p)))
-    if isinstance(spec, Hypergeometric):
-        from scipy.stats import hypergeom
-
-        lo = max(0, spec.n - (spec.N - spec.K))
-        hi = min(spec.n, spec.K)
-        ks = np.arange(lo, hi + 1)
-        pmf = hypergeom.pmf(ks, spec.N, spec.K, spec.n)
-        return FinitePmf(tuple(ks.astype(float)), tuple(pmf))
-    if isinstance(spec, Tern):
-        return FinitePmf((-1.0, 0.0, 1.0), tern_pmf(spec.a, spec.mu1, spec.mu2))
-    if isinstance(spec, FinitePmf):
-        return spec
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FeasibilityError, ParameterError
-from .prob import (Binomial, FinitePmf, Hypergeometric, RngStream, _run_trials, finite_pmf,
-                   normal_cdf)
+from .prob import RngStream, _run_trials, normal_cdf
 
 __all__ = [
+    "FinitePmf",
     "exact_tv",
     "tv_bound_binomial",
     "chi2_bern_plus_bin",
@@ -60,19 +60,27 @@ __all__ = [
 # Exact distances and closed-form bounds
 # ---------------------------------------------------------------------------
 
-def _as_pmf(obj) -> FinitePmf:
-    if isinstance(obj, FinitePmf):
-        return obj
-    pmf = finite_pmf(obj)
-    if pmf is None:
-        raise ParameterError(f"{obj!r} has no finite support")
-    return pmf
+@dataclass(frozen=True)
+class FinitePmf:
+    """A law on finitely many points: mass ``probs[i]`` at ``values[i]``."""
+
+    values: tuple
+    probs: tuple
+
+    def as_arrays(self):
+        return np.asarray(self.values, dtype=float), np.asarray(self.probs, dtype=float)
 
 
-def exact_tv(p, q) -> float:
+def _binomial_pmf(n: int, p: float) -> FinitePmf:
+    """Bin(n, p) on 0, 1, ..., n."""
+    from scipy.stats import binom
+
+    ks = np.arange(n + 1)
+    return FinitePmf(tuple(ks.astype(float)), tuple(binom.pmf(ks, n, p)))
+
+
+def exact_tv(p: FinitePmf, q: FinitePmf) -> float:
     """Half the L1 distance between two finite-support pmfs (union support)."""
-    p = _as_pmf(p)
-    q = _as_pmf(q)
     pv, pp = p.as_arrays()
     qv, qp = q.as_arrays()
     support = np.union1d(pv, qv)
@@ -409,12 +417,14 @@ def _isgm_count_pmf(plan) -> FinitePmf:
     r^-t) such parts, the n columns kept of the k l rotated ones hold
     Hyp(k l, (k - Z) r^(t-1), n) positive ones.
     """
+    from scipy.stats import hypergeom
+
     k, n, kl = plan.k, plan.n, plan.k * plan.n_hyperplanes
     probs = np.zeros(n + 1)
-    for z, weight in zip(*finite_pmf(Binomial(k, 1.0 / plan.rt)).as_arrays()):
+    for z, weight in zip(*_binomial_pmf(k, 1.0 / plan.rt).as_arrays()):
         positive = (k - int(z)) * plan.rt // plan.r
-        values, p = finite_pmf(Hypergeometric(kl, positive, n)).as_arrays()
-        probs[values.astype(np.int64)] += weight * p
+        values = np.arange(max(0, n - (kl - positive)), min(n, positive) + 1)
+        probs[values] += weight * hypergeom.pmf(values, kl, positive, n)
     return FinitePmf(tuple(np.arange(n + 1.0)), tuple(probs))
 
 
@@ -599,7 +609,7 @@ def _battery_isgm(params, trials, alpha, rng, fault):
         worst_z = max(abs(z) for z in isgm_planted_mean_z(sums, plan.mu, plan.eps))
         tests.append(_test_entry("h1_planted_means", worst_z, None, worst_z <= 4.0))
     # the finite-size gap between the count's exact law and the ISGM target's
-    tv = exact_tv(_isgm_count_pmf(plan), Binomial(plan.n, 1 - plan.eps))
+    tv = exact_tv(_isgm_count_pmf(plan), _binomial_pmf(plan.n, 1 - plan.eps))
     return tests, {"plan": plan.to_dict(), "count_law_tv_to_binomial": tv}
 
 
@@ -642,9 +652,9 @@ def _battery_glsm(params, trials, alpha, rng, fault):
 
     n, k = params["n"], params["k"]
     plan = pl.plan_glsm(params["p"], params["q"], 2.0, n=n, k=k, d=params["d"])
-    family, D = pl.spca_family(n, k, params["theta"])
+    family, nu_sd = pl.spca_family(n, k, params["theta"])
     G0 = sample_gnq(plan.N, plan.q, rng.child("h0-graph"))
-    X, _ = pl.pds_to_glsm(G0, plan, params["tau"], family, D, rng.child("h0-run"))
+    X, _ = pl.pds_to_glsm(G0, plan, params["tau"], family, nu_sd, rng.child("h0-run"))
     _, pvals = ks_matrix(X.T, sst.norm.cdf)
     worst = float(pvals.min())
     tests = [_test_entry("h0_per_coordinate_ks_vs_Q", worst, worst,

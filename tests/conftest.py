@@ -2,9 +2,11 @@
 
 import sys
 
+import numpy as np
 import pytest
 
 from avgcase import prob
+from avgcase.kernels import tern_pmf
 
 
 @pytest.fixture
@@ -26,3 +28,15 @@ def on_workers(monkeypatch):
             sys.setswitchinterval(interval)
 
     return run
+
+
+@pytest.fixture
+def tern_bits():
+    """``tern_bits(a, mu1, mu2, rng, size)`` draws ``size`` i.i.d. symbols
+    of Tern(a, mu1, mu2) on {-1, 0, +1} from the stream ``rng``."""
+
+    def draw(a, mu1, mu2, rng, size):
+        masses = np.array(tern_pmf(a, mu1, mu2))
+        return rng.generator().choice(3, size=size, p=masses / masses.sum()) - 1
+
+    return draw

@@ -20,12 +20,12 @@ from avgcase.cli import main as cli_main
 from avgcase.geometry import build_H
 from avgcase.graphs import (Graph, PlantedTrace, sample_gnq, sample_k_pds,
                             sample_planted_conditional, semirandom_apply)
-from avgcase.kernels import PairFamily, srk3_array, tern_params_from_truncation
+from avgcase.kernels import PairFamily, srk3_array, tern_params_from_truncation, tern_pmf
 from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, isgm_sample_clone,
                                pds_to_isgm, pds_to_semi_cr, plan_isgm,
                                plan_semi_cr, sample_isgm, semi_cr_mus)
-from avgcase.prob import Binomial, RngStream, Tern, _run_trials, normal_cdf, sample
-from avgcase.verify import (SEMI_CR_CLASSES, EnergyQuery, chi2_bern_plus_bin,
+from avgcase.prob import RngStream, _run_trials, normal_cdf
+from avgcase.verify import (SEMI_CR_CLASSES, EnergyQuery, _binomial_pmf, chi2_bern_plus_bin,
                             chi2_bern_plus_bin_closed_form, chi2_test,
                             class_z_scores, covariance_identity_check,
                             empirical_tv_to_cdf, exact_tv, exact_tv_hyp_vs_bin,
@@ -117,7 +117,7 @@ def test_criterion_03_closed_form_bound_suite():
             n = int(gen.integers(1, 51))
             P = float(gen.uniform(0.01, 0.99))
             Q = float(gen.uniform(0.05, 0.95))
-            assert exact_tv(Binomial(n, P), Binomial(n, Q)) <= (
+            assert exact_tv(_binomial_pmf(n, P), _binomial_pmf(n, Q)) <= (
                 tv_bound_binomial(n, P, Q) + 1e-12)
         for m in range(1, 1001):
             P = 0.25 + 0.5 * (m % 7) / 7.0
@@ -267,7 +267,7 @@ def test_criterion_07_semi_cr_target_laws():
             assert abs(z) <= 3.0, ("adversary " + name, z)
 
 
-def test_criterion_08_srk3_marginals():
+def test_criterion_08_srk3_marginals(tern_bits):
     with criterion(8, "3-srk marginals: binned TV <= 0.01 at 1e6 samples", 300.0):
         # sparse-PCA corollary configuration with theta properly below
         # 1/(log n)^4; at theta = 1e-3 (which still satisfies the diagnostic
@@ -281,17 +281,17 @@ def test_criterion_08_srk3_marginals():
         family = PairFamily.gaussian_mean_shift(shift)  # targets at nu = +-1
         rng = RngStream(20_260_008)
         M = 1_000_000
-        for tag, spec, loc in (("plus", Tern(a, mu1, mu2), shift),
-                               ("minus", Tern(a, -mu1, mu2), -shift),
-                               ("null", Tern(a, 0.0, 0.0), 0.0)):
-            bits = sample(spec, rng.child("bits-" + tag), size=M)
+        for tag, law, loc in (("plus", (a, mu1, mu2), shift),
+                              ("minus", (a, -mu1, mu2), -shift),
+                              ("null", (a, 0.0, 0.0), 0.0)):
+            bits = tern_bits(*law, rng.child("bits-" + tag), M)
             out, _ = srk3_array(bits[None], family, [1.0], a, mu1, mu2, 60,
                                 [rng.child("kern-" + tag)])
             tv = empirical_tv_to_cdf(out[0], lambda u, s=loc: sst.norm.ppf(u, loc=s), 200)
             assert tv <= 0.01, (tag, tv)
         # degenerate P+ = P- = Q: outputs are exactly Q draws
         same = PairFamily.gaussian_mean_shift(0.0)
-        bits = sample(Tern(a, mu1, mu2), rng.child("dg"), size=100_000)
+        bits = tern_bits(a, mu1, mu2, rng.child("dg"), 100_000)
         out, _ = srk3_array(bits[None], same, [1.0], a, mu1, mu2, 40, [rng.child("dgk")])
         _, pval = ks_test(out[0], sst.norm.cdf)
         assert pval > ALPHA, pval
@@ -299,8 +299,6 @@ def test_criterion_08_srk3_marginals():
 
 def test_criterion_09_truncation_identity():
     with criterion(9, "truncation parameters match the exact trinomial law", 1.0):
-        from avgcase.prob import tern_pmf
-
         for tau in (0.3, 0.5, 1.0, 1.5, 2.0, 3.0):
             for mu in (1e-6, 1e-4, 0.01, 0.1, 0.3, 1.0):
                 a, mu1, mu2 = tern_params_from_truncation(tau, mu)

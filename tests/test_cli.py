@@ -447,6 +447,11 @@ _SRC = ["--k", "4", "--p", "1.0", "--q", "0.25", "--seed", "5"]
      "tau=40.0"),
     (["reduce", "glsm", "--in", "{graph}", *_SRC, "--n", "64", "--d", "256",
       "--tau", "1e-300"], "tau=1e-300"),
+    # h1's knobs given to h0, which would ignore them
+    (["generate", "tg", "--variant", "h0", "--n", "10", "--m", "5", "--mu1", "0.1",
+      "--k", "3", "--mu2", "0.2", "--seed", "1"], "tg h0 takes no --k --mu2"),
+    (["generate", "tg", "--variant", "h0", "--n", "10", "--m", "5", "--mu1", "0.1",
+      "--k2", "1", "--mu3", "0.2", "--seed", "1"], "tg h0 takes no --k2 --mu3"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     src = tmp_path / "src"

@@ -16,8 +16,8 @@ from avgcase.errors import ParameterError
 from avgcase.kernels import (_BLOCK, PairFamily, gaussianize,
                              gaussianize_mu_bound, rejection_delta,
                              rk_gauss_array, srk3_array,
-                             tern_params_from_truncation, truncate_tern)
-from avgcase.prob import RngStream, Tern, normal_cdf, sample, tern_pmf
+                             tern_params_from_truncation, tern_pmf, truncate_tern)
+from avgcase.prob import RngStream, normal_cdf
 from avgcase.verify import covariance_identity_check, ks_test
 
 
@@ -353,38 +353,38 @@ def test_srk3_zero_branch_single_round_acceptance():
     assert abs(freq - expect) < 4 * math.sqrt(expect * (1 - expect) / bits.size)
 
 
-def test_srk3_degenerate_identity():
+def test_srk3_degenerate_identity(tern_bits):
     # P+ = P- = Q: L1 = L2 = 0, every branch accepts w.p. 1/2 and the output
     # is exactly Q regardless of the input symbol.
-    bits = sample(Tern(0.5, 0.1, 0.05), RngStream(13).child("bits"), size=50_000)
+    bits = tern_bits(0.5, 0.1, 0.05, RngStream(13).child("bits"), 50_000)
     out = _srk3_row(bits, 0.0, (0.5, 0.1, 0.05), 30, RngStream(13).child("k"))
     stat, pval = ks_test(out, sst.norm.cdf)
     assert pval > 1e-4
 
 
-def test_srk3_three_marginals_ks():
+def test_srk3_three_marginals_ks(tern_bits):
     # shift must sit well inside the mu1/mu2 gates (mu1/shift ~ 13 here);
     # at larger shifts the kernel visibly truncates and the TV guarantee
     # degrades, which test_srk3_gate_truncation pins from the other side.
     shift = 3e-4
     mu = 0.016
     a, mu1, mu2 = tern_params_from_truncation(1.0, mu)
-    for spec, loc, tag in ((Tern(a, mu1, mu2), shift, "p"),
-                           (Tern(a, -mu1, mu2), -shift, "m"),
-                           (Tern(a, 0.0, 0.0), 0.0, "q")):
-        bits = sample(spec, RngStream(14).child("b" + tag), size=100_000)
+    for law, loc, tag in (((a, mu1, mu2), shift, "p"),
+                          ((a, -mu1, mu2), -shift, "m"),
+                          ((a, 0.0, 0.0), 0.0, "q")):
+        bits = tern_bits(*law, RngStream(14).child("b" + tag), 100_000)
         out = _srk3_row(bits, shift, (a, mu1, mu2), 50, RngStream(14).child("k" + tag))
         stat, pval = ks_test(out, lambda x, s=loc: sst.norm.cdf(x, loc=s))
         assert pval > 1e-4, (tag, stat, pval)
 
 
-def test_srk3_gate_truncation():
+def test_srk3_gate_truncation(tern_bits):
     # When the target shift crowds the mu1 gate the output is visibly a
     # truncated law: the kernel only promises closeness while the gate
     # failure mass is negligible.
     shift, mu = 3e-3, 0.016
     a, mu1, mu2 = tern_params_from_truncation(1.0, mu)
-    bits = sample(Tern(a, 0.0, 0.0), RngStream(24).child("b"), size=50_000)
+    bits = tern_bits(a, 0.0, 0.0, RngStream(24).child("b"), 50_000)
     out = _srk3_row(bits, shift, (a, mu1, mu2), 50, RngStream(24).child("k"))
     cut = mu1 / shift  # the |L1| gate collapses to roughly |x| <= mu1/shift
     assert cut < 2.0
@@ -439,18 +439,24 @@ def _srk3_reference(bits, family, nu, a, mu1, mu2, n_iter, rng):
     return out.reshape(bits.shape), remaining.size
 
 
-def _srk3_rows(n, d, seed, shifts=None):
-    """An (n, d) ternary input, the unit Gaussian family with one nu (the
-    row's mean shift) and one stream per row, and srk3 parameters whose
-    gates cut a sizeable share of Q's mass (about the benchmark's regime)."""
-    a, mu1, mu2 = tern_params_from_truncation(1.0, 0.016)
-    rng = RngStream(seed)
-    bits = sample(Tern(a, mu1, mu2), rng.child("bits"), size=n * d).reshape(n, d)
-    if shifts is None:
-        shifts = 1e-2 * rng.child("nu").generator().standard_normal(n)
-    streams = [rng.child("srk3", i) for i in range(n)]
-    return (bits, PairFamily.gaussian_mean_shift(1.0), np.asarray(shifts, dtype=float),
-            streams, (a, mu1, mu2))
+@pytest.fixture
+def srk3_rows(tern_bits):
+    """``srk3_rows(n, d, seed, shifts=None)``: an (n, d) ternary input, the
+    unit Gaussian family with one nu (the row's mean shift) and one stream
+    per row, and srk3 parameters whose gates cut a sizeable share of Q's
+    mass (about the benchmark's regime)."""
+
+    def build(n, d, seed, shifts=None):
+        a, mu1, mu2 = tern_params_from_truncation(1.0, 0.016)
+        rng = RngStream(seed)
+        bits = tern_bits(a, mu1, mu2, rng.child("bits"), n * d).reshape(n, d)
+        if shifts is None:
+            shifts = 1e-2 * rng.child("nu").generator().standard_normal(n)
+        streams = [rng.child("srk3", i) for i in range(n)]
+        return (bits, PairFamily.gaussian_mean_shift(1.0), np.asarray(shifts, dtype=float),
+                streams, (a, mu1, mu2))
+
+    return build
 
 
 def _srk3_reference_rows(bits, family, nus, streams, params, n_iter):
@@ -465,10 +471,10 @@ def _srk3_reference_rows(bits, family, nus, streams, params, n_iter):
     (300, 1000, None),  # the default block, 262 rows, and a short last block
     (1, 5000, None),  # one row, passed as bits[None], [nu], [stream]
 ])
-def test_srk3_blocks_match_the_one_row_loop(monkeypatch, n, d, block):
+def test_srk3_blocks_match_the_one_row_loop(monkeypatch, n, d, block, srk3_rows):
     if block is not None:
         monkeypatch.setattr(kernels, "_BLOCK", block)
-    bits, family, nus, streams, params = _srk3_rows(n, d, 60)
+    bits, family, nus, streams, params = srk3_rows(n, d, 60)
     nus[-1] = 5.0  # far past the gates: every entry of the last row falls back
     out, fallback = srk3_array(bits, family, nus, *params, 30, streams)
     ref, ref_fallback = _srk3_reference_rows(bits, family, nus, streams, params, 30)
@@ -476,10 +482,10 @@ def test_srk3_blocks_match_the_one_row_loop(monkeypatch, n, d, block):
     assert fallback == ref_fallback >= d
 
 
-def test_srk3_row_that_falls_back_everywhere():
+def test_srk3_row_that_falls_back_everywhere(srk3_rows):
     # A shift far past the gates rejects every proposal of row 1: it keeps
     # its initializer whole, and the rows around it are unaffected.
-    bits, family, nus, streams, params = _srk3_rows(3, 50, 61, shifts=[1e-4, 5.0, -1e-4])
+    bits, family, nus, streams, params = srk3_rows(3, 50, 61, shifts=[1e-4, 5.0, -1e-4])
     out, fallback = srk3_array(bits, family, nus, *params, 20, streams)
     ref, ref_fallback = _srk3_reference_rows(bits, family, nus, streams, params, 20)
     assert out.tobytes() == ref.tobytes()
@@ -488,12 +494,12 @@ def test_srk3_row_that_falls_back_everywhere():
     assert fallback == ref_fallback == 50
 
 
-def test_srk3_evaluates_the_ratios_once_per_block_step(monkeypatch):
+def test_srk3_evaluates_the_ratios_once_per_block_step(monkeypatch, srk3_rows):
     # Two log_likelihood_ratio calls per block step, at nu and -nu of every
     # open entry, whatever the number of rows in the block.  Every shift
     # here is far past the gates, so each block runs all 20 steps.
     monkeypatch.setattr(kernels, "_BLOCK", 2 * 50)
-    bits, family, nus, streams, params = _srk3_rows(5, 50, 66, shifts=[5.0, -5.0, 6.0, -6.0, 7.0])
+    bits, family, nus, streams, params = srk3_rows(5, 50, 66, shifts=[5.0, -5.0, 6.0, -6.0, 7.0])
     calls = []
 
     def llr(x, nu):
@@ -507,11 +513,11 @@ def test_srk3_evaluates_the_ratios_once_per_block_step(monkeypatch):
     assert {shape[0] for shape in calls} == {50, 100}  # one nu per open entry
 
 
-def test_srk3_bytes_independent_of_workers(monkeypatch, on_workers):
+def test_srk3_bytes_independent_of_workers(monkeypatch, on_workers, srk3_rows):
     # Serial, the default pool, and more workers than cores give the same
     # bytes.
     monkeypatch.setattr(kernels, "_BLOCK", 4 * 300)
-    bits, family, nus, streams, params = _srk3_rows(40, 300, 63)
+    bits, family, nus, streams, params = srk3_rows(40, 300, 63)
 
     def run():
         return srk3_array(bits, family, nus, *params, 30, streams)[0].tobytes()
@@ -521,12 +527,12 @@ def test_srk3_bytes_independent_of_workers(monkeypatch, on_workers):
     assert on_workers(run, 8, 8) == serial
 
 
-def test_srk3_transient_memory_bounded(monkeypatch):
+def test_srk3_transient_memory_bounded(monkeypatch, srk3_rows):
     # The loop's temporaries are those of at most _MAX_IN_FLIGHT row blocks
     # (all of them in flight here, whatever the host's core count): the peak
     # allocation inside the call exceeds its output by a fixed allowance.
     monkeypatch.setattr(prob, "_usable_cpus", lambda: prob._MAX_IN_FLIGHT)
-    bits, family, nus, streams, params = _srk3_rows(512, 4096, 64)
+    bits, family, nus, streams, params = srk3_rows(512, 4096, 64)
     tracemalloc.start()
     try:
         X, _ = srk3_array(bits, family, nus, *params, 62, streams)
@@ -536,9 +542,9 @@ def test_srk3_transient_memory_bounded(monkeypatch):
     assert peak < X.nbytes + 64 * 2 ** 20
 
 
-def test_srk3_needs_one_pair_and_stream_per_row():
+def test_srk3_needs_one_pair_and_stream_per_row(srk3_rows):
     # one nu and one stream per row of a 2-D stack, and nothing but a stack
-    bits, family, nus, streams, params = _srk3_rows(4, 10, 65)
+    bits, family, nus, streams, params = srk3_rows(4, 10, 65)
     for nu_arg, stream_arg in ((nus[:3], streams), (np.tile(nus, 2), streams),
                                (nus.reshape(2, 2), streams), (nus, streams[:1]),
                                (nus[0], streams[0]), (nus, streams[0])):
@@ -558,6 +564,13 @@ def test_truncate_tern():
     assert truncate_tern(np.array([-5, 0, 5]), 2.0).dtype == np.int8
     with pytest.raises(ParameterError):
         truncate_tern(0.0, 0.0)
+
+
+def test_tern_pmf_examples():
+    assert_allclose(tern_pmf(0.5, 0.0, 0.0), (0.25, 0.5, 0.25))
+    assert_allclose(tern_pmf(0.5, 0.1, 0.0), (0.15, 0.5, 0.35))
+    with pytest.raises(ParameterError, match="-1"):
+        tern_pmf(0.2, 0.5, 0.0)  # outcome -1 mass would be -0.1
 
 
 def test_tern_params_from_truncation():

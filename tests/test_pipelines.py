@@ -18,7 +18,7 @@ from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, check_uc,
                                plan_glsm, plan_isgm, plan_semi_cr, sample_isgm,
                                semi_cr_mus, spca_family, to_k_partite_submatrix)
 from avgcase.kernels import PairFamily, gaussianize, gaussianize_mu_bound
-from avgcase.prob import Gaussian, RngStream
+from avgcase.prob import RngStream
 from avgcase.verify import chi2_test
 
 
@@ -281,8 +281,7 @@ def test_submatrix_h1_planted_block():
 
 def test_submatrix_h0_diagonal_support_law():
     # Within each part the diagonal support size follows Bin(m/k, Q).
-    from avgcase.prob import Binomial, finite_pmf
-    from avgcase.verify import chi2_gof_counts
+    from avgcase.verify import _binomial_pmf, chi2_gof_counts
 
     N, k, p, q, m, trials = 32, 4, 0.75, 0.25, 120, 500
     Q = clone_Q(p, q)
@@ -297,7 +296,7 @@ def test_submatrix_h0_diagonal_support_law():
         sizes.extend(np.diag(out[0]).reshape(k, m // k).sum(axis=1).tolist())
     assert refused <= _most_refusals(N, k, p, q, m, trials)
     stat, pval = chi2_gof_counts(np.array(sizes, dtype=float),
-                                 finite_pmf(Binomial(m // k, Q)))
+                                 _binomial_pmf(m // k, Q))
     assert pval > 1e-4
 
 
@@ -427,6 +426,8 @@ def test_plan_rejects_bad_ell_and_w(target, kwargs):
     ("ISGM", {"r": 2, "N": 32, "k": 4, "n": 100}, "lower --w or --n"),
     ("GLSM", {"n": 64, "k": 4, "d": 8}, "m <= d"),
     ("SEMI_CR", {"ell": 2, "N": 32, "k": 4, "n": 63}, "n >= m/2 = 64"),
+    # the embedding needs k <= Q N / 4, and Q = 1/2 here
+    ("SEMI_CR", {"ell": 2, "N": 40, "k": 8}, "need k <= Q N / 4 = 5.00, got k=8"),
 ])
 def test_plan_rejects_sizes_it_cannot_plan(target, kwargs, says):
     if target != "SEMI_CR":
@@ -521,7 +522,7 @@ def test_isgm_structural_errors(monkeypatch):
     large = sample_gnq(64, 0.25, RngStream(116))
     semi_plan = plan_semi_cr(1.0, 0.25, N=32, k=4, ell=2)
     glsm_plan = plan_glsm(1.0, 0.25, 2.0, n=64, k=4)  # N = 84
-    family, D = spca_family(64, 4, 1e-5)
+    family, nu_sd = spca_family(64, 4, 1e-5)
 
     def no_draw(stream):
         raise AssertionError("a stream was drawn from")
@@ -532,7 +533,7 @@ def test_isgm_structural_errors(monkeypatch):
         (lambda: pds_to_isgm(small, plan, RngStream(117), trace=small_tr), "N=32"),
         (lambda: pds_to_isgm(large, plan, RngStream(117)), "64 vertices .* N=32"),
         (lambda: pds_to_semi_cr(small, semi_plan, RngStream(117), trace=small_tr), "N=32"),
-        (lambda: pds_to_glsm(small, glsm_plan, 1.0, family, D, RngStream(117)), "N=84"),
+        (lambda: pds_to_glsm(small, glsm_plan, 1.0, family, nu_sd, RngStream(117)), "N=84"),
     ]:
         with pytest.raises(ParameterError, match=says):
             run()
@@ -627,7 +628,7 @@ def test_semi_cr_rejects_a_foreign_plan():
         pds_to_semi_cr(G, isgm_plan, RngStream(134))
     plan = plan_semi_cr(p, q, N=N, k=k, ell=2)
     with pytest.raises(ParameterError, match="plan needs N=40"):  # another source size
-        pds_to_semi_cr(G, plan_semi_cr(p, q, N=40, k=8, ell=2), RngStream(134))
+        pds_to_semi_cr(G, plan_semi_cr(p, q, N=40, k=4, ell=2), RngStream(134))
     with pytest.raises(ParameterError, match="ISGM or GLSM plan"):  # and the other way round
         pds_to_isgm(G, plan, RngStream(134))
 
@@ -749,8 +750,8 @@ def _mean_shifts(family, nus):
 
 def test_spca_family_is_the_corollary_configuration():
     n, k, theta = 10_000, 100, 1e-5
-    family, D = spca_family(n, k, theta)
-    assert D == Gaussian(0.0, 1.0 / math.sqrt(3.0 * math.log(n)))
+    family, nu_sd = spca_family(n, k, theta)
+    assert nu_sd == 1.0 / math.sqrt(3.0 * math.log(n))
     scale = math.sqrt(3.0 * theta * math.log(n) / k)
     x = np.linspace(-3.0, 3.0, 7)
     for nu in (-0.4, 0.0, 0.25):
@@ -769,8 +770,8 @@ def test_glsm_h0_shape_and_coordinates():
     p, q = 1.0, 0.25
     plan = plan_glsm(p, q, 2.0, n=48, k=4, d=200)
     G = sample_gnq(plan.N, q, RngStream(140))
-    family, D = spca_family(10_000, 100, 1e-5)
-    X, trace = pds_to_glsm(G, plan, 1.0, family, D, RngStream(141))
+    family, nu_sd = spca_family(10_000, 100, 1e-5)
+    X, trace = pds_to_glsm(G, plan, 1.0, family, nu_sd, RngStream(141))
     assert X.shape == (48, plan.d)
     assert len(trace.params["nu"]) == 48
     _, pvals = ks_matrix(X.T, sst.norm.cdf)
@@ -786,10 +787,10 @@ def test_glsm_refuses_a_degenerate_tau_before_the_mixture_stage(monkeypatch, tau
 
     plan = plan_glsm(1.0, 0.25, 2.0, n=32, k=4)
     G, tr = sample_k_pds(plan.N, 4, 1.0, 0.25, RngStream(145))
-    family, D = spca_family(32, 4, 1e-5)
+    family, nu_sd = spca_family(32, 4, 1e-5)
     monkeypatch.setattr(pipelines, "pds_to_isgm", never)
     with pytest.raises(ParameterError, match=f"tau={tau}.*a must lie in"):
-        pds_to_glsm(G, plan, tau, family, D, RngStream(146), trace=tr)
+        pds_to_glsm(G, plan, tau, family, nu_sd, RngStream(146), trace=tr)
 
 
 def test_glsm_trace_counts_srk3_fallbacks():
@@ -798,9 +799,9 @@ def test_glsm_trace_counts_srk3_fallbacks():
     # theta = 1e-4 crowds srk3's gates, so some rows' entries run out.
     plan = plan_glsm(1.0, 0.25, 2.0, n=48, k=4, d=200)
     G = sample_gnq(plan.N, 0.25, RngStream(143))
-    family, D = spca_family(48, 4, 1e-4)
+    family, nu_sd = spca_family(48, 4, 1e-4)
     rng = RngStream(144)
-    X, trace = pds_to_glsm(G, plan, 1.0, family, D, rng)
+    X, trace = pds_to_glsm(G, plan, 1.0, family, nu_sd, rng)
     init = np.stack([rng.child("srk3", i).child("srk3").generator().standard_normal(plan.d)
                      for i in range(48)])
     fallback = trace.params["srk3_fallback_entries"]
@@ -813,11 +814,11 @@ def test_glsm_planted_coordinate_means():
     # component) at the corollary configuration.
     p, q = 1.0, 0.25
     plan = plan_glsm(p, q, 2.0, n=64, k=4)  # d defaults to m
-    family, D = spca_family(10_000, 100, 1e-5)
+    family, nu_sd = spca_family(10_000, 100, 1e-5)
     acc = []
     for i in range(60):
         G, tr = sample_k_pds(plan.N, 4, p, q, RngStream(142).child("g", i))
-        X, otr = pds_to_glsm(G, plan, 1.0, family, D, RngStream(142).child("r", i),
+        X, otr = pds_to_glsm(G, plan, 1.0, family, nu_sd, RngStream(142).child("r", i),
                              trace=tr)
         S = otr.planted_set
         nus = np.asarray(otr.params["nu"])
@@ -834,20 +835,36 @@ def test_check_uc_spca_passes_and_fat_fails():
     # At theta = 1e-3 sparse PCA breaks condition (ii) on about half the
     # seeds (median violation frequency 1.5e-3 against 1e-3); at 1e-4 no
     # seed tried shows a violation.
-    family, D = spca_family(10_000, 100, 1e-4)
-    rep = check_uc(10_000, 100, 1000, D, family, 60_000, RngStream(143))
+    family, nu_sd = spca_family(10_000, 100, 1e-4)
+    rep = check_uc(10_000, 100, 1000, nu_sd, family, 60_000, RngStream(143))
     assert rep["condition_i"]["pass"] and rep["condition_ii"]["pass"]
     # a deliberately fat planted family (mean shifts near 1) breaks condition (ii)
     fat = PairFamily.gaussian_mean_shift(10.0)
-    rep2 = check_uc(10_000, 100, 1000, D, fat, 20_000, RngStream(144))
+    rep2 = check_uc(10_000, 100, 1000, nu_sd, fat, 20_000, RngStream(144))
     assert not rep2["condition_ii"]["pass"]
 
 
-def test_check_uc_asymmetric_d_fails_condition_i():
+def test_check_uc_wide_nu_law_fails_condition_i():
     family, _ = spca_family(10_000, 100, 1e-3)
-    D_wide = Gaussian(0.0, 10.0)  # mass escapes [-1, 1]
-    rep = check_uc(10_000, 100, 1000, D_wide, family, 20_000, RngStream(145))
+    # N(0, 10^2): symmetric, but its mass escapes [-1, 1]
+    rep = check_uc(10_000, 100, 1000, 10.0, family, 20_000, RngStream(145))
     assert not rep["condition_i"]["pass"]
+
+
+@pytest.mark.parametrize("nu_sd", [0.0, -1.0, math.inf, math.nan])
+def test_glsm_and_check_uc_refuse_a_bad_nu_sd(monkeypatch, nu_sd):
+    # refused before the mixture stage runs
+    def never(*args, **kwargs):
+        raise AssertionError("pds_to_isgm ran")
+
+    plan = plan_glsm(1.0, 0.25, 2.0, n=32, k=4)
+    G = sample_gnq(plan.N, 0.25, RngStream(147))
+    family, _ = spca_family(32, 4, 1e-5)
+    monkeypatch.setattr(pipelines, "pds_to_isgm", never)
+    with pytest.raises(ParameterError, match="nu_sd must be positive and finite"):
+        pds_to_glsm(G, plan, 1.0, family, nu_sd, RngStream(148))
+    with pytest.raises(ParameterError, match="nu_sd must be positive and finite"):
+        check_uc(32, 4, 100, nu_sd, family, 1_000, RngStream(149))
 
 
 def test_semi_cr_h0_class_marginals():

@@ -1,4 +1,5 @@
-"""Tests for seeded streams, distribution specs and the normal CDF."""
+"""Tests for seeded streams, the pool policy and the normal CDF, and for
+the chi-square calibration of draws from the streams against exact laws."""
 
 import multiprocessing
 import os
@@ -10,14 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from avgcase import prob
 from avgcase.errors import ParameterError
-from avgcase.prob import (Binomial, FinitePmf, Gaussian, Hypergeometric,
-                          RngStream, Tern, finite_pmf, normal_cdf, sample,
-                          _validate_spec, tern_pmf, uniform_below)
-from avgcase.verify import chi2_gof_counts
+from avgcase.kernels import tern_pmf
+from avgcase.prob import RngStream, normal_cdf, uniform_below
+from avgcase.verify import FinitePmf, _binomial_pmf, chi2_gof_counts
 
 # Standard normal CDF values computed with mpmath.ncdf at 40 digits.
 PHI_ORACLE = {
@@ -50,59 +50,30 @@ def test_stream_integer_draws_bit_identical():
     assert_array_equal(g1.integers(0, 2**62, size=64), g2.integers(0, 2**62, size=64))
 
 
-def test_sample_repeatable_and_advancing():
-    rng = RngStream(5)
-    x = sample(Gaussian(0, 1), rng.child("a"))
-    assert x == sample(Gaussian(0, 1), rng.child("a"))
-    seq = [sample(Gaussian(0, 1), rng.child("a", i)) for i in range(4)]
-    assert len(set(seq)) == 4
+def _hypergeometric_pmf(N, K, n):
+    from scipy.stats import hypergeom
 
-
-def test_bernoulli_degenerate():
-    # Bern(p) is Binomial(1, p)
-    rng = RngStream(1)
-    assert np.all(sample(Binomial(1, 0.0), rng, size=500) == 0)
-    assert np.all(sample(Binomial(1, 1.0), rng, size=500) == 1)
-
-
-def test_gaussian_moments():
-    # LLN check: mean within 4/sqrt(n), variance within 0.01 of 1.
-    x = sample(Gaussian(0, 1), RngStream(11).child("lln"), size=10**6)
-    assert abs(x.mean()) < 4 / np.sqrt(10**6)
-    assert abs(x.var() - 1.0) < 0.01
-
-
-def test_tern_pmf_examples():
-    assert_allclose(tern_pmf(0.5, 0.0, 0.0), (0.25, 0.5, 0.25))
-    assert_allclose(tern_pmf(0.5, 0.1, 0.0), (0.15, 0.5, 0.35))
-    with pytest.raises(ParameterError, match="-1"):
-        tern_pmf(0.2, 0.5, 0.0)  # outcome -1 mass would be -0.1
-
-
-def test_spec_validation_errors():
-    for bad in (
-        Binomial(1, 1.5),
-        Binomial(-1, 0.5),
-        Gaussian(0.0, 0.0),
-        Hypergeometric(10, 12, 5),
-        FinitePmf((1.0, 2.0), (0.7, 0.7)),
-    ):
-        with pytest.raises(ParameterError):
-            _validate_spec(bad)
+    ks = np.arange(max(0, n - (N - K)), min(n, K) + 1)
+    return FinitePmf(tuple(ks.astype(float)), tuple(hypergeom.pmf(ks, N, K, n)))
 
 
 @pytest.mark.parametrize("spec", [
-    Binomial(1, 0.3),
-    Binomial(12, 0.4),
-    Hypergeometric(50, 20, 12),
-    Tern(0.6, 0.05, 0.01),
-    FinitePmf((0.0, 1.0, 5.0), (0.2, 0.5, 0.3)),
+    # (stream tag, the exact law, a draw of n from a generator)
+    ("bin-1", lambda: _binomial_pmf(1, 0.3), lambda g, n: g.binomial(1, 0.3, n)),
+    ("bin-12", lambda: _binomial_pmf(12, 0.4), lambda g, n: g.binomial(12, 0.4, n)),
+    ("hyp", lambda: _hypergeometric_pmf(50, 20, 12),
+     lambda g, n: g.hypergeometric(20, 30, 12, n)),
+    ("tern", lambda: FinitePmf((-1.0, 0.0, 1.0), tern_pmf(0.6, 0.05, 0.01)),
+     lambda g, n: g.choice((-1.0, 0.0, 1.0), n, p=tern_pmf(0.6, 0.05, 0.01))),
+    ("finite", lambda: FinitePmf((0.0, 1.0, 5.0), (0.2, 0.5, 0.3)),
+     lambda g, n: g.choice((0.0, 1.0, 5.0), n, p=(0.2, 0.5, 0.3))),
 ])
 def test_finite_specs_chi2_gof(spec):
-    # 1e5 samples pass a chi-square test against the exact pmf at 1e-4.
-    x = sample(spec, RngStream(2026).child(repr(spec)), size=100_000)
-    stat, pval = chi2_gof_counts(np.asarray(x, dtype=float), finite_pmf(spec))
-    assert pval > 1e-4, (spec, stat, pval)
+    # 1e5 draws pass a chi-square test against the exact pmf at 1e-4.
+    tag, law, draw = spec
+    x = draw(RngStream(2026).child(tag).generator(), 100_000)
+    stat, pval = chi2_gof_counts(np.asarray(x, dtype=float), law())
+    assert pval > 1e-4, (tag, stat, pval)
 
 
 def test_normal_cdf_against_oracle():
@@ -129,15 +100,6 @@ def test_normal_cdf_is_scipy_ndtr_bit_for_bit():
     assert_array_equal(got.view(np.uint64), ndtr(x).view(np.uint64))
     assert isinstance(normal_cdf(np.float64(0.3)), float)
     assert np.isnan(normal_cdf(np.nan))
-
-
-def test_hypergeometric_matches_scipy_pmf():
-    from scipy.stats import hypergeom
-
-    pm = finite_pmf(Hypergeometric(30, 12, 9))
-    values, probs = pm.as_arrays()
-    assert_allclose(probs, hypergeom.pmf(values, 30, 12, 9), atol=1e-14)
-    assert abs(probs.sum() - 1.0) < 1e-12
 
 
 def _started(seed, start, k):

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from avgcase.errors import ParameterError
 from avgcase.graphs import Graph
-from avgcase.kernels import tern_params_from_truncation, truncate_tern
-from avgcase.prob import FinitePmf, normal_cdf, tern_pmf
-from avgcase.verify import exact_tv
+from avgcase.kernels import tern_params_from_truncation, tern_pmf, truncate_tern
+from avgcase.prob import normal_cdf
+from avgcase.verify import FinitePmf, exact_tv
 
 finite_probs = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6)
 

@@ -19,8 +19,9 @@ from avgcase.cli import main
 from avgcase.errors import FeasibilityError, ParameterError
 from avgcase.geometry import build_H
 from avgcase.pipelines import plan_isgm
-from avgcase.prob import Binomial, FinitePmf, RngStream
-from avgcase.verify import (EnergyQuery, _isgm_count_pmf, battery_params, chi2_bern_plus_bin,
+from avgcase.prob import RngStream
+from avgcase.verify import (EnergyQuery, FinitePmf, _binomial_pmf, _isgm_count_pmf,
+                            battery_params, chi2_bern_plus_bin,
                             chi2_bern_plus_bin_closed_form, chi2_test,
                             covariance_identity_check, empirical_tv_to_cdf, exact_tv,
                             exact_tv_hyp_vs_bin, ks_matrix, ks_test,
@@ -31,10 +32,10 @@ from avgcase.verify import (EnergyQuery, _isgm_count_pmf, battery_params, chi2_b
 
 
 def test_exact_tv_examples():
-    assert exact_tv(Binomial(1, 0.5), Binomial(1, 0.5)) == 0.0
-    assert exact_tv(Binomial(1, 0.0), Binomial(1, 1.0)) == 1.0
+    assert exact_tv(_binomial_pmf(1, 0.5), _binomial_pmf(1, 0.5)) == 0.0
+    assert exact_tv(_binomial_pmf(1, 0.0), _binomial_pmf(1, 1.0)) == 1.0
     # hand enumeration: (.25,.5,.25) vs (.5625,.375,.0625)
-    assert abs(exact_tv(Binomial(2, 0.5), Binomial(2, 0.25)) - 0.3125) < 1e-12
+    assert abs(exact_tv(_binomial_pmf(2, 0.5), _binomial_pmf(2, 0.25)) - 0.3125) < 1e-12
 
 
 def test_exact_tv_disjoint_supports():
@@ -47,10 +48,10 @@ def test_tv_bound_binomial_examples():
     assert tv_bound_binomial(10, 0.5, 0.5) == 0.0
     bound = tv_bound_binomial(1, 0.75, 0.5)
     assert abs(bound - 0.25 * math.sqrt(2.0)) < 1e-12
-    assert exact_tv(Binomial(1, 0.75), Binomial(1, 0.5)) <= bound
+    assert exact_tv(_binomial_pmf(1, 0.75), _binomial_pmf(1, 0.5)) <= bound
     bound20 = tv_bound_binomial(20, 0.6, 0.5)
     assert abs(bound20 - 0.1 * math.sqrt(20 / 0.5)) < 1e-12
-    assert exact_tv(Binomial(20, 0.6), Binomial(20, 0.5)) <= bound20
+    assert exact_tv(_binomial_pmf(20, 0.6), _binomial_pmf(20, 0.5)) <= bound20
 
 
 def test_tv_bound_binomial_dominates_on_grid():
@@ -60,7 +61,8 @@ def test_tv_bound_binomial_dominates_on_grid():
         n = int(rng.integers(1, 51))
         P = float(rng.uniform(0.01, 0.99))
         Q = float(rng.uniform(0.05, 0.95))
-        assert exact_tv(Binomial(n, P), Binomial(n, Q)) <= tv_bound_binomial(n, P, Q) + 1e-12
+        assert exact_tv(_binomial_pmf(n, P), _binomial_pmf(n, Q)) <= (
+            tv_bound_binomial(n, P, Q) + 1e-12)
 
 
 def test_chi2_bern_plus_bin_examples_and_identity():
@@ -231,7 +233,7 @@ def test_isgm_count_law_is_the_exact_mixture():
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert mean == pytest.approx(63.5, abs=1e-9)
     assert probs @ (values - mean) ** 2 == pytest.approx(31.75, abs=1e-9)
-    assert exact_tv(law, Binomial(127, 0.5)) == pytest.approx(0.0702, abs=5e-4)
+    assert exact_tv(law, _binomial_pmf(127, 0.5)) == pytest.approx(0.0702, abs=5e-4)
 
 
 # ---------------------------------------------------------------------------
