@@ -31,7 +31,8 @@ print(f"  (ii) likelihood-ratio bounds: violation freq "
 unit = PairFamily.gaussian_mean_shift(1.0)  # P_nu = N(sign(nu), 1) below
 fat = PairFamily(unit.sample_noise,
                  lambda gen, nu, size: unit.sample_planted(gen, np.sign(nu), size),
-                 lambda x, nu: unit.log_likelihood_ratio(x, np.sign(nu)))
+                 lambda x, nu: unit.log_likelihood_ratio(x, np.sign(nu)),
+                 lambda nus, gate1, gate2: unit.gate_empty(np.sign(nus), gate1, gate2))
 bad = check_uc(n_stat, k_stat, 1000, nu_sd, fat, 20_000, rng.child("uc-fat"))
 print(f"  a fat mean-shift-1 family violates (ii) at freq "
       f"{bad['condition_ii']['violation_freq']:.2f} -> fail (as it should)")

@@ -30,7 +30,10 @@ draws from the i-th stream passed in, and a block is floor(``_BLOCK`` / d)
 whole rows (at least one), stepped together so that the likelihood ratios,
 the gate, the acceptance rule and the compaction run once per block rather
 than once per row.  Its block size therefore changes only the speed, never
-the output.
+the output.  Before the loop it asks the family's ``gate_empty`` oracle,
+once for all rows, which rows have no x passing both gates at their nu; such
+a row is settled: it draws its Q initializer and nothing more, since no
+proposal of it could be accepted, so settling it changes no byte either.
 
 Both kernels build every generator before any block starts and run their
 blocks through the pool policy that ``prob._run_blocks`` defines for every
@@ -46,7 +49,8 @@ and every float are those of the two-mask loop it replaced.
 A ``PairFamily`` {P_nu} against one noise law Q gives its likelihood ratios
 in log-space, elementwise with nu broadcast against x; the operating
 regimes involve mu1, mu2 down to 1e-5 and the naive ratios would overflow
-first.
+first.  It also says at which nu srk3's gate set is provably empty
+(``gate_empty``; False is always a safe answer).
 
 Acceptance-probability note: the three-branch acceptance rule reconstructs
 dP+/dQ, dP-/dQ and 1 exactly when mixed with the ternary input weights
@@ -239,11 +243,20 @@ class PairFamily:
     size)`` draws from P_nu (diagnostics only, never the kernels);
     ``log_likelihood_ratio(x, nu)`` is log dP_nu/dQ(x) elementwise, with nu
     a scalar or an array broadcast against x.
+
+    ``gate_empty(nus, gate1, gate2)`` returns one bool per nu of the array
+    ``nus``.  It may be True only if no x passes both of srk3's gates at
+    that nu, ``|l1| <= gate1`` and ``|l2| <= gate2`` with l1 = lr+ - lr- and
+    l2 = lr+ + lr- - 2, the ratios lr+- = exp(``log_likelihood_ratio(x,
+    +-nu)``) as srk3 computes them in floats; False is always safe.  srk3
+    settles such a row before its loop: the row keeps its Q initializer
+    and draws no proposal, which could never be accepted.
     """
 
     sample_noise: Callable
     sample_planted: Callable
     log_likelihood_ratio: Callable
+    gate_empty: Callable
 
     @classmethod
     def gaussian_mean_shift(cls, scale: float) -> "PairFamily":
@@ -260,10 +273,27 @@ class PairFamily:
             shift -= half
             return shift
 
+        def gate_empty(nus, gate1, gate2):
+            # A gated x has lr+ + lr- >= 2 - gate2 and |lr+ - lr-| <= gate1,
+            # so (lr+ + lr-)^2 - (lr+ - lr-)^2 = 4 lr+ lr- >= (2 - gate2)^2
+            # - gate1^2 (when gate2 < 2), and lr+ lr- = exp(-(nu scale)^2)
+            # at every x.  On the gate set both ratios lie in [c, 2], c =
+            # (2 - gate1 - gate2) / 2, and c > 1e-13 wherever the test below
+            # can hold.  So each float srk3 rounds there (the shift, the two
+            # log-ratios, their exps, sum and difference) is at most 30 in
+            # size with a relative error of a few 2^-53, and the rounded
+            # ratios' product is within 1e-14 of exp(-(nu scale)^2) (about
+            # 1e-15 at srk3's small gates, where c is near 1).  The 1e-12
+            # margin covers that.
+            shift = np.multiply(nus, scale)
+            floor = max(2.0 - gate2, 0.0)
+            return 4.0 * np.exp(-(shift * shift)) < floor * floor - gate1 * gate1 - 1e-12
+
         return cls(
             sample_noise=lambda gen, size: gen.standard_normal(size),
             sample_planted=lambda gen, nu, size: nu * scale + gen.standard_normal(size),
             log_likelihood_ratio=llr,
+            gate_empty=gate_empty,
         )
 
 
@@ -307,6 +337,12 @@ def srk3_array(bits, family: PairFamily, nus, a, mu1, mu2, n_iter, streams):
     draw from Q (distributionally harmless).  Returns ``(out, count of
     those entries)``.
 
+    The gates are |l1| <= 2 mu1 and |l2| <= 2 mu2 / max(a, 1 - a).  The
+    family's ``gate_empty`` oracle is asked once, for all rows; a row it
+    settles (no x passes both gates at its nu) draws its initializer and
+    nothing more, and its d entries count as kept.  The output is that of
+    stepping the row through its whole budget, which accepts nothing.
+
     The rows run in blocks of floor(``_BLOCK`` / d) rows (at least one)
     through ``_run_blocks``.  A row's draws come from its own generator
     alone, so the output is that of running the rows one at a time, on any
@@ -330,6 +366,10 @@ def srk3_array(bits, family: PairFamily, nus, a, mu1, mu2, n_iter, streams):
     if not ternary.all():
         raise ParameterError("srk3 inputs must lie in {-1, 0, +1}")
     del ternary
+    gate1, gate2 = 2.0 * abs(mu1), 2.0 * abs(mu2) / max(a, 1.0 - a)
+    settled = np.asarray(family.gate_empty(nus, gate1, gate2), dtype=bool)
+    if settled.shape != (n,):
+        raise ParameterError(f"gate_empty returned shape {settled.shape} for {n} rows")
     out = np.empty((n, d))
     gens = [s.child("srk3").generator() for s in streams]
     per_block = max(1, _BLOCK // max(d, 1))
@@ -338,34 +378,37 @@ def srk3_array(bits, family: PairFamily, nus, a, mu1, mu2, n_iter, streams):
 
     def run(j):
         b = slice(j * per_block, (j + 1) * per_block)
-        fallback[j] = _srk3_block(bits[b], out[b], family, nus[b], gens[b],
-                                  a, mu1, mu2, n_iter)
+        fallback[j] = _srk3_block(bits[b], out[b], family, nus[b], settled[b], gens[b],
+                                  a, mu1, mu2, gate1, gate2, n_iter)
 
     _run_blocks(run, n_blocks)
     return out, sum(fallback)
 
 
-def _srk3_block(bits, out, family, nus, gens, a, mu1, mu2, n_iter) -> int:
+def _srk3_block(bits, out, family, nus, settled, gens, a, mu1, mu2, gate1, gate2,
+                n_iter) -> int:
     """One block of rows of the 3-ary loop, written into the view ``out``;
     returns how many entries kept their initializer.
 
-    Each row first draws its initializer from Q.  Each step, every row with
-    entries left draws its proposals z, then its uniforms u, from its own
-    generator; the two likelihood ratios, at nu and -nu of each entry's
-    row, the gate, the acceptance rule and the compaction then run once
-    over the block.  The remaining entries stay in row-major order, so each
-    row's are one contiguous segment.
+    Each row first draws its initializer from Q; a ``settled`` row stops
+    there.  Each step, every row with entries left draws its proposals z,
+    then its uniforms u, from its own generator; the two likelihood ratios,
+    at nu and -nu of each entry's row, the gate, the acceptance rule and the
+    compaction then run once over the block.  The remaining entries stay in
+    row-major order, so each row's are one contiguous segment.
     """
     n_rows, d = out.shape
     for i in range(n_rows):
         out[i] = family.sample_noise(gens[i], d)
     flat_out = out.reshape(-1)
-    # positions of the entries still open, in int32 when the block allows
-    rem = np.arange(n_rows * d, dtype=np.int32 if n_rows * d < 2 ** 31 else np.int64)
-    sym = bits.reshape(-1).astype(np.int8)
-    left = np.full(n_rows, d)
+    # positions of the entries still open, in int32 when the block allows;
+    # a settled row has none
+    live = np.repeat(~settled, d)
+    rem = np.flatnonzero(live).astype(np.int32 if n_rows * d < 2 ** 31 else np.int64)
+    sym = bits.reshape(-1)[live].astype(np.int8)
+    left = np.where(settled, 0, d)
+    del live
     bufs = np.empty((5, rem.size))
-    gate1, gate2 = 2.0 * abs(mu1), 2.0 * abs(mu2) / max(a, 1.0 - a)
     for _ in range(n_iter):
         if rem.size == 0:
             break
@@ -419,7 +462,7 @@ def _srk3_block(bits, out, family, nus, gens, a, mu1, mu2, n_iter) -> int:
         rem, sym = rem[keep], sym[keep]
         # spent index arrays, freed before the next step's ratios allocate
         del gated, accept, hit, keep
-    return int(rem.size)
+    return int(rem.size) + d * int(settled.sum())
 
 
 def truncate_tern(x, tau: float):

@@ -818,9 +818,11 @@ def pds_to_glsm(G: Graph, plan: ReductionPlan, tau: float,
     truncates every entry to {-1, 0, +1} and pushes it through the
     symmetric 3-ary kernel toward (P_nu, P_-nu, Q), with the row's nu and
     one stream per row.  The trace's ``srk3_fallback_entries`` counts the
-    entries that ran out of their proposal budget and kept their Q
-    initializer.  The family's callables may run on several threads at
-    once, and must draw only from the generator passed to them.
+    entries that kept their Q initializer: those that ran out of their
+    proposal budget, and every entry of a row whose gate set is empty,
+    which srk3 settles before its loop.  The family's callables may run on
+    several threads at once, and must draw only from the generator passed
+    to them.
     """
     if plan.r != 2 or plan.eps != 0.5:
         raise ParameterError("the mixture stage of the GLSM reduction needs r=2, eps=1/2")

@@ -1,5 +1,13 @@
-"""Shared fixtures of the test suite."""
+"""Shared fixtures of the test suite, and the ``--stream-salt`` option.
 
+``pytest --stream-salt S -m "not pinned"`` runs the suite on other random
+streams: every ``RngStream.key`` is rehashed with the salt S, in this
+process and in the trial workers it forks (not in child interpreters), and
+the byte pins, marked ``pinned``, are deselected since no salted stream can
+meet them.  A test that fails only on some salts held on its stream by luck.
+"""
+
+import hashlib
 import sys
 
 import numpy as np
@@ -7,6 +15,26 @@ import pytest
 
 from avgcase import prob
 from avgcase.kernels import tern_pmf
+
+
+def pytest_addoption(parser):
+    parser.addoption("--stream-salt", default=None, metavar="S",
+                     help="rehash every RngStream key with the salt S")
+
+
+@pytest.fixture(autouse=True)
+def _stream_salt(request, monkeypatch):
+    salt = request.config.getoption("--stream-salt")
+    if salt is None:
+        return
+    key = prob.RngStream.key
+
+    def salted(stream):
+        h = hashlib.blake2b(key(stream).to_bytes(16, "little"), digest_size=16,
+                            key=salt.encode("utf-8"))
+        return int.from_bytes(h.digest(), "little")
+
+    monkeypatch.setattr(prob.RngStream, "key", salted)
 
 
 @pytest.fixture

@@ -256,6 +256,7 @@ _SEMI_CR_GOLDEN = {
 }
 
 
+@pytest.mark.pinned
 def test_reduce_semi_cr_golden_digests(tmp_path):
     src = tmp_path / "src"
     _run(["generate", "kpds", "--n", "400", "--k", "8", "--p", "1", "--q", "0.25",
@@ -282,6 +283,7 @@ _GLSM_GOLDEN = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("pipeline, n_src, k, args, golden", [
     ("isgm", 400, 8, ["--r", "2", "--w", "4"], _ISGM_GOLDEN),
     ("glsm", 84, 4, ["--n", "64", "--d", "256"], _GLSM_GOLDEN),
@@ -309,6 +311,7 @@ _VERIFY_GOLDEN = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("pipeline", sorted(_VERIFY_GOLDEN))
 def test_verify_report_golden_digests(tmp_path, pipeline):
     args, golden = _VERIFY_GOLDEN[pipeline]

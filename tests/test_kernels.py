@@ -257,6 +257,7 @@ _ONE_BLOCK_GOLDEN = {
 }
 
 
+@pytest.mark.pinned
 def test_one_block_input_keeps_its_bytes():
     M = _bits((400, 655), 0.5, 50)
     assert M.size <= _BLOCK
@@ -402,6 +403,9 @@ def test_srk3_parameter_errors():
         srk3_array(one + 2, family, [1.0], 0.5, 0.01, 0.01, 10, [RngStream(15)])  # bad symbol
     with pytest.raises(ParameterError, match="finite nu"):
         srk3_array(one, family, [np.nan], 0.5, 0.01, 0.01, 10, [RngStream(15)])
+    scalar = dataclasses.replace(family, gate_empty=lambda nus, gate1, gate2: False)
+    with pytest.raises(ParameterError, match="gate_empty returned shape"):  # not one per row
+        srk3_array(one, scalar, [1.0], 0.5, 0.01, 0.01, 10, [RngStream(15)])
 
 
 def _srk3_reference(bits, family, nu, a, mu1, mu2, n_iter, rng):
@@ -482,35 +486,90 @@ def test_srk3_blocks_match_the_one_row_loop(monkeypatch, n, d, block, srk3_rows)
     assert fallback == ref_fallback >= d
 
 
+def _gates(a, mu1, mu2):
+    return 2.0 * abs(mu1), 2.0 * abs(mu2) / max(a, 1.0 - a)
+
+
+def _gated(family, x, nu, gate1, gate2):
+    """Which x pass both srk3 gates at nu, in the kernel's float operations."""
+    lr_p = np.exp(family.log_likelihood_ratio(x, nu))
+    lr_m = np.exp(family.log_likelihood_ratio(x, -nu))
+    return (np.abs(lr_p - lr_m) <= gate1) & (np.abs(lr_p + lr_m - 2.0) <= gate2)
+
+
+@pytest.mark.parametrize("tau, mu", [(1.0, 0.016), (0.5, 0.01), (2.0, 0.3), (1.5, 1e-4)])
+def test_gate_empty_settles_exactly_the_rows_without_a_gated_point(tau, mu):
+    # The oracle is sound (a settled nu has no gated point on a dense grid
+    # or among 10^5 draws from Q) and tight for the Gaussian shift: with
+    # edge the shift where 4 exp(-s^2) meets (2 - gate2)^2 - gate1^2, each
+    # shift inside it (up to 0.99 edge here) has a gated grid point and each
+    # one past it (from 1.01 edge) is settled.
+    gate1, gate2 = _gates(*tern_params_from_truncation(tau, mu))
+    edge = math.sqrt(-math.log(((2.0 - gate2) ** 2 - gate1 ** 2) / 4.0))
+    x = np.concatenate([np.linspace(-10.0, 10.0, 200_001),
+                        RngStream(67).child("q").generator().standard_normal(100_000)])
+    ratios = np.array([0.0, 0.5, 0.99, 1.01, 2.0, 10.0, 1e3])
+    for scale in (0.3, 1.0, 4.0):
+        family = PairFamily.gaussian_mean_shift(scale)
+        nus = np.concatenate([ratios, -ratios]) * edge / scale
+        settled = family.gate_empty(nus, gate1, gate2)
+        assert settled.shape == nus.shape
+        hit = np.array([_gated(family, x, nu, gate1, gate2).any() for nu in nus])
+        assert not (settled & hit).any()
+        inside = np.abs(nus * scale) < edge
+        assert hit[inside].all() and settled[~inside].all()
+
+
 def test_srk3_row_that_falls_back_everywhere(srk3_rows):
-    # A shift far past the gates rejects every proposal of row 1: it keeps
-    # its initializer whole, and the rows around it are unaffected.
+    # A shift far past the gates has an empty gate set, so srk3 settles
+    # row 1 before its loop: it keeps its initializer whole and never
+    # reaches the ratios, and the rows around it are unaffected.
     bits, family, nus, streams, params = srk3_rows(3, 50, 61, shifts=[1e-4, 5.0, -1e-4])
-    out, fallback = srk3_array(bits, family, nus, *params, 20, streams)
+    assert family.gate_empty(nus, *_gates(*params)).tolist() == [False, True, False]
+    seen = []
+
+    def llr(x, nu):
+        seen.append(np.unique(np.abs(nu)))
+        return family.log_likelihood_ratio(x, nu)
+
+    counted = dataclasses.replace(family, log_likelihood_ratio=llr)
+    out, fallback = srk3_array(bits, counted, nus, *params, 20, streams)
     ref, ref_fallback = _srk3_reference_rows(bits, family, nus, streams, params, 20)
     assert out.tobytes() == ref.tobytes()
     init = streams[1].child("srk3").generator().standard_normal(50)
     assert np.array_equal(out[1], init)
     assert fallback == ref_fallback == 50
+    assert seen and 5.0 not in np.concatenate(seen)
+    # a block of settled rows alone makes no ratio call at all
+    seen.clear()
+    out, fallback = srk3_array(bits[1:2], counted, nus[1:2], *params, 20, streams[1:2])
+    assert seen == [] and fallback == 50 and np.array_equal(out[0], init)
 
 
-def test_srk3_evaluates_the_ratios_once_per_block_step(monkeypatch, srk3_rows):
+def test_srk3_evaluates_the_ratios_once_per_block_step(monkeypatch, on_workers, srk3_rows):
     # Two log_likelihood_ratio calls per block step, at nu and -nu of every
-    # open entry, whatever the number of rows in the block.  Every shift
-    # here is far past the gates, so each block runs all 20 steps.
+    # open entry, whatever the number of rows in the block.  Each shift lies
+    # just inside its gate set's edge, where at most about 2% of Q passes
+    # the gates, so no row is settled and each block runs all 20 steps.  The
+    # blocks run one at a time, so that their calls do not interleave.
     monkeypatch.setattr(kernels, "_BLOCK", 2 * 50)
-    bits, family, nus, streams, params = srk3_rows(5, 50, 66, shifts=[5.0, -5.0, 6.0, -6.0, 7.0])
+    bits, family, nus, streams, params = srk3_rows(
+        5, 50, 66, shifts=[0.0102, -0.0102, 0.01025, -0.01025, 0.0102])
+    assert not family.gate_empty(nus, *_gates(*params)).any()
     calls = []
 
     def llr(x, nu):
-        calls.append(np.shape(nu))
+        calls.append((np.shape(x), np.shape(nu)))
         return family.log_likelihood_ratio(x, nu)
 
     counted = dataclasses.replace(family, log_likelihood_ratio=llr)
-    _, fallback = srk3_array(bits, counted, nus, *params, 20, streams)
-    assert fallback == bits.size
+    _, fallback = on_workers(lambda: srk3_array(bits, counted, nus, *params, 20, streams),
+                             cap=1)
+    assert 0 < fallback < bits.size
     assert len(calls) == 2 * 20 * 3  # 3 blocks (2, 2 and 1 rows) of 20 steps
-    assert {shape[0] for shape in calls} == {50, 100}  # one nu per open entry
+    assert calls[0::2] == calls[1::2]  # the pair of one step: nu, then -nu
+    assert all(x_shape == nu_shape for x_shape, nu_shape in calls)  # one nu per open entry
+    assert [calls[i][1][0] for i in (0, 40, 80)] == [100, 100, 50]  # each block's first step
 
 
 def test_srk3_bytes_independent_of_workers(monkeypatch, on_workers, srk3_rows):

@@ -540,9 +540,16 @@ def test_isgm_structural_errors(monkeypatch):
 
 
 def test_isgm_h0_moments():
-    G, plan, _ = _small_isgm_setup(planted=False)
-    X, out_tr = pds_to_isgm(G, plan, RngStream(115))
-    assert out_tr.planted_set is None and out_tr.component_set is None
+    # Four null graphs and reductions pooled: 16,000 entries, so the 0.05
+    # variance bound is 4.5 sd of the sample variance (sqrt(2 / 16,000)).
+    outs = []
+    for i in range(4):
+        G, plan, _ = _small_isgm_setup(seed=110 + i, planted=False)
+        X, out_tr = pds_to_isgm(G, plan, RngStream(115 + i))
+        assert out_tr.planted_set is None and out_tr.component_set is None
+        outs.append(X)
+    X = np.concatenate(outs)
+    assert X.size >= 12_800
     z_mean = X.mean() * math.sqrt(X.size)
     assert abs(z_mean) < 4
     assert abs(X.var() - 1.0) < 0.05
