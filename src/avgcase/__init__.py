@@ -10,8 +10,8 @@ graphs     graph types, planted samplers, adversaries, GRAPHv1 I/O
 geometry   incidence rotation matrices from hyperplanes of F_r^t
 kernels    rejection kernels (Gaussian, entrywise, symmetric 3-ary)
 pipelines  the end-to-end reductions and one parameter planner per target
-verify     exact/empirical distances, closed-form bounds, Fourier energy,
-           reduction verification batteries
+verify     exact/empirical distances, closed-form bounds, the exact
+           low-degree energy, reduction verification batteries
 formats    AMATv1 matrices and canonical JSON documents
 cli        the ``avgcase`` command-line front end
 """

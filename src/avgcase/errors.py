@@ -12,6 +12,3 @@ class ParameterError(AvgCaseError, ValueError):
 class AdversaryViolation(AvgCaseError, ValueError):
     """A semirandom adversary tried to act on a protected (planted) pair."""
 
-
-class FeasibilityError(AvgCaseError):
-    """A brute-force computation would exceed its enumeration guard."""

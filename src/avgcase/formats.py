@@ -16,6 +16,7 @@ a trailing newline, so identical content yields identical bytes.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -56,9 +57,12 @@ def _read_amat(path) -> np.ndarray:
             raise ParameterError(f"{path}: unsupported AMAT version {version}")
         if code != _DTYPE_F64:
             raise ParameterError(f"{path}: unsupported dtype code {code}")
-        payload = fh.read(rows * cols * 8)
-    if len(payload) != rows * cols * 8:
-        raise ParameterError(f"{path}: truncated AMAT payload")
+        # before reading: a corrupt header must not size an allocation
+        size = os.fstat(fh.fileno()).st_size - len(header)
+        if size != rows * cols * 8:
+            raise ParameterError(f"{path}: a {rows}x{cols} header needs {rows * cols * 8} "
+                                 f"payload bytes, the file holds {size}")
+        payload = fh.read(size)
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
 
 

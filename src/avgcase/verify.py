@@ -1,5 +1,5 @@
 """Exact and empirical statistical-distance machinery plus the closed-form
-bounds and the brute-force low-degree Fourier energy.
+bounds and the exact low-degree energy.
 
 Total variation between the continuous, high-dimensional pipeline outputs is
 never estimated directly (it is hopelessly sample-hungry); every reduction
@@ -15,14 +15,13 @@ the entry-wise threshold is only meaningful over a bounded pair count.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import FeasibilityError, ParameterError
+from .errors import ParameterError
 from .prob import RngStream, _run_trials, normal_cdf
 
 __all__ = [
@@ -47,10 +46,7 @@ __all__ = [
     "semi_cr_class_probs",
     "semi_cr_class_counts",
     "class_z_scores",
-    "EnergyQuery",
     "low_degree_energy",
-    "low_degree_energy_oracle",
-    "low_degree_energy_counting_bound",
     "battery_params",
     "verify_reduction",
 ]
@@ -279,126 +275,66 @@ def covariance_identity_check(X, rng: RngStream):
 
 
 # ---------------------------------------------------------------------------
-# Low-degree Fourier energy
+# Low-degree energy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnergyQuery:
-    """Brute-force query for the degree-<=D Fourier energy of the planted law.
+# The exact sum below takes O(D^2) products of integers of about
+# 2 D (log2 n + log2 b) bits, b the denominator of (2p - 1)^2.  At these
+# bounds the largest call, a subnormal p with b = 2^2146, takes about 0.2 s
+# on a 2-core x86 box.
+_MAX_N = 10 ** 18
+_MAX_DEGREE = 64
 
-    The planted vertices are one per part i = [i n/k, (i+1) n/k) of [n].
-    ``signal`` is "pc" (coefficient (k/n)^{|V(alpha)|} on part-respecting
-    vertex sets) or "pds" (extra factor (2p-1)^{|alpha|}).  The edge universe
-    is cross-part pairs only; within-part edges carry no planted signal.
+
+def low_degree_energy(n: int, k: int, D: int, p: float = 1.0) -> tuple[float, float]:
+    """Degree-<=D low-degree energy of planted dense subgraph, with and
+    without the k-partite promise: ``(k-partite, unconstrained)``.
+
+    The energy is the sum over nonempty edge sets alpha of [n], |alpha| <= D,
+    of the squared coefficient E_S[chi_alpha] = Pr[V(alpha) in S] (2p-1)^|alpha|;
+    p = 1 is planted clique.  Squaring pairs two independent planted sets S
+    and S', so the energy is E f(X) over X = |S & S'|, where
+
+        f(x) = sum_{j=1..D} C(C(x, 2), j) lambda^j,   lambda = (2p - 1)^2.
+
+    X ~ Bin(k, k/n) when S holds one vertex of each part [i n/k, (i+1) n/k),
+    and X ~ Hyp(n, k, k) when S is a uniform k-subset.  Each value is the
+    correctly rounded float of the exact rational (inf past the float range).
     """
-
-    n: int
-    k: int
-    D: int
-    signal: str = "pc"
-    p: float = 1.0
-    guard: int = 10_000_000
-
-    def __post_init__(self):
-        if not 0 < self.k <= self.n or self.n % self.k:
-            raise ParameterError(f"k={self.k} must divide n={self.n}, with 0 < k <= n")
-
-
-def _cross_part_pairs(q: EnergyQuery):
-    part_size = q.n // q.k
-    return [(u, v) for u in range(q.n) for v in range(u + 1, q.n)
-            if u // part_size != v // part_size]
-
-
-def _candidate_count(n_pairs: int, D: int) -> int:
-    return sum(math.comb(n_pairs, j) for j in range(1, D + 1))
-
-
-def _check_query(q: EnergyQuery):
-    if q.signal not in ("pc", "pds"):
-        raise ParameterError(f"unknown signal kind {q.signal!r}")
-    if q.D < 0:
-        raise ParameterError(f"degree D must be >= 0, got {q.D}")
-    pairs = _cross_part_pairs(q)
-    count = _candidate_count(len(pairs), q.D)
-    if count > q.guard:
-        raise FeasibilityError(
-            f"{count} candidate edge subsets exceed the guard of {q.guard}"
-        )
-    return pairs
-
-
-def _edge_factor(q: EnergyQuery) -> Fraction:
-    return Fraction(1) if q.signal == "pc" else Fraction(2 * Fraction(q.p) - 1)
-
-
-def low_degree_energy(q: EnergyQuery) -> float:
-    """Sum over nonempty alpha with |alpha| <= D of the squared coefficient.
-
-    The coefficient of alpha is (k/n)^{|V(alpha)|} (times (2p-1)^{|alpha|}
-    for the dense-subgraph signal) when V(alpha) meets each part at most
-    once, and zero otherwise.  Exact rational arithmetic throughout.
-    """
-    pairs = _check_query(q)
-    part_size = q.n // q.k
-    base = Fraction(q.k, q.n)
-    edge_f = _edge_factor(q)
-    total = Fraction(0)
-    for size in range(1, q.D + 1):
-        ef = edge_f ** size
-        for alpha in itertools.combinations(pairs, size):
-            verts = set()
-            parts = set()
-            ok = True
-            for u, v in alpha:
-                verts.add(u)
-                verts.add(v)
-            for v in verts:
-                pid = v // part_size
-                if pid in parts:
-                    ok = False
-                    break
-                parts.add(pid)
-            if ok:
-                coef = base ** len(verts) * ef
-                total += coef * coef
-    return float(total)
-
-
-def low_degree_energy_oracle(q: EnergyQuery) -> float:
-    """Independent brute-force oracle: averages E_{P_S}[chi_alpha] explicitly
-    over all (n/k)^k part-respecting planted positions S."""
-    pairs = _check_query(q)
-    part_size = q.n // q.k
-    parts = [range(i * part_size, (i + 1) * part_size) for i in range(q.k)]
-    positions = list(itertools.product(*parts))
-    if len(positions) * _candidate_count(len(pairs), q.D) > q.guard * 10:
-        raise FeasibilityError("oracle enumeration exceeds the guard")
-    edge_f = _edge_factor(q)
-    total = Fraction(0)
-    n_pos = Fraction(len(positions))
-    position_sets = [frozenset(S) for S in positions]
-    for size in range(1, q.D + 1):
-        ef = edge_f ** size
-        for alpha in itertools.combinations(pairs, size):
-            verts = frozenset(v for e in alpha for v in e)
-            hits = sum(1 for S in position_sets if verts <= S)
-            coef = Fraction(hits) / n_pos * ef
-            total += coef * coef
-    return float(total)
-
-
-def low_degree_energy_counting_bound(q: EnergyQuery) -> float:
-    """The crude counting bound sum_t (k/n)^(2t) n^t t^(min(2D, 2t^2)) used to
-    argue the energy stays O(1); printed alongside the exact value."""
-    total = 0.0
-    for t in range(2, 2 * q.D + 1):
-        exponent = min(2 * q.D, 2 * t * t)
-        term = (q.k / q.n) ** (2 * t) * q.n ** t * float(t) ** exponent
-        if q.signal == "pds":
-            term *= max(abs(2 * q.p - 1), 1e-300) ** max(t, 2)
-        total += term
-    return total
+    if not 0 < k <= n or n % k:
+        raise ParameterError(f"k={k} must divide n={n}, with 0 < k <= n")
+    if n > _MAX_N:
+        raise ParameterError(f"n={n} is above {_MAX_N}, the largest n the exact sum takes")
+    if not 0 <= D <= _MAX_DEGREE:
+        raise ParameterError(f"degree D must lie in [0, {_MAX_DEGREE}], got {D}")
+    if not 0 <= p <= 1:  # NaN fails this too
+        raise ParameterError(f"the edge probability needs p in [0, 1], got p={p}")
+    # E f(X) = sum_i Delta^i f(0) E C(X, i), and the terms vanish past
+    # i = 2D (f has degree 2D) and past i = k (X <= k).  E C(X, i) is
+    # C(k, i) (k/n)^i for the binomial and C(k, i) (k)_i / (n)_i for the
+    # hypergeometric; w holds it over one denominator per law.
+    top = min(2 * D, k)
+    laws = (([math.comb(k, i) * k ** i * n ** (top - i) for i in range(top + 1)], n ** top),
+            ([math.comb(k, i) * math.perm(k, i) * math.perm(n - i, top - i)
+              for i in range(top + 1)], math.perm(n, top)))
+    lam = (2 * Fraction(p) - 1) ** 2
+    a, b = lam.numerator, lam.denominator
+    energies = []
+    for w, den in laws:
+        # sum_x v[x] g(x) = sum_i Delta^i g(0) w[i] for every g, f included
+        v = [sum((-1) ** (i - x) * math.comb(i, x) * w[i] for i in range(x, top + 1))
+             for x in range(top + 1)]
+        # Horner in lambda = a/b over m_j = sum_x v[x] C(C(x, 2), j): num ends
+        # as sum_j m_j a^(j-1) b^(D-j)
+        num = 0
+        for j in range(D, 0, -1):
+            m_j = sum(v[x] * math.comb(math.comb(x, 2), j) for x in range(top + 1))
+            num = num * a + m_j * b ** (D - j)
+        try:
+            energies.append(num * a / (den * b ** D))
+        except OverflowError:
+            energies.append(math.inf)
+    return tuple(energies)
 
 
 # ---------------------------------------------------------------------------

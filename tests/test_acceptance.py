@@ -25,15 +25,17 @@ from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, isgm_sample_clo
                                pds_to_isgm, pds_to_semi_cr, plan_isgm,
                                plan_semi_cr, sample_isgm, semi_cr_mus)
 from avgcase.prob import RngStream, _run_trials, normal_cdf
-from avgcase.verify import (SEMI_CR_CLASSES, EnergyQuery, _binomial_pmf, chi2_bern_plus_bin,
+from avgcase.verify import (SEMI_CR_CLASSES, _binomial_pmf, chi2_bern_plus_bin,
                             chi2_bern_plus_bin_closed_form, chi2_test,
                             class_z_scores, covariance_identity_check,
                             empirical_tv_to_cdf, exact_tv, exact_tv_hyp_vs_bin,
                             isgm_count_law, isgm_planted_mean_z,
                             isgm_planted_sums, ks_matrix, ks_test,
-                            low_degree_energy, low_degree_energy_oracle,
+                            low_degree_energy,
                             semi_cr_class_counts, semi_cr_class_probs,
                             tv_bound_binomial, tv_hyp_vs_bin_bound)
+
+from test_verify import _energy_by_averaging, _energy_by_enumeration, _partite_sets
 
 ALPHA = 1e-4
 
@@ -312,16 +314,17 @@ def test_criterion_09_truncation_identity():
 
 
 def test_criterion_10_low_degree_energy():
-    with criterion(10, "Fourier energy equals the averaging oracle exactly", 60.0):
+    with criterion(10, "closed-form energy equals the enumeration and the averaging oracle",
+                   60.0):
         for n, k in ((6, 3), (6, 2), (8, 4), (8, 2)):
             for D in (1, 2, 3):
-                for signal, p in (("pc", 1.0), ("pds", 0.75)):
-                    q = EnergyQuery(n=n, k=k, D=D, signal=signal, p=p)
-                    assert low_degree_energy(q) == low_degree_energy_oracle(q), (n, k, D, signal)
+                for p in (1.0, 0.75):
+                    closed = low_degree_energy(n, k, D, p)[0]
+                    assert (closed == _energy_by_enumeration(n, k, D, p)
+                            == _energy_by_averaging(_partite_sets(n, k), n, D, p)), (n, k, D, p)
         # single cross-part edge: coefficient (k/n)^2, contribution (k/n)^4
-        q1 = EnergyQuery(n=6, k=3, D=1)
         cross = 12
-        assert abs(low_degree_energy(q1) - cross * (0.5) ** 4) <= 1e-15
+        assert abs(low_degree_energy(6, 3, 1)[0] - cross * (0.5) ** 4) <= 1e-15
 
 
 def test_criterion_11_cli_reproducibility(tmp_path):

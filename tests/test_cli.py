@@ -11,9 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import avgcase
 from avgcase.cli import main
+from avgcase.errors import ParameterError
 from avgcase.formats import _read_amat, write_amat
 from avgcase.graphs import read_graphv1
 
@@ -66,12 +69,49 @@ def test_generate_isgm_and_amat_roundtrip(tmp_path):
 
 def test_amat_format_errors(tmp_path):
     write_amat(tmp_path / "m.amat", np.eye(3))
+    raw = (tmp_path / "m.amat").read_bytes()
     assert np.array_equal(_read_amat(tmp_path / "m.amat"), np.eye(3))
     (tmp_path / "bad.amat").write_bytes(b"NOPE" + b"\x00" * 24)
-    from avgcase.errors import ParameterError
-
     with pytest.raises(ParameterError):
         _read_amat(tmp_path / "bad.amat")
+    # a header sized past the file, and a file longer than its header says
+    for rows in (2 ** 40, 2 ** 62):
+        (tmp_path / "bad.amat").write_bytes(raw[:8] + rows.to_bytes(8, "little") + raw[16:])
+        with pytest.raises(ParameterError, match="payload bytes"):
+            _read_amat(tmp_path / "bad.amat")
+    (tmp_path / "bad.amat").write_bytes(raw + bytes(16))
+    with pytest.raises(ParameterError, match="holds 88"):
+        _read_amat(tmp_path / "bad.amat")
+
+
+_AMAT_FIELDS = {"magic": (0, 4), "version": (4, 4), "rows": (8, 8), "cols": (16, 8),
+                "dtype": (24, 4)}
+
+
+@given(st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from(["truncate", "extend", *_AMAT_FIELDS]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_amat_mutations_rejected_or_exact(tmp_path_factory, rows, cols, mutation, data):
+    # AMATv1 has no checksum, so only the header and the length are mutated;
+    # one field at a time, so rows * cols changes whenever the shape does.
+    X = np.arange(rows * cols, dtype=float).reshape(rows, cols)
+    path = tmp_path_factory.mktemp("m") / "m.amat"
+    write_amat(path, X)
+    raw = bytearray(path.read_bytes())
+    if mutation == "truncate":
+        del raw[-data.draw(st.integers(1, len(raw))):]
+    elif mutation == "extend":
+        raw += bytes(data.draw(st.integers(1, 64)))
+    else:
+        offset, width = _AMAT_FIELDS[mutation]
+        value = data.draw(st.integers(0, 2 ** (8 * width) - 1))
+        raw[offset:offset + width] = value.to_bytes(width, "little")
+    path.write_bytes(bytes(raw))
+    try:
+        back = _read_amat(path)
+    except ParameterError:
+        return
+    assert back.shape == X.shape and np.array_equal(back, X)
 
 
 def test_write_amat_makes_no_copy(tmp_path):
@@ -455,6 +495,9 @@ _SRC = ["--k", "4", "--p", "1.0", "--q", "0.25", "--seed", "5"]
       "--k", "3", "--mu2", "0.2", "--seed", "1"], "tg h0 takes no --k --mu2"),
     (["generate", "tg", "--variant", "h0", "--n", "10", "--m", "5", "--mu1", "0.1",
       "--k2", "1", "--mu3", "0.2", "--seed", "1"], "tg h0 takes no --k2 --mu3"),
+    # past the exact energy's bounds, D <= 64 and n <= 10^18
+    (["energy", "--n", "40", "--k", "4", "--degree", "65"], "degree D must lie in [0, 64]"),
+    (["energy", "--n", "1000000000000000004", "--k", "4", "--degree", "2"], "above"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     src = tmp_path / "src"
@@ -521,18 +564,18 @@ def test_battery_fault_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_energy_cli(capsys):
     assert _run(["energy", "--n", "6", "--k", "3", "--degree", "0"]) == 0
-    assert "= 0" in capsys.readouterr().out
+    assert "= 0 (k-partite), 0 (unconstrained)" in capsys.readouterr().out
     assert _run(["energy", "--n", "6", "--k", "3", "--degree", "2"]) == 0
     out = capsys.readouterr().out
     assert "1.125" in out
     assert _run(["energy", "--n", "8", "--k", "4", "--degree", "2",
                  "--signal", "pds:0.5"]) == 0
     assert "= 0" in capsys.readouterr().out
-
-
-def test_energy_guard_exit_code(capsys):
-    rc = _run(["energy", "--n", "40", "--k", "4", "--degree", "6"])
-    assert rc == 2
+    # sizes far past any enumeration of edge sets
+    assert _run(["energy", "--n", "40", "--k", "4", "--degree", "6"]) == 0
+    assert "= 0.0801 (k-partite), 0.0530802057118 (unconstrained)" in capsys.readouterr().out
+    assert _run(["energy", "--n", "10000", "--k", "100", "--degree", "8"]) == 0
+    assert "= 138.177141383 (k-partite), 107.913448728 (unconstrained)" in capsys.readouterr().out
 
 
 def test_env_out_dir_default(tmp_path, monkeypatch):

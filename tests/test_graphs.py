@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
+from scipy.stats import binom
 
 from avgcase import graphs, prob
 from avgcase.errors import AdversaryViolation, ParameterError
@@ -254,11 +255,13 @@ def test_trace_json_roundtrip(tmp_path):
 def test_gnq_degenerate_and_concentration():
     assert sample_gnq(30, 0.0, RngStream(1)).edge_count == 0
     assert sample_gnq(30, 1.0, RngStream(1)).edge_count == 30 * 29 // 2
-    # n=100, q=0.5: edge count within 4 sigma of 2475
+    # n=100, q=0.5: 20 exact Bin(4950, 1/2) counts, each within the law's
+    # 2.5e-6 quantiles in either tail (2314 <= c <= 2636), so a correct
+    # sampler fails at most 1e-4 of streams
     counts = [sample_gnq(100, 0.5, RngStream(5).child("c", i)).edge_count
               for i in range(20)]
-    sigma = math.sqrt(4950 * 0.25)
-    assert all(abs(c - 2475) < 4 * sigma for c in counts)
+    lo, hi = binom.ppf(2.5e-6, 4950, 0.5), binom.isf(2.5e-6, 4950, 0.5)
+    assert all(lo <= c <= hi for c in counts)
 
 
 def test_k_pds_degenerate_clique():

@@ -1,12 +1,14 @@
-"""Tests for the statistical-distance machinery, the Fourier energy and the
-verify batteries, their trial processes included."""
+"""Tests for the statistical-distance machinery, the low-degree energy and
+the verify batteries, their trial processes included."""
 
+import itertools
 import json
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,16 +18,16 @@ from numpy.testing import assert_array_equal
 import avgcase
 from avgcase import prob
 from avgcase.cli import main
-from avgcase.errors import FeasibilityError, ParameterError
+from avgcase.errors import ParameterError
 from avgcase.geometry import build_H
 from avgcase.pipelines import plan_isgm
 from avgcase.prob import RngStream
-from avgcase.verify import (EnergyQuery, FinitePmf, _binomial_pmf, _isgm_count_pmf,
+from avgcase.verify import (_MAX_DEGREE, _MAX_N, FinitePmf, _binomial_pmf, _isgm_count_pmf,
                             battery_params, chi2_bern_plus_bin,
                             chi2_bern_plus_bin_closed_form, chi2_test,
                             covariance_identity_check, empirical_tv_to_cdf, exact_tv,
                             exact_tv_hyp_vs_bin, ks_matrix, ks_test,
-                            low_degree_energy, low_degree_energy_oracle,
+                            low_degree_energy,
                             semi_cr_class_counts, tv_bound_bern_bin_product,
                             tv_bound_binomial, tv_hyp_vs_bin_bound,
                             verify_reduction)
@@ -166,50 +168,106 @@ def test_covariance_check_detects_inflation():
 
 
 # ---------------------------------------------------------------------------
-# low-degree energy
+# low-degree energy, against brute-force sums over every edge set
 # ---------------------------------------------------------------------------
+#
+# The references below sum the squared coefficient over each edge set alpha,
+# 1 <= |alpha| <= D, in exact rationals; the acceptance suite imports them.
 
-def _query(n, k, D, signal="pc", p=1.0):
-    return EnergyQuery(n=n, k=k, D=D, signal=signal, p=p)
+def _edge_sets(pairs, D):
+    return itertools.chain.from_iterable(itertools.combinations(pairs, j)
+                                         for j in range(1, D + 1))
+
+
+def _energy_by_enumeration(n, k, D, p=1.0):
+    """k-partite energy from the coefficient's formula over cross-part pairs:
+    (k/n)^|V(alpha)| (2p-1)^|alpha| when V(alpha) meets each part at most
+    once, and zero otherwise."""
+    size = n // k
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if u // size != v // size]
+    edge = 2 * Fraction(p) - 1
+    total = Fraction(0)
+    for alpha in _edge_sets(pairs, D):
+        verts = {x for e in alpha for x in e}
+        if len({x // size for x in verts}) == len(verts):
+            total += (Fraction(k, n) ** len(verts) * edge ** len(alpha)) ** 2
+    return float(total)
+
+
+def _energy_by_averaging(planted_sets, n, D, p=1.0):
+    """Energy from E_S[chi_alpha] = Pr[V(alpha) in S] (2p-1)^|alpha|, averaged
+    explicitly over equally likely planted sets S, for every alpha on [n]."""
+    sets = [frozenset(S) for S in planted_sets]
+    edge = 2 * Fraction(p) - 1
+    total = Fraction(0)
+    for alpha in _edge_sets(list(itertools.combinations(range(n), 2)), D):
+        verts = frozenset(x for e in alpha for x in e)
+        hits = sum(verts <= S for S in sets)
+        total += (Fraction(hits, len(sets)) * edge ** len(alpha)) ** 2
+    return float(total)
+
+
+def _partite_sets(n, k):
+    """The (n/k)^k planted sets with one vertex in each part."""
+    size = n // k
+    return itertools.product(*(range(i * size, (i + 1) * size) for i in range(k)))
 
 
 def test_energy_degree_zero_and_single_edge():
-    assert low_degree_energy(_query(6, 3, 0)) == 0.0
-    # every alpha with one cross-part edge contributes (k/n)^4
+    assert low_degree_energy(6, 3, 0) == (0.0, 0.0)
+    # every alpha with one cross-part edge contributes (k/n)^4, and without
+    # the promise every edge contributes (k(k-1) / (n(n-1)))^2
     n, k = 6, 3
     cross = n * (n - 1) // 2 - k  # parts of size 2: 3 within-part pairs
-    expected = cross * (k / n) ** 4
-    assert abs(low_degree_energy(_query(6, 3, 1)) - expected) < 1e-15
+    partite, plain = low_degree_energy(n, k, 1)
+    assert abs(partite - cross * (k / n) ** 4) < 1e-15
+    assert abs(plain - 15 * (6 / 30) ** 2) < 1e-15
 
 
 def test_energy_matches_oracle_exactly():
     for n, k, D in [(6, 3, 2), (6, 2, 3), (8, 4, 2), (6, 3, 3)]:
-        assert low_degree_energy(_query(n, k, D)) == low_degree_energy_oracle(_query(n, k, D))
+        assert (low_degree_energy(n, k, D)[0] == _energy_by_enumeration(n, k, D)
+                == _energy_by_averaging(_partite_sets(n, k), n, D)), (n, k, D)
     for p in (0.9, 0.5, 0.75):
-        qf = _query(6, 3, 2, signal="pds", p=p)
-        assert low_degree_energy(qf) == low_degree_energy_oracle(qf)
+        assert (low_degree_energy(6, 3, 2, p)[0] == _energy_by_enumeration(6, 3, 2, p)
+                == _energy_by_averaging(_partite_sets(6, 3), 6, 2, p)), p
+
+
+def test_energy_unconstrained_matches_brute_force():
+    # X ~ Hyp(n, k, k) against the average over all k-subsets of [n]
+    for n in range(2, 8):
+        for k in (k for k in range(1, n + 1) if n % k == 0):
+            for D in (1, 2, 3):
+                for p in (1.0, 0.75):
+                    brute = _energy_by_averaging(itertools.combinations(range(n), k), n, D, p)
+                    assert low_degree_energy(n, k, D, p)[1] == brute, (n, k, D, p)
 
 
 def test_energy_pds_half_vanishes():
     # p = 1/2 kills the signal: factor (2p - 1) = 0
-    assert low_degree_energy(_query(8, 4, 3, signal="pds", p=0.5)) == 0.0
+    assert low_degree_energy(8, 4, 3, 0.5) == (0.0, 0.0)
 
 
-def test_energy_guard():
-    q = EnergyQuery(n=40, k=4, D=4, signal="pc", guard=10_000)
-    with pytest.raises(FeasibilityError):
-        low_degree_energy(q)
+def test_energy_refuses_sizes_above_its_bounds():
+    # the largest call accepted runs; its energies are past the float range
+    assert low_degree_energy(_MAX_N, _MAX_N // 2, _MAX_DEGREE, 5e-324) == (math.inf, math.inf)
+    with pytest.raises(ParameterError, match="degree D"):
+        low_degree_energy(40, 4, _MAX_DEGREE + 1)
+    with pytest.raises(ParameterError, match="above"):
+        low_degree_energy(_MAX_N + 4, 4, 2)
 
 
 def test_energy_rejects_bad_signal():
-    with pytest.raises(ParameterError):
-        low_degree_energy(_query(6, 3, 2, signal="weird"))
+    for p in (-0.1, 1.5, math.nan, math.inf):
+        with pytest.raises(ParameterError, match=r"p in \[0, 1\]"):
+            low_degree_energy(6, 3, 2, p)
 
 
 @pytest.mark.parametrize("n, k", [(7, 3), (6, 0), (6, -3), (2, 4), (0, 1)])
 def test_energy_query_needs_k_parts_of_n(n, k):
     with pytest.raises(ParameterError, match="must divide"):
-        EnergyQuery(n=n, k=k, D=1)
+        low_degree_energy(n, k, 1)
+
 
 
 # ---------------------------------------------------------------------------
