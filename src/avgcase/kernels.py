@@ -5,9 +5,11 @@ Four gadgets live here:
 * ``rk_gauss_array`` — maps each biased bit of an array to (approximately) a
   unit-variance Gaussian, sending Bern(p) inputs near N(mu, 1) and Bern(q)
   inputs near N(0, 1) simultaneously.
-* ``gaussianize`` — the same kernel over a {0,1} matrix, with the proven
-  mean bound (``gaussianize_mu_bound``, the one bound formula every
-  reduction uses) enforced and an iteration count set by the matrix size.
+* ``gaussianize`` — the same kernel over a {0,1} matrix, or over the stack
+  of its column parts, with the proven mean bound
+  (``gaussianize_mu_bound``, the one bound formula every reduction uses)
+  enforced and an iteration count set by the matrix size; it can hand each
+  part to a consumer as soon as the part is done.
 * ``srk3_array`` — the symmetric 3-ary kernel mapping ternary inputs
   distributed Tern(a, mu1, mu2) / Tern(a, -mu1, mu2) / Tern(a, 0, 0) near
   the three target laws P_nu, P_-nu, Q of a ``PairFamily``, one nu per
@@ -17,13 +19,17 @@ Four gadgets live here:
   truncation producing exactly those ternary input laws.
 
 All kernels are pure functions of their stream argument.  The Gaussian
-kernel cuts its flat input into consecutive blocks of ``_BLOCK`` entries and
-gives each block a stream of its own: block 0 draws from the kernel's stream
-(``rng.child("gaussianize")`` or ``rng.child("rk")``) and block i >= 1 from
-that stream's ``child("block", i)``.  An input of one block or less thus
-draws from the kernel's stream alone.  The block constant is part of the
-stream's definition (changing it changes the output of every input larger
-than one block).
+kernel runs over a stack of parts, each with a stream of its own: an array
+or matrix is the one part and draws from the kernel's stream
+(``rng.child("gaussianize")`` or ``rng.child("rk")``), and part j of a
+(k, m, c) stack handed to ``gaussianize`` from that stream's
+``child("part", j)``.  It cuts each part's flat input into consecutive
+blocks of ``_BLOCK`` entries and gives each block a stream of its own:
+block 0 draws from the part's stream and block i >= 1 from the part
+stream's ``child("block", i)``.  An input of one block or less thus draws
+from the kernel's stream alone.  The block constant is part of the stream's
+definition (changing it changes the output of every part larger than one
+block).
 
 The 3-ary kernel keys its streams by row instead: row i of an (n, d) input
 draws from the i-th stream passed in, and a block is floor(``_BLOCK`` / d)
@@ -36,9 +42,10 @@ a row is settled: it draws its Q initializer and nothing more, since no
 proposal of it could be accepted, so settling it changes no byte either.
 
 Both kernels build every generator before any block starts and run their
-blocks through the pool policy that ``prob._run_blocks`` defines for every
-stage of the package, so the number of threads is not part of any stream:
-the output is the same on any number of cores.
+blocks (the Gaussian kernel's part after part) through the pool policy
+that ``prob._run_blocks`` defines for every stage of the package, so the
+number of threads is not part of any stream: the output is the same on
+any number of cores.
 
 Within a block the Gaussian loop keeps the positions of the entries still
 open and, each step, draws the proposals and then the uniforms for all of
@@ -61,6 +68,7 @@ identity is what the unit tests pin down.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -106,19 +114,10 @@ def gaussianize_mu_bound(P: float, Q: float, m: int, n: int) -> float:
 _BLOCK = 1 << 18
 
 
-def _rk_gauss_core(bits, mu, p, q, n_iter, stream: RngStream, bound=math.inf):
-    """Vectorized rejection loop.  bits: int array in {0,1}; mu one scalar.
-
-    Every entry point goes through here, so the target mean is checked
-    here: a scalar, finite (NaN would reject every proposal and leave the 0.0
-    initializer everywhere), nonnegative, and at most ``bound``.  The flat
-    input is cut into consecutive blocks of ``_BLOCK`` entries; block 0
-    draws from ``stream`` and block i >= 1 from ``stream.child("block", i)``.
-    The blocks run through ``_run_blocks``; every generator is built here,
-    before any block starts, so the workers run numpy only and the output
-    does not depend on the worker count or on scheduling.
-    """
-    bits = np.asarray(bits)
+def _target_mean(mu) -> float:
+    """The kernels' target mean as a float: one scalar, finite (NaN would
+    reject every proposal and leave the 0.0 initializer everywhere) and
+    nonnegative."""
     if np.ndim(mu) != 0:
         raise ParameterError(f"the target mean must be one scalar, got shape {np.shape(mu)}")
     mu = float(mu)
@@ -126,23 +125,57 @@ def _rk_gauss_core(bits, mu, p, q, n_iter, stream: RngStream, bound=math.inf):
         raise ParameterError("the target mean must be finite")
     if mu < 0:
         raise ParameterError("the target mean must be nonnegative")
-    if bits.size and mu > bound * (1 + 1e-12):
-        raise ParameterError(
-            f"mu = {mu} exceeds the proven bound {bound:.6g} for a "
-            f"{'x'.join(map(str, bits.shape))} input"
-        )
-    flat_bits = bits.ravel()
-    out = np.zeros(flat_bits.size, dtype=float)
-    n_blocks = -(-flat_bits.size // _BLOCK)
-    gens = [stream.generator()]
-    gens += [stream.child("block", i).generator() for i in range(1, n_blocks)]
+    return mu
 
-    def run(i):
+
+def _rk_gauss_core(parts, mu, p, q, n_iter, streams, use=None):
+    """Vectorized rejection loop over a stack of parts, part j drawing from
+    ``streams[j]``.  parts: int array in {0,1} whose first axis runs over
+    the parts; mu one scalar, checked here, since every entry point comes
+    through here.
+
+    Each part's flat input is cut into consecutive blocks of ``_BLOCK``
+    entries; block 0 of part j draws from ``streams[j]`` and block i >= 1
+    from ``streams[j].child("block", i)``.  The blocks of every part run,
+    part after part, through one ``_run_blocks`` pool; every generator is
+    built here, before any block starts, so the workers run numpy only and
+    the output does not depend on the worker count or on scheduling.
+
+    Returns the output stack.  Given ``use``, it returns None instead: the
+    worker that finishes part j's last block calls ``use(j, out_j)`` and
+    then drops the part.  A part's output is allocated when its first block
+    starts, and the pool starts blocks in order, so each part but the
+    newest has a worker on it (a block or its ``use``): no more parts are
+    alive at once than the pool has workers.
+    """
+    mu = _target_mean(mu)
+    flat_bits = parts.reshape(len(streams), -1)
+    size = flat_bits.shape[1]
+    n_blocks = max(1, -(-size // _BLOCK))  # per part
+    gens = []
+    for s in streams:
+        gens += [s.generator()] + [s.child("block", i).generator() for i in range(1, n_blocks)]
+    out = np.zeros(flat_bits.shape) if use is None else None
+    alive, done, lock = {}, [0] * len(streams), threading.Lock()
+
+    def run(b):
+        j, i = divmod(b, n_blocks)
+        with lock:
+            if j not in alive:
+                alive[j] = out[j] if use is None else np.zeros(size)
+            part = alive[j]
         start, stop = i * _BLOCK, (i + 1) * _BLOCK
-        _rk_gauss_block(flat_bits[start:stop], mu, out[start:stop], p, q, n_iter, gens[i])
+        _rk_gauss_block(flat_bits[j, start:stop], mu, part[start:stop], p, q, n_iter, gens[b])
+        with lock:
+            done[j] += 1
+            if done[j] < n_blocks:
+                return
+            del alive[j]
+        if use is not None:
+            use(j, part.reshape(parts.shape[1:]))
 
-    _run_blocks(run, n_blocks)
-    return out.reshape(bits.shape)
+    _run_blocks(run, len(gens))
+    return None if out is None else out.reshape(parts.shape)
 
 
 def _rk_gauss_block(bits, mu, out, p, q, n_iter, gen):
@@ -207,28 +240,47 @@ def rk_gauss_array(bits, mu, p, q, n_iter, rng: RngStream):
     entries that exhaust the ``n_iter`` budget return 0.0, the
     initialization.
     """
-    return _rk_gauss_core(bits, mu, p, q, n_iter, rng.child("rk"))
+    bits = np.asarray(bits)
+    return _rk_gauss_core(bits[None], mu, p, q, n_iter, [rng.child("rk")]).reshape(bits.shape)
 
 
-def gaussianize(M, P, Q, mu, rng: RngStream):
+def gaussianize(M, P, Q, mu, rng: RngStream, use=None):
     """Map a {0,1} matrix to an independent-Gaussian matrix, entry (i, j)
     heading for N(mu, 1) where M_ij came up Bern(P) and N(0, 1) where it
     came up Bern(Q).
 
+    ``M`` is one m x n matrix, or a (k, m, n / k) stack of its k column
+    parts.  The matrix draws from ``rng.child("gaussianize")``, the kernel's
+    stream, and part j of a stack from that stream's ``child("part", j)``;
+    the parts are Gaussianized one after the other on the pool (see
+    ``_rk_gauss_core``).  Returns the Gaussian matrix or stack.  Given
+    ``use``, it returns None and calls ``use(j, part)`` on a worker with
+    each part's m x n / k Gaussian array as soon as the part is done (a
+    matrix is part 0), so that the whole output never exists at once.
+
     ``mu`` is one nonnegative scalar, and it must satisfy the proven bound
-    (see ``gaussianize_mu_bound``; ``rk_gauss_array`` enforces none).  Each
-    entry gets ceil(3 log(m n) / delta) proposals, the budget under which
-    that bound is proven (both carry the same 3 log(m n) term); entries that
-    exhaust it keep the 0.0 initializer.
+    for the whole m x n input (see ``gaussianize_mu_bound``;
+    ``rk_gauss_array`` enforces none).  Each entry gets ceil(3 log(m n) /
+    delta) proposals, the budget under which that bound is proven (both
+    carry the same 3 log(m n) term); entries that exhaust it keep the 0.0
+    initializer.
     """
     M = np.asarray(M)
-    if M.ndim != 2:
-        raise ParameterError("gaussianize expects a 2-D binary matrix")
-    m, n = M.shape
+    if M.ndim not in (2, 3):
+        raise ParameterError("gaussianize expects a 2-D binary matrix or a 3-D stack of its parts")
+    parts = M[None] if M.ndim == 2 else M
+    k, m, cols = parts.shape
+    n = k * cols
     delta = rejection_delta(P, Q)
     n_iter = math.ceil(3.0 * math.log(m * n) / delta)
-    return _rk_gauss_core(M, mu, P, Q, n_iter, rng.child("gaussianize"),
-                          bound=gaussianize_mu_bound(P, Q, m, n))
+    mu, bound = _target_mean(mu), gaussianize_mu_bound(P, Q, m, n)
+    if mu > bound * (1 + 1e-12):
+        raise ParameterError(f"mu = {mu} exceeds the proven bound {bound:.6g} for a "
+                             f"{m}x{n} input")
+    stream = rng.child("gaussianize")
+    streams = [stream] if M.ndim == 2 else [stream.child("part", j) for j in range(k)]
+    out = _rk_gauss_core(parts, mu, P, Q, n_iter, streams, use)
+    return None if out is None else out.reshape(M.shape)
 
 
 # ---------------------------------------------------------------------------

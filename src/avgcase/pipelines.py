@@ -169,16 +169,16 @@ def _admit(plan: ReductionPlan, **report) -> ReductionPlan:
     if k > plan.Q * plan.N / 4.0:  # the same gate as to_k_partite_submatrix's
         raise ParameterError(f"need k <= Q N / 4 = {plan.Q * plan.N / 4.0:.2f}, got k={k}")
     if plan.target == "SEMI_CR":
-        cols = m
         if n < m // 2:  # (3^ell - 1) k s / 2 rows survive each block rotation
             raise ParameterError(f"need n >= m/2 = {m // 2} output vertices, got n={n}")
         report["(3^l-1)k_divides_m"] = m % ((3 ** plan.ell - 1) * k) == 0
         report["n_ge_m_rotated"] = n >= m // 2
+        _check_fits(8 * m * m, f"the {m} x {m} matrix to Gaussianize, as float64,")
     else:
         # the m rows land on m of the d coordinates, and the n samples are n
         # of the k l rotated columns, at most k l / w of them in the proven
         # regime
-        cols, k_ell = k * plan.rt, k * plan.n_hyperplanes
+        rt, k_ell = plan.rt, k * plan.n_hyperplanes
         if m > plan.d:
             raise ParameterError(f"need m <= d, got m={m}, d={plan.d}")
         if n > k_ell:
@@ -186,11 +186,15 @@ def _admit(plan: ReductionPlan, **report) -> ReductionPlan:
         if plan.w * n > k_ell:
             raise ParameterError(f"w n = {plan.w * n:g} exceeds k l = {k_ell}, outside the "
                                  "proven regime; lower --w or --n")
-        report["m_le_k_r^t"] = m <= cols
+        report["m_le_k_r^t"] = m <= k * rt
         report["m_le_d"] = m <= plan.d
         report["w_n_le_k_ell"] = plan.w * n <= k_ell
         report["n_over_eps_N"] = n / (plan.eps * plan.N)
-    _check_fits(8 * m * cols, f"the {m} x {cols} matrix to Gaussianize, as float64,")
+        # the largest array the pipeline holds; it Gaussianizes and rotates
+        # one m x r^t part per worker, never the whole m x k r^t matrix
+        _check_fits(*max((8 * n * plan.d, f"the {n} x {plan.d} samples, as float64,"),
+                         (m * k * rt, f"the {k} x {m} x {rt} padded parts, as uint8,"),
+                         (8 * m * rt, f"one {m} x {rt} part to Gaussianize, as float64,")))
     bound = plan.mu_bound
     report.update({
         "k_le_QN_over_4": k <= plan.Q * plan.N / 4.0,
@@ -531,8 +535,9 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
     M1, tr1 = to_k_partite_submatrix(G, k, p, q, m, rng.child("submatrix"), trace)
 
     # Step 2: pad each part to r^t columns with Bern(Q), then permute rows
-    # globally and columns within each part.  Every draw is made first, in
-    # order; each part is then one gather, one pool task per part.
+    # globally and columns within each part, into the (k, m, r^t) stack of
+    # the padded parts.  Every draw is made first, in order; each part is
+    # then one gather, one pool task per part.
     gen = rng.child("pad").generator()
     mk = m // k
     fresh, col_perms = [], []
@@ -540,26 +545,23 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
         fresh.append(uniform_below(gen, (m, rt - mk), plan.Q).view(np.uint8))
         col_perms.append(gen.permutation(rt))
     row_src = gen.permutation(m)
-    M2 = np.empty((m, k * rt), dtype=np.uint8)
+    parts = np.empty((k, m, rt), dtype=np.uint8)
 
     def pad(i):
         combined = np.concatenate([M1[:, i * mk:(i + 1) * mk], fresh[i]], axis=1)
-        M2[:, i * rt:(i + 1) * rt] = combined[np.ix_(row_src, col_perms[i])]
+        parts[i] = combined[np.ix_(row_src, col_perms[i])]
 
     _run_blocks(pad, k)
     del M1, fresh
     row_new = np.empty(m, dtype=np.int64)
     row_new[row_src] = np.arange(m)
 
-    # Step 3: Gaussianize at entrywise mean sqrt(r^t (r-1)) mu.
-    tau_entry = math.sqrt(rt * (r - 1)) * plan.mu
-    M_G = gaussianize(M2, p, plan.Q, tau_entry, rng.child("gaussianize"))
-    del M2
-
-    # Steps 4-6: rotate each part by the incidence matrix, keep n of the
-    # k * out_cols rotated columns, and embed them as m random coordinates of
-    # n samples in R^d.  Only the kept columns are ever computed: output
-    # column c is part c // out_cols rotated by row c % out_cols of H.
+    # Steps 3-6: Gaussianize each part at entrywise mean sqrt(r^t (r-1)) mu
+    # and, on the worker that finishes it, rotate it by the incidence matrix
+    # at once, so only the pool's parts in flight are ever held as float64.
+    # Of the k * out_cols rotated columns, n are kept and embedded as m
+    # random coordinates of n samples in R^d, and only those are computed:
+    # output column c is part c // out_cols rotated by row c % out_cols of H.
     H_mat = build_H(r, t) if rotation_override is None else rotation_override
     out_cols = H_mat.shape[0]
     gen6 = rng.child("output").generator()
@@ -567,16 +569,15 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
     row_pos = gen6.choice(d, size=m, replace=False)
     samples = np.empty((n, d))
 
-    def rotate(i):
-        # one whole-part product per task: splitting a part's GEMM by rows or
+    def rotate(i, part):
+        # one whole-part product per part: splitting a part's GEMM by rows or
         # columns can change its bits
         kept = np.flatnonzero(col_choice // out_cols == i)
-        samples[np.ix_(kept, row_pos)] = (
-            H_mat[col_choice[kept] % out_cols] @ M_G[:, i * rt:(i + 1) * rt].T
-        )
+        samples[np.ix_(kept, row_pos)] = H_mat[col_choice[kept] % out_cols] @ part.T
 
-    _run_blocks(rotate, k)
-    del M_G
+    tau_entry = math.sqrt(rt * (r - 1)) * plan.mu
+    gaussianize(parts, p, plan.Q, tau_entry, rng.child("gaussianize"), rotate)
+    del parts
     others = np.setdiff1d(np.arange(d), row_pos)
     samples[:, others] = gen6.standard_normal((others.size, n)).T
 

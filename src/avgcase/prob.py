@@ -27,8 +27,9 @@ min(usable CPUs, ``_MAX_IN_FLIGHT``) workers, and within a trial worker only
 its share of the CPUs.  Two runners apply it:
 
 * ``_run_blocks`` runs the blocks of one large input on threads (the
-  kernels' blocks, the row bands of the k-partite embedding, the pad and
-  the rotation of ``pds_to_isgm``, the pad/rotate loop, the mirror and
+  kernels' blocks, with each Gaussianized part of ``pds_to_isgm`` rotated
+  on the worker that finishes it, the row bands of the k-partite
+  embedding, the pad of ``pds_to_isgm``, the pad/rotate loop, the mirror and
   the relabelling of ``pds_to_semi_cr``, and the pieces of
   ``graphs.write_graphv1``), and ``_random_bands`` makes the draw
   ``gen.random(size)`` in bands on it, splitting one PCG64DXSM stream

@@ -15,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avgcase
+from avgcase import prob
 from avgcase.cli import main
 from avgcase.errors import ParameterError
 from avgcase.formats import _read_amat, write_amat
 from avgcase.graphs import read_graphv1
+from avgcase.pipelines import plan_isgm
 
 
 def _run(argv):
@@ -312,13 +314,13 @@ def test_reduce_semi_cr_golden_digests(tmp_path):
 # graph, the GLSM plan's source size at n=64, k=4) outputs.  plan.json pins
 # every planned value and the regime report, not the random stream.
 _ISGM_GOLDEN = {
-    "samples.amat": "11261f085e013cd468301fba39959fd685ce117acdae21738e1173d9d4822feb",
+    "samples.amat": "b9c0114101d7298cc13f3b4374c59a94f042ed030571f03770c9e1b20f607d05",
     "trace.json": "e68562bec39d1f66726209e0868c5ee507daf236ef6a60a12e08593a62fce1e9",
     "plan.json": "d1ab25aad0c413b96c79f0369f2ce212bb8e470a6f4b86d1f5e85f47fcba48ab",
 }
 _GLSM_GOLDEN = {
-    "samples.amat": "61a028f9fa31bc5a88982bd74e15cc4b45e584405ab94335cb9a22797dee2a51",
-    "trace.json": "bbdc4938eeebbd184a8eaf6eaeefe79e2c0055307e8e54937e8430619a4f14b2",
+    "samples.amat": "2cd6d486ea164743c63e2cb8e9530b3177c14c8e1bd43377e23bd920b0276aed",
+    "trace.json": "d5f4918a87eeef18a97d039d7961da2154b88a8393b1e279ff6a1f927e54e273",
     "plan.json": "160f2490044684bccc447f0ee6ef0238f3bd5226725ebeec70934ba47ebe92d6",
 }
 
@@ -343,11 +345,11 @@ def test_reduce_golden_digests(tmp_path, pipeline, n_src, k, args, golden):
 # p-values, and so every exact law a test compares against.
 _VERIFY_GOLDEN = {
     "isgm": (["--params", '{"N": 32, "k": 4, "p": 1.0, "q": 0.25}', "--trials", "200"],
-             "632335a21e49028fc02ec62564f3a2e112b1f8c997dafe1e9fa30ef72eaf36ea"),
+             "540d187ad71521a1eb89f8b3bf6cfae5975eb42131ab4b3a361f63b6542c9aaf"),
     "semi-cr": (["--trials", "100"],
                 "7ff330f7c140f3bbb8e1c272c7d3baf00f70917ad4bcecd9cd9ca709d6082288"),
     "glsm": (["--trials", "1"],
-             "4242836448f1d4694a891a7517851364d4e0f72f31f27132c38e4d41cf18e3d0"),
+             "d326dca734427fd76dea997314d503c41d0d24929986e78c3509ba48716f941a"),
 }
 
 
@@ -511,6 +513,27 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     err = capsys.readouterr().err
     assert err.startswith("error:") and says in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_reduce_isgm_admits_what_it_holds(tmp_path, capsys, monkeypatch):
+    # ISGM holds the samples, the uint8 parts and one float64 part per
+    # worker, never the m x k r^t float64 matrix: a host with room for the
+    # largest of those but not for that matrix runs the plan, and one
+    # without room for it refuses the plan with exit 2.
+    src = tmp_path / "src"
+    _run(["generate", "kpds", "--n", "32", "--k", "4", "--p", "1.0", "--q", "0.25",
+          "--seed", "21", "--out", str(src)])
+    plan = plan_isgm(1.0, 0.25, 4.0, r=2, N=32, k=4)
+    old = 8 * plan.m * plan.k * plan.rt
+    need = max(8 * plan.n * plan.d, plan.m * plan.k * plan.rt, 8 * plan.m * plan.rt)
+    assert need < old
+    argv = ["reduce", "isgm", "--in", str(src / "instance.graph"), *_SRC, "--r", "2",
+            "--w", "4"]
+    for limit, rc in [((need + old) // 2, 0), (need - 1, 2)]:
+        monkeypatch.setattr(prob, "_physical_memory", lambda limit=limit: limit)
+        capsys.readouterr()
+        assert _run(argv + ["--out", str(tmp_path / str(limit))]) == rc
+    assert "physical memory" in capsys.readouterr().err
 
 
 def test_bench_tracer_sees_the_pipeline_layers(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from avgcase import pipelines, prob
+from avgcase import kernels, pipelines, prob
 from avgcase.errors import ParameterError
 from avgcase.geometry import build_H
 from avgcase.graphs import Graph, sample_gnq, sample_k_pds
@@ -483,16 +483,62 @@ def test_isgm_shape_and_determinism():
 
 
 def test_isgm_bytes_independent_of_workers(monkeypatch, on_workers):
-    # The banded draws, the pad and the rotation: serial and 8 workers give
-    # the same bytes.
+    # The banded draws, the pad, and each part's Gaussian blocks and
+    # rotation: every worker count and cap gives the serial bytes.  Blocks
+    # of 500 entries split every part into several.
     G, plan, tr = _small_isgm_setup()
     monkeypatch.setattr(prob, "_BAND", 64)
+    monkeypatch.setattr(kernels, "_BLOCK", 500)
 
     def run():
         X, out_tr = pds_to_isgm(G, plan, RngStream(111), trace=tr)
         return X.tobytes(), out_tr.planted_set.tobytes()
 
-    assert on_workers(run, 8, 8) == on_workers(run, 1, 1)
+    serial = on_workers(run, 1, 1)
+    for cpus, cap in [(1, 4), (2, 1), (2, 4), (4, 1), (4, 4), (8, 8)]:
+        assert on_workers(run, cpus, cap) == serial, (cpus, cap)
+
+
+def test_isgm_gaussianizes_each_part_once(monkeypatch):
+    # One gaussianize call, on the (k, m, r^t) stack of padded parts, whose
+    # ``use`` gets each part once as an (m, r^t) array.
+    G, plan, tr = _small_isgm_setup()
+    calls, parts = [], []
+    real = pipelines.gaussianize
+
+    def spy(M, P, Q, mu, rng, use=None):
+        calls.append(np.shape(M))
+
+        def seen(j, part):
+            parts.append((j, part.shape))
+            use(j, part)
+
+        return real(M, P, Q, mu, rng, seen)
+
+    monkeypatch.setattr(pipelines, "gaussianize", spy)
+    pds_to_isgm(G, plan, RngStream(111), trace=tr)
+    assert calls == [(plan.k, plan.m, plan.rt)]
+    assert sorted(parts) == [(j, (plan.m, plan.rt)) for j in range(plan.k)]
+
+
+def test_isgm_holds_no_float64_matrix(on_workers):
+    # Each part is Gaussianized and rotated in turn: the traced peak of a
+    # serial run stays below half of the m x k r^t float64 matrix that
+    # Gaussianizing the parts together would hold.
+    N, k, p, q = 1000, 8, 1.0, 0.25
+    plan = plan_isgm(p, q, 8.0, r=2, N=N, k=k)
+    G, tr = sample_k_pds(N, k, p, q, RngStream(107))
+
+    def run():
+        tracemalloc.start()
+        try:
+            X, _ = pds_to_isgm(G, plan, RngStream(108), tr)
+            return X.shape, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    shape, peak = on_workers(run, 1, 1)
+    assert shape == (plan.n, plan.d) and peak < 4 * plan.m * plan.k * plan.rt
 
 
 def test_isgm_trace_consistency():
