@@ -3,13 +3,13 @@
 Three gadgets: the Gaussian kernel (one biased bit -> one Gaussian), its
 entrywise matrix version, and the symmetric 3-ary kernel used for the
 universality reduction (three ternary input laws -> the three targets
-P_nu, P_-nu, Q of a family given by likelihood-ratio oracles).
+N(shift, 1), N(-shift, 1), Q = N(0, 1)).
 """
 
 import numpy as np
 import scipy.stats as sst
 
-from avgcase.kernels import (PairFamily, gaussianize, gaussianize_mu_bound,
+from avgcase.kernels import (gaussianize, gaussianize_mu_bound,
                              rk_gauss_array, srk3_array,
                              tern_params_from_truncation, truncate_tern)
 from avgcase.prob import RngStream
@@ -47,12 +47,11 @@ print(f"Gaussianize: planted-block mean {X[:40, :200].mean():+.4f} (target +0.05
 mu_in = 0.016
 a, mu1, mu2 = tern_params_from_truncation(1.0, mu_in)
 shift = 3e-4
-family = PairFamily.gaussian_mean_shift(shift)  # P_nu = N(nu * shift, 1), here at nu = 1
 print(f"3-srk with a = {a:.4f}, mu1 = {mu1:.5f}, mu2 = {mu2:.2e}:")
 for tag, mean, loc in (("Tern(a,+mu1,mu2) -> P+", mu_in, shift),
                        ("Tern(a,-mu1,mu2) -> P-", -mu_in, -shift),
                        ("Tern(a,0,0)      -> Q ", 0.0, 0.0)):
     bits = truncate_tern(mean + rng.child("b" + tag).generator().standard_normal(200_000), 1.0)
-    out, _ = srk3_array(bits[None], family, [1.0], a, mu1, mu2, 50, [rng.child("k" + tag)])
+    out, _ = srk3_array(bits[None], [shift], a, mu1, mu2, 50, [rng.child("k" + tag)])
     tv = empirical_tv_to_cdf(out[0], lambda u, s=loc: sst.norm.ppf(u, loc=s), 100)
     print(f"  {tag}: binned TV to target {tv:.4f}")

@@ -1,7 +1,8 @@
 """avgcase: average-case reductions from planted graph problems to sparse
-Gaussian mixtures, semirandom community recovery and universal sparse-mixture
-families, together with the statistical harness that verifies every
-distributional contract those reductions are supposed to satisfy.
+Gaussian mixtures, semirandom community recovery and sparse PCA (the one
+sparse-mixture family run here), together with the statistical harness that
+verifies every distributional contract those reductions are supposed to
+satisfy.
 
 Submodules
 ----------

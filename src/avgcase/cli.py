@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     r_semi.add_argument("--n-out", type=int, help="output vertex count (default: embedded size)")
     _add_common(r_semi)
 
-    r_glsm = rsub.add_parser("glsm", help="k-PDS to a general sparse mixture family")
+    r_glsm = rsub.add_parser("glsm", help="k-PDS to a sparse mixture: sparse PCA")
     r_glsm.add_argument("--in", dest="infile", required=True)
     r_glsm.add_argument("--trace")
     r_glsm.add_argument("--k", type=int, required=True)
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     r_glsm.add_argument("--d", type=int, required=True)
     r_glsm.add_argument("--tau", type=float, default=1.0, help="truncation threshold")
     r_glsm.add_argument("--theta", type=float, default=1e-5,
-                        help="spike strength of the built-in Gaussian target family")
+                        help="sparse-PCA spike strength (the Gaussian mean-shift target)")
     r_glsm.add_argument("--w", type=float, default=2.0)
     _add_common(r_glsm)
 
@@ -200,7 +200,7 @@ def _cmd_reduce(args) -> int:
     from .formats import dump_json, write_amat
     from .graphs import PlantedTrace, read_graphv1, write_graphv1
     from .pipelines import (pds_to_glsm, pds_to_isgm, pds_to_semi_cr, plan_glsm,
-                            plan_isgm, plan_semi_cr, spca_family)
+                            plan_isgm, plan_semi_cr)
     from .prob import RngStream
 
     # each branch makes --out only once its pipeline has returned: a refused
@@ -235,8 +235,7 @@ def _cmd_reduce(args) -> int:
         )
     else:  # glsm
         plan = plan_glsm(args.p, args.q, args.w, n=args.n, k=args.k, d=args.d)
-        family, nu_sd = spca_family(args.n, args.k, args.theta)
-        X, out_trace = pds_to_glsm(G, plan, args.tau, family, nu_sd, rng, trace=trace)
+        X, out_trace = pds_to_glsm(G, plan, args.tau, args.theta, rng, trace=trace)
         out = _out_dir(args)
         write_amat(out / "samples.amat", X)
         out_trace.write_json(out / "trace.json")

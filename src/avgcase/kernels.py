@@ -12,9 +12,9 @@ Four gadgets live here:
   part to a consumer as soon as the part is done.
 * ``srk3_array`` — the symmetric 3-ary kernel mapping ternary inputs
   distributed Tern(a, mu1, mu2) / Tern(a, -mu1, mu2) / Tern(a, 0, 0) near
-  the three target laws P_nu, P_-nu, Q of a ``PairFamily``, one nu per
-  row; it also returns how many entries kept their Q initializer.
-  ``tern_pmf`` gives the masses of those ternary laws.
+  N(shift, 1), N(-shift, 1) and Q = N(0, 1), one mean shift per row; it
+  also returns how many entries kept their Q initializer.  ``tern_pmf``
+  gives the masses of those ternary laws.
 * ``truncate_tern`` / ``tern_params_from_truncation`` — the Gaussian
   truncation producing exactly those ternary input laws.
 
@@ -36,10 +36,10 @@ draws from the i-th stream passed in, and a block is floor(``_BLOCK`` / d)
 whole rows (at least one), stepped together so that the likelihood ratios,
 the gate, the acceptance rule and the compaction run once per block rather
 than once per row.  Its block size therefore changes only the speed, never
-the output.  Before the loop it asks the family's ``gate_empty`` oracle,
-once for all rows, which rows have no x passing both gates at their nu; such
-a row is settled: it draws its Q initializer and nothing more, since no
-proposal of it could be accepted, so settling it changes no byte either.
+the output.  Before the loop a closed form of the shifts (``_gate_empty``)
+names the rows that have no x passing both gates; such a row is settled: it
+draws its Q initializer and nothing more, since no proposal of it could be
+accepted, so settling it changes no byte either.
 
 Both kernels build every generator before any block starts and run their
 blocks (the Gaussian kernel's part after part) through the pool policy
@@ -53,11 +53,9 @@ them, writes every proposal, and keeps only the rejected positions open;
 the acceptance test runs in place on the proposal's log-ratio.  The draws
 and every float are those of the two-mask loop it replaced.
 
-A ``PairFamily`` {P_nu} against one noise law Q gives its likelihood ratios
-in log-space, elementwise with nu broadcast against x; the operating
-regimes involve mu1, mu2 down to 1e-5 and the naive ratios would overflow
-first.  It also says at which nu srk3's gate set is provably empty
-(``gate_empty``; False is always a safe answer).
+The 3-ary kernel takes its likelihood ratios in log-space
+(``_log_ratio``); the operating regimes involve mu1, mu2 down to 1e-5 and
+the naive ratios would overflow first.
 
 Acceptance-probability note: the three-branch acceptance rule reconstructs
 dP+/dQ, dP-/dQ and 1 exactly when mixed with the ternary input weights
@@ -69,8 +67,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,7 +79,6 @@ __all__ = [
     "rk_gauss_array",
     "gaussianize",
     "gaussianize_mu_bound",
-    "PairFamily",
     "srk3_array",
     "tern_pmf",
     "truncate_tern",
@@ -284,69 +280,37 @@ def gaussianize(M, P, Q, mu, rng: RngStream, use=None):
 
 
 # ---------------------------------------------------------------------------
-# Pair families and the symmetric 3-ary kernel
+# The symmetric 3-ary kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairFamily:
-    """A planted family {P_nu} against one noise law Q, given by oracles.
+def _log_ratio(x, shift, out=None):
+    """log dN(shift, 1)/dN(0, 1) at x, that is shift x - (0.5 shift) shift,
+    elementwise with ``shift`` broadcast against x; into ``out`` if given.
+    srk3 calls this over whole blocks, so it allocates one array only."""
+    half = 0.5 * shift
+    half *= shift
+    out = np.multiply(shift, x, out=out)
+    out -= half
+    return out
 
-    ``sample_noise(gen, size)`` draws from Q; ``sample_planted(gen, nu,
-    size)`` draws from P_nu (diagnostics only, never the kernels);
-    ``log_likelihood_ratio(x, nu)`` is log dP_nu/dQ(x) elementwise, with nu
-    a scalar or an array broadcast against x.
 
-    ``gate_empty(nus, gate1, gate2)`` returns one bool per nu of the array
-    ``nus``.  It may be True only if no x passes both of srk3's gates at
-    that nu, ``|l1| <= gate1`` and ``|l2| <= gate2`` with l1 = lr+ - lr- and
-    l2 = lr+ + lr- - 2, the ratios lr+- = exp(``log_likelihood_ratio(x,
-    +-nu)``) as srk3 computes them in floats; False is always safe.  srk3
-    settles such a row before its loop: the row keeps its Q initializer
-    and draws no proposal, which could never be accepted.
-    """
-
-    sample_noise: Callable
-    sample_planted: Callable
-    log_likelihood_ratio: Callable
-    gate_empty: Callable
-
-    @classmethod
-    def gaussian_mean_shift(cls, scale: float) -> "PairFamily":
-        """P_nu = N(nu * scale, 1) against Q = N(0, 1)."""
-        def llr(x, nu):
-            # shift x - (0.5 shift) shift, in the scalar formula's float order;
-            # srk3 calls this over whole blocks, so it holds two arrays only
-            x = np.asarray(x, dtype=float)
-            shift = np.empty(np.broadcast_shapes(np.shape(nu), x.shape))
-            np.multiply(nu, scale, out=shift)
-            half = 0.5 * shift
-            half *= shift
-            shift *= x
-            shift -= half
-            return shift
-
-        def gate_empty(nus, gate1, gate2):
-            # A gated x has lr+ + lr- >= 2 - gate2 and |lr+ - lr-| <= gate1,
-            # so (lr+ + lr-)^2 - (lr+ - lr-)^2 = 4 lr+ lr- >= (2 - gate2)^2
-            # - gate1^2 (when gate2 < 2), and lr+ lr- = exp(-(nu scale)^2)
-            # at every x.  On the gate set both ratios lie in [c, 2], c =
-            # (2 - gate1 - gate2) / 2, and c > 1e-13 wherever the test below
-            # can hold.  So each float srk3 rounds there (the shift, the two
-            # log-ratios, their exps, sum and difference) is at most 30 in
-            # size with a relative error of a few 2^-53, and the rounded
-            # ratios' product is within 1e-14 of exp(-(nu scale)^2) (about
-            # 1e-15 at srk3's small gates, where c is near 1).  The 1e-12
-            # margin covers that.
-            shift = np.multiply(nus, scale)
-            floor = max(2.0 - gate2, 0.0)
-            return 4.0 * np.exp(-(shift * shift)) < floor * floor - gate1 * gate1 - 1e-12
-
-        return cls(
-            sample_noise=lambda gen, size: gen.standard_normal(size),
-            sample_planted=lambda gen, nu, size: nu * scale + gen.standard_normal(size),
-            log_likelihood_ratio=llr,
-            gate_empty=gate_empty,
-        )
+def _gate_empty(shifts, gate1, gate2):
+    """One bool per shift: True only if no x passes both of srk3's gates,
+    |l1| <= gate1 and |l2| <= gate2 with l1 = lr+ - lr- and l2 = lr+ + lr-
+    - 2, the ratios lr+- = exp(``_log_ratio(x, +-shift)``) as srk3 computes
+    them in floats."""
+    # A gated x has lr+ + lr- >= 2 - gate2 and |lr+ - lr-| <= gate1,
+    # so (lr+ + lr-)^2 - (lr+ - lr-)^2 = 4 lr+ lr- >= (2 - gate2)^2
+    # - gate1^2 (when gate2 < 2), and lr+ lr- = exp(-shift^2) at every x.
+    # On the gate set both ratios lie in [c, 2], c = (2 - gate1 - gate2)
+    # / 2, and c > 1e-13 wherever the test below can hold.  So each float
+    # srk3 rounds there (the two log-ratios, their exps, sum and
+    # difference) is at most 30 in size with a relative error of a few
+    # 2^-53, and the rounded ratios' product is within 1e-14 of
+    # exp(-shift^2) (about 1e-15 at srk3's small gates, where c is near
+    # 1).  The 1e-12 margin covers that.
+    floor = max(2.0 - gate2, 0.0)
+    return 4.0 * np.exp(-(shifts * shifts)) < floor * floor - gate1 * gate1 - 1e-12
 
 
 def tern_pmf(a: float, mu1: float, mu2: float):
@@ -377,41 +341,39 @@ def _srk3_params_check(a, mu1, mu2):
     tern_pmf(a, -mu1, mu2)
 
 
-def srk3_array(bits, family: PairFamily, nus, a, mu1, mu2, n_iter, streams):
+def srk3_array(bits, shifts, a, mu1, mu2, n_iter, streams):
     """Vectorized symmetric 3-ary rejection kernel over an (n, d) stack of
     rows in {-1, 0, +1}.
 
-    Row i targets the family's three laws at ``nus[i]``: inputs distributed
-    Tern(a, mu1, mu2) map near P_nu, Tern(a, -mu1, mu2) near P_-nu and
-    Tern(a, 0, 0) near Q.  Row i draws from ``streams[i].child("srk3")``;
-    one row is passed as ``bits[None]``, ``[nu]``, ``[stream]``.  Entries
-    whose iteration budget runs out keep their initialization, a fresh
-    draw from Q (distributionally harmless).  Returns ``(out, count of
-    those entries)``.
+    Row i targets N(+-``shifts[i]``, 1) and Q = N(0, 1): inputs distributed
+    Tern(a, mu1, mu2) map near N(shift, 1), Tern(a, -mu1, mu2) near
+    N(-shift, 1) and Tern(a, 0, 0) near Q.  Row i draws from
+    ``streams[i].child("srk3")``; one row is passed as ``bits[None]``,
+    ``[shift]``, ``[stream]``.  Entries whose iteration budget runs out
+    keep their initialization, a fresh draw from Q (distributionally
+    harmless).  Returns ``(out, count of those entries)``.
 
-    The gates are |l1| <= 2 mu1 and |l2| <= 2 mu2 / max(a, 1 - a).  The
-    family's ``gate_empty`` oracle is asked once, for all rows; a row it
-    settles (no x passes both gates at its nu) draws its initializer and
-    nothing more, and its d entries count as kept.  The output is that of
-    stepping the row through its whole budget, which accepts nothing.
+    The gates are |l1| <= 2 mu1 and |l2| <= 2 mu2 / max(a, 1 - a).  A row
+    whose shift leaves no x passing both gates (``_gate_empty``) is settled
+    before the loop: it draws its initializer and nothing more, and its d
+    entries count as kept.  The output is that of stepping the row through
+    its whole budget, which accepts nothing.
 
     The rows run in blocks of floor(``_BLOCK`` / d) rows (at least one)
     through ``_run_blocks``.  A row's draws come from its own generator
     alone, so the output is that of running the rows one at a time, on any
-    worker count.  The family's callables may run on several threads at
-    once, and ``sample_noise`` must draw only from the generator passed to
-    it.
+    worker count.
     """
     _srk3_params_check(a, mu1, mu2)
     bits = np.asarray(bits)
     if bits.ndim != 2:
         raise ParameterError(f"srk3 expects a 2-D stack of rows, got {bits.ndim}-D")
     n, d = bits.shape
-    nus = np.asarray(nus, dtype=float)
-    if nus.shape != (n,) or not isinstance(streams, Sequence) or len(streams) != n:
-        raise ParameterError(f"srk3 on a {n}-row input needs one nu and one stream per row")
-    if not np.all(np.isfinite(nus)):
-        raise ParameterError("srk3 needs finite nu")
+    shifts = np.asarray(shifts, dtype=float)
+    if shifts.shape != (n,) or not isinstance(streams, Sequence) or len(streams) != n:
+        raise ParameterError(f"srk3 on a {n}-row input needs one shift and one stream per row")
+    if not np.all(np.isfinite(shifts)):
+        raise ParameterError("srk3 needs finite shifts")
     ternary = bits == 0  # np.isin would copy an integer input twice over
     ternary |= bits == 1
     ternary |= bits == -1
@@ -419,9 +381,7 @@ def srk3_array(bits, family: PairFamily, nus, a, mu1, mu2, n_iter, streams):
         raise ParameterError("srk3 inputs must lie in {-1, 0, +1}")
     del ternary
     gate1, gate2 = 2.0 * abs(mu1), 2.0 * abs(mu2) / max(a, 1.0 - a)
-    settled = np.asarray(family.gate_empty(nus, gate1, gate2), dtype=bool)
-    if settled.shape != (n,):
-        raise ParameterError(f"gate_empty returned shape {settled.shape} for {n} rows")
+    settled = _gate_empty(shifts, gate1, gate2)
     out = np.empty((n, d))
     gens = [s.child("srk3").generator() for s in streams]
     per_block = max(1, _BLOCK // max(d, 1))
@@ -430,14 +390,14 @@ def srk3_array(bits, family: PairFamily, nus, a, mu1, mu2, n_iter, streams):
 
     def run(j):
         b = slice(j * per_block, (j + 1) * per_block)
-        fallback[j] = _srk3_block(bits[b], out[b], family, nus[b], settled[b], gens[b],
+        fallback[j] = _srk3_block(bits[b], out[b], shifts[b], settled[b], gens[b],
                                   a, mu1, mu2, gate1, gate2, n_iter)
 
     _run_blocks(run, n_blocks)
     return out, sum(fallback)
 
 
-def _srk3_block(bits, out, family, nus, settled, gens, a, mu1, mu2, gate1, gate2,
+def _srk3_block(bits, out, shifts, settled, gens, a, mu1, mu2, gate1, gate2,
                 n_iter) -> int:
     """One block of rows of the 3-ary loop, written into the view ``out``;
     returns how many entries kept their initializer.
@@ -445,13 +405,13 @@ def _srk3_block(bits, out, family, nus, settled, gens, a, mu1, mu2, gate1, gate2
     Each row first draws its initializer from Q; a ``settled`` row stops
     there.  Each step, every row with entries left draws its proposals z,
     then its uniforms u, from its own generator; the two likelihood ratios,
-    at nu and -nu of each entry's row, the gate, the acceptance rule and the
-    compaction then run once over the block.  The remaining entries stay in
-    row-major order, so each row's are one contiguous segment.
+    at +shift and -shift of each entry's row, the gate, the acceptance rule
+    and the compaction then run once over the block.  The remaining entries
+    stay in row-major order, so each row's are one contiguous segment.
     """
     n_rows, d = out.shape
     for i in range(n_rows):
-        out[i] = family.sample_noise(gens[i], d)
+        gens[i].standard_normal(out=out[i])
     flat_out = out.reshape(-1)
     # positions of the entries still open, in int32 when the block allows;
     # a settled row has none
@@ -469,15 +429,15 @@ def _srk3_block(bits, out, family, nus, settled, gens, a, mu1, mu2, gate1, gate2
         active = np.flatnonzero(left)
         for i, c in zip(active.tolist(), left[active].tolist()):
             seg = slice(start, start + c)
-            z[seg] = family.sample_noise(gens[i], c)
+            gens[i].standard_normal(out=z[seg])
             gens[i].random(out=u[seg])
             start += c
-        # each open entry's row nu, held in l1 until both ratios are taken
-        nu = l1
-        nu[...] = np.repeat(nus[active], left[active])
-        np.exp(family.log_likelihood_ratio(z, nu), out=lr_p)
-        np.negative(nu, out=nu)
-        np.exp(family.log_likelihood_ratio(z, nu), out=lr_m)
+        # each open entry's row shift, held in l1 until both ratios are taken
+        shift = l1
+        shift[...] = np.repeat(shifts[active], left[active])
+        np.exp(_log_ratio(z, shift, out=lr_p), out=lr_p)
+        np.negative(shift, out=shift)
+        np.exp(_log_ratio(z, shift, out=lr_m), out=lr_m)
         # l1 = lr_p - lr_m and l2 = lr_p + lr_m - 2; lr_m is then scratch
         np.subtract(lr_p, lr_m, out=l1)
         l2 = np.add(lr_p, lr_m, out=lr_p)

@@ -10,13 +10,13 @@ The three public pipelines are
 
 * ``pds_to_isgm``    — graph to imbalanced sparse Gaussian mixture samples,
 * ``pds_to_semi_cr`` — graph to the semirandom community-recovery target law,
-* ``pds_to_glsm``    — graph to a general sparse-mixture family given
-  likelihood-ratio oracles for its planted marginals (a ``PairFamily``),
+* ``pds_to_glsm``    — graph to the sparse-PCA (spiked covariance) target,
+  the one sparse-mixture family run here: planted marginals N(shift, 1)
+  against Q = N(0, 1),
 
 plus their shared sub-steps (``graph_clone``, ``to_k_partite_submatrix``,
-``isgm_sample_clone``), one parameter planner per target (``plan_isgm``,
-``plan_semi_cr``, ``plan_glsm``), the sparse-PCA target family
-(``spca_family``), and the universality-condition checker.
+``isgm_sample_clone``) and one parameter planner per target
+(``plan_isgm``, ``plan_semi_cr``, ``plan_glsm``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import ParameterError
 from .geometry import build_H, is_prime
 from .graphs import Graph, PlantedTrace, _upper_mask
 from .kernels import (
-    PairFamily,
     _srk3_params_check,
     gaussianize,
     gaussianize_mu_bound,
@@ -60,8 +59,6 @@ __all__ = [
     "pds_to_semi_cr",
     "semi_cr_mus",
     "pds_to_glsm",
-    "spca_family",
-    "check_uc",
 ]
 
 
@@ -808,26 +805,27 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
 # k-PDS -> general learning sparse mixtures
 # ---------------------------------------------------------------------------
 
-def pds_to_glsm(G: Graph, plan: ReductionPlan, tau: float,
-                family: PairFamily, nu_sd: float, rng: RngStream,
-                trace: Optional[PlantedTrace] = None):
-    """Reduce k-PDS to a general sparse-mixture family.
+def pds_to_glsm(G: Graph, plan: ReductionPlan, tau: float, theta: float,
+                rng: RngStream, trace: Optional[PlantedTrace] = None):
+    """Reduce k-PDS to sparse PCA at spike strength ``theta`` >= 0.
 
-    ``family`` is the target family {P_nu} against Q; the mixing weight nu
-    of each output vector is drawn from N(0, ``nu_sd``^2) and clipped to
-    [-1, 1].  Step 1 is the r = 2 mixture reduction at eps = 1/2; step 2
-    truncates every entry to {-1, 0, +1} and pushes it through the
-    symmetric 3-ary kernel toward (P_nu, P_-nu, Q), with the row's nu and
-    one stream per row.  The trace's ``srk3_fallback_entries`` counts the
-    entries that kept their Q initializer: those that ran out of their
-    proposal budget, and every entry of a row whose gate set is empty,
-    which srk3 settles before its loop.  The family's callables may run on
-    several threads at once, and must draw only from the generator passed
-    to them.
+    The target is the spiked-covariance family of the paper's corollary at
+    the plan's (n, k): P_nu = N(nu * sqrt(3 theta log n / k), 1) against
+    Q = N(0, 1), the mixing weight nu of each output vector drawn from
+    N(0, 1 / (3 log n)) and clipped to [-1, 1]; theta = 0 plants nothing.
+    Step 1 is the r = 2 mixture reduction at eps = 1/2; step 2 truncates
+    every entry to {-1, 0, +1} and pushes it through the symmetric 3-ary
+    kernel toward (P_nu, P_-nu, Q), with the row's mean shift and one
+    stream per row.  The trace records each row's nu; its
+    ``srk3_fallback_entries`` counts the entries that kept their Q
+    initializer: those that ran out of their proposal budget, and every
+    entry of a row whose gate set is empty, which srk3 settles before its
+    loop.
     """
+    if not 0.0 <= theta < math.inf:  # NaN fails this too
+        raise ParameterError(f"theta must be finite and nonnegative, got {theta}")
     if plan.r != 2 or plan.eps != 0.5:
         raise ParameterError("the mixture stage of the GLSM reduction needs r=2, eps=1/2")
-    _check_nu_sd(nu_sd)
     # the kernel's parameters depend only on tau and the plan, so a
     # degenerate tau is refused before the mixture stage runs
     a, mu1, mu2 = tern_params_from_truncation(tau, plan.mu)
@@ -835,13 +833,15 @@ def pds_to_glsm(G: Graph, plan: ReductionPlan, tau: float,
         _srk3_params_check(a, mu1, mu2)
     except ParameterError as err:
         raise ParameterError(f"tau={tau} truncates to a degenerate three-point law: {err}") from None
+    scale = math.sqrt(3.0 * theta * math.log(plan.n) / plan.k)
+    nu_sd = 1.0 / math.sqrt(3.0 * math.log(plan.n))
     samples, in_trace = pds_to_isgm(G, plan, rng.child("isgm"), trace)
     n, d = samples.shape
     n_iter = math.ceil(4.0 * math.log(d * n))
     nus = np.clip(nu_sd * rng.child("nu").generator().standard_normal(n), -1.0, 1.0)
     B = truncate_tern(samples, tau)
     del samples  # the Gaussian samples, before the kernel allocates its output
-    X, fallback = srk3_array(B, family, nus, a, mu1, mu2, n_iter,
+    X, fallback = srk3_array(B, nus * scale, a, mu1, mu2, n_iter,
                              [rng.child("srk3", i) for i in range(n)])
     out_trace = PlantedTrace(
         seed=rng.seed,
@@ -851,87 +851,3 @@ def pds_to_glsm(G: Graph, plan: ReductionPlan, tau: float,
                     srk3_fallback_entries=fallback, nu=[float(v) for v in nus]),
     )
     return X, out_trace
-
-
-def spca_family(n: int, k: int, theta: float):
-    """The sparse-PCA (spiked covariance) target family of the GLSM reduction
-    at problem size (n, k) and spike strength ``theta`` >= 0.
-
-    Returns ``(family, nu_sd)``: ``family`` has P_nu = N(nu * sqrt(3 theta
-    log n / k), 1) against Q = N(0, 1), and the mixing weight nu is centred
-    Gaussian with standard deviation ``nu_sd`` = 1 / sqrt(3 log n).  theta =
-    0 plants nothing.
-    """
-    if not 0.0 <= theta < math.inf:  # NaN fails this too
-        raise ParameterError(f"theta must be finite and nonnegative, got {theta}")
-    _check_sizes(n=n, k=k)
-    if n < 2:
-        raise ParameterError(f"the sparse-PCA family needs n >= 2, got n={n}")
-    scale = math.sqrt(3.0 * theta * math.log(n) / k)
-    return PairFamily.gaussian_mean_shift(scale), 1.0 / math.sqrt(3.0 * math.log(n))
-
-
-def _check_nu_sd(nu_sd: float) -> None:
-    if not 0.0 < nu_sd < math.inf:  # NaN fails this too
-        raise ParameterError(f"nu_sd must be positive and finite, got {nu_sd}")
-
-
-def check_uc(n: int, k: int, d: int, nu_sd: float, family: PairFamily, sample_budget: int,
-             rng: RngStream) -> dict:
-    """Monte Carlo diagnostic for the universality conditions of a
-    ``PairFamily`` mixed by nu ~ N(0, ``nu_sd``^2).
-
-    Condition (i): nu lies in [-1, 1] except with probability at most
-    1/n.  Condition (ii): under each of P_nu, P_-nu and Q, for the first 32
-    draws of nu, the family's likelihood ratios at nu and -nu satisfy
-    |dP_nu/dQ - dP_-nu/dQ| <= 1/sqrt(k log n) and
-    |dP_nu/dQ + dP_-nu/dQ - 2| <= 1/(k log n) except with frequency at most
-    1e-3.  Reports observed quantiles; raises only for a ``nu_sd`` that is
-    not positive and finite.
-    """
-    _check_nu_sd(nu_sd)
-    threshold_i, threshold_ii, nu_draws = 1.0 / n, 1e-3, 32
-    bound1 = 1.0 / math.sqrt(k * math.log(n))
-    bound2 = 1.0 / (k * math.log(n))
-    gen = rng.child("uc-nu").generator()
-    nus = nu_sd * rng.child("uc-d").generator().standard_normal(sample_budget)
-    in_range = float(np.mean((nus >= -1.0) & (nus <= 1.0)))
-    cond_i = in_range >= 1.0 - threshold_i
-
-    per_source = max(1, sample_budget // (3 * nu_draws))
-    ratios1, ratios2 = [], []
-    viol = 0
-    total = 0
-    probe = np.clip(nus[:nu_draws], -1.0, 1.0)
-    for nu in probe.tolist():
-        for x in (family.sample_planted(gen, nu, per_source),
-                  family.sample_planted(gen, -nu, per_source),
-                  family.sample_noise(gen, per_source)):
-            x = np.asarray(x, dtype=float)
-            lr_p = np.exp(family.log_likelihood_ratio(x, nu))
-            lr_m = np.exp(family.log_likelihood_ratio(x, -nu))
-            l1 = lr_p - lr_m
-            l2 = lr_p + lr_m - 2.0
-            ok = (np.abs(l1) <= bound1) & (np.abs(l2) <= bound2)
-            viol += int((~ok).sum())
-            total += x.size
-            ratios1.append(np.abs(l1) / bound1)
-            ratios2.append(np.abs(l2) / bound2)
-    ratios1 = np.concatenate(ratios1)
-    ratios2 = np.concatenate(ratios2)
-    freq = viol / total
-    cond_ii = freq <= threshold_ii
-    qs = [0.5, 0.9, 0.99, 0.999]
-    return {
-        "n": n, "k": k, "d": d,
-        "bound_l1": bound1, "bound_l2": bound2,
-        "condition_i": {"in_range_freq": in_range, "threshold": threshold_i, "pass": cond_i},
-        "condition_ii": {
-            "violation_freq": freq,
-            "threshold": threshold_ii,
-            "pass": cond_ii,
-            "l1_over_bound_quantiles": {str(q): float(np.quantile(ratios1, q)) for q in qs},
-            "l2_over_bound_quantiles": {str(q): float(np.quantile(ratios2, q)) for q in qs},
-        },
-        "pass": bool(cond_i and cond_ii),
-    }

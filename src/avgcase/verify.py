@@ -588,9 +588,8 @@ def _battery_glsm(params, trials, alpha, rng, fault):
 
     n, k = params["n"], params["k"]
     plan = pl.plan_glsm(params["p"], params["q"], 2.0, n=n, k=k, d=params["d"])
-    family, nu_sd = pl.spca_family(n, k, params["theta"])
     G0 = sample_gnq(plan.N, plan.q, rng.child("h0-graph"))
-    X, _ = pl.pds_to_glsm(G0, plan, params["tau"], family, nu_sd, rng.child("h0-run"))
+    X, _ = pl.pds_to_glsm(G0, plan, params["tau"], params["theta"], rng.child("h0-run"))
     _, pvals = ks_matrix(X.T, sst.norm.cdf)
     worst = float(pvals.min())
     tests = [_test_entry("h0_per_coordinate_ks_vs_Q", worst, worst,

@@ -20,7 +20,7 @@ from avgcase.cli import main as cli_main
 from avgcase.geometry import build_H
 from avgcase.graphs import (Graph, PlantedTrace, sample_gnq, sample_k_pds,
                             sample_planted_conditional, semirandom_apply)
-from avgcase.kernels import PairFamily, srk3_array, tern_params_from_truncation, tern_pmf
+from avgcase.kernels import srk3_array, tern_params_from_truncation, tern_pmf
 from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, isgm_sample_clone,
                                pds_to_isgm, pds_to_semi_cr, plan_isgm,
                                plan_semi_cr, sample_isgm, semi_cr_mus)
@@ -280,21 +280,19 @@ def test_criterion_08_srk3_marginals(tern_bits):
         a, mu1, mu2 = tern_params_from_truncation(tau, mu)
         nu = 1.0 / math.sqrt(3.0 * math.log(n_prob))
         shift = nu * math.sqrt(3.0 * theta * math.log(n_prob) / k_prob)
-        family = PairFamily.gaussian_mean_shift(shift)  # targets at nu = +-1
         rng = RngStream(20_260_008)
         M = 1_000_000
         for tag, law, loc in (("plus", (a, mu1, mu2), shift),
                               ("minus", (a, -mu1, mu2), -shift),
                               ("null", (a, 0.0, 0.0), 0.0)):
             bits = tern_bits(*law, rng.child("bits-" + tag), M)
-            out, _ = srk3_array(bits[None], family, [1.0], a, mu1, mu2, 60,
+            out, _ = srk3_array(bits[None], [shift], a, mu1, mu2, 60,
                                 [rng.child("kern-" + tag)])
             tv = empirical_tv_to_cdf(out[0], lambda u, s=loc: sst.norm.ppf(u, loc=s), 200)
             assert tv <= 0.01, (tag, tv)
         # degenerate P+ = P- = Q: outputs are exactly Q draws
-        same = PairFamily.gaussian_mean_shift(0.0)
         bits = tern_bits(a, mu1, mu2, rng.child("dg"), 100_000)
-        out, _ = srk3_array(bits[None], same, [1.0], a, mu1, mu2, 40, [rng.child("dgk")])
+        out, _ = srk3_array(bits[None], [0.0], a, mu1, mu2, 40, [rng.child("dgk")])
         _, pval = ks_test(out[0], sst.norm.cdf)
         assert pval > ALPHA, pval
 

@@ -1,6 +1,5 @@
 """Tests for the rejection-kernel primitives."""
 
-import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -13,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from avgcase import kernels, prob
 from avgcase.errors import ParameterError
-from avgcase.kernels import (_BLOCK, PairFamily, gaussianize,
+from avgcase.kernels import (_BLOCK, gaussianize,
                              gaussianize_mu_bound, rejection_delta,
                              rk_gauss_array, srk3_array,
                              tern_params_from_truncation, tern_pmf, truncate_tern)
@@ -367,10 +366,9 @@ def test_srk3_branch_formulas_reconstruct_likelihoods():
     # must reconstruct dP+/dQ, 1 and dP-/dQ pointwise; this pins down every
     # branch formula including the B = -1 sign convention.
     a, mu1, mu2, shift = 0.7, 0.04, 0.002, 0.05
-    family = PairFamily.gaussian_mean_shift(shift)
     x = np.linspace(-3, 3, 41)
-    lr_p = np.exp(family.log_likelihood_ratio(x, 1.0))
-    lr_m = np.exp(family.log_likelihood_ratio(x, -1.0))
+    lr_p = np.exp(kernels._log_ratio(x, shift))
+    lr_m = np.exp(kernels._log_ratio(x, -shift))
     l1 = lr_p - lr_m
     l2 = lr_p + lr_m - 2.0
     A_plus = 1.0 + (a / (4 * mu2)) * l2 + l1 / (4 * mu1)
@@ -384,8 +382,7 @@ def test_srk3_branch_formulas_reconstruct_likelihoods():
 
 def _srk3_row(bits, shift, params, n_iter, rng):
     """srk3 on the one row ``bits`` toward N(shift, 1), N(-shift, 1), N(0, 1)."""
-    out, _ = srk3_array(bits[None], PairFamily.gaussian_mean_shift(shift), [1.0],
-                        *params, n_iter, [rng])
+    out, _ = srk3_array(bits[None], [shift], *params, n_iter, [rng])
     return out[0]
 
 
@@ -451,37 +448,35 @@ def test_srk3_gate_truncation(tern_bits):
 
 
 def test_srk3_parameter_errors():
-    family = PairFamily.gaussian_mean_shift(0.1)
     one = np.array([[0]])
     with pytest.raises(ParameterError):
-        srk3_array(one, family, [1.0], 0.5, 0.0, 0.01, 10, [RngStream(15)])  # mu1 = 0
+        srk3_array(one, [0.1], 0.5, 0.0, 0.01, 10, [RngStream(15)])  # mu1 = 0
     with pytest.raises(ParameterError):
-        srk3_array(one, family, [1.0], 0.5, 0.3, 0.01, 10, [RngStream(15)])  # Tern invalid
+        srk3_array(one, [0.1], 0.5, 0.3, 0.01, 10, [RngStream(15)])  # Tern invalid
     with pytest.raises(ParameterError):
-        srk3_array(one + 2, family, [1.0], 0.5, 0.01, 0.01, 10, [RngStream(15)])  # bad symbol
-    with pytest.raises(ParameterError, match="finite nu"):
-        srk3_array(one, family, [np.nan], 0.5, 0.01, 0.01, 10, [RngStream(15)])
-    scalar = dataclasses.replace(family, gate_empty=lambda nus, gate1, gate2: False)
-    with pytest.raises(ParameterError, match="gate_empty returned shape"):  # not one per row
-        srk3_array(one, scalar, [1.0], 0.5, 0.01, 0.01, 10, [RngStream(15)])
+        srk3_array(one + 2, [0.1], 0.5, 0.01, 0.01, 10, [RngStream(15)])  # bad symbol
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="finite shifts"):
+            srk3_array(one, [bad], 0.5, 0.01, 0.01, 10, [RngStream(15)])
 
 
-def _srk3_reference(bits, family, nu, a, mu1, mu2, n_iter, rng):
+def _srk3_reference(bits, shift, a, mu1, mu2, n_iter, rng):
     """The one-row srk3 loop that the blocked kernel replaced, at the row's
-    scalar nu, kept as the reference for its bytes; returns (out, entries
-    that kept the initializer)."""
+    scalar mean shift, kept as the reference for its bytes; returns (out,
+    entries that kept the initializer)."""
     gen = rng.child("srk3").generator()
-    out = np.asarray(family.sample_noise(gen, bits.size), dtype=float)
+    out = gen.standard_normal(bits.size)
     flat_bits = bits.ravel()
     gate2 = 2.0 * abs(mu2) / max(a, 1.0 - a)
     remaining = np.arange(flat_bits.size)
     for _ in range(n_iter):
         if remaining.size == 0:
             break
-        z = np.asarray(family.sample_noise(gen, remaining.size), dtype=float)
+        z = gen.standard_normal(remaining.size)
         u = gen.random(remaining.size)
-        lr_p = np.exp(family.log_likelihood_ratio(z, nu))
-        lr_m = np.exp(family.log_likelihood_ratio(z, -nu))
+        # log dN(+-shift, 1)/dN(0, 1) = +-shift z - shift^2 / 2
+        lr_p = np.exp(shift * z - 0.5 * shift * shift)
+        lr_m = np.exp(-shift * z - 0.5 * shift * shift)
         l1 = lr_p - lr_m
         l2 = lr_p + lr_m - 2.0
         gated = (np.abs(l1) <= 2.0 * abs(mu1)) & (np.abs(l2) <= gate2)
@@ -503,10 +498,9 @@ def _srk3_reference(bits, family, nu, a, mu1, mu2, n_iter, rng):
 
 @pytest.fixture
 def srk3_rows(tern_bits):
-    """``srk3_rows(n, d, seed, shifts=None)``: an (n, d) ternary input, the
-    unit Gaussian family with one nu (the row's mean shift) and one stream
-    per row, and srk3 parameters whose gates cut a sizeable share of Q's
-    mass (about the benchmark's regime)."""
+    """``srk3_rows(n, d, seed, shifts=None)``: an (n, d) ternary input, one
+    mean shift and one stream per row, and srk3 parameters whose gates cut
+    a sizeable share of Q's mass (about the benchmark's regime)."""
 
     def build(n, d, seed, shifts=None):
         a, mu1, mu2 = tern_params_from_truncation(1.0, 0.016)
@@ -515,15 +509,14 @@ def srk3_rows(tern_bits):
         if shifts is None:
             shifts = 1e-2 * rng.child("nu").generator().standard_normal(n)
         streams = [rng.child("srk3", i) for i in range(n)]
-        return (bits, PairFamily.gaussian_mean_shift(1.0), np.asarray(shifts, dtype=float),
-                streams, (a, mu1, mu2))
+        return bits, np.asarray(shifts, dtype=float), streams, (a, mu1, mu2)
 
     return build
 
 
-def _srk3_reference_rows(bits, family, nus, streams, params, n_iter):
-    rows = [_srk3_reference(b, family, nu, *params, n_iter, s)
-            for b, nu, s in zip(bits, nus, streams)]
+def _srk3_reference_rows(bits, shifts, streams, params, n_iter):
+    rows = [_srk3_reference(b, shift, *params, n_iter, s)
+            for b, shift, s in zip(bits, shifts, streams)]
     return np.stack([out for out, _ in rows]), sum(left for _, left in rows)
 
 
@@ -531,15 +524,15 @@ def _srk3_reference_rows(bits, family, nus, streams, params, n_iter):
     (10, 20, 64),     # 3 rows a block: 10 is not a multiple
     (5, 100, 64),     # a row longer than a block: one row a block
     (300, 1000, None),  # the default block, 262 rows, and a short last block
-    (1, 5000, None),  # one row, passed as bits[None], [nu], [stream]
+    (1, 5000, None),  # one row, passed as bits[None], [shift], [stream]
 ])
 def test_srk3_blocks_match_the_one_row_loop(monkeypatch, n, d, block, srk3_rows):
     if block is not None:
         monkeypatch.setattr(kernels, "_BLOCK", block)
-    bits, family, nus, streams, params = srk3_rows(n, d, 60)
-    nus[-1] = 5.0  # far past the gates: every entry of the last row falls back
-    out, fallback = srk3_array(bits, family, nus, *params, 30, streams)
-    ref, ref_fallback = _srk3_reference_rows(bits, family, nus, streams, params, 30)
+    bits, shifts, streams, params = srk3_rows(n, d, 60)
+    shifts[-1] = 5.0  # far past the gates: every entry of the last row falls back
+    out, fallback = srk3_array(bits, shifts, *params, 30, streams)
+    ref, ref_fallback = _srk3_reference_rows(bits, shifts, streams, params, 30)
     assert out.shape == (n, d) and out.tobytes() == ref.tobytes()
     assert fallback == ref_fallback >= d
 
@@ -548,51 +541,57 @@ def _gates(a, mu1, mu2):
     return 2.0 * abs(mu1), 2.0 * abs(mu2) / max(a, 1.0 - a)
 
 
-def _gated(family, x, nu, gate1, gate2):
-    """Which x pass both srk3 gates at nu, in the kernel's float operations."""
-    lr_p = np.exp(family.log_likelihood_ratio(x, nu))
-    lr_m = np.exp(family.log_likelihood_ratio(x, -nu))
+def _gated(x, shift, gate1, gate2):
+    """Which x pass both srk3 gates at a shift, in the kernel's float
+    operations."""
+    lr_p = np.exp(kernels._log_ratio(x, shift))
+    lr_m = np.exp(kernels._log_ratio(x, -shift))
     return (np.abs(lr_p - lr_m) <= gate1) & (np.abs(lr_p + lr_m - 2.0) <= gate2)
 
 
 @pytest.mark.parametrize("tau, mu", [(1.0, 0.016), (0.5, 0.01), (2.0, 0.3), (1.5, 1e-4)])
 def test_gate_empty_settles_exactly_the_rows_without_a_gated_point(tau, mu):
-    # The oracle is sound (a settled nu has no gated point on a dense grid
-    # or among 10^5 draws from Q) and tight for the Gaussian shift: with
-    # edge the shift where 4 exp(-s^2) meets (2 - gate2)^2 - gate1^2, each
-    # shift inside it (up to 0.99 edge here) has a gated grid point and each
-    # one past it (from 1.01 edge) is settled.
+    # The closed form is sound (a settled shift has no gated point on a
+    # dense grid or among 10^5 draws from Q) and tight: with edge the shift
+    # where 4 exp(-s^2) meets (2 - gate2)^2 - gate1^2, each shift inside it
+    # (up to 0.99 edge here) has a gated grid point and each one past it
+    # (from 1.01 edge) is settled.
     gate1, gate2 = _gates(*tern_params_from_truncation(tau, mu))
     edge = math.sqrt(-math.log(((2.0 - gate2) ** 2 - gate1 ** 2) / 4.0))
     x = np.concatenate([np.linspace(-10.0, 10.0, 200_001),
                         RngStream(67).child("q").generator().standard_normal(100_000)])
     ratios = np.array([0.0, 0.5, 0.99, 1.01, 2.0, 10.0, 1e3])
-    for scale in (0.3, 1.0, 4.0):
-        family = PairFamily.gaussian_mean_shift(scale)
-        nus = np.concatenate([ratios, -ratios]) * edge / scale
-        settled = family.gate_empty(nus, gate1, gate2)
-        assert settled.shape == nus.shape
-        hit = np.array([_gated(family, x, nu, gate1, gate2).any() for nu in nus])
-        assert not (settled & hit).any()
-        inside = np.abs(nus * scale) < edge
-        assert hit[inside].all() and settled[~inside].all()
+    shifts = np.concatenate([ratios, -ratios]) * edge
+    settled = kernels._gate_empty(shifts, gate1, gate2)
+    assert settled.shape == shifts.shape
+    hit = np.array([_gated(x, shift, gate1, gate2).any() for shift in shifts])
+    assert not (settled & hit).any()
+    inside = np.abs(shifts) < edge
+    assert hit[inside].all() and settled[~inside].all()
 
 
-def test_srk3_row_that_falls_back_everywhere(srk3_rows):
+def _count_ratio_calls(monkeypatch, record):
+    """Make srk3's log-ratio call ``record(x, shift)`` before each
+    evaluation."""
+    ratio = kernels._log_ratio
+
+    def counted(x, shift, out=None):
+        record(x, shift)
+        return ratio(x, shift, out)
+
+    monkeypatch.setattr(kernels, "_log_ratio", counted)
+
+
+def test_srk3_row_that_falls_back_everywhere(monkeypatch, srk3_rows):
     # A shift far past the gates has an empty gate set, so srk3 settles
     # row 1 before its loop: it keeps its initializer whole and never
     # reaches the ratios, and the rows around it are unaffected.
-    bits, family, nus, streams, params = srk3_rows(3, 50, 61, shifts=[1e-4, 5.0, -1e-4])
-    assert family.gate_empty(nus, *_gates(*params)).tolist() == [False, True, False]
+    bits, shifts, streams, params = srk3_rows(3, 50, 61, shifts=[1e-4, 5.0, -1e-4])
+    assert kernels._gate_empty(shifts, *_gates(*params)).tolist() == [False, True, False]
     seen = []
-
-    def llr(x, nu):
-        seen.append(np.unique(np.abs(nu)))
-        return family.log_likelihood_ratio(x, nu)
-
-    counted = dataclasses.replace(family, log_likelihood_ratio=llr)
-    out, fallback = srk3_array(bits, counted, nus, *params, 20, streams)
-    ref, ref_fallback = _srk3_reference_rows(bits, family, nus, streams, params, 20)
+    _count_ratio_calls(monkeypatch, lambda x, shift: seen.append(np.unique(np.abs(shift))))
+    out, fallback = srk3_array(bits, shifts, *params, 20, streams)
+    ref, ref_fallback = _srk3_reference_rows(bits, shifts, streams, params, 20)
     assert out.tobytes() == ref.tobytes()
     init = streams[1].child("srk3").generator().standard_normal(50)
     assert np.array_equal(out[1], init)
@@ -600,33 +599,28 @@ def test_srk3_row_that_falls_back_everywhere(srk3_rows):
     assert seen and 5.0 not in np.concatenate(seen)
     # a block of settled rows alone makes no ratio call at all
     seen.clear()
-    out, fallback = srk3_array(bits[1:2], counted, nus[1:2], *params, 20, streams[1:2])
+    out, fallback = srk3_array(bits[1:2], shifts[1:2], *params, 20, streams[1:2])
     assert seen == [] and fallback == 50 and np.array_equal(out[0], init)
 
 
 def test_srk3_evaluates_the_ratios_once_per_block_step(monkeypatch, on_workers, srk3_rows):
-    # Two log_likelihood_ratio calls per block step, at nu and -nu of every
+    # Two log-ratio calls per block step, at +shift and -shift of every
     # open entry, whatever the number of rows in the block.  Each shift lies
     # just inside its gate set's edge, where at most about 2% of Q passes
     # the gates, so no row is settled and each block runs all 20 steps.  The
     # blocks run one at a time, so that their calls do not interleave.
     monkeypatch.setattr(kernels, "_BLOCK", 2 * 50)
-    bits, family, nus, streams, params = srk3_rows(
+    bits, shifts, streams, params = srk3_rows(
         5, 50, 66, shifts=[0.0102, -0.0102, 0.01025, -0.01025, 0.0102])
-    assert not family.gate_empty(nus, *_gates(*params)).any()
+    assert not kernels._gate_empty(shifts, *_gates(*params)).any()
     calls = []
-
-    def llr(x, nu):
-        calls.append((np.shape(x), np.shape(nu)))
-        return family.log_likelihood_ratio(x, nu)
-
-    counted = dataclasses.replace(family, log_likelihood_ratio=llr)
-    _, fallback = on_workers(lambda: srk3_array(bits, counted, nus, *params, 20, streams),
-                             cap=1)
+    _count_ratio_calls(monkeypatch,
+                       lambda x, shift: calls.append((np.shape(x), np.shape(shift))))
+    _, fallback = on_workers(lambda: srk3_array(bits, shifts, *params, 20, streams), cap=1)
     assert 0 < fallback < bits.size
     assert len(calls) == 2 * 20 * 3  # 3 blocks (2, 2 and 1 rows) of 20 steps
-    assert calls[0::2] == calls[1::2]  # the pair of one step: nu, then -nu
-    assert all(x_shape == nu_shape for x_shape, nu_shape in calls)  # one nu per open entry
+    assert calls[0::2] == calls[1::2]  # the pair of one step: +shift, then -shift
+    assert all(x_shape == s_shape for x_shape, s_shape in calls)  # one shift per open entry
     assert [calls[i][1][0] for i in (0, 40, 80)] == [100, 100, 50]  # each block's first step
 
 
@@ -634,10 +628,10 @@ def test_srk3_bytes_independent_of_workers(monkeypatch, on_workers, srk3_rows):
     # Serial, the default pool, and more workers than cores give the same
     # bytes.
     monkeypatch.setattr(kernels, "_BLOCK", 4 * 300)
-    bits, family, nus, streams, params = srk3_rows(40, 300, 63)
+    bits, shifts, streams, params = srk3_rows(40, 300, 63)
 
     def run():
-        return srk3_array(bits, family, nus, *params, 30, streams)[0].tobytes()
+        return srk3_array(bits, shifts, *params, 30, streams)[0].tobytes()
 
     serial = on_workers(run, cap=1)
     assert on_workers(run) == serial
@@ -649,10 +643,10 @@ def test_srk3_transient_memory_bounded(monkeypatch, srk3_rows):
     # (all of them in flight here, whatever the host's core count): the peak
     # allocation inside the call exceeds its output by a fixed allowance.
     monkeypatch.setattr(prob, "_usable_cpus", lambda: prob._MAX_IN_FLIGHT)
-    bits, family, nus, streams, params = srk3_rows(512, 4096, 64)
+    bits, shifts, streams, params = srk3_rows(512, 4096, 64)
     tracemalloc.start()
     try:
-        X, _ = srk3_array(bits, family, nus, *params, 62, streams)
+        X, _ = srk3_array(bits, shifts, *params, 62, streams)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -660,16 +654,16 @@ def test_srk3_transient_memory_bounded(monkeypatch, srk3_rows):
 
 
 def test_srk3_needs_one_pair_and_stream_per_row(srk3_rows):
-    # one nu and one stream per row of a 2-D stack, and nothing but a stack
-    bits, family, nus, streams, params = srk3_rows(4, 10, 65)
-    for nu_arg, stream_arg in ((nus[:3], streams), (np.tile(nus, 2), streams),
-                               (nus.reshape(2, 2), streams), (nus, streams[:1]),
-                               (nus[0], streams[0]), (nus, streams[0])):
+    # one shift and one stream per row of a 2-D stack, and nothing but a stack
+    bits, shifts, streams, params = srk3_rows(4, 10, 65)
+    for shift_arg, stream_arg in ((shifts[:3], streams), (np.tile(shifts, 2), streams),
+                                  (shifts.reshape(2, 2), streams), (shifts, streams[:1]),
+                                  (shifts[0], streams[0]), (shifts, streams[0])):
         with pytest.raises(ParameterError, match="4-row input"):
-            srk3_array(bits, family, nu_arg, *params, 10, stream_arg)
+            srk3_array(bits, shift_arg, *params, 10, stream_arg)
     for shape in (bits[0], bits[None]):  # one row must come as bits[None]
         with pytest.raises(ParameterError, match="2-D stack"):
-            srk3_array(shape, family, nus[:1], *params, 10, streams[:1])
+            srk3_array(shape, shifts[:1], *params, 10, streams[:1])
 
 
 def test_truncate_tern():
@@ -719,13 +713,12 @@ def test_tern_truncation_monte_carlo_roundtrip():
 
 
 def test_computable_pairs_unit_mean():
-    # E_Q[dP_nu/dQ] = 1 for the Gaussian family at several nu, evaluated
-    # with nu broadcast against the draws from Q.
-    family = PairFamily.gaussian_mean_shift(0.3)
-    nus = np.array([-1.0, -0.4, 0.0, 0.25, 1.0])
-    x = family.sample_noise(RngStream(17).child("unit-mean").generator(), 100_000)
-    lr = np.exp(family.log_likelihood_ratio(x[:, None], nus))
-    assert lr.shape == (x.size, nus.size)
+    # E_Q[dN(s, 1)/dQ] = 1 at several mean shifts s, evaluated with the
+    # shifts broadcast against the draws from Q = N(0, 1).
+    shifts = np.array([-0.3, -0.12, 0.0, 0.075, 0.3])
+    x = RngStream(17).child("unit-mean").generator().standard_normal(100_000)
+    lr = np.exp(kernels._log_ratio(x[:, None], shifts))
+    assert lr.shape == (x.size, shifts.size)
     assert np.all(np.abs(lr.mean(axis=0) - 1.0) <= 5.0 * lr.std(axis=0) / math.sqrt(x.size) + 1e-12)
 
 

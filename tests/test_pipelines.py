@@ -12,12 +12,12 @@ from avgcase import kernels, pipelines, prob
 from avgcase.errors import ParameterError
 from avgcase.geometry import build_H
 from avgcase.graphs import Graph, sample_gnq, sample_k_pds
-from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, check_uc,
+from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone,
                                isgm_mu_prime, isgm_sample_clone,
                                pds_to_glsm, pds_to_isgm, pds_to_semi_cr,
                                plan_glsm, plan_isgm, plan_semi_cr, sample_isgm,
-                               semi_cr_mus, spca_family, to_k_partite_submatrix)
-from avgcase.kernels import PairFamily, gaussianize, gaussianize_mu_bound
+                               semi_cr_mus, to_k_partite_submatrix)
+from avgcase.kernels import gaussianize, gaussianize_mu_bound
 from avgcase.prob import RngStream
 from avgcase.verify import chi2_test
 
@@ -568,7 +568,6 @@ def test_isgm_structural_errors(monkeypatch):
     large = sample_gnq(64, 0.25, RngStream(116))
     semi_plan = plan_semi_cr(1.0, 0.25, N=32, k=4, ell=2)
     glsm_plan = plan_glsm(1.0, 0.25, 2.0, n=64, k=4)  # N = 84
-    family, nu_sd = spca_family(64, 4, 1e-5)
 
     def no_draw(stream):
         raise AssertionError("a stream was drawn from")
@@ -579,7 +578,7 @@ def test_isgm_structural_errors(monkeypatch):
         (lambda: pds_to_isgm(small, plan, RngStream(117), trace=small_tr), "N=32"),
         (lambda: pds_to_isgm(large, plan, RngStream(117)), "64 vertices .* N=32"),
         (lambda: pds_to_semi_cr(small, semi_plan, RngStream(117), trace=small_tr), "N=32"),
-        (lambda: pds_to_glsm(small, glsm_plan, 1.0, family, nu_sd, RngStream(117)), "N=84"),
+        (lambda: pds_to_glsm(small, glsm_plan, 1.0, 1e-5, RngStream(117)), "N=84"),
     ]:
         with pytest.raises(ParameterError, match=says):
             run()
@@ -793,26 +792,38 @@ def test_semi_cr_bytes_independent_of_workers(monkeypatch, on_workers):
 
 
 # ---------------------------------------------------------------------------
-# glsm + universality checker
+# glsm
 # ---------------------------------------------------------------------------
 
-def _mean_shifts(family, nus):
-    # N(s, 1) against N(0, 1) has log-likelihood ratio s x - s^2 / 2, slope s
-    return np.diff(family.log_likelihood_ratio([[0.0], [1.0]], nus), axis=0)[0]
+def _sparse_pca_scale(plan, theta):
+    return math.sqrt(3.0 * theta * math.log(plan.n) / plan.k)
 
 
-def test_spca_family_is_the_corollary_configuration():
-    n, k, theta = 10_000, 100, 1e-5
-    family, nu_sd = spca_family(n, k, theta)
-    assert nu_sd == 1.0 / math.sqrt(3.0 * math.log(n))
-    scale = math.sqrt(3.0 * theta * math.log(n) / k)
-    x = np.linspace(-3.0, 3.0, 7)
-    for nu in (-0.4, 0.0, 0.25):
-        shift = nu * scale
-        assert_array_equal(family.log_likelihood_ratio(x, nu), shift * x - 0.5 * shift * shift)
-    # theta = 0 is the no-spike family: every P_nu is Q
-    null, _ = spca_family(n, k, 0.0)
-    assert_array_equal(null.log_likelihood_ratio(x, 0.7), np.zeros_like(x))
+def test_spca_family_is_the_corollary_configuration(monkeypatch):
+    # srk3 gets each row's mean shift nu * sqrt(3 theta log n / k) at the
+    # plan's (n, k), nu the row's mixing weight N(0, 1 / (3 log n)) clipped
+    # to [-1, 1], as the trace records it; theta = 0 plants nothing.
+    plan = plan_glsm(1.0, 0.25, 2.0, n=48, k=4, d=200)
+    G = sample_gnq(plan.N, 0.25, RngStream(139))
+    seen = []
+    srk3 = pipelines.srk3_array
+
+    def capture(bits, shifts, *rest):
+        seen.append(np.array(shifts))
+        return srk3(bits, shifts, *rest)
+
+    monkeypatch.setattr(pipelines, "srk3_array", capture)
+    rng = RngStream(141)
+    nu_sd = 1.0 / math.sqrt(3.0 * math.log(plan.n))
+    draws = rng.child("nu").generator().standard_normal(plan.n)
+    for theta in (1e-5, 0.0):
+        seen.clear()
+        _, trace = pds_to_glsm(G, plan, 1.0, theta, rng)
+        nus = np.asarray(trace.params["nu"])
+        assert nus.tobytes() == np.clip(nu_sd * draws, -1.0, 1.0).tobytes()
+        assert len(seen) == 1
+        assert seen[0].tobytes() == (nus * _sparse_pca_scale(plan, theta)).tobytes()
+        assert np.any(seen[0]) == (theta > 0)
 
 
 def test_glsm_h0_shape_and_coordinates():
@@ -823,8 +834,7 @@ def test_glsm_h0_shape_and_coordinates():
     p, q = 1.0, 0.25
     plan = plan_glsm(p, q, 2.0, n=48, k=4, d=200)
     G = sample_gnq(plan.N, q, RngStream(140))
-    family, nu_sd = spca_family(10_000, 100, 1e-5)
-    X, trace = pds_to_glsm(G, plan, 1.0, family, nu_sd, RngStream(141))
+    X, trace = pds_to_glsm(G, plan, 1.0, 1e-5, RngStream(141))
     assert X.shape == (48, plan.d)
     assert len(trace.params["nu"]) == 48
     _, pvals = ks_matrix(X.T, sst.norm.cdf)
@@ -840,10 +850,9 @@ def test_glsm_refuses_a_degenerate_tau_before_the_mixture_stage(monkeypatch, tau
 
     plan = plan_glsm(1.0, 0.25, 2.0, n=32, k=4)
     G, tr = sample_k_pds(plan.N, 4, 1.0, 0.25, RngStream(145))
-    family, nu_sd = spca_family(32, 4, 1e-5)
     monkeypatch.setattr(pipelines, "pds_to_isgm", never)
     with pytest.raises(ParameterError, match=f"tau={tau}.*a must lie in"):
-        pds_to_glsm(G, plan, tau, family, nu_sd, RngStream(146), trace=tr)
+        pds_to_glsm(G, plan, tau, 1e-5, RngStream(146), trace=tr)
 
 
 def test_glsm_trace_counts_srk3_fallbacks():
@@ -852,9 +861,8 @@ def test_glsm_trace_counts_srk3_fallbacks():
     # theta = 1e-4 crowds srk3's gates, so some rows' entries run out.
     plan = plan_glsm(1.0, 0.25, 2.0, n=48, k=4, d=200)
     G = sample_gnq(plan.N, 0.25, RngStream(143))
-    family, nu_sd = spca_family(48, 4, 1e-4)
     rng = RngStream(144)
-    X, trace = pds_to_glsm(G, plan, 1.0, family, nu_sd, rng)
+    X, trace = pds_to_glsm(G, plan, 1.0, 1e-4, rng)
     init = np.stack([rng.child("srk3", i).child("srk3").generator().standard_normal(plan.d)
                      for i in range(48)])
     fallback = trace.params["srk3_fallback_entries"]
@@ -867,57 +875,31 @@ def test_glsm_planted_coordinate_means():
     # component) at the corollary configuration.
     p, q = 1.0, 0.25
     plan = plan_glsm(p, q, 2.0, n=64, k=4)  # d defaults to m
-    family, nu_sd = spca_family(10_000, 100, 1e-5)
     acc = []
     for i in range(60):
         G, tr = sample_k_pds(plan.N, 4, p, q, RngStream(142).child("g", i))
-        X, otr = pds_to_glsm(G, plan, 1.0, family, nu_sd, RngStream(142).child("r", i),
-                             trace=tr)
+        X, otr = pds_to_glsm(G, plan, 1.0, 1e-5, RngStream(142).child("r", i), trace=tr)
         S = otr.planted_set
         nus = np.asarray(otr.params["nu"])
         pos = np.zeros(64, dtype=bool)
         pos[otr.component_set] = True
-        means = _mean_shifts(family, nus[pos])
+        means = nus[pos] * _sparse_pca_scale(plan, 1e-5)
         acc.append((X[np.ix_(pos, S)] - np.outer(means, np.ones(S.size))).ravel())
     resid = np.concatenate(acc)
     z = resid.mean() * math.sqrt(resid.size)
     assert abs(z) < 4
 
 
-def test_check_uc_spca_passes_and_fat_fails():
-    # At theta = 1e-3 sparse PCA breaks condition (ii) on about half the
-    # seeds (median violation frequency 1.5e-3 against 1e-3); at 1e-4 no
-    # seed tried shows a violation.
-    family, nu_sd = spca_family(10_000, 100, 1e-4)
-    rep = check_uc(10_000, 100, 1000, nu_sd, family, 60_000, RngStream(143))
-    assert rep["condition_i"]["pass"] and rep["condition_ii"]["pass"]
-    # a deliberately fat planted family (mean shifts near 1) breaks condition (ii)
-    fat = PairFamily.gaussian_mean_shift(10.0)
-    rep2 = check_uc(10_000, 100, 1000, nu_sd, fat, 20_000, RngStream(144))
-    assert not rep2["condition_ii"]["pass"]
-
-
-def test_check_uc_wide_nu_law_fails_condition_i():
-    family, _ = spca_family(10_000, 100, 1e-3)
-    # N(0, 10^2): symmetric, but its mass escapes [-1, 1]
-    rep = check_uc(10_000, 100, 1000, 10.0, family, 20_000, RngStream(145))
-    assert not rep["condition_i"]["pass"]
-
-
-@pytest.mark.parametrize("nu_sd", [0.0, -1.0, math.inf, math.nan])
-def test_glsm_and_check_uc_refuse_a_bad_nu_sd(monkeypatch, nu_sd):
-    # refused before the mixture stage runs
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -1.0])
+def test_glsm_refuses_a_bad_theta_before_the_mixture_stage(monkeypatch, theta):
     def never(*args, **kwargs):
         raise AssertionError("pds_to_isgm ran")
 
     plan = plan_glsm(1.0, 0.25, 2.0, n=32, k=4)
     G = sample_gnq(plan.N, 0.25, RngStream(147))
-    family, _ = spca_family(32, 4, 1e-5)
     monkeypatch.setattr(pipelines, "pds_to_isgm", never)
-    with pytest.raises(ParameterError, match="nu_sd must be positive and finite"):
-        pds_to_glsm(G, plan, 1.0, family, nu_sd, RngStream(148))
-    with pytest.raises(ParameterError, match="nu_sd must be positive and finite"):
-        check_uc(32, 4, 100, nu_sd, family, 1_000, RngStream(149))
+    with pytest.raises(ParameterError, match="theta must be finite and nonnegative"):
+        pds_to_glsm(G, plan, 1.0, theta, RngStream(148))
 
 
 def test_semi_cr_h0_class_marginals():
