@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AdversaryViolation, ParameterError
 from .formats import dump_json, load_json
-from .prob import RngStream, _check_fits, _check_prob, _run_blocks
+from .prob import RngStream, _check_fits, _check_prob, _run_blocks, uniform_below
 
 __all__ = [
     "Graph",
@@ -349,9 +349,9 @@ def read_graphv1(path) -> Graph:
 def sample_gnq(n: int, q: float, rng: RngStream) -> Graph:
     """Erdos-Renyi G(n, q): each unordered pair present independently w.p. q."""
     _check_prob(q, "q")
-    _check_fits(8 * _n_pairs(n), f"the float64 pair vector of n={n} vertices")
+    _check_fits(_n_pairs(n), f"the pair vector of n={n} vertices, as bool,")
     g = rng.child("gnq").generator()
-    return Graph.from_triu(n, g.random(_n_pairs(n)) < q)
+    return Graph.from_triu(n, uniform_below(g, _n_pairs(n), q))
 
 
 def _plant_dense(graph_vec: np.ndarray, n: int, S: np.ndarray, p: float, gen) -> None:
@@ -373,7 +373,7 @@ def sample_planted_conditional(n: int, S, p: float, q: float, rng: RngStream) ->
     if S.size and (S.min() < 0 or S.max() >= n or np.unique(S).size != S.size):
         raise ParameterError(f"S must be a subset of [0, {n}), got {S}")
     g = rng.child("planted").generator()
-    vec = g.random(_n_pairs(n)) < q
+    vec = uniform_below(g, _n_pairs(n), q)
     _plant_dense(vec, n, S, p, g)
     return Graph.from_triu(n, vec)
 
@@ -393,9 +393,9 @@ def sample_k_pds(N: int, k: int, p: float, q: float, rng: RngStream):
         raise ParameterError(f"need 0 <= q < p <= 1, got p={p}, q={q}")
     if not 0 < k <= N or N % k:
         raise ParameterError(f"k={k} must divide N={N}, with 0 < k <= N")
-    _check_fits(8 * _n_pairs(N), f"the float64 pair vector of N={N} vertices")
+    _check_fits(_n_pairs(N), f"the pair vector of N={N} vertices, as bool,")
     g = rng.child("kpds").generator()
-    vec = g.random(_n_pairs(N)) < q
+    vec = uniform_below(g, _n_pairs(N), q)
     Nk = N // k
     S = np.array([i * Nk + g.integers(Nk) for i in range(k)], dtype=np.int64)
     _plant_dense(vec, N, S, p, g)

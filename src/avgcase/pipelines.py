@@ -148,8 +148,10 @@ class ReductionPlan:
 
     @property
     def mu_bound(self) -> float:
-        """The largest proven ``mu``: SEMI-CR Gaussianizes its m x m submatrix
-        at mu, ISGM and GLSM their m x k r^t matrix at sqrt(r^t (r-1)) mu."""
+        """The largest proven ``mu``: SEMI-CR's at mu over its m x m submatrix
+        (it Gaussianizes that matrix's block lower triangle, whose own bound
+        is larger), ISGM's and GLSM's over their m x k r^t matrix at
+        sqrt(r^t (r-1)) mu."""
         if self.target == "SEMI_CR":
             return gaussianize_mu_bound(self.p, self.Q, self.m, self.m)
         return (gaussianize_mu_bound(self.p, self.Q, self.m, self.k * self.rt)
@@ -170,7 +172,13 @@ def _admit(plan: ReductionPlan, **report) -> ReductionPlan:
             raise ParameterError(f"need n >= m/2 = {m // 2} output vertices, got n={n}")
         report["(3^l-1)k_divides_m"] = m % ((3 ** plan.ell - 1) * k) == 0
         report["n_ge_m_rotated"] = n >= m // 2
-        _check_fits(8 * m * m, f"the {m} x {m} matrix to Gaussianize, as float64,")
+        # the largest array the pipeline holds: it Gaussianizes only the
+        # (3^ell - 1)-blocks (I, J), J <= I, of the m x m matrix
+        blk = 3 ** plan.ell - 1
+        tri = m * (m + blk) // 2
+        _check_fits(*max((8 * tri, f"the {tri} entries of the block lower triangle to "
+                                   "Gaussianize, as float64,"),
+                         (n * n, f"the {n} x {n} adjacency, as bool,")))
     else:
         # the m rows land on m of the d coordinates, and the n samples are n
         # of the k l rotated columns, at most k l / w of them in the proven
@@ -440,7 +448,8 @@ def to_k_partite_submatrix(G: Graph, k: int, p, q, m, rng: RngStream,
     planted = None
     out_planted = []
     if trace is not None and trace.planted_set is not None:
-        planted = np.asarray(trace.planted_set, dtype=np.int64)
+        # sorted and without repeats, as np.intersect1d would make it per part
+        planted = np.unique(np.asarray(trace.planted_set, dtype=np.int64))
 
     # The union of the per-part embeddings carries the whole input graph:
     # S collects the embedded positions, src their source vertices under the
@@ -457,7 +466,9 @@ def to_k_partite_submatrix(G: Graph, k: int, p, q, m, rng: RngStream,
         s1 = int(gen.binomial(Nk, p))
         s2 = int(gen.binomial(mk, Q))
         T1 = gen.choice(Nk, size=s1, replace=False)
-        rest = np.setdiff1d(F_part, S_t, assume_unique=False)
+        free = np.ones(mk, dtype=bool)
+        free[S_t - part_idx * mk] = False
+        rest = F_part[free]  # F_part minus S_t, ascending
         if s2 - s1 > rest.size:
             raise ParameterError(
                 f"part {part_idx}: the planted-diagonal draw needs s2 - s1 = "
@@ -471,7 +482,7 @@ def to_k_partite_submatrix(G: Graph, k: int, p, q, m, rng: RngStream,
         diag_T1.append(S_t[T1])
         diag_T2.append(T2)
         if planted is not None:
-            v = np.intersect1d(planted, E_part)
+            v = planted[(planted >= part_idx * Nk) & (planted < (part_idx + 1) * Nk)]
             if v.size != 1:
                 raise ParameterError("trace must plant exactly one vertex per part")
             out_planted.append(int(S_t[int(np.flatnonzero(pi == v[0])[0])]))
@@ -684,11 +695,13 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
     trace records S (planted_set) plus S' and the rotated vertex set V in
     ``params``.
 
-    Only the Gaussianized m x m submatrix, the n x n adjacency and the
-    output's pair vector are held whole; padding, rotation and thresholding
-    run one chunk of block rows per task, the relabelling one band of rows
-    per task, and the output depends neither on the chunk and band sizes
-    nor on the number of workers.
+    Of the m x m submatrix only its block lower triangle, the
+    (3^ell - 1)-blocks (I, J) with J <= I that reach the output, is
+    Gaussianized, padded and rotated.  That triangle, the n x n adjacency
+    and the output's pair vector are held whole; padding, rotation and
+    thresholding run one chunk of block rows per task, the relabelling one
+    band of rows per task, and the output depends neither on the chunk and
+    band sizes nor on the number of workers.
     """
     if plan.target != "SEMI_CR":
         raise ParameterError(f"pds_to_semi_cr needs a SEMI_CR plan, got {plan.target}")
@@ -696,51 +709,74 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
     p, q, Q, k, ell, m, n, mu = plan.p, plan.q, plan.Q, plan.k, plan.ell, plan.m, plan.n, plan.mu
     three_l = 3 ** ell
     s = m // ((three_l - 1) * k)
-    m_prime = three_l * k * s
     m_rot = m // 2  # (3^ell - 1) k s / 2 rows survive each block rotation
 
+    # Step 2: Gaussianize the block lower triangle.  Rotated block (I, J) of
+    # the output depends on input block (I, J) alone, and only the blocks
+    # J <= I reach the thresholded lower triangle, so only those are
+    # Gaussianized, padded and rotated.  They go to the kernel as one 1 x L
+    # matrix: the entries (i, j) with j // blk <= i // blk, in row-major
+    # order, so block row I is the blk x (I + 1) blk entries from
+    # blk^2 before(I) on.
     M_PD, tr1 = to_k_partite_submatrix(G, k, p, q, m, rng.child("submatrix"), trace)
-    M_G = gaussianize(M_PD, p, Q, mu, rng.child("gaussianize"))
-    del M_PD
-
-    # Steps 3-5, one chunk of 3^ell-block rows per task of the pool.  The
-    # padded m' x m' matrix is fresh N(0, 1) with M_G at offsets 1..3^ell-1
-    # of every block (offset 0 is the zero-point column of the rotation).
-    # Each block of it is rotated as H . block . H^T, and the
-    # strictly-below-diagonal entries of the rotated m'' x m'' matrix are
-    # thresholded into adj.  Only the padding M_G leaves visible is drawn:
-    # per block row, its offset-0 row and then its offset-0 column entries,
-    # row-major.  A task takes the next chunk and makes its one row-major
-    # (c, m' + blk ks) draw under the lock, so the draws come in chunk order
-    # and the stream depends neither on the chunk size nor on the pool.
-    # Each chunk's products stay whole: splitting a product can change its
-    # bits.
-    gen = rng.child("pad").generator()
     blk = three_l - 1
-    H = build_H(3, ell)
     ks = k * s
+
+    def before(I):
+        """The kept blocks in the block rows above block row I."""
+        return I * (I + 1) // 2
+
+    tri = np.empty(blk * blk * before(ks), dtype=np.uint8)
+    for I in range(ks):
+        tri[blk * blk * before(I):blk * blk * before(I + 1)].reshape(blk, -1)[...] = \
+            M_PD[I * blk:(I + 1) * blk, :(I + 1) * blk]
+    del M_PD
+    M_G = gaussianize(tri[None], p, Q, mu, rng.child("gaussianize"))[0]
+    del tri
+
+    # Steps 3-5, one chunk of block rows per task of the pool.  Padded block
+    # (I, J) is 3^ell x 3^ell: fresh N(0, 1) at offset 0 of either axis (the
+    # zero-point row and column of the rotation) and block (I, J) of M_G at
+    # offsets 1..3^ell-1.  It is rotated as H . block . H^T, and the rotated
+    # entries below the diagonal of the m'' x m'' matrix are thresholded into
+    # adj.  Each kept block draws 2 * 3^ell - 1 fresh entries, its
+    # offset-0 row and then the rest of its offset-0 column, in the blocks'
+    # row-major order.  A task takes the next chunk and makes its one draw
+    # under the lock, so the draws come in chunk order and the stream
+    # depends neither on the chunk size nor on the pool.  Each chunk's two
+    # products are whole ones: splitting a product can change its bits.
+    gen = rng.child("pad").generator()
+    H = build_H(3, ell)
     ellh = H.shape[0]
     thr = mu / (2.0 * three_l)
     adj = np.zeros((n, n), dtype=bool)
-    step = max(1, _PAD_CHUNK // (three_l * m_prime))
+    below = np.tri(ellh, k=-1, dtype=bool)  # a diagonal block's kept entries
+    # block rows per chunk, sized on the last and widest block row
+    step = max(1, _PAD_CHUNK // (three_l * three_l * ks))
     starts = iter(range(0, ks, step))
     draw = threading.Lock()
 
     def rotate(_):
         with draw:
-            a = next(starts)
-            c = min(step, ks - a)
-            fresh = gen.standard_normal((c, m_prime + blk * ks))
-        rows = np.empty((c, three_l, ks, three_l))
-        rows[:, 0] = fresh[:, :m_prime].reshape(c, ks, three_l)
-        rows[:, 1:, :, 0] = fresh[:, m_prime:].reshape(c, blk, ks)
-        rows[:, 1:, :, 1:] = M_G[a * blk:(a + c) * blk].reshape(c, blk, ks, blk)
+            lo = next(starts)
+            hi = min(lo + step, ks)
+            fresh = gen.standard_normal((before(hi) - before(lo), 2 * three_l - 1))
+        # the chunk's blocks side by side: padded[:, b] is its block b
+        first = before(lo)
+        padded = np.empty((three_l, len(fresh), three_l))
+        padded[0] = fresh[:, :three_l]
+        padded[1:, :, 0] = fresh[:, three_l:].T
         del fresh
-        M_R = H @ rows.reshape(c, three_l, m_prime)
-        del rows
-        M_R = M_R.reshape(c * ellh, ks, three_l) @ H.T
-        r0 = a * ellh
-        adj[r0:r0 + c * ellh, :m_rot] = np.tril(M_R.reshape(c * ellh, m_rot) >= thr, r0 - 1)
+        for I in range(lo, hi):
+            padded[1:, before(I) - first:before(I + 1) - first, 1:] = \
+                M_G[blk * blk * before(I):blk * blk * before(I + 1)].reshape(blk, I + 1, blk)
+        M_R = H @ padded.reshape(three_l, -1)
+        del padded
+        kept = (M_R.reshape(-1, three_l) @ H.T).reshape(ellh, -1, ellh) >= thr
+        for I in range(lo, hi):
+            rows = kept[:, before(I) - first:before(I + 1) - first].reshape(ellh, -1)
+            rows[:, I * ellh:] &= below
+            adj[I * ellh:(I + 1) * ellh, :(I + 1) * ellh] = rows
 
     _run_blocks(rotate, -(-ks // step))
     del M_G

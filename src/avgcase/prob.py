@@ -34,8 +34,9 @@ its share of the CPUs.  Two runners apply it:
   ``graphs.write_graphv1``), and ``_random_bands`` makes the draw
   ``gen.random(size)`` in bands on it, splitting one PCG64DXSM stream
   with ``advance``: ``uniform_below`` draws its Bernoulli matrices
-  ``gen.random(shape) < p`` that way, and ``pipelines.graph_clone`` its
-  pair uniforms.  ``_random_bands``' docstring gives the argument that the
+  ``gen.random(shape) < p`` that way (the background and paddings of the
+  pipelines, and the pair vectors of the ``graphs`` samplers), and
+  ``pipelines.graph_clone`` its pair uniforms.  ``_random_bands``' docstring gives the argument that the
   values and the generator's final state are exactly the one-shot draw's.
 * ``_run_trials`` runs the independent trials of a verify battery in forked
   worker processes, since a trial is many small numpy calls that hold the

@@ -20,7 +20,7 @@ from avgcase.cli import main
 from avgcase.errors import ParameterError
 from avgcase.formats import _read_amat, write_amat
 from avgcase.graphs import read_graphv1
-from avgcase.pipelines import plan_isgm
+from avgcase.pipelines import plan_isgm, plan_semi_cr
 
 
 def _run(argv):
@@ -292,7 +292,7 @@ def test_reduce_semi_cr_end_to_end(tmp_path):
 # to the random stream must change these pins and say so; plan.json pins the
 # planned values.
 _SEMI_CR_GOLDEN = {
-    "instance.graph": "e43fca5754323ae54a43544b2cf37740048274abe387a5edbce2a736af6e415c",
+    "instance.graph": "4f23731eddd1027e9a02f9638f73afbe19f90fc3b743947ede6a9a3d99a6ee03",
     "trace.json": "3d34b3aee2c9ee6b99463eafc4df44bae63c71f45cf304f3f80b54569eee36f8",
     "plan.json": "cdd9c552483e3b4531f5ded6af0128f37be16111157de7cbaa3baca6abd3cc98",
 }
@@ -347,7 +347,7 @@ _VERIFY_GOLDEN = {
     "isgm": (["--params", '{"N": 32, "k": 4, "p": 1.0, "q": 0.25}', "--trials", "200"],
              "540d187ad71521a1eb89f8b3bf6cfae5975eb42131ab4b3a361f63b6542c9aaf"),
     "semi-cr": (["--trials", "100"],
-                "7ff330f7c140f3bbb8e1c272c7d3baf00f70917ad4bcecd9cd9ca709d6082288"),
+                "f813f72d24b2d4f28a30e59e8e3855e7aa6af17f6118a285f1324b3ce97e78ba"),
     "glsm": (["--trials", "1"],
              "d326dca734427fd76dea997314d503c41d0d24929986e78c3509ba48716f941a"),
 }
@@ -534,6 +534,26 @@ def test_reduce_isgm_admits_what_it_holds(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert _run(argv + ["--out", str(tmp_path / str(limit))]) == rc
     assert "physical memory" in capsys.readouterr().err
+
+
+def test_reduce_semi_cr_admits_what_it_holds(tmp_path, capsys, monkeypatch):
+    # SEMI-CR holds the block lower triangle of its m x m matrix as float64,
+    # m (m + 3^ell - 1) / 2 entries, never the whole matrix: a host with
+    # room for that triangle but not for the matrix runs the plan, and one
+    # without room for the triangle refuses the plan with exit 2.
+    src = tmp_path / "src"
+    _run(["generate", "kpds", "--n", "32", "--k", "4", "--p", "1.0", "--q", "0.25",
+          "--seed", "21", "--out", str(src)])
+    plan = plan_semi_cr(1.0, 0.25, N=32, k=4, ell=2)
+    old = 8 * plan.m ** 2
+    need = max(8 * plan.m * (plan.m + 8) // 2, plan.n ** 2)
+    assert need < old
+    argv = ["reduce", "semi-cr", "--in", str(src / "instance.graph"), *_SRC, "--ell", "2"]
+    for limit, rc in [((need + old) // 2, 0), (need - 1, 2)]:
+        monkeypatch.setattr(prob, "_physical_memory", lambda limit=limit: limit)
+        capsys.readouterr()
+        assert _run(argv + ["--out", str(tmp_path / str(limit))]) == rc
+    assert "block lower triangle" in capsys.readouterr().err
 
 
 def test_bench_tracer_sees_the_pipeline_layers(tmp_path):

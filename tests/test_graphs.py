@@ -264,6 +264,29 @@ def test_gnq_degenerate_and_concentration():
     assert all(lo <= c <= hi for c in counts)
 
 
+def test_samplers_draw_pairs_in_bands_with_the_one_shot_bytes(monkeypatch):
+    # The pair uniforms come in 13 bands of at most 64 doubles; the bytes,
+    # and every draw a sampler makes after them, are those of the one-shot
+    # draw g.random(pairs) < q.
+    monkeypatch.setattr(prob, "_BAND", 64)
+    n, p, q = 40, 0.9, 0.3
+    pairs = n * (n - 1) // 2
+    g = RngStream(5).child("gnq").generator()
+    assert sample_gnq(n, q, RngStream(5)) == Graph.from_triu(n, g.random(pairs) < q)
+    S = np.array([3, 17, 29])
+    g = RngStream(6).child("planted").generator()
+    vec = g.random(pairs) < q
+    graphs._plant_dense(vec, n, S, p, g)
+    assert sample_planted_conditional(n, S, p, q, RngStream(6)) == Graph.from_triu(n, vec)
+    # the planted vertices are the generator's next draws after the pairs
+    g = RngStream(7).child("kpds").generator()
+    vec = g.random(pairs) < q
+    S = np.array([i * 10 + g.integers(10) for i in range(4)])
+    graphs._plant_dense(vec, n, S, p, g)
+    G, tr = sample_k_pds(n, 4, p, q, RngStream(7))
+    assert G == Graph.from_triu(n, vec) and tr.planted_set.tolist() == sorted(S)
+
+
 def test_k_pds_degenerate_clique():
     G, tr = sample_k_pds(20, 4, 1.0, 0.0, RngStream(2))
     S = tr.planted_set

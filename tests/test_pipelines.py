@@ -179,6 +179,25 @@ def test_submatrix_matches_whole_matrix_reference(monkeypatch, on_workers):
     assert_array_equal(tr2.planted_set, U_ref)
 
 
+def test_submatrix_reads_an_unsorted_trace_with_repeats():
+    # A trace file may list its planted vertices unsorted, or one of them
+    # twice: the embedding reads the set, as np.intersect1d does per part.
+    N, k, p, q, m = 32, 4, 0.75, 0.25, 120
+    G, tr = sample_k_pds(N, k, p, q, RngStream(115))
+    messy = dataclasses.replace(tr, planted_set=np.append(tr.planted_set[::-1],
+                                                          tr.planted_set[1]))
+    M, tr2 = to_k_partite_submatrix(G, k, p, q, m, RngStream(116), messy)
+    M_ref, U_ref = _embed_reference(G, k, p, q, m, RngStream(116), messy)
+    assert_array_equal(M, M_ref)
+    assert_array_equal(tr2.planted_set, U_ref)
+    assert_array_equal(M, to_k_partite_submatrix(G, k, p, q, m, RngStream(116), tr)[0])
+    # two distinct vertices in one part still fail
+    two = dataclasses.replace(tr, planted_set=np.append(tr.planted_set,
+                                                        (tr.planted_set[0] + 1) % (N // k)))
+    with pytest.raises(ParameterError, match="exactly one vertex per part"):
+        to_k_partite_submatrix(G, k, p, q, m, RngStream(116), two)
+
+
 def test_submatrix_structure_and_errors():
     N, k, p, q = 32, 4, 0.75, 0.25
     G, tr = sample_k_pds(N, k, p, q, RngStream(103))
@@ -688,24 +707,30 @@ def test_semi_cr_rejects_a_foreign_plan():
 def _semi_cr_reference(G, plan, rng, trace):
     """The whole-matrix SEMI-CR algorithm: an m' x m' padded matrix, one
     two-sided einsum rotation and a tril_indices scatter of the thresholded
-    entries.  Returns the output graph and the labels of V, S and S'."""
+    entries.  Only the blocks J <= I are Gaussianized and padded, and every
+    block J > I of the padded matrix is NaN, which would reach the output
+    if any entry of such a block did.  Returns the output graph and the
+    labels of V, S and S'."""
     k, ell, m, n, mu = plan.k, plan.ell, plan.m, plan.n, plan.mu
     three_l = 3 ** ell
     s = m // ((three_l - 1) * k)
     m_prime, m_rot, ks = three_l * k * s, m // 2, k * s
     M_PD, tr1 = to_k_partite_submatrix(G, k, plan.p, plan.q, m, rng.child("submatrix"), trace)
-    M_G = gaussianize(M_PD, plan.p, plan.Q, mu, rng.child("gaussianize"))
     blk = three_l - 1
-    old = np.arange(m)
-    new_idx = (old // blk) * three_l + 1 + (old % blk)
-    # Per block row: its offset-0 row, then its offset-0 column entries.
-    fresh = rng.child("pad").generator().standard_normal((ks, m_prime + blk * ks))
+    # the entries (i, j) with j // blk <= i // blk, row-major
+    kept = [(I, J) for I in range(ks) for J in range(I + 1)]
+    bits = M_PD[np.arange(m) // blk <= np.arange(m)[:, None] // blk]
+    M_G = gaussianize(bits[None], plan.p, plan.Q, mu, rng.child("gaussianize"))[0]
+    rows = np.split(M_G, np.cumsum([blk * blk * (I + 1) for I in range(ks)])[:-1])
+    # Per kept block: its offset-0 row, then the rest of its offset-0 column.
+    fresh = rng.child("pad").generator().standard_normal((len(kept), 2 * three_l - 1))
     M_P = np.full((m_prime, m_prime), np.nan)
-    for a in range(ks):
-        M_P[a * three_l] = fresh[a, :m_prime]
-        M_P[a * three_l + 1:(a + 1) * three_l, ::three_l] = fresh[a, m_prime:].reshape(blk, ks)
-    M_P[np.ix_(new_idx, new_idx)] = M_G
-    assert not np.isnan(M_P).any()
+    for b, (I, J) in enumerate(kept):
+        block = M_P[I * three_l:(I + 1) * three_l, J * three_l:(J + 1) * three_l]
+        block[0] = fresh[b, :three_l]
+        block[1:, 0] = fresh[b, three_l:]
+        block[1:, 1:] = rows[I].reshape(blk, I + 1, blk)[:, J]
+    assert np.isnan(M_P).sum() == three_l ** 2 * ks * (ks - 1) // 2
     H = build_H(3, ell)
     M4 = M_P.reshape(ks, three_l, ks, three_l)
     M_R = np.einsum("xi,aibj,yj->axby", H, M4, H, optimize=True).reshape(m_rot, m_rot)
@@ -746,21 +771,30 @@ def _semi_cr_reference(G, plan, rng, trace):
 ])
 def test_semi_cr_matches_whole_matrix_reference(monkeypatch, ell, n, chunk):
     # The chunked pad/rotate/threshold loop gives the whole-matrix algorithm's
-    # output bit for bit, whatever the chunk size.
+    # output bit for bit, whatever the chunk size, and it Gaussianizes only
+    # the blocks that the reference fills with numbers.
     if chunk is not None:
         monkeypatch.setattr(pipelines, "_PAD_CHUNK", chunk)
     p, q, N, k = 1.0, 0.25, 32, 4
     plan = plan_semi_cr(p, q, N=N, k=k, ell=ell, n=n)
     G, tr = sample_k_pds(N, k, p, q, RngStream(170 + ell))
+    sizes, real = [], pipelines.gaussianize
+    monkeypatch.setattr(pipelines, "gaussianize",
+                        lambda M, *args: sizes.append(M.size) or real(M, *args))
     G_out, otr = pds_to_semi_cr(G, plan, RngStream(180 + ell), trace=tr)
+    blk = 3 ** ell - 1
+    ks = plan.m // blk
+    assert sizes == [blk * blk * ks * (ks + 1) // 2]  # the block lower triangle only
     G_ref, V, S, S2 = _semi_cr_reference(G, plan, RngStream(180 + ell), tr)
     assert G_out.n == plan.n and G_out == G_ref
     assert (otr.params["V"], otr.planted_set.tolist(), otr.params["S_prime"]) == (V, S, S2)
 
 
 def test_semi_cr_builds_no_padded_matrix():
-    # Traced peak: the Gaussianized m x m matrix, the n x n adjacency and a
-    # fixed allowance; the m' x m' padded matrix (92 MB here) never exists.
+    # Traced peak: the Gaussianized block lower triangle (m (m + 8) / 2
+    # entries at ell = 2), the n x n adjacency and a fixed allowance; the
+    # m' x m' padded matrix (92 MB here) and the m x m Gaussian matrix
+    # (72 MB) never exist.
     p, q, N, k = 1.0, 0.25, 1000, 8
     plan = plan_semi_cr(p, q, N=N, k=k, ell=2)
     G, tr = sample_k_pds(N, k, p, q, RngStream(190))
@@ -770,7 +804,7 @@ def test_semi_cr_builds_no_padded_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * plan.m ** 2 + plan.n ** 2 + 48 * 2 ** 20
+    assert peak < 8 * plan.m * (plan.m + 8) // 2 + plan.n ** 2 + 48 * 2 ** 20
 
 
 def test_semi_cr_bytes_independent_of_workers(monkeypatch, on_workers):
