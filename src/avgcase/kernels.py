@@ -9,7 +9,7 @@ Four gadgets live here:
   of its column parts, with the proven mean bound
   (``gaussianize_mu_bound``, the one bound formula every reduction uses)
   enforced and an iteration count set by the matrix size; it can hand each
-  part to a consumer as soon as the part is done.
+  block of its output to a consumer as soon as the block is done.
 * ``srk3_array`` — the symmetric 3-ary kernel mapping ternary inputs
   distributed Tern(a, mu1, mu2) / Tern(a, -mu1, mu2) / Tern(a, 0, 0) near
   N(shift, 1), N(-shift, 1) and Q = N(0, 1), one mean shift per row; it
@@ -66,7 +66,6 @@ identity is what the unit tests pin down.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -137,12 +136,11 @@ def _rk_gauss_core(parts, mu, p, q, n_iter, streams, use=None):
     built here, before any block starts, so the workers run numpy only and
     the output does not depend on the worker count or on scheduling.
 
-    Returns the output stack.  Given ``use``, it returns None instead: the
-    worker that finishes part j's last block calls ``use(j, out_j)`` and
-    then drops the part.  A part's output is allocated when its first block
-    starts, and the pool starts blocks in order, so each part but the
-    newest has a worker on it (a block or its ``use``): no more parts are
-    alive at once than the pool has workers.
+    Returns the output stack.  Given ``use``, it returns None instead: each
+    block is written into a fresh array of its own, and the worker that
+    finishes it calls ``use(j, start, block)``, ``start`` the block's
+    offset in part j's flat output, and then drops it.  So no more blocks'
+    outputs are alive at once than the pool has workers.
     """
     mu = _target_mean(mu)
     flat_bits = parts.reshape(len(streams), -1)
@@ -152,23 +150,15 @@ def _rk_gauss_core(parts, mu, p, q, n_iter, streams, use=None):
     for s in streams:
         gens += [s.generator()] + [s.child("block", i).generator() for i in range(1, n_blocks)]
     out = np.zeros(flat_bits.shape) if use is None else None
-    alive, done, lock = {}, [0] * len(streams), threading.Lock()
 
     def run(b):
         j, i = divmod(b, n_blocks)
-        with lock:
-            if j not in alive:
-                alive[j] = out[j] if use is None else np.zeros(size)
-            part = alive[j]
-        start, stop = i * _BLOCK, (i + 1) * _BLOCK
-        _rk_gauss_block(flat_bits[j, start:stop], mu, part[start:stop], p, q, n_iter, gens[b])
-        with lock:
-            done[j] += 1
-            if done[j] < n_blocks:
-                return
-            del alive[j]
+        start = i * _BLOCK
+        bits = flat_bits[j, start:start + _BLOCK]
+        block = np.zeros(bits.size) if out is None else out[j, start:start + _BLOCK]
+        _rk_gauss_block(bits, mu, block, p, q, n_iter, gens[b])
         if use is not None:
-            use(j, part.reshape(parts.shape[1:]))
+            use(j, start, block)
 
     _run_blocks(run, len(gens))
     return None if out is None else out.reshape(parts.shape)
@@ -250,9 +240,11 @@ def gaussianize(M, P, Q, mu, rng: RngStream, use=None):
     stream, and part j of a stack from that stream's ``child("part", j)``;
     the parts are Gaussianized one after the other on the pool (see
     ``_rk_gauss_core``).  Returns the Gaussian matrix or stack.  Given
-    ``use``, it returns None and calls ``use(j, part)`` on a worker with
-    each part's m x n / k Gaussian array as soon as the part is done (a
-    matrix is part 0), so that the whole output never exists at once.
+    ``use``, it returns None and calls ``use(j, start, block)`` on a worker
+    with each block of the output as soon as it is done: ``block`` holds
+    entries [start, start + ``_BLOCK``) of part j flattened (fewer in the
+    part's last block), and a matrix is part 0.  So neither the output nor
+    one part of it ever exists whole.
 
     ``mu`` is one nonnegative scalar, and it must satisfy the proven bound
     for the whole m x n input (see ``gaussianize_mu_bound``;

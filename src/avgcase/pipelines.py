@@ -196,10 +196,10 @@ def _admit(plan: ReductionPlan, **report) -> ReductionPlan:
         report["w_n_le_k_ell"] = plan.w * n <= k_ell
         report["n_over_eps_N"] = n / (plan.eps * plan.N)
         # the largest array the pipeline holds; it Gaussianizes and rotates
-        # one m x r^t part per worker, never the whole m x k r^t matrix
+        # one block of the padded parts per worker, never a whole part as
+        # float64
         _check_fits(*max((8 * n * plan.d, f"the {n} x {plan.d} samples, as float64,"),
-                         (m * k * rt, f"the {k} x {m} x {rt} padded parts, as uint8,"),
-                         (8 * m * rt, f"one {m} x {rt} part to Gaussianize, as float64,")))
+                         (m * k * rt, f"the {k} x {m} x {rt} padded parts, as uint8,")))
     bound = plan.mu_bound
     report.update({
         "k_le_QN_over_4": k <= plan.Q * plan.N / 4.0,
@@ -545,7 +545,7 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
     # Step 2: pad each part to r^t columns with Bern(Q), then permute rows
     # globally and columns within each part, into the (k, m, r^t) stack of
     # the padded parts.  Every draw is made first, in order; each part is
-    # then one gather, one pool task per part.
+    # then gathered, rows and then columns, one pool task per part.
     gen = rng.child("pad").generator()
     mk = m // k
     fresh, col_perms = [], []
@@ -557,7 +557,7 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
 
     def pad(i):
         combined = np.concatenate([M1[:, i * mk:(i + 1) * mk], fresh[i]], axis=1)
-        parts[i] = combined[np.ix_(row_src, col_perms[i])]
+        np.take(combined[row_src], col_perms[i], axis=1, out=parts[i])
 
     _run_blocks(pad, k)
     del M1, fresh
@@ -565,23 +565,55 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
     row_new[row_src] = np.arange(m)
 
     # Steps 3-6: Gaussianize each part at entrywise mean sqrt(r^t (r-1)) mu
-    # and, on the worker that finishes it, rotate it by the incidence matrix
-    # at once, so only the pool's parts in flight are ever held as float64.
-    # Of the k * out_cols rotated columns, n are kept and embedded as m
-    # random coordinates of n samples in R^d, and only those are computed:
-    # output column c is part c // out_cols rotated by row c % out_cols of H.
+    # and, on the worker that finishes each block of it, rotate the block's
+    # rows by the incidence matrix at once, so only the pool's blocks in
+    # flight are ever held as float64.  Of the k * out_cols rotated columns,
+    # n are kept and embedded as m random coordinates of n samples in R^d,
+    # and only those are computed: output column c is part c // out_cols
+    # rotated by row c % out_cols of H.
     H_mat = build_H(r, t) if rotation_override is None else rotation_override
     out_cols = H_mat.shape[0]
     gen6 = rng.child("output").generator()
     col_choice = gen6.choice(k * out_cols, size=n, replace=False)
     row_pos = gen6.choice(d, size=m, replace=False)
     samples = np.empty((n, d))
+    kept = [np.flatnonzero(col_choice // out_cols == i) for i in range(k)]
+    # part i's kept rows of H, gathered at its first rotation and dropped
+    # with its last row
+    H_kept, rows_left = {}, [m] * k
+    pieces = {}  # (part, row) -> [entries in, the row] for rows cut by a block edge
+    lock = threading.Lock()
 
-    def rotate(i, part):
-        # one whole-part product per part: splitting a part's GEMM by rows or
-        # columns can change its bits
-        kept = np.flatnonzero(col_choice // out_cols == i)
-        samples[np.ix_(kept, row_pos)] = H_mat[col_choice[kept] % out_cols] @ part.T
+    def rotate_rows(i, first, rows):
+        with lock:
+            if i not in H_kept:
+                H_kept[i] = H_mat[col_choice[kept[i]] % out_cols]
+            Hk = H_kept[i]
+        samples[np.ix_(kept[i], row_pos[first:first + len(rows)])] = Hk @ rows.T
+        with lock:
+            rows_left[i] -= len(rows)
+            if not rows_left[i]:
+                del H_kept[i]
+
+    def rotate(i, start, block):
+        # The block's whole rows go as one product.  A row cut by a block
+        # edge (when r^t does not divide _BLOCK) is put together here and
+        # rotated alone once all its entries are in, so every product, and
+        # thus every bit, is fixed by _BLOCK and r^t, never by the pool.
+        stop = start + block.size
+        first, last = -(-start // rt), stop // rt
+        if first < last:
+            rotate_rows(i, first, block[first * rt - start:last * rt - start].reshape(-1, rt))
+        for row in {row for row, cut in ((start // rt, start % rt), (last, stop % rt)) if cut}:
+            lo, hi = max(start, row * rt), min(stop, (row + 1) * rt)
+            with lock:
+                piece = pieces.setdefault((i, row), [0, np.empty(rt)])
+                piece[1][lo - row * rt:hi - row * rt] = block[lo - start:hi - start]
+                piece[0] += hi - lo
+                if piece[0] < rt:
+                    continue
+                del pieces[(i, row)]
+            rotate_rows(i, row, piece[1][None])
 
     tau_entry = math.sqrt(rt * (r - 1)) * plan.mu
     gaussianize(parts, p, plan.Q, tau_entry, rng.child("gaussianize"), rotate)

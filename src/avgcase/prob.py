@@ -27,7 +27,7 @@ min(usable CPUs, ``_MAX_IN_FLIGHT``) workers, and within a trial worker only
 its share of the CPUs.  Two runners apply it:
 
 * ``_run_blocks`` runs the blocks of one large input on threads (the
-  kernels' blocks, with each Gaussianized part of ``pds_to_isgm`` rotated
+  kernels' blocks, with each Gaussianized block of ``pds_to_isgm`` rotated
   on the worker that finishes it, the row bands of the k-partite
   embedding, the pad of ``pds_to_isgm``, the pad/rotate loop, the mirror and
   the relabelling of ``pds_to_semi_cr``, and the pieces of
@@ -159,21 +159,39 @@ def _pool_size(n_tasks: int) -> int:
 
 
 def _run_blocks(run, n_blocks: int) -> None:
-    """Call ``run(i)`` for every block i, on a thread pool of
-    ``_pool_size(n_blocks)`` workers; one worker runs the blocks in order
-    on the calling thread.  numpy's generators, ufuncs and BLAS calls
-    release the GIL, so the blocks overlap; a worker's error is re-raised
-    here."""
+    """Call ``run(i)`` for every block i, on ``_pool_size(n_blocks)``
+    threads that take the blocks in order; one worker runs them in order on
+    the calling thread.  numpy's generators, ufuncs and BLAS calls release
+    the GIL, so the blocks overlap.  A worker's error is re-raised here once
+    every worker has stopped, and no block starts after it."""
     workers = _pool_size(n_blocks)
     if workers <= 1:
         for i in range(n_blocks):
             run(i)
-    else:
-        # imported here, so that a run whose every input is one block skips it
-        from concurrent.futures import ThreadPoolExecutor
+        return
+    # plain threads: concurrent.futures would add about 8 ms of imports to
+    # a command whose every pool is short
+    blocks, lock, errors = iter(range(n_blocks)), threading.Lock(), []
 
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, range(n_blocks)))
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(blocks, None)
+            if i is None:
+                return
+            try:
+                run(i)
+            except BaseException as err:  # re-raised on the calling thread
+                with lock:
+                    errors.append(err)
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 # The trial of the running ``_run_trials`` call, and the event its first

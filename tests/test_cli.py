@@ -516,16 +516,17 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
 
 
 def test_reduce_isgm_admits_what_it_holds(tmp_path, capsys, monkeypatch):
-    # ISGM holds the samples, the uint8 parts and one float64 part per
-    # worker, never the m x k r^t float64 matrix: a host with room for the
-    # largest of those but not for that matrix runs the plan, and one
-    # without room for it refuses the plan with exit 2.
+    # ISGM holds the float64 samples and the uint8 parts, and one float64
+    # block per worker, never an m x r^t part as float64 (at k = 4 and
+    # w = 4 such a part would be the largest array): a host with room for
+    # the samples and the parts but not for that part runs the plan, and
+    # one without room for them refuses the plan with exit 2.
     src = tmp_path / "src"
     _run(["generate", "kpds", "--n", "32", "--k", "4", "--p", "1.0", "--q", "0.25",
           "--seed", "21", "--out", str(src)])
     plan = plan_isgm(1.0, 0.25, 4.0, r=2, N=32, k=4)
-    old = 8 * plan.m * plan.k * plan.rt
-    need = max(8 * plan.n * plan.d, plan.m * plan.k * plan.rt, 8 * plan.m * plan.rt)
+    need = max(8 * plan.n * plan.d, plan.m * plan.k * plan.rt)
+    old = max(need, 8 * plan.m * plan.rt)
     assert need < old
     argv = ["reduce", "isgm", "--in", str(src / "instance.graph"), *_SRC, "--r", "2",
             "--w", "4"]

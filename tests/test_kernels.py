@@ -303,62 +303,73 @@ def test_gaussianize_transient_memory_bounded(mu):
     assert peak < X.nbytes + 64 * 2 ** 20
 
 
-def test_gaussianize_hands_each_part_to_use_once(monkeypatch, on_workers):
-    # A (k, m, c) stack: ``use`` gets every part once, as an (m, c) array,
-    # and the call returns nothing; the parts are those of the call without
-    # ``use``.  Part j draws from the kernel stream's child("part", j), in
-    # blocks, with the budget and the mean bound of the whole m x k c
-    # matrix.  With 30 blocks per part on 8 workers, a lost count of a
-    # part's finished blocks would skip or repeat its ``use``.
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_gaussianize_hands_each_block_to_use_once(monkeypatch, on_workers, cpus):
+    # A (k, m, c) stack: ``use`` gets every block of every part once, as
+    # (j, start, block) with its offset in part j's flat output, the offsets
+    # tile each part, and the call returns nothing; put back together, the
+    # blocks are the bytes of the call without ``use``.  Part j draws from
+    # the kernel stream's child("part", j), in blocks, with the budget and
+    # the mean bound of the whole m x k c matrix.  Blocks of 10,000 entries
+    # do not divide a part's 300,300, so each part ends in a short block.
     monkeypatch.setattr(kernels, "_BLOCK", 10_000)
-    M = _bits((5, 300, 1000), 0.5, 60)
+    M = _bits((5, 300, 1001), 0.5, 60)
     P, Q, mu, rng = 0.75, 0.25, 0.05, RngStream(61)
     whole = gaussianize(M, P, Q, mu, rng)
     assert whole.shape == M.shape
     seen = []
 
-    def use(j, part):
-        seen.append((j, part.shape, part.tobytes()))
+    def use(j, start, block):
+        seen.append((j, start, block.copy()))
 
-    assert on_workers(lambda: gaussianize(M, P, Q, mu, rng, use), 8, 8) is None
-    assert sorted(seen) == [(j, (300, 1000), whole[j].tobytes()) for j in range(5)]
-    n_iter = math.ceil(3.0 * math.log(300 * 5000) / rejection_delta(P, Q))
+    assert on_workers(lambda: gaussianize(M, P, Q, mu, rng, use), cpus, 8) is None
+    size = M[0].size
+    assert sorted((j, start) for j, start, _ in seen) == [
+        (j, start) for j in range(5) for start in range(0, size, 10_000)]
+    out = np.full((5, size), np.nan)
+    for j, start, block in seen:
+        assert block.size == min(10_000, size - start)
+        out[j, start:start + block.size] = block
+    assert out.tobytes() == whole.reshape(5, -1).tobytes()
+    n_iter = math.ceil(3.0 * math.log(300 * 5005) / rejection_delta(P, Q))
     stream = rng.child("gaussianize")
     for j in range(5):
         ref = kernels._rk_gauss_core(M[j][None], mu, P, Q, n_iter, [stream.child("part", j)])
         assert ref[0].tobytes() == whole[j].tobytes()
     with pytest.raises(ParameterError, match="proven bound"):
-        gaussianize(M, P, Q, gaussianize_mu_bound(P, Q, 300, 5000) * 1.01, rng)
+        gaussianize(M, P, Q, gaussianize_mu_bound(P, Q, 300, 5005) * 1.01, rng)
 
 
 def test_gaussianize_matrix_is_part_zero():
     # A 2-D matrix is the one-part stack on the kernel's own stream: ``use``
-    # gets it whole, with the bytes of the call without ``use``.
+    # gets its blocks as part 0, with the bytes of the call without ``use``.
     M = _bits((600, 700), 0.5, 64)
-    whole = gaussianize(M, 0.75, 0.25, 0.05, RngStream(65))
-    seen = []
-    gaussianize(M, 0.75, 0.25, 0.05, RngStream(65), lambda j, part: seen.append((j, part)))
-    assert len(seen) == 1 and seen[0][0] == 0
-    assert seen[0][1].tobytes() == whole.tobytes()
+    whole = gaussianize(M, 0.75, 0.25, 0.05, RngStream(65)).ravel()
+    seen = {}
+    gaussianize(M, 0.75, 0.25, 0.05, RngStream(65),
+                lambda j, start, block: seen.setdefault((j, start), block))
+    assert sorted(seen) == [(0, start) for start in range(0, M.size, _BLOCK)]
+    assert np.concatenate([seen[key] for key in sorted(seen)]).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_gaussianize_holds_one_part_per_worker(on_workers, cpus):
-    # Given ``use``, a part's output lives from its first block to its use:
-    # the traced peak is at most one part per worker plus 10 MB of block
-    # temporaries each, well under the 125 MB whole output.
+def test_gaussianize_holds_one_block_per_worker(on_workers, cpus):
+    # Given ``use``, a block's output lives from its start to its use, and
+    # no part is ever held whole: the traced peak is at most four
+    # block-sized float64 arrays per worker (the block and its rejection
+    # temporaries), 8 MB, well under one 16 MB part, let alone the 125 MB
+    # whole output.
     M = _bits((8, 2000, 1024), 0.5, 66)
-    part_bytes = 8 * M[0].size
 
     def run():
         tracemalloc.start()
         try:
-            gaussianize(M, 0.75, 0.25, 0.05, RngStream(67), lambda j, part: None)
+            gaussianize(M, 0.75, 0.25, 0.05, RngStream(67), lambda j, start, block: None)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert on_workers(run, cpus, 4) < cpus * (part_bytes + 10 * 2 ** 20)
+    assert on_workers(run, cpus, 4) < cpus * 4 * 8 * _BLOCK
 
 
 def test_srk3_branch_formulas_reconstruct_likelihoods():

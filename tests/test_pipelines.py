@@ -518,35 +518,90 @@ def test_isgm_bytes_independent_of_workers(monkeypatch, on_workers):
         assert on_workers(run, cpus, cap) == serial, (cpus, cap)
 
 
-def test_isgm_gaussianizes_each_part_once(monkeypatch):
+def test_isgm_gaussianizes_each_block_once(monkeypatch):
     # One gaussianize call, on the (k, m, r^t) stack of padded parts, whose
-    # ``use`` gets each part once as an (m, r^t) array.
+    # ``use`` gets every block of every part once: the offsets tile each
+    # part.  Blocks of 500 entries split each part into several.
     G, plan, tr = _small_isgm_setup()
-    calls, parts = [], []
+    monkeypatch.setattr(kernels, "_BLOCK", 500)
+    calls, blocks = [], []
     real = pipelines.gaussianize
 
     def spy(M, P, Q, mu, rng, use=None):
         calls.append(np.shape(M))
 
-        def seen(j, part):
-            parts.append((j, part.shape))
-            use(j, part)
+        def seen(j, start, block):
+            blocks.append((j, start, block.size))
+            use(j, start, block)
 
         return real(M, P, Q, mu, rng, seen)
 
     monkeypatch.setattr(pipelines, "gaussianize", spy)
     pds_to_isgm(G, plan, RngStream(111), trace=tr)
+    size = plan.m * plan.rt
     assert calls == [(plan.k, plan.m, plan.rt)]
-    assert sorted(parts) == [(j, (plan.m, plan.rt)) for j in range(plan.k)]
+    assert sorted(blocks) == [(j, start, min(500, size - start))
+                              for j in range(plan.k) for start in range(0, size, 500)]
+
+
+@pytest.mark.parametrize("block", [500, 20])
+def test_isgm_rotates_rows_cut_by_a_block_edge(monkeypatch, on_workers, block):
+    # At r = 3, r^t = 27 divides neither block size, so rows straddle block
+    # edges (at 20, a row spans up to three blocks).  Every worker count
+    # gives the bytes of a per-block reference: each block's whole rows
+    # rotated by one product, and each cut row alone, from the Gaussian
+    # parts of the call.  Those bytes may differ from one whole-part
+    # product in the last bits, and only there.
+    p, q, N, k = 1.0, 0.25, 32, 4
+    plan = plan_isgm(p, q, 2.0, r=3, N=N, k=k)
+    assert plan.rt == 27 and block % 27
+    G, tr = sample_k_pds(N, k, p, q, RngStream(120))
+    monkeypatch.setattr(kernels, "_BLOCK", block)
+    real, gaussian = pipelines.gaussianize, []
+
+    def spy(M, P, Q, mu, rng, use=None):
+        gaussian.append(real(M, P, Q, mu, rng))
+        return real(M, P, Q, mu, rng, use)
+
+    def run():
+        return pds_to_isgm(G, plan, RngStream(121), trace=tr)[0].tobytes()
+
+    serial = on_workers(run, 1, 1)
+    for cpus, cap in [(2, 4), (4, 4), (8, 8)]:
+        assert on_workers(run, cpus, cap) == serial, (cpus, cap)
+    monkeypatch.setattr(pipelines, "gaussianize", spy)
+    X = np.frombuffer(serial).reshape(plan.n, plan.d)
+    assert run() == serial
+    rt, m, H = plan.rt, plan.m, build_H(3, plan.t)
+    gen = RngStream(121).child("output").generator()
+    col_choice = gen.choice(k * H.shape[0], size=plan.n, replace=False)
+    row_pos = gen.choice(plan.d, size=m, replace=False)
+    ref, whole = np.empty((plan.n, m)), np.empty((plan.n, m))
+    for i, part in enumerate(gaussian[0]):
+        kept = np.flatnonzero(col_choice // H.shape[0] == i)
+        Hk = H[col_choice[kept] % H.shape[0]]
+        whole[kept] = Hk @ part.T
+        for start in range(0, m * rt, block):
+            first, last = -(-start // rt), min(start + block, m * rt) // rt
+            if first < last:
+                ref[np.ix_(kept, range(first, last))] = Hk @ part[first:last].T
+        for row in range(m):
+            if row * rt // block != ((row + 1) * rt - 1) // block:
+                ref[np.ix_(kept, [row])] = Hk @ part[row:row + 1].T
+    assert X[:, row_pos].tobytes() == ref.tobytes()
+    assert_allclose(X[:, row_pos], whole, rtol=0, atol=1e-12)
 
 
 def test_isgm_holds_no_float64_matrix(on_workers):
-    # Each part is Gaussianized and rotated in turn: the traced peak of a
-    # serial run stays below half of the m x k r^t float64 matrix that
-    # Gaussianizing the parts together would hold.
+    # Each block is Gaussianized and rotated in turn: past the samples and
+    # the uint8 parts, the traced peak is at most four block-sized float64
+    # arrays per worker (a block and its rejection temporaries) and four
+    # more (the incidence matrix, its kept rows and the rest), where one
+    # m x r^t float64 part per worker would not fit.
     N, k, p, q = 1000, 8, 1.0, 0.25
     plan = plan_isgm(p, q, 8.0, r=2, N=N, k=k)
     G, tr = sample_k_pds(N, k, p, q, RngStream(107))
+    held = 8 * plan.n * plan.d + plan.k * plan.m * plan.rt
 
     def run():
         tracemalloc.start()
@@ -556,8 +611,10 @@ def test_isgm_holds_no_float64_matrix(on_workers):
         finally:
             tracemalloc.stop()
 
-    shape, peak = on_workers(run, 1, 1)
-    assert shape == (plan.n, plan.d) and peak < 4 * plan.m * plan.k * plan.rt
+    for cpus in (1, 2, 4):
+        shape, peak = on_workers(run, cpus, 4)
+        assert shape == (plan.n, plan.d)
+        assert peak < held + (cpus + 1) * 4 * 8 * kernels._BLOCK, cpus
 
 
 def test_isgm_trace_consistency():

@@ -155,6 +155,36 @@ def test_uniform_below_bytes_independent_of_workers(monkeypatch, on_workers):
     assert on_workers(run, 8, 8) == on_workers(run, 1, 1)
 
 
+def test_run_blocks_runs_each_block_once(on_workers):
+    # More workers than cores, switching every microsecond: each block runs
+    # exactly once, and every worker is done before the call returns.
+    hits = [0] * 2000
+
+    def run(i):
+        hits[i] += 1
+
+    before = threading.active_count()
+    on_workers(lambda: prob._run_blocks(run, len(hits)), 8, 8)
+    assert hits == [1] * len(hits)
+    assert threading.active_count() == before
+
+
+def test_run_blocks_reraises_and_stops_on_an_error(on_workers):
+    # The error of block 0 is re-raised once the workers stop, and they
+    # start no block after it: 400 blocks of 10 ms on 4 workers would take
+    # 1 s.
+    def run(i):
+        if i == 0:
+            raise ParameterError("block 0 failed")
+        time.sleep(0.01)
+
+    before, start = threading.active_count(), time.perf_counter()
+    with pytest.raises(ParameterError, match="block 0"):
+        on_workers(lambda: prob._run_blocks(run, 400), 4, 4)
+    assert time.perf_counter() - start < 0.5
+    assert threading.active_count() == before
+
+
 # ---------------------------------------------------------------------------
 # The trial runner
 # ---------------------------------------------------------------------------
