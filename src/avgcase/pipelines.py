@@ -21,6 +21,7 @@ plus their shared sub-steps (``graph_clone``, ``to_k_partite_submatrix``,
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -385,6 +386,14 @@ def clone_pmfs(p, q, P, Q, t):
     return np.clip(pmf_edge, 0.0, None), np.clip(pmf_nonedge, 0.0, None)
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _clone_cdfs(p, q, P, Q, t):
+    """The CDFs of ``clone_pmfs``, read-only, kept for the last 8 tuples."""
+    edge, non = (np.cumsum(pmf) / pmf.sum() for pmf in clone_pmfs(p, q, P, Q, t))
+    edge.flags.writeable = non.flags.writeable = False
+    return edge, non
+
+
 def graph_clone(G: Graph, t_copies: int, p, q, P, Q, rng: RngStream):
     """Split one planted-subgraph sample into ``t_copies`` independent ones.
 
@@ -396,9 +405,7 @@ def graph_clone(G: Graph, t_copies: int, p, q, P, Q, rng: RngStream):
     if (isinstance(t_copies, bool) or not isinstance(t_copies, (int, np.integer))
             or not 1 <= t_copies <= 30):
         raise ParameterError(f"t_copies must be an integer in [1, 30], got {t_copies!r}")
-    pmf_edge, pmf_nonedge = clone_pmfs(p, q, P, Q, t_copies)
-    cdf_edge = np.cumsum(pmf_edge) / pmf_edge.sum()
-    cdf_non = np.cumsum(pmf_nonedge) / pmf_nonedge.sum()
+    cdf_edge, cdf_non = _clone_cdfs(p, q, P, Q, t_copies)
     e = G.triu_vector()
     bits = np.empty((t_copies, e.size), dtype=bool)
 

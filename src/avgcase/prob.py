@@ -38,10 +38,10 @@ its share of the CPUs.  Two runners apply it:
   pipelines, and the pair vectors of the ``graphs`` samplers), and
   ``pipelines.graph_clone`` its pair uniforms.  ``_random_bands``' docstring gives the argument that the
   values and the generator's final state are exactly the one-shot draw's.
-* ``_run_trials`` runs the independent trials of a verify battery in forked
-  worker processes, since a trial is many small numpy calls that hold the
-  GIL.  Each trial draws from its own keyed streams and the results come
-  back in trial order, so the caller's reduction over them keeps its bits.
+* ``_run_trials`` runs every verify battery's planted trials in forked
+  worker processes with BLAS on one thread, since a trial is many small
+  numpy calls that hold the GIL.  Each trial draws from its own keyed streams
+  and the results come back in trial order, so reductions keep their bits.
 """
 
 from __future__ import annotations
@@ -117,6 +117,19 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         return os.cpu_count() or 1
+
+
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread in this trial worker, whose
+    block pools take its CPU share; a no-op where no bundled OpenBLAS has it."""
+    import ctypes
+    import glob
+
+    for path in glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*"):
+        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
 
 
 def _physical_memory() -> Optional[int]:
@@ -221,10 +234,12 @@ def _run_trials(trial, n: int) -> list:
     It runs serially, in this process, when there is one worker, when the
     platform cannot fork, or when other threads are alive (a fork copies
     only the calling thread, so a lock another thread holds would stay held
-    in the child).  An error raised by a trial is re-raised here, and the
-    other workers stop before their next trial; a worker that dies raises
-    ``BrokenProcessPool``.  Every worker is reaped before this returns or
-    raises.  ``trial``'s results must pickle; ``trial`` itself need not.
+    in the child).  Each worker runs BLAS on one thread
+    (``_one_blas_thread``); this process's BLAS keeps its threads.  An error
+    raised by a trial is re-raised here, and the other workers stop before
+    their next trial; a worker that dies raises ``BrokenProcessPool``.  Every
+    worker is reaped before this returns or raises.  ``trial``'s results
+    must pickle; ``trial`` itself need not.
     """
     global _TRIAL, _FAILED, _SHARERS
     workers = _pool_size(n)
@@ -240,7 +255,7 @@ def _run_trials(trial, n: int) -> list:
     bounds = [n * j // workers for j in range(workers + 1)]
     outer = _TRIAL, _FAILED, _SHARERS
     _TRIAL, _FAILED, _SHARERS = trial, context.Event(), _SHARERS * workers
-    pool = ProcessPoolExecutor(workers, mp_context=context)
+    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_one_blas_thread)
     try:
         chunks = list(pool.map(_run_chunk, bounds[:-1], bounds[1:]))
     finally:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -240,9 +241,7 @@ def covariance_identity_check(X, rng: RngStream):
     sqrt(2/n) (a chi^2_n / n), so the thresholds are 5/sqrt(n) and
     5 sqrt(2/n), five standard errors each.  When d exceeds the coordinate
     budget clip(n // 6, 16, 160) a coordinate subset of that size, drawn
-    from ``rng``, is used; an entry-wise c/sqrt(n) threshold over all of a
-    large d's pairs is crossed by correct outputs with probability near 1, so
-    the pair budget must stay bounded for the threshold to be meaningful.  The budget also
+    from ``rng``, is used (see the module docstring).  The budget also
     shrinks with the sample count: at small n the entries have t-like tails
     and a fixed pair count would trip the threshold spuriously.
 
@@ -441,13 +440,119 @@ def class_z_scores(hits, tots, probs) -> np.ndarray:
 # Reduction verification batteries
 # ---------------------------------------------------------------------------
 
-# Each battery's parameters and their defaults.  An int default (or None)
-# marks an integer parameter; GLSM's d = None lets the planner default d to m.
-_BATTERY_PARAMS = {
-    "isgm": {"p": 0.75, "q": 0.25, "N": 144, "k": 4, "w": 4.0, "r": 2},
-    "semi-cr": {"p": 1.0, "q": 0.25, "N": 32, "k": 4, "ell": 2},
-    "glsm": {"p": 1.0, "q": 0.25, "n": 64, "k": 4, "d": None, "tau": 1.0,
-             "theta": 1e-5},
+def _test_entry(name, statistic, p_value, passed):
+    return {"name": name, "statistic": None if statistic is None else float(statistic),
+            "p_value": None if p_value is None else float(p_value), "pass": bool(passed),
+            "status": "pass" if passed else "fail"}
+
+
+def _null_ks(samples, alpha, name):
+    """Per-coordinate KS of null samples (n, d) against N(0, 1), at alpha / d."""
+    import scipy.stats as sst
+
+    _, pvals = ks_matrix(samples.T, sst.norm.cdf)
+    worst = float(pvals.min())
+    return _test_entry(name, worst, worst, worst >= alpha / samples.shape[1])
+
+
+def _isgm_setup(params, fault):
+    from .geometry import build_H
+    from .pipelines import pds_to_isgm, plan_isgm
+
+    plan = plan_isgm(params["p"], params["q"], params["w"], r=params["r"],
+                     N=params["N"], k=params["k"])
+    # scaled rows break orthonormality; output entry variance inflates
+    rotation = 1.5 * build_H(plan.r, plan.t) if fault == "rotation" else None
+    # the finite-size gap between the count's exact law and the ISGM target's
+    tv = exact_tv(_isgm_count_pmf(plan), _binomial_pmf(plan.n, 1 - plan.eps))
+    return (plan, lambda G, rng, trace=None: pds_to_isgm(
+        G, plan, rng, trace=trace, rotation_override=rotation),
+        {"plan": plan.to_dict(), "count_law_tv_to_binomial": tv})
+
+
+def _isgm_null(samples, alpha, rng):
+    cov = covariance_identity_check(samples, rng=rng.child("cov"))
+    var_dev = abs(float(samples.var()) - 1.0)
+    return [_null_ks(samples, alpha, "h0_per_coordinate_ks"),
+            _test_entry("h0_covariance_offdiag", cov["max_offdiag"], None, cov["offdiag_pass"]),
+            _test_entry("h0_covariance_diag", cov["max_diag_dev"], None, cov["diag_pass"]),
+            _test_entry("h0_entry_variance", var_dev, None,
+                        var_dev <= 5.0 * math.sqrt(2.0 / samples.size))]
+
+
+def _isgm_reduce(plan, results, alpha):
+    sums = np.zeros(4)
+    for _, trial_sums in results:
+        sums += trial_sums
+    stat, pval = isgm_count_law(np.array([c for c, _ in results], dtype=np.int64), plan)
+    worst_z = max(abs(z) for z in isgm_planted_mean_z(sums, plan.mu, plan.eps))
+    return [_test_entry("h1_component_count_law", stat, pval, pval >= alpha),
+            _test_entry("h1_planted_means", worst_z, None, worst_z <= 4.0)], {}
+
+
+def _semi_cr_setup(params, fault):
+    from .pipelines import pds_to_semi_cr, plan_semi_cr
+
+    plan = plan_semi_cr(params["p"], params["q"], N=params["N"], k=params["k"],
+                        ell=params["ell"])
+    return plan, lambda G, rng, trace: pds_to_semi_cr(G, plan, rng, trace=trace), {}
+
+
+def _semi_cr_reduce(plan, results, alpha):
+    hits, tots = np.zeros(4), np.zeros(4)
+    for trial_hits, trial_tots in results:
+        hits += trial_hits
+        tots += trial_tots
+    probs = semi_cr_class_probs(*(plan.report[mu] for mu in ("mu1", "mu2", "mu3")))
+    worst_z = float(np.abs(class_z_scores(hits, tots, probs)).max())
+    pval = 2.0 * normal_cdf(-worst_z)
+    return ([_test_entry("h1_edge_class_marginals", worst_z, pval, pval >= alpha / 4)],
+            {"classes": {"hits": hits.tolist(), "totals": tots.tolist()}})
+
+
+def _glsm_setup(params, fault):
+    from .pipelines import pds_to_glsm, plan_glsm
+
+    plan = plan_glsm(params["p"], params["q"], 2.0, n=params["n"], k=params["k"],
+                     d=params["d"])
+    return (plan, lambda G, rng: pds_to_glsm(G, plan, params["tau"], params["theta"], rng),
+            {"plan": plan.to_dict()})
+
+
+@dataclass
+class _Contract:
+    """One pipeline's battery, run by ``verify_reduction``: ``setup(params,
+    fault)`` returns ``(plan, run, report keys)``, ``run(G, rng[, trace])``
+    being the planned reduction; ``null(samples, alpha, rng)`` tests its
+    output on G(N, q).  ``trial(output, trace)`` gives small picklable
+    statistics of its output on one planted k-PDS draw, and ``reduce(plan,
+    results, alpha)`` turns them, in trial order, into the tests named
+    ``planted`` and more report keys."""
+
+    defaults: dict  # an int default (or None) marks an integer parameter
+    setup: Callable
+    null: Optional[Callable] = None
+    trial: Optional[Callable] = None
+    reduce: Optional[Callable] = None
+    planted: tuple = ()
+    min_trials: int = 0
+    faults: tuple = ()
+
+
+_CONTRACTS = {
+    "isgm": _Contract({"p": 0.75, "q": 0.25, "N": 144, "k": 4, "w": 4.0, "r": 2},
+                      _isgm_setup, _isgm_null,
+                      lambda out, tr: (tr.component_set.size, isgm_planted_sums(out, tr)),
+                      _isgm_reduce, ("h1_component_count_law", "h1_planted_means"), 200,
+                      ("rotation",)),
+    "semi-cr": _Contract({"p": 1.0, "q": 0.25, "N": 32, "k": 4, "ell": 2}, _semi_cr_setup, None,
+                         lambda out, tr: semi_cr_class_counts(out, tr),
+                         _semi_cr_reduce, ("h1_edge_class_marginals",), 100),
+    # GLSM's d = None lets the planner default d to m.  It has no planted
+    # half yet: one null reduction, whatever the trial count.
+    "glsm": _Contract({"p": 1.0, "q": 0.25, "n": 64, "k": 4, "d": None, "tau": 1.0,
+                       "theta": 1e-5}, _glsm_setup,
+                      lambda X, alpha, rng: [_null_ks(X, alpha, "h0_per_coordinate_ks_vs_Q")]),
 }
 
 
@@ -456,18 +561,14 @@ def battery_params(pipeline: str, params) -> dict:
 
     Raises ParameterError on a non-object, an unknown key (naming the allowed
     ones) or a value of the wrong type."""
-    defaults = _BATTERY_PARAMS[pipeline]
-    if params is None:
-        params = {}
+    defaults = _CONTRACTS[pipeline].defaults
+    params = {} if params is None else params
     if not isinstance(params, dict):
-        raise ParameterError(
-            f"{pipeline} battery parameters must be a JSON object, got {params!r}"
-        )
+        raise ParameterError(f"{pipeline} battery parameters must be a JSON object, got {params!r}")
     unknown = sorted(set(params) - set(defaults))
     if unknown:
-        raise ParameterError(
-            f"unknown {pipeline} battery parameter(s) {unknown}; allowed: {sorted(defaults)}"
-        )
+        raise ParameterError(f"unknown {pipeline} battery parameter(s) {unknown}; "
+                             f"allowed: {sorted(defaults)}")
     for key, value in params.items():
         integral = defaults[key] is None or isinstance(defaults[key], int)
         kinds = (int,) if integral else (int, float)
@@ -479,172 +580,48 @@ def battery_params(pipeline: str, params) -> dict:
     return {**defaults, **params}
 
 
-def _test_entry(name, statistic, p_value, passed, status=None):
-    return {
-        "name": name,
-        "statistic": None if statistic is None else float(statistic),
-        "p_value": None if p_value is None else float(p_value),
-        "pass": bool(passed),
-        "status": status or ("pass" if passed else "fail"),
-    }
-
-
-def _battery_isgm(params, trials, alpha, rng, fault):
-    import scipy.stats as sst
-
-    from . import pipelines as pl
-    from .graphs import sample_gnq, sample_k_pds
-
-    N, k = params["N"], params["k"]
-    plan = pl.plan_isgm(params["p"], params["q"], params["w"], r=params["r"], N=N, k=k)
-    rotation = None
-    if fault == "rotation":
-        from .geometry import build_H
-
-        # scaled rows break orthonormality; output entry variance inflates
-        rotation = 1.5 * build_H(plan.r, plan.t)
-    tests = []
-
-    G0 = sample_gnq(N, plan.q, rng.child("h0-graph"))
-    samples, _ = pl.pds_to_isgm(G0, plan, rng.child("h0-run"), rotation_override=rotation)
-    _, pvals = ks_matrix(samples.T, sst.norm.cdf)
-    worst = float(pvals.min())
-    ks_pass = worst >= alpha / samples.shape[1]
-    tests.append(_test_entry("h0_per_coordinate_ks", worst, worst, ks_pass))
-    cov = covariance_identity_check(samples, rng=rng.child("cov"))
-    tests.append(_test_entry("h0_covariance_offdiag", cov["max_offdiag"], None,
-                             cov["offdiag_pass"]))
-    tests.append(_test_entry("h0_covariance_diag", cov["max_diag_dev"], None,
-                             cov["diag_pass"]))
-    var_dev = abs(float(samples.var()) - 1.0)
-    var_tol = 5.0 * math.sqrt(2.0 / samples.size)
-    tests.append(_test_entry("h0_entry_variance", var_dev, None, var_dev <= var_tol))
-
-    min_trials = 200
-    if trials < min_trials:
-        tests.append(_test_entry("h1_component_count_law", None, None, True,
-                                 status="inconclusive"))
-        tests.append(_test_entry("h1_planted_means", None, None, True,
-                                 status="inconclusive"))
-    else:
-        # Serial, unlike the SEMI-CR trials: with BLAS on its default threads,
-        # forked workers each run the part rotations on BLAS threads of their
-        # own and oversubscribe the CPUs.  On 2 CPUs, 2 workers took 12.1 s
-        # for 400 trials against 11.1 s in one process (medians of 10 pairs);
-        # with one BLAS thread they took 3.7 s against 6.8 s (4 pairs).
-        counts = np.empty(trials, dtype=np.int64)
-        sums = np.zeros(4)
-        for i in range(trials):
-            Gh, tr = sample_k_pds(N, k, plan.p, plan.q, rng.child("h1-graph", i))
-            out, out_tr = pl.pds_to_isgm(Gh, plan, rng.child("h1-run", i), trace=tr,
-                                         rotation_override=rotation)
-            counts[i] = out_tr.component_set.size
-            sums += isgm_planted_sums(out, out_tr)
-        stat, pval = isgm_count_law(counts, plan)
-        tests.append(_test_entry("h1_component_count_law", stat, pval, pval >= alpha))
-        worst_z = max(abs(z) for z in isgm_planted_mean_z(sums, plan.mu, plan.eps))
-        tests.append(_test_entry("h1_planted_means", worst_z, None, worst_z <= 4.0))
-    # the finite-size gap between the count's exact law and the ISGM target's
-    tv = exact_tv(_isgm_count_pmf(plan), _binomial_pmf(plan.n, 1 - plan.eps))
-    return tests, {"plan": plan.to_dict(), "count_law_tv_to_binomial": tv}
-
-
-def _battery_semi_cr(params, trials, alpha, rng, fault):
-    from . import pipelines as pl
-    from .graphs import sample_k_pds
-
-    N, k = params["N"], params["k"]
-    plan = pl.plan_semi_cr(params["p"], params["q"], N=N, k=k, ell=params["ell"])
-    min_trials = 100
-    tests = []
-    if trials < min_trials:
-        tests.append(_test_entry("h1_edge_class_marginals", None, None, True,
-                                 status="inconclusive"))
-        return tests, {}
-
-    def trial(i):
-        Gh, tr = sample_k_pds(N, k, plan.p, plan.q, rng.child("h1-graph", i))
-        G_out, out_tr = pl.pds_to_semi_cr(Gh, plan, rng.child("h1-run", i), trace=tr)
-        return semi_cr_class_counts(G_out, out_tr)
-
-    cls_hits = np.zeros(4)
-    cls_tot = np.zeros(4)
-    for hits, tots in _run_trials(trial, trials):
-        cls_hits += hits
-        cls_tot += tots
-    probs = semi_cr_class_probs(*pl.semi_cr_mus(plan.mu, plan.ell))
-    worst_z = float(np.abs(class_z_scores(cls_hits, cls_tot, probs)).max())
-    pval = 2.0 * normal_cdf(-worst_z)
-    tests.append(_test_entry("h1_edge_class_marginals", worst_z, pval,
-                             pval >= alpha / 4))
-    return tests, {"classes": {"hits": cls_hits.tolist(), "totals": cls_tot.tolist()}}
-
-
-def _battery_glsm(params, trials, alpha, rng, fault):
-    import scipy.stats as sst
-
-    from . import pipelines as pl
-    from .graphs import sample_gnq
-
-    n, k = params["n"], params["k"]
-    plan = pl.plan_glsm(params["p"], params["q"], 2.0, n=n, k=k, d=params["d"])
-    G0 = sample_gnq(plan.N, plan.q, rng.child("h0-graph"))
-    X, _ = pl.pds_to_glsm(G0, plan, params["tau"], params["theta"], rng.child("h0-run"))
-    _, pvals = ks_matrix(X.T, sst.norm.cdf)
-    worst = float(pvals.min())
-    tests = [_test_entry("h0_per_coordinate_ks_vs_Q", worst, worst,
-                         worst >= alpha / X.shape[1])]
-    return tests, {"plan": plan.to_dict()}
-
-
-_BATTERIES = {
-    "isgm": _battery_isgm,
-    "semi-cr": _battery_semi_cr,
-    "glsm": _battery_glsm,
-}
-
-
 def verify_reduction(pipeline: str, params: dict, trials: int, significance: float,
                      seed: int = 0, fault: str = None) -> dict:
-    """Run the registered statistical battery for one pipeline.
+    """Run the statistical battery of one pipeline, its row of ``_CONTRACTS``.
 
     Returns the report document: ``{pipeline, params, seed, tests, verdict}``
-    where each test carries name/statistic/p_value/pass/status.  Tests that
-    would be underpowered at the requested trial count are marked
-    ``inconclusive`` rather than pass or fail; the verdict is "pass" unless
-    some test actually fails.
-
-    The SEMI-CR battery runs its planted trials through
-    ``prob._run_trials``: in up to four forked worker processes, one per CPU
-    this process may run on, each holding its own copy of the memory it
-    writes.  Each trial draws from its own keyed streams and the results are
-    added up in trial order, so the report has the same bytes on any number
-    of cores.  The ISGM battery runs its trials in this process: their
-    rotations run on BLAS's own threads, which forked workers would
-    oversubscribe.
-    """
-    if pipeline not in _BATTERIES:
-        raise ParameterError(
-            f"unknown pipeline {pipeline!r}; registered: {sorted(_BATTERIES)}"
-        )
+    where each test carries name/statistic/p_value/pass/status.  The null
+    half runs in this process.  Below the row's ``min_trials`` its planted
+    tests are ``inconclusive``, with a ``reason`` such as ``trials=10 <
+    min_trials=200``; otherwise its planted trials run through
+    ``prob._run_trials``, in up to four forked worker processes, one per
+    usable CPU, each with BLAS on one thread.  Each trial draws from its own
+    keyed streams and the results are reduced in trial order, so the report
+    has the same bytes on any number of cores.  The verdict is "pass" unless
+    some test fails."""
+    if pipeline not in _CONTRACTS:
+        raise ParameterError(f"unknown pipeline {pipeline!r}; registered: {sorted(_CONTRACTS)}")
     if trials < 0:
         raise ParameterError(f"trials must be nonnegative, got {trials}")
     if not 0.0 < significance < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {significance}")
-    if fault is not None and (pipeline, fault) != ("isgm", "rotation"):
+    row = _CONTRACTS[pipeline]
+    if fault is not None and fault not in row.faults:
         raise ParameterError(f"only isgm injects fault 'rotation'; got {fault!r} for {pipeline}")
+    from .graphs import sample_gnq, sample_k_pds
+
     rng = RngStream(seed).child(f"verify-{pipeline}")
-    tests, extra = _BATTERIES[pipeline](battery_params(pipeline, params), trials,
-                                        significance, rng, fault)
+    plan, run, extra = row.setup(battery_params(pipeline, params), fault)
+    tests = []
+    if row.null:
+        G0 = sample_gnq(plan.N, plan.q, rng.child("h0-graph"))
+        tests = row.null(run(G0, rng.child("h0-run"))[0], significance, rng)
+    if trials < row.min_trials:
+        reason = f"trials={trials} < min_trials={row.min_trials}"
+        tests += [dict(_test_entry(name, None, None, True), status="inconclusive",
+                       reason=reason) for name in row.planted]
+    elif row.trial:
+        def trial(i):
+            G, tr = sample_k_pds(plan.N, plan.k, plan.p, plan.q, rng.child("h1-graph", i))
+            return row.trial(*run(G, rng.child("h1-run", i), trace=tr))
+
+        planted, more = row.reduce(plan, _run_trials(trial, trials), significance)
+        tests, extra = tests + planted, {**extra, **more}
     verdict = "pass" if all(t["status"] != "fail" for t in tests) else "fail"
-    report = {
-        "pipeline": pipeline,
-        "params": params or {},
-        "seed": seed,
-        "trials": trials,
-        "significance": significance,
-        "tests": tests,
-        "verdict": verdict,
-    }
-    report.update(extra)
-    return report
+    return {"pipeline": pipeline, "params": params or {}, "seed": seed, "trials": trials,
+            "significance": significance, "tests": tests, "verdict": verdict, **extra}

@@ -161,8 +161,6 @@ def test_criterion_05_isgm_planted_contract():
             G, tr = sample_k_pds(32, 4, p, q, rng.child("g", i))
             return pds_to_isgm(G, plan, rng.child("r", i), trace=tr)[1].component_set.size
 
-        # On the trial runner: with BLAS on its default threads, 2 workers ran
-        # this loop in 10.2 s against 17.6 s in one process, on 2 CPUs.
         counts = np.array(_run_trials(count, 2000), dtype=np.int64)
         stat, pval = isgm_count_law(counts, plan)
         assert pval > ALPHA, (stat, pval)
@@ -170,13 +168,14 @@ def test_criterion_05_isgm_planted_contract():
         # mean-check configuration: more planted mass per run so the pooled
         # standard error sits at mu / 4
         plan2 = plan_isgm(p, q, 2.0, r=2, N=128, k=16, t=8, n=2040)
-        # Serial: with BLAS on its default threads, forked workers (each with
-        # BLAS threads of its own) ran this loop in 16.6 s against 6.5 s in
-        # one process, on 2 CPUs; these runs' rotations are large.
-        sums = np.zeros(4)
-        for i in range(100):
+
+        def planted_sums(i):
             G, tr = sample_k_pds(128, 16, p, q, rng.child("m", i))
-            sums += isgm_planted_sums(*pds_to_isgm(G, plan2, rng.child("mr", i), trace=tr))
+            return isgm_planted_sums(*pds_to_isgm(G, plan2, rng.child("mr", i), trace=tr))
+
+        sums = np.zeros(4)
+        for trial_sums in _run_trials(planted_sums, 100):
+            sums += trial_sums
         z_pos, z_neg = isgm_planted_mean_z(sums, plan2.mu, plan2.eps)
         assert abs(z_pos) <= 4.0, z_pos
         assert abs(z_neg) <= 4.0, z_neg

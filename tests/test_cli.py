@@ -384,8 +384,13 @@ def test_verify_underpowered_inconclusive(tmp_path):
                "--out", str(tmp_path)])
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    statuses = {t["name"]: t["status"] for t in report["tests"]}
-    assert statuses["h1_component_count_law"] == "inconclusive"
+    planted = {t["name"]: t for t in report["tests"] if t["name"].startswith("h1")}
+    assert set(planted) == {"h1_component_count_law", "h1_planted_means"}
+    for t in planted.values():
+        assert t["status"] == "inconclusive"
+        assert t["reason"] == "trials=10 < min_trials=200"
+    # conclusive entries carry no reason
+    assert all("reason" not in t for t in report["tests"] if t["name"].startswith("h0"))
 
 
 @pytest.mark.parametrize("seed", ["1", "2"])
@@ -597,11 +602,12 @@ def test_battery_fault_exits_3(tmp_path, monkeypatch, capsys):
     # battery, not a parameter error.
     from avgcase import verify
 
-    def battery(params, trials, alpha, rng, fault):
+    def reduce(setup, results, alpha):
         verify.chi2_test([1.0, 2.0], [1.0, 2.0, 3.0])
 
-    monkeypatch.setitem(verify._BATTERIES, "semi-cr", battery)
-    assert _run(["verify", "--pipeline", "semi-cr", "--out", str(tmp_path / "o")]) == 3
+    monkeypatch.setattr(verify._CONTRACTS["semi-cr"], "reduce", reduce)
+    assert _run(["verify", "--pipeline", "semi-cr", "--trials", "100",
+                 "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err == "internal error: ValueError: counts and expected must have matching shapes\n"
 

@@ -205,6 +205,34 @@ def test_trial_workers_pool_their_share_of_the_cpus(monkeypatch):
     assert prob._pool_size(100) == prob._MAX_IN_FLIGHT and prob._SHARERS == 1
 
 
+def test_trial_workers_run_blas_on_one_thread(monkeypatch):
+    import ctypes
+    import glob
+
+    libs = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*")
+    if not libs:
+        pytest.skip("this numpy bundles no OpenBLAS")
+    blas_threads = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+    parent = blas_threads()
+    A = RngStream(5).generator().standard_normal((300, 300))
+
+    def trial(i):
+        return (A @ A.T)[i].tobytes(), blas_threads(), os.getpid()
+
+    monkeypatch.setattr(prob, "_usable_cpus", lambda: 8)
+    assert prob._pool_size(8) >= 2
+    capped = prob._run_trials(trial, 8)
+    assert {threads for _, threads, _ in capped} == {1}
+    assert os.getpid() not in {pid for *_, pid in capped}
+    assert blas_threads() == parent
+    # where the lookup finds no library, the workers keep the parent's count
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    uncapped = prob._run_trials(trial, 8)
+    assert {threads for _, threads, _ in uncapped} == {parent}
+    assert [r for r, *_ in uncapped] == [r for r, *_ in capped]
+    assert multiprocessing.active_children() == []
+
+
 def test_run_trials_single_cpu_mask_is_serial(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert prob._usable_cpus() == 1
