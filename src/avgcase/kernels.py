@@ -18,28 +18,24 @@ Four gadgets live here:
 * ``truncate_tern`` / ``tern_params_from_truncation`` — the Gaussian
   truncation producing exactly those ternary input laws.
 
-All kernels are pure functions of their stream argument.  The Gaussian
+All kernels are pure functions of their stream argument.  Both rejection
+loops cut rows of length c into blocks of max(1, floor(``_BLOCK`` / c))
+whole rows (``_row_blocks``), a flat array being one column.  The Gaussian
 kernel runs over a stack of parts, each with a stream of its own: an array
 or matrix is the one part and draws from the kernel's stream
 (``rng.child("gaussianize")`` or ``rng.child("rk")``), and part j of a
 (k, m, c) stack handed to ``gaussianize`` from that stream's
-``child("part", j)``.  It cuts each part's flat input into consecutive
-blocks of ``_BLOCK`` entries and gives each block a stream of its own:
-block 0 draws from the part's stream and block i >= 1 from the part
-stream's ``child("block", i)``.  An input of one block or less thus draws
-from the kernel's stream alone.  The block constant is part of the stream's
-definition (changing it changes the output of every part larger than one
-block).
+``child("part", j)``.  Each block gets a stream of its own: block 0 draws
+from the part's stream and block i >= 1 from the part stream's
+``child("block", i)``, so an input of one block or less draws from the
+kernel's stream alone.  The block constant is part of the stream's
+definition: it changes the output of every part larger than one block.
 
 The 3-ary kernel keys its streams by row instead: row i of an (n, d) input
-draws from the i-th stream passed in, and a block is floor(``_BLOCK`` / d)
-whole rows (at least one), stepped together so that the likelihood ratios,
-the gate, the acceptance rule and the compaction run once per block rather
-than once per row.  Its block size therefore changes only the speed, never
-the output.  Before the loop a closed form of the shifts (``_gate_empty``)
-names the rows that have no x passing both gates; such a row is settled: it
-draws its Q initializer and nothing more, since no proposal of it could be
-accepted, so settling it changes no byte either.
+draws from the i-th stream passed in, and a block's rows are stepped
+together so that the likelihood ratios, the gate, the acceptance rule and
+the compaction run once per block rather than once per row.  Its block
+size therefore changes only the speed, never the output.
 
 Both kernels build every generator before any block starts and run their
 blocks (the Gaussian kernel's part after part) through the pool policy
@@ -109,6 +105,12 @@ def gaussianize_mu_bound(P: float, Q: float, m: int, n: int) -> float:
 _BLOCK = 1 << 18
 
 
+def _row_blocks(n_rows: int, row_len: int):
+    """(rows per block, blocks) of both rejection loops' one block rule."""
+    per_block = max(1, _BLOCK // max(row_len, 1))
+    return per_block, -(-n_rows // per_block)
+
+
 def _target_mean(mu) -> float:
     """The kernels' target mean as a float: one scalar, finite (NaN would
     reject every proposal and leave the 0.0 initializer everywhere) and
@@ -124,44 +126,40 @@ def _target_mean(mu) -> float:
 
 
 def _rk_gauss_core(parts, mu, p, q, n_iter, streams, use=None):
-    """Vectorized rejection loop over a stack of parts, part j drawing from
-    ``streams[j]``.  parts: int array in {0,1} whose first axis runs over
-    the parts; mu one scalar, checked here, since every entry point comes
+    """Vectorized rejection loop over a (k, m, c) stack of parts, part j
+    drawing from ``streams[j]``.  parts: int array whose entries must lie
+    in {0, 1}; mu one scalar, checked here, since every entry point comes
     through here.
 
-    Each part's flat input is cut into consecutive blocks of ``_BLOCK``
-    entries; block 0 of part j draws from ``streams[j]`` and block i >= 1
-    from ``streams[j].child("block", i)``.  The blocks of every part run,
-    part after part, through one ``_run_blocks`` pool; every generator is
-    built here, before any block starts, so the workers run numpy only and
-    the output does not depend on the worker count or on scheduling.
+    Each part is cut into blocks and streams as the module docstring says;
+    every generator is built here, before the blocks run, part after part,
+    through one ``_run_blocks`` pool, so the workers run numpy only.
 
     Returns the output stack.  Given ``use``, it returns None instead: each
     block is written into a fresh array of its own, and the worker that
-    finishes it calls ``use(j, start, block)``, ``start`` the block's
-    offset in part j's flat output, and then drops it.  So no more blocks'
-    outputs are alive at once than the pool has workers.
+    finishes it calls ``use(j, first_row, rows)``, ``rows`` the block's
+    2-D output from row ``first_row`` of part j on, and then drops it.  So
+    no more blocks' outputs are alive at once than the pool has workers.
     """
     mu = _target_mean(mu)
-    flat_bits = parts.reshape(len(streams), -1)
-    size = flat_bits.shape[1]
-    n_blocks = max(1, -(-size // _BLOCK))  # per part
+    _, m, cols = parts.shape
+    per_block, n_blocks = _row_blocks(m, cols)  # per part
     gens = []
     for s in streams:
         gens += [s.generator()] + [s.child("block", i).generator() for i in range(1, n_blocks)]
-    out = np.zeros(flat_bits.shape) if use is None else None
+    out = np.zeros(parts.shape) if use is None else None
 
     def run(b):
         j, i = divmod(b, n_blocks)
-        start = i * _BLOCK
-        bits = flat_bits[j, start:start + _BLOCK]
-        block = np.zeros(bits.size) if out is None else out[j, start:start + _BLOCK]
-        _rk_gauss_block(bits, mu, block, p, q, n_iter, gens[b])
+        first = i * per_block
+        bits = parts[j, first:first + per_block]
+        rows = np.zeros(bits.shape) if out is None else out[j, first:first + per_block]
+        _rk_gauss_block(bits.reshape(-1), mu, rows.reshape(-1), p, q, n_iter, gens[b])
         if use is not None:
-            use(j, start, block)
+            use(j, first, rows)
 
     _run_blocks(run, len(gens))
-    return None if out is None else out.reshape(parts.shape)
+    return out
 
 
 def _rk_gauss_block(bits, mu, out, p, q, n_iter, gen):
@@ -173,7 +171,8 @@ def _rk_gauss_block(bits, mu, out, p, q, n_iter, gen):
     B = 1 at p = 1, which accepts its first proposal) a uniform u for each,
     writes every proposal to its entry and keeps open only the rejected
     positions; entries that exhaust the budget are reset to the 0.0
-    initializer.  ``mu`` is a float.
+    initializer.  ``mu`` is a float.  An entry outside {0, 1} raises
+    ParameterError, found from the branches' positions with no pass of its own.
 
     With L the branch's log-ratio bound, a proposal is accepted iff
     u < 1 - exp(t - L), t its log-likelihood ratio.  This needs no separate
@@ -182,8 +181,12 @@ def _rk_gauss_block(bits, mu, out, p, q, n_iter, gen):
     """
     log_pq = math.log(p / q)
     log_1p_1q = -math.inf if p == 1.0 else math.log((1.0 - p) / (1.0 - q))
+    binary = 0
     for branch in (0, 1):
         rem = np.flatnonzero(bits == branch)
+        binary += rem.size
+        if branch and binary < bits.size:
+            raise ParameterError("Gaussian kernel inputs must lie in {0, 1}")
         for _ in range(n_iter):
             if rem.size == 0:
                 break
@@ -224,10 +227,11 @@ def rk_gauss_array(bits, mu, p, q, n_iter, rng: RngStream):
     inputs close to N(0, 1); ``mu`` is one nonnegative scalar.  No mean
     bound is enforced (see ``gaussianize_mu_bound`` for the proven one);
     entries that exhaust the ``n_iter`` budget return 0.0, the
-    initialization.
+    initialization; an entry outside {0, 1} raises ParameterError.
     """
     bits = np.asarray(bits)
-    return _rk_gauss_core(bits[None], mu, p, q, n_iter, [rng.child("rk")]).reshape(bits.shape)
+    out = _rk_gauss_core(bits.reshape(1, -1, 1), mu, p, q, n_iter, [rng.child("rk")])
+    return out.reshape(bits.shape)
 
 
 def gaussianize(M, P, Q, mu, rng: RngStream, use=None):
@@ -235,16 +239,16 @@ def gaussianize(M, P, Q, mu, rng: RngStream, use=None):
     heading for N(mu, 1) where M_ij came up Bern(P) and N(0, 1) where it
     came up Bern(Q).
 
-    ``M`` is one m x n matrix, or a (k, m, n / k) stack of its k column
-    parts.  The matrix draws from ``rng.child("gaussianize")``, the kernel's
-    stream, and part j of a stack from that stream's ``child("part", j)``;
-    the parts are Gaussianized one after the other on the pool (see
-    ``_rk_gauss_core``).  Returns the Gaussian matrix or stack.  Given
-    ``use``, it returns None and calls ``use(j, start, block)`` on a worker
-    with each block of the output as soon as it is done: ``block`` holds
-    entries [start, start + ``_BLOCK``) of part j flattened (fewer in the
-    part's last block), and a matrix is part 0.  So neither the output nor
-    one part of it ever exists whole.
+    ``M`` is one nonempty m x n matrix over {0, 1}, or a (k, m, n / k)
+    stack of its k column parts.  The matrix draws from
+    ``rng.child("gaussianize")``, the kernel's stream, and part j of a stack
+    from that stream's ``child("part", j)``; the parts are Gaussianized one
+    after the other on the pool (see ``_rk_gauss_core``).  Returns the
+    Gaussian matrix or stack.  Given ``use``, it returns None and calls
+    ``use(j, first_row, rows)`` on a worker with each block of the output as
+    soon as it is done: ``rows`` holds whole rows of part j from row
+    ``first_row`` on, and a matrix is part 0.  So neither the output nor one
+    part of it ever exists whole.
 
     ``mu`` is one nonnegative scalar, and it must satisfy the proven bound
     for the whole m x n input (see ``gaussianize_mu_bound``;
@@ -254,8 +258,9 @@ def gaussianize(M, P, Q, mu, rng: RngStream, use=None):
     initializer.
     """
     M = np.asarray(M)
-    if M.ndim not in (2, 3):
-        raise ParameterError("gaussianize expects a 2-D binary matrix or a 3-D stack of its parts")
+    if M.ndim not in (2, 3) or M.size == 0:
+        raise ParameterError("gaussianize expects a nonempty 2-D binary matrix or a 3-D stack "
+                             f"of its parts, got shape {M.shape}")
     parts = M[None] if M.ndim == 2 else M
     k, m, cols = parts.shape
     n = k * cols
@@ -351,10 +356,8 @@ def srk3_array(bits, shifts, a, mu1, mu2, n_iter, streams):
     entries count as kept.  The output is that of stepping the row through
     its whole budget, which accepts nothing.
 
-    The rows run in blocks of floor(``_BLOCK`` / d) rows (at least one)
-    through ``_run_blocks``.  A row's draws come from its own generator
-    alone, so the output is that of running the rows one at a time, on any
-    worker count.
+    Its blocks of rows (``_row_blocks``) run through ``_run_blocks``; a
+    row draws from its own generator alone, so they set only the speed.
     """
     _srk3_params_check(a, mu1, mu2)
     bits = np.asarray(bits)
@@ -376,8 +379,7 @@ def srk3_array(bits, shifts, a, mu1, mu2, n_iter, streams):
     settled = _gate_empty(shifts, gate1, gate2)
     out = np.empty((n, d))
     gens = [s.child("srk3").generator() for s in streams]
-    per_block = max(1, _BLOCK // max(d, 1))
-    n_blocks = -(-n // per_block)
+    per_block, n_blocks = _row_blocks(n, d)
     fallback = [0] * n_blocks
 
     def run(j):

@@ -42,7 +42,8 @@ from .kernels import (
     tern_params_from_truncation,
     truncate_tern,
 )
-from .prob import RngStream, _check_fits, _random_bands, _run_blocks, normal_cdf, uniform_below
+from .prob import (RngStream, _blas_threads, _check_fits, _random_bands, _run_blocks,
+                   normal_cdf, uniform_below)
 
 __all__ = [
     "ReductionPlan",
@@ -573,11 +574,14 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
 
     # Steps 3-6: Gaussianize each part at entrywise mean sqrt(r^t (r-1)) mu
     # and, on the worker that finishes each block of it, rotate the block's
-    # rows by the incidence matrix at once, so only the pool's blocks in
-    # flight are ever held as float64.  Of the k * out_cols rotated columns,
-    # n are kept and embedded as m random coordinates of n samples in R^d,
-    # and only those are computed: output column c is part c // out_cols
-    # rotated by row c % out_cols of H.
+    # whole rows by the incidence matrix in one product on one BLAS thread.
+    # So only the pool's blocks in flight are ever held as float64, and every
+    # bit is fixed by the kernel's block rule and r^t, never by the pool or
+    # the BLAS thread count (threaded GEMM rounds differently at some
+    # shapes, r^t = 243 for one).  Of the k * out_cols rotated columns, n are
+    # kept and embedded as m random coordinates of n samples in R^d, and
+    # only those are computed: output column c is part c // out_cols rotated
+    # by row c % out_cols of H.
     H_mat = build_H(r, t) if rotation_override is None else rotation_override
     out_cols = H_mat.shape[0]
     gen6 = rng.child("output").generator()
@@ -588,10 +592,9 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
     # part i's kept rows of H, gathered at its first rotation and dropped
     # with its last row
     H_kept, rows_left = {}, [m] * k
-    pieces = {}  # (part, row) -> [entries in, the row] for rows cut by a block edge
     lock = threading.Lock()
 
-    def rotate_rows(i, first, rows):
+    def rotate(i, first, rows):
         with lock:
             if i not in H_kept:
                 H_kept[i] = H_mat[col_choice[kept[i]] % out_cols]
@@ -602,28 +605,12 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
             if not rows_left[i]:
                 del H_kept[i]
 
-    def rotate(i, start, block):
-        # The block's whole rows go as one product.  A row cut by a block
-        # edge (when r^t does not divide _BLOCK) is put together here and
-        # rotated alone once all its entries are in, so every product, and
-        # thus every bit, is fixed by _BLOCK and r^t, never by the pool.
-        stop = start + block.size
-        first, last = -(-start // rt), stop // rt
-        if first < last:
-            rotate_rows(i, first, block[first * rt - start:last * rt - start].reshape(-1, rt))
-        for row in {row for row, cut in ((start // rt, start % rt), (last, stop % rt)) if cut}:
-            lo, hi = max(start, row * rt), min(stop, (row + 1) * rt)
-            with lock:
-                piece = pieces.setdefault((i, row), [0, np.empty(rt)])
-                piece[1][lo - row * rt:hi - row * rt] = block[lo - start:hi - start]
-                piece[0] += hi - lo
-                if piece[0] < rt:
-                    continue
-                del pieces[(i, row)]
-            rotate_rows(i, row, piece[1][None])
-
     tau_entry = math.sqrt(rt * (r - 1)) * plan.mu
-    gaussianize(parts, p, plan.Q, tau_entry, rng.child("gaussianize"), rotate)
+    had = _blas_threads(1)
+    try:
+        gaussianize(parts, p, plan.Q, tau_entry, rng.child("gaussianize"), rotate)
+    finally:
+        _blas_threads(had)
     del parts
     others = np.setdiff1d(np.arange(d), row_pos)
     samples[:, others] = gen6.standard_normal((others.size, n)).T
@@ -753,10 +740,10 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
     # Step 2: Gaussianize the block lower triangle.  Rotated block (I, J) of
     # the output depends on input block (I, J) alone, and only the blocks
     # J <= I reach the thresholded lower triangle, so only those are
-    # Gaussianized, padded and rotated.  They go to the kernel as one 1 x L
-    # matrix: the entries (i, j) with j // blk <= i // blk, in row-major
-    # order, so block row I is the blk x (I + 1) blk entries from
-    # blk^2 before(I) on.
+    # Gaussianized, padded and rotated.  They go to the kernel as one L x 1
+    # column, rows of one entry: the entries (i, j) with j // blk <= i // blk,
+    # in row-major order, so block row I is the blk x (I + 1) blk entries
+    # from blk^2 before(I) on.
     M_PD, tr1 = to_k_partite_submatrix(G, k, p, q, m, rng.child("submatrix"), trace)
     blk = three_l - 1
     ks = k * s
@@ -770,7 +757,7 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
         tri[blk * blk * before(I):blk * blk * before(I + 1)].reshape(blk, -1)[...] = \
             M_PD[I * blk:(I + 1) * blk, :(I + 1) * blk]
     del M_PD
-    M_G = gaussianize(tri[None], p, Q, mu, rng.child("gaussianize"))[0]
+    M_G = gaussianize(tri[:, None], p, Q, mu, rng.child("gaussianize"))[:, 0]
     del tri
 
     # Steps 3-5, one chunk of block rows per task of the pool.  Padded block

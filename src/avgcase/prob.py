@@ -119,17 +119,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _one_blas_thread() -> None:
-    """Run numpy's bundled OpenBLAS on one thread in this trial worker, whose
-    block pools take its CPU share; a no-op where no bundled OpenBLAS has it."""
+def _blas_threads(count: Optional[int]) -> Optional[int]:
+    """Run numpy's bundled OpenBLAS on ``count`` threads and return the count
+    it had, to be handed back here; a no-op returning None when ``count`` is
+    None or where no bundled OpenBLAS has a thread count."""
     import ctypes
     import glob
 
     for path in glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*"):
-        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
-        if setter is not None:
+        lib = ctypes.CDLL(path)
+        getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if count is not None and getter is not None and setter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
             setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
+            had = getter()
+            setter(count)
+            return had
+    return None
 
 
 def _physical_memory() -> Optional[int]:
@@ -235,7 +242,7 @@ def _run_trials(trial, n: int) -> list:
     platform cannot fork, or when other threads are alive (a fork copies
     only the calling thread, so a lock another thread holds would stay held
     in the child).  Each worker runs BLAS on one thread
-    (``_one_blas_thread``); this process's BLAS keeps its threads.  An error
+    (``_blas_threads``); this process's BLAS keeps its threads.  An error
     raised by a trial is re-raised here, and the other workers stop before
     their next trial; a worker that dies raises ``BrokenProcessPool``.  Every
     worker is reaped before this returns or raises.  ``trial``'s results
@@ -255,7 +262,8 @@ def _run_trials(trial, n: int) -> list:
     bounds = [n * j // workers for j in range(workers + 1)]
     outer = _TRIAL, _FAILED, _SHARERS
     _TRIAL, _FAILED, _SHARERS = trial, context.Event(), _SHARERS * workers
-    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_one_blas_thread)
+    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_blas_threads,
+                               initargs=(1,))
     try:
         chunks = list(pool.map(_run_chunk, bounds[:-1], bounds[1:]))
     finally:

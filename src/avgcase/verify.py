@@ -602,7 +602,9 @@ def verify_reduction(pipeline: str, params: dict, trials: int, significance: flo
         raise ParameterError(f"alpha must lie in (0, 1), got {significance}")
     row = _CONTRACTS[pipeline]
     if fault is not None and fault not in row.faults:
-        raise ParameterError(f"only isgm injects fault 'rotation'; got {fault!r} for {pipeline}")
+        hosts = [name for name, c in _CONTRACTS.items() if fault in c.faults]
+        raise ParameterError(f"only {', '.join(hosts)} injects fault {fault!r}, not {pipeline}"
+                             if hosts else f"unknown fault {fault!r}")
     from .graphs import sample_gnq, sample_k_pds
 
     rng = RngStream(seed).child(f"verify-{pipeline}")

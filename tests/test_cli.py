@@ -318,6 +318,13 @@ _ISGM_GOLDEN = {
     "trace.json": "e68562bec39d1f66726209e0868c5ee507daf236ef6a60a12e08593a62fce1e9",
     "plan.json": "d1ab25aad0c413b96c79f0369f2ce212bb8e470a6f4b86d1f5e85f47fcba48ab",
 }
+# At r = 3, r^t = 243 does not divide the kernel's 2^18-entry block, so a
+# block is the whole rows that fit in it.
+_ISGM_R3_GOLDEN = {
+    "samples.amat": "58efa00f1561958e140e4cb9d78abcf0e59b2bc9534900a3cee88a3182311f56",
+    "trace.json": "3b9524cff38541766bb27886ecdab0d0c6abb14cbcbd0149eb07880963c5e25f",
+    "plan.json": "cfe76ae69a7c2c2daa5fef6f58c57e468cff4c337165b99e007b7cb3f7b6c990",
+}
 _GLSM_GOLDEN = {
     "samples.amat": "2cd6d486ea164743c63e2cb8e9530b3177c14c8e1bd43377e23bd920b0276aed",
     "trace.json": "d5f4918a87eeef18a97d039d7961da2154b88a8393b1e279ff6a1f927e54e273",
@@ -329,6 +336,7 @@ _GLSM_GOLDEN = {
 @pytest.mark.parametrize("pipeline, n_src, k, args, golden", [
     ("isgm", 400, 8, ["--r", "2", "--w", "4"], _ISGM_GOLDEN),
     ("glsm", 84, 4, ["--n", "64", "--d", "256"], _GLSM_GOLDEN),
+    ("isgm", 400, 8, ["--r", "3", "--w", "4"], _ISGM_R3_GOLDEN),
 ])
 def test_reduce_golden_digests(tmp_path, pipeline, n_src, k, args, golden):
     src = tmp_path / "src"

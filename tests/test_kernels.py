@@ -158,17 +158,17 @@ def _bits(shape, rate, seed):
 
 
 def test_gaussianize_blocks_null_marginals():
-    # 2.25 M entries span several blocks; with mu = 0 both input bits map to
-    # N(0, 1) in the first block (the kernel's own stream) and in the last,
-    # partial one (a keyed substream) alike.
+    # 2.25 M entries span several blocks of whole rows; with mu = 0 both
+    # input bits map to N(0, 1) in the first block (the kernel's own stream)
+    # and in the last, short one (a keyed substream) alike.
     M = _bits((1500, 1500), 0.5, 40)
-    assert M.size > 2 * _BLOCK and M.size % _BLOCK
-    X = gaussianize(M, 0.75, 0.25, 0.0, RngStream(41)).ravel()
-    bits = M.ravel()
-    for block in (slice(0, _BLOCK), slice(M.size // _BLOCK * _BLOCK, None)):
+    per_block = _BLOCK // M.shape[1]
+    assert M.shape[0] > 2 * per_block and M.shape[0] % per_block
+    X = gaussianize(M, 0.75, 0.25, 0.0, RngStream(41))
+    for rows in (slice(0, per_block), slice(M.shape[0] // per_block * per_block, None)):
         for bit in (0, 1):
-            stat, pval = ks_test(X[block][bits[block] == bit], sst.norm.cdf)
-            assert pval > 1e-4, (block, bit, pval)
+            stat, pval = ks_test(X[rows][M[rows] == bit], sst.norm.cdf)
+            assert pval > 1e-4, (rows, bit, pval)
 
 
 def test_gaussianize_same_seed_same_bytes():
@@ -268,7 +268,8 @@ def test_one_block_input_keeps_its_bytes():
 
 def test_gaussianize_blocks_never_share_a_stream(monkeypatch):
     # Every block gets its own generator, keyed by a distinct stream, and
-    # two blocks of an all-zero null input draw different values.
+    # two blocks of an all-zero null input draw different values.  A column
+    # is rows of one entry, so its blocks are _BLOCK entries each.
     keys = []
     generator = RngStream.generator
 
@@ -277,7 +278,7 @@ def test_gaussianize_blocks_never_share_a_stream(monkeypatch):
         return generator(stream)
 
     monkeypatch.setattr(RngStream, "generator", spy)
-    M = np.zeros((3 * _BLOCK + 5,), dtype=np.uint8).reshape(1, -1)
+    M = np.zeros((3 * _BLOCK + 5, 1), dtype=np.uint8)
     X = gaussianize(M, 0.75, 0.25, 0.0, RngStream(55)).ravel()
     assert len(keys) == 4 and len(set(keys)) == 4
     for head in (X[::_BLOCK], X[1::_BLOCK]):  # entry 0 and 1 of each block
@@ -306,50 +307,74 @@ def test_gaussianize_transient_memory_bounded(mu):
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_gaussianize_hands_each_block_to_use_once(monkeypatch, on_workers, cpus):
     # A (k, m, c) stack: ``use`` gets every block of every part once, as
-    # (j, start, block) with its offset in part j's flat output, the offsets
-    # tile each part, and the call returns nothing; put back together, the
-    # blocks are the bytes of the call without ``use``.  Part j draws from
-    # the kernel stream's child("part", j), in blocks, with the budget and
-    # the mean bound of the whole m x k c matrix.  Blocks of 10,000 entries
-    # do not divide a part's 300,300, so each part ends in a short block.
-    monkeypatch.setattr(kernels, "_BLOCK", 10_000)
+    # (j, first_row, rows) with ``rows`` whole rows of part j, the first
+    # rows tile each part, and the call returns nothing; put back together,
+    # the blocks are the bytes of the call without ``use``.  Part j draws
+    # from the kernel stream's child("part", j), in blocks, with the budget
+    # and the mean bound of the whole m x k c matrix.  Blocks of 10,000
+    # entries hold 9 rows of 1001, so each part ends in a block of 3 rows;
+    # blocks of 500 entries are shorter than a row, so each row is a block.
     M = _bits((5, 300, 1001), 0.5, 60)
     P, Q, mu, rng = 0.75, 0.25, 0.05, RngStream(61)
-    whole = gaussianize(M, P, Q, mu, rng)
-    assert whole.shape == M.shape
-    seen = []
-
-    def use(j, start, block):
-        seen.append((j, start, block.copy()))
-
-    assert on_workers(lambda: gaussianize(M, P, Q, mu, rng, use), cpus, 8) is None
-    size = M[0].size
-    assert sorted((j, start) for j, start, _ in seen) == [
-        (j, start) for j in range(5) for start in range(0, size, 10_000)]
-    out = np.full((5, size), np.nan)
-    for j, start, block in seen:
-        assert block.size == min(10_000, size - start)
-        out[j, start:start + block.size] = block
-    assert out.tobytes() == whole.reshape(5, -1).tobytes()
     n_iter = math.ceil(3.0 * math.log(300 * 5005) / rejection_delta(P, Q))
     stream = rng.child("gaussianize")
-    for j in range(5):
-        ref = kernels._rk_gauss_core(M[j][None], mu, P, Q, n_iter, [stream.child("part", j)])
-        assert ref[0].tobytes() == whole[j].tobytes()
+    for block, per_block in ((10_000, 9), (500, 1)):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        whole = gaussianize(M, P, Q, mu, rng)
+        assert whole.shape == M.shape
+        seen = []
+
+        def use(j, first, rows):
+            seen.append((j, first, rows.copy()))
+
+        assert on_workers(lambda: gaussianize(M, P, Q, mu, rng, use), cpus, 8) is None
+        assert sorted((j, first) for j, first, _ in seen) == [
+            (j, first) for j in range(5) for first in range(0, 300, per_block)]
+        out = np.full(M.shape, np.nan)
+        for j, first, rows in seen:
+            assert rows.shape == (min(per_block, 300 - first), 1001)
+            out[j, first:first + len(rows)] = rows
+        assert out.tobytes() == whole.tobytes()
+        for j in range(5):
+            ref = kernels._rk_gauss_core(M[j][None], mu, P, Q, n_iter, [stream.child("part", j)])
+            assert ref[0].tobytes() == whole[j].tobytes()
     with pytest.raises(ParameterError, match="proven bound"):
         gaussianize(M, P, Q, gaussianize_mu_bound(P, Q, 300, 5005) * 1.01, rng)
 
 
 def test_gaussianize_matrix_is_part_zero():
     # A 2-D matrix is the one-part stack on the kernel's own stream: ``use``
-    # gets its blocks as part 0, with the bytes of the call without ``use``.
+    # gets its blocks of whole rows as part 0, with the bytes of the call
+    # without ``use``.
     M = _bits((600, 700), 0.5, 64)
-    whole = gaussianize(M, 0.75, 0.25, 0.05, RngStream(65)).ravel()
+    whole = gaussianize(M, 0.75, 0.25, 0.05, RngStream(65))
     seen = {}
     gaussianize(M, 0.75, 0.25, 0.05, RngStream(65),
-                lambda j, start, block: seen.setdefault((j, start), block))
-    assert sorted(seen) == [(0, start) for start in range(0, M.size, _BLOCK)]
+                lambda j, first, rows: seen.setdefault((j, first), rows))
+    assert sorted(seen) == [(0, first) for first in range(0, 600, _BLOCK // 700)]
     assert np.concatenate([seen[key] for key in sorted(seen)]).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5])
+def test_gaussian_kernel_rejects_entries_outside_0_1(monkeypatch, bad):
+    # An entry outside {0, 1} fails in the block that holds it, here the
+    # last of three, instead of coming out as the 0.0 initializer; ``use``
+    # never sees that block.
+    monkeypatch.setattr(kernels, "_BLOCK", 100)
+    M = _bits((30, 10), 0.5, 68).astype(float)
+    M[-1, -1] = bad
+    used = []
+    with pytest.raises(ParameterError, match=r"in \{0, 1\}"):
+        gaussianize(M, 0.75, 0.25, 0.05, RngStream(69), lambda j, first, rows: used.append(first))
+    assert 20 not in used
+    with pytest.raises(ParameterError, match=r"in \{0, 1\}"):
+        rk_gauss_array(M.ravel(), 0.3, 0.75, 0.25, 10, RngStream(69))
+
+
+def test_gaussianize_rejects_an_empty_input():
+    for shape in ((0, 5), (3, 0), (2, 0, 4)):
+        with pytest.raises(ParameterError, match="nonempty"):
+            gaussianize(np.zeros(shape, dtype=np.uint8), 0.75, 0.25, 0.05, RngStream(70))
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])

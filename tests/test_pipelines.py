@@ -501,11 +501,16 @@ def test_isgm_shape_and_determinism():
     assert not np.array_equal(a, c)
 
 
-def test_isgm_bytes_independent_of_workers(monkeypatch, on_workers):
+@pytest.mark.parametrize("r", [2, 3])
+def test_isgm_bytes_independent_of_workers(monkeypatch, on_workers, r):
     # The banded draws, the pad, and each part's Gaussian blocks and
     # rotation: every worker count and cap gives the serial bytes.  Blocks
-    # of 500 entries split every part into several.
+    # of 500 entries split every part into several; at r = 3, r^t = 27 does
+    # not divide 500, and a block is the 18 whole rows that fit.
     G, plan, tr = _small_isgm_setup()
+    if r == 3:
+        plan = plan_isgm(1.0, 0.25, 2.0, r=3, N=32, k=4)
+        assert plan.rt == 27
     monkeypatch.setattr(prob, "_BAND", 64)
     monkeypatch.setattr(kernels, "_BLOCK", 500)
 
@@ -516,80 +521,73 @@ def test_isgm_bytes_independent_of_workers(monkeypatch, on_workers):
     serial = on_workers(run, 1, 1)
     for cpus, cap in [(1, 4), (2, 1), (2, 4), (4, 1), (4, 4), (8, 8)]:
         assert on_workers(run, cpus, cap) == serial, (cpus, cap)
-
-
-def test_isgm_gaussianizes_each_block_once(monkeypatch):
-    # One gaussianize call, on the (k, m, r^t) stack of padded parts, whose
-    # ``use`` gets every block of every part once: the offsets tile each
-    # part.  Blocks of 500 entries split each part into several.
-    G, plan, tr = _small_isgm_setup()
-    monkeypatch.setattr(kernels, "_BLOCK", 500)
-    calls, blocks = [], []
-    real = pipelines.gaussianize
-
-    def spy(M, P, Q, mu, rng, use=None):
-        calls.append(np.shape(M))
-
-        def seen(j, start, block):
-            blocks.append((j, start, block.size))
-            use(j, start, block)
-
-        return real(M, P, Q, mu, rng, seen)
-
-    monkeypatch.setattr(pipelines, "gaussianize", spy)
-    pds_to_isgm(G, plan, RngStream(111), trace=tr)
-    size = plan.m * plan.rt
-    assert calls == [(plan.k, plan.m, plan.rt)]
-    assert sorted(blocks) == [(j, start, min(500, size - start))
-                              for j in range(plan.k) for start in range(0, size, 500)]
-
-
-@pytest.mark.parametrize("block", [500, 20])
-def test_isgm_rotates_rows_cut_by_a_block_edge(monkeypatch, on_workers, block):
-    # At r = 3, r^t = 27 divides neither block size, so rows straddle block
-    # edges (at 20, a row spans up to three blocks).  Every worker count
-    # gives the bytes of a per-block reference: each block's whole rows
-    # rotated by one product, and each cut row alone, from the Gaussian
-    # parts of the call.  Those bytes may differ from one whole-part
-    # product in the last bits, and only there.
-    p, q, N, k = 1.0, 0.25, 32, 4
-    plan = plan_isgm(p, q, 2.0, r=3, N=N, k=k)
-    assert plan.rt == 27 and block % 27
-    G, tr = sample_k_pds(N, k, p, q, RngStream(120))
-    monkeypatch.setattr(kernels, "_BLOCK", block)
+    # The block-by-block rotation is the whole-part product of the Gaussian
+    # parts, up to the last bits.
     real, gaussian = pipelines.gaussianize, []
 
     def spy(M, P, Q, mu, rng, use=None):
         gaussian.append(real(M, P, Q, mu, rng))
         return real(M, P, Q, mu, rng, use)
 
-    def run():
-        return pds_to_isgm(G, plan, RngStream(121), trace=tr)[0].tobytes()
-
-    serial = on_workers(run, 1, 1)
-    for cpus, cap in [(2, 4), (4, 4), (8, 8)]:
-        assert on_workers(run, cpus, cap) == serial, (cpus, cap)
     monkeypatch.setattr(pipelines, "gaussianize", spy)
-    X = np.frombuffer(serial).reshape(plan.n, plan.d)
     assert run() == serial
-    rt, m, H = plan.rt, plan.m, build_H(3, plan.t)
-    gen = RngStream(121).child("output").generator()
-    col_choice = gen.choice(k * H.shape[0], size=plan.n, replace=False)
-    row_pos = gen.choice(plan.d, size=m, replace=False)
-    ref, whole = np.empty((plan.n, m)), np.empty((plan.n, m))
+    X, H = np.frombuffer(serial[0]).reshape(plan.n, plan.d), build_H(r, plan.t)
+    gen = RngStream(111).child("output").generator()
+    col_choice = gen.choice(plan.k * H.shape[0], size=plan.n, replace=False)
+    row_pos = gen.choice(plan.d, size=plan.m, replace=False)
     for i, part in enumerate(gaussian[0]):
         kept = np.flatnonzero(col_choice // H.shape[0] == i)
-        Hk = H[col_choice[kept] % H.shape[0]]
-        whole[kept] = Hk @ part.T
-        for start in range(0, m * rt, block):
-            first, last = -(-start // rt), min(start + block, m * rt) // rt
-            if first < last:
-                ref[np.ix_(kept, range(first, last))] = Hk @ part[first:last].T
-        for row in range(m):
-            if row * rt // block != ((row + 1) * rt - 1) // block:
-                ref[np.ix_(kept, [row])] = Hk @ part[row:row + 1].T
-    assert X[:, row_pos].tobytes() == ref.tobytes()
-    assert_allclose(X[:, row_pos], whole, rtol=0, atol=1e-12)
+        assert_allclose(X[np.ix_(kept, row_pos)], H[col_choice[kept] % H.shape[0]] @ part.T,
+                        rtol=0, atol=1e-12)
+
+
+def test_isgm_gaussianizes_each_block_once(monkeypatch):
+    # One gaussianize call, on the (k, m, r^t) stack of padded parts, whose
+    # ``use`` gets every block of every part once, as whole rows whose first
+    # rows tile each part.  Blocks of 500 entries hold 15 rows of r^t = 32;
+    # blocks of 20 are shorter than a row, so each row is a block.
+    G, plan, tr = _small_isgm_setup()
+    real = pipelines.gaussianize
+    for block, per_block in ((500, 15), (20, 1)):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        calls, blocks = [], []
+
+        def spy(M, P, Q, mu, rng, use=None):
+            calls.append(np.shape(M))
+
+            def seen(j, first, rows):
+                blocks.append((j, first, rows.shape))
+                use(j, first, rows)
+
+            return real(M, P, Q, mu, rng, seen)
+
+        monkeypatch.setattr(pipelines, "gaussianize", spy)
+        pds_to_isgm(G, plan, RngStream(111), trace=tr)
+        m, rt = plan.m, plan.rt
+        assert calls == [(plan.k, m, rt)]
+        assert sorted(blocks) == [(j, first, (min(per_block, m - first), rt))
+                                  for j in range(plan.k) for first in range(0, m, per_block)]
+
+
+def test_isgm_rotates_on_one_blas_thread(monkeypatch):
+    # Threaded GEMM can round differently from one thread, so the rotation
+    # runs with BLAS on one thread, and the count is handed back after it.
+    G, plan, tr = _small_isgm_setup()
+    real, during = pipelines.gaussianize, []
+
+    def spy(*args):
+        during.append(prob._blas_threads(1))  # reads the count, which must be 1
+        return real(*args)
+
+    monkeypatch.setattr(pipelines, "gaussianize", spy)
+    had = prob._blas_threads(2)
+    if had is None:
+        pytest.skip("no bundled OpenBLAS thread count")
+    try:
+        pds_to_isgm(G, plan, RngStream(111), trace=tr)
+        assert during == [1] and prob._blas_threads(2) == 2
+    finally:
+        prob._blas_threads(had)
 
 
 def test_isgm_holds_no_float64_matrix(on_workers):
@@ -777,7 +775,7 @@ def _semi_cr_reference(G, plan, rng, trace):
     # the entries (i, j) with j // blk <= i // blk, row-major
     kept = [(I, J) for I in range(ks) for J in range(I + 1)]
     bits = M_PD[np.arange(m) // blk <= np.arange(m)[:, None] // blk]
-    M_G = gaussianize(bits[None], plan.p, plan.Q, mu, rng.child("gaussianize"))[0]
+    M_G = gaussianize(bits[:, None], plan.p, plan.Q, mu, rng.child("gaussianize"))[:, 0]
     rows = np.split(M_G, np.cumsum([blk * blk * (I + 1) for I in range(ks)])[:-1])
     # Per kept block: its offset-0 row, then the rest of its offset-0 column.
     fresh = rng.child("pad").generator().standard_normal((len(kept), 2 * three_l - 1))

@@ -321,6 +321,15 @@ def test_verify_reduction_fault_injection_flips_verdict():
     assert bad["verdict"] == "fail"
 
 
+def test_verify_reduction_names_the_rows_that_inject_a_fault():
+    # The fault error comes from the contract table: an unknown fault is
+    # named as unknown, and a known one names the rows that inject it.
+    with pytest.raises(ParameterError, match="unknown fault 'bogus'"):
+        verify_reduction("isgm", None, 1, 1e-4, fault="bogus")
+    with pytest.raises(ParameterError, match="only isgm injects fault 'rotation', not semi-cr"):
+        verify_reduction("semi-cr", None, 1, 1e-4, fault="rotation")
+
+
 def test_verify_reduction_unknown_pipeline():
     with pytest.raises(ParameterError):
         verify_reduction("nope", {}, 10, 1e-4)
