@@ -234,8 +234,9 @@ def _cmd_reduce(args) -> int:
             f"-> {out / 'instance.graph'}"
         )
     else:  # glsm
-        plan = plan_glsm(args.p, args.q, args.w, n=args.n, k=args.k, d=args.d)
-        X, out_trace = pds_to_glsm(G, plan, args.tau, args.theta, rng, trace=trace)
+        plan = plan_glsm(args.p, args.q, args.w, n=args.n, k=args.k, d=args.d,
+                         tau=args.tau, theta=args.theta)
+        X, out_trace = pds_to_glsm(G, plan, rng, trace=trace)
         out = _out_dir(args)
         write_amat(out / "samples.amat", X)
         out_trace.write_json(out / "trace.json")

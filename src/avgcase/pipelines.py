@@ -116,7 +116,8 @@ class ReductionPlan:
     ``w_n_le_k_ell``, ``mu_le_proven_bound`` and ``n_ge_m_rotated`` always
     read True (the planner refuses the rest), and so do
     ``m_exceeds_(p/Q+1)N`` and ``(3^l-1)k_divides_m``, by construction.
-    The other keys are values.
+    The other keys are values, and the pipelines read their derived ones from
+    here (SEMI-CR's ``mu1``-``mu3``, GLSM's ``tau``, ``a``, ``mu1``, ``mu2``, ``shift_scale``).
     """
 
     target: str
@@ -302,19 +303,27 @@ def plan_semi_cr(p: float, q: float, *, N: int, k: int, ell: int,
                   planted_size=(3 ** (ell - 1) - 1) * k // 2)
 
 
-def plan_glsm(p: float, q: float, w: float, *, n: int, k: int,
+def plan_glsm(p: float, q: float, w: float, *, n: int, k: int, tau: float, theta: float,
               d: Optional[int] = None) -> ReductionPlan:
-    """Plan k-PDS -> GLSM for n >= 2 target samples with planted size k.
+    """Plan k-PDS -> GLSM for n >= 2 target samples with planted size k:
+    sparse PCA at spike strength ``theta`` >= 0, through truncation at ``tau``.
 
     Needs the slow-growth factor w > 0; r is 2 and eps 1/2.  The source size
     N is derived, a multiple of k, and d defaults to m.  ``mu`` is
-    sqrt(k / (N log n)), capped at the proven bound.
+    sqrt(k / (N log n)), capped at the proven bound; the report adds tau,
+    theta, the law Tern(a, mu1, mu2) of N(mu, 1) truncated at tau, and the
+    shift scale sqrt(3 theta log n / k).
     """
     Q, delta = _clone_Q_delta(p, q)
     _check_sizes(k=k, n=n, d=d)
     _check_w(w)
     if n < 2:  # the planned mean divides by log n
         raise ParameterError(f"GLSM planning needs n >= 2, got n={n}")
+    if not 0.0 <= theta < math.inf:  # NaN fails this too
+        raise ParameterError(f"theta must be finite and nonnegative, got {theta}")
+    shift_scale = math.sqrt(3.0 * theta * math.log(n) / k)
+    if shift_scale == math.inf:
+        raise ParameterError(f"theta={theta} overflows the shift scale; srk3 needs finite shifts")
     t = 2
     while 2 ** t <= w * k or k * (2 ** t - 1) < w * n:
         t += 1
@@ -332,7 +341,13 @@ def plan_glsm(p: float, q: float, w: float, *, n: int, k: int,
     plan = ReductionPlan("GLSM", p, q, N, k, 2, t, m, n, d, Q, delta, 0.0, w, 0.5)
     mu_fig, bound = math.sqrt(k / (N * math.log(n))), plan.mu_bound
     plan = replace(plan, mu=min(mu_fig, bound))
-    return _admit(plan, mu_uncapped=mu_fig, mu_capped_at_proven_bound=mu_fig > bound)
+    a, mu1, mu2 = tern_params_from_truncation(tau, plan.mu)
+    try:
+        _srk3_params_check(a, mu1, mu2)
+    except ParameterError as err:
+        raise ParameterError(f"tau={tau} truncates to a degenerate three-point law: {err}") from None
+    return _admit(plan, mu_uncapped=mu_fig, mu_capped_at_proven_bound=mu_fig > bound,
+                  tau=tau, theta=theta, a=a, mu1=mu1, mu2=mu2, shift_scale=shift_scale)
 
 
 def _check_source_size(G: Graph, plan: ReductionPlan) -> None:
@@ -846,10 +861,9 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
     label_of = np.empty(n, dtype=np.int64)
     label_of[vertex_src] = np.arange(n)
 
-    mu1, mu2, mu3 = semi_cr_mus(mu, ell)
     params = {
         "mu": mu, "ell": ell, "m": m, "m_rotated": m_rot,
-        "mu1": mu1, "mu2": mu2, "mu3": mu3,
+        **{key: plan.report[key] for key in ("mu1", "mu2", "mu3")},
         "V": [int(v) for v in np.sort(label_of[:m_rot])],
     }
     out_trace = PlantedTrace(seed=rng.seed, params=params)
@@ -867,35 +881,26 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
 # k-PDS -> general learning sparse mixtures
 # ---------------------------------------------------------------------------
 
-def pds_to_glsm(G: Graph, plan: ReductionPlan, tau: float, theta: float,
-                rng: RngStream, trace: Optional[PlantedTrace] = None):
-    """Reduce k-PDS to sparse PCA at spike strength ``theta`` >= 0.
+def pds_to_glsm(G: Graph, plan: ReductionPlan, rng: RngStream,
+                trace: Optional[PlantedTrace] = None):
+    """Reduce k-PDS to sparse PCA under a ``GLSM`` plan.
 
-    The target is the spiked-covariance family of the paper's corollary at
-    the plan's (n, k): P_nu = N(nu * sqrt(3 theta log n / k), 1) against
-    Q = N(0, 1), the mixing weight nu of each output vector drawn from
-    N(0, 1 / (3 log n)) and clipped to [-1, 1]; theta = 0 plants nothing.
-    Step 1 is the r = 2 mixture reduction at eps = 1/2; step 2 truncates
-    every entry to {-1, 0, +1} and pushes it through the symmetric 3-ary
-    kernel toward (P_nu, P_-nu, Q), with the row's mean shift and one
-    stream per row.  The trace records each row's nu; its
-    ``srk3_fallback_entries`` counts the entries that kept their Q
-    initializer: those that ran out of their proposal budget, and every
-    entry of a row whose gate set is empty, which srk3 settles before its
-    loop.
+    The target is the spiked-covariance family of the paper's corollary:
+    P_nu = N(nu * shift_scale, 1) against Q = N(0, 1), the mixing weight nu
+    of each output vector drawn from N(0, 1 / (3 log n)) and clipped to
+    [-1, 1]; theta = 0 plants nothing.  Step 1 is the r = 2 mixture
+    reduction at eps = 1/2; step 2 truncates every entry at tau to
+    {-1, 0, +1} and pushes it through the symmetric 3-ary kernel at
+    (a, mu1, mu2) toward (P_nu, P_-nu, Q), with the row's mean shift and one
+    stream per row; tau, (a, mu1, mu2) and shift_scale are the plan's.  The
+    trace records each row's nu; its ``srk3_fallback_entries`` counts the
+    entries that kept their Q initializer: those that ran out of their
+    proposal budget, and every entry of a row whose gate set is empty, which
+    srk3 settles before its loop.
     """
-    if not 0.0 <= theta < math.inf:  # NaN fails this too
-        raise ParameterError(f"theta must be finite and nonnegative, got {theta}")
-    if plan.r != 2 or plan.eps != 0.5:
-        raise ParameterError("the mixture stage of the GLSM reduction needs r=2, eps=1/2")
-    # the kernel's parameters depend only on tau and the plan, so a
-    # degenerate tau is refused before the mixture stage runs
-    a, mu1, mu2 = tern_params_from_truncation(tau, plan.mu)
-    try:
-        _srk3_params_check(a, mu1, mu2)
-    except ParameterError as err:
-        raise ParameterError(f"tau={tau} truncates to a degenerate three-point law: {err}") from None
-    scale = math.sqrt(3.0 * theta * math.log(plan.n) / plan.k)
+    if plan.target != "GLSM":
+        raise ParameterError(f"pds_to_glsm needs a GLSM plan, got {plan.target}")
+    tau, a, mu1, mu2 = (plan.report[key] for key in ("tau", "a", "mu1", "mu2"))
     nu_sd = 1.0 / math.sqrt(3.0 * math.log(plan.n))
     samples, in_trace = pds_to_isgm(G, plan, rng.child("isgm"), trace)
     n, d = samples.shape
@@ -903,13 +908,8 @@ def pds_to_glsm(G: Graph, plan: ReductionPlan, tau: float, theta: float,
     nus = np.clip(nu_sd * rng.child("nu").generator().standard_normal(n), -1.0, 1.0)
     B = truncate_tern(samples, tau)
     del samples  # the Gaussian samples, before the kernel allocates its output
-    X, fallback = srk3_array(B, nus * scale, a, mu1, mu2, n_iter,
+    X, fallback = srk3_array(B, nus * plan.report["shift_scale"], a, mu1, mu2, n_iter,
                              [rng.child("srk3", i) for i in range(n)])
-    out_trace = PlantedTrace(
-        seed=rng.seed,
-        planted_set=in_trace.planted_set,
-        component_set=in_trace.component_set,
-        params=dict(in_trace.params, tau=tau, a=a, mu1=mu1, mu2=mu2,
-                    srk3_fallback_entries=fallback, nu=[float(v) for v in nus]),
-    )
-    return X, out_trace
+    return X, replace(in_trace, seed=rng.seed, params=dict(
+        in_trace.params, tau=tau, a=a, mu1=mu1, mu2=mu2,
+        srk3_fallback_entries=fallback, nu=[float(v) for v in nus]))

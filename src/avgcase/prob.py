@@ -46,6 +46,7 @@ its share of the CPUs.  Two runners apply it:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -119,10 +120,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _blas_threads(count: Optional[int]) -> Optional[int]:
-    """Run numpy's bundled OpenBLAS on ``count`` threads and return the count
-    it had, to be handed back here; a no-op returning None when ``count`` is
-    None or where no bundled OpenBLAS has a thread count."""
+@functools.lru_cache(maxsize=None)
+def _blas_thread_calls():
+    """The (get, set) thread-count pair of numpy's bundled OpenBLAS, looked
+    up once per process (a forked child keeps its parent's), or None where
+    no bundled library has one."""
     import ctypes
     import glob
 
@@ -130,13 +132,23 @@ def _blas_threads(count: Optional[int]) -> Optional[int]:
         lib = ctypes.CDLL(path)
         getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
         setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if count is not None and getter is not None and setter is not None:
+        if getter is not None and setter is not None:
             getter.argtypes, getter.restype = [], ctypes.c_int
             setter.argtypes, setter.restype = [ctypes.c_int], None
-            had = getter()
-            setter(count)
-            return had
+            return getter, setter
     return None
+
+
+def _blas_threads(count: Optional[int]) -> Optional[int]:
+    """Run numpy's bundled OpenBLAS on ``count`` threads and return the count
+    it had, to be handed back here; a no-op returning None when ``count`` is
+    None or where no bundled OpenBLAS has a thread count."""
+    calls = None if count is None else _blas_thread_calls()
+    if calls is None:
+        return None
+    had = calls[0]()
+    calls[1](count)
+    return had
 
 
 def _physical_memory() -> Optional[int]:

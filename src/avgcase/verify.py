@@ -514,9 +514,8 @@ def _glsm_setup(params, fault):
     from .pipelines import pds_to_glsm, plan_glsm
 
     plan = plan_glsm(params["p"], params["q"], 2.0, n=params["n"], k=params["k"],
-                     d=params["d"])
-    return (plan, lambda G, rng: pds_to_glsm(G, plan, params["tau"], params["theta"], rng),
-            {"plan": plan.to_dict()})
+                     d=params["d"], tau=params["tau"], theta=params["theta"])
+    return plan, lambda G, rng: pds_to_glsm(G, plan, rng), {"plan": plan.to_dict()}
 
 
 @dataclass

@@ -328,7 +328,7 @@ _ISGM_R3_GOLDEN = {
 _GLSM_GOLDEN = {
     "samples.amat": "2cd6d486ea164743c63e2cb8e9530b3177c14c8e1bd43377e23bd920b0276aed",
     "trace.json": "d5f4918a87eeef18a97d039d7961da2154b88a8393b1e279ff6a1f927e54e273",
-    "plan.json": "160f2490044684bccc447f0ee6ef0238f3bd5226725ebeec70934ba47ebe92d6",
+    "plan.json": "9d5715714f6b07d964a7d39efd7a7d4205f6abe65eebfaa290440409ab6d02a4",
 }
 
 
@@ -357,7 +357,7 @@ _VERIFY_GOLDEN = {
     "semi-cr": (["--trials", "100"],
                 "f813f72d24b2d4f28a30e59e8e3855e7aa6af17f6118a285f1324b3ce97e78ba"),
     "glsm": (["--trials", "1"],
-             "d326dca734427fd76dea997314d503c41d0d24929986e78c3509ba48716f941a"),
+             "6f5cffee43656e7086956b01de3fc03ae8ff3687ae69408bbcc2b8925f9dc9ef"),
 }
 
 

@@ -17,7 +17,7 @@ from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone,
                                pds_to_glsm, pds_to_isgm, pds_to_semi_cr,
                                plan_glsm, plan_isgm, plan_semi_cr, sample_isgm,
                                semi_cr_mus, to_k_partite_submatrix)
-from avgcase.kernels import gaussianize, gaussianize_mu_bound
+from avgcase.kernels import gaussianize, gaussianize_mu_bound, tern_params_from_truncation
 from avgcase.prob import RngStream
 from avgcase.verify import chi2_test
 
@@ -362,7 +362,7 @@ def test_plan_report_is_its_own_and_read_only():
     q = dataclasses.replace(p, mu=0.0)
     assert q.report is not p.report and q.report == p.report
     for plan in (p, q, plan_semi_cr(1.0, 0.25, N=32, k=4, ell=2),
-                 plan_glsm(1.0, 0.25, 2.0, n=64, k=4)):
+                 plan_glsm(1.0, 0.25, 2.0, n=64, k=4, tau=1.0, theta=1e-5)):
         with pytest.raises(TypeError):
             plan.report["m_le_d"] = False
         assert type(plan.to_dict()["report"]) is dict
@@ -451,12 +451,14 @@ def test_plan_rejects_bad_ell_and_w(target, kwargs):
 def test_plan_rejects_sizes_it_cannot_plan(target, kwargs, says):
     if target != "SEMI_CR":
         kwargs = {"w": 2.0, **kwargs}
+    if target == "GLSM":
+        kwargs = {"tau": 1.0, "theta": 1e-5, **kwargs}
     with pytest.raises(ParameterError, match=says):
         _PLANNERS[target](1.0, 0.25, **kwargs)
 
 
 @pytest.mark.parametrize("planner, kwargs", [
-    (plan_glsm, {"w": 2.0, "n": 64, "k": 4, "N": 7}),
+    (plan_glsm, {"w": 2.0, "n": 64, "k": 4, "tau": 1.0, "theta": 1e-5, "N": 7}),
     (plan_semi_cr, {"N": 32, "k": 4, "ell": 2, "d": 5}),
     (plan_semi_cr, {"N": 32, "k": 4, "ell": 2, "w": 4.0}),
     (plan_isgm, {"w": 2.0, "r": 2, "N": 32, "k": 4, "ell": 5}),
@@ -468,12 +470,42 @@ def test_planners_take_only_their_own_keys(planner, kwargs):
 
 
 def test_plan_glsm_sizes():
-    plan = plan_glsm(1.0, 0.25, 2.0, n=64, k=4, d=300)
+    plan = plan_glsm(1.0, 0.25, 2.0, n=64, k=4, d=300, tau=1.0, theta=1e-5)
     assert plan.r == 2 and plan.eps == 0.5
     assert plan.m <= plan.k * 2 ** plan.t
     assert plan.N % plan.k == 0
     assert plan.d == 300
-    assert plan_glsm(1.0, 0.25, 2.0, n=64, k=4).d == plan.m
+    assert plan_glsm(1.0, 0.25, 2.0, n=64, k=4, tau=1.0, theta=1e-5).d == plan.m
+
+
+def test_plan_glsm_reports_the_kernel_parameters():
+    # tau, theta and what the pipeline derives from them are planned once:
+    # the three-point law of N(mu, 1) truncated at tau and the shift scale.
+    plan = plan_glsm(1.0, 0.25, 2.0, n=48, k=4, d=200, tau=0.8, theta=2e-5)
+    a, mu1, mu2 = tern_params_from_truncation(0.8, plan.mu)
+    assert {key: plan.report[key] for key in ("tau", "theta", "a", "mu1", "mu2")} == \
+        {"tau": 0.8, "theta": 2e-5, "a": a, "mu1": mu1, "mu2": mu2}
+    assert plan.report["shift_scale"] == math.sqrt(3.0 * 2e-5 * math.log(48) / 4)
+
+
+@pytest.mark.parametrize("tau", [40.0, 1e-300])
+def test_plan_glsm_refuses_a_degenerate_tau(tau):
+    # Phi(tau) - Phi(-tau) rounds to 1 or to 0, so srk3 has no three-point
+    # law to target
+    with pytest.raises(ParameterError, match=f"tau={tau}.*a must lie in"):
+        plan_glsm(1.0, 0.25, 2.0, n=32, k=4, tau=tau, theta=1e-5)
+
+
+@pytest.mark.parametrize("theta, says", [
+    (math.nan, "theta must be finite and nonnegative"),
+    (math.inf, "theta must be finite and nonnegative"),
+    (-1.0, "theta must be finite and nonnegative"),
+    # finite, but 3 theta log n / k overflows
+    (1e308, "theta=1e\\+308 overflows the shift scale; srk3 needs finite shifts"),
+], ids=["nan", "inf", "-1.0", "1e+308"])
+def test_plan_glsm_refuses_a_bad_theta(theta, says):
+    with pytest.raises(ParameterError, match=says):
+        plan_glsm(1.0, 0.25, 2.0, n=32, k=4, tau=1.0, theta=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +673,7 @@ def test_isgm_structural_errors(monkeypatch):
     small, small_tr = sample_k_pds(16, 4, 1.0, 0.25, RngStream(115))
     large = sample_gnq(64, 0.25, RngStream(116))
     semi_plan = plan_semi_cr(1.0, 0.25, N=32, k=4, ell=2)
-    glsm_plan = plan_glsm(1.0, 0.25, 2.0, n=64, k=4)  # N = 84
+    glsm_plan = plan_glsm(1.0, 0.25, 2.0, n=64, k=4, tau=1.0, theta=1e-5)  # N = 84
 
     def no_draw(stream):
         raise AssertionError("a stream was drawn from")
@@ -652,7 +684,7 @@ def test_isgm_structural_errors(monkeypatch):
         (lambda: pds_to_isgm(small, plan, RngStream(117), trace=small_tr), "N=32"),
         (lambda: pds_to_isgm(large, plan, RngStream(117)), "64 vertices .* N=32"),
         (lambda: pds_to_semi_cr(small, semi_plan, RngStream(117), trace=small_tr), "N=32"),
-        (lambda: pds_to_glsm(small, glsm_plan, 1.0, 1e-5, RngStream(117)), "N=84"),
+        (lambda: pds_to_glsm(small, glsm_plan, RngStream(117)), "N=84"),
     ]:
         with pytest.raises(ParameterError, match=says):
             run()
@@ -892,7 +924,7 @@ def test_spca_family_is_the_corollary_configuration(monkeypatch):
     # srk3 gets each row's mean shift nu * sqrt(3 theta log n / k) at the
     # plan's (n, k), nu the row's mixing weight N(0, 1 / (3 log n)) clipped
     # to [-1, 1], as the trace records it; theta = 0 plants nothing.
-    plan = plan_glsm(1.0, 0.25, 2.0, n=48, k=4, d=200)
+    plan = plan_glsm(1.0, 0.25, 2.0, n=48, k=4, d=200, tau=1.0, theta=1e-5)
     G = sample_gnq(plan.N, 0.25, RngStream(139))
     seen = []
     srk3 = pipelines.srk3_array
@@ -907,7 +939,8 @@ def test_spca_family_is_the_corollary_configuration(monkeypatch):
     draws = rng.child("nu").generator().standard_normal(plan.n)
     for theta in (1e-5, 0.0):
         seen.clear()
-        _, trace = pds_to_glsm(G, plan, 1.0, theta, rng)
+        plan = plan_glsm(1.0, 0.25, 2.0, n=48, k=4, d=200, tau=1.0, theta=theta)
+        _, trace = pds_to_glsm(G, plan, rng)
         nus = np.asarray(trace.params["nu"])
         assert nus.tobytes() == np.clip(nu_sd * draws, -1.0, 1.0).tobytes()
         assert len(seen) == 1
@@ -921,37 +954,38 @@ def test_glsm_h0_shape_and_coordinates():
     from avgcase.verify import ks_matrix
 
     p, q = 1.0, 0.25
-    plan = plan_glsm(p, q, 2.0, n=48, k=4, d=200)
+    plan = plan_glsm(p, q, 2.0, n=48, k=4, d=200, tau=1.0, theta=1e-5)
     G = sample_gnq(plan.N, q, RngStream(140))
-    X, trace = pds_to_glsm(G, plan, 1.0, 1e-5, RngStream(141))
+    X, trace = pds_to_glsm(G, plan, RngStream(141))
     assert X.shape == (48, plan.d)
     assert len(trace.params["nu"]) == 48
     _, pvals = ks_matrix(X.T, sst.norm.cdf)
     assert pvals.min() > 1e-4 / X.shape[1]
 
 
-@pytest.mark.parametrize("tau", [40.0, 1e-300])
-def test_glsm_refuses_a_degenerate_tau_before_the_mixture_stage(monkeypatch, tau):
-    # Phi(tau) - Phi(-tau) rounds to 1 or to 0, so srk3 has no three-point
-    # law to target; the ISGM stage must not run first.
+@pytest.mark.parametrize("plan", [plan_isgm(1.0, 0.25, 4.0, N=32, k=4, r=2),
+                                  plan_semi_cr(1.0, 0.25, N=32, k=4, ell=2)],
+                         ids=["isgm", "semi_cr"])
+def test_glsm_refuses_a_plan_of_another_target(monkeypatch, plan):
+    # the ISGM plan has r = 2 and eps = 1/2 too, but carries no truncation
+    # and no shift scale: it must not run as a GLSM plan
     def never(*args, **kwargs):
         raise AssertionError("pds_to_isgm ran")
 
-    plan = plan_glsm(1.0, 0.25, 2.0, n=32, k=4)
-    G, tr = sample_k_pds(plan.N, 4, 1.0, 0.25, RngStream(145))
+    G = sample_gnq(plan.N, 0.25, RngStream(145))
     monkeypatch.setattr(pipelines, "pds_to_isgm", never)
-    with pytest.raises(ParameterError, match=f"tau={tau}.*a must lie in"):
-        pds_to_glsm(G, plan, tau, 1e-5, RngStream(146), trace=tr)
+    with pytest.raises(ParameterError, match=f"pds_to_glsm needs a GLSM plan, got {plan.target}"):
+        pds_to_glsm(G, plan, RngStream(146))
 
 
 def test_glsm_trace_counts_srk3_fallbacks():
     # An entry that ran out of budget keeps its initializer, the first d
     # draws of its row's stream; the trace counts exactly those entries.
     # theta = 1e-4 crowds srk3's gates, so some rows' entries run out.
-    plan = plan_glsm(1.0, 0.25, 2.0, n=48, k=4, d=200)
+    plan = plan_glsm(1.0, 0.25, 2.0, n=48, k=4, d=200, tau=1.0, theta=1e-4)
     G = sample_gnq(plan.N, 0.25, RngStream(143))
     rng = RngStream(144)
-    X, trace = pds_to_glsm(G, plan, 1.0, 1e-4, rng)
+    X, trace = pds_to_glsm(G, plan, rng)
     init = np.stack([rng.child("srk3", i).child("srk3").generator().standard_normal(plan.d)
                      for i in range(48)])
     fallback = trace.params["srk3_fallback_entries"]
@@ -963,11 +997,11 @@ def test_glsm_planted_coordinate_means():
     # Per-sample planted coordinates head for N(nu_i * scale, 1) (positive
     # component) at the corollary configuration.
     p, q = 1.0, 0.25
-    plan = plan_glsm(p, q, 2.0, n=64, k=4)  # d defaults to m
+    plan = plan_glsm(p, q, 2.0, n=64, k=4, tau=1.0, theta=1e-5)  # d defaults to m
     acc = []
     for i in range(60):
         G, tr = sample_k_pds(plan.N, 4, p, q, RngStream(142).child("g", i))
-        X, otr = pds_to_glsm(G, plan, 1.0, 1e-5, RngStream(142).child("r", i), trace=tr)
+        X, otr = pds_to_glsm(G, plan, RngStream(142).child("r", i), trace=tr)
         S = otr.planted_set
         nus = np.asarray(otr.params["nu"])
         pos = np.zeros(64, dtype=bool)
@@ -977,18 +1011,6 @@ def test_glsm_planted_coordinate_means():
     resid = np.concatenate(acc)
     z = resid.mean() * math.sqrt(resid.size)
     assert abs(z) < 4
-
-
-@pytest.mark.parametrize("theta", [math.nan, math.inf, -1.0])
-def test_glsm_refuses_a_bad_theta_before_the_mixture_stage(monkeypatch, theta):
-    def never(*args, **kwargs):
-        raise AssertionError("pds_to_isgm ran")
-
-    plan = plan_glsm(1.0, 0.25, 2.0, n=32, k=4)
-    G = sample_gnq(plan.N, 0.25, RngStream(147))
-    monkeypatch.setattr(pipelines, "pds_to_isgm", never)
-    with pytest.raises(ParameterError, match="theta must be finite and nonnegative"):
-        pds_to_glsm(G, plan, 1.0, theta, RngStream(148))
 
 
 def test_semi_cr_h0_class_marginals():

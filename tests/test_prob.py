@@ -226,11 +226,23 @@ def test_trial_workers_run_blas_on_one_thread(monkeypatch):
     assert os.getpid() not in {pid for *_, pid in capped}
     assert blas_threads() == parent
     # where the lookup finds no library, the workers keep the parent's count
-    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    monkeypatch.setattr(prob, "_blas_thread_calls", lambda: None)
     uncapped = prob._run_trials(trial, 8)
     assert {threads for _, threads, _ in uncapped} == {parent}
     assert [r for r, *_ in uncapped] == [r for r, *_ in capped]
     assert multiprocessing.active_children() == []
+
+
+def test_blas_thread_lookup_runs_once_per_process(monkeypatch):
+    import glob
+
+    had = prob._blas_threads(1)  # looks the library up, if no call has yet
+
+    def never(pattern):
+        raise AssertionError("the library was looked up again")
+
+    monkeypatch.setattr(glob, "glob", never)
+    assert prob._blas_threads(had) == (None if had is None else 1)
 
 
 def test_run_trials_single_cpu_mask_is_serial(monkeypatch):
