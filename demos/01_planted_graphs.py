@@ -37,10 +37,11 @@ print(f"tg_h1 within-S frequency {blk[np.triu_indices(24, 1)].mean():.3f} "
       f"(target 1/2 + mu3 = 0.6)")
 
 # A semirandom (monotone) adversary may thin edges outside the planted set
-# but can never touch planted-internal pairs.
-rates = np.full((300, 300), 0.3)
-rates[np.ix_(S, S)] = 0.0
-G_adv = semirandom_apply(G, tr, rates, rng.child("adv"))
+# but can never touch planted-internal pairs.  Its rates are set per pair of
+# vertex classes: here class 1 is S, and every pair but S^2 goes at rate 0.3.
+in_S = np.zeros(300, dtype=int)
+in_S[S] = 1
+G_adv = semirandom_apply(G, tr, in_S, [[0.3, 0.3], [0.3, 0.0]], rng.child("adv"))
 print(f"monotone adversary: {G.edge_count} -> {G_adv.edge_count} edges, "
       f"planted block intact: "
       f"{all(G_adv.has_edge(int(u), int(v)) == G.has_edge(int(u), int(v)) for u in S for v in S if u < v)}")

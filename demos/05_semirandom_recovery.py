@@ -11,7 +11,7 @@ reach, so hardness transfers to the recovery threshold.
 import numpy as np
 
 from avgcase.graphs import (PlantedTrace, sample_k_pds, sample_planted_conditional,
-                            semirandom_apply)
+                            semi_cr_labels, semi_cr_rates, semirandom_apply)
 from avgcase.pipelines import pds_to_semi_cr, plan_semi_cr, semi_cr_mus
 from avgcase.prob import RngStream
 from avgcase.verify import (SEMI_CR_CLASSES, class_z_scores, semi_cr_class_counts,
@@ -48,13 +48,8 @@ g = rng.child("latent").generator()
 S = np.sort(g.choice(n_sim, kS, replace=False))
 S2 = np.sort(g.choice(np.setdiff1d(np.arange(n_sim), S), kS2, replace=False))
 G_pds = sample_planted_conditional(n_sim, S, 0.5 + mu3, 0.5, rng.child("pds"))
-rates = np.full((n_sim, n_sim), 2 * mu1)
-inS = np.zeros(n_sim, bool); inS[S] = True
-inS2 = np.zeros(n_sim, bool); inS2[S2] = True
-rates[np.ix_(inS, inS)] = 0.0
-rates[np.ix_(inS2, inS2)] = 0.0
-rates[np.ix_(inS, inS2)] = rates[np.ix_(inS2, inS)] = 2 * mu2
-G_adv = semirandom_apply(G_pds, PlantedTrace(seed=0, planted_set=S), rates,
+G_adv = semirandom_apply(G_pds, PlantedTrace(seed=0, planted_set=S),
+                         semi_cr_labels(n_sim, np.arange(n_sim), S2, S), semi_cr_rates(mu1, mu2),
                          rng.child("apply"))
 print(f"\nadversary simulation: {G_pds.edge_count} -> {G_adv.edge_count} edges; "
       f"within-S block untouched: "

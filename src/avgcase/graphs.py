@@ -5,8 +5,10 @@ upper-triangular pair order ``(0,1), (0,2), ..., (n-2,n-1)``: symmetric, no
 self loops, O(1) pair access, and ~n^2/16 bytes.
 
 The samplers cover the ambient and planted hypotheses used by the reduction
-pipelines, plus the target graph laws produced by the community-recovery
-reduction and the two corruption adversaries (Huber / eps-corruption) for
+pipelines and the target graph laws produced by the community-recovery
+reduction: a planted graph thinned by the monotone adversary
+`semirandom_apply`, which removes edges at rates set per pair of vertex
+classes.  The two corruption adversaries (Huber / eps-corruption) act on
 sample sets.  `PlantedTrace` carries ground-truth latents next to an instance
 for verification; the reductions never read it to make decisions, they only
 translate its coordinates for the output trace.
@@ -24,7 +26,8 @@ import numpy as np
 
 from .errors import AdversaryViolation, ParameterError
 from .formats import dump_json, load_json
-from .prob import RngStream, _check_fits, _check_prob, _run_blocks, uniform_below
+from .prob import (RngStream, _check_fits, _check_prob, _random_bands, _run_blocks,
+                   uniform_below)
 
 __all__ = [
     "Graph",
@@ -36,6 +39,8 @@ __all__ = [
     "sample_planted_conditional",
     "sample_tg_h1",
     "sample_tg_h0",
+    "semi_cr_labels",
+    "semi_cr_rates",
     "semirandom_apply",
     "corrupt_samples",
 ]
@@ -50,12 +55,21 @@ def _pair_indices(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u * n - u * (u + 1) // 2 + (v - u - 1)
 
 
-def _pair_coords(n: int, idx: np.ndarray):
-    """Inverse of `_pair_indices`: the (u, v) arrays of the pair indices idx."""
+def _row_starts(n: int) -> np.ndarray:
+    """The index of each row's first pair (u, u+1) in the pair order."""
     rows = np.arange(n, dtype=np.int64)
-    row_start = _pair_indices(n, rows, rows + 1)
-    u = np.searchsorted(row_start, idx, side="right") - 1
-    return u, idx - row_start[u] + u + 1
+    return _pair_indices(n, rows, rows + 1)
+
+
+def _band_edges(row_start: np.ndarray, lo: int, bits: np.ndarray):
+    """``(idx, u, v)``: the positions in ``bits``, the bits of the pairs lo.., of its
+    edges, and their ends u < v; ``row_start`` is ``_row_starts(n)``."""
+    idx = np.flatnonzero(bits)
+    # rows r0..r1 hold the band's pairs; u repeats each row once per edge
+    r0, r1 = np.searchsorted(row_start, [lo, lo + bits.size], side="right") - 1
+    ends = np.searchsorted(idx, row_start[r0 + 1:r1 + 1] - lo)
+    u = np.repeat(np.arange(r0, r1 + 1), np.diff(ends, prepend=0, append=idx.size))
+    return idx, u, lo + idx - row_start[u] + u + 1
 
 
 def _upper_mask(n: int) -> np.ndarray:
@@ -117,18 +131,14 @@ class Graph:
 
     # -- access -----------------------------------------------------------
 
-    @staticmethod
-    def _pair_index(n: int, u: int, v: int) -> int:
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise ParameterError(f"invalid pair ({u}, {v}) for n={n}")
-        return _pair_indices(n, min(u, v), max(u, v))
-
     def has_edge(self, u: int, v: int) -> bool:
-        idx = self._pair_index(self.n, u, v)
+        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
+            raise ParameterError(f"invalid pair ({u}, {v}) for n={self.n}")
+        idx = _pair_indices(self.n, min(u, v), max(u, v))
         return bool((self._bits[idx >> 3] >> (7 - (idx & 7))) & 1)
 
     def triu_vector(self) -> np.ndarray:
-        return np.unpackbits(self._bits, count=_n_pairs(self.n)).astype(bool)
+        return np.unpackbits(self._bits, count=_n_pairs(self.n)).view(bool)
 
     def to_dense(self) -> np.ndarray:
         adj = np.zeros((self.n, self.n), dtype=bool)
@@ -136,13 +146,9 @@ class Graph:
         adj |= adj.T
         return adj
 
-    def _edge_pairs(self) -> np.ndarray:
-        """Sorted pair indices of the edges: the positions of the set bits."""
-        return np.flatnonzero(np.unpackbits(self._bits, count=_n_pairs(self.n)))
-
     def edges(self) -> np.ndarray:
         """Edge list as an (m, 2) array with u < v, lexicographic order."""
-        return np.column_stack(_pair_coords(self.n, self._edge_pairs()))
+        return np.column_stack(_band_edges(_row_starts(self.n), 0, self.triu_vector())[1:])
 
     @property
     def edge_count(self) -> int:
@@ -208,11 +214,12 @@ class PlantedTrace:
 # GRAPHv1 text format
 # ---------------------------------------------------------------------------
 
-# Pairs per piece of `write_graphv1`, a multiple of 8 so that a piece starts
-# on a byte of the packed bits.  At most ``_MAX_IN_FLIGHT`` pieces are in
-# flight, so the writer's transient arrays (some tens of bytes per edge) stay
-# those of 2^18 pairs whatever the graph's size.
-_WRITE_CHUNK = 1 << 16
+# Pairs per piece of `write_graphv1` and `_class_edge_counts`, a multiple of 8
+# so that a piece starts on a byte of the packed bits.  At most
+# ``_MAX_IN_FLIGHT`` pieces are in flight, so the writer's transient arrays
+# (some tens of bytes per edge) stay those of 2^18 pairs whatever the graph's
+# size.
+_PAIR_CHUNK = 1 << 16
 
 _HEADER = re.compile(r"n=([0-9]+)\s+edges=([0-9]+)")
 
@@ -246,24 +253,18 @@ def write_graphv1(graph: Graph, path) -> None:
 
     Edges come in lexicographic order with ``\\n`` line ends, so the bytes
     are a function of the graph alone.  The packed bits are formatted in
-    pieces of ``_WRITE_CHUNK`` pairs on the pool of ``_run_blocks``, and
+    pieces of ``_PAIR_CHUNK`` pairs on the pool of ``_run_blocks``, and
     the pieces are written in order.
     """
     n, n_pairs = graph.n, _n_pairs(graph.n)
     cells = _digit_cells(n)
-    rows = np.arange(n, dtype=np.int64)
-    row_start = _pair_indices(n, rows, rows + 1)
+    row_start = _row_starts(n)
 
     def piece(i):
-        lo = i * _WRITE_CHUNK
-        hi = min(lo + _WRITE_CHUNK, n_pairs)
-        bits = np.unpackbits(graph._bits[lo // 8:-(-hi // 8)], count=hi - lo)
-        idx = lo + np.flatnonzero(bits.view(bool))
-        # rows r0..r1 hold the piece's pairs; u repeats each row once per edge
-        r0, r1 = np.searchsorted(row_start, [lo, hi], side="right") - 1
-        ends = np.searchsorted(idx, row_start[r0 + 1:r1 + 1])
-        u = np.repeat(rows[r0:r1 + 1], np.diff(ends, prepend=0, append=idx.size))
-        return _format_lines(cells, u, idx - row_start[u] + u + 1)
+        lo = i * _PAIR_CHUNK
+        hi = min(lo + _PAIR_CHUNK, n_pairs)
+        bits = np.unpackbits(graph._bits[lo // 8:-(-hi // 8)], count=hi - lo).view(bool)
+        return _format_lines(cells, *_band_edges(row_start, lo, bits)[1:])
 
     # Piece i is formatted, then waits until pieces 0..i-1 are written, so at
     # most the pool's pieces are alive.  After an error none is written and
@@ -289,7 +290,7 @@ def write_graphv1(graph: Graph, path) -> None:
 
     with open(path, "wb") as fh:
         fh.write(f"n={n} edges={graph.edge_count}\n".encode("ascii"))
-        _run_blocks(run, -(-n_pairs // _WRITE_CHUNK))
+        _run_blocks(run, -(-n_pairs // _PAIR_CHUNK))
 
 
 def _malformed(path, what: str) -> ParameterError:
@@ -355,8 +356,7 @@ def sample_gnq(n: int, q: float, rng: RngStream) -> Graph:
 
 
 def _plant_dense(graph_vec: np.ndarray, n: int, S: np.ndarray, p: float, gen) -> None:
-    """Resample the induced subgraph on S from G(|S|, p), in place."""
-    S = np.sort(np.asarray(S, dtype=np.int64))
+    """Resample the induced subgraph on S, ascending, from G(|S|, p), in place."""
     k = S.size
     if k < 2:
         return
@@ -369,9 +369,10 @@ def sample_planted_conditional(n: int, S, p: float, q: float, rng: RngStream) ->
     """G(n, S, p, q): ambient G(n, q) with the induced subgraph on S from G(|S|, p)."""
     _check_prob(p, "p")
     _check_prob(q, "q")
-    S = np.asarray(S, dtype=np.int64)
-    if S.size and (S.min() < 0 or S.max() >= n or np.unique(S).size != S.size):
+    S = np.sort(np.asarray(S, dtype=np.int64))
+    if S.size and (S[0] < 0 or S[-1] >= n or (S[1:] == S[:-1]).any()):
         raise ParameterError(f"S must be a subset of [0, {n}), got {S}")
+    _check_fits(_n_pairs(n), f"the pair vector of n={n} vertices, as bool,")
     g = rng.child("planted").generator()
     vec = uniform_below(g, _n_pairs(n), q)
     _plant_dense(vec, n, S, p, g)
@@ -399,31 +400,32 @@ def sample_k_pds(N: int, k: int, p: float, q: float, rng: RngStream):
     Nk = N // k
     S = np.array([i * Nk + g.integers(Nk) for i in range(k)], dtype=np.int64)
     _plant_dense(vec, N, S, p, g)
-    trace = PlantedTrace(
-        seed=rng.seed,
-        planted_set=np.sort(S),
-        params={"N": N, "k": k, "p": p, "q": q},
-    )
+    trace = PlantedTrace(seed=rng.seed, planted_set=S, params={"N": N, "k": k, "p": p, "q": q})
     return Graph.from_triu(N, vec), trace
 
 
-def _tg_probability_matrix(n, V, S, S2, mu1, mu2, mu3):
-    prob = np.full((n, n), 0.5)
-    inV, inS, inS2 = (np.isin(np.arange(n), X) for X in (V, S, S2))
-    both_V = np.outer(inV, inV)
-    prob[both_V] = 0.5 - mu1
-    cross = np.outer(inS, inS2) | np.outer(inS2, inS)
-    prob[cross] = 0.5 - mu2
-    prob[np.outer(inS2, inS2)] = 0.5
-    prob[np.outer(inS, inS)] = 0.5 + mu3
-    return prob
+def semi_cr_labels(n: int, V, S_prime=(), S=()) -> np.ndarray:
+    """The SEMI-CR vertex classes: 0 outside V, 1 in V, 2 in S', 3 in S."""
+    labels = np.zeros(n, dtype=np.intp)
+    for cls, members in enumerate((V, S_prime, S), start=1):
+        labels[np.asarray(members, dtype=np.int64)] = cls
+    return labels
+
+
+def semi_cr_rates(mu1: float, mu2: float) -> np.ndarray:
+    """The SEMI-CR adversary's rates over the classes of ``semi_cr_labels``: 2 mu2
+    on S x S', 0 on S^2, S'^2 and outside V^2, 2 mu1 on the rest of V^2."""
+    a, b = 2.0 * mu1, 2.0 * mu2
+    return np.array([[0, 0, 0, 0], [0, a, a, a], [0, a, 0, b], [0, a, b, 0]], dtype=float)
 
 
 def sample_tg_h1(n, k, k2, m, mu1, mu2, mu3, rng: RngStream):
     """Planted target-graph law: V of size m, disjoint S (k), S' (k2) inside V.
 
-    Edge probabilities: 1/2 + mu3 on S^2, 1/2 - mu2 on S x S', 1/2 on S'^2 and
-    outside V^2, 1/2 - mu1 on the rest of V^2.
+    It is the planted graph G(n, S, 1/2 + mu3, 1/2) thinned by the class-rate
+    adversary ``semi_cr_rates``, so the edge probabilities are 1/2 + mu3 on
+    S^2, 1/2 - mu2 on S x S', 1/2 on S'^2 and outside V^2, and 1/2 - mu1 on
+    the rest of V^2.
     """
     if not (min(k, k2) >= 0 and k + k2 <= m <= n):
         raise ParameterError(
@@ -436,62 +438,73 @@ def sample_tg_h1(n, k, k2, m, mu1, mu2, mu3, rng: RngStream):
     picks = g.choice(m, size=k + k2, replace=False)
     S = np.sort(V[picks[:k]])
     S2 = np.sort(V[picks[k:]])
-    prob = _tg_probability_matrix(n, V, S, S2, mu1, mu2, mu3)
-    vec = g.random(_n_pairs(n)) < prob[_upper_mask(n)]
-    trace = PlantedTrace(
-        seed=rng.seed,
-        planted_set=S,
-        params={
-            "V": [int(v) for v in V],
-            "S_prime": [int(v) for v in S2],
-            "mu1": mu1,
-            "mu2": mu2,
-            "mu3": mu3,
-            "m": m,
-        },
-    )
-    return Graph.from_triu(n, vec), trace
+    trace = PlantedTrace(seed=rng.seed, planted_set=S, params={
+        "V": [int(v) for v in V], "S_prime": [int(v) for v in S2],
+        "mu1": mu1, "mu2": mu2, "mu3": mu3, "m": m})
+    G = sample_planted_conditional(n, S, 0.5 + mu3, 0.5, rng)
+    return semirandom_apply(G, trace, semi_cr_labels(n, V, S2, S), semi_cr_rates(mu1, mu2),
+                            rng), trace
 
 
 def sample_tg_h0(n, m, mu1, rng: RngStream):
-    """Null target-graph law: edges inside a random V (|V| = m) at 1/2 - mu1, else 1/2."""
+    """Null target-graph law, ``sample_tg_h1`` with S = S' = {}: G(n, 1/2) thinned at
+    2 mu1 inside a random V (|V| = m), so edges come at 1/2 - mu1 inside V, else 1/2.
+    Its streams are apart from those of ``sample_tg_h1`` at the same seed."""
     if not (0 <= m <= n):
         raise ParameterError(f"need 0 <= m <= n, got m={m}, n={n}")
-    if not (0 <= mu1 < 0.5):
-        raise ParameterError(f"mu1 must lie in [0, 1/2), got {mu1}")
-    g = rng.child("tg_h0").generator()
-    V = np.sort(g.choice(n, size=m, replace=False))
-    inV = np.isin(np.arange(n), V)
-    prob = np.where(np.outer(inV, inV), 0.5 - mu1, 0.5)
-    vec = g.random(_n_pairs(n)) < prob[_upper_mask(n)]
-    trace = PlantedTrace(seed=rng.seed, params={"V": [int(v) for v in V], "mu1": mu1, "m": m})
-    return Graph.from_triu(n, vec), trace
+    G, trace = sample_tg_h1(n, 0, 0, m, mu1, 0.0, 0.0, rng.child("tg_h0"))
+    return G, PlantedTrace(seed=rng.seed, params={"V": trace.params["V"], "mu1": mu1, "m": m})
 
 
-def semirandom_apply(G: Graph, trace: PlantedTrace, removal_prob, rng: RngStream) -> Graph:
-    """Monotone adversary: remove each present edge independently at its rate.
+def _class_edge_counts(G: Graph, labels: np.ndarray, c: int):
+    """(edges, pairs): symmetric (c, c) counts of G's edges and of all pairs
+    by the intp classes ``labels`` in [0, c); entry (a, b) counts those
+    between classes a != b, and entry (a, a) those within class a."""
+    bits, row_start = G.triu_vector(), _row_starts(G.n)
+    counts = np.zeros(c * c, dtype=np.int64)
+    for lo in range(0, bits.size, _PAIR_CHUNK):
+        _, u, v = _band_edges(row_start, lo, bits[lo:lo + _PAIR_CHUNK])
+        counts += np.bincount(labels[u] * c + labels[v], minlength=c * c)
+    counts, size = counts.reshape(c, c), np.bincount(labels, minlength=c)
+    pairs = np.outer(size, size) - np.diag(size * (size + 1) // 2)
+    return counts + counts.T - np.diag(counts.diagonal()), pairs
 
-    ``removal_prob`` is an (n, n) array of rates.  Rates must be zero on
-    pairs internal to ``trace.planted_set``; edges are never added.
-    """
+
+def semirandom_apply(G: Graph, trace: PlantedTrace, labels, rates, rng: RngStream) -> Graph:
+    """Monotone adversary: remove each edge {u, v} independently at rate
+    ``rates[labels[u], labels[v]]``, ``labels`` giving each of the n vertices
+    a class in [0, c) and ``rates`` being a symmetric (c, c) table in [0, 1];
+    edges are never added.  A nonzero rate between two vertices of
+    ``trace.planted_set`` raises AdversaryViolation.  The removal uniforms
+    are one draw over the pair vector, made in bands."""
     n = G.n
     try:
-        rates = np.asarray(removal_prob, dtype=float)
-    except (TypeError, ValueError):
-        raise ParameterError("removal_prob must be an (n, n) array of rates") from None
-    if rates.shape != (n, n):
-        raise ParameterError(f"removal_prob must cover all pairs of [{n}]")
-    if np.any(rates < 0) or np.any(rates > 1):
-        raise ParameterError("removal rates must lie in [0, 1]")
-    if trace is not None and trace.planted_set is not None and trace.planted_set.size >= 2:
-        S = trace.planted_set
-        sub = rates[np.ix_(S, S)]
-        if np.any(sub[~np.eye(S.size, dtype=bool)] > 0):
-            raise AdversaryViolation("nonzero removal rate on a planted-set-internal pair")
-    g = rng.child("adversary").generator()
-    vec = G.triu_vector()
-    pair_rates = np.maximum(rates, rates.T)[_upper_mask(n)]
-    vec &= ~(g.random(vec.size) < np.where(vec, pair_rates, 0.0))
+        rates = np.asarray(rates, dtype=float)
+        c = len(rates)
+    except (TypeError, ValueError):  # not numbers, or a scalar
+        c = 0
+    if c == 0 or rates.shape != (c, c):
+        raise ParameterError("rates must be a (c, c) table of class-pair rates")
+    if not ((rates >= 0) & (rates <= 1)).all():  # NaN fails both
+        raise ParameterError("removal rates must be finite and lie in [0, 1]")
+    if not np.array_equal(rates, rates.T):
+        raise ParameterError("the rate table must be symmetric")
+    labels = np.asarray(labels)
+    if labels.shape != (n,) or labels.size and (
+            labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= c):
+        raise ParameterError(f"labels must be {n} integer classes in [0, {c})")
+    S = [] if trace is None or trace.planted_set is None else trace.planted_set
+    inside = rates[np.ix_(labels[S], labels[S])]
+    if (inside[~np.eye(len(S), dtype=bool)] > 0).any():
+        raise AdversaryViolation("nonzero removal rate on a planted-set-internal pair")
+    top, row_start, vec = rates.max(), _row_starts(n), G.triu_vector()
+
+    def thin(lo, hi, doubles):
+        # an edge can go only if its uniform is below the largest rate
+        idx, u, v = _band_edges(row_start, lo, vec[lo:hi] & (doubles < top))
+        vec[lo + idx[doubles[idx] < rates[labels[u], labels[v]]]] = False
+
+    _random_bands(rng.child("adversary").generator(), vec.size, thin)
     return Graph.from_triu(n, vec)
 
 

@@ -471,8 +471,7 @@ def to_k_partite_submatrix(G: Graph, k: int, p, q, m, rng: RngStream,
     planted = None
     out_planted = []
     if trace is not None and trace.planted_set is not None:
-        # sorted and without repeats, as np.intersect1d would make it per part
-        planted = np.unique(np.asarray(trace.planted_set, dtype=np.int64))
+        planted = np.asarray(trace.planted_set, dtype=np.int64)
 
     # The union of the per-part embeddings carries the whole input graph:
     # S collects the embedded positions, src their source vertices under the
@@ -506,7 +505,7 @@ def to_k_partite_submatrix(G: Graph, k: int, p, q, m, rng: RngStream,
         diag_T2.append(T2)
         if planted is not None:
             v = planted[(planted >= part_idx * Nk) & (planted < (part_idx + 1) * Nk)]
-            if v.size != 1:
+            if v.size == 0 or (v != v[0]).any():  # one vertex, perhaps listed twice
                 raise ParameterError("trace must plant exactly one vertex per part")
             out_planted.append(int(S_t[int(np.flatnonzero(pi == v[0])[0])]))
 
@@ -627,7 +626,7 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
     finally:
         _blas_threads(had)
     del parts
-    others = np.setdiff1d(np.arange(d), row_pos)
+    others = np.flatnonzero(np.bincount(row_pos, minlength=d) == 0)
     samples[:, others] = gen6.standard_normal((others.size, n)).T
 
     out_trace = PlantedTrace(seed=rng.seed, params={
@@ -658,6 +657,7 @@ def sample_isgm(n: int, k: int, d: int, mu: float, eps: float, rng: RngStream):
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
     if not math.isfinite(mu):
         raise ParameterError(f"mu must be finite, got {mu}")
+    _check_fits(8 * n * d, f"the {n} x {d} float64 sample matrix")
     gen = rng.child("isgm").generator()
     S = np.sort(gen.choice(d, size=k, replace=False))
     positive = gen.random(n) < 1.0 - eps

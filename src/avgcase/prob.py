@@ -36,7 +36,8 @@ its share of the CPUs.  Two runners apply it:
   with ``advance``: ``uniform_below`` draws its Bernoulli matrices
   ``gen.random(shape) < p`` that way (the background and paddings of the
   pipelines, and the pair vectors of the ``graphs`` samplers), and
-  ``pipelines.graph_clone`` its pair uniforms.  ``_random_bands``' docstring gives the argument that the
+  ``pipelines.graph_clone`` and ``graphs.semirandom_apply`` their pair
+  uniforms.  ``_random_bands``' docstring gives the argument that the
   values and the generator's final state are exactly the one-shot draw's.
 * ``_run_trials`` runs every verify battery's planted trials in forked
   worker processes with BLAS on one thread, since a trial is many small

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError
+from .graphs import _class_edge_counts, semi_cr_labels
 from .prob import RngStream, _run_trials, normal_cdf
 
 __all__ = [
@@ -407,26 +408,10 @@ def semi_cr_class_counts(G_out, trace):
     the ``SEMI_CR_CLASSES``, from the trace's S, S' and V.  Pairs with an end
     outside V (edge probability 1/2) fall in no class: they are what the
     graph's edge and pair counts leave over."""
-    adj = G_out.to_dense()
-    n = G_out.n
-    S = np.asarray(trace.planted_set) if trace.planted_set is not None else np.array([], int)
-    S2 = np.asarray(trace.params.get("S_prime", []), dtype=int)
-    V = np.asarray(trace.params["V"], dtype=int)
-    labels = np.zeros(n, dtype=int)  # 0 outside V, 1 in V, 2 in S', 3 in S
-    labels[V] = 1
-    labels[S2] = 2
-    labels[S] = 3
-    onehot = np.zeros((n, 4))
-    onehot[np.arange(n), labels] = 1.0
-    # B[a, b]: edges between labels a != b, and twice those within a = b
-    B = onehot.T @ (adj @ onehot)
-    c = onehot.sum(axis=0)
-    within = c * (c - 1) / 2
-    hits = np.array([B[3, 3] / 2, B[3, 2], B[2, 2] / 2,
-                     B[1, 1] / 2 + B[1, 2] + B[1, 3]])
-    tots = np.array([within[3], c[3] * c[2], within[2],
-                     within[1] + c[1] * (c[2] + c[3])])
-    return hits, tots
+    S = () if trace.planted_set is None else trace.planted_set
+    labels = semi_cr_labels(G_out.n, trace.params["V"], trace.params.get("S_prime", ()), S)
+    return tuple(np.array([B[3, 3], B[3, 2], B[2, 2], B[1, 1] + B[1, 2] + B[1, 3]], dtype=float)
+                 for B in _class_edge_counts(G_out, labels, 4))
 
 
 def class_z_scores(hits, tots, probs) -> np.ndarray:

@@ -19,7 +19,8 @@ import scipy.stats as sst
 from avgcase.cli import main as cli_main
 from avgcase.geometry import build_H
 from avgcase.graphs import (Graph, PlantedTrace, sample_gnq, sample_k_pds,
-                            sample_planted_conditional, semirandom_apply)
+                            sample_planted_conditional, semi_cr_labels, semi_cr_rates,
+                            semirandom_apply)
 from avgcase.kernels import srk3_array, tern_params_from_truncation, tern_pmf
 from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone, isgm_sample_clone,
                                pds_to_isgm, pds_to_semi_cr, plan_isgm,
@@ -244,19 +245,11 @@ def test_criterion_07_semi_cr_target_laws():
                                    replace=False))
             Gp = sample_planted_conditional(n_cmp, S, 0.5 + mu3, 0.5,
                                             rng.child("pds", i))
-            inS = np.zeros(n_cmp, dtype=bool)
-            inS[S] = True
-            inS2 = np.zeros(n_cmp, dtype=bool)
-            inS2[S2] = True
-            rates = np.full((n_cmp, n_cmp), 2 * mu1)
-            rates[np.ix_(inS, inS)] = 0.0
-            rates[np.ix_(inS2, inS2)] = 0.0
-            rates[np.ix_(inS, inS2)] = 2 * mu2
-            rates[np.ix_(inS2, inS)] = 2 * mu2
-            Ga = semirandom_apply(Gp, PlantedTrace(seed=0, planted_set=S),
-                                  rates, rng.child("apply", i))
-            return semi_cr_class_counts(Ga, PlantedTrace(
-                seed=0, planted_set=S, params={"S_prime": S2, "V": np.arange(n_cmp)}))
+            tr = PlantedTrace(seed=0, planted_set=S,
+                              params={"S_prime": S2, "V": np.arange(n_cmp)})
+            Ga = semirandom_apply(Gp, tr, semi_cr_labels(n_cmp, np.arange(n_cmp), S2, S),
+                                  semi_cr_rates(mu1, mu2), rng.child("apply", i))
+            return semi_cr_class_counts(Ga, tr)
 
         a_hits = np.zeros(4)
         a_tots = np.zeros(4)

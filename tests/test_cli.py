@@ -349,6 +349,30 @@ def test_reduce_golden_digests(tmp_path, pipeline, n_src, k, args, golden):
     assert {name: _digest(out / name) for name in golden} == golden
 
 
+# sha256 of `generate tg` outputs at n = 800, whose 319,600 pairs span two
+# bands of the adversary's uniforms.  The graph is the planted graph (h1) or
+# G(n, 1/2) (h0) thinned by the class-rate adversary.
+_TG_GOLDEN = {
+    "h1": (["--k", "8", "--k2", "24", "--mu2", "0.05", "--mu3", "0.1"], {
+        "instance.graph": "34d76fe4acb14f740b21c3a3a0a6b73066b295139aa09237fb2a55ac1755ec69",
+        "trace.json": "40319203421c7a9f41584869f3b1aa2f6e4c85c8e2ace00341ba70d054cb75a8",
+    }),
+    "h0": ([], {
+        "instance.graph": "7624bade28dde0e7387e3a7796a2e7bcf9e4d519b91dce5eb7eb9204439d87ae",
+        "trace.json": "7a458923a9f4ac1c56fbe91e05e4406fcdd50f3e9668c59a1c640fcd52443399",
+    }),
+}
+
+
+@pytest.mark.pinned
+@pytest.mark.parametrize("variant", sorted(_TG_GOLDEN))
+def test_generate_tg_golden_digests(tmp_path, variant):
+    args, golden = _TG_GOLDEN[variant]
+    assert _run(["generate", "tg", "--variant", variant, "--n", "800", "--m", "400",
+                 "--mu1", "0.02", *args, "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert {name: _digest(tmp_path / name) for name in golden} == golden
+
+
 # sha256 of `verify` report.json at --seed 5: the batteries' statistics and
 # p-values, and so every exact law a test compares against.
 _VERIFY_GOLDEN = {
@@ -513,6 +537,14 @@ _SRC = ["--k", "4", "--p", "1.0", "--q", "0.25", "--seed", "5"]
     # past the exact energy's bounds, D <= 64 and n <= 10^18
     (["energy", "--n", "40", "--k", "4", "--degree", "65"], "degree D must lie in [0, 64]"),
     (["energy", "--n", "1000000000000000004", "--k", "4", "--degree", "2"], "above"),
+    # the pair vector of n = 10^7 vertices, as bool, is 45 TiB
+    (["generate", "tg", "--variant", "h1", "--n", "10000000", "--m", "5", "--mu1", "0.1",
+      "--k", "2", "--k2", "1", "--mu2", "0.1", "--mu3", "0.1", "--seed", "1"], "physical memory"),
+    (["generate", "tg", "--variant", "h0", "--n", "10000000", "--m", "5", "--mu1", "0.1",
+      "--seed", "1"], "physical memory"),
+    # 10^16 float64 samples are 71 PiB
+    (["generate", "isgm", "--n", "100000000", "--d", "100000000", "--k", "2", "--mu", "0.5",
+      "--eps", "0.5", "--seed", "1"], "physical memory"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     src = tmp_path / "src"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import threading
 import tracemalloc
 
@@ -16,10 +17,10 @@ from avgcase import graphs, prob
 from avgcase.errors import AdversaryViolation, ParameterError
 from avgcase.graphs import (Graph, PlantedTrace, corrupt_samples, read_graphv1, sample_gnq,
                             sample_k_pds, sample_planted_conditional,
-                            sample_tg_h0, sample_tg_h1, semirandom_apply,
-                            write_graphv1)
+                            sample_tg_h0, sample_tg_h1, semi_cr_labels, semi_cr_rates,
+                            semirandom_apply, write_graphv1)
 from avgcase.prob import RngStream
-from avgcase.verify import chi2_test
+from avgcase.verify import chi2_test, semi_cr_class_counts
 
 
 def test_graph_packing_roundtrip():
@@ -140,7 +141,7 @@ def test_graphv1_pieces_on_workers_match_reference(tmp_path_factory, monkeypatch
     n, edges = case
     G = Graph.from_edges(n, edges)
     path = tmp_path_factory.mktemp("g") / "g.graph"
-    monkeypatch.setattr(graphs, "_WRITE_CHUNK", chunk)
+    monkeypatch.setattr(graphs, "_PAIR_CHUNK", chunk)
     on_workers(lambda: write_graphv1(G, path), 8, 8)
     assert path.read_bytes() == _reference_graphv1(n, edges)
 
@@ -168,7 +169,7 @@ def test_graphv1_writer_error_stops_every_piece(tmp_path, monkeypatch, on_worker
     # A piece that fails makes the write raise: the pieces after it neither
     # wait for it forever nor write.
     G = sample_gnq(200, 0.5, RngStream(6))
-    monkeypatch.setattr(graphs, "_WRITE_CHUNK", 64)
+    monkeypatch.setattr(graphs, "_PAIR_CHUNK", 64)
     format_lines = graphs._format_lines
     calls = itertools.count()
 
@@ -378,33 +379,125 @@ def test_tg_h0_marginals():
 def test_semirandom_monotone_and_protected():
     G, tr = sample_k_pds(20, 4, 1.0, 0.5, RngStream(13))
     n = G.n
-    rates = np.zeros((n, n))
-    out = semirandom_apply(G, tr, rates, RngStream(14))
+    S = tr.planted_set
+    in_S = np.zeros(n, dtype=int)  # class 1 is the planted set
+    in_S[S] = 1
+    out = semirandom_apply(G, tr, in_S, np.zeros((2, 2)), RngStream(14))
     assert out == G  # all rates zero: unchanged
     # removal is always a subset of the input edge set
-    rates = np.full((n, n), 0.7)
-    S = tr.planted_set
-    rates[np.ix_(S, S)] = 0.0
-    out = semirandom_apply(G, tr, rates, RngStream(15))
+    out = semirandom_apply(G, tr, in_S, [[0.7, 0.7], [0.7, 0.0]], RngStream(15))
     assert np.all(out.triu_vector() <= G.triu_vector())
     # planted-internal edges survive
     assert all(out.has_edge(int(u), int(v)) for i, u in enumerate(S) for v in S[i + 1:])
     # a rate-1 non-planted edge is removed for sure
-    u = int(np.setdiff1d(np.arange(n), S)[0])
-    v = int(np.setdiff1d(np.arange(n), S)[1])
-    rates1 = np.zeros((n, n))
-    rates1[u, v] = rates1[v, u] = 1.0
-    out = semirandom_apply(G, tr, rates1, RngStream(16))
+    u, v = (int(x) for x in np.setdiff1d(np.arange(n), S)[:2])
+    ends = np.zeros(n, dtype=int)
+    ends[u], ends[v] = 1, 2
+    rates1 = np.zeros((3, 3))
+    rates1[1, 2] = rates1[2, 1] = 1.0
+    out = semirandom_apply(G, tr, ends, rates1, RngStream(16))
     assert not out.has_edge(u, v)
-    # nonzero rate on a protected pair
-    bad = np.zeros((n, n))
-    bad[S[0], S[1]] = 0.5
+    # nonzero rate on a protected pair, within one class or between two
     with pytest.raises(AdversaryViolation):
-        semirandom_apply(G, tr, bad, RngStream(17))
-    # rates come as an (n, n) array only, not as a callable f(i, j)
-    for not_rates in (lambda i, j: 0.0, {"rate": 0.0}, "0.5", rates[:, :3]):
-        with pytest.raises(ParameterError):
-            semirandom_apply(G, tr, not_rates, RngStream(18))
+        semirandom_apply(G, tr, in_S, [[0.0, 0.0], [0.0, 0.5]], RngStream(17))
+    split = in_S.copy()
+    split[S[0]] = 2
+    with pytest.raises(AdversaryViolation):
+        semirandom_apply(G, tr, split, rates1 * 0.5, RngStream(17))
+    # one planted vertex alone in its class protects no pair
+    semirandom_apply(G, tr, split, [[0.5, 0.5, 0.5], [0.5, 0.0, 0.0], [0.5, 0.0, 0.5]],
+                     RngStream(17))
+
+
+def _semirandom_apply_n_by_n(G, trace, removal_prob, rng):
+    """The adversary as it was over an (n, n) array of per-pair rates, kept as
+    the oracle of the class-rate one."""
+    n = G.n
+    rates = np.asarray(removal_prob, dtype=float)
+    g = rng.child("adversary").generator()
+    vec = G.triu_vector()
+    pair_rates = np.maximum(rates, rates.T)[np.triu(np.ones((n, n), dtype=bool), 1)]
+    vec &= ~(g.random(vec.size) < np.where(vec, pair_rates, 0.0))
+    return Graph.from_triu(n, vec)
+
+
+@pytest.mark.parametrize("n, c, table", [
+    (0, 1, "random"), (1, 2, "random"), (2, 2, "random"), (40, 3, "random"),
+    (40, 3, "zero"), (40, 3, "one pair"),
+    (1200, 4, "random"),  # 719,400 pairs: three bands of uniforms
+])
+def test_semirandom_apply_matches_the_n_by_n_adversary(n, c, table, on_workers):
+    # Equal per-pair rates give the same graph bit for bit: the same uniforms
+    # of the "adversary" stream, compared with the same rates.
+    G = sample_gnq(n, 0.5, RngStream(30))
+    gen = np.random.default_rng(n)
+    labels = gen.integers(0, c, n)
+    rates = gen.random((c, c))
+    rates = (rates + rates.T) / 2
+    if table == "zero":
+        rates[:] = 0.0
+    elif table == "one pair":  # one edge, alone in its class pair, at rate 1
+        u, v = (int(x) for x in G.edges()[0])
+        labels = np.zeros(n, dtype=int)
+        labels[u], labels[v] = 1, 2
+        rates = np.zeros((3, 3))
+        rates[1, 2] = rates[2, 1] = 1.0
+    out = on_workers(lambda: semirandom_apply(G, None, labels, rates, RngStream(31)), 4, 4)
+    assert out == _semirandom_apply_n_by_n(G, None, rates[np.ix_(labels, labels)],
+                                           RngStream(31))
+    if table == "zero":
+        assert out == G
+    elif table == "one pair":
+        assert out.edge_count == G.edge_count - 1 and not out.has_edge(u, v)
+
+
+@pytest.mark.parametrize("labels, rates, says", [
+    (None, np.full((2, 2), np.nan), "finite"),  # would remove nothing
+    (None, [[0.0, np.inf], [np.inf, 0.0]], "finite"),
+    (None, [[0.0, 0.2], [0.5, 0.0]], "symmetric"),  # would use max(r_uv, r_vu)
+    (None, [[0.0, -0.1], [-0.1, 0.0]], "[0, 1]"),
+    (None, [[0.0, 1.5], [1.5, 0.0]], "[0, 1]"),
+    (None, lambda i, j: 0.0, "table"),
+    (None, {"rate": 0.0}, "table"),
+    (None, "0.5", "table"),
+    (None, [0.5, 0.5], "table"),
+    (None, np.zeros((2, 3)), "table"),
+    (None, np.zeros((0, 0)), "table"),
+    (np.zeros(19, dtype=int), np.zeros((2, 2)), "20 integer classes"),
+    (np.zeros(20), np.zeros((2, 2)), "20 integer classes"),
+    (np.zeros(20, dtype=bool), np.zeros((2, 2)), "20 integer classes"),
+    (np.full(20, 2), np.zeros((2, 2)), "20 integer classes in [0, 2)"),
+    (np.full(20, -1), np.zeros((2, 2)), "20 integer classes"),
+])
+def test_semirandom_apply_checks_its_classes(labels, rates, says):
+    G, tr = sample_k_pds(20, 4, 1.0, 0.5, RngStream(13))
+    labels = np.zeros(20, dtype=int) if labels is None else labels
+    with pytest.raises(ParameterError, match=re.escape(says)):
+        semirandom_apply(G, tr, labels, rates, RngStream(18))
+
+
+def test_target_laws_hold_no_n_by_n_array(monkeypatch):
+    # At n = 2000 an (n, n) float64 array is 30.5 MB, and the n x n samplers
+    # traced 65 MB (tg h1) and the float64 class counter 34.5 MB.  The pair
+    # vector as bool is 1.9 MB; the bound leaves room for it, its packed
+    # copies and the 2 MB of uniforms of every band in flight on the widest
+    # pool.  The adversary also holds the coordinates of the edges whose
+    # uniform falls below its largest rate, so it runs at the sampler's rates.
+    monkeypatch.setattr(prob, "_usable_cpus", lambda: prob._MAX_IN_FLIGHT)
+    n, bound, mu = 2000, 16 * 2 ** 20, (0.01, 0.02, 0.03)
+    G, tr = sample_tg_h1(n, 8, 24, 1000, *mu, RngStream(32))
+    labels = semi_cr_labels(n, tr.params["V"], tr.params["S_prime"], tr.planted_set)
+    for run in (lambda: sample_tg_h1(n, 8, 24, 1000, *mu, RngStream(33)),
+                lambda: sample_tg_h0(n, 1000, mu[0], RngStream(34)),
+                lambda: semirandom_apply(G, tr, labels, semi_cr_rates(*mu[:2]), RngStream(35)),
+                lambda: semi_cr_class_counts(G, tr)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
 
 
 def test_corrupt_samples_modes():
