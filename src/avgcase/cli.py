@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     r_isgm.add_argument("--p", type=float, required=True)
     r_isgm.add_argument("--q", type=float, required=True)
     r_isgm.add_argument("--eps", type=float, help="target mixture weight (picks r)")
-    r_isgm.add_argument("--r", type=int, help="explicit prime r (overrides --eps)")
+    r_isgm.add_argument("--r", type=int, help="explicit prime r (instead of --eps)")
     r_isgm.add_argument("--w", type=float, default=4.0, help="slow-growth factor")
     r_isgm.add_argument("--n", type=int, help="override planned sample count")
     r_isgm.add_argument("--d", type=int, help="override planned dimension")

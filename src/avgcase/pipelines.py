@@ -241,15 +241,18 @@ def plan_isgm(p: float, q: float, w: float, *, N: int, k: int, eps: Optional[flo
               t: Optional[int] = None) -> ReductionPlan:
     """Plan k-PDS -> ISGM from a source of N vertices in k parts (k | N).
 
-    Needs the slow-growth factor w > 0 and eps in (0, 1) or the prime r: eps
-    picks the smallest prime r > 1/eps, and the plan's eps is 1/r.  t
-    defaults to the least t >= 2 with k r^t >= m, n to floor(k l / w) for
-    l = (r^t - 1) / (r - 1), and d to m.  ``mu`` is the proven bound.
+    Needs the slow-growth factor w > 0 and either eps in (0, 1) or the prime
+    r, not both: eps picks the smallest prime r > 1/eps, and the plan's eps
+    is 1/r.  t defaults to the least t >= 2 with k r^t >= m, n to
+    floor(k l / w) for l = (r^t - 1) / (r - 1), and d to m.  ``mu`` is the
+    proven bound.
     """
     Q, delta = _clone_Q_delta(p, q)
     _check_sizes(N=N, k=k, n=n, d=d, r=r, t=t)
     if eps is not None and not 0.0 < eps < 1.0:  # NaN fails this too
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
+    if eps is not None and r is not None:
+        raise ParameterError(f"ISGM planning takes eps or r, not both (eps={eps}, r={r})")
     _check_w(w)
     _check_partition(N, k)
     if r is None:
@@ -603,21 +606,10 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
     row_pos = gen6.choice(d, size=m, replace=False)
     samples = np.empty((n, d))
     kept = [np.flatnonzero(col_choice // out_cols == i) for i in range(k)]
-    # part i's kept rows of H, gathered at its first rotation and dropped
-    # with its last row
-    H_kept, rows_left = {}, [m] * k
-    lock = threading.Lock()
+    h_rows = [col_choice[cols] % out_cols for cols in kept]  # part i's kept rows of H
 
     def rotate(i, first, rows):
-        with lock:
-            if i not in H_kept:
-                H_kept[i] = H_mat[col_choice[kept[i]] % out_cols]
-            Hk = H_kept[i]
-        samples[np.ix_(kept[i], row_pos[first:first + len(rows)])] = Hk @ rows.T
-        with lock:
-            rows_left[i] -= len(rows)
-            if not rows_left[i]:
-                del H_kept[i]
+        samples[np.ix_(kept[i], row_pos[first:first + len(rows)])] = H_mat[h_rows[i]] @ rows.T
 
     tau_entry = math.sqrt(rt * (r - 1)) * plan.mu
     had = _blas_threads(1)
@@ -785,7 +777,8 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
     # row-major order.  A task takes the next chunk and makes its one draw
     # under the lock, so the draws come in chunk order and the stream
     # depends neither on the chunk size nor on the pool.  Each chunk's two
-    # products are whole ones: splitting a product can change its bits.
+    # products are whole ones, on one BLAS thread: splitting a product, or
+    # threading it, can change its bits.
     gen = rng.child("pad").generator()
     H = build_H(3, ell)
     ellh = H.shape[0]
@@ -819,7 +812,11 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
             rows[:, I * ellh:] &= below
             adj[I * ellh:(I + 1) * ellh, :(I + 1) * ellh] = rows
 
-    _run_blocks(rotate, -(-ks // step))
+    had = _blas_threads(1)
+    try:
+        _run_blocks(rotate, -(-ks // step))
+    finally:
+        _blas_threads(had)
     del M_G
 
     # Pad to n vertices with fair coins above the diagonal, and mirror:

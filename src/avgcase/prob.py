@@ -16,11 +16,6 @@ Gaussian draws are statistically (not bit-) exact across numpy versions; the
 method is numpy's ziggurat ``standard_normal``.  Within one installed
 toolchain all draws are bit-reproducible.
 
-``normal_cdf`` is a pure-Python port of cephes' ``ndtr`` (with its ``erf``
-and ``erfc``), the code behind ``scipy.special.ndtr``, and returns the same
-double for every argument, so the planners' Phi values keep their bits
-without loading scipy.
-
 Large draws and per-block loops run on threads without changing a value.
 This module holds the package's one pool policy, ``_pool_size``: at most
 min(usable CPUs, ``_MAX_IN_FLIGHT``) workers, and within a trial worker only
@@ -344,49 +339,7 @@ def uniform_below(gen: np.random.Generator, shape, p: float) -> np.ndarray:
 # Standard normal CDF
 # ---------------------------------------------------------------------------
 
-def _polevl(x: float, coef) -> float:
-    """Horner's rule, highest power first, as cephes' ``polevl``."""
-    y = coef[0]
-    for c in coef[1:]:
-        y = y * x + c
-    return y
-
-
 def normal_cdf(x: float) -> float:
-    """Standard normal CDF of one scalar, ``scipy.special.ndtr`` bit for bit:
-    cephes' ``ndtr`` with its ``erf`` and ``erfc`` inlined on the branches
-    it reaches (``erfc`` sees only z >= 1/sqrt 2), with the same
-    coefficients and the same operations in the same order.  Each
-    denominator's leading 1 is written out."""
-    x = float(x) * 0.7071067811865476  # cephes' SQRT1_2, rounded to double
-    z = abs(x)
-    if z < 1.0:  # erf(t) = t T(t^2) / U(t^2); below 1, erfc(z) = 1 - erf(z)
-        t = x if z < 0.7071067811865476 else z
-        erf = t * _polevl(t * t, (
-            9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-            7.00332514112805075473e3, 5.55923013010394962768e4)) / _polevl(t * t, (
-            1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-            2.26290000613890934246e4, 4.92673942608635921086e4))
-        if z < 0.7071067811865476:
-            return 0.5 + 0.5 * erf
-        y = 1.0 - erf
-    elif z * z > 7.09782712893383996843e2:  # cephes' MAXLOG: exp(-z^2) underflows
-        y = 0.0
-    elif z < 8.0:  # erfc(z) = exp(-z^2) P(z) / Q(z) below 8, R(z) / S(z) above
-        y = math.exp(-z * z) * _polevl(z, (
-            2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-            4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-            9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-        )) / _polevl(z, (
-            1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-            1.65666309194161350182e3, 5.57535340817727675546e2))
-    else:
-        y = math.exp(-z * z) * _polevl(z, (
-            5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-            6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
-        )) / _polevl(z, (
-            1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-            1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0))
-    y *= 0.5
-    return 1.0 - y if x > 0 else y
+    """Standard normal CDF of one scalar, as a Python float, from the
+    standard library's ``erfc``; the multiplier is cephes' ``SQRT1_2``."""
+    return 0.5 * math.erfc(-float(x) * 0.7071067811865476)

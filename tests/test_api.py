@@ -1,13 +1,33 @@
-"""The public API: every exported name exists."""
+"""The public API: every exported name exists and has a caller."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import avgcase
 
+_MODULES = (*avgcase._SUBMODULES, "cli")
+_ROOT = Path(__file__).resolve().parents[1]
 
-@pytest.mark.parametrize("name", [*avgcase._SUBMODULES, "cli"])
+# Exported names that nothing in src/, demos/ or bench/ calls yet.  Each is
+# the subject of an acceptance criterion, so it stays until that criterion is
+# decided: criterion 3's six closed-form bounds wait for a total-variation
+# ledger per plan to call them, and criterion 6's clone for its caller or its
+# removal.  The set only shrinks: a listed name that gains a caller fails.
+_UNCALLED = {
+    "pipelines.isgm_sample_clone",
+    "verify.tv_bound_binomial",
+    "verify.chi2_bern_plus_bin",
+    "verify.chi2_bern_plus_bin_closed_form",
+    "verify.tv_bound_bern_bin_product",
+    "verify.tv_hyp_vs_bin_bound",
+    "verify.exact_tv_hyp_vs_bin",
+}
+
+
+@pytest.mark.parametrize("name", _MODULES)
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"avgcase.{name}")
     exported = getattr(module, "__all__", [])
@@ -18,3 +38,30 @@ def test_every_exported_name_resolves(name):
 
 def test_package_exports_resolve():
     assert all(hasattr(avgcase, n) for n in avgcase.__all__)
+
+
+def _used_names():
+    """Every name that src/, demos/ or bench/ reads, as a ``Name``, an
+    ``Attribute`` or an import alias; a ``def`` and an ``__all__`` string
+    read none."""
+    used = set()
+    for top in ("src", "demos", "bench"):
+        for path in (_ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+    return used
+
+
+def test_every_exported_name_has_a_caller():
+    used = _used_names()
+    uncalled = {f"{name}.{n}" for name in _MODULES
+                for n in getattr(importlib.import_module(f"avgcase.{name}"), "__all__", [])
+                if n not in used}
+    assert not uncalled - _UNCALLED, f"exported with no caller: {sorted(uncalled - _UNCALLED)}"
+    assert not _UNCALLED - uncalled, \
+        f"now called, so drop from _UNCALLED: {sorted(_UNCALLED - uncalled)}"

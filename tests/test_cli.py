@@ -327,8 +327,8 @@ _ISGM_R3_GOLDEN = {
 }
 _GLSM_GOLDEN = {
     "samples.amat": "2cd6d486ea164743c63e2cb8e9530b3177c14c8e1bd43377e23bd920b0276aed",
-    "trace.json": "d5f4918a87eeef18a97d039d7961da2154b88a8393b1e279ff6a1f927e54e273",
-    "plan.json": "9d5715714f6b07d964a7d39efd7a7d4205f6abe65eebfaa290440409ab6d02a4",
+    "trace.json": "72633af7bf2fb09b8fbf25f0a46b39e0e6af055261e2c94bbf8bf3e9744c5a65",
+    "plan.json": "86c5e30f4bea433e28757749f8c963f8b8183de5499dcf59430974ffb742e214",
 }
 
 
@@ -381,7 +381,7 @@ _VERIFY_GOLDEN = {
     "semi-cr": (["--trials", "100"],
                 "f813f72d24b2d4f28a30e59e8e3855e7aa6af17f6118a285f1324b3ce97e78ba"),
     "glsm": (["--trials", "1"],
-             "6f5cffee43656e7086956b01de3fc03ae8ff3687ae69408bbcc2b8925f9dc9ef"),
+             "9a9975f7420030407a64940d96bd6ee0bddb9efe98709659c1253390d1be0239"),
 }
 
 
@@ -545,6 +545,9 @@ _SRC = ["--k", "4", "--p", "1.0", "--q", "0.25", "--seed", "5"]
     # 10^16 float64 samples are 71 PiB
     (["generate", "isgm", "--n", "100000000", "--d", "100000000", "--k", "2", "--mu", "0.5",
       "--eps", "0.5", "--seed", "1"], "physical memory"),
+    # eps = 0.3 picks r = 5: a --r beside it is refused, not left to win silently
+    (["reduce", "isgm", "--in", "{graph}", *_SRC, "--eps", "0.3", "--r", "2"],
+     "eps or r, not both"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, says):
     src = tmp_path / "src"

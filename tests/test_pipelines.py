@@ -328,6 +328,12 @@ def test_plan_prime_selection():
     assert plan.r == 5  # smallest prime > 1/0.3
 
 
+def test_plan_isgm_refuses_eps_with_r():
+    # eps = 0.3 picks r = 5: an r beside it is refused, not left to win silently
+    with pytest.raises(ParameterError, match="eps or r, not both"):
+        plan_isgm(0.75, 0.25, 4.0, eps=0.3, r=2, N=32, k=4)
+
+
 def test_plan_q_and_delta_values():
     plan = plan_isgm(1.0, 0.25, 4.0, r=2, N=32, k=4)
     assert plan.Q == 0.5
@@ -776,6 +782,32 @@ def test_semi_cr_h0_trace():
     G_out, otr = pds_to_semi_cr(G, plan, RngStream(131))
     assert otr.planted_set is None
     assert len(otr.params["V"]) == 64
+
+
+def test_semi_cr_rotates_on_one_blas_thread(monkeypatch):
+    # As ISGM's rotation: each task of the pad/rotate pool runs with BLAS on
+    # one thread, and the count is handed back after the pool.
+    p, q, N, k = 1.0, 0.25, 32, 4
+    G, tr = sample_k_pds(N, k, p, q, RngStream(200))
+    plan = plan_semi_cr(p, q, N=N, k=k, ell=2)
+    real, during = pipelines._run_blocks, []
+
+    def spy(run, n_blocks):
+        def read_then_run(i):
+            during.append(prob._blas_threads(1))  # reads the count, which must be 1
+            run(i)
+
+        return real(read_then_run if run.__name__ == "rotate" else run, n_blocks)
+
+    monkeypatch.setattr(pipelines, "_run_blocks", spy)
+    had = prob._blas_threads(2)
+    if had is None:
+        pytest.skip("no bundled OpenBLAS thread count")
+    try:
+        pds_to_semi_cr(G, plan, RngStream(300), trace=tr)
+        assert during and set(during) == {1} and prob._blas_threads(2) == 2
+    finally:
+        prob._blas_threads(had)
 
 
 def test_semi_cr_rejects_a_foreign_plan():
