@@ -13,7 +13,7 @@ from avgcase.kernels import (gaussianize, gaussianize_mu_bound,
                              rk_gauss_array, srk3_array,
                              tern_params_from_truncation, truncate_tern)
 from avgcase.prob import RngStream
-from avgcase.verify import empirical_tv_to_cdf, ks_test
+from avgcase.verify import empirical_tv_to_cdf
 
 rng = RngStream(42)
 p, q, n = 0.75, 0.25, 1000
@@ -22,11 +22,11 @@ print(f"Gaussian kernel at (p, q) = ({p}, {q}): proven mean bound mu = {mu:.4f} 
 
 bits = (rng.child("bits").generator().random(100_000) < q).astype(np.uint8)
 out = rk_gauss_array(bits, mu, p, q, 40, rng.child("rk"))
-_, pval = ks_test(out, sst.norm.cdf)
+_, pval = sst.kstest(out, sst.norm.cdf)
 print(f"  Bern(q) inputs -> N(0,1): KS p-value {pval:.3f}")
 bits = (rng.child("bits2").generator().random(100_000) < p).astype(np.uint8)
 out = rk_gauss_array(bits, mu, p, q, 40, rng.child("rk2"))
-_, pval = ks_test(out, lambda x: sst.norm.cdf(x, loc=mu))
+_, pval = sst.kstest(out, lambda x: sst.norm.cdf(x, loc=mu))
 print(f"  Bern(p) inputs -> N(mu,1): KS p-value {pval:.3f}")
 
 # Entrywise, at one scalar mean: a planted Bernoulli matrix becomes a Gaussian

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Optional
@@ -175,12 +174,9 @@ def _admit(plan: ReductionPlan, **report) -> ReductionPlan:
             raise ParameterError(f"need n >= m/2 = {m // 2} output vertices, got n={n}")
         report["(3^l-1)k_divides_m"] = m % ((3 ** plan.ell - 1) * k) == 0
         report["n_ge_m_rotated"] = n >= m // 2
-        # the largest array the pipeline holds: it Gaussianizes only the
-        # (3^ell - 1)-blocks (I, J), J <= I, of the m x m matrix
-        blk = 3 ** plan.ell - 1
-        tri = m * (m + blk) // 2
-        _check_fits(*max((8 * tri, f"the {tri} entries of the block lower triangle to "
-                                   "Gaussianize, as float64,"),
+        # the largest array the pipeline holds; it Gaussianizes and rotates
+        # a few blocks at a time, never its m x m matrix as float64
+        _check_fits(*max((m * m, f"the {m} x {m} k-partite matrix, as uint8,"),
                          (n * n, f"the {n} x {n} adjacency, as bool,")))
     else:
         # the m rows land on m of the d coordinates, and the n samples are n
@@ -547,16 +543,14 @@ def to_k_partite_submatrix(G: Graph, k: int, p, q, m, rng: RngStream,
 # ---------------------------------------------------------------------------
 
 def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
-                trace: Optional[PlantedTrace] = None, rotation_override=None):
+                trace: Optional[PlantedTrace] = None):
     """Run the full graph-to-mixture reduction under ``plan``; returns
     ``(samples, trace)``, one sample per row of the (n, d) array.
 
     Null inputs map (within negligible TV at proven parameters) to
     N(0, I_d)^{x n}; planted inputs map to the imbalanced sparse mixture with
     mean mu on a k-subset of coordinates, positive-component fraction
-    1 - eps = 1 - 1/r.  ``rotation_override`` substitutes an arbitrary matrix
-    for the incidence rotation and exists for fault-injection tests only.
-    ``G`` must have the plan's N vertices.
+    1 - eps = 1 - 1/r.  ``G`` must have the plan's N vertices.
     """
     if plan.target == "SEMI_CR":
         raise ParameterError("pds_to_isgm needs an ISGM or GLSM plan, got SEMI_CR")
@@ -599,7 +593,7 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
     # kept and embedded as m random coordinates of n samples in R^d, and
     # only those are computed: output column c is part c // out_cols rotated
     # by row c % out_cols of H.
-    H_mat = build_H(r, t) if rotation_override is None else rotation_override
+    H_mat = build_H(r, t)
     out_cols = H_mat.shape[0]
     gen6 = rng.child("output").generator()
     col_choice = gen6.choice(k * out_cols, size=n, replace=False)
@@ -710,10 +704,9 @@ def isgm_sample_clone(samples, trace: PlantedTrace, ell: int, n_prime: int, rng:
 # k-PDS -> semirandom community recovery
 # ---------------------------------------------------------------------------
 
-# Padded entries per step of the SEMI-CR block rotation, and entries per
-# row band of the relabelling and of the k-partite embedding, and per tile
-# of the adjacency's mirror.  It bounds a step's transient memory; the
-# output does not depend on it.
+# Entries per row band of the k-partite embedding and of the SEMI-CR
+# relabelling, and per tile of the SEMI-CR adjacency's mirror.  It bounds a
+# task's transient memory; the output does not depend on it.
 _PAD_CHUNK = 1 << 20
 
 
@@ -728,13 +721,14 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
     trace records S (planted_set) plus S' and the rotated vertex set V in
     ``params``.
 
-    Of the m x m submatrix only its block lower triangle, the
-    (3^ell - 1)-blocks (I, J) with J <= I that reach the output, is
-    Gaussianized, padded and rotated.  That triangle, the n x n adjacency
-    and the output's pair vector are held whole; padding, rotation and
-    thresholding run one chunk of block rows per task, the relabelling one
-    band of rows per task, and the output depends neither on the chunk and
-    band sizes nor on the number of workers.
+    Of the m x m submatrix only the (3^ell - 1)-blocks (I, J) with J <= I,
+    those that reach the output, are Gaussianized, padded and rotated, on
+    the worker that finishes each kernel block of them, as ``pds_to_isgm``
+    rotates its blocks; so no float64 array larger than a few kernel blocks
+    exists.  The n x n adjacency and the output's pair vector are held
+    whole; the mirror runs one pair of tiles per task and the relabelling
+    one band of rows per task, and the output depends neither on the tile
+    and band sizes nor on the number of workers.
     """
     if plan.target != "SEMI_CR":
         raise ParameterError(f"pds_to_semi_cr needs a SEMI_CR plan, got {plan.target}")
@@ -744,80 +738,57 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
     s = m // ((three_l - 1) * k)
     m_rot = m // 2  # (3^ell - 1) k s / 2 rows survive each block rotation
 
-    # Step 2: Gaussianize the block lower triangle.  Rotated block (I, J) of
-    # the output depends on input block (I, J) alone, and only the blocks
-    # J <= I reach the thresholded lower triangle, so only those are
-    # Gaussianized, padded and rotated.  They go to the kernel as one L x 1
-    # column, rows of one entry: the entries (i, j) with j // blk <= i // blk,
-    # in row-major order, so block row I is the blk x (I + 1) blk entries
-    # from blk^2 before(I) on.
+    # Step 2: gather the kept blocks.  Rotated block (I, J) of the output
+    # depends on input block (I, J) alone, and only the blocks J <= I reach
+    # the thresholded lower triangle.  Row b of ``blocks`` is block
+    # (bI[b], bJ[b]) flattened, in row-major (I, J) order, and the kernel
+    # Gaussianizes these rows.
     M_PD, tr1 = to_k_partite_submatrix(G, k, p, q, m, rng.child("submatrix"), trace)
     blk = three_l - 1
     ks = k * s
-
-    def before(I):
-        """The kept blocks in the block rows above block row I."""
-        return I * (I + 1) // 2
-
-    tri = np.empty(blk * blk * before(ks), dtype=np.uint8)
-    for I in range(ks):
-        tri[blk * blk * before(I):blk * blk * before(I + 1)].reshape(blk, -1)[...] = \
-            M_PD[I * blk:(I + 1) * blk, :(I + 1) * blk]
+    bI, bJ = np.tril_indices(ks)
+    blocks = M_PD.reshape(ks, blk, ks, blk)[bI, :, bJ].reshape(bI.size, blk * blk)
     del M_PD
-    M_G = gaussianize(tri[:, None], p, Q, mu, rng.child("gaussianize"))[:, 0]
-    del tri
 
-    # Steps 3-5, one chunk of block rows per task of the pool.  Padded block
-    # (I, J) is 3^ell x 3^ell: fresh N(0, 1) at offset 0 of either axis (the
-    # zero-point row and column of the rotation) and block (I, J) of M_G at
-    # offsets 1..3^ell-1.  It is rotated as H . block . H^T, and the rotated
-    # entries below the diagonal of the m'' x m'' matrix are thresholded into
-    # adj.  Each kept block draws 2 * 3^ell - 1 fresh entries, its
-    # offset-0 row and then the rest of its offset-0 column, in the blocks'
-    # row-major order.  A task takes the next chunk and makes its one draw
-    # under the lock, so the draws come in chunk order and the stream
-    # depends neither on the chunk size nor on the pool.  Each chunk's two
-    # products are whole ones, on one BLAS thread: splitting a product, or
-    # threading it, can change its bits.
-    gen = rng.child("pad").generator()
+    # Steps 3-5, on the worker that finishes each kernel block, for the
+    # blocks in it.  Padded block (I, J) is 3^ell x 3^ell: fresh N(0, 1) at
+    # offset 0 of either axis (the zero-point row and column of the
+    # rotation) and the Gaussianized block at offsets 1..3^ell-1.  It is
+    # rotated as H . block . H^T, and the rotated entries below the
+    # diagonal of the m'' x m'' matrix are thresholded into tile (I, J) of
+    # adj.  The kernel block from row ``first`` on draws its fresh entries
+    # from ``rng.child("pad", first)``: per block, its offset-0 row and then
+    # the rest of its offset-0 column.  So the stream is fixed by the
+    # kernel's block rule alone.  Each kernel block's two products are whole
+    # ones, on one BLAS thread: splitting a product, or threading it, can
+    # change its bits.
     H = build_H(3, ell)
     ellh = H.shape[0]
     thr = mu / (2.0 * three_l)
     adj = np.zeros((n, n), dtype=bool)
+    # tile (I, J) is tiles[I, :, J]; splitting both axes of a slice is a view
+    tiles = adj[:m_rot, :m_rot].reshape(ks, ellh, ks, ellh)
     below = np.tri(ellh, k=-1, dtype=bool)  # a diagonal block's kept entries
-    # block rows per chunk, sized on the last and widest block row
-    step = max(1, _PAD_CHUNK // (three_l * three_l * ks))
-    starts = iter(range(0, ks, step))
-    draw = threading.Lock()
 
-    def rotate(_):
-        with draw:
-            lo = next(starts)
-            hi = min(lo + step, ks)
-            fresh = gen.standard_normal((before(hi) - before(lo), 2 * three_l - 1))
-        # the chunk's blocks side by side: padded[:, b] is its block b
-        first = before(lo)
-        padded = np.empty((three_l, len(fresh), three_l))
+    def rotate(_, first, rows):
+        b = slice(first, first + len(rows))
+        fresh = rng.child("pad", first).generator().standard_normal((len(rows), 2 * three_l - 1))
+        # the kernel block's blocks side by side: padded[:, i] is its block i
+        padded = np.empty((three_l, len(rows), three_l))
         padded[0] = fresh[:, :three_l]
         padded[1:, :, 0] = fresh[:, three_l:].T
-        del fresh
-        for I in range(lo, hi):
-            padded[1:, before(I) - first:before(I + 1) - first, 1:] = \
-                M_G[blk * blk * before(I):blk * blk * before(I + 1)].reshape(blk, I + 1, blk)
+        padded[1:, :, 1:] = rows.reshape(-1, blk, blk).transpose(1, 0, 2)
         M_R = H @ padded.reshape(three_l, -1)
-        del padded
-        kept = (M_R.reshape(-1, three_l) @ H.T).reshape(ellh, -1, ellh) >= thr
-        for I in range(lo, hi):
-            rows = kept[:, before(I) - first:before(I + 1) - first].reshape(ellh, -1)
-            rows[:, I * ellh:] &= below
-            adj[I * ellh:(I + 1) * ellh, :(I + 1) * ellh] = rows
+        kept = ((M_R.reshape(-1, three_l) @ H.T) >= thr).reshape(ellh, -1, ellh).transpose(1, 0, 2)
+        kept[bI[b] == bJ[b]] &= below
+        tiles[bI[b], :, bJ[b]] = kept
 
     had = _blas_threads(1)
     try:
-        _run_blocks(rotate, -(-ks // step))
+        gaussianize(blocks, p, Q, mu, rng.child("gaussianize"), rotate)
     finally:
         _blas_threads(had)
-    del M_G
+    del blocks
 
     # Pad to n vertices with fair coins above the diagonal, and mirror:
     # adj |= adj.T, one pair of tiles (I, J), I >= J, per task, so no two

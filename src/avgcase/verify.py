@@ -36,7 +36,6 @@ __all__ = [
     "tv_hyp_vs_bin_bound",
     "exact_tv_hyp_vs_bin",
     "empirical_tv_to_cdf",
-    "ks_test",
     "ks_matrix",
     "chi2_test",
     "chi2_gof_counts",
@@ -152,14 +151,6 @@ def empirical_tv_to_cdf(samples, ppf, bins: int) -> float:
     return 0.5 * float(np.abs(counts / x.size - 1.0 / bins).sum())
 
 
-def ks_test(samples, cdf):
-    """Kolmogorov-Smirnov against an exact CDF; returns (statistic, p_value)."""
-    import scipy.stats as sst
-
-    res = sst.kstest(np.asarray(samples, dtype=float).ravel(), cdf)
-    return float(res.statistic), float(res.pvalue)
-
-
 def ks_matrix(X, cdf):
     """Row-wise KS statistics and p-values for an (n_rows, n_samples) array."""
     import scipy.stats as sst
@@ -204,7 +195,9 @@ def chi2_gof_counts(values, pmf: FinitePmf):
 
     Support points are merged greedily (left to right) until every bin's
     expected count reaches 5, the usual floor below which the chi-square
-    approximation to the statistic's law breaks down.
+    approximation to the statistic's law breaks down.  A sample at a point
+    of zero mass is impossible under the law, so it gives (inf, 0.0) before
+    any merge could hide it.
     """
     support, probs = pmf.as_arrays()
     values = np.asarray(values)
@@ -214,6 +207,8 @@ def chi2_gof_counts(values, pmf: FinitePmf):
     if not np.allclose(np.asarray(support)[idx], values):
         raise ValueError("samples fall outside the pmf support")
     counts = np.bincount(idx, minlength=support.size).astype(float)
+    if counts[probs == 0].any():
+        return math.inf, 0.0
     expected = probs * n
     # merge adjacent bins until each expected count reaches 5
     merged_c, merged_e = [], []
@@ -441,18 +436,23 @@ def _null_ks(samples, alpha, name):
 
 
 def _isgm_setup(params, fault):
-    from .geometry import build_H
     from .pipelines import pds_to_isgm, plan_isgm
 
     plan = plan_isgm(params["p"], params["q"], params["w"], r=params["r"],
                      N=params["N"], k=params["k"])
-    # scaled rows break orthonormality; output entry variance inflates
-    rotation = 1.5 * build_H(plan.r, plan.t) if fault == "rotation" else None
+
+    def run(G, rng, trace=None):
+        samples, out_trace = pds_to_isgm(G, plan, rng, trace)
+        if fault == "rotation":
+            # H scaled by 1.5 breaks orthonormality and inflates the output
+            # entry variance.  The plan's d is m, so every output coordinate
+            # is a rotated one, and scaling the output is scaling H.
+            samples *= 1.5
+        return samples, out_trace
+
     # the finite-size gap between the count's exact law and the ISGM target's
     tv = exact_tv(_isgm_count_pmf(plan), _binomial_pmf(plan.n, 1 - plan.eps))
-    return (plan, lambda G, rng, trace=None: pds_to_isgm(
-        G, plan, rng, trace=trace, rotation_override=rotation),
-        {"plan": plan.to_dict(), "count_law_tv_to_binomial": tv})
+    return plan, run, {"plan": plan.to_dict(), "count_law_tv_to_binomial": tv}
 
 
 def _isgm_null(samples, alpha, rng):

@@ -292,7 +292,7 @@ def test_reduce_semi_cr_end_to_end(tmp_path):
 # to the random stream must change these pins and say so; plan.json pins the
 # planned values.
 _SEMI_CR_GOLDEN = {
-    "instance.graph": "4f23731eddd1027e9a02f9638f73afbe19f90fc3b743947ede6a9a3d99a6ee03",
+    "instance.graph": "eab2c82aad02f1f88d6fb08a13db925962d80ba0cde61543d8ddd2cc05a6ba24",
     "trace.json": "3d34b3aee2c9ee6b99463eafc4df44bae63c71f45cf304f3f80b54569eee36f8",
     "plan.json": "cdd9c552483e3b4531f5ded6af0128f37be16111157de7cbaa3baca6abd3cc98",
 }
@@ -379,7 +379,7 @@ _VERIFY_GOLDEN = {
     "isgm": (["--params", '{"N": 32, "k": 4, "p": 1.0, "q": 0.25}', "--trials", "200"],
              "540d187ad71521a1eb89f8b3bf6cfae5975eb42131ab4b3a361f63b6542c9aaf"),
     "semi-cr": (["--trials", "100"],
-                "f813f72d24b2d4f28a30e59e8e3855e7aa6af17f6118a285f1324b3ce97e78ba"),
+                "1931d09b72fe31b1701846b33e5c39dace325bba841f41f93d093e842491355f"),
     "glsm": (["--trials", "1"],
              "9a9975f7420030407a64940d96bd6ee0bddb9efe98709659c1253390d1be0239"),
 }
@@ -586,23 +586,23 @@ def test_reduce_isgm_admits_what_it_holds(tmp_path, capsys, monkeypatch):
 
 
 def test_reduce_semi_cr_admits_what_it_holds(tmp_path, capsys, monkeypatch):
-    # SEMI-CR holds the block lower triangle of its m x m matrix as float64,
-    # m (m + 3^ell - 1) / 2 entries, never the whole matrix: a host with
-    # room for that triangle but not for the matrix runs the plan, and one
-    # without room for the triangle refuses the plan with exit 2.
+    # SEMI-CR holds its m x m matrix as uint8 and the n x n adjacency as
+    # bool, and never a float64 array of its blocks J <= I (m (m + 3^ell - 1)
+    # / 2 entries): a host with room for the first two but not for the third
+    # runs the plan, and one without room for them refuses it with exit 2.
     src = tmp_path / "src"
     _run(["generate", "kpds", "--n", "32", "--k", "4", "--p", "1.0", "--q", "0.25",
           "--seed", "21", "--out", str(src)])
     plan = plan_semi_cr(1.0, 0.25, N=32, k=4, ell=2)
-    old = 8 * plan.m ** 2
-    need = max(8 * plan.m * (plan.m + 8) // 2, plan.n ** 2)
+    old = 8 * plan.m * (plan.m + 8) // 2
+    need = max(plan.m ** 2, plan.n ** 2)
     assert need < old
     argv = ["reduce", "semi-cr", "--in", str(src / "instance.graph"), *_SRC, "--ell", "2"]
     for limit, rc in [((need + old) // 2, 0), (need - 1, 2)]:
         monkeypatch.setattr(prob, "_physical_memory", lambda limit=limit: limit)
         capsys.readouterr()
         assert _run(argv + ["--out", str(tmp_path / str(limit))]) == rc
-    assert "block lower triangle" in capsys.readouterr().err
+    assert "k-partite matrix" in capsys.readouterr().err
 
 
 def test_bench_tracer_sees_the_pipeline_layers(tmp_path):

@@ -17,7 +17,7 @@ from avgcase.kernels import (_BLOCK, gaussianize,
                              rk_gauss_array, srk3_array,
                              tern_params_from_truncation, tern_pmf, truncate_tern)
 from avgcase.prob import RngStream, normal_cdf
-from avgcase.verify import covariance_identity_check, ks_test
+from avgcase.verify import covariance_identity_check
 
 
 def test_rejection_delta():
@@ -35,7 +35,7 @@ def test_rk_gauss_mu_zero_limit():
     out = rk_gauss_array(np.zeros(50_000, dtype=np.uint8), 0.0, p, q, 40,
                          RngStream(1))
     accepted = out[out != 0.0]
-    stat, pval = ks_test(accepted, sst.norm.cdf)
+    stat, pval = sst.kstest(accepted, sst.norm.cdf)
     assert pval > 1e-4
 
 
@@ -62,11 +62,11 @@ def test_rk_gauss_marginals_ks():
     n_iter = math.ceil(6.0 * math.log(n) / rejection_delta(p, q))
     bits_q = (RngStream(3).child("bq").generator().random(100_000) < q).astype(np.uint8)
     outs0 = rk_gauss_array(bits_q, mu, p, q, n_iter, RngStream(3))
-    stat, pval = ks_test(outs0, sst.norm.cdf)
+    stat, pval = sst.kstest(outs0, sst.norm.cdf)
     assert pval > 1e-4
     bits_p = (RngStream(4).child("bp").generator().random(100_000) < p).astype(np.uint8)
     outs1 = rk_gauss_array(bits_p, mu, p, q, n_iter, RngStream(4))
-    stat, pval = ks_test(outs1, lambda x: sst.norm.cdf(x, loc=mu))
+    stat, pval = sst.kstest(outs1, lambda x: sst.norm.cdf(x, loc=mu))
     assert pval > 1e-4
 
 
@@ -115,7 +115,7 @@ def test_gaussianize_null_matrix():
     M = np.zeros((40, 500), dtype=np.uint8)
     X = gaussianize(M, 0.75, 0.25, 0.0, RngStream(7))
     assert X.shape == (40, 500)
-    stat, pval = ks_test(X.ravel(), sst.norm.cdf)
+    stat, pval = sst.kstest(X.ravel(), sst.norm.cdf)
     assert pval > 1e-4
     cov = covariance_identity_check(X.T, rng=RngStream(8))
     assert cov["offdiag_pass"] and cov["diag_pass"]
@@ -167,7 +167,7 @@ def test_gaussianize_blocks_null_marginals():
     X = gaussianize(M, 0.75, 0.25, 0.0, RngStream(41))
     for rows in (slice(0, per_block), slice(M.shape[0] // per_block * per_block, None)):
         for bit in (0, 1):
-            stat, pval = ks_test(X[rows][M[rows] == bit], sst.norm.cdf)
+            stat, pval = sst.kstest(X[rows][M[rows] == bit], sst.norm.cdf)
             assert pval > 1e-4, (rows, bit, pval)
 
 
@@ -450,7 +450,7 @@ def test_srk3_degenerate_identity(tern_bits):
     # is exactly Q regardless of the input symbol.
     bits = tern_bits(0.5, 0.1, 0.05, RngStream(13).child("bits"), 50_000)
     out = _srk3_row(bits, 0.0, (0.5, 0.1, 0.05), 30, RngStream(13).child("k"))
-    stat, pval = ks_test(out, sst.norm.cdf)
+    stat, pval = sst.kstest(out, sst.norm.cdf)
     assert pval > 1e-4
 
 
@@ -466,7 +466,7 @@ def test_srk3_three_marginals_ks(tern_bits):
                           ((a, 0.0, 0.0), 0.0, "q")):
         bits = tern_bits(*law, RngStream(14).child("b" + tag), 100_000)
         out = _srk3_row(bits, shift, (a, mu1, mu2), 50, RngStream(14).child("k" + tag))
-        stat, pval = ks_test(out, lambda x, s=loc: sst.norm.cdf(x, loc=s))
+        stat, pval = sst.kstest(out, lambda x, s=loc: sst.norm.cdf(x, loc=s))
         assert pval > 1e-4, (tag, stat, pval)
 
 

@@ -785,27 +785,30 @@ def test_semi_cr_h0_trace():
 
 
 def test_semi_cr_rotates_on_one_blas_thread(monkeypatch):
-    # As ISGM's rotation: each task of the pad/rotate pool runs with BLAS on
-    # one thread, and the count is handed back after the pool.
+    # As ISGM's rotation: the consumer that pads and rotates each kernel
+    # block runs with BLAS on one thread, and the count is handed back after
+    # the kernel.  Blocks of 640 entries make 14 kernel blocks of 10 kept
+    # blocks of 8 x 8.
     p, q, N, k = 1.0, 0.25, 32, 4
     G, tr = sample_k_pds(N, k, p, q, RngStream(200))
     plan = plan_semi_cr(p, q, N=N, k=k, ell=2)
-    real, during = pipelines._run_blocks, []
+    monkeypatch.setattr(kernels, "_BLOCK", 640)
+    real, during = pipelines.gaussianize, []
 
-    def spy(run, n_blocks):
-        def read_then_run(i):
+    def spy(M, P, Q, mu, rng, use):
+        def read_then_use(*args):
             during.append(prob._blas_threads(1))  # reads the count, which must be 1
-            run(i)
+            use(*args)
 
-        return real(read_then_run if run.__name__ == "rotate" else run, n_blocks)
+        return real(M, P, Q, mu, rng, read_then_use)
 
-    monkeypatch.setattr(pipelines, "_run_blocks", spy)
+    monkeypatch.setattr(pipelines, "gaussianize", spy)
     had = prob._blas_threads(2)
     if had is None:
         pytest.skip("no bundled OpenBLAS thread count")
     try:
         pds_to_semi_cr(G, plan, RngStream(300), trace=tr)
-        assert during and set(during) == {1} and prob._blas_threads(2) == 2
+        assert during == [1] * 14 and prob._blas_threads(2) == 2
     finally:
         prob._blas_threads(had)
 
@@ -836,19 +839,24 @@ def _semi_cr_reference(G, plan, rng, trace):
     m_prime, m_rot, ks = three_l * k * s, m // 2, k * s
     M_PD, tr1 = to_k_partite_submatrix(G, k, plan.p, plan.q, m, rng.child("submatrix"), trace)
     blk = three_l - 1
-    # the entries (i, j) with j // blk <= i // blk, row-major
+    # the kept blocks (I, J), J <= I, row-major, one flattened block per row
     kept = [(I, J) for I in range(ks) for J in range(I + 1)]
-    bits = M_PD[np.arange(m) // blk <= np.arange(m)[:, None] // blk]
-    M_G = gaussianize(bits[:, None], plan.p, plan.Q, mu, rng.child("gaussianize"))[:, 0]
-    rows = np.split(M_G, np.cumsum([blk * blk * (I + 1) for I in range(ks)])[:-1])
-    # Per kept block: its offset-0 row, then the rest of its offset-0 column.
-    fresh = rng.child("pad").generator().standard_normal((len(kept), 2 * three_l - 1))
+    bits = np.array([M_PD[I * blk:(I + 1) * blk, J * blk:(J + 1) * blk].ravel()
+                     for I, J in kept])
+    M_G = gaussianize(bits, plan.p, plan.Q, mu, rng.child("gaussianize"))
+    # Per kept block: its offset-0 row, then the rest of its offset-0 column,
+    # from the pad stream of the kernel block that holds it.
+    per_block, n_blocks = kernels._row_blocks(len(kept), blk * blk)
+    fresh = np.concatenate([
+        rng.child("pad", first).generator().standard_normal(
+            (min(per_block, len(kept) - first), 2 * three_l - 1))
+        for first in range(0, n_blocks * per_block, per_block)])
     M_P = np.full((m_prime, m_prime), np.nan)
     for b, (I, J) in enumerate(kept):
         block = M_P[I * three_l:(I + 1) * three_l, J * three_l:(J + 1) * three_l]
         block[0] = fresh[b, :three_l]
         block[1:, 0] = fresh[b, three_l:]
-        block[1:, 1:] = rows[I].reshape(blk, I + 1, blk)[:, J]
+        block[1:, 1:] = M_G[b].reshape(blk, blk)
     assert np.isnan(M_P).sum() == three_l ** 2 * ks * (ks - 1) // 2
     H = build_H(3, ell)
     M4 = M_P.reshape(ks, three_l, ks, three_l)
@@ -881,60 +889,64 @@ def _semi_cr_reference(G, plan, rng, trace):
             sorted(int(v) for v in label_of[S_rows]), sorted(int(v) for v in label_of[S2_rows]))
 
 
-@pytest.mark.parametrize("ell, n, chunk", [
-    (2, None, None),     # one step holds every block row
-    (2, None, 1),        # one block row per step
-    (2, 200, 3 * 9 * 144),  # three block rows per step, a ragged last step, n > m''
+@pytest.mark.parametrize("ell, n, block", [
+    (2, None, None),     # one kernel block holds all 136 kept blocks
+    (2, None, 64),       # one kept block per kernel block
+    (2, 200, 64 * 5),    # five kept blocks per kernel block, a ragged last one, n > m''
     (3, None, None),
-    (3, 150, 1),
+    (3, 150, 676 * 3),   # three kept blocks of 26 x 26 per kernel block, a ragged last one
 ])
-def test_semi_cr_matches_whole_matrix_reference(monkeypatch, ell, n, chunk):
-    # The chunked pad/rotate/threshold loop gives the whole-matrix algorithm's
-    # output bit for bit, whatever the chunk size, and it Gaussianizes only
-    # the blocks that the reference fills with numbers.
-    if chunk is not None:
-        monkeypatch.setattr(pipelines, "_PAD_CHUNK", chunk)
+def test_semi_cr_matches_whole_matrix_reference(monkeypatch, ell, n, block):
+    # Padding, rotating and thresholding each kernel block as it finishes
+    # gives the whole-matrix algorithm's output bit for bit, and only the
+    # blocks that the reference fills with numbers are Gaussianized.  With
+    # n > m'' the tiles of adj are a view of its top-left corner, so a copy
+    # would lose every rotated entry.
+    if block is not None:
+        monkeypatch.setattr(kernels, "_BLOCK", block)
     p, q, N, k = 1.0, 0.25, 32, 4
     plan = plan_semi_cr(p, q, N=N, k=k, ell=ell, n=n)
     G, tr = sample_k_pds(N, k, p, q, RngStream(170 + ell))
-    sizes, real = [], pipelines.gaussianize
+    shapes, real = [], pipelines.gaussianize
     monkeypatch.setattr(pipelines, "gaussianize",
-                        lambda M, *args: sizes.append(M.size) or real(M, *args))
+                        lambda M, *args: shapes.append(M.shape) or real(M, *args))
     G_out, otr = pds_to_semi_cr(G, plan, RngStream(180 + ell), trace=tr)
     blk = 3 ** ell - 1
     ks = plan.m // blk
-    assert sizes == [blk * blk * ks * (ks + 1) // 2]  # the block lower triangle only
+    assert shapes == [(ks * (ks + 1) // 2, blk * blk)]  # the blocks J <= I only
     G_ref, V, S, S2 = _semi_cr_reference(G, plan, RngStream(180 + ell), tr)
     assert G_out.n == plan.n and G_out == G_ref
     assert (otr.params["V"], otr.planted_set.tolist(), otr.params["S_prime"]) == (V, S, S2)
 
 
-def test_semi_cr_builds_no_padded_matrix():
-    # Traced peak: the Gaussianized block lower triangle (m (m + 8) / 2
-    # entries at ell = 2), the n x n adjacency and a fixed allowance; the
-    # m' x m' padded matrix (92 MB here) and the m x m Gaussian matrix
-    # (72 MB) never exist.
+def test_semi_cr_builds_no_padded_matrix(on_workers):
+    # Traced peak on two workers: the m x m uint8 k-partite matrix, its kept
+    # blocks (m (m + 8) / 2 entries at ell = 2, as uint8), the n x n
+    # adjacency and a fixed allowance for the blocks in flight.  No float64
+    # array of the kept blocks (36 MB here), nor the m' x m' padded matrix
+    # (92 MB) nor the m x m Gaussian matrix (72 MB), ever exists.
     p, q, N, k = 1.0, 0.25, 1000, 8
     plan = plan_semi_cr(p, q, N=N, k=k, ell=2)
     G, tr = sample_k_pds(N, k, p, q, RngStream(190))
     tracemalloc.start()
     try:
-        pds_to_semi_cr(G, plan, RngStream(191), trace=tr)
+        on_workers(lambda: pds_to_semi_cr(G, plan, RngStream(191), trace=tr), 2, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * plan.m * (plan.m + 8) // 2 + plan.n ** 2 + 48 * 2 ** 20
+    m = plan.m
+    assert peak < m * m + m * (m + 8) // 2 + plan.n ** 2 + 16 * 2 ** 20
 
 
 def test_semi_cr_bytes_independent_of_workers(monkeypatch, on_workers):
-    # Six chunks of the pad/rotate loop (three block rows each), banded coin
-    # draws, ten mirrored tile pairs and eleven relabel bands: serial and 8
-    # workers give the same bytes.
+    # Twenty kernel blocks of seven kept blocks each (the last one ragged),
+    # banded coin draws, ten mirrored tile pairs and eleven relabel bands:
+    # serial and 8 workers give the same bytes.
     p, q, N, k = 1.0, 0.25, 32, 4
     plan = plan_semi_cr(p, q, N=N, k=k, ell=2, n=200)
     G, tr = sample_k_pds(N, k, p, q, RngStream(192))
-    m_prime = 9 * plan.m // 8
-    monkeypatch.setattr(pipelines, "_PAD_CHUNK", 9 * m_prime * 3)
+    monkeypatch.setattr(kernels, "_BLOCK", 64 * 7)
+    monkeypatch.setattr(pipelines, "_PAD_CHUNK", 9 * 144 * 3)
     monkeypatch.setattr(prob, "_BAND", 64)
 
     def run():

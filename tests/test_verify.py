@@ -24,9 +24,9 @@ from avgcase.pipelines import plan_isgm
 from avgcase.prob import RngStream
 from avgcase.verify import (_MAX_DEGREE, _MAX_N, FinitePmf, _binomial_pmf, _isgm_count_pmf,
                             battery_params, chi2_bern_plus_bin,
-                            chi2_bern_plus_bin_closed_form, chi2_test,
+                            chi2_bern_plus_bin_closed_form, chi2_gof_counts, chi2_test,
                             covariance_identity_check, empirical_tv_to_cdf, exact_tv,
-                            exact_tv_hyp_vs_bin, ks_matrix, ks_test,
+                            exact_tv_hyp_vs_bin, ks_matrix,
                             low_degree_energy,
                             semi_cr_class_counts, tv_bound_bern_bin_product,
                             tv_bound_binomial, tv_hyp_vs_bin_bound,
@@ -134,11 +134,11 @@ def test_ks_and_chi2_calibration():
     rejections = 0
     for i in range(200):
         x = RngStream(9).child("cal", i).generator().standard_normal(500)
-        _, pval = ks_test(x, sst.norm.cdf)
+        _, pval = sst.kstest(x, sst.norm.cdf)
         rejections += pval < 1e-4
     assert rejections <= 1
     # constant samples against a continuous cdf: reject hard
-    _, pval = ks_test(np.zeros(1000), sst.norm.cdf)
+    _, pval = sst.kstest(np.zeros(1000), sst.norm.cdf)
     assert pval < 1e-10
     # exact match of counts: chi2 = 0
     stat, pval = chi2_test(np.array([10.0, 30.0]), np.array([10.0, 30.0]))
@@ -147,13 +147,27 @@ def test_ks_and_chi2_calibration():
         chi2_test(np.array([5.0, 1.0]), np.array([6.0, 0.0]))
 
 
+@pytest.mark.parametrize("probs, values", [
+    # the impossible point sits between two bins that merge over it
+    ((0.5, 0.0, 0.5), [0] * 50 + [1] * 50),
+    # the impossible point is the trailing bin of zero expectation
+    ((0.5, 0.5, 0.0, 0.0), [0] * 50 + [1] * 50 + [3] * 40),
+])
+def test_chi2_gof_counts_fails_samples_at_zero_mass_points(probs, values):
+    # Merging bins up to an expected count of 5 would hide these (p = 1.0
+    # and p = 7.2e-4).  A sample the law cannot produce gives p = 0 without
+    # raising, so a battery that sees one fails.
+    law = FinitePmf(tuple(float(v) for v in range(len(probs))), probs)
+    assert chi2_gof_counts(np.array(values, dtype=float), law) == (math.inf, 0.0)
+
+
 def test_ks_matrix_agrees_with_scipy():
     import scipy.stats as sst
 
     X = RngStream(10).child("m").generator().standard_normal((5, 400))
     stats, pvals = ks_matrix(X, sst.norm.cdf)
     for i in range(5):
-        s, p = ks_test(X[i], sst.norm.cdf)
+        s, p = sst.kstest(X[i], sst.norm.cdf)
         assert abs(stats[i] - s) < 1e-12
         assert abs(pvals[i] - p) < 1e-9
 
