@@ -190,13 +190,21 @@ class PlantedTrace:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PlantedTrace":
-        def _asarr(x):
-            return None if x is None else np.asarray(x, dtype=np.int64)
+        """The trace of a ``to_dict`` document; its vertex sets must be null
+        or lists of integers, since a float would be truncated to another
+        vertex."""
+        def _asarr(name):
+            x = doc.get(name)
+            if x is None:
+                return None
+            if not isinstance(x, list) or any(type(v) is not int for v in x):
+                raise ParameterError(f"{name} must be a list of integers, got {x!r}")
+            return np.asarray(x, dtype=np.int64)
 
         return cls(
             seed=int(doc["seed"]),
-            planted_set=_asarr(doc.get("planted_set")),
-            component_set=_asarr(doc.get("component_set")),
+            planted_set=_asarr("planted_set"),
+            component_set=_asarr("component_set"),
             params=doc.get("params", {}),
         )
 
@@ -206,7 +214,8 @@ class PlantedTrace:
             return cls.from_dict(load_json(path))
         except OSError as exc:
             raise ParameterError(f"{path}: cannot open trace file: {exc.strerror}") from exc
-        except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, or not a trace
+        # not UTF-8 JSON, or not a trace, or a vertex no int64 holds
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ParameterError(f"{path}: not a trace JSON file: {exc!r}") from exc
 
 

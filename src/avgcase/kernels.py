@@ -67,7 +67,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .prob import RngStream, _run_blocks, normal_cdf
+from .prob import RngStream, _blas_threads, _run_blocks, normal_cdf
 
 __all__ = [
     "rejection_delta",
@@ -248,7 +248,10 @@ def gaussianize(M, P, Q, mu, rng: RngStream, use=None):
     ``use(j, first_row, rows)`` on a worker with each block of the output as
     soon as it is done: ``rows`` holds whole rows of part j from row
     ``first_row`` on, and a matrix is part 0.  So neither the output nor one
-    part of it ever exists whole.
+    part of it ever exists whole.  The consumers run with numpy's bundled
+    BLAS on one thread, and its count is handed back when the call returns
+    or raises: a consumer's products are then whole single-threaded ones,
+    whose bits threaded GEMM could change.
 
     ``mu`` is one nonnegative scalar, and it must satisfy the proven bound
     for the whole m x n input (see ``gaussianize_mu_bound``;
@@ -272,8 +275,14 @@ def gaussianize(M, P, Q, mu, rng: RngStream, use=None):
                              f"{m}x{n} input")
     stream = rng.child("gaussianize")
     streams = [stream] if M.ndim == 2 else [stream.child("part", j) for j in range(k)]
-    out = _rk_gauss_core(parts, mu, P, Q, n_iter, streams, use)
-    return None if out is None else out.reshape(M.shape)
+    if use is None:
+        return _rk_gauss_core(parts, mu, P, Q, n_iter, streams).reshape(M.shape)
+    had = _blas_threads(1)
+    try:
+        _rk_gauss_core(parts, mu, P, Q, n_iter, streams, use)
+    finally:
+        _blas_threads(had)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import build_H, is_prime
-from .graphs import Graph, PlantedTrace, _upper_mask
+from .graphs import Graph, PlantedTrace, _pair_indices
 from .kernels import (
     _srk3_params_check,
     gaussianize,
@@ -41,8 +41,8 @@ from .kernels import (
     tern_params_from_truncation,
     truncate_tern,
 )
-from .prob import (RngStream, _blas_threads, _check_fits, _random_bands, _run_blocks,
-                   normal_cdf, uniform_below)
+from .prob import (RngStream, _check_fits, _random_bands, _run_blocks, normal_cdf,
+                   uniform_below)
 
 __all__ = [
     "ReductionPlan",
@@ -177,7 +177,7 @@ def _admit(plan: ReductionPlan, **report) -> ReductionPlan:
         # the largest array the pipeline holds; it Gaussianizes and rotates
         # a few blocks at a time, never its m x m matrix as float64
         _check_fits(*max((m * m, f"the {m} x {m} k-partite matrix, as uint8,"),
-                         (n * n, f"the {n} x {n} adjacency, as bool,")))
+                         (n * (n - 1) // 2, f"the {n * (n - 1) // 2} output pairs, as bool,")))
     else:
         # the m rows land on m of the d coordinates, and the n samples are n
         # of the k l rotated columns, at most k l / w of them in the proven
@@ -441,6 +441,12 @@ def graph_clone(G: Graph, t_copies: int, p, q, P, Q, rng: RngStream):
 # To-k-partite-submatrix
 # ---------------------------------------------------------------------------
 
+# Entries per row band of the k-partite embedding, the one pool loop of
+# ``to_k_partite_submatrix``.  It bounds a task's transient memory; the
+# output does not depend on it.
+_PAD_CHUNK = 1 << 20
+
+
 def to_k_partite_submatrix(G: Graph, k: int, p, q, m, rng: RngStream,
                            trace: Optional[PlantedTrace] = None):
     """Embed a k-PDS instance into an m x m Bernoulli matrix with planted
@@ -471,6 +477,10 @@ def to_k_partite_submatrix(G: Graph, k: int, p, q, m, rng: RngStream,
     out_planted = []
     if trace is not None and trace.planted_set is not None:
         planted = np.asarray(trace.planted_set, dtype=np.int64)
+        outside = planted[(planted < 0) | (planted >= N)]
+        if outside.size:
+            raise ParameterError(f"trace plants vertices outside [0, {N}): "
+                                 f"{[int(v) for v in outside]}")
 
     # The union of the per-part embeddings carries the whole input graph:
     # S collects the embedded positions, src their source vertices under the
@@ -585,14 +595,14 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
 
     # Steps 3-6: Gaussianize each part at entrywise mean sqrt(r^t (r-1)) mu
     # and, on the worker that finishes each block of it, rotate the block's
-    # whole rows by the incidence matrix in one product on one BLAS thread.
-    # So only the pool's blocks in flight are ever held as float64, and every
-    # bit is fixed by the kernel's block rule and r^t, never by the pool or
-    # the BLAS thread count (threaded GEMM rounds differently at some
-    # shapes, r^t = 243 for one).  Of the k * out_cols rotated columns, n are
-    # kept and embedded as m random coordinates of n samples in R^d, and
-    # only those are computed: output column c is part c // out_cols rotated
-    # by row c % out_cols of H.
+    # whole rows by the incidence matrix in one product, on the one BLAS
+    # thread the kernel runs its consumers on.  So only the pool's blocks in
+    # flight are ever held as float64, and every bit is fixed by the
+    # kernel's block rule and r^t, never by the pool or the BLAS thread
+    # count (threaded GEMM rounds differently at some shapes, r^t = 243 for
+    # one).  Of the k * out_cols rotated columns, n are kept and embedded as
+    # m random coordinates of n samples in R^d, and only those are computed:
+    # output column c is part c // out_cols rotated by row c % out_cols of H.
     H_mat = build_H(r, t)
     out_cols = H_mat.shape[0]
     gen6 = rng.child("output").generator()
@@ -605,12 +615,8 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
     def rotate(i, first, rows):
         samples[np.ix_(kept[i], row_pos[first:first + len(rows)])] = H_mat[h_rows[i]] @ rows.T
 
-    tau_entry = math.sqrt(rt * (r - 1)) * plan.mu
-    had = _blas_threads(1)
-    try:
-        gaussianize(parts, p, plan.Q, tau_entry, rng.child("gaussianize"), rotate)
-    finally:
-        _blas_threads(had)
+    gaussianize(parts, p, plan.Q, math.sqrt(rt * (r - 1)) * plan.mu, rng.child("gaussianize"),
+                rotate)
     del parts
     others = np.flatnonzero(np.bincount(row_pos, minlength=d) == 0)
     samples[:, others] = gen6.standard_normal((others.size, n)).T
@@ -704,12 +710,6 @@ def isgm_sample_clone(samples, trace: PlantedTrace, ell: int, n_prime: int, rng:
 # k-PDS -> semirandom community recovery
 # ---------------------------------------------------------------------------
 
-# Entries per row band of the k-partite embedding and of the SEMI-CR
-# relabelling, and per tile of the SEMI-CR adjacency's mirror.  It bounds a
-# task's transient memory; the output does not depend on it.
-_PAD_CHUNK = 1 << 20
-
-
 def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
                    trace: Optional[PlantedTrace] = None):
     """Reduce a k-PDS instance on the plan's N vertices to the semirandom
@@ -725,10 +725,11 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
     those that reach the output, are Gaussianized, padded and rotated, on
     the worker that finishes each kernel block of them, as ``pds_to_isgm``
     rotates its blocks; so no float64 array larger than a few kernel blocks
-    exists.  The n x n adjacency and the output's pair vector are held
-    whole; the mirror runs one pair of tiles per task and the relabelling
-    one band of rows per task, and the output depends neither on the tile
-    and band sizes nor on the number of workers.
+    exists.  The output's pair vector is drawn first, a fair coin per pair,
+    with the uniform labels of the rotated vertices, and each worker writes
+    its thresholded rotated entries straight into their relabelled pairs;
+    no n x n array exists, and the output does not depend on the number of
+    workers.
     """
     if plan.target != "SEMI_CR":
         raise ParameterError(f"pds_to_semi_cr needs a SEMI_CR plan, got {plan.target}")
@@ -750,25 +751,33 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
     blocks = M_PD.reshape(ks, blk, ks, blk)[bI, :, bJ].reshape(bI.size, blk * blk)
     del M_PD
 
+    # The output, drawn whole before the kernel runs: a fair coin for every
+    # pair, and then the labels, rotated vertex r being output vertex
+    # label_of[r].  So V = label_of[:m''] is uniform, and every pair outside
+    # V^2 keeps its coin; the pairs inside it are overwritten below.
+    gen5 = rng.child("pad-vertices").generator()
+    triu = uniform_below(gen5, (n * (n - 1) // 2,), 0.5)
+    label_of = gen5.permutation(n)
+
     # Steps 3-5, on the worker that finishes each kernel block, for the
     # blocks in it.  Padded block (I, J) is 3^ell x 3^ell: fresh N(0, 1) at
     # offset 0 of either axis (the zero-point row and column of the
     # rotation) and the Gaussianized block at offsets 1..3^ell-1.  It is
-    # rotated as H . block . H^T, and the rotated entries below the
-    # diagonal of the m'' x m'' matrix are thresholded into tile (I, J) of
-    # adj.  The kernel block from row ``first`` on draws its fresh entries
-    # from ``rng.child("pad", first)``: per block, its offset-0 row and then
-    # the rest of its offset-0 column.  So the stream is fixed by the
-    # kernel's block rule alone.  Each kernel block's two products are whole
-    # ones, on one BLAS thread: splitting a product, or threading it, can
-    # change its bits.
+    # rotated as H . block . H^T, and its rotated entries (r, c), r > c, of
+    # the m'' x m'' matrix are thresholded into pair (label_of[r],
+    # label_of[c]) of the output.  label_of is a bijection, so no two
+    # workers write the same pair.  The kernel block from row ``first`` on
+    # draws its fresh entries from ``rng.child("pad", first)``: per block,
+    # its offset-0 row and then the rest of its offset-0 column.  So the
+    # stream is fixed by the kernel's block rule alone.  Each kernel block's
+    # two products are whole ones, on the one BLAS thread the kernel runs
+    # its consumers on: splitting a product, or threading it, can change
+    # its bits.
     H = build_H(3, ell)
     ellh = H.shape[0]
     thr = mu / (2.0 * three_l)
-    adj = np.zeros((n, n), dtype=bool)
-    # tile (I, J) is tiles[I, :, J]; splitting both axes of a slice is a view
-    tiles = adj[:m_rot, :m_rot].reshape(ks, ellh, ks, ellh)
-    below = np.tri(ellh, k=-1, dtype=bool)  # a diagonal block's kept entries
+    within = np.arange(ellh)
+    below = within[:, None] > within  # a diagonal block's kept entries
 
     def rotate(_, first, rows):
         b = slice(first, first + len(rows))
@@ -780,54 +789,14 @@ def pds_to_semi_cr(G: Graph, plan: ReductionPlan, rng: RngStream,
         padded[1:, :, 1:] = rows.reshape(-1, blk, blk).transpose(1, 0, 2)
         M_R = H @ padded.reshape(three_l, -1)
         kept = ((M_R.reshape(-1, three_l) @ H.T) >= thr).reshape(ellh, -1, ellh).transpose(1, 0, 2)
-        kept[bI[b] == bJ[b]] &= below
-        tiles[bI[b], :, bJ[b]] = kept
+        u = label_of[bI[b, None] * ellh + within][:, :, None]
+        v = label_of[bJ[b, None] * ellh + within][:, None, :]
+        keep = (bI[b] != bJ[b])[:, None, None] | below
+        triu[_pair_indices(n, np.minimum(u, v)[keep], np.maximum(u, v)[keep])] = kept[keep]
 
-    had = _blas_threads(1)
-    try:
-        gaussianize(blocks, p, Q, mu, rng.child("gaussianize"), rotate)
-    finally:
-        _blas_threads(had)
+    gaussianize(blocks, p, Q, mu, rng.child("gaussianize"), rotate)
     del blocks
-
-    # Pad to n vertices with fair coins above the diagonal, and mirror:
-    # adj |= adj.T, one pair of tiles (I, J), I >= J, per task, so no two
-    # tasks write the same bytes.  Tile b, mirrored after tile a, sees a's
-    # new bits, but b | (a | b.T).T is b | a.T all the same.
-    gen5 = rng.child("pad-vertices").generator()
-    if n > m_rot:
-        adj[:m_rot, m_rot:] = uniform_below(gen5, (m_rot, n - m_rot), 0.5)
-        adj[m_rot:, m_rot:][_upper_mask(n - m_rot)] = uniform_below(
-            gen5, ((n - m_rot) * (n - m_rot - 1) // 2,), 0.5)
-    tile = math.isqrt(_PAD_CHUNK)
-    tiles = [(I, J) for I in range(0, n, tile) for J in range(0, I + 1, tile)]
-
-    def mirror(i):
-        I, J = tiles[i]
-        a = adj[I:I + tile, J:J + tile]
-        a |= adj[J:J + tile, I:I + tile].T
-        if I != J:
-            adj[J:J + tile, I:I + tile] |= a.T
-
-    _run_blocks(mirror, len(tiles))
-    # Relabel: output vertex i is vertex vertex_src[i] of adj.  Each task
-    # gathers a band of relabelled rows and keeps its pairs above the
-    # diagonal, which are consecutive in the output's pair order.
-    vertex_src = gen5.permutation(n)
-    triu = np.empty(n * (n - 1) // 2, dtype=bool)
-    band = max(1, _PAD_CHUNK // n)
-
-    def relabel(i):
-        a, e = i * band, min((i + 1) * band, n)
-        rows = np.take(adj[vertex_src[a:e]], vertex_src, axis=1)
-        above = np.arange(n) > np.arange(a, e)[:, None]
-        triu[a * n - a * (a + 1) // 2:e * n - e * (e + 1) // 2] = rows[above]
-
-    _run_blocks(relabel, -(-n // band))
-    del adj
     G_out = Graph.from_triu(n, triu)
-    label_of = np.empty(n, dtype=np.int64)
-    label_of[vertex_src] = np.arange(n)
 
     params = {
         "mu": mu, "ell": ell, "m": m, "m_rotated": m_rot,

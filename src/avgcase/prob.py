@@ -25,12 +25,12 @@ its share of the CPUs.  Two runners apply it:
   kernels' blocks, with each Gaussianized block of ``pds_to_isgm`` and
   ``pds_to_semi_cr`` padded and rotated on the worker that finishes it,
   the row bands of the k-partite embedding, the pad of ``pds_to_isgm``,
-  the mirror and the relabelling of ``pds_to_semi_cr``, and the pieces of
-  ``graphs.write_graphv1``), and ``_random_bands`` makes the draw
-  ``gen.random(size)`` in bands on it, splitting one PCG64DXSM stream
-  with ``advance``: ``uniform_below`` draws its Bernoulli matrices
-  ``gen.random(shape) < p`` that way (the background and paddings of the
-  pipelines, and the pair vectors of the ``graphs`` samplers), and
+  and the pieces of ``graphs.write_graphv1``), and ``_random_bands``
+  makes the draw ``gen.random(size)`` in bands on it, splitting one
+  PCG64DXSM stream with ``advance``: ``uniform_below`` draws its
+  Bernoulli matrices ``gen.random(shape) < p`` that way (the background
+  and padding of the pipelines, the fair coins of the SEMI-CR output, and
+  the pair vectors of the ``graphs`` samplers), and
   ``pipelines.graph_clone`` and ``graphs.semirandom_apply`` their pair
   uniforms.  ``_random_bands``' docstring gives the argument that the
   values and the generator's final state are exactly the one-shot draw's.

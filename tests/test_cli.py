@@ -275,6 +275,35 @@ def test_reduce_unreadable_input_exits_2(tmp_path, capsys, which, kind):
     assert err.startswith("error:") and str(bad) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("pipeline", [["isgm", "--r", "2"], ["semi-cr", "--ell", "2"]],
+                         ids=["isgm", "semi-cr"])
+@pytest.mark.parametrize("edit, says", [
+    (lambda S: S + [99999, -7], "outside [0, 32): [99999, -7]"),  # in no part
+    (lambda S: [S[0] + 0.7] + S[1:], "list of integers"),  # would be truncated to S[0]
+    (lambda S: [2 ** 70] + S[1:], "too large"),  # no int64 holds it
+], ids=["outside", "float", "huge"])
+def test_reduce_refuses_a_trace_it_cannot_hold(tmp_path, capsys, pipeline, edit, says):
+    # A planted vertex outside [0, N) falls in no part, and one that is not
+    # a JSON integer would name another vertex: both are refused, with exit
+    # 2, an error line and no --out, where they used to be dropped or
+    # truncated silently.
+    src = tmp_path / "src"
+    _run(["generate", "kpds", "--n", "32", "--k", "4", "--p", "1.0",
+          "--q", "0.25", "--seed", "21", "--out", str(src)])
+    doc = json.loads((src / "trace.json").read_text())
+    doc["planted_set"] = edit(doc["planted_set"])
+    (src / "trace.json").write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    rc = _run(["reduce", *pipeline, "--in", str(src / "instance.graph"),
+               "--trace", str(src / "trace.json"), "--k", "4", "--p", "1.0",
+               "--q", "0.25", "--seed", "5", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and says in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_reduce_semi_cr_end_to_end(tmp_path):
     src = tmp_path / "src"
     _run(["generate", "kpds", "--n", "32", "--k", "4", "--p", "1.0",
@@ -292,8 +321,8 @@ def test_reduce_semi_cr_end_to_end(tmp_path):
 # to the random stream must change these pins and say so; plan.json pins the
 # planned values.
 _SEMI_CR_GOLDEN = {
-    "instance.graph": "eab2c82aad02f1f88d6fb08a13db925962d80ba0cde61543d8ddd2cc05a6ba24",
-    "trace.json": "3d34b3aee2c9ee6b99463eafc4df44bae63c71f45cf304f3f80b54569eee36f8",
+    "instance.graph": "ed1d3a0b16260bd665382a8cf18509e3a9aefea09a18563cb5be5f285223237e",
+    "trace.json": "ad0d11be117b82652618a96a749eb4b7a17bb213b986b979f3bf9edb79031318",
     "plan.json": "cdd9c552483e3b4531f5ded6af0128f37be16111157de7cbaa3baca6abd3cc98",
 }
 
@@ -586,16 +615,17 @@ def test_reduce_isgm_admits_what_it_holds(tmp_path, capsys, monkeypatch):
 
 
 def test_reduce_semi_cr_admits_what_it_holds(tmp_path, capsys, monkeypatch):
-    # SEMI-CR holds its m x m matrix as uint8 and the n x n adjacency as
-    # bool, and never a float64 array of its blocks J <= I (m (m + 3^ell - 1)
-    # / 2 entries): a host with room for the first two but not for the third
-    # runs the plan, and one without room for them refuses it with exit 2.
+    # SEMI-CR holds its m x m matrix as uint8 and the n (n - 1) / 2 output
+    # pairs as bool, and never a float64 array of its blocks J <= I
+    # (m (m + 3^ell - 1) / 2 entries): a host with room for the first two but
+    # not for the third runs the plan, and one without room for them refuses
+    # it with exit 2.
     src = tmp_path / "src"
     _run(["generate", "kpds", "--n", "32", "--k", "4", "--p", "1.0", "--q", "0.25",
           "--seed", "21", "--out", str(src)])
     plan = plan_semi_cr(1.0, 0.25, N=32, k=4, ell=2)
     old = 8 * plan.m * (plan.m + 8) // 2
-    need = max(plan.m ** 2, plan.n ** 2)
+    need = max(plan.m ** 2, plan.n * (plan.n - 1) // 2)
     assert need < old
     argv = ["reduce", "semi-cr", "--in", str(src / "instance.graph"), *_SRC, "--ell", "2"]
     for limit, rc in [((need + old) // 2, 0), (need - 1, 2)]:

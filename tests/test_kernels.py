@@ -355,6 +355,33 @@ def test_gaussianize_matrix_is_part_zero():
     assert np.concatenate([seen[key] for key in sorted(seen)]).tobytes() == whole.tobytes()
 
 
+def test_gaussianize_runs_its_consumer_on_one_blas_thread(on_workers):
+    # Inside ``use`` numpy's bundled BLAS runs on one thread, so a
+    # consumer's products are whole single-threaded ones, and the count is
+    # handed back when the call returns and when ``use`` raises.
+    M = _bits((600, 700), 0.5, 66)
+    during = []
+
+    def use(j, first, rows):
+        during.append(prob._blas_threads(1))  # reads the count, which must be 1
+
+    def fail(j, first, rows):
+        raise RuntimeError("the consumer failed")
+
+    had = prob._blas_threads(2)
+    if had is None:
+        pytest.skip("no bundled OpenBLAS thread count")
+    try:
+        on_workers(lambda: gaussianize(M, 0.75, 0.25, 0.05, RngStream(67), use), 2, 2)
+        assert len(during) == -(-600 // (_BLOCK // 700)) and set(during) == {1}
+        assert prob._blas_threads(2) == 2
+        with pytest.raises(RuntimeError, match="the consumer failed"):
+            on_workers(lambda: gaussianize(M, 0.75, 0.25, 0.05, RngStream(67), fail), 2, 2)
+        assert prob._blas_threads(2) == 2
+    finally:
+        prob._blas_threads(had)
+
+
 @pytest.mark.parametrize("bad", [2, -1, 0.5])
 def test_gaussian_kernel_rejects_entries_outside_0_1(monkeypatch, bad):
     # An entry outside {0, 1} fails in the block that holds it, here the

@@ -608,14 +608,20 @@ def test_isgm_gaussianizes_each_block_once(monkeypatch):
 
 
 def test_isgm_rotates_on_one_blas_thread(monkeypatch):
-    # Threaded GEMM can round differently from one thread, so the rotation
-    # runs with BLAS on one thread, and the count is handed back after it.
+    # Threaded GEMM can round differently from one thread, so the kernel
+    # runs the consumer that rotates each block with BLAS on one thread, and
+    # hands the count back after it; the pipeline itself leaves the count
+    # alone.
     G, plan, tr = _small_isgm_setup()
-    real, during = pipelines.gaussianize, []
+    real, before, during = pipelines.gaussianize, [], []
 
-    def spy(*args):
-        during.append(prob._blas_threads(1))  # reads the count, which must be 1
-        return real(*args)
+    def spy(M, P, Q, mu, rng, use):
+        def read_then_use(*args):
+            during.append(prob._blas_threads(1))  # reads the count, which must be 1
+            use(*args)
+
+        before.append(prob._blas_threads(2))  # reads the count, which must be 2
+        return real(M, P, Q, mu, rng, read_then_use)
 
     monkeypatch.setattr(pipelines, "gaussianize", spy)
     had = prob._blas_threads(2)
@@ -623,7 +629,8 @@ def test_isgm_rotates_on_one_blas_thread(monkeypatch):
         pytest.skip("no bundled OpenBLAS thread count")
     try:
         pds_to_isgm(G, plan, RngStream(111), trace=tr)
-        assert during == [1] and prob._blas_threads(2) == 2
+        assert before == [2] and during and set(during) == {1}
+        assert prob._blas_threads(2) == 2
     finally:
         prob._blas_threads(had)
 
@@ -786,20 +793,21 @@ def test_semi_cr_h0_trace():
 
 def test_semi_cr_rotates_on_one_blas_thread(monkeypatch):
     # As ISGM's rotation: the consumer that pads and rotates each kernel
-    # block runs with BLAS on one thread, and the count is handed back after
-    # the kernel.  Blocks of 640 entries make 14 kernel blocks of 10 kept
-    # blocks of 8 x 8.
+    # block runs with BLAS on one thread, the kernel's cap, and the count is
+    # handed back after the kernel.  Blocks of 640 entries make 14 kernel
+    # blocks of 10 kept blocks of 8 x 8.
     p, q, N, k = 1.0, 0.25, 32, 4
     G, tr = sample_k_pds(N, k, p, q, RngStream(200))
     plan = plan_semi_cr(p, q, N=N, k=k, ell=2)
     monkeypatch.setattr(kernels, "_BLOCK", 640)
-    real, during = pipelines.gaussianize, []
+    real, before, during = pipelines.gaussianize, [], []
 
     def spy(M, P, Q, mu, rng, use):
         def read_then_use(*args):
             during.append(prob._blas_threads(1))  # reads the count, which must be 1
             use(*args)
 
+        before.append(prob._blas_threads(2))  # reads the count, which must be 2
         return real(M, P, Q, mu, rng, read_then_use)
 
     monkeypatch.setattr(pipelines, "gaussianize", spy)
@@ -808,7 +816,7 @@ def test_semi_cr_rotates_on_one_blas_thread(monkeypatch):
         pytest.skip("no bundled OpenBLAS thread count")
     try:
         pds_to_semi_cr(G, plan, RngStream(300), trace=tr)
-        assert during == [1] * 14 and prob._blas_threads(2) == 2
+        assert before == [2] and during == [1] * 14 and prob._blas_threads(2) == 2
     finally:
         prob._blas_threads(had)
 
@@ -828,11 +836,12 @@ def test_semi_cr_rejects_a_foreign_plan():
 
 def _semi_cr_reference(G, plan, rng, trace):
     """The whole-matrix SEMI-CR algorithm: an m' x m' padded matrix, one
-    two-sided einsum rotation and a tril_indices scatter of the thresholded
-    entries.  Only the blocks J <= I are Gaussianized and padded, and every
-    block J > I of the padded matrix is NaN, which would reach the output
-    if any entry of such a block did.  Returns the output graph and the
-    labels of V, S and S'."""
+    two-sided einsum rotation, and a scatter of the thresholded entries
+    below its diagonal into their relabelled pairs of a fair-coin graph.
+    Only the blocks J <= I are Gaussianized and padded, and every block
+    J > I of the padded matrix is NaN, which would reach the output if any
+    entry of such a block did.  Returns the output graph and the labels of
+    V, S and S'."""
     k, ell, m, n, mu = plan.k, plan.ell, plan.m, plan.n, plan.mu
     three_l = 3 ** ell
     s = m // ((three_l - 1) * k)
@@ -861,30 +870,21 @@ def _semi_cr_reference(G, plan, rng, trace):
     H = build_H(3, ell)
     M4 = M_P.reshape(ks, three_l, ks, three_l)
     M_R = np.einsum("xi,aibj,yj->axby", H, M4, H, optimize=True).reshape(m_rot, m_rot)
-    adj = np.zeros((n, n), dtype=bool)
-    low = np.tril_indices(m_rot, k=-1)
-    vals = M_R[low] >= mu / (2.0 * three_l)
-    adj[low] = vals
-    adj[(low[1], low[0])] = vals
+    # a fair coin for every output pair, then the labels; rotated vertex r
+    # is output vertex label_of[r], and the pairs inside V^2 are overwritten
     gen5 = rng.child("pad-vertices").generator()
-    if n > m_rot:
-        fresh_cols = gen5.random((m_rot, n - m_rot)) < 0.5
-        adj[:m_rot, m_rot:] = fresh_cols
-        adj[m_rot:, :m_rot] = fresh_cols.T
-        fresh_block = np.zeros((n - m_rot, n - m_rot), dtype=bool)
-        fiu = np.triu_indices(n - m_rot, k=1)
-        fresh_block[fiu] = gen5.random(fiu[0].size) < 0.5
-        adj[m_rot:, m_rot:] = fresh_block | fresh_block.T
-    vertex_src = gen5.permutation(n)
-    adj = adj[np.ix_(vertex_src, vertex_src)]
-    label_of = np.empty(n, dtype=np.int64)
-    label_of[vertex_src] = np.arange(n)
+    iu = np.triu_indices(n, k=1)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[iu] = gen5.random(iu[0].size) < 0.5
+    label_of = gen5.permutation(n)
+    low = np.tril_indices(m_rot, k=-1)
+    r, c = label_of[low[0]], label_of[low[1]]
+    adj[np.minimum(r, c), np.maximum(r, c)] = M_R[low] >= mu / (2.0 * three_l)
     S_rows, S2_rows = [], []
     for u in tr1.planted_set:
         col = H[:, 1 + int(u % blk)]
         S_rows.extend(int(u // blk) * H.shape[0] + np.flatnonzero(col < 0))
         S2_rows.extend(int(u // blk) * H.shape[0] + np.flatnonzero(col > 0))
-    iu = np.triu_indices(n, k=1)
     return (Graph.from_triu(n, adj[iu]), sorted(int(v) for v in label_of[:m_rot]),
             sorted(int(v) for v in label_of[S_rows]), sorted(int(v) for v in label_of[S2_rows]))
 
@@ -900,8 +900,8 @@ def test_semi_cr_matches_whole_matrix_reference(monkeypatch, ell, n, block):
     # Padding, rotating and thresholding each kernel block as it finishes
     # gives the whole-matrix algorithm's output bit for bit, and only the
     # blocks that the reference fills with numbers are Gaussianized.  With
-    # n > m'' the tiles of adj are a view of its top-left corner, so a copy
-    # would lose every rotated entry.
+    # n > m'' the coins of the pairs outside V^2 must survive the workers'
+    # writes, which land at relabelled pairs spread over the whole vector.
     if block is not None:
         monkeypatch.setattr(kernels, "_BLOCK", block)
     p, q, N, k = 1.0, 0.25, 32, 4
@@ -919,14 +919,16 @@ def test_semi_cr_matches_whole_matrix_reference(monkeypatch, ell, n, block):
     assert (otr.params["V"], otr.planted_set.tolist(), otr.params["S_prime"]) == (V, S, S2)
 
 
-def test_semi_cr_builds_no_padded_matrix(on_workers):
+@pytest.mark.parametrize("n", [None, 8000])
+def test_semi_cr_builds_no_padded_matrix(on_workers, n):
     # Traced peak on two workers: the m x m uint8 k-partite matrix, its kept
-    # blocks (m (m + 8) / 2 entries at ell = 2, as uint8), the n x n
-    # adjacency and a fixed allowance for the blocks in flight.  No float64
-    # array of the kept blocks (36 MB here), nor the m' x m' padded matrix
-    # (92 MB) nor the m x m Gaussian matrix (72 MB), ever exists.
+    # blocks (m (m + 8) / 2 entries at ell = 2, as uint8), the n (n - 1) / 2
+    # output pairs as bool and a fixed allowance for the blocks in flight.
+    # No float64 array of the kept blocks (36 MB here), nor the m' x m'
+    # padded matrix (92 MB) nor the m x m Gaussian matrix (72 MB), ever
+    # exists, and at n = 8000 no n x n adjacency (64 MB) either.
     p, q, N, k = 1.0, 0.25, 1000, 8
-    plan = plan_semi_cr(p, q, N=N, k=k, ell=2)
+    plan = plan_semi_cr(p, q, N=N, k=k, ell=2, n=n)
     G, tr = sample_k_pds(N, k, p, q, RngStream(190))
     tracemalloc.start()
     try:
@@ -934,19 +936,19 @@ def test_semi_cr_builds_no_padded_matrix(on_workers):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    m = plan.m
-    assert peak < m * m + m * (m + 8) // 2 + plan.n ** 2 + 16 * 2 ** 20
+    m, n = plan.m, plan.n
+    assert peak < m * m + m * (m + 8) // 2 + n * (n - 1) // 2 + 16 * 2 ** 20
 
 
 def test_semi_cr_bytes_independent_of_workers(monkeypatch, on_workers):
     # Twenty kernel blocks of seven kept blocks each (the last one ragged),
-    # banded coin draws, ten mirrored tile pairs and eleven relabel bands:
-    # serial and 8 workers give the same bytes.
+    # each writing its pairs into the shared output, banded coin draws and
+    # eleven embed bands: serial and 8 workers give the same bytes.
     p, q, N, k = 1.0, 0.25, 32, 4
     plan = plan_semi_cr(p, q, N=N, k=k, ell=2, n=200)
     G, tr = sample_k_pds(N, k, p, q, RngStream(192))
     monkeypatch.setattr(kernels, "_BLOCK", 64 * 7)
-    monkeypatch.setattr(pipelines, "_PAD_CHUNK", 9 * 144 * 3)
+    monkeypatch.setattr(pipelines, "_PAD_CHUNK", 3 * N)
     monkeypatch.setattr(prob, "_BAND", 64)
 
     def run():
