@@ -52,6 +52,6 @@ for tag, mean, loc in (("Tern(a,+mu1,mu2) -> P+", mu_in, shift),
                        ("Tern(a,-mu1,mu2) -> P-", -mu_in, -shift),
                        ("Tern(a,0,0)      -> Q ", 0.0, 0.0)):
     bits = truncate_tern(mean + rng.child("b" + tag).generator().standard_normal(200_000), 1.0)
-    out, _ = srk3_array(bits[None], [shift], a, mu1, mu2, 50, [rng.child("k" + tag)])
+    out, _ = srk3_array(bits[None], [shift], a, mu1, mu2, 50, rng.child("k" + tag))
     tv = empirical_tv_to_cdf(out[0], lambda u, s=loc: sst.norm.ppf(u, loc=s), 100)
     print(f"  {tag}: binned TV to target {tv:.4f}")

@@ -141,9 +141,12 @@ class Graph:
         return np.unpackbits(self._bits, count=_n_pairs(self.n)).view(bool)
 
     def to_dense(self) -> np.ndarray:
+        """The n x n adjacency, each row's pairs written from the pair vector
+        with their mirror, so nothing n x n is held but the output."""
         adj = np.zeros((self.n, self.n), dtype=bool)
-        adj[_upper_mask(self.n)] = self.triu_vector()
-        adj |= adj.T
+        vec, starts = self.triu_vector(), _row_starts(self.n).tolist()
+        for u in range(self.n - 1):
+            adj[u, u + 1:] = adj[u + 1:, u] = vec[starts[u]:starts[u + 1]]
         return adj
 
     def edges(self) -> np.ndarray:

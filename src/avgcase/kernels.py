@@ -18,24 +18,18 @@ Four gadgets live here:
 * ``truncate_tern`` / ``tern_params_from_truncation`` — the Gaussian
   truncation producing exactly those ternary input laws.
 
-All kernels are pure functions of their stream argument.  Both rejection
-loops cut rows of length c into blocks of max(1, floor(``_BLOCK`` / c))
-whole rows (``_row_blocks``), a flat array being one column.  The Gaussian
-kernel runs over a stack of parts, each with a stream of its own: an array
-or matrix is the one part and draws from the kernel's stream
-(``rng.child("gaussianize")`` or ``rng.child("rk")``), and part j of a
-(k, m, c) stack handed to ``gaussianize`` from that stream's
-``child("part", j)``.  Each block gets a stream of its own: block 0 draws
-from the part's stream and block i >= 1 from the part stream's
-``child("block", i)``, so an input of one block or less draws from the
-kernel's stream alone.  The block constant is part of the stream's
-definition: it changes the output of every part larger than one block.
-
-The 3-ary kernel keys its streams by row instead: row i of an (n, d) input
-draws from the i-th stream passed in, and a block's rows are stepped
-together so that the likelihood ratios, the gate, the acceptance rule and
-the compaction run once per block rather than once per row.  Its block
-size therefore changes only the speed, never the output.
+All kernels are pure functions of their stream argument, and both key
+their streams by one rule.  Both rejection loops cut rows of length c into
+blocks of max(1, floor(``_BLOCK`` / c)) whole rows (``_row_blocks``), a
+flat array being one column, and each block gets a stream of its own
+(``_block_generators``): block 0 draws from the input's stream and block
+i >= 1 from that stream's ``child("block", i)``, so an input of one block
+or less draws from its stream alone.  The input's stream is the kernel's
+(``rng.child("gaussianize")``, ``rng.child("rk")`` or
+``rng.child("srk3")``), and part j of a (k, m, c) stack handed to
+``gaussianize`` has that stream's ``child("part", j)``.  The block constant
+is part of the stream's definition: it changes the output of every input
+larger than one block.
 
 Both kernels build every generator before any block starts and run their
 blocks (the Gaussian kernel's part after part) through the pool policy
@@ -43,11 +37,11 @@ that ``prob._run_blocks`` defines for every stage of the package, so the
 number of threads is not part of any stream: the output is the same on
 any number of cores.
 
-Within a block the Gaussian loop keeps the positions of the entries still
-open and, each step, draws the proposals and then the uniforms for all of
-them, writes every proposal, and keeps only the rejected positions open;
-the acceptance test runs in place on the proposal's log-ratio.  The draws
-and every float are those of the two-mask loop it replaced.
+Within a block each loop keeps the positions of the entries still open
+and, each step, draws the proposals and then the uniforms for all of them
+with one call each, so a block is stepped exactly like one long row.  The
+Gaussian loop writes every proposal and keeps only the rejected positions
+open; its acceptance test runs in place on the proposal's log-ratio.
 
 The 3-ary kernel takes its likelihood ratios in log-space
 (``_log_ratio``); the operating regimes involve mu1, mu2 down to 1e-5 and
@@ -62,7 +56,6 @@ identity is what the unit tests pin down.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -111,6 +104,13 @@ def _row_blocks(n_rows: int, row_len: int):
     return per_block, -(-n_rows // per_block)
 
 
+def _block_generators(stream: RngStream, n_blocks: int) -> list:
+    """The generators of an input's blocks: block 0 draws from ``stream``
+    and block i >= 1 from its ``child("block", i)``."""
+    return [stream.generator()] + [stream.child("block", i).generator()
+                                   for i in range(1, n_blocks)]
+
+
 def _target_mean(mu) -> float:
     """The kernels' target mean as a float: one scalar, finite (NaN would
     reject every proposal and leave the 0.0 initializer everywhere) and
@@ -144,9 +144,7 @@ def _rk_gauss_core(parts, mu, p, q, n_iter, streams, use=None):
     mu = _target_mean(mu)
     _, m, cols = parts.shape
     per_block, n_blocks = _row_blocks(m, cols)  # per part
-    gens = []
-    for s in streams:
-        gens += [s.generator()] + [s.child("block", i).generator() for i in range(1, n_blocks)]
+    gens = [gen for s in streams for gen in _block_generators(s, n_blocks)]
     out = np.zeros(parts.shape) if use is None else None
 
     def run(b):
@@ -347,26 +345,24 @@ def _srk3_params_check(a, mu1, mu2):
     tern_pmf(a, -mu1, mu2)
 
 
-def srk3_array(bits, shifts, a, mu1, mu2, n_iter, streams):
+def srk3_array(bits, shifts, a, mu1, mu2, n_iter, rng: RngStream):
     """Vectorized symmetric 3-ary rejection kernel over an (n, d) stack of
     rows in {-1, 0, +1}.
 
     Row i targets N(+-``shifts[i]``, 1) and Q = N(0, 1): inputs distributed
     Tern(a, mu1, mu2) map near N(shift, 1), Tern(a, -mu1, mu2) near
-    N(-shift, 1) and Tern(a, 0, 0) near Q.  Row i draws from
-    ``streams[i].child("srk3")``; one row is passed as ``bits[None]``,
-    ``[shift]``, ``[stream]``.  Entries whose iteration budget runs out
-    keep their initialization, a fresh draw from Q (distributionally
-    harmless).  Returns ``(out, count of those entries)``.
+    N(-shift, 1) and Tern(a, 0, 0) near Q.  The kernel's stream is
+    ``rng.child("srk3")``, cut by the block rule of the module docstring;
+    one row is passed as ``bits[None]``, ``[shift]``.  Entries whose
+    iteration budget runs out keep their initialization, a fresh draw from
+    Q (distributionally harmless).  Returns ``(out, count of those
+    entries)``.
 
     The gates are |l1| <= 2 mu1 and |l2| <= 2 mu2 / max(a, 1 - a).  A row
     whose shift leaves no x passing both gates (``_gate_empty``) is settled
     before the loop: it draws its initializer and nothing more, and its d
-    entries count as kept.  The output is that of stepping the row through
-    its whole budget, which accepts nothing.
-
-    Its blocks of rows (``_row_blocks``) run through ``_run_blocks``; a
-    row draws from its own generator alone, so they set only the speed.
+    entries count as kept.  Stepped through its whole budget it would
+    accept nothing.
     """
     _srk3_params_check(a, mu1, mu2)
     bits = np.asarray(bits)
@@ -374,8 +370,8 @@ def srk3_array(bits, shifts, a, mu1, mu2, n_iter, streams):
         raise ParameterError(f"srk3 expects a 2-D stack of rows, got {bits.ndim}-D")
     n, d = bits.shape
     shifts = np.asarray(shifts, dtype=float)
-    if shifts.shape != (n,) or not isinstance(streams, Sequence) or len(streams) != n:
-        raise ParameterError(f"srk3 on a {n}-row input needs one shift and one stream per row")
+    if shifts.shape != (n,):
+        raise ParameterError(f"srk3 on a {n}-row input needs one shift per row")
     if not np.all(np.isfinite(shifts)):
         raise ParameterError("srk3 needs finite shifts")
     ternary = bits == 0  # np.isin would copy an integer input twice over
@@ -387,57 +383,48 @@ def srk3_array(bits, shifts, a, mu1, mu2, n_iter, streams):
     gate1, gate2 = 2.0 * abs(mu1), 2.0 * abs(mu2) / max(a, 1.0 - a)
     settled = _gate_empty(shifts, gate1, gate2)
     out = np.empty((n, d))
-    gens = [s.child("srk3").generator() for s in streams]
     per_block, n_blocks = _row_blocks(n, d)
+    gens = _block_generators(rng.child("srk3"), n_blocks)
     fallback = [0] * n_blocks
 
     def run(j):
         b = slice(j * per_block, (j + 1) * per_block)
-        fallback[j] = _srk3_block(bits[b], out[b], shifts[b], settled[b], gens[b],
+        fallback[j] = _srk3_block(bits[b], out[b], shifts[b], settled[b], gens[j],
                                   a, mu1, mu2, gate1, gate2, n_iter)
 
     _run_blocks(run, n_blocks)
     return out, sum(fallback)
 
 
-def _srk3_block(bits, out, shifts, settled, gens, a, mu1, mu2, gate1, gate2,
+def _srk3_block(bits, out, shifts, settled, gen, a, mu1, mu2, gate1, gate2,
                 n_iter) -> int:
     """One block of rows of the 3-ary loop, written into the view ``out``;
     returns how many entries kept their initializer.
 
-    Each row first draws its initializer from Q; a ``settled`` row stops
-    there.  Each step, every row with entries left draws its proposals z,
-    then its uniforms u, from its own generator; the two likelihood ratios,
-    at +shift and -shift of each entry's row, the gate, the acceptance rule
-    and the compaction then run once over the block.  The remaining entries
-    stay in row-major order, so each row's are one contiguous segment.
+    The block draws its initializer from Q, then each step the proposals z
+    and the uniforms u of all its open entries, in row-major order, one
+    call each; the entries of ``settled`` rows are never open.  The two
+    likelihood ratios, at +shift and -shift of each entry's row, the gate,
+    the acceptance rule and the compaction run once over the block.
     """
-    n_rows, d = out.shape
-    for i in range(n_rows):
-        gens[i].standard_normal(out=out[i])
+    d = out.shape[1]
     flat_out = out.reshape(-1)
-    # positions of the entries still open, in int32 when the block allows;
-    # a settled row has none
+    gen.standard_normal(out=flat_out)
+    # positions of the entries still open, in int32 when the block allows
     live = np.repeat(~settled, d)
-    rem = np.flatnonzero(live).astype(np.int32 if n_rows * d < 2 ** 31 else np.int64)
+    rem = np.flatnonzero(live).astype(np.int32 if flat_out.size < 2 ** 31 else np.int64)
     sym = bits.reshape(-1)[live].astype(np.int8)
-    left = np.where(settled, 0, d)
     del live
     bufs = np.empty((5, rem.size))
     for _ in range(n_iter):
         if rem.size == 0:
             break
         z, u, lr_p, lr_m, l1 = bufs[:, :rem.size]
-        start = 0
-        active = np.flatnonzero(left)
-        for i, c in zip(active.tolist(), left[active].tolist()):
-            seg = slice(start, start + c)
-            gens[i].standard_normal(out=z[seg])
-            gens[i].random(out=u[seg])
-            start += c
-        # each open entry's row shift, held in l1 until both ratios are taken
-        shift = l1
-        shift[...] = np.repeat(shifts[active], left[active])
+        gen.standard_normal(out=z)
+        gen.random(out=u)
+        # each open entry's row shift, held in l1 until both ratios are
+        # taken; every index is valid, and "clip" writes it unbuffered
+        shift = np.take(shifts, rem // d, out=l1, mode="clip")
         np.exp(_log_ratio(z, shift, out=lr_p), out=lr_p)
         np.negative(shift, out=shift)
         np.exp(_log_ratio(z, shift, out=lr_m), out=lr_m)
@@ -469,14 +456,12 @@ def _srk3_block(bits, out, shifts, settled, gens, a, mu1, mu2, gate1, gate2,
                 f"(a={a}, mu1={mu1}, mu2={mu2})"
             )
         accept = gated[u[gated] < p_acc]
-        hit = rem[accept]
-        flat_out[hit] = z[accept]
-        left -= np.bincount(hit // d, minlength=n_rows)
+        flat_out[rem[accept]] = z[accept]
         keep = np.ones(rem.size, dtype=bool)
         keep[accept] = False
         rem, sym = rem[keep], sym[keep]
         # spent index arrays, freed before the next step's ratios allocate
-        del gated, accept, hit, keep
+        del gated, accept, keep
     return int(rem.size) + d * int(settled.sum())
 
 

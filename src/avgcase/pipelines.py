@@ -613,7 +613,8 @@ def pds_to_isgm(G: Graph, plan: ReductionPlan, rng: RngStream,
     h_rows = [col_choice[cols] % out_cols for cols in kept]  # part i's kept rows of H
 
     def rotate(i, first, rows):
-        samples[np.ix_(kept[i], row_pos[first:first + len(rows)])] = H_mat[h_rows[i]] @ rows.T
+        flat = kept[i][:, None] * d + row_pos[first:first + len(rows)]
+        np.put(samples, flat, H_mat[h_rows[i]] @ rows.T)
 
     gaussianize(parts, p, plan.Q, math.sqrt(rt * (r - 1)) * plan.mu, rng.child("gaussianize"),
                 rotate)
@@ -828,12 +829,13 @@ def pds_to_glsm(G: Graph, plan: ReductionPlan, rng: RngStream,
     [-1, 1]; theta = 0 plants nothing.  Step 1 is the r = 2 mixture
     reduction at eps = 1/2; step 2 truncates every entry at tau to
     {-1, 0, +1} and pushes it through the symmetric 3-ary kernel at
-    (a, mu1, mu2) toward (P_nu, P_-nu, Q), with the row's mean shift and one
-    stream per row; tau, (a, mu1, mu2) and shift_scale are the plan's.  The
-    trace records each row's nu; its ``srk3_fallback_entries`` counts the
-    entries that kept their Q initializer: those that ran out of their
-    proposal budget, and every entry of a row whose gate set is empty, which
-    srk3 settles before its loop.
+    (a, mu1, mu2) toward (P_nu, P_-nu, Q), each row at its mean shift, on
+    the kernel's stream of ``rng``; tau, (a, mu1, mu2) and shift_scale are
+    the plan's.  The trace records each row's nu; its
+    ``srk3_fallback_entries`` counts the entries that kept their Q
+    initializer: those that ran out of their proposal budget, and every
+    entry of a row whose gate set is empty, which srk3 settles before its
+    loop.
     """
     if plan.target != "GLSM":
         raise ParameterError(f"pds_to_glsm needs a GLSM plan, got {plan.target}")
@@ -845,8 +847,7 @@ def pds_to_glsm(G: Graph, plan: ReductionPlan, rng: RngStream,
     nus = np.clip(nu_sd * rng.child("nu").generator().standard_normal(n), -1.0, 1.0)
     B = truncate_tern(samples, tau)
     del samples  # the Gaussian samples, before the kernel allocates its output
-    X, fallback = srk3_array(B, nus * plan.report["shift_scale"], a, mu1, mu2, n_iter,
-                             [rng.child("srk3", i) for i in range(n)])
+    X, fallback = srk3_array(B, nus * plan.report["shift_scale"], a, mu1, mu2, n_iter, rng)
     return X, replace(in_trace, seed=rng.seed, params=dict(
         in_trace.params, tau=tau, a=a, mu1=mu1, mu2=mu2,
         srk3_fallback_entries=fallback, nu=[float(v) for v in nus]))

@@ -22,10 +22,12 @@ min(usable CPUs, ``_MAX_IN_FLIGHT``) workers, and within a trial worker only
 its share of the CPUs.  Two runners apply it:
 
 * ``_run_blocks`` runs the blocks of one large input on threads (the
-  kernels' blocks, with each Gaussianized block of ``pds_to_isgm`` and
-  ``pds_to_semi_cr`` padded and rotated on the worker that finishes it,
-  the row bands of the k-partite embedding, the pad of ``pds_to_isgm``,
-  and the pieces of ``graphs.write_graphv1``), and ``_random_bands``
+  blocks of both kernels, each on a keyed stream of its own by the one
+  rule of ``kernels._block_generators``, with each Gaussianized block of
+  ``pds_to_isgm`` and ``pds_to_semi_cr`` padded and rotated on the worker
+  that finishes it, the row bands of the k-partite embedding, the pad of
+  ``pds_to_isgm``, and the pieces of ``graphs.write_graphv1``), and
+  ``_random_bands``
   makes the draw ``gen.random(size)`` in bands on it, splitting one
   PCG64DXSM stream with ``advance``: ``uniform_below`` draws its
   Bernoulli matrices ``gen.random(shape) < p`` that way (the background

@@ -278,13 +278,12 @@ def test_criterion_08_srk3_marginals(tern_bits):
                               ("minus", (a, -mu1, mu2), -shift),
                               ("null", (a, 0.0, 0.0), 0.0)):
             bits = tern_bits(*law, rng.child("bits-" + tag), M)
-            out, _ = srk3_array(bits[None], [shift], a, mu1, mu2, 60,
-                                [rng.child("kern-" + tag)])
+            out, _ = srk3_array(bits[None], [shift], a, mu1, mu2, 60, rng.child("kern-" + tag))
             tv = empirical_tv_to_cdf(out[0], lambda u, s=loc: sst.norm.ppf(u, loc=s), 200)
             assert tv <= 0.01, (tag, tv)
         # degenerate P+ = P- = Q: outputs are exactly Q draws
         bits = tern_bits(a, mu1, mu2, rng.child("dg"), 100_000)
-        out, _ = srk3_array(bits[None], [0.0], a, mu1, mu2, 40, [rng.child("dgk")])
+        out, _ = srk3_array(bits[None], [0.0], a, mu1, mu2, 40, rng.child("dgk"))
         _, pval = sst.kstest(out[0], sst.norm.cdf)
         assert pval > ALPHA, pval
 

@@ -355,8 +355,8 @@ _ISGM_R3_GOLDEN = {
     "plan.json": "cfe76ae69a7c2c2daa5fef6f58c57e468cff4c337165b99e007b7cb3f7b6c990",
 }
 _GLSM_GOLDEN = {
-    "samples.amat": "2cd6d486ea164743c63e2cb8e9530b3177c14c8e1bd43377e23bd920b0276aed",
-    "trace.json": "72633af7bf2fb09b8fbf25f0a46b39e0e6af055261e2c94bbf8bf3e9744c5a65",
+    "samples.amat": "78bf9e6bbf53722095259e946600f9f57c63a9738e8de6ed7f74e97ebdf83792",
+    "trace.json": "ad2758ad68297e45d7e633f6b8f32038a93ce960fcecff9b04bbcd1605d87bd3",
     "plan.json": "86c5e30f4bea433e28757749f8c963f8b8183de5499dcf59430974ffb742e214",
 }
 
@@ -410,7 +410,7 @@ _VERIFY_GOLDEN = {
     "semi-cr": (["--trials", "100"],
                 "1931d09b72fe31b1701846b33e5c39dace325bba841f41f93d093e842491355f"),
     "glsm": (["--trials", "1"],
-             "9a9975f7420030407a64940d96bd6ee0bddb9efe98709659c1253390d1be0239"),
+             "eb703d6e84cd2d4eea70f632cc31e26087a9a64b30addf41fb58fcca5a647369"),
 }
 
 

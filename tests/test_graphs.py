@@ -56,6 +56,22 @@ def test_dense_conversions_match_triu_indices_reference(n, data):
     assert_array_equal(Graph.from_dense(adj).triu_vector(), bits)
 
 
+def test_to_dense_holds_only_its_output_and_the_pair_vector():
+    # No n x n mask or transposed copy beside the output: the peak is the
+    # output, the unpacked pair vector and the rows' first pairs.
+    n = 1500
+    G = sample_gnq(n, 0.3, RngStream(4))
+    tracemalloc.start()
+    try:
+        adj = G.to_dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_array_equal(adj[np.triu_indices(n, 1)], G.triu_vector())
+    assert_array_equal(adj, adj.T)
+    assert peak < n * n + n * (n - 1) // 2 + 100 * n
+
+
 def test_graph_rejects_bad_adjacency():
     with pytest.raises(ParameterError):
         Graph.from_dense(np.ones((3, 3), dtype=bool))  # self loops

@@ -445,7 +445,7 @@ def test_srk3_branch_formulas_reconstruct_likelihoods():
 
 def _srk3_row(bits, shift, params, n_iter, rng):
     """srk3 on the one row ``bits`` toward N(shift, 1), N(-shift, 1), N(0, 1)."""
-    out, _ = srk3_array(bits[None], [shift], *params, n_iter, [rng])
+    out, _ = srk3_array(bits[None], [shift], *params, n_iter, rng)
     return out[0]
 
 
@@ -513,33 +513,34 @@ def test_srk3_gate_truncation(tern_bits):
 def test_srk3_parameter_errors():
     one = np.array([[0]])
     with pytest.raises(ParameterError):
-        srk3_array(one, [0.1], 0.5, 0.0, 0.01, 10, [RngStream(15)])  # mu1 = 0
+        srk3_array(one, [0.1], 0.5, 0.0, 0.01, 10, RngStream(15))  # mu1 = 0
     with pytest.raises(ParameterError):
-        srk3_array(one, [0.1], 0.5, 0.3, 0.01, 10, [RngStream(15)])  # Tern invalid
+        srk3_array(one, [0.1], 0.5, 0.3, 0.01, 10, RngStream(15))  # Tern invalid
     with pytest.raises(ParameterError):
-        srk3_array(one + 2, [0.1], 0.5, 0.01, 0.01, 10, [RngStream(15)])  # bad symbol
+        srk3_array(one + 2, [0.1], 0.5, 0.01, 0.01, 10, RngStream(15))  # bad symbol
     for bad in (np.nan, np.inf):
         with pytest.raises(ParameterError, match="finite shifts"):
-            srk3_array(one, [bad], 0.5, 0.01, 0.01, 10, [RngStream(15)])
+            srk3_array(one, [bad], 0.5, 0.01, 0.01, 10, RngStream(15))
 
 
-def _srk3_reference(bits, shift, a, mu1, mu2, n_iter, rng):
-    """The one-row srk3 loop that the blocked kernel replaced, at the row's
-    scalar mean shift, kept as the reference for its bytes; returns (out,
-    entries that kept the initializer)."""
-    gen = rng.child("srk3").generator()
+def _srk3_reference(bits, shift, settled, a, mu1, mu2, n_iter, gen):
+    """The one-row srk3 loop, kept as the reference for the kernel's bytes:
+    a block is stepped exactly like one long row, so this takes a shift
+    and a settled flag per entry (its row's), and a settled entry is never
+    open.  Returns (out, entries that kept the initializer, steps run)."""
     out = gen.standard_normal(bits.size)
     flat_bits = bits.ravel()
     gate2 = 2.0 * abs(mu2) / max(a, 1.0 - a)
-    remaining = np.arange(flat_bits.size)
-    for _ in range(n_iter):
-        if remaining.size == 0:
-            break
+    remaining = np.flatnonzero(~settled)
+    steps = 0
+    while steps < n_iter and remaining.size:
+        steps += 1
         z = gen.standard_normal(remaining.size)
         u = gen.random(remaining.size)
-        # log dN(+-shift, 1)/dN(0, 1) = +-shift z - shift^2 / 2
-        lr_p = np.exp(shift * z - 0.5 * shift * shift)
-        lr_m = np.exp(-shift * z - 0.5 * shift * shift)
+        s = shift[remaining]
+        # log dN(+-s, 1)/dN(0, 1) = +-s z - s^2 / 2
+        lr_p = np.exp(s * z - 0.5 * s * s)
+        lr_m = np.exp(-s * z - 0.5 * s * s)
         l1 = lr_p - lr_m
         l2 = lr_p + lr_m - 2.0
         gated = (np.abs(l1) <= 2.0 * abs(mu1)) & (np.abs(l2) <= gate2)
@@ -556,14 +557,15 @@ def _srk3_reference(bits, shift, a, mu1, mu2, n_iter, rng):
         accept = gated & (u < p_acc)
         out[remaining[accept]] = z[accept]
         remaining = remaining[~accept]
-    return out.reshape(bits.shape), remaining.size
+    return out.reshape(bits.shape), remaining.size + int(settled.sum()), steps
 
 
 @pytest.fixture
 def srk3_rows(tern_bits):
     """``srk3_rows(n, d, seed, shifts=None)``: an (n, d) ternary input, one
-    mean shift and one stream per row, and srk3 parameters whose gates cut
-    a sizeable share of Q's mass (about the benchmark's regime)."""
+    mean shift per row, the stream to run srk3 on, and srk3 parameters
+    whose gates cut a sizeable share of Q's mass (about the benchmark's
+    regime)."""
 
     def build(n, d, seed, shifts=None):
         a, mu1, mu2 = tern_params_from_truncation(1.0, 0.016)
@@ -571,33 +573,53 @@ def srk3_rows(tern_bits):
         bits = tern_bits(a, mu1, mu2, rng.child("bits"), n * d).reshape(n, d)
         if shifts is None:
             shifts = 1e-2 * rng.child("nu").generator().standard_normal(n)
-        streams = [rng.child("srk3", i) for i in range(n)]
-        return bits, np.asarray(shifts, dtype=float), streams, (a, mu1, mu2)
+        return bits, np.asarray(shifts, dtype=float), rng.child("k"), (a, mu1, mu2)
 
     return build
 
 
-def _srk3_reference_rows(bits, shifts, streams, params, n_iter):
-    rows = [_srk3_reference(b, shift, *params, n_iter, s)
-            for b, shift, s in zip(bits, shifts, streams)]
-    return np.stack([out for out, _ in rows]), sum(left for _, left in rows)
+def _srk3_reference_rows(bits, shifts, rng, params, n_iter):
+    """srk3's output by its block rule: block 0 of the rows on
+    ``rng.child("srk3")``, block i on that stream's ("block", i) child,
+    each stepped as one long row.  Returns (out, kept entries, steps run
+    per block)."""
+    n, d = bits.shape
+    per_block = max(1, kernels._BLOCK // d)
+    settled = kernels._gate_empty(shifts, *_gates(*params))
+    stream = rng.child("srk3")
+    outs, kept, steps = [], 0, []
+    for i, first in enumerate(range(0, n, per_block)):
+        rows = slice(first, first + per_block)
+        gen = (stream.child("block", i) if i else stream).generator()
+        out, left, ran = _srk3_reference(bits[rows], np.repeat(shifts[rows], d),
+                                         np.repeat(settled[rows], d), *params, n_iter, gen)
+        outs.append(out)
+        kept += left
+        steps.append(ran)
+    return np.concatenate(outs), kept, steps
 
 
 @pytest.mark.parametrize("n, d, block", [
     (10, 20, 64),     # 3 rows a block: 10 is not a multiple
     (5, 100, 64),     # a row longer than a block: one row a block
     (300, 1000, None),  # the default block, 262 rows, and a short last block
-    (1, 5000, None),  # one row, passed as bits[None], [shift], [stream]
+    (1, 5000, None),  # one row, passed as bits[None], [shift]
 ])
 def test_srk3_blocks_match_the_one_row_loop(monkeypatch, n, d, block, srk3_rows):
+    # Settled rows (n // 2 and the last) keep their share of their block's
+    # initializer and open no entry; two ratio calls per step of each block.
     if block is not None:
         monkeypatch.setattr(kernels, "_BLOCK", block)
-    bits, shifts, streams, params = srk3_rows(n, d, 60)
-    shifts[-1] = 5.0  # far past the gates: every entry of the last row falls back
-    out, fallback = srk3_array(bits, shifts, *params, 30, streams)
-    ref, ref_fallback = _srk3_reference_rows(bits, shifts, streams, params, 30)
+    bits, shifts, rng, params = srk3_rows(n, d, 60)
+    shifts[n // 2] = -5.0  # far past the gates: every entry of these rows falls back
+    shifts[-1] = 5.0
+    calls = []
+    _count_ratio_calls(monkeypatch, lambda x, shift: calls.append(len(x)))
+    out, fallback = srk3_array(bits, shifts, *params, 30, rng)
+    ref, ref_fallback, steps = _srk3_reference_rows(bits, shifts, rng, params, 30)
     assert out.shape == (n, d) and out.tobytes() == ref.tobytes()
-    assert fallback == ref_fallback >= d
+    assert fallback == ref_fallback >= d * len({n // 2, n - 1})
+    assert len(calls) == 2 * sum(steps)
 
 
 def _gates(a, mu1, mu2):
@@ -647,23 +669,23 @@ def _count_ratio_calls(monkeypatch, record):
 
 def test_srk3_row_that_falls_back_everywhere(monkeypatch, srk3_rows):
     # A shift far past the gates has an empty gate set, so srk3 settles
-    # row 1 before its loop: it keeps its initializer whole and never
-    # reaches the ratios, and the rows around it are unaffected.
-    bits, shifts, streams, params = srk3_rows(3, 50, 61, shifts=[1e-4, 5.0, -1e-4])
+    # row 1 before its loop: it keeps its share of the block's initializer
+    # and never reaches the ratios.
+    bits, shifts, rng, params = srk3_rows(3, 50, 61, shifts=[1e-4, 5.0, -1e-4])
     assert kernels._gate_empty(shifts, *_gates(*params)).tolist() == [False, True, False]
     seen = []
     _count_ratio_calls(monkeypatch, lambda x, shift: seen.append(np.unique(np.abs(shift))))
-    out, fallback = srk3_array(bits, shifts, *params, 20, streams)
-    ref, ref_fallback = _srk3_reference_rows(bits, shifts, streams, params, 20)
+    out, fallback = srk3_array(bits, shifts, *params, 20, rng)
+    ref, ref_fallback, _ = _srk3_reference_rows(bits, shifts, rng, params, 20)
     assert out.tobytes() == ref.tobytes()
-    init = streams[1].child("srk3").generator().standard_normal(50)
-    assert np.array_equal(out[1], init)
+    init = rng.child("srk3").generator().standard_normal((3, 50))
+    assert np.array_equal(out[1], init[1])
     assert fallback == ref_fallback == 50
     assert seen and 5.0 not in np.concatenate(seen)
     # a block of settled rows alone makes no ratio call at all
     seen.clear()
-    out, fallback = srk3_array(bits[1:2], shifts[1:2], *params, 20, streams[1:2])
-    assert seen == [] and fallback == 50 and np.array_equal(out[0], init)
+    out, fallback = srk3_array(bits[1:2], shifts[1:2], *params, 20, rng)
+    assert seen == [] and fallback == 50 and np.array_equal(out[0], init[0])
 
 
 def test_srk3_evaluates_the_ratios_once_per_block_step(monkeypatch, on_workers, srk3_rows):
@@ -673,13 +695,13 @@ def test_srk3_evaluates_the_ratios_once_per_block_step(monkeypatch, on_workers, 
     # the gates, so no row is settled and each block runs all 20 steps.  The
     # blocks run one at a time, so that their calls do not interleave.
     monkeypatch.setattr(kernels, "_BLOCK", 2 * 50)
-    bits, shifts, streams, params = srk3_rows(
+    bits, shifts, rng, params = srk3_rows(
         5, 50, 66, shifts=[0.0102, -0.0102, 0.01025, -0.01025, 0.0102])
     assert not kernels._gate_empty(shifts, *_gates(*params)).any()
     calls = []
     _count_ratio_calls(monkeypatch,
                        lambda x, shift: calls.append((np.shape(x), np.shape(shift))))
-    _, fallback = on_workers(lambda: srk3_array(bits, shifts, *params, 20, streams), cap=1)
+    _, fallback = on_workers(lambda: srk3_array(bits, shifts, *params, 20, rng), cap=1)
     assert 0 < fallback < bits.size
     assert len(calls) == 2 * 20 * 3  # 3 blocks (2, 2 and 1 rows) of 20 steps
     assert calls[0::2] == calls[1::2]  # the pair of one step: +shift, then -shift
@@ -691,14 +713,27 @@ def test_srk3_bytes_independent_of_workers(monkeypatch, on_workers, srk3_rows):
     # Serial, the default pool, and more workers than cores give the same
     # bytes.
     monkeypatch.setattr(kernels, "_BLOCK", 4 * 300)
-    bits, shifts, streams, params = srk3_rows(40, 300, 63)
+    bits, shifts, rng, params = srk3_rows(40, 300, 63)
 
     def run():
-        return srk3_array(bits, shifts, *params, 30, streams)[0].tobytes()
+        return srk3_array(bits, shifts, *params, 30, rng)[0].tobytes()
 
     serial = on_workers(run, cap=1)
     assert on_workers(run) == serial
     assert on_workers(run, 8, 8) == serial
+
+
+def test_srk3_bytes_are_fixed_by_the_block_constant(monkeypatch, srk3_rows):
+    # The block constant is part of srk3's stream: it moves the bytes of a
+    # multi-block input, and not those of an input of one block or less.
+    bits, shifts, rng, params = srk3_rows(40, 300, 68)
+
+    def run(block, rows):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        return srk3_array(bits[rows], shifts[rows], *params, 30, rng)[0].tobytes()
+
+    assert run(4 * 300, slice(None)) != run(8 * 300, slice(None))
+    assert run(4 * 300, slice(4)) == run(8 * 300, slice(4)) == run(1 << 18, slice(4))
 
 
 def test_srk3_transient_memory_bounded(monkeypatch, srk3_rows):
@@ -706,27 +741,25 @@ def test_srk3_transient_memory_bounded(monkeypatch, srk3_rows):
     # (all of them in flight here, whatever the host's core count): the peak
     # allocation inside the call exceeds its output by a fixed allowance.
     monkeypatch.setattr(prob, "_usable_cpus", lambda: prob._MAX_IN_FLIGHT)
-    bits, shifts, streams, params = srk3_rows(512, 4096, 64)
+    bits, shifts, rng, params = srk3_rows(512, 4096, 64)
     tracemalloc.start()
     try:
-        X, _ = srk3_array(bits, shifts, *params, 62, streams)
+        X, _ = srk3_array(bits, shifts, *params, 62, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < X.nbytes + 64 * 2 ** 20
 
 
-def test_srk3_needs_one_pair_and_stream_per_row(srk3_rows):
-    # one shift and one stream per row of a 2-D stack, and nothing but a stack
-    bits, shifts, streams, params = srk3_rows(4, 10, 65)
-    for shift_arg, stream_arg in ((shifts[:3], streams), (np.tile(shifts, 2), streams),
-                                  (shifts.reshape(2, 2), streams), (shifts, streams[:1]),
-                                  (shifts[0], streams[0]), (shifts, streams[0])):
-        with pytest.raises(ParameterError, match="4-row input"):
-            srk3_array(bits, shift_arg, *params, 10, stream_arg)
+def test_srk3_needs_one_shift_per_row(srk3_rows):
+    # one shift per row of a 2-D stack, and nothing but a stack
+    bits, shifts, rng, params = srk3_rows(4, 10, 65)
+    for shift_arg in (shifts[:3], np.tile(shifts, 2), shifts.reshape(2, 2), shifts[0]):
+        with pytest.raises(ParameterError, match="4-row input needs one shift per row"):
+            srk3_array(bits, shift_arg, *params, 10, rng)
     for shape in (bits[0], bits[None]):  # one row must come as bits[None]
         with pytest.raises(ParameterError, match="2-D stack"):
-            srk3_array(shape, shifts[:1], *params, 10, streams[:1])
+            srk3_array(shape, shifts[:1], *params, 10, rng)
 
 
 def test_truncate_tern():

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from avgcase import kernels, pipelines, prob
 from avgcase.errors import ParameterError
 from avgcase.geometry import build_H
-from avgcase.graphs import Graph, sample_gnq, sample_k_pds
+from avgcase.graphs import Graph, PlantedTrace, sample_gnq, sample_k_pds
 from avgcase.pipelines import (clone_Q, clone_pmfs, graph_clone,
                                isgm_mu_prime, isgm_sample_clone,
                                pds_to_glsm, pds_to_isgm, pds_to_semi_cr,
@@ -1025,18 +1025,45 @@ def test_glsm_refuses_a_plan_of_another_target(monkeypatch, plan):
 
 
 def test_glsm_trace_counts_srk3_fallbacks():
-    # An entry that ran out of budget keeps its initializer, the first d
-    # draws of its row's stream; the trace counts exactly those entries.
-    # theta = 1e-4 crowds srk3's gates, so some rows' entries run out.
+    # An entry that ran out of budget keeps its initializer, its draw among
+    # the first n d of srk3's stream (the 48 x 200 input is one block); the
+    # trace counts exactly those entries.  theta = 1e-4 crowds srk3's gates,
+    # so some rows' entries run out.
     plan = plan_glsm(1.0, 0.25, 2.0, n=48, k=4, d=200, tau=1.0, theta=1e-4)
     G = sample_gnq(plan.N, 0.25, RngStream(143))
     rng = RngStream(144)
     X, trace = pds_to_glsm(G, plan, rng)
-    init = np.stack([rng.child("srk3", i).child("srk3").generator().standard_normal(plan.d)
-                     for i in range(48)])
+    init = rng.child("srk3").generator().standard_normal((48, plan.d))
     fallback = trace.params["srk3_fallback_entries"]
     assert isinstance(fallback, int) and 0 < fallback < X.size
     assert fallback == int(np.count_nonzero(X == init))
+
+
+def test_glsm_builds_one_srk3_generator_per_block(monkeypatch):
+    # srk3 keys its streams per block of rows, not per row: at the
+    # benchmark's shape (n = 1024 rows of d = 4096) that is 16 generators.
+    # The ISGM stage is replaced by a zero input, which srk3 takes as is.
+    plan = plan_glsm(1.0, 0.25, 2.0, n=1024, k=8, d=4096, tau=1.0, theta=1e-5)
+    assert (plan.n, plan.d) == (1024, 4096)
+    monkeypatch.setattr(pipelines, "pds_to_isgm", lambda G, plan, rng, trace: (
+        np.zeros((plan.n, plan.d)), PlantedTrace(seed=0, params={})))
+    srk3, built = pipelines.srk3_array, []
+    generator = RngStream.generator
+
+    def counted(*args):
+        monkeypatch.setattr(RngStream, "generator",
+                            lambda stream: built.append(stream.path) or generator(stream))
+        try:
+            return srk3(*args)
+        finally:
+            monkeypatch.setattr(RngStream, "generator", generator)
+
+    monkeypatch.setattr(pipelines, "srk3_array", counted)
+    _, trace = pds_to_glsm(None, plan, RngStream(147))
+    srk3_stream = RngStream(147).child("srk3")
+    assert built == [srk3_stream.path] + [srk3_stream.child("block", i).path
+                                          for i in range(1, 16)]
+    assert 0 <= trace.params["srk3_fallback_entries"] < plan.n * plan.d
 
 
 def test_glsm_planted_coordinate_means():
